@@ -379,6 +379,38 @@ fn bench_hash_probe(c: &mut Criterion) {
     g.finish();
 }
 
+/// The grouped SUM operator (`sum_grouped`, dense random group ids) per
+/// backend across group counts — the paper's Fig. 7/10 axis, and the run
+/// that fixes `rfa_engine::MIN_SEG`: `ReproBuffered` partitions a batch
+/// while `groups · MIN_SEG ≤ 4096` and deposits per row (exactly what
+/// `ReproUnbuffered` does everywhere) above, so the constant belongs where
+/// a partitioned batch stops beating the unbuffered arm. EXPERIMENTS.md
+/// records the table.
+fn bench_grouped_deposit(c: &mut Criterion) {
+    use rfa_engine::{sum_grouped, SumBackend};
+
+    const ROWS: usize = 1 << 20;
+    let mut g = c.benchmark_group("grouped_deposit");
+    g.throughput(Throughput::Elements(ROWS as u64));
+    for shift in (2..=16).step_by(2) {
+        let groups = 1usize << shift;
+        let w = GroupedPairs::generate(ROWS, groups as u32, ValueDist::Uniform01, 23);
+        for (name, backend) in [
+            ("repro_unbuffered", SumBackend::ReproUnbuffered),
+            (
+                "repro_buffered",
+                SumBackend::ReproBuffered { buffer_size: 1024 },
+            ),
+            ("double", SumBackend::Double),
+        ] {
+            g.bench_function(format!("{name}_g2^{shift}"), |b| {
+                b.iter(|| black_box(sum_grouped(backend, &w.keys, &w.values, groups)))
+            });
+        }
+    }
+    g.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -389,6 +421,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_summation, bench_operators, bench_parallel, bench_fused_scan, bench_simd, bench_hash_probe
+    targets = bench_summation, bench_operators, bench_parallel, bench_fused_scan, bench_simd, bench_hash_probe,
+        bench_grouped_deposit
 }
 criterion_main!(benches);

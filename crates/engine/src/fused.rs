@@ -59,6 +59,17 @@
 //! per-row deposits for the vectorized block kernel (`simd::add_slice`),
 //! which §III-D proves bit-transparent.
 //!
+//! **Partition, then aggregate** (paper §V, at batch granularity). A
+//! grouped batch of a [buffered](SumBackend::buffered) backend that holds
+//! few groups relative to its rows ([`crate::sum_op::MIN_SEG`]) is
+//! counting-sorted by group id once ([`BatchPartition`]); COUNT reads the
+//! segment lengths and every SUM state gathers its evaluated values
+//! through the permutation and deposits one block-kernel call per group —
+//! the deposit RLE group keys get from their runs, for any key storage.
+//! The sort is stable and only the *values* are permuted: the selection
+//! vector and the group ids stay in row order, so predicates, RLE
+//! cursors and the algebraic deposits below never see it.
+//!
 //! **Algebraic aggregation over encoded inputs.** When a SUM / MIN / MAX
 //! input is a *bare* encoded column (`Rle`, `Dict` or `Dict16` over plain
 //! numeric storage), the executor skips the per-row gather entirely: each
@@ -104,7 +115,7 @@ use crate::expr::{
     Expr,
 };
 use crate::q1::PhaseTiming;
-use crate::sum_op::{GroupedStates, OverflowError, SumBackend, SCAN_MORSEL_ROWS};
+use crate::sum_op::{BatchPartition, GroupedStates, OverflowError, SumBackend, SCAN_MORSEL_ROWS};
 use rayon::prelude::*;
 use rfa_agg::{AggHashTable, HashKind};
 use rfa_core::cpu::{self, SimdLevel};
@@ -674,7 +685,7 @@ struct Partial {
 }
 
 impl Partial {
-    fn merge(&mut self, mut other: Partial) -> Result<(), FusedError> {
+    fn merge(&mut self, other: Partial) -> Result<(), FusedError> {
         let Partial { states, hash, .. } = self;
         match (hash.as_mut(), other.hash) {
             // Dense / un-grouped: both sides index groups identically.
@@ -692,7 +703,7 @@ impl Partial {
                     }
                     let dst = *slot as usize;
                     states.ensure_groups(h.keys.len());
-                    states.merge_group(dst, &mut other.states, src)?;
+                    states.merge_group(dst, &other.states, src)?;
                 }
             }
             _ => unreachable!("hash and dense partials never mix"),
@@ -893,6 +904,11 @@ enum Deposit {
     Single,
     /// One group id per selected row (`gids`).
     Rows,
+    /// `gids` as for `Rows`, plus the batch's [`BatchPartition`] built
+    /// over them: aggregates over evaluated values deposit one block
+    /// call per group through it. The selection and `gids` stay in row
+    /// order, so algebraic deposits read this exactly like `Rows`.
+    Partitioned,
     /// Run-blocked: `segs` partitions the selection into maximal spans of
     /// rows sharing a group (RLE group keys only); each span deposits
     /// through one `update_*_run` block call instead of per-row updates.
@@ -1010,7 +1026,7 @@ fn for_each_group_span(
                 start = end;
             }
         }
-        Deposit::Rows => {
+        Deposit::Rows | Deposit::Partitioned => {
             let mut i = 0;
             while i < sel_len {
                 let g = gids[i];
@@ -1269,13 +1285,6 @@ fn scan_range(
         bound_mins.len(),
         bound_maxs.len(),
     );
-    if hash.is_some() {
-        // Mirror the hash table's pre-size (see [`HashGroups::new`]): the
-        // state vectors reach working capacity up front, so incremental
-        // `ensure_groups` growth extends in place instead of realloc-
-        // moving every existing group state at each doubling.
-        states.reserve_groups(((hi - lo) / 4).clamp(64, 1 << 16));
-    }
     let mut timing = PhaseTiming::default();
 
     let mut sel: Vec<u32> = Vec::with_capacity(opts.batch_rows);
@@ -1291,6 +1300,21 @@ fn scan_range(
     // across batches of this range — batches advance forward).
     let mut segs: Vec<(u32, usize)> = Vec::new();
     let mut cur = RunCursors::default();
+    // COUNT(*) of a batch with one group id per row, which also decides
+    // how the batch's SUMs deposit: the buffered backends partition it by
+    // group id when it holds few groups relative to its rows
+    // ([`BatchPartition::build`] decides) and count from the segments.
+    let mut part = BatchPartition::default();
+    let buffered = backend.buffered();
+    let count_rows = |states: &mut GroupedStates, gids: &[u32], part: &mut BatchPartition| {
+        if buffered && part.build(gids, states.groups()) {
+            states.add_counts_partitioned(part);
+            Deposit::Partitioned
+        } else {
+            states.add_counts(gids);
+            Deposit::Rows
+        }
+    };
 
     let mut blo = lo;
     while blo < hi {
@@ -1368,8 +1392,7 @@ fn scan_range(
                         }
                         gids.push(g);
                     }
-                    states.add_counts(&gids);
-                    (Deposit::Rows, *groups)
+                    (count_rows(&mut states, &gids, &mut part), *groups)
                 }
             }
             GroupCtx::Hash { col, key_col } => {
@@ -1461,8 +1484,7 @@ fn scan_range(
                         &mut miss_keys,
                     );
                     states.ensure_groups(h.keys.len());
-                    states.add_counts(&gids);
-                    (Deposit::Rows, h.keys.len())
+                    (count_rows(&mut states, &gids, &mut part), h.keys.len())
                 }
             }
         };
@@ -1500,6 +1522,9 @@ fn scan_range(
             match deposit {
                 Deposit::Single => states.update_sum_single(s, &out[..sel.len()])?,
                 Deposit::Rows => states.update_sum(s, &gids, &out[..sel.len()])?,
+                Deposit::Partitioned => {
+                    states.update_sum_partitioned(s, &mut part, &out[..sel.len()])?
+                }
                 Deposit::Segs => {
                     let mut start = 0;
                     for &(g, end) in &segs {
@@ -1537,7 +1562,9 @@ fn scan_range(
             let t2 = Instant::now();
             match deposit {
                 Deposit::Single => states.update_min_single(s, &out[..sel.len()]),
-                Deposit::Rows => states.update_min(s, &gids, &out[..sel.len()]),
+                Deposit::Rows | Deposit::Partitioned => {
+                    states.update_min(s, &gids, &out[..sel.len()])
+                }
                 Deposit::Segs => {
                     let mut start = 0;
                     for &(g, end) in &segs {
@@ -1575,7 +1602,9 @@ fn scan_range(
             let t2 = Instant::now();
             match deposit {
                 Deposit::Single => states.update_max_single(s, &out[..sel.len()]),
-                Deposit::Rows => states.update_max(s, &gids, &out[..sel.len()]),
+                Deposit::Rows | Deposit::Partitioned => {
+                    states.update_max(s, &gids, &out[..sel.len()])
+                }
                 Deposit::Segs => {
                     let mut start = 0;
                     for &(g, end) in &segs {

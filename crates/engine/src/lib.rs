@@ -16,7 +16,8 @@
 //!   vectors, with typed fast paths for `col ⟨cmp⟩ const` shapes;
 //! * [`sum_op`] — the grouped SUM operator with pluggable backends: plain
 //!   overflow-checked doubles (MonetDB behaviour), `repro<double, 4>`
-//!   with/without summation buffers, and the sorted-input baseline — all
+//!   deposited per row or batch-partitioned through the block kernel
+//!   ([`BatchPartition`]), and the sorted-input baseline — all
 //!   reified as the incremental, mergeable [`GroupedSums`] state, composed
 //!   with exact COUNT and MIN/MAX arrays in [`GroupedStates`];
 //! * [`fused`] — the fused zero-copy scan pipeline:
@@ -100,6 +101,6 @@ pub use sql::{
     SqlColumn, SqlError, SqlQuery, SqlResult,
 };
 pub use sum_op::{
-    count_grouped, sum_grouped, sum_grouped_par, GroupedOutput, GroupedStates, GroupedSums,
-    OverflowError, SumBackend, SCAN_MORSEL_ROWS,
+    count_grouped, sum_grouped, sum_grouped_par, BatchPartition, GroupedOutput, GroupedStates,
+    GroupedSums, OverflowError, SumBackend, MIN_SEG, SCAN_MORSEL_ROWS,
 };

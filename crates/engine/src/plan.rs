@@ -116,6 +116,9 @@ pub enum PlanError {
     /// SortedDouble backend, which requires materializing, or a plan with
     /// no aggregates).
     Unsupported(&'static str),
+    /// An `RSUM` backend asked for a precision outside `1..=4` levels
+    /// ([`SumBackend::check_levels`]).
+    RsumLevels { levels: u8 },
     /// The query's cancellation token tripped (cooperative, checked at
     /// batch boundaries — see [`FusedError::Cancelled`]).
     Cancelled,
@@ -157,6 +160,9 @@ impl fmt::Display for PlanError {
                 )
             }
             PlanError::Unsupported(what) => write!(f, "unsupported plan: {what}"),
+            PlanError::RsumLevels { levels } => {
+                write!(f, "RSUM levels must be in 1..=4, got {levels}")
+            }
             PlanError::Cancelled => write!(f, "query cancelled"),
             PlanError::DeadlineExceeded { deadline } => {
                 write!(f, "query exceeded its {deadline:?} deadline")
@@ -384,6 +390,9 @@ impl QueryPlan {
                 "SortedDouble requires the materializing pipeline",
             ));
         }
+        backend
+            .check_levels()
+            .map_err(|levels| PlanError::RsumLevels { levels })?;
         let run = run_fused(table, &lowered.query, backend, opts)?;
         let t0 = Instant::now();
 

@@ -22,15 +22,22 @@
 //!   *with per-element overflow checking* (MonetDB's `ADD_WITH_CHECK`
 //!   macros; the paper notes this makes the baseline slower than a raw
 //!   loop, §VI-E). Order-sensitive.
-//! * [`SumBackend::ReproUnbuffered`] — `repro<double, L>` per group.
-//! * [`SumBackend::ReproBuffered`] — `repro<double, L>` with summation
-//!   buffers.
+//! * [`SumBackend::ReproUnbuffered`] — `repro<double, L>` per group, one
+//!   per-row `add` per value: the paper's drop-in type.
+//! * [`SumBackend::ReproBuffered`] — the same `repro<double, L>` states,
+//!   fed *partition-then-aggregate* at batch granularity: when a batch
+//!   holds few groups relative to its rows ([`MIN_SEG`]) it is
+//!   counting-sorted by group id once ([`BatchPartition`]) and every
+//!   group's values go through the vectorized block kernel in one call.
+//!   The staging lives with the batch, not with the group — there are no
+//!   per-group summation buffers in the engine.
 //! * [`SumBackend::SortedDouble`] — assumes the caller sorted the input
 //!   into a total deterministic order; sums runs sequentially (the
 //!   "sort the input" baseline of Table IV).
 
+use crate::fused::FUSED_BATCH_ROWS;
 use rayon::prelude::*;
-use rfa_core::{simd, ReproSum, SummationBuffer};
+use rfa_core::{simd, ReproSum};
 
 /// Rows per morsel in the engine's parallel scans and aggregations.
 pub const SCAN_MORSEL_ROWS: usize = 1 << 16;
@@ -42,7 +49,11 @@ pub enum SumBackend {
     Double,
     /// `repro<double, 4>` drop-in (reproducible, unbuffered).
     ReproUnbuffered,
-    /// `repro<double, 4>` with summation buffers of the given size.
+    /// `repro<double, 4>` with batch-partitioned block deposits (see
+    /// [`BatchPartition`]). `buffer_size` sizes nothing: the staging area
+    /// is the scan batch, shared by all groups. The field remains because
+    /// the wire format and the benchmark construct it; any value gives
+    /// the same bits at the same speed.
     ReproBuffered { buffer_size: usize },
     /// Plain double over pre-sorted input (reproducible via ordering).
     SortedDouble,
@@ -50,7 +61,8 @@ pub enum SumBackend {
     /// reproducible sum with caller-chosen precision `L ∈ 1..=4`
     /// (unbuffered).
     Rsum { levels: u8 },
-    /// `RSUM(⟨expression⟩, L)` with summation buffers.
+    /// `RSUM(⟨expression⟩, L)` with batch-partitioned block deposits
+    /// (`buffer_size` is as inert as [`SumBackend::ReproBuffered`]'s).
     RsumBuffered { levels: u8, buffer_size: usize },
 }
 
@@ -61,6 +73,30 @@ impl SumBackend {
     /// order) do not merge exactly.
     pub fn merges_exactly(self) -> bool {
         !matches!(self, SumBackend::Double | SumBackend::SortedDouble)
+    }
+
+    /// Whether grouped batches deposit through a [`BatchPartition`].
+    pub fn buffered(self) -> bool {
+        matches!(
+            self,
+            SumBackend::ReproBuffered { .. } | SumBackend::RsumBuffered { .. }
+        )
+    }
+
+    /// `Err(levels)` for an `RSUM` precision outside `1..=4` — the one
+    /// backend parameter that can be invalid. Boundaries that take a
+    /// backend from outside (the wire decoder, `QueryPlan::execute`)
+    /// check this and raise their typed error; [`GroupedSums::new`]
+    /// asserts it.
+    pub fn check_levels(self) -> Result<(), u8> {
+        match self {
+            SumBackend::Rsum { levels } | SumBackend::RsumBuffered { levels, .. }
+                if !(1..=4).contains(&levels) =>
+            {
+                Err(levels)
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -76,9 +112,6 @@ impl std::fmt::Display for OverflowError {
 }
 
 impl std::error::Error for OverflowError {}
-
-/// The paper integrates `repro<double, 4>` into MonetDB (Table IV).
-const LEVELS: usize = 4;
 
 /// Per-group reproducible states at one ladder height `L`.
 struct ReproStates<const L: usize>(Vec<ReproSum<f64, L>>);
@@ -98,16 +131,10 @@ impl<const L: usize> ReproStates<L> {
         }
     }
 
-    /// Single-group fast path: the whole batch goes through the
-    /// vectorized block kernel (Algorithm 3), bit-identical to per-row
-    /// `add` by the §III-D exactness argument.
-    fn update_single(&mut self, values: &[f64]) {
-        simd::add_slice(&mut self.0[0], values);
-    }
-
-    /// Run-blocked fast path: a slice of values all belonging to one
-    /// group goes through the same block kernel as `update_single`, just
-    /// aimed at an arbitrary slot (RLE runs over group-key columns).
+    /// Block deposit: a slice of values all belonging to one group goes
+    /// through the vectorized block kernel (Algorithm 3), bit-identical
+    /// to per-row `add` by the §III-D exactness argument — un-grouped
+    /// scans, RLE runs over group-key columns, partitioned batches.
     fn update_run(&mut self, group: usize, values: &[f64]) {
         simd::add_slice(&mut self.0[group], values);
     }
@@ -130,66 +157,96 @@ impl<const L: usize> ReproStates<L> {
     }
 }
 
-/// Per-group buffered reproducible states at ladder height `L`. Remembers
-/// its buffer size so group slots can be added after construction (the
-/// hash-grouped scan discovers groups as it goes).
-struct BufStates<const L: usize> {
-    states: Vec<SummationBuffer<f64, L>>,
-    buffer_size: usize,
+/// Minimum average rows per group slot for a batch to be partitioned: a
+/// batch of `n` rows over `groups` slots takes the [`BatchPartition`] path
+/// when `groups · MIN_SEG ≤ n` — at most 8 groups in a default 4096-row
+/// batch — and per-row `add` otherwise. Set by `criterion_micro`'s
+/// `grouped_deposit` sweep (EXPERIMENTS.md, Fig. 10 row) at the last
+/// group count where the partitioned operator beats the per-row one:
+/// past it, partitioning a batch costs more than the block kernel gives
+/// back on a single SUM. Bit-invisible — both sides of the threshold
+/// produce identical states.
+pub const MIN_SEG: usize = 512;
+
+/// One batch's rows, stably partitioned by group id: a permutation that
+/// lists batch-local row indices group by group (ascending group id, row
+/// order kept inside each group) plus the `(group, end)` segment list
+/// over it. Built once per batch and shared by COUNT (segment lengths are
+/// its histogram) and by every SUM state array, each of which gathers its
+/// evaluated values through the permutation and deposits one block call
+/// per group. (MIN / MAX keep their per-row folds over the row-ordered
+/// group ids: a compare-and-keep per row is cheaper than the gather.)
+///
+/// **Why no bit can change.** The counting sort is stable, so each group
+/// slot receives exactly the values it would receive per row, in the same
+/// order; the block kernel is bit-transparent to per-value `add`
+/// (§III-D). Only *when* a slot is visited differs — never what it sees.
+#[derive(Default)]
+pub struct BatchPartition {
+    perm: Vec<u32>,
+    segs: Vec<(u32, usize)>,
+    /// Per-group write cursors of the counting sort.
+    cursors: Vec<u32>,
+    /// One state's values in partition order (reused across states).
+    sorted: Vec<f64>,
 }
 
-impl<const L: usize> BufStates<L> {
-    fn new(groups: usize, buffer_size: usize) -> Self {
-        BufStates {
-            states: (0..groups)
-                .map(|_| SummationBuffer::new(buffer_size))
-                .collect(),
-            buffer_size,
+impl BatchPartition {
+    /// Partitions one batch of group ids (all `< groups`). Returns `false`
+    /// — without partitioning — when the batch has fewer than [`MIN_SEG`]
+    /// rows per group slot; the caller then deposits per row.
+    pub fn build(&mut self, group_ids: &[u32], groups: usize) -> bool {
+        if groups.saturating_mul(MIN_SEG) > group_ids.len() {
+            return false;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd_sel::partition_by_group(group_ids, groups, &mut self.perm, &mut self.segs) {
+            return true;
+        }
+        self.counting_sort(group_ids, groups);
+        true
+    }
+
+    /// Stable counting sort of the batch's row indices by group id — the
+    /// portable form of the partition (and the reference the SIMD kernel
+    /// is tested against).
+    fn counting_sort(&mut self, group_ids: &[u32], groups: usize) {
+        self.cursors.clear();
+        self.cursors.resize(groups, 0);
+        for &g in group_ids {
+            self.cursors[g as usize] += 1;
+        }
+        self.segs.clear();
+        let mut start = 0u32;
+        for (g, c) in self.cursors.iter_mut().enumerate() {
+            let rows = *c;
+            *c = start;
+            start += rows;
+            if rows > 0 {
+                self.segs.push((g as u32, start as usize));
+            }
+        }
+        self.perm.resize(group_ids.len(), 0);
+        for (i, &g) in group_ids.iter().enumerate() {
+            let c = &mut self.cursors[g as usize];
+            self.perm[*c as usize] = i as u32;
+            *c += 1;
         }
     }
 
-    fn push_groups(&mut self, n: usize) {
-        let bsz = self.buffer_size;
-        self.states
-            .extend((0..n).map(|_| SummationBuffer::new(bsz)));
+    /// `(group, end)` per non-empty group, ascending: group `g` owns
+    /// positions `previous end..end` of the partition order.
+    pub fn segs(&self) -> &[(u32, usize)] {
+        &self.segs
     }
 
-    fn update(&mut self, group_ids: &[u32], values: &[f64]) {
-        for (&g, &v) in group_ids.iter().zip(values.iter()) {
-            self.states[g as usize].push(v);
-        }
-    }
-
-    /// Single-group fast path: the whole batch bypasses the staging
-    /// buffer and goes straight through the vectorized block kernel
-    /// (bit-identical to per-value pushes — every flush boundary is
-    /// exact).
-    fn update_single(&mut self, values: &[f64]) {
-        self.states[0].push_slice(values);
-    }
-
-    /// Run-blocked fast path into an arbitrary group slot (see
-    /// [`ReproStates::update_run`]).
-    fn update_run(&mut self, group: usize, values: &[f64]) {
-        self.states[group].push_slice(values);
-    }
-
-    /// Algebraic deposit of `k` copies of `v` (see
-    /// [`ReproStates::update_scaled`]; flush boundaries are exact, so the
-    /// staged values are folded first and the scaled deposit lands
-    /// directly in the accumulator).
-    fn update_scaled(&mut self, group: usize, v: f64, k: u64) {
-        self.states[group].push_scaled(v, k);
-    }
-
-    fn merge(&mut self, other: &mut Self) {
-        for (a, b) in self.states.iter_mut().zip(other.states.iter_mut()) {
-            a.merge(b);
-        }
-    }
-
-    fn finalize(self) -> Vec<f64> {
-        self.states.into_iter().map(|s| s.finalize()).collect()
+    /// `values` (one per batch row, in row order) in partition order.
+    fn gather(&mut self, values: &[f64]) -> (&[f64], &[(u32, usize)]) {
+        assert_eq!(values.len(), self.perm.len());
+        self.sorted.clear();
+        self.sorted
+            .extend(self.perm.iter().map(|&i| values[i as usize]));
+        (&self.sorted, &self.segs)
     }
 }
 
@@ -202,7 +259,14 @@ impl<const L: usize> BufStates<L> {
 /// batched (fused) and one-shot (materializing) execution finalize to the
 /// same bits for *every* backend. [`SumBackend::SortedDouble`] sums like
 /// `Double` — the sort that justifies it is the caller's job.
-pub struct GroupedSums(Inner);
+pub struct GroupedSums {
+    inner: Inner,
+    /// [`GroupedSums::update`]'s own partition scratch — `Some` exactly
+    /// for the [buffered](SumBackend::buffered) backends. (The fused scan
+    /// shares one partition across all of a batch's states instead and
+    /// calls [`GroupedSums::update_partitioned`].)
+    partition: Option<BatchPartition>,
+}
 
 enum Inner {
     Double(Vec<f64>),
@@ -210,43 +274,22 @@ enum Inner {
     Repro2(ReproStates<2>),
     Repro3(ReproStates<3>),
     Repro4(ReproStates<4>),
-    Buf1(BufStates<1>),
-    Buf2(BufStates<2>),
-    Buf3(BufStates<3>),
-    Buf4(BufStates<4>),
 }
 
-impl GroupedSums {
-    /// Creates zeroed per-group states for `groups` dense group ids.
-    pub fn new(backend: SumBackend, groups: usize) -> Self {
-        GroupedSums(match backend {
-            SumBackend::Double | SumBackend::SortedDouble => Inner::Double(vec![0.0; groups]),
-            SumBackend::ReproUnbuffered => Inner::Repro4(ReproStates::new(groups)),
-            SumBackend::ReproBuffered { buffer_size } => {
-                Inner::Buf4(BufStates::new(groups, buffer_size))
-            }
-            SumBackend::Rsum { levels } => match checked_levels(levels) {
-                1 => Inner::Repro1(ReproStates::new(groups)),
-                2 => Inner::Repro2(ReproStates::new(groups)),
-                3 => Inner::Repro3(ReproStates::new(groups)),
-                _ => Inner::Repro4(ReproStates::new(groups)),
-            },
-            SumBackend::RsumBuffered {
-                levels,
-                buffer_size,
-            } => match checked_levels(levels) {
-                1 => Inner::Buf1(BufStates::new(groups, buffer_size)),
-                2 => Inner::Buf2(BufStates::new(groups, buffer_size)),
-                3 => Inner::Buf3(BufStates::new(groups, buffer_size)),
-                _ => Inner::Buf4(BufStates::new(groups, buffer_size)),
-            },
-        })
+impl Inner {
+    fn groups(&self) -> usize {
+        match self {
+            Inner::Double(acc) => acc.len(),
+            Inner::Repro1(s) => s.0.len(),
+            Inner::Repro2(s) => s.0.len(),
+            Inner::Repro3(s) => s.0.len(),
+            Inner::Repro4(s) => s.0.len(),
+        }
     }
 
-    /// Folds one batch of `(group_id, value)` pairs into the states.
-    pub fn update(&mut self, group_ids: &[u32], values: &[f64]) -> Result<(), OverflowError> {
-        debug_assert_eq!(group_ids.len(), values.len());
-        match &mut self.0 {
+    /// One per-row deposit per `(group_id, value)` pair.
+    fn update_rows(&mut self, group_ids: &[u32], values: &[f64]) -> Result<(), OverflowError> {
+        match self {
             Inner::Double(acc) => {
                 for (&g, &v) in group_ids.iter().zip(values.iter()) {
                     let slot = &mut acc[g as usize];
@@ -261,49 +304,12 @@ impl GroupedSums {
             Inner::Repro2(s) => s.update(group_ids, values),
             Inner::Repro3(s) => s.update(group_ids, values),
             Inner::Repro4(s) => s.update(group_ids, values),
-            Inner::Buf1(s) => s.update(group_ids, values),
-            Inner::Buf2(s) => s.update(group_ids, values),
-            Inner::Buf3(s) => s.update(group_ids, values),
-            Inner::Buf4(s) => s.update(group_ids, values),
         }
         Ok(())
     }
 
-    /// Folds a batch that belongs entirely to group 0 (the un-grouped SUM
-    /// of Q6). Unbuffered repro states take the vectorized block kernel
-    /// here — the fused pipeline's fast path to §III-D throughput.
-    pub fn update_single(&mut self, values: &[f64]) -> Result<(), OverflowError> {
-        match &mut self.0 {
-            Inner::Double(acc) => {
-                let slot = &mut acc[0];
-                for &v in values {
-                    *slot += v;
-                    if !slot.is_finite() {
-                        return Err(OverflowError);
-                    }
-                }
-            }
-            Inner::Repro1(s) => s.update_single(values),
-            Inner::Repro2(s) => s.update_single(values),
-            Inner::Repro3(s) => s.update_single(values),
-            Inner::Repro4(s) => s.update_single(values),
-            Inner::Buf1(s) => s.update_single(values),
-            Inner::Buf2(s) => s.update_single(values),
-            Inner::Buf3(s) => s.update_single(values),
-            Inner::Buf4(s) => s.update_single(values),
-        }
-        Ok(())
-    }
-
-    /// Folds a batch that belongs entirely to group `group` — the
-    /// run-blocked deposit of RLE grouped aggregation. Identical block
-    /// kernels to [`GroupedSums::update_single`], aimed at an arbitrary
-    /// slot: per-slot operation sequences (and thus final bits) match the
-    /// per-row [`GroupedSums::update`] path exactly, because the block
-    /// kernels are bit-transparent to per-value deposits (§III-D) and the
-    /// Double backend keeps its per-element overflow-checked loop.
-    pub fn update_run(&mut self, group: usize, values: &[f64]) -> Result<(), OverflowError> {
-        match &mut self.0 {
+    fn update_run(&mut self, group: usize, values: &[f64]) -> Result<(), OverflowError> {
+        match self {
             Inner::Double(acc) => {
                 let slot = &mut acc[group];
                 for &v in values {
@@ -317,12 +323,105 @@ impl GroupedSums {
             Inner::Repro2(s) => s.update_run(group, values),
             Inner::Repro3(s) => s.update_run(group, values),
             Inner::Repro4(s) => s.update_run(group, values),
-            Inner::Buf1(s) => s.update_run(group, values),
-            Inner::Buf2(s) => s.update_run(group, values),
-            Inner::Buf3(s) => s.update_run(group, values),
-            Inner::Buf4(s) => s.update_run(group, values),
         }
         Ok(())
+    }
+
+    fn update_partitioned(
+        &mut self,
+        part: &mut BatchPartition,
+        values: &[f64],
+    ) -> Result<(), OverflowError> {
+        let (sorted, segs) = part.gather(values);
+        let mut start = 0;
+        for &(g, end) in segs {
+            self.update_run(g as usize, &sorted[start..end])?;
+            start = end;
+        }
+        Ok(())
+    }
+}
+
+impl GroupedSums {
+    /// Creates zeroed per-group states for `groups` dense group ids.
+    ///
+    /// # Panics
+    /// If an `RSUM` backend's `levels` is outside `1..=4`
+    /// ([`SumBackend::check_levels`]).
+    pub fn new(backend: SumBackend, groups: usize) -> Self {
+        assert!(
+            backend.check_levels().is_ok(),
+            "RSUM levels must be in 1..=4"
+        );
+        let inner = match backend {
+            SumBackend::Double | SumBackend::SortedDouble => Inner::Double(vec![0.0; groups]),
+            SumBackend::ReproUnbuffered | SumBackend::ReproBuffered { .. } => {
+                Inner::Repro4(ReproStates::new(groups))
+            }
+            SumBackend::Rsum { levels } | SumBackend::RsumBuffered { levels, .. } => match levels {
+                1 => Inner::Repro1(ReproStates::new(groups)),
+                2 => Inner::Repro2(ReproStates::new(groups)),
+                3 => Inner::Repro3(ReproStates::new(groups)),
+                _ => Inner::Repro4(ReproStates::new(groups)),
+            },
+        };
+        GroupedSums {
+            inner,
+            partition: backend.buffered().then(BatchPartition::default),
+        }
+    }
+
+    /// Folds one batch of `(group_id, value)` pairs into the states. The
+    /// buffered backends walk it in [`FUSED_BATCH_ROWS`] chunks, each
+    /// partitioned by group when [`MIN_SEG`] allows — the same deposit
+    /// the fused scan performs per batch.
+    pub fn update(&mut self, group_ids: &[u32], values: &[f64]) -> Result<(), OverflowError> {
+        debug_assert_eq!(group_ids.len(), values.len());
+        let Some(part) = &mut self.partition else {
+            return self.inner.update_rows(group_ids, values);
+        };
+        let groups = self.inner.groups();
+        for (ids, vals) in group_ids
+            .chunks(FUSED_BATCH_ROWS)
+            .zip(values.chunks(FUSED_BATCH_ROWS))
+        {
+            if part.build(ids, groups) {
+                self.inner.update_partitioned(part, vals)?;
+            } else {
+                self.inner.update_rows(ids, vals)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Deposits one batch's `values` (row order) through a partition
+    /// [built](BatchPartition::build) over the same batch's group ids:
+    /// one [`GroupedSums::update_run`] block call per non-empty group.
+    /// Bit-identical to [`GroupedSums::update`] over `(group_ids, values)`
+    /// (see [`BatchPartition`]).
+    pub fn update_partitioned(
+        &mut self,
+        part: &mut BatchPartition,
+        values: &[f64],
+    ) -> Result<(), OverflowError> {
+        self.inner.update_partitioned(part, values)
+    }
+
+    /// Folds a batch that belongs entirely to group 0 (the un-grouped SUM
+    /// of Q6): [`GroupedSums::update_run`] aimed at slot 0.
+    pub fn update_single(&mut self, values: &[f64]) -> Result<(), OverflowError> {
+        self.update_run(0, values)
+    }
+
+    /// Folds a batch that belongs entirely to group `group` — the
+    /// run-blocked deposit of RLE grouped aggregation and of partitioned
+    /// batches. Repro states take the vectorized block kernel
+    /// (Algorithm 3): per-slot operation sequences (and thus final bits)
+    /// match the per-row [`GroupedSums::update`] path exactly, because
+    /// the block kernel is bit-transparent to per-value deposits (§III-D)
+    /// and the Double backend keeps its per-element overflow-checked loop.
+    pub fn update_run(&mut self, group: usize, values: &[f64]) -> Result<(), OverflowError> {
+        self.inner.update_run(group, values)
     }
 
     /// Deposits `k` copies of `v` into group `group` *algebraically* —
@@ -339,7 +438,7 @@ impl GroupedSums {
     /// [`SumBackend::merges_exactly`]); the loop exists so this method is
     /// semantics-preserving for every backend regardless of caller.
     pub fn update_scaled(&mut self, group: usize, v: f64, k: u64) -> Result<(), OverflowError> {
-        match &mut self.0 {
+        match &mut self.inner {
             Inner::Double(acc) => {
                 let slot = &mut acc[group];
                 for _ in 0..k {
@@ -353,58 +452,24 @@ impl GroupedSums {
             Inner::Repro2(s) => s.update_scaled(group, v, k),
             Inner::Repro3(s) => s.update_scaled(group, v, k),
             Inner::Repro4(s) => s.update_scaled(group, v, k),
-            Inner::Buf1(s) => s.update_scaled(group, v, k),
-            Inner::Buf2(s) => s.update_scaled(group, v, k),
-            Inner::Buf3(s) => s.update_scaled(group, v, k),
-            Inner::Buf4(s) => s.update_scaled(group, v, k),
         }
         Ok(())
     }
 
     /// Number of group slots.
     pub fn groups(&self) -> usize {
-        match &self.0 {
-            Inner::Double(acc) => acc.len(),
-            Inner::Repro1(s) => s.0.len(),
-            Inner::Repro2(s) => s.0.len(),
-            Inner::Repro3(s) => s.0.len(),
-            Inner::Repro4(s) => s.0.len(),
-            Inner::Buf1(s) => s.states.len(),
-            Inner::Buf2(s) => s.states.len(),
-            Inner::Buf3(s) => s.states.len(),
-            Inner::Buf4(s) => s.states.len(),
-        }
+        self.inner.groups()
     }
 
     /// Appends `n` fresh zeroed group slots. The hash-grouped scan calls
     /// this as it discovers new keys — dense callers size up front.
     pub fn push_groups(&mut self, n: usize) {
-        match &mut self.0 {
+        match &mut self.inner {
             Inner::Double(acc) => acc.resize(acc.len() + n, 0.0),
             Inner::Repro1(s) => s.push_groups(n),
             Inner::Repro2(s) => s.push_groups(n),
             Inner::Repro3(s) => s.push_groups(n),
             Inner::Repro4(s) => s.push_groups(n),
-            Inner::Buf1(s) => s.push_groups(n),
-            Inner::Buf2(s) => s.push_groups(n),
-            Inner::Buf3(s) => s.push_groups(n),
-            Inner::Buf4(s) => s.push_groups(n),
-        }
-    }
-
-    /// Pre-reserves room for `additional` more group slots without
-    /// creating any state — allocation policy only, invisible to results.
-    pub fn reserve_groups(&mut self, additional: usize) {
-        match &mut self.0 {
-            Inner::Double(acc) => acc.reserve(additional),
-            Inner::Repro1(s) => s.0.reserve(additional),
-            Inner::Repro2(s) => s.0.reserve(additional),
-            Inner::Repro3(s) => s.0.reserve(additional),
-            Inner::Repro4(s) => s.0.reserve(additional),
-            Inner::Buf1(s) => s.states.reserve(additional),
-            Inner::Buf2(s) => s.states.reserve(additional),
-            Inner::Buf3(s) => s.states.reserve(additional),
-            Inner::Buf4(s) => s.states.reserve(additional),
         }
     }
 
@@ -416,10 +481,10 @@ impl GroupedSums {
     pub fn merge_slot(
         &mut self,
         dst: usize,
-        other: &mut GroupedSums,
+        other: &GroupedSums,
         src: usize,
     ) -> Result<(), OverflowError> {
-        match (&mut self.0, &mut other.0) {
+        match (&mut self.inner, &other.inner) {
             (Inner::Double(a), Inner::Double(b)) => {
                 a[dst] += b[src];
                 if !a[dst].is_finite() {
@@ -430,10 +495,6 @@ impl GroupedSums {
             (Inner::Repro2(a), Inner::Repro2(b)) => a.0[dst].merge(&b.0[src]),
             (Inner::Repro3(a), Inner::Repro3(b)) => a.0[dst].merge(&b.0[src]),
             (Inner::Repro4(a), Inner::Repro4(b)) => a.0[dst].merge(&b.0[src]),
-            (Inner::Buf1(a), Inner::Buf1(b)) => a.states[dst].merge(&mut b.states[src]),
-            (Inner::Buf2(a), Inner::Buf2(b)) => a.states[dst].merge(&mut b.states[src]),
-            (Inner::Buf3(a), Inner::Buf3(b)) => a.states[dst].merge(&mut b.states[src]),
-            (Inner::Buf4(a), Inner::Buf4(b)) => a.states[dst].merge(&mut b.states[src]),
             _ => panic!("merging GroupedSums of different backends"),
         }
         Ok(())
@@ -443,7 +504,7 @@ impl GroupedSums {
     /// Exact (bit-transparent) for the repro backends; a plain checked
     /// addition per group for doubles.
     pub fn merge(&mut self, other: GroupedSums) -> Result<(), OverflowError> {
-        match (&mut self.0, other.0) {
+        match (&mut self.inner, other.inner) {
             (Inner::Double(a), Inner::Double(b)) => {
                 for (x, y) in a.iter_mut().zip(b) {
                     *x += y;
@@ -456,10 +517,6 @@ impl GroupedSums {
             (Inner::Repro2(a), Inner::Repro2(b)) => a.merge(&b),
             (Inner::Repro3(a), Inner::Repro3(b)) => a.merge(&b),
             (Inner::Repro4(a), Inner::Repro4(b)) => a.merge(&b),
-            (Inner::Buf1(a), Inner::Buf1(mut b)) => a.merge(&mut b),
-            (Inner::Buf2(a), Inner::Buf2(mut b)) => a.merge(&mut b),
-            (Inner::Buf3(a), Inner::Buf3(mut b)) => a.merge(&mut b),
-            (Inner::Buf4(a), Inner::Buf4(mut b)) => a.merge(&mut b),
             _ => panic!("merging GroupedSums of different backends"),
         }
         Ok(())
@@ -467,16 +524,12 @@ impl GroupedSums {
 
     /// Rounds every group state to a double.
     pub fn finalize(self) -> Vec<f64> {
-        match self.0 {
+        match self.inner {
             Inner::Double(acc) => acc,
             Inner::Repro1(s) => s.finalize(),
             Inner::Repro2(s) => s.finalize(),
             Inner::Repro3(s) => s.finalize(),
             Inner::Repro4(s) => s.finalize(),
-            Inner::Buf1(s) => s.finalize(),
-            Inner::Buf2(s) => s.finalize(),
-            Inner::Buf3(s) => s.finalize(),
-            Inner::Buf4(s) => s.finalize(),
         }
     }
 }
@@ -539,25 +592,6 @@ impl GroupedStates {
         self.counts.len()
     }
 
-    /// Pre-reserves capacity for `groups` total slots in every state
-    /// array without creating them. The hash-grouped scan calls this once
-    /// with its cardinality hint so incremental [`Self::ensure_groups`]
-    /// growth appends in place instead of realloc-moving the state
-    /// vectors at every doubling. Capacity never affects results.
-    pub fn reserve_groups(&mut self, groups: usize) {
-        let additional = groups.saturating_sub(self.counts.len());
-        self.counts.reserve(additional);
-        for s in &mut self.sums {
-            s.reserve_groups(additional);
-        }
-        for m in &mut self.mins {
-            m.reserve(additional);
-        }
-        for m in &mut self.maxs {
-            m.reserve(additional);
-        }
-    }
-
     /// Grows every state array to at least `groups` slots (hash grouping
     /// discovers group keys scan-order incrementally).
     pub fn ensure_groups(&mut self, groups: usize) {
@@ -595,6 +629,16 @@ impl GroupedStates {
         self.counts[group] += rows;
     }
 
+    /// COUNT(*) deposit of a partitioned batch: the segment lengths are
+    /// the batch's per-group histogram.
+    pub fn add_counts_partitioned(&mut self, part: &BatchPartition) {
+        let mut start = 0;
+        for &(g, end) in part.segs() {
+            self.counts[g as usize] += (end - start) as u64;
+            start = end;
+        }
+    }
+
     /// Per-group counts accumulated so far.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -608,6 +652,17 @@ impl GroupedStates {
         values: &[f64],
     ) -> Result<(), OverflowError> {
         self.sums[slot].update(group_ids, values)
+    }
+
+    /// SUM deposit of a partitioned batch into state array `slot` (see
+    /// [`GroupedSums::update_partitioned`]).
+    pub fn update_sum_partitioned(
+        &mut self,
+        slot: usize,
+        part: &mut BatchPartition,
+        values: &[f64],
+    ) -> Result<(), OverflowError> {
+        self.sums[slot].update_partitioned(part, values)
     }
 
     /// Single-group SUM fast path (see [`GroupedSums::update_single`]).
@@ -757,11 +812,11 @@ impl GroupedStates {
     pub fn merge_group(
         &mut self,
         dst: usize,
-        other: &mut GroupedStates,
+        other: &GroupedStates,
         src: usize,
     ) -> Result<(), OverflowError> {
         self.counts[dst] += other.counts[src];
-        for (a, b) in self.sums.iter_mut().zip(other.sums.iter_mut()) {
+        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
             a.merge_slot(dst, b, src)?;
         }
         for (a, b) in self.mins.iter_mut().zip(&other.mins) {
@@ -787,14 +842,6 @@ impl GroupedStates {
         }
     }
 }
-
-fn checked_levels(levels: u8) -> u8 {
-    assert!((1..=4).contains(&levels), "RSUM levels must be in 1..=4");
-    levels
-}
-
-/// Asserts the default level mapping stays in sync with the paper.
-const _: () = assert!(LEVELS == 4);
 
 /// Sums `values[i]` into per-group slots `group_ids[i]` (dense ids in
 /// `0..groups`). Returns one double per group.
@@ -984,6 +1031,46 @@ mod tests {
     }
 
     #[test]
+    fn batch_partition_is_the_stable_sort_by_group() {
+        // Every batch length around the vector width, group counts on
+        // both sides of the SIMD kernel's limit; the
+        // dispatched build and the scalar counting sort must both produce
+        // the stable sort permutation and its segment list.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for n in (0..=40).chain([4096, 4099, 1 << 15]) {
+            for groups in [1usize, 2, 3, 16, 17, 64] {
+                let gids: Vec<u32> = (0..n)
+                    .map(|_| {
+                        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        // Skewed, so some groups stay empty.
+                        ((rng >> 33) % groups as u64 * (rng >> 62) / 3) as u32
+                    })
+                    .collect();
+                let mut expected: Vec<u32> = (0..n as u32).collect();
+                expected.sort_by_key(|&i| gids[i as usize]); // stable
+                let mut segs = Vec::new();
+                for (pos, &i) in expected.iter().enumerate() {
+                    match segs.last_mut() {
+                        Some((g, end)) if *g == gids[i as usize] => *end = pos + 1,
+                        _ => segs.push((gids[i as usize], pos + 1)),
+                    }
+                }
+                let mut scalar = BatchPartition::default();
+                scalar.counting_sort(&gids, groups);
+                assert_eq!(scalar.perm, expected, "scalar n {n} groups {groups}");
+                assert_eq!(scalar.segs, segs, "scalar n {n} groups {groups}");
+                let mut built = BatchPartition::default();
+                if built.build(&gids, groups) {
+                    assert_eq!(built.perm, expected, "build n {n} groups {groups}");
+                    assert_eq!(built.segs, segs, "build n {n} groups {groups}");
+                } else {
+                    assert!(groups * MIN_SEG > n);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn counts() {
         let ids = vec![0u32, 1, 1, 2, 1];
         assert_eq!(count_grouped(&ids, 3), vec![1, 3, 1]);
@@ -1098,7 +1185,7 @@ mod tests {
             b.update(&flipped, &values[mid..]).unwrap();
             assert_eq!(b.groups(), 4);
             for g in 0..4usize {
-                a.merge_slot(g, &mut b, 3 - g).unwrap();
+                a.merge_slot(g, &b, 3 - g).unwrap();
             }
             let out = a.finalize();
             for g in 0..4 {
@@ -1118,7 +1205,7 @@ mod tests {
         let mut b = GroupedSums::new(SumBackend::Double, 4);
         b.update(&ids[mid..], &values[mid..]).unwrap();
         for g in 0..4 {
-            a.merge_slot(g, &mut b, g).unwrap();
+            a.merge_slot(g, &b, g).unwrap();
         }
         let out = a.finalize();
         for g in 0..4 {
@@ -1128,7 +1215,7 @@ mod tests {
         x.update(&[0], &[f64::MAX]).unwrap();
         let mut y = GroupedSums::new(SumBackend::Double, 1);
         y.update(&[0], &[f64::MAX]).unwrap();
-        assert_eq!(x.merge_slot(0, &mut y, 0), Err(OverflowError));
+        assert_eq!(x.merge_slot(0, &y, 0), Err(OverflowError));
     }
 
     #[test]

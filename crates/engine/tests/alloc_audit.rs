@@ -11,7 +11,11 @@
 //! 2. a fused Q1 run over 1M rows allocates far less than one n-sized
 //!    vector (its footprint is batch-sized scratch + 6 group states);
 //! 3. the materializing reference pipeline allocates many n-sized
-//!    vectors on the same input — the gap fusion removes.
+//!    vectors on the same input — the gap fusion removes;
+//! 4. the buffered backend's footprint is O(batch + groups) like every
+//!    other's: its staging is one batch-sized partition per scan range,
+//!    not a buffer per group — SQL Q1 (the hash-pair grouping path) and a
+//!    2^14-group `SUM … GROUP BY` stay within a few MiB.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,9 +54,10 @@ fn allocated_during(f: impl FnOnce()) -> usize {
 #[test]
 fn fused_pipeline_performs_no_n_sized_allocations() {
     use rfa_engine::{
-        lineitem_table, run_q1_materializing, run_q1_with, run_q6_with, ExecOptions, SumBackend,
+        lineitem_table, q1_sql, run_q1_materializing, run_q1_with, run_q6_with, sql_query, Column,
+        ExecOptions, SumBackend, Table,
     };
-    use rfa_workloads::Lineitem;
+    use rfa_workloads::{GroupedPairs, Lineitem, ValueDist};
 
     const N: usize = 1_000_000;
     let t = Lineitem::generate(N, 5);
@@ -80,10 +85,11 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
         run_q1_with(&t, backend, &opts).unwrap();
     });
     // (2) Fused budget: selection + group-id vectors (2 × 16 KiB), one
-    // output register + expression scratch (few × 32 KiB), 6 buffered
-    // group states × 5 aggregates (~240 KiB for bsz=1024), output rows.
-    // Allow 2 MiB of slack — still 4× under ONE n-sized vector, while the
-    // materializing pipeline allocates six-plus of them.
+    // output register + expression scratch (few × 32 KiB), the batch
+    // partition (permutation + gathered values, 48 KiB), 6 group states
+    // × 5 aggregates (< 4 KiB), output rows. Allow 2 MiB of slack — still
+    // 4× under ONE n-sized vector, while the materializing pipeline
+    // allocates six-plus of them.
     assert!(
         fused_bytes < 2 * 1024 * 1024,
         "fused Q1 allocated {fused_bytes} bytes — expected O(batch + groups)"
@@ -117,5 +123,39 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
     assert!(
         q6_bytes < 1024 * 1024,
         "fused Q6 allocated {q6_bytes} bytes — expected O(batch)"
+    );
+
+    // (4a) Q1 from SQL text: `GROUP BY l_returnflag, l_linestatus` runs
+    // the hash-pair arm, whose states grow as groups are discovered — no
+    // up-front reservation sized by the row count.
+    let table = lineitem_table(&t);
+    let q1 = sql_query(&q1_sql(), &table).unwrap();
+    q1.execute(&table, backend, &opts).unwrap();
+    let sql_q1_bytes = allocated_during(|| {
+        q1.execute(&table, backend, &opts).unwrap();
+    });
+    assert!(
+        sql_q1_bytes < 2 * 1024 * 1024,
+        "SQL Q1 allocated {sql_q1_bytes} bytes — expected O(batch + groups)"
+    );
+
+    // (4b) High cardinality: 2^14 groups over 2^20 rows. Measured
+    // 5.7 MiB: 2^14 accumulators of 120 bytes are 1.9 MiB live, 3.3 MiB
+    // of capacity after the last doubling; the pre-sized hash table is
+    // 1 MiB; group keys, counts and the result's key / value columns
+    // (sorted, then copied out) the rest. With a staging buffer per
+    // group this was 140 MiB.
+    let pairs = GroupedPairs::generate(1 << 20, 1 << 14, ValueDist::Signed, 5);
+    let mut g = Table::new("g");
+    g.add_column("key", Column::u32(pairs.keys)).unwrap();
+    g.add_column("v", Column::f64(pairs.values)).unwrap();
+    let by_key = sql_query("SELECT key, SUM(v) FROM g GROUP BY key", &g).unwrap();
+    by_key.execute(&g, backend, &opts).unwrap();
+    let by_key_bytes = allocated_during(|| {
+        by_key.execute(&g, backend, &opts).unwrap();
+    });
+    assert!(
+        by_key_bytes < 8 * 1024 * 1024,
+        "buffered SUM over 2^14 groups allocated {by_key_bytes} bytes — expected O(batch + groups)"
     );
 }

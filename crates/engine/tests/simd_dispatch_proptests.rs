@@ -16,7 +16,7 @@ use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
     run_q15_with, run_q1_with, run_q6_with, AggColumn, BoolExpr, Column, EvalScratch, ExecOptions,
-    Expr, QueryPlan, SumBackend, Table,
+    Expr, GroupedSums, QueryPlan, SumBackend, Table, MIN_SEG,
 };
 use rfa_workloads::Lineitem;
 use std::sync::{Mutex, MutexGuard};
@@ -186,6 +186,93 @@ fn hash_group_bits(
         })
         .collect();
     (r.keys, cols)
+}
+
+/// SUM / MIN / MAX / COUNT per key, every value as its bit pattern.
+fn all_aggs_bits(t: &Table, backend: SumBackend, opts: &ExecOptions) -> (Vec<i64>, Vec<Vec<u64>>) {
+    let r = QueryPlan::scan("t")
+        .group_by_key("k")
+        .sum(Expr::col("v"))
+        .min(Expr::col("v"))
+        .max(Expr::col("v"))
+        .count()
+        .execute(t, backend, opts)
+        .unwrap();
+    let cols = r
+        .columns
+        .iter()
+        .map(|c| match c {
+            AggColumn::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+            AggColumn::U64(v) => v.clone(),
+        })
+        .collect();
+    (r.keys, cols)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Partition-then-aggregate: a batch the buffered backends deposit
+    /// group by group through the block kernel finalizes to the bits of
+    /// the per-row `ReproUnbuffered` path — for group counts on both
+    /// sides of the `groups · MIN_SEG ≤ rows` threshold (and of the
+    /// partition kernels' own switch at 8 groups), batch shapes from one
+    /// row up, every dispatch level, and with NaN, ±∞, −0.0, subnormals
+    /// and near-overflow magnitudes landing *inside* segments, where the
+    /// block kernel's cold path has to agree with `add`.
+    #[test]
+    fn partitioned_deposits_match_per_row_bitwise(
+        rows in vec(
+            (
+                0u32..1 << 16,
+                prop_oneof![
+                    600 => -1.0e6..1.0e6f64,
+                    40 => -1.0e-300..1.0e-300f64,
+                    8 => Just(-0.0),
+                    4 => Just(f64::MIN_POSITIVE / 4.0),
+                    4 => Just(-5e-324),
+                    4 => Just(1.0e300),
+                    1 => Just(f64::NAN),
+                    1 => Just(f64::INFINITY),
+                    1 => Just(f64::NEG_INFINITY),
+                ],
+            ),
+            0..9000,
+        ),
+    ) {
+        for batch_rows in [1usize, 7, 64, 4096] {
+            let edge = (batch_rows / MIN_SEG).max(2);
+            for groups in [1, 2, 4, 8, 9, edge - 1, edge, edge + 1, 4096] {
+                let keys: Vec<u32> = rows.iter().map(|&(k, _)| k % groups as u32).collect();
+                let values: Vec<f64> = rows.iter().map(|&(_, v)| v).collect();
+                let mut t = Table::new("t");
+                t.add_column("k", Column::u32(keys.clone())).unwrap();
+                t.add_column("v", Column::f64(values.clone())).unwrap();
+                let opts = ExecOptions { batch_rows, ..ExecOptions::serial() };
+                let per_row = with_level(SimdLevel::Scalar, || {
+                    all_aggs_bits(&t, SumBackend::ReproUnbuffered, &opts)
+                });
+                let partitioned = both_levels(|| {
+                    all_aggs_bits(&t, SumBackend::ReproBuffered { buffer_size: 0 }, &opts)
+                });
+                prop_assert_eq!(&per_row, &partitioned, "batch {} groups {}", batch_rows, groups);
+
+                // The operator API chunks by the default batch itself.
+                if batch_rows == 4096 {
+                    let sum_bits = |backend| -> Vec<u64> {
+                        let mut state = GroupedSums::new(backend, groups);
+                        state.update(&keys, &values).unwrap();
+                        state.finalize().iter().map(|x| x.to_bits()).collect()
+                    };
+                    let per_row = with_level(SimdLevel::Scalar, || sum_bits(SumBackend::Rsum { levels: 3 }));
+                    let partitioned = both_levels(|| {
+                        sum_bits(SumBackend::RsumBuffered { levels: 3, buffer_size: 0 })
+                    });
+                    prop_assert_eq!(per_row, partitioned, "operator, groups {}", groups);
+                }
+            }
+        }
+    }
 }
 
 proptest! {

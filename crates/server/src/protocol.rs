@@ -245,7 +245,7 @@ fn take_backend(c: &mut Cursor<'_>) -> Result<SumBackend, WireError> {
     let tag = c.take_u8()?;
     let levels = c.take_u8()?;
     let buffer = c.take_u32()? as usize;
-    Ok(match tag {
+    let backend = match tag {
         0 => SumBackend::Double,
         1 => SumBackend::ReproUnbuffered,
         2 => SumBackend::ReproBuffered {
@@ -258,7 +258,12 @@ fn take_backend(c: &mut Cursor<'_>) -> Result<SumBackend, WireError> {
         },
         5 => SumBackend::SortedDouble,
         _ => return Err(WireError::Malformed),
-    })
+    };
+    // `levels` is the one backend parameter with invalid values; the
+    // engine would only find out by asserting. (`buffer_size` sizes
+    // nothing — every value is the same backend.)
+    backend.check_levels().map_err(|_| WireError::Malformed)?;
+    Ok(backend)
 }
 
 // ---------------------------------------------------------------------
@@ -582,6 +587,50 @@ mod tests {
         put_u32(&mut p, u32::MAX);
         let frame = Frame::new(RESP_RESULT, p);
         assert_eq!(Response::decode(&frame), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn every_backend_byte_pair_decodes_to_a_runnable_backend_or_is_malformed() {
+        use rfa_engine::{sql_query, Column, ExecOptions, PlanError, SqlError, Table};
+
+        let mut table = Table::new("t");
+        table
+            .add_column("x", Column::F64(vec![0.5, 1.25, -3.0].into()))
+            .unwrap();
+        let query = sql_query("SELECT SUM(x) FROM t", &table).unwrap();
+        let mut decoded = 0;
+        for tag in 0..=u8::MAX {
+            for levels in 0..=u8::MAX {
+                let mut p = Vec::new();
+                put_u64(&mut p, 1);
+                p.extend([tag, levels]);
+                put_u32(&mut p, u32::MAX); // buffer_size: sizes nothing
+                p.push(0);
+                put_u64(&mut p, 0);
+                put_u32(&mut p, 1);
+                put_str(&mut p, "SELECT SUM(x) FROM t");
+                let backend = match Request::decode(&Frame::new(REQ_QUERY, p)) {
+                    Ok(Request::Query { backend, .. }) => backend,
+                    Ok(other) => panic!("decoded a query frame to {other:?}"),
+                    Err(e) => {
+                        assert_eq!(e, WireError::Malformed, "tag {tag} levels {levels}");
+                        continue;
+                    }
+                };
+                decoded += 1;
+                // Whatever decodes must execute or fail typed — never
+                // reach the state constructor's `levels` assert.
+                match query.execute(&table, backend, &ExecOptions::serial()) {
+                    Ok(_) => {}
+                    Err(SqlError::Plan(PlanError::Unsupported(_))) => {
+                        assert_eq!(backend, SumBackend::SortedDouble)
+                    }
+                    Err(e) => panic!("tag {tag} levels {levels}: {e}"),
+                }
+            }
+        }
+        // Tags 0, 1, 2, 5 ignore the levels byte; 3 and 4 take 1..=4.
+        assert_eq!(decoded, 4 * 256 + 2 * 4);
     }
 
     #[test]

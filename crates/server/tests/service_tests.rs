@@ -84,6 +84,36 @@ fn queries_are_bit_identical_to_the_in_process_engine() {
 }
 
 #[test]
+fn buffer_size_over_the_wire_sizes_nothing() {
+    // `buffer_size` is client-controlled and used to size an allocation
+    // per group (0 tripped an assert, u32::MAX asked for 32 GiB each).
+    // It is inert now: every value returns the reference bits.
+    no_faults();
+    let table = table();
+    let server = Server::spawn(Arc::clone(&table), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for sql in [q1_sql(), q15_sql()] {
+        let reference = rfa_engine::sql_query(&sql, &table)
+            .unwrap()
+            .execute(&table, SumBackend::ReproUnbuffered, &ExecOptions::serial())
+            .unwrap();
+        for buffer_size in [0, 1, u32::MAX as usize] {
+            for backend in [
+                SumBackend::ReproBuffered { buffer_size },
+                SumBackend::RsumBuffered {
+                    levels: 4,
+                    buffer_size,
+                },
+            ] {
+                let got = client.query(&sql, backend, 1, None).unwrap();
+                assert_bits_eq(&got.columns, &reference.columns);
+            }
+        }
+    }
+    assert_eq!(server.stats().completed, 12);
+}
+
+#[test]
 fn session_plan_cache_survives_repeated_queries() {
     no_faults();
     let server = Server::spawn(table(), ServerConfig::default()).unwrap();
