@@ -132,7 +132,7 @@ fn bench_parallel(c: &mut Criterion) {
 fn bench_fused_scan(c: &mut Criterion) {
     use rfa_engine::{
         lineitem_table, run_q1, run_q1_materializing, run_q6, run_q6_materializing, EvalScratch,
-        Expr, SumBackend,
+        Expr, Sel, SumBackend,
     };
     use rfa_workloads::Lineitem;
 
@@ -168,7 +168,7 @@ fn bench_fused_scan(c: &mut Criterion) {
     g.bench_function("expr_charge_batched_eval", |b| {
         b.iter(|| {
             for chunk in sel.chunks(4096) {
-                bound.eval_into(chunk, &mut scratch, &mut out[..chunk.len()]);
+                bound.eval_into(Sel::new(chunk), &mut scratch, &mut out[..chunk.len()]);
                 black_box(&out);
             }
         })

@@ -3,8 +3,9 @@
 //!
 //! The fused executor reads `Column::Dict`/`Column::Rle` storage
 //! directly: predicates are evaluated once per dictionary *entry* (a
-//! 256-way code-set bitmap tested per row) or once per *run* (selection
-//! emitted as whole row ranges), and RLE group keys turn per-row
+//! 256-way code-set bitmap tested per row) or once per *run* (decided at
+//! bind time into row ranges — batches outside them are never visited,
+//! the "visited / pruned" column), and RLE group keys turn per-row
 //! aggregate deposits into one block (`step_slice`) call per run. Both
 //! arms perform the identical floating-point deposit sequence, so the
 //! bench cross-asserts every output bit before recording the ratio into
@@ -18,17 +19,17 @@
 //!   overhead/win;
 //! * Q1 over the (returnflag, linestatus)-sorted table — the group keys
 //!   RLE-encode and grouped aggregation runs run-blocked;
-//! * Q6 over the shipdate-sorted table — the ~2%-selective shipdate band
-//!   predicate becomes a per-run range emit;
-//! * **agg pushdown**: unfiltered `SUM`+`COUNT` where the *aggregate
-//!   input itself* is encoded — the executor aggregates algebraically
-//!   (one exact k·v deposit per RLE run; per-code counts flushed once
-//!   per touched dictionary entry per batch) instead of per row:
+//! * Q6 over the shipdate-sorted table — the one-year shipdate band is
+//!   one row range, and the scan visits only the batches it overlaps;
+//! * unfiltered `SUM`+`COUNT` where the *aggregate input itself* is
+//!   encoded:
 //!   - `SUM(l_quantity)` over the quantity-sorted table (~50 long runs,
-//!     `Rle<F64>`) — the headline run-algebraic arm,
-//!   - `SUM(l_quantity)` in dbgen order (`Dict<F64>`, u8 codes),
-//!   - `SUM(l_suppkey)` in dbgen order (`Dict16<I32>`, u16 codes,
-//!     10 000 entries).
+//!     `Rle<F64>`) — aggregated algebraically, one exact k·v deposit per
+//!     run instead of one per row,
+//!   - `SUM(l_quantity)` in dbgen order (`Dict<F64>`, u8 codes) and
+//!     `SUM(l_suppkey)` in dbgen order (`Dict16<I32>`, u16 codes, 10 000
+//!     entries) — evaluated through the code lookup and deposited like
+//!     any expression, so these read as the cost of the lookup.
 
 use rfa_bench::{
     f2, ns_per_elem, time_min, write_compression_smoke, BenchConfig, CompressionSmoke, ResultTable,
@@ -74,7 +75,7 @@ fn measure(
     reps: usize,
     n: usize,
     ctx: &str,
-) -> (f64, f64) {
+) -> (f64, f64, PlanResult) {
     let opts = ExecOptions::serial();
     let want = plan.execute(plain, backend, &opts).expect(ctx);
     let got = plan.execute(encoded, backend, &opts).expect(ctx);
@@ -85,7 +86,7 @@ fn measure(
     let encoded_d = time_min(reps, || {
         std::hint::black_box(plan.execute(encoded, backend, &opts).expect(ctx));
     });
-    (ns_per_elem(plain_d, n), ns_per_elem(encoded_d, n))
+    (ns_per_elem(plain_d, n), ns_per_elem(encoded_d, n), got)
 }
 
 fn main() {
@@ -100,9 +101,10 @@ fn main() {
     let by_shipdate = lineitem.sorted_by_shipdate();
     let by_quantity = lineitem.sorted_by_quantity();
 
-    // Agg-pushdown plans: no filter, no grouping — the scan cost is the
-    // aggregate deposit loop itself, so the ratio isolates algebraic
-    // (per-run / per-code) deposits against per-row ones.
+    // Encoded-input plans: no filter, no grouping — the scan cost is the
+    // aggregate deposit loop itself, so the ratio isolates per-run
+    // algebraic deposits (RLE) and the code lookup (Dict) against plain
+    // per-row ones.
     let sum_qty = QueryPlan::scan("lineitem")
         .sum(Expr::col("l_quantity"))
         .count();
@@ -135,21 +137,24 @@ fn main() {
             "plain ns/elem",
             "encoded ns/elem",
             "vs plain",
+            "visited / pruned",
         ],
     );
-    let mut measured: Vec<(f64, f64)> = Vec::new();
+    let mut measured: Vec<(f64, f64, PlanResult)> = Vec::new();
     for (name, plan, rows, key_col) in arms {
         let plain = lineitem_table(rows);
         let encoded = lineitem_table_encoded(rows);
-        let (plain_ns, encoded_ns) = measure(plan, &plain, &encoded, backend, cfg.reps, n, name);
+        let (plain_ns, encoded_ns, run) =
+            measure(plan, &plain, &encoded, backend, cfg.reps, n, name);
         table.row(vec![
             name.into(),
             storage(&encoded, key_col).into(),
             f2(plain_ns),
             f2(encoded_ns),
             format!("{:.2}x", encoded_ns / plain_ns),
+            format!("{} / {}", run.batches_visited, run.batches_pruned),
         ]);
-        measured.push((plain_ns, encoded_ns));
+        measured.push((plain_ns, encoded_ns, run));
     }
     table.print();
     table.write_csv("fig9_compression");
@@ -157,14 +162,14 @@ fn main() {
         "  paper shape: dictionary arms sit near 1x (pushdown trades a compare for a\n  \
          byte-indexed lookup); the clustered arms win outright — RLE group keys turn\n  \
          per-row deposits into one block call per run, and the RLE shipdate band\n  \
-         emits selections a whole run at a time. The agg-pushdown arms go further:\n  \
-         the RLE-sorted SUM deposits once per run (exact k*v split), the dict arms\n  \
-         count per code and flush once per touched entry. Identical bits in every arm."
+         is a row range decided before the scan, so most batches are never visited.\n  \
+         The RLE-sorted SUM deposits once per run (exact k*v split); the dictionary\n  \
+         SUM inputs pay one code lookup per row. Identical bits in every arm."
     );
 
     // The smoke record keeps the clustered arms — the encodings the
     // ISSUE targets: Q1's two u8 group columns (RLE after sorting, Dict
-    // always), Q6's shipdate band, and the three agg-pushdown inputs.
+    // always), Q6's shipdate band, and the RLE agg-pushdown input.
     let by_group_encoded = lineitem_table_encoded(&by_group);
     assert!(
         matches!(
@@ -212,12 +217,10 @@ fn main() {
         q6_encodings: "shipdate-sorted: shipdate Rle, qty/discount/tax Dict",
         q6_plain_ns_per_elem: measured[3].0,
         q6_encoded_ns_per_elem: measured[3].1,
-        agg_encodings: "sum inputs: qty Rle<F64> (sorted) / Dict<F64>, suppkey Dict16<I32>",
+        q6_batches_visited: measured[3].2.batches_visited,
+        q6_batches_pruned: measured[3].2.batches_pruned,
+        agg_encodings: "sum input: qty Rle<F64> (sorted)",
         agg_rle_plain_ns_per_elem: measured[5].0,
         agg_rle_encoded_ns_per_elem: measured[5].1,
-        agg_dict_plain_ns_per_elem: measured[4].0,
-        agg_dict_encoded_ns_per_elem: measured[4].1,
-        agg_dict16_plain_ns_per_elem: measured[6].0,
-        agg_dict16_encoded_ns_per_elem: measured[6].1,
     });
 }

@@ -343,8 +343,106 @@ pub(crate) fn advance_run(run_ends: &[u32], run: usize, row: u32) -> usize {
     run
 }
 
-impl ColData<'_> {
+/// One batch's selected row ids, plus whether they form a single contiguous
+/// range — decided once, when the filter is done, and then used by every
+/// consumer that has a slice form (column loads here, key extraction and
+/// bare-column aggregate inputs in the fused executor). A selection is a
+/// row *range* until a predicate says otherwise: a dense batch reads
+/// `col[start..start + n]` instead of gathering row by row.
+#[derive(Clone, Copy, Debug)]
+pub struct Sel<'a> {
+    rows: &'a [u32],
+    dense: bool,
+}
+
+impl<'a> Sel<'a> {
+    /// A selection vector as the scan filter produces it: strictly
+    /// increasing row ids. Contiguity is then one subtraction.
+    pub fn new(rows: &'a [u32]) -> Sel<'a> {
+        debug_assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "selection vectors are strictly increasing"
+        );
+        let dense = match (rows.first(), rows.last()) {
+            (Some(&f), Some(&l)) => (l - f) as usize + 1 == rows.len(),
+            _ => false,
+        };
+        Sel { rows, dense }
+    }
+
+    /// Row ids in arbitrary order (the materializing wrappers accept any
+    /// gather list): never treated as a range.
+    pub fn unordered(rows: &'a [u32]) -> Sel<'a> {
+        Sel { rows, dense: false }
+    }
+
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// First row of the range, if the selection is one contiguous range.
+    pub fn dense_start(&self) -> Option<usize> {
+        self.dense.then(|| self.rows[0] as usize)
+    }
+}
+
+impl Vals<'_> {
+    /// `out[k] = self[idx[k]]` for a slice of dictionary codes.
     #[inline]
+    fn lookup_into<I: Copy + Into<usize>>(&self, idx: &[I], out: &mut [f64]) {
+        for (r, &c) in out.iter_mut().zip(idx) {
+            *r = self.get(c.into());
+        }
+    }
+}
+
+/// `out[k] = src[k] as f64` (exact for every integer column type).
+#[inline]
+fn widen_into<T: Copy + Into<f64>>(src: &[T], out: &mut [f64]) {
+    for (r, &v) in out.iter_mut().zip(src) {
+        *r = v.into();
+    }
+}
+
+impl ColData<'_> {
+    /// Loads the selected rows, widened to `f64`, into `out`. A dense
+    /// selection reads one slice of the column (a copy, a widening loop
+    /// the compiler vectorizes, or a fill per run); a sparse one gathers.
+    /// Both produce the identical values in the identical order.
+    #[inline]
+    fn load(&self, sel: Sel<'_>, out: &mut [f64]) {
+        match sel.dense_start() {
+            Some(lo) => self.load_range(lo, out),
+            None => self.gather(sel.rows, out),
+        }
+    }
+
+    fn load_range(&self, lo: usize, out: &mut [f64]) {
+        let hi = lo + out.len();
+        match *self {
+            ColData::F64(col) => out.copy_from_slice(&col[lo..hi]),
+            ColData::I32(col) => widen_into(&col[lo..hi], out),
+            ColData::U32(col) => widen_into(&col[lo..hi], out),
+            ColData::U8(col) => widen_into(&col[lo..hi], out),
+            ColData::Dict { codes, vals } => vals.lookup_into(&codes[lo..hi], out),
+            ColData::Dict16 { codes, vals } => vals.lookup_into(&codes[lo..hi], out),
+            ColData::Rle { run_ends, vals } => {
+                let mut run = run_ends.partition_point(|&e| e as usize <= lo);
+                let mut row = lo;
+                while row < hi {
+                    let end = (run_ends[run] as usize).min(hi);
+                    out[row - lo..end - lo].fill(vals.get(run));
+                    row = end;
+                    run += 1;
+                }
+            }
+        }
+    }
+
     fn gather(&self, sel: &[u32], out: &mut [f64]) {
         match *self {
             ColData::F64(col) => {
@@ -520,13 +618,45 @@ enum BoundFast<'t> {
         codes: &'t [u16],
         keep: Box<[u64; 1024]>,
     },
-    /// RLE predicate pushdown: the comparison ran once per run. `fill`
-    /// emits whole row ranges of matching runs (O(selected), no per-row
-    /// test at all); `refine` walks the selection with a run cursor.
+    /// RLE predicate pushdown: the comparison ran once per run, and the
+    /// matching runs are kept as coalesced, increasing `[start, end)` row
+    /// ranges — the predicate is *decided* at bind time. The fused scan
+    /// takes these out of the conjunct list altogether
+    /// ([`BoundPredicate::into_rle_ranges`]) and never visits a batch
+    /// outside them; `fill` / `refine` serve every other caller.
     RleRuns {
-        run_ends: &'t [u32],
-        keep: Vec<bool>,
+        ranges: Vec<RowRange>,
     },
+}
+
+/// A half-open `[start, end)` range of row ids.
+pub(crate) type RowRange = (u32, u32);
+
+/// Appends the rows of `ranges ∩ [lo, hi)` to `sel`, in increasing order
+/// (`ranges` coalesced and increasing).
+pub(crate) fn extend_clipped(ranges: &[RowRange], lo: usize, hi: usize, sel: &mut Vec<u32>) {
+    let first = ranges.partition_point(|r| r.1 as usize <= lo);
+    for &(s, e) in ranges[first..].iter().take_while(|r| (r.0 as usize) < hi) {
+        sel.extend(s.max(lo as u32)..e.min(hi as u32));
+    }
+}
+
+/// Intersection of two coalesced, increasing range lists.
+pub(crate) fn intersect_ranges(a: &[RowRange], b: &[RowRange]) -> Vec<RowRange> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (s, e) = (a[i].0.max(b[j].0), a[i].1.min(b[j].1));
+        if s < e {
+            out.push((s, e));
+        }
+        if a[i].1 <= b[j].1 {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    out
 }
 
 /// Reusable batch-sized evaluation registers. One scratch serves any
@@ -670,7 +800,7 @@ impl Expr {
             .chunks(EVAL_BATCH_ROWS)
             .zip(out.chunks_mut(EVAL_BATCH_ROWS))
         {
-            bound.eval_into(schunk, &mut scratch, ochunk);
+            bound.eval_into(Sel::unordered(schunk), &mut scratch, ochunk);
         }
         Ok(out)
     }
@@ -746,7 +876,7 @@ impl BoolExpr {
             .chunks(EVAL_BATCH_ROWS)
             .zip(out.chunks_mut(EVAL_BATCH_ROWS))
         {
-            bound.exec(schunk, &mut scratch);
+            bound.exec(Sel::unordered(schunk), &mut scratch);
             debug_assert!(bound.mask_depth >= 1, "predicates produce a mask");
             for (o, &m) in ochunk.iter_mut().zip(&scratch.masks[0][..schunk.len()]) {
                 *o = m != 0;
@@ -978,10 +1108,20 @@ fn bind_fast<'t>(shape: &FastShape, table: &'t Table) -> Result<Option<BoundFast
             let Ok(vals) = vals_of(values, col_name) else {
                 return Ok(None);
             };
-            let keep: Vec<bool> = (0..run_ends.len())
-                .map(|r| shape_test(shape, vals.get(r)))
-                .collect();
-            Some(BoundFast::RleRuns { run_ends, keep })
+            // Adjacent matching runs coalesce, so a sorted column under a
+            // comparison leaves one range however many runs it spans.
+            let mut ranges: Vec<RowRange> = Vec::new();
+            let mut start = 0u32;
+            for (r, &end) in run_ends.iter().enumerate() {
+                if shape_test(shape, vals.get(r)) {
+                    match ranges.last_mut() {
+                        Some(last) if last.1 == start => last.1 = end,
+                        _ => ranges.push((start, end)),
+                    }
+                }
+                start = end;
+            }
+            Some(BoundFast::RleRuns { ranges })
         }
         (FastShape::Cmp { op, rhs, .. }, Column::F64(v)) => Some(BoundFast::F64Cmp {
             col: v,
@@ -1157,20 +1297,9 @@ impl BoundFast<'_> {
                 let c = codes[r] as usize;
                 keep[c >> 6] >> (c & 63) & 1 != 0
             }),
-            BoundFast::RleRuns { run_ends, keep } => {
-                // Walk the runs overlapping [lo, hi) and append whole row
-                // ranges for the matching ones — per-run work, not per-row.
+            BoundFast::RleRuns { ranges } => {
                 sel.clear();
-                let mut run = run_ends.partition_point(|&e| e as usize <= lo);
-                let mut row = lo;
-                while row < hi {
-                    let end = (run_ends[run] as usize).min(hi);
-                    if keep[run] {
-                        sel.extend(row as u32..end as u32);
-                    }
-                    row = end;
-                    run += 1;
-                }
+                extend_clipped(ranges, lo, hi, sel);
             }
         }
     }
@@ -1197,28 +1326,11 @@ impl BoundFast<'_> {
                 let c = codes[r] as usize;
                 keep[c >> 6] >> (c & 63) & 1 != 0
             }),
-            BoundFast::RleRuns { run_ends, keep } => {
-                // Selection vectors are increasing, so every run covers a
-                // contiguous span of candidates: keep or drop whole spans
-                // (one compare per row plus a block copy per kept run)
-                // instead of a cursor + table lookup per row.
-                let mut run = 0usize;
-                let mut k = 0usize;
-                let mut i = 0usize;
-                let n = sel.len();
-                while i < n {
-                    run = advance_run(run_ends, run, sel[i]);
-                    let end = run_ends[run];
-                    let start = i;
-                    while i < n && sel[i] < end {
-                        i += 1;
-                    }
-                    if keep[run] {
-                        sel.copy_within(start..i, k);
-                        k += i - start;
-                    }
-                }
-                sel.truncate(k);
+            BoundFast::RleRuns { ranges } => {
+                sel.retain(|&row| {
+                    let r = ranges.partition_point(|r| r.1 <= row);
+                    ranges.get(r).is_some_and(|r| r.0 <= row)
+                });
             }
         }
     }
@@ -1228,7 +1340,7 @@ impl BoundProg<'_> {
     /// Executes the program over one batch; the scalar result (if any)
     /// lands in `scratch.regs[0][..n]`, the mask result in
     /// `scratch.masks[0][..n]`.
-    fn exec(&self, sel: &[u32], scratch: &mut EvalScratch) {
+    fn exec(&self, sel: Sel<'_>, scratch: &mut EvalScratch) {
         let n = sel.len();
         scratch.ensure(self.scalar_depth.max(1), self.mask_depth, n);
         let EvalScratch { regs, masks } = scratch;
@@ -1237,7 +1349,7 @@ impl BoundProg<'_> {
         for inst in self.insts {
             match *inst {
                 Inst::Col(c) => {
-                    self.cols[c].gather(sel, &mut regs[ssp][..n]);
+                    self.cols[c].load(sel, &mut regs[ssp][..n]);
                     ssp += 1;
                 }
                 Inst::Const(v) => {
@@ -1394,16 +1506,38 @@ impl BoundExpr<'_> {
     /// Evaluates one batch: `out[k] = expr(row sel[k])` for every selected
     /// row. All intermediates live in `scratch`; nothing is allocated once
     /// the scratch has warmed up to this depth and batch size.
-    pub fn eval_into(&self, sel: &[u32], scratch: &mut EvalScratch, out: &mut [f64]) {
-        let n = sel.len();
-        debug_assert_eq!(n, out.len());
+    pub fn eval_into(&self, sel: Sel<'_>, scratch: &mut EvalScratch, out: &mut [f64]) {
+        debug_assert_eq!(sel.len(), out.len());
+        out.copy_from_slice(self.values(sel, scratch));
+    }
+
+    /// One batch's values, borrowed from wherever they already are: a bare
+    /// plain-`F64` column over a dense selection *is* the answer — a slice
+    /// of the column, no register, no copy — and everything else is the
+    /// program's result register.
+    pub fn values<'a>(&'a self, sel: Sel<'_>, scratch: &'a mut EvalScratch) -> &'a [f64] {
         debug_assert_eq!(self.prog.mask_depth, 0, "scalar expression");
+        if let (Some(lo), [Inst::Col(c)]) = (sel.dense_start(), self.prog.insts) {
+            if let ColData::F64(col) = self.prog.cols[*c] {
+                return &col[lo..lo + sel.len()];
+            }
+        }
         self.prog.exec(sel, scratch);
-        out.copy_from_slice(&scratch.regs[0][..n]);
+        &scratch.regs[0][..sel.len()]
     }
 }
 
 impl BoundPredicate<'_> {
+    /// The row ranges this predicate keeps, when binding already decided
+    /// it for every row (a fast shape over an RLE column); the predicate
+    /// itself otherwise.
+    pub(crate) fn into_rle_ranges(self) -> Result<Vec<RowRange>, Self> {
+        match self.fast {
+            Some(BoundFast::RleRuns { ranges }) => Ok(ranges),
+            _ => Err(self),
+        }
+    }
+
     /// First conjunct of a batch: fills `sel` with the matching row ids
     /// of `[blo, bhi)`.
     pub fn fill(&self, blo: usize, bhi: usize, sel: &mut Vec<u32>, scratch: &mut EvalScratch) {
@@ -1432,7 +1566,7 @@ impl BoundPredicate<'_> {
         if n == 0 {
             return;
         }
-        self.prog.exec(sel, scratch);
+        self.prog.exec(Sel::new(sel), scratch);
         let mask = &scratch.masks[0][..n];
         #[cfg(target_arch = "x86_64")]
         if crate::simd_sel::compact_by_mask(sel, mask) {
@@ -1654,13 +1788,13 @@ mod tests {
         let b2 = e2.bind(&t).unwrap();
         let mut scratch = EvalScratch::new();
         let mut out = [0.0f64; 2];
-        b1.eval_into(&[0, 2], &mut scratch, &mut out);
+        b1.eval_into(Sel::new(&[0, 2]), &mut scratch, &mut out);
         assert_eq!(out, [10.0, 150.0]);
-        b2.eval_into(&[1, 0], &mut scratch, &mut out);
+        b2.eval_into(Sel::unordered(&[1, 0]), &mut scratch, &mut out);
         assert_eq!(out, [200.0, 99.8]);
         // Smaller batch after a larger one still evaluates correctly.
         let mut one = [0.0f64; 1];
-        b1.eval_into(&[1], &mut scratch, &mut one);
+        b1.eval_into(Sel::new(&[1]), &mut scratch, &mut one);
         assert_eq!(one, [0.0]);
     }
 

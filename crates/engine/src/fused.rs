@@ -70,27 +70,39 @@
 //! vector and the group ids stay in row order, so predicates, RLE
 //! cursors and the algebraic deposits below never see it.
 //!
-//! **Algebraic aggregation over encoded inputs.** When a SUM / MIN / MAX
-//! input is a *bare* encoded column (`Rle`, `Dict` or `Dict16` over plain
-//! numeric storage), the executor skips the per-row gather entirely: each
-//! selected RLE run span deposits its value once with its repetition
-//! count, and dictionary columns accumulate per-`(group, code)` row
-//! counts across the batch, flushing one deposit per touched dictionary
-//! entry at batch end. The `k·v` deposit
+//! **Range pruning.** A top-level conjunct that is a fast shape over an
+//! RLE column is *decided* when it is bound — once per run, once per
+//! query — into the coalesced `[start, end)` row ranges of its matching
+//! runs. Those conjuncts never reach a batch: their ranges are
+//! intersected (`ScanFilter`), and the scan keeps its batch / morsel
+//! grid but visits only the batches (and morsels) that overlap a range,
+//! starting each from `batch ∩ range` — the remaining conjuncts fill and
+//! refine from there. The selected rows and their order are exactly those
+//! of the unpruned walk, so no output bit moves on any backend;
+//! [`FusedRun::batches_visited`] / [`FusedRun::batches_pruned`] say how
+//! much of the grid was skipped.
+//!
+//! **Dense batches read slices.** Whether a batch's selection is still
+//! one contiguous row range is decided once, after the filter
+//! ([`Sel`]), and every consumer with a slice form uses it: hash keys are
+//! bulk-extracted, expression programs load `col[start..start + n]`
+//! instead of gathering, and a bare plain-`F64` aggregate input reaches
+//! the deposit as a borrowed slice of the column itself. A batch whose
+//! selection is empty stops right after the filter.
+//!
+//! **Algebraic aggregation over RLE inputs.** When a SUM / MIN / MAX
+//! input is a *bare* RLE column over plain numeric storage, the executor
+//! skips the per-row gather entirely: each selected run span deposits its
+//! value once with its repetition count. The `k·v` deposit
 //! ([`crate::GroupedSums::update_scaled`] →
 //! [`rfa_core::ReproSum::add_scaled`]) folds into the reproducible
-//! accumulators bit-identically to `k` per-row additions, and those
-//! states are pure functions of the input *multiset*, so neither the
-//! collapse nor the flush order can change any output bit (DESIGN.md
+//! accumulators bit-identically to `k` per-row additions (DESIGN.md
 //! §26). Plain doubles are order-sensitive with no algebraic shortcut —
 //! their SUMs keep the per-row path ([`SumBackend::merges_exactly`] gates
 //! the fast path), while MIN / MAX comparison folds, being idempotent and
-//! order-insensitive, run once per run / per code on every backend.
-//! Dictionary batches only go algebraic when the histogram pays: a
-//! dictionary larger than half the batch's selection (or a
-//! `groups × entries` table past `ALG_HIST_MAX`) would flush about one
-//! deposit per row, so those batches keep per-row deposits — the two
-//! paths are bit-identical, so mixing them per batch is free.
+//! order-insensitive, run once per run on every backend. Dictionary
+//! inputs are evaluated and deposited like any other expression: a code
+//! lookup per row costs less than any per-code bookkeeping saved.
 //!
 //! **Parallelism.** With `threads > 1` the scan runs morsel-driven on the
 //! work-stealing pool: each morsel ([`ExecOptions::morsel_rows`] rows)
@@ -111,8 +123,8 @@
 
 use crate::column::{ColRef, Column, EncodingError, Table};
 use crate::expr::{
-    advance_run, BoolExpr, BoundExpr, BoundPredicate, CompiledExpr, CompiledPredicate, EvalScratch,
-    Expr,
+    advance_run, extend_clipped, intersect_ranges, BoolExpr, BoundExpr, BoundPredicate,
+    CompiledExpr, CompiledPredicate, EvalScratch, Expr, RowRange, Sel,
 };
 use crate::q1::PhaseTiming;
 use crate::sum_op::{BatchPartition, GroupedStates, OverflowError, SumBackend, SCAN_MORSEL_ROWS};
@@ -367,6 +379,13 @@ pub struct FusedRun {
     /// row order (schedule-independent; see module doc).
     pub keys: Option<Vec<u32>>,
     pub timing: PhaseTiming,
+    /// Batches of the scan grid the filter was run on (those overlapping
+    /// a row range the bind-time-decided conjuncts keep — all of them when
+    /// there is no such conjunct). Exact and independent of `threads`:
+    /// the grid is a function of the table and the batch / morsel sizes.
+    pub batches_visited: u64,
+    /// Batches of the grid never touched; `visited + pruned` is the grid.
+    pub batches_pruned: u64,
 }
 
 /// Compiled form of a query's filter and aggregate input expressions.
@@ -412,6 +431,7 @@ pub fn run_fused(
     };
     validate_encodings(table, query, &compiled)?;
     let rows = table.rows();
+    let filter = ScanFilter::bind(table, &compiled.filter);
 
     // Plain doubles cannot merge exactly: parallel execution would change
     // the answer, so they always scan serially (module doc).
@@ -420,18 +440,28 @@ pub fn run_fused(
     } else {
         1
     };
-
-    let partial = if threads <= 1 || rows <= opts.morsel_rows {
-        scan_range(table, query, &compiled, backend, &opts, &check, 0, rows)?
+    // Morsels no kept range reaches are never scheduled.
+    let live: Vec<usize> = if threads <= 1 {
+        Vec::new()
     } else {
-        let morsels = rows.div_ceil(opts.morsel_rows);
-        (0..morsels)
-            .into_par_iter()
+        (0..rows.div_ceil(opts.morsel_rows))
+            .filter(|m| filter.overlaps(m * opts.morsel_rows, (m + 1) * opts.morsel_rows))
+            .collect()
+    };
+
+    let scan = |lo, hi| {
+        scan_range(
+            table, query, &compiled, &filter, backend, &opts, &check, lo, hi,
+        )
+    };
+    let partial = if live.len() <= 1 {
+        scan(0, rows)?
+    } else {
+        live.into_par_iter()
             .with_min_len(1)
             .map(|m| {
                 let lo = m * opts.morsel_rows;
-                let hi = (lo + opts.morsel_rows).min(rows);
-                scan_range(table, query, &compiled, backend, &opts, &check, lo, hi).map(Some)
+                scan(lo, (lo + opts.morsel_rows).min(rows)).map(Some)
             })
             .reduce(
                 || Ok(None),
@@ -443,7 +473,7 @@ pub fn run_fused(
                     (x, y) => Ok(x.or(y)),
                 },
             )?
-            .expect("at least one morsel")
+            .expect("at least two live morsels")
     };
 
     let t0 = Instant::now();
@@ -457,7 +487,63 @@ pub fn run_fused(
         counts: out.counts,
         keys: partial.hash.map(|h| h.keys),
         timing,
+        batches_visited: partial.batches_visited,
+        batches_pruned: grid_batches(rows, &opts) - partial.batches_visited,
     })
+}
+
+/// Batches in the scan grid of a `rows`-row table: every morsel restarts
+/// the batch grid at its first row, in serial and parallel scans alike.
+fn grid_batches(rows: usize, opts: &ExecOptions) -> u64 {
+    let per_morsel = opts.morsel_rows.div_ceil(opts.batch_rows);
+    let tail = (rows % opts.morsel_rows).div_ceil(opts.batch_rows);
+    ((rows / opts.morsel_rows) * per_morsel + tail) as u64
+}
+
+/// The scan filter, bound once per query and shared by every morsel.
+struct ScanFilter<'t> {
+    /// The rows that survive every conjunct binding could decide outright
+    /// (fast shapes over RLE columns): coalesced, increasing, intersected
+    /// across those conjuncts. The whole table when there is none.
+    ranges: Vec<RowRange>,
+    /// The conjuncts left to evaluate per batch.
+    preds: Vec<BoundPredicate<'t>>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`ScanFilter::bind`] calls made on this thread.
+    static FILTER_BINDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl<'t> ScanFilter<'t> {
+    fn bind(table: &'t Table, filter: &'t [CompiledPredicate]) -> ScanFilter<'t> {
+        #[cfg(test)]
+        FILTER_BINDS.with(|c| c.set(c.get() + 1));
+        let mut ranges = vec![(0, table.rows() as u32)];
+        let mut preds = Vec::new();
+        for p in filter {
+            let bound = p
+                .bind(table)
+                .expect("fused query references a missing or mistyped column");
+            match bound.into_rle_ranges() {
+                Ok(kept) => ranges = intersect_ranges(&ranges, &kept),
+                Err(pred) => preds.push(pred),
+            }
+        }
+        ScanFilter { ranges, preds }
+    }
+
+    /// Index of the first range that ends after `row`.
+    fn first_after(&self, row: usize) -> usize {
+        self.ranges.partition_point(|r| r.1 as usize <= row)
+    }
+
+    fn overlaps(&self, lo: usize, hi: usize) -> bool {
+        self.ranges
+            .get(self.first_after(lo))
+            .is_some_and(|r| (r.0 as usize) < hi)
+    }
 }
 
 /// Validates every encoded column the query touches — filter and
@@ -682,6 +768,7 @@ struct Partial {
     /// `Some` for [`GroupKey::Hash`]: this range's key→group-id mapping.
     hash: Option<HashGroups>,
     timing: PhaseTiming,
+    batches_visited: u64,
 }
 
 impl Partial {
@@ -711,6 +798,7 @@ impl Partial {
         self.timing.scan += other.timing.scan;
         self.timing.aggregation += other.timing.aggregation;
         self.timing.other += other.timing.other;
+        self.batches_visited += other.batches_visited;
         Ok(())
     }
 }
@@ -915,53 +1003,21 @@ enum Deposit {
     Segs,
 }
 
-/// Ceiling on the dictionary algebraic path's flat `(group, code)`
-/// histogram, in entries (`groups × dictionary size`). Beyond this the
-/// histogram's footprint would dwarf the per-row deposits it saves, so
-/// the batch falls back to the per-row path — the deposit algebra is
-/// exact, so results are bit-identical either way.
-const ALG_HIST_MAX: usize = 1 << 22;
-
-/// A SUM / MIN / MAX input that is a *bare encoded column*, bound for
+/// A SUM / MIN / MAX input that is a *bare RLE column*, bound for
 /// algebraic aggregation: instead of gathering one `f64` per selected
-/// row, each selected RLE run span deposits once with its repetition
-/// count, and each batch accumulates per-`(group, code)` row counts for
-/// dictionary columns, flushing one deposit per touched entry at batch
-/// end ([`GroupedStates::deposit_scaled`] — the exact `k·v` fold). The
-/// inner values widen to `f64` here, once per run / per code, with the
-/// same `as f64` conversion the gather path applies per row, so the
-/// deposited values are bit-identical to the per-row path's.
-enum AlgSrc<'t> {
-    Rle {
-        run_ends: &'t [u32],
-        values: Vec<f64>,
-    },
-    Dict {
-        codes: DictCodes<'t>,
-        vals: Vec<f64>,
-    },
-}
-
-/// Dictionary codes at either width, read as `usize` indexes.
-#[derive(Clone, Copy)]
-enum DictCodes<'t> {
-    U8(&'t [u8]),
-    U16(&'t [u16]),
-}
-
-impl DictCodes<'_> {
-    #[inline(always)]
-    fn get(&self, row: usize) -> usize {
-        match *self {
-            DictCodes::U8(c) => c[row] as usize,
-            DictCodes::U16(c) => c[row] as usize,
-        }
-    }
+/// row, each selected run span deposits once with its repetition count
+/// ([`GroupedStates::deposit_scaled`] — the exact `k·v` fold). The run
+/// values widen to `f64` here, once per run, with the same `as f64`
+/// conversion the gather path applies per row, so the deposited values
+/// are bit-identical to the per-row path's.
+struct RleSrc<'t> {
+    run_ends: &'t [u32],
+    values: Vec<f64>,
 }
 
 /// Widens a plain numeric column to `f64` — the identical conversion the
-/// gather path's `Vals::get` performs per row, hoisted to once per
-/// dictionary entry / run value.
+/// gather path's `Vals::get` performs per row, hoisted to once per run
+/// value.
 fn widen_plain(col: &Column) -> Option<Vec<f64>> {
     Some(match col {
         Column::F64(v) => v.to_vec(),
@@ -972,32 +1028,24 @@ fn widen_plain(col: &Column) -> Option<Vec<f64>> {
     })
 }
 
-/// Binds `expr` for algebraic aggregation if it is a bare encoded column
+/// Binds `expr` for algebraic aggregation if it is a bare RLE column
 /// over plain numeric storage. Anything else — expression compositions,
-/// plain columns, nested encodings — returns `None` and takes the
-/// per-row gather path.
-fn bind_alg<'t>(expr: &Expr, table: &'t Table) -> Option<AlgSrc<'t>> {
+/// plain and dictionary columns — returns `None` and is evaluated, then
+/// deposited.
+fn bind_alg<'t>(expr: &Expr, table: &'t Table) -> Option<RleSrc<'t>> {
     let Expr::Col(name) = expr else { return None };
     match table.column(name.as_str()).ok()? {
-        Column::Rle { run_ends, values } => Some(AlgSrc::Rle {
+        Column::Rle { run_ends, values } => Some(RleSrc {
             run_ends,
             values: widen_plain(values)?,
-        }),
-        Column::Dict { codes, dict } => Some(AlgSrc::Dict {
-            codes: DictCodes::U8(codes),
-            vals: widen_plain(dict)?,
-        }),
-        Column::Dict16 { codes, dict } => Some(AlgSrc::Dict {
-            codes: DictCodes::U16(codes),
-            vals: widen_plain(dict)?,
         }),
         _ => None,
     }
 }
 
-/// Which state array an algebraic deposit feeds.
+/// Which state array a deposit feeds.
 #[derive(Clone, Copy)]
-enum AlgAgg {
+enum AggSlot {
     Sum(usize),
     Min(usize),
     Max(usize),
@@ -1042,152 +1090,145 @@ fn for_each_group_span(
     Ok(())
 }
 
-/// Deposits one batch of an algebraic source: once per `(group, run)`
-/// span for RLE, once per touched `(group, code)` pair for dictionaries.
-/// `cursor` is this source's RLE run position, carried across the range's
+/// Deposits one batch of an RLE source: once per `(group, run)` span.
+/// `cursor` is this source's run position, carried across the range's
 /// batches (selections are increasing, so advancing is amortized O(1)).
-/// Returns `Ok(false)` *without depositing* when the dictionary histogram
-/// would exceed [`ALG_HIST_MAX`]; the caller then runs the per-row path
-/// for this batch.
 #[allow(clippy::too_many_arguments)]
 fn deposit_algebraic(
     states: &mut GroupedStates,
-    agg: AlgAgg,
-    src: &AlgSrc<'_>,
+    agg: AggSlot,
+    src: &RleSrc<'_>,
     cursor: &mut usize,
     sel: &[u32],
     deposit: Deposit,
     gids: &[u32],
     segs: &[(u32, usize)],
-    groups: usize,
-    hist: &mut Vec<u32>,
-    touched: &mut Vec<u32>,
-) -> Result<bool, FusedError> {
-    match src {
-        AlgSrc::Rle { run_ends, values } => {
-            for_each_group_span(deposit, sel.len(), gids, segs, |g, start, end| {
-                let mut i = start;
-                while i < end {
-                    *cursor = advance_run(run_ends, *cursor, sel[i]);
-                    // The deposit span ends where the value run does (or
-                    // where the selection / group span leaves it).
-                    let bound = run_ends[*cursor];
-                    let mut j = i + 1;
-                    while j < end && sel[j] < bound {
-                        j += 1;
-                    }
-                    let v = values[*cursor];
-                    match agg {
-                        AlgAgg::Sum(s) => {
-                            states.deposit_scaled(s, g as usize, v, (j - i) as u64)?
-                        }
-                        AlgAgg::Min(s) => states.update_min_value(s, g as usize, v),
-                        AlgAgg::Max(s) => states.update_max_value(s, g as usize, v),
-                    }
-                    i = j;
-                }
-                Ok(())
-            })?;
+) -> Result<(), FusedError> {
+    let RleSrc { run_ends, values } = src;
+    for_each_group_span(deposit, sel.len(), gids, segs, |g, start, end| {
+        let mut i = start;
+        while i < end {
+            *cursor = advance_run(run_ends, *cursor, sel[i]);
+            // The deposit span ends where the value run does (or
+            // where the selection / group span leaves it).
+            let bound = run_ends[*cursor];
+            let mut j = i + 1;
+            while j < end && sel[j] < bound {
+                j += 1;
+            }
+            let v = values[*cursor];
+            match agg {
+                AggSlot::Sum(s) => states.deposit_scaled(s, g as usize, v, (j - i) as u64)?,
+                AggSlot::Min(s) => states.update_min_value(s, g as usize, v),
+                AggSlot::Max(s) => states.update_max_value(s, g as usize, v),
+            }
+            i = j;
         }
-        AlgSrc::Dict { codes, vals } => {
-            let dict_len = vals.len();
-            // The histogram only pays when codes repeat within the batch.
-            // A dictionary comparable to the batch's selection would
-            // flush nearly one k·v deposit per row — pricier than the
-            // per-row deposits it replaces — so such batches fall back.
-            if dict_len > sel.len() / 2 {
-                return Ok(false);
-            }
-            let need = groups * dict_len;
-            if need > ALG_HIST_MAX {
-                return Ok(false);
-            }
-            if hist.len() < need {
-                hist.resize(need, 0);
-            }
-            for_each_group_span(deposit, sel.len(), gids, segs, |g, start, end| {
-                let base = g as usize * dict_len;
-                for &row in &sel[start..end] {
-                    let key = base + codes.get(row as usize);
-                    if hist[key] == 0 {
-                        touched.push(key as u32);
-                    }
-                    hist[key] += 1;
-                }
-                Ok(())
-            })?;
-            // Flush order is touch order, not row order: fine, because
-            // this path only runs for states that are pure functions of
-            // the input multiset (and idempotent MIN / MAX folds).
-            for &key in touched.iter() {
-                let key = key as usize;
-                let (g, c) = (key / dict_len, key % dict_len);
+        Ok(())
+    })
+}
+
+/// Deposits one batch's evaluated `vals` (one per selected row, in row
+/// order) the way the batch's grouping decided.
+fn deposit_values(
+    states: &mut GroupedStates,
+    agg: AggSlot,
+    vals: &[f64],
+    deposit: Deposit,
+    gids: &[u32],
+    segs: &[(u32, usize)],
+    part: &mut BatchPartition,
+) -> Result<(), FusedError> {
+    match (deposit, agg) {
+        (Deposit::Single, AggSlot::Sum(s)) => states.update_sum_single(s, vals)?,
+        (Deposit::Single, AggSlot::Min(s)) => states.update_min_single(s, vals),
+        (Deposit::Single, AggSlot::Max(s)) => states.update_max_single(s, vals),
+        (Deposit::Rows, AggSlot::Sum(s)) => states.update_sum(s, gids, vals)?,
+        (Deposit::Partitioned, AggSlot::Sum(s)) => states.update_sum_partitioned(s, part, vals)?,
+        (Deposit::Rows | Deposit::Partitioned, AggSlot::Min(s)) => states.update_min(s, gids, vals),
+        (Deposit::Rows | Deposit::Partitioned, AggSlot::Max(s)) => states.update_max(s, gids, vals),
+        (Deposit::Segs, _) => {
+            let mut start = 0;
+            for &(g, end) in segs {
+                let (g, run) = (g as usize, &vals[start..end]);
                 match agg {
-                    AlgAgg::Sum(s) => states.deposit_scaled(s, g, vals[c], hist[key] as u64)?,
-                    AlgAgg::Min(s) => states.update_min_value(s, g, vals[c]),
-                    AlgAgg::Max(s) => states.update_max_value(s, g, vals[c]),
+                    AggSlot::Sum(s) => states.update_sum_run(s, g, run)?,
+                    AggSlot::Min(s) => states.update_min_run(s, g, run),
+                    AggSlot::Max(s) => states.update_max_run(s, g, run),
                 }
-                hist[key] = 0;
+                start = end;
             }
-            touched.clear();
         }
     }
-    Ok(true)
+    Ok(())
+}
+
+/// One aggregate of a scan range: the state array it feeds, its input
+/// expression, and — for a bare RLE input — the algebraic source with its
+/// run cursor (carried across the range's batches).
+struct BoundAgg<'t> {
+    slot: AggSlot,
+    expr: BoundExpr<'t>,
+    rle: Option<(RleSrc<'t>, usize)>,
+}
+
+/// Binds one kind of aggregate. Bare RLE SUM inputs take the once-per-run
+/// deposit only on backends whose state is a pure function of the input
+/// multiset (`merges_exactly`) — there the k·v fold is bit-identical to k
+/// per-row adds (DESIGN.md §26). Plain doubles are order-sensitive with no
+/// algebraic shortcut, so they keep the per-row path by design. MIN / MAX
+/// comparison folds are idempotent and order-insensitive, so they fold
+/// once per span on every backend.
+fn bind_aggs<'t>(
+    table: &'t Table,
+    exprs: &[Expr],
+    compiled: &'t [CompiledExpr],
+    backend: SumBackend,
+    slot: fn(usize) -> AggSlot,
+) -> Vec<BoundAgg<'t>> {
+    let algebraic = backend.merges_exactly() || !matches!(slot(0), AggSlot::Sum(_));
+    exprs
+        .iter()
+        .zip(compiled)
+        .enumerate()
+        .map(|(s, (e, c))| BoundAgg {
+            slot: slot(s),
+            expr: c
+                .bind(table)
+                .expect("fused query references a missing or mistyped column"),
+            rle: bind_alg(e, table).filter(|_| algebraic).map(|src| (src, 0)),
+        })
+        .collect()
 }
 
 /// Scans `[lo, hi)` batch-at-a-time into fresh per-call states. All
 /// scratch is batch-sized and reused across the range's batches. Each
-/// batch boundary is a cancellation point (`check`) and a fault-injection
+/// visited batch is a cancellation point (`check`) and a fault-injection
 /// point ([`faults::scan_point`]).
 #[allow(clippy::too_many_arguments)]
 fn scan_range(
     table: &Table,
     query: &FusedQuery,
     compiled: &CompiledAggs,
+    filter: &ScanFilter<'_>,
     backend: SumBackend,
     opts: &ExecOptions,
     check: &CancelCheck,
     lo: usize,
     hi: usize,
 ) -> Result<Partial, FusedError> {
-    let preds: Vec<BoundPredicate> = compiled
-        .filter
-        .iter()
-        .map(|p| {
-            p.bind(table)
-                .expect("fused query references a missing or mistyped column")
-        })
-        .collect();
-    fn bind_expr<'t>(c: &'t CompiledExpr, table: &'t Table) -> BoundExpr<'t> {
-        c.bind(table)
-            .expect("fused query references a missing or mistyped column")
-    }
-    let bound_sums: Vec<BoundExpr> = compiled.sums.iter().map(|c| bind_expr(c, table)).collect();
-    let bound_mins: Vec<BoundExpr> = compiled.mins.iter().map(|c| bind_expr(c, table)).collect();
-    let bound_maxs: Vec<BoundExpr> = compiled.maxs.iter().map(|c| bind_expr(c, table)).collect();
-
-    // Algebraic sources: bare encoded SUM inputs take the once-per-run /
-    // once-per-code deposit path only on backends whose state is a pure
-    // function of the input multiset (`merges_exactly`) — there the k·v
-    // fold is bit-identical to k per-row adds (DESIGN.md §26). Plain
-    // doubles are order-sensitive with no algebraic shortcut, so they
-    // keep the per-row path by design. MIN / MAX comparison folds are
-    // idempotent and order-insensitive, so they fold once per span on
-    // every backend.
-    let alg_sums: Vec<Option<AlgSrc>> = if backend.merges_exactly() {
-        query.sums.iter().map(|e| bind_alg(e, table)).collect()
-    } else {
-        query.sums.iter().map(|_| None).collect()
-    };
-    let alg_mins: Vec<Option<AlgSrc>> = query.mins.iter().map(|e| bind_alg(e, table)).collect();
-    let alg_maxs: Vec<Option<AlgSrc>> = query.maxs.iter().map(|e| bind_alg(e, table)).collect();
-    // Per-state-array RLE value-run cursors, carried across batches.
-    let mut sum_cur = vec![0usize; alg_sums.len()];
-    let mut min_cur = vec![0usize; alg_mins.len()];
-    let mut max_cur = vec![0usize; alg_maxs.len()];
-    // Dictionary (group, code) histogram scratch, all-zero between uses.
-    let mut hist: Vec<u32> = Vec::new();
-    let mut touched: Vec<u32> = Vec::new();
+    let mut aggs: Vec<BoundAgg> = [
+        (
+            &query.sums,
+            &compiled.sums,
+            AggSlot::Sum as fn(usize) -> AggSlot,
+        ),
+        (&query.mins, &compiled.mins, AggSlot::Min),
+        (&query.maxs, &compiled.maxs, AggSlot::Max),
+    ]
+    .into_iter()
+    .flat_map(|(exprs, compiled, slot)| bind_aggs(table, exprs, compiled, backend, slot))
+    .collect();
 
     let bind_u8 = |name: &ColRef| -> U8Src {
         let col = table
@@ -1281,9 +1322,9 @@ fn scan_range(
     let mut states = GroupedStates::new(
         backend,
         init_groups,
-        bound_sums.len(),
-        bound_mins.len(),
-        bound_maxs.len(),
+        query.sums.len(),
+        query.mins.len(),
+        query.maxs.len(),
     );
     let mut timing = PhaseTiming::default();
 
@@ -1293,7 +1334,6 @@ fn scan_range(
     let mut slot_buf: Vec<u32> = Vec::new();
     let mut miss_pos: Vec<u32> = Vec::new();
     let mut miss_keys: Vec<u32> = Vec::new();
-    let mut out: Vec<f64> = vec![0.0; opts.batch_rows];
     let mut scratch = EvalScratch::new();
     // Run-blocked grouping state: `(group id, end index in sel)` spans of
     // the current batch's selection, and the RLE leg cursors (monotonic
@@ -1316,34 +1356,75 @@ fn scan_range(
         }
     };
 
+    // The batch grid restarts at every morsel boundary, so a serial scan
+    // of the whole table walks the same batches as the morsels of a
+    // parallel one.
+    let grid_floor = |row: usize| {
+        let morsel = row / opts.morsel_rows * opts.morsel_rows;
+        morsel + (row - morsel) / opts.batch_rows * opts.batch_rows
+    };
+    let ScanFilter { ranges, preds } = filter;
+    let mut range = filter.first_after(lo);
+    let mut batches_visited = 0u64;
     let mut blo = lo;
     while blo < hi {
+        // The next batch of the grid that holds a row of a kept range.
+        while ranges.get(range).is_some_and(|r| r.1 as usize <= blo) {
+            range += 1;
+        }
+        let Some(&(start, end)) = ranges.get(range) else {
+            break;
+        };
+        if start as usize >= hi {
+            break;
+        }
+        blo = blo.max(grid_floor(start as usize));
+        let bhi = (blo + opts.batch_rows)
+            .min((blo / opts.morsel_rows + 1).saturating_mul(opts.morsel_rows))
+            .min(hi);
         check.check()?;
         faults::scan_point();
-        let bhi = (blo + opts.batch_rows).min(hi);
+        batches_visited += 1;
         let t0 = Instant::now();
 
-        // Filter: selection vector for this batch only.
+        // Filter: selection vector for this batch only, starting from
+        // batch ∩ kept ranges. One piece (the rule: a sorted column, or no
+        // decided conjunct at all) is the first remaining conjunct's fill
+        // window; several pieces are laid down, then refined.
         sel.clear();
+        let one_piece =
+            end as usize >= bhi || ranges.get(range + 1).is_none_or(|r| r.0 as usize >= bhi);
         match preds.split_first() {
-            None => sel.extend(blo as u32..bhi as u32),
-            Some((first, rest)) => {
-                first.fill(blo, bhi, &mut sel, &mut scratch);
+            Some((first, rest)) if one_piece => {
+                let (flo, fhi) = (blo.max(start as usize), bhi.min(end as usize));
+                first.fill(flo, fhi, &mut sel, &mut scratch);
                 for p in rest {
                     p.refine(&mut sel, &mut scratch);
                 }
             }
+            _ => {
+                extend_clipped(&ranges[range..], blo, bhi, &mut sel);
+                for p in preds {
+                    p.refine(&mut sel, &mut scratch);
+                }
+            }
         }
+        if sel.is_empty() {
+            timing.scan += t0.elapsed();
+            blo = bhi;
+            continue;
+        }
+        let batch = Sel::new(&sel);
 
         // Group-id assignment + COUNT(*). When every group-key leg is RLE
         // the batch takes the run-blocked path: the selection is cut into
         // maximal spans of rows sharing one group (`segs`), the group id
         // is computed once per span — per run, not per row — and counts
         // and state deposits happen in one block call per span.
-        let (deposit, batch_groups) = match &ctx {
+        let deposit = match &ctx {
             GroupCtx::Single => {
                 states.add_count_single(sel.len() as u64);
-                (Deposit::Single, 1)
+                Deposit::Single
             }
             GroupCtx::Dense {
                 a,
@@ -1376,7 +1457,7 @@ fn scan_range(
                         segs.push((g, j));
                         i = j;
                     }
-                    (Deposit::Segs, *groups)
+                    Deposit::Segs
                 } else {
                     gids.clear();
                     for &row in &sel {
@@ -1392,7 +1473,7 @@ fn scan_range(
                         }
                         gids.push(g);
                     }
-                    (count_rows(&mut states, &gids, &mut part), *groups)
+                    count_rows(&mut states, &gids, &mut part)
                 }
             }
             GroupCtx::Hash { col, key_col } => {
@@ -1446,18 +1527,14 @@ fn scan_range(
                         segs.push((g, j));
                         i = j;
                     }
-                    (Deposit::Segs, h.keys.len())
+                    Deposit::Segs
                 } else {
                     key_buf.clear();
-                    // An unfiltered batch selects the whole contiguous
-                    // range; bulk-extract its keys and fold the per-row
-                    // reserved-key branch into one compare scan.
-                    let bulk = match (sel.first(), sel.last()) {
-                        (Some(&f), Some(&l)) if (l - f) as usize + 1 == sel.len() => {
-                            key_col.fill_contiguous(f as usize, sel.len(), &mut key_buf)
-                        }
-                        _ => false,
-                    };
+                    // A dense batch bulk-extracts its keys and folds the
+                    // per-row reserved-key branch into one compare scan.
+                    let bulk = batch
+                        .dense_start()
+                        .is_some_and(|f| key_col.fill_contiguous(f, sel.len(), &mut key_buf));
                     if bulk {
                         if key_buf.contains(&u32::MAX) {
                             return Err(FusedError::ReservedKey {
@@ -1484,135 +1561,42 @@ fn scan_range(
                         &mut miss_keys,
                     );
                     states.ensure_groups(h.keys.len());
-                    (count_rows(&mut states, &gids, &mut part), h.keys.len())
+                    count_rows(&mut states, &gids, &mut part)
                 }
             }
         };
         timing.scan += t0.elapsed();
 
         // Project + aggregate, one state array at a time.
-        let values = |scratch: &mut EvalScratch, out: &mut [f64], e: &BoundExpr| {
-            e.eval_into(&sel, scratch, out);
-        };
-        for (s, expr) in bound_sums.iter().enumerate() {
-            if let Some(src) = &alg_sums[s] {
+        for agg in &mut aggs {
+            if let Some((src, cursor)) = &mut agg.rle {
                 let t2 = Instant::now();
-                let done = deposit_algebraic(
+                deposit_algebraic(
                     &mut states,
-                    AlgAgg::Sum(s),
+                    agg.slot,
                     src,
-                    &mut sum_cur[s],
+                    cursor,
                     &sel,
                     deposit,
                     &gids,
                     &segs,
-                    batch_groups,
-                    &mut hist,
-                    &mut touched,
                 )?;
                 timing.aggregation += t2.elapsed();
-                if done {
-                    continue;
-                }
+                continue;
             }
             let t1 = Instant::now();
-            values(&mut scratch, &mut out[..sel.len()], expr);
-            timing.scan += t1.elapsed();
+            let vals = agg.expr.values(batch, &mut scratch);
             let t2 = Instant::now();
-            match deposit {
-                Deposit::Single => states.update_sum_single(s, &out[..sel.len()])?,
-                Deposit::Rows => states.update_sum(s, &gids, &out[..sel.len()])?,
-                Deposit::Partitioned => {
-                    states.update_sum_partitioned(s, &mut part, &out[..sel.len()])?
-                }
-                Deposit::Segs => {
-                    let mut start = 0;
-                    for &(g, end) in &segs {
-                        states.update_sum_run(s, g as usize, &out[start..end])?;
-                        start = end;
-                    }
-                }
-            }
-            timing.aggregation += t2.elapsed();
-        }
-        for (s, expr) in bound_mins.iter().enumerate() {
-            if let Some(src) = &alg_mins[s] {
-                let t2 = Instant::now();
-                let done = deposit_algebraic(
-                    &mut states,
-                    AlgAgg::Min(s),
-                    src,
-                    &mut min_cur[s],
-                    &sel,
-                    deposit,
-                    &gids,
-                    &segs,
-                    batch_groups,
-                    &mut hist,
-                    &mut touched,
-                )?;
-                timing.aggregation += t2.elapsed();
-                if done {
-                    continue;
-                }
-            }
-            let t1 = Instant::now();
-            values(&mut scratch, &mut out[..sel.len()], expr);
-            timing.scan += t1.elapsed();
-            let t2 = Instant::now();
-            match deposit {
-                Deposit::Single => states.update_min_single(s, &out[..sel.len()]),
-                Deposit::Rows | Deposit::Partitioned => {
-                    states.update_min(s, &gids, &out[..sel.len()])
-                }
-                Deposit::Segs => {
-                    let mut start = 0;
-                    for &(g, end) in &segs {
-                        states.update_min_run(s, g as usize, &out[start..end]);
-                        start = end;
-                    }
-                }
-            }
-            timing.aggregation += t2.elapsed();
-        }
-        for (s, expr) in bound_maxs.iter().enumerate() {
-            if let Some(src) = &alg_maxs[s] {
-                let t2 = Instant::now();
-                let done = deposit_algebraic(
-                    &mut states,
-                    AlgAgg::Max(s),
-                    src,
-                    &mut max_cur[s],
-                    &sel,
-                    deposit,
-                    &gids,
-                    &segs,
-                    batch_groups,
-                    &mut hist,
-                    &mut touched,
-                )?;
-                timing.aggregation += t2.elapsed();
-                if done {
-                    continue;
-                }
-            }
-            let t1 = Instant::now();
-            values(&mut scratch, &mut out[..sel.len()], expr);
-            timing.scan += t1.elapsed();
-            let t2 = Instant::now();
-            match deposit {
-                Deposit::Single => states.update_max_single(s, &out[..sel.len()]),
-                Deposit::Rows | Deposit::Partitioned => {
-                    states.update_max(s, &gids, &out[..sel.len()])
-                }
-                Deposit::Segs => {
-                    let mut start = 0;
-                    for &(g, end) in &segs {
-                        states.update_max_run(s, g as usize, &out[start..end]);
-                        start = end;
-                    }
-                }
-            }
+            timing.scan += t2 - t1;
+            deposit_values(
+                &mut states,
+                agg.slot,
+                vals,
+                deposit,
+                &gids,
+                &segs,
+                &mut part,
+            )?;
             timing.aggregation += t2.elapsed();
         }
         blo = bhi;
@@ -1622,6 +1606,7 @@ fn scan_range(
         states,
         hash,
         timing,
+        batches_visited,
     })
 }
 
@@ -2480,12 +2465,12 @@ mod tests {
         }
     }
 
-    /// Tentpole: bare-column SUM / MIN / MAX over RLE, `Dict` and `Dict16`
-    /// inputs take the algebraic path — one deposit per value-run span,
-    /// one per touched dictionary code — and must be bit-identical to the
-    /// per-row path over the plain twin, across every grouping mode,
-    /// backend, thread count and batch shape. `Double` is gated to the
-    /// per-row path and must *also* match (the gate itself is under test).
+    /// Bare-column SUM / MIN / MAX over RLE inputs take the algebraic path
+    /// — one deposit per value-run span — and over `Dict` / `Dict16`
+    /// inputs the evaluate-then-deposit path; both must be bit-identical
+    /// to the plain twin, across every grouping mode, backend, thread
+    /// count and batch shape. `Double` is gated to the per-row path for
+    /// SUMs and must *also* match (the gate itself is under test).
     #[test]
     fn algebraic_deposits_match_per_row_bitwise() {
         let n = 12_000usize;
@@ -2688,17 +2673,14 @@ mod tests {
         }
     }
 
-    /// When `groups × dictionary size` outgrows the flat histogram cap
-    /// ([`ALG_HIST_MAX`]) the dictionary path falls back to per-row
-    /// deposits for that batch — early small-group batches still take the
-    /// algebraic path, so this exercises *mixed* batches, which must stay
-    /// bit-identical because the deposit algebra is exact.
+    /// A wide dictionary under many hash groups (1000 groups × 6000
+    /// `u16`-coded entries): SUM / MIN / MAX over the `Dict16` input are
+    /// evaluated through the code lookup and deposited per row, and match
+    /// the plain twin bit for bit.
     #[test]
-    fn dict_histogram_cap_falls_back_bitwise() {
+    fn wide_dictionary_input_under_many_groups_matches_plain_bitwise() {
         let n = 12_000usize;
         let k: Vec<i32> = (0..n).map(|i| (i % 1000) as i32).collect();
-        // 6000 distinct values => Dict16; 1000 groups × 6000 codes = 6M
-        // histogram entries, past the 4M cap.
         let vw: Vec<f64> = (0..n)
             .map(|i| (i % 6000) as f64 * 0.015625 - 42.0)
             .collect();
@@ -2709,7 +2691,6 @@ mod tests {
         enc.add_column("k", Column::i32(k)).unwrap();
         let dict = Column::dict_encode(&Column::f64(vw)).unwrap();
         assert_eq!(dict.storage_name(), "Dict16<F64>");
-        assert!(1000 * dict.logical().len() > ALG_HIST_MAX);
         enc.add_column("vw", dict).unwrap();
         let query = FusedQuery {
             filter: vec![],
@@ -2742,6 +2723,253 @@ mod tests {
                         assert_eq!(x.to_bits(), y.to_bits(), "t{threads}");
                     }
                 }
+            }
+        }
+    }
+
+    fn assert_runs_bitwise(got: &FusedRun, want: &FusedRun, tag: &str) {
+        assert_eq!(got.counts, want.counts, "{tag}");
+        assert_eq!(got.keys, want.keys, "{tag}");
+        for (arrays, ref_arrays) in [
+            (&got.sums, &want.sums),
+            (&got.mins, &want.mins),
+            (&got.maxs, &want.maxs),
+        ] {
+            assert_eq!(arrays.len(), ref_arrays.len(), "{tag}");
+            for (a, (xs, ys)) in arrays.iter().zip(ref_arrays.iter()).enumerate() {
+                assert_eq!(xs.len(), ys.len(), "{tag} agg {a}");
+                for (g, (x, y)) in xs.iter().zip(ys.iter()).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{tag} agg {a} group {g}");
+                }
+            }
+        }
+    }
+
+    /// Grid batches (per-morsel batch grid) holding at least one row that
+    /// `keep` selects — what a pruned scan may visit, by brute force.
+    fn batches_holding(n: usize, opts: &ExecOptions, keep: impl Fn(usize) -> bool) -> (u64, u64) {
+        let (mut holding, mut total) = (0, 0);
+        let mut lo = 0;
+        while lo < n {
+            let morsel_end = (lo / opts.morsel_rows + 1) * opts.morsel_rows;
+            let hi = (lo + opts.batch_rows).min(morsel_end).min(n);
+            total += 1;
+            holding += (lo..hi).any(&keep) as u64;
+            lo = hi;
+        }
+        (holding, total)
+    }
+
+    /// Acceptance: Q6 over the shipdate-sorted, `encode_auto`-ed lineitem
+    /// visits only the batches its date window overlaps, the visited and
+    /// pruned counts add up to the grid at every thread count, and the
+    /// filter — ranges included — is bound once per query, not per morsel.
+    #[test]
+    fn q6_over_rle_shipdate_visits_only_its_date_window() {
+        use crate::q6::{q6_plan, Q6_DATE_HI, Q6_DATE_LO};
+        let li = rfa_workloads::Lineitem::generate(50_000, 11).sorted_by_shipdate();
+        let encoded = crate::q1::lineitem_table_encoded(&li);
+        assert_eq!(
+            encoded.column("l_shipdate").unwrap().storage_name(),
+            "Rle<I32>"
+        );
+        let plain = crate::q1::lineitem_table(&li);
+        let in_window = |r: usize| (Q6_DATE_LO..Q6_DATE_HI).contains(&li.shipdate[r]);
+        let window_rows = (0..li.len()).filter(|&r| in_window(r)).count();
+        assert!(window_rows > 0);
+        let plan = q6_plan();
+        for (batch_rows, morsel_rows) in [(4096, 1 << 16), (512, 4096), (100, 1000), (7, 50)] {
+            let mut visited_at = Vec::new();
+            for threads in [1usize, 2, 8] {
+                let opts = ExecOptions {
+                    threads,
+                    batch_rows,
+                    morsel_rows,
+                    ..ExecOptions::default()
+                };
+                let binds = FILTER_BINDS.with(|c| c.get());
+                let got = plan
+                    .execute(&encoded, SumBackend::ReproUnbuffered, &opts)
+                    .unwrap();
+                assert_eq!(FILTER_BINDS.with(|c| c.get()), binds + 1, "{opts:?}");
+                let want = plan
+                    .execute(&plain, SumBackend::ReproUnbuffered, &opts)
+                    .unwrap();
+                assert_eq!(got.columns, want.columns, "{opts:?}");
+                let (holding, grid) = batches_holding(li.len(), &opts, in_window);
+                assert_eq!(got.batches_visited, holding, "{opts:?}");
+                assert!(
+                    got.batches_visited <= window_rows.div_ceil(batch_rows) as u64 + 2
+                        || morsel_rows % batch_rows != 0,
+                    "{opts:?}: {} batches for {window_rows} rows",
+                    got.batches_visited
+                );
+                assert_eq!(got.batches_visited + got.batches_pruned, grid, "{opts:?}");
+                assert_eq!((want.batches_visited, want.batches_pruned), (grid, 0));
+                visited_at.push(got.batches_visited);
+            }
+            assert!(
+                visited_at.windows(2).all(|w| w[0] == w[1]),
+                "{visited_at:?}"
+            );
+        }
+    }
+
+    /// Range boundaries inside a batch, on a batch edge and on a morsel
+    /// boundary; a single-run column; no run kept; every run kept; `<>`
+    /// leaving many disjoint ranges in one batch — each against the plain
+    /// twin, bit for bit, with the exact set of batches visited.
+    #[test]
+    fn pruned_ranges_clip_batches_exactly() {
+        let n = 1000usize;
+        // Sorted runs of 10 rows; unsorted runs of 3 cycling 0..4; one run.
+        let d: Vec<i32> = (0..n).map(|i| (i / 10) as i32).collect();
+        let u: Vec<i32> = (0..n).map(|i| (i / 3 % 4) as i32).collect();
+        let one = vec![5i32; n];
+        let x: Vec<f64> = (0..n)
+            .map(|i| (i % 97) as f64 * 0.25 - 8.0 + 2.5e-16)
+            .collect();
+        let k: Vec<i32> = (0..n).map(|i| ((n - i) % 7) as i32).collect();
+        let mut plain = Table::new("t");
+        let mut enc = Table::new("t");
+        for (name, col) in [("d", d.clone()), ("u", u.clone()), ("one", one), ("k", k)] {
+            let col = Column::i32(col);
+            let encoded = if name == "k" {
+                col.clone()
+            } else {
+                col.rle_encode().unwrap()
+            };
+            enc.add_column(name, encoded).unwrap();
+            plain.add_column(name, col).unwrap();
+        }
+        for t in [&mut plain, &mut enc] {
+            t.add_column("x", Column::f64(x.clone())).unwrap();
+        }
+        type Keep = Box<dyn Fn(usize) -> bool>;
+        let between = |lo: i32, hi: i32| -> (Vec<BoolExpr>, Keep) {
+            let d = d.clone();
+            (
+                vec![
+                    Expr::col("d").ge(Expr::lit(lo as f64)),
+                    Expr::col("d").lt(Expr::lit(hi as f64)),
+                ],
+                Box::new(move |r| (lo..hi).contains(&d[r])),
+            )
+        };
+        let u_ne = {
+            let u = u.clone();
+            (
+                vec![Expr::col("u").ne(Expr::lit(2.0))],
+                Box::new(move |r| u[r] != 2) as Keep,
+            )
+        };
+        let filters: Vec<(Vec<BoolExpr>, Keep)> = vec![
+            between(64, 70),   // starts on the 640-row morsel boundary
+            between(65, 80),   // starts inside a batch, ends on a batch edge (800)
+            between(3, 4),     // one run, inside one batch
+            between(0, 100),   // every run kept
+            between(100, 200), // no run kept
+            u_ne,              // many disjoint ranges per batch
+            (
+                vec![Expr::col("one").eq(Expr::lit(5.0))],
+                Box::new(|_| true),
+            ),
+            (
+                vec![Expr::col("one").ne(Expr::lit(5.0))],
+                Box::new(|_| false),
+            ),
+        ];
+        for (f, (filter, keep)) in filters.into_iter().enumerate() {
+            for group_by in [
+                GroupKey::None,
+                GroupKey::Hash {
+                    col: "k".into(),
+                    hash: HashKind::Identity,
+                },
+            ] {
+                let query = FusedQuery {
+                    filter: filter.clone(),
+                    sums: vec![Expr::col("x"), Expr::col("d")],
+                    mins: vec![Expr::col("x")],
+                    maxs: vec![Expr::col("u")],
+                    group_by,
+                };
+                for backend in [
+                    SumBackend::Double,
+                    SumBackend::ReproBuffered { buffer_size: 64 },
+                ] {
+                    for (threads, batch_rows, morsel_rows) in [
+                        (1, 16, 64),
+                        (4, 16, 64),
+                        (1, 1, 10),
+                        (3, 7, 20),
+                        (1, 4096, 1 << 16),
+                    ] {
+                        let opts = ExecOptions {
+                            threads,
+                            batch_rows,
+                            morsel_rows,
+                            ..ExecOptions::default()
+                        };
+                        let tag = format!("filter {f} {backend:?} {opts:?}");
+                        let want = run_fused(&plain, &query, backend, &opts).unwrap();
+                        let got = run_fused(&enc, &query, backend, &opts).unwrap();
+                        assert_runs_bitwise(&got, &want, &tag);
+                        let (holding, grid) = batches_holding(n, &opts, &keep);
+                        assert_eq!(got.batches_visited, holding, "{tag}");
+                        assert_eq!(got.batches_pruned, grid - holding, "{tag}");
+                        if holding == 0 {
+                            // Empty result, typed: a zero count and the
+                            // fold identities, or no hash group at all.
+                            match &got.keys {
+                                Some(keys) => assert!(keys.is_empty(), "{tag}"),
+                                None => assert_eq!(got.counts, [0], "{tag}"),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Shapes binding cannot decide — `OR`, `NOT`, a comparison of an
+    /// expression — run on every batch, over RLE columns too.
+    #[test]
+    fn undecidable_shapes_over_rle_columns_are_not_pruned() {
+        let n = 600usize;
+        let d = Column::i32((0..n).map(|i| (i / 50) as i32).collect::<Vec<_>>());
+        let x = Column::f64((0..n).map(|i| i as f64 * 0.5).collect::<Vec<_>>());
+        let mut plain = Table::new("t");
+        plain.add_column("d", d.clone()).unwrap();
+        plain.add_column("x", x.clone()).unwrap();
+        let mut enc = Table::new("t");
+        enc.add_column("d", d.rle_encode().unwrap()).unwrap();
+        enc.add_column("x", x).unwrap();
+        let col = || Expr::col("d");
+        for filter in [
+            col().lt(Expr::lit(2.0)).or(col().gt(Expr::lit(9.0))),
+            col().ge(Expr::lit(3.0)).not(),
+            col().add(Expr::lit(1.0)).lt(Expr::lit(4.0)),
+            col().lt(Expr::col("x")),
+        ] {
+            let query = FusedQuery {
+                filter: vec![filter],
+                sums: vec![Expr::col("x")],
+                mins: vec![],
+                maxs: vec![],
+                group_by: GroupKey::None,
+            };
+            for threads in [1usize, 4] {
+                let opts = ExecOptions {
+                    threads,
+                    batch_rows: 32,
+                    morsel_rows: 128,
+                    ..ExecOptions::default()
+                };
+                let want = run_fused(&plain, &query, SumBackend::Double, &opts).unwrap();
+                let got = run_fused(&enc, &query, SumBackend::Double, &opts).unwrap();
+                assert_runs_bitwise(&got, &want, &format!("{:?}", query.filter));
+                assert_eq!((got.batches_visited, got.batches_pruned), (19, 0));
             }
         }
     }

@@ -82,6 +82,7 @@ pub mod sum_op;
 pub use column::{ColRef, Column, EncodingError, Table, TableError};
 pub use expr::{
     BoolExpr, BoundExpr, BoundPredicate, CmpOp, CompiledExpr, CompiledPredicate, EvalScratch, Expr,
+    Sel,
 };
 pub use fused::{
     run_fused, ExecOptions, FusedError, FusedQuery, FusedRun, GroupKey, GroupSpec, FUSED_BATCH_ROWS,

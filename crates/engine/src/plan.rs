@@ -258,6 +258,10 @@ pub struct PlanResult {
     /// entry of [`PlanResult::keys`].
     pub columns: Vec<AggColumn>,
     pub timing: PhaseTiming,
+    /// Scan-grid batches the filter ran on / never touched
+    /// ([`crate::FusedRun::batches_visited`]).
+    pub batches_visited: u64,
+    pub batches_pruned: u64,
 }
 
 impl QueryPlan {
@@ -441,6 +445,8 @@ impl QueryPlan {
             keys,
             columns,
             timing,
+            batches_visited: run.batches_visited,
+            batches_pruned: run.batches_pruned,
         })
     }
 

@@ -139,8 +139,8 @@ impl<const L: usize> ReproStates<L> {
         simd::add_slice(&mut self.0[group], values);
     }
 
-    /// Algebraic deposit of `k` copies of `v` (RLE runs / dictionary
-    /// histograms over *value* columns). Bit-identical to `k` per-row
+    /// Algebraic deposit of `k` copies of `v` (RLE runs over *value*
+    /// columns). Bit-identical to `k` per-row
     /// adds by the exact scaled fold of [`ReproSum::add_scaled`].
     fn update_scaled(&mut self, group: usize, v: f64, k: u64) {
         self.0[group].add_scaled(v, k);
@@ -428,8 +428,8 @@ impl GroupedSums {
     /// one exact k·v fold instead of `k` additions. For every repro
     /// backend the result is bit-identical to `k` per-row deposits
     /// ([`rfa_core::ReproSum::add_scaled`], DESIGN.md §26); this is the
-    /// state-level primitive behind the fused executor's RLE-run and
-    /// dictionary-histogram aggregate pushdown.
+    /// state-level primitive behind the fused executor's RLE-run
+    /// aggregate pushdown.
     ///
     /// The `Double` backend has no algebraic shortcut — plain doubles are
     /// order-sensitive, `k·v ≠ v + … + v` in general — so it keeps the

@@ -6,20 +6,25 @@
 //!
 //! Why bit-identity holds: dictionary pushdown evaluates the predicate
 //! once per dictionary *entry* over the same f64/i32 bits a plain scan
-//! would load per row, and the aggregate legs are *algebraic* — an RLE
-//! run deposits once as an exact k·v product split, a dictionary batch
-//! accumulates per-(group, code) counts and flushes each touched entry
-//! once — transforms proven bit-transparent to the per-row order for
-//! every backend whose merge is exact (`Double` keeps the per-row path
-//! and is covered here too).
+//! would load per row; a dictionary aggregate input is looked up per row
+//! into the identical value sequence the plain column holds; and an RLE
+//! aggregate input is *algebraic* — a run deposits once as an exact k·v
+//! product split, proven bit-transparent to the per-row order for every
+//! backend whose merge is exact (`Double` keeps the per-row path and is
+//! covered here too). The dictionary-input test also holds every
+//! reproducible SUM to the exact oracle (`rfa-exact`) within the paper's
+//! bound — agreement between paths is not yet agreement with the truth.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rfa_core::analysis::reproducible_bound;
 use rfa_engine::{
     lineitem_table, lineitem_table_encoded, q15_plan, q1_plan, q6_plan, AggColumn, Column,
-    ExecOptions, PlanResult, QueryPlan, SumBackend, Table,
+    ExecOptions, Expr, PlanResult, QueryPlan, SumBackend, Table,
 };
+use rfa_exact::ExactSum;
 use rfa_workloads::Lineitem;
+use std::collections::BTreeMap;
 
 /// Requests an 8-worker pool so multi-thread shapes genuinely split work.
 fn force_pool() {
@@ -211,8 +216,189 @@ fn check_plans_over(plain: &Table, encoded: &Table, ctx: &str) {
     }
 }
 
+/// Levels of the reproducible state behind `backend` (`None`: `Double`).
+fn levels(backend: SumBackend) -> Option<usize> {
+    match backend {
+        SumBackend::ReproUnbuffered | SumBackend::ReproBuffered { .. } => Some(4),
+        SumBackend::Rsum { levels } | SumBackend::RsumBuffered { levels, .. } => {
+            Some(levels as usize)
+        }
+        _ => None,
+    }
+}
+
+fn dict_pair_encode(a: u8, b: u8) -> u32 {
+    a as u32 * 2 + b as u32
+}
+
+/// The groupings of the dictionary-input test: the plan, and the output
+/// key each row falls under.
+type Grouping = (
+    &'static str,
+    fn(QueryPlan) -> QueryPlan,
+    fn(u8, u8, i32, i32) -> i64,
+);
+const GROUPINGS: [Grouping; 5] = [
+    ("ungrouped", |p| p, |_, _, _, _| 0),
+    (
+        "dense pair",
+        |p| p.group_by_dense("ga", "gb", dict_pair_encode, 6),
+        |a, b, _, _| dict_pair_encode(a, b) as i64,
+    ),
+    ("hash", |p| p.group_by_key("k"), |_, _, k, _| k as i64),
+    (
+        "hash on run key",
+        |p| p.group_by_key("kr"),
+        |_, _, _, kr| kr as i64,
+    ),
+    (
+        "u8 pair",
+        |p| p.group_by_u8_pair("ga", "gb"),
+        |a, b, _, _| ((a as i64) << 8) | b as i64,
+    ),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// SUM / AVG / MIN / MAX whose input is a `Dict` or `Dict16` column —
+    /// bare, and inside an expression — ungrouped and under every
+    /// grouping (dense, hash, and the run-blocked `Segs` deposits RLE keys
+    /// produce): bitwise the decoded table's answer on every backend, and
+    /// for the reproducible ones within the paper's bound of the exact
+    /// sum.
+    #[test]
+    fn aggregates_over_dictionary_inputs_match_decoded_and_oracle(
+        key_runs in vec((0i32..6, 1usize..30), 1..30),
+        rows in vec((0u16..40, 0u16..1000, 0i32..11, -50.0..50.0f64), 0..500),
+        wide in any::<bool>(),
+        rle_keys in any::<bool>(),
+        cut in -50.0..50.0f64,
+    ) {
+        force_pool();
+        let n = rows.len();
+        let kr: Vec<i32> = key_runs
+            .iter()
+            .cycle()
+            .flat_map(|&(v, len)| std::iter::repeat_n(v, len))
+            .take(n)
+            .collect();
+        let ga: Vec<u8> = kr.iter().map(|&k| (k % 3) as u8).collect();
+        let gb: Vec<u8> = kr.iter().map(|&k| (k / 3) as u8).collect();
+        let k: Vec<i32> = rows.iter().map(|r| r.2).collect();
+        // `v`: 40 distinct values (u8 codes, or force-widened to u16);
+        // `w`: up to 1000 distinct (u16 codes once past 256).
+        let v: Vec<f64> = rows.iter().map(|r| r.0 as f64 * 0.4375 - 4.0 + 2.5e-13).collect();
+        let w: Vec<f64> = rows.iter().map(|r| r.1 as f64 * 0.09375 - 13.0).collect();
+        let x: Vec<f64> = rows.iter().map(|r| r.3).collect();
+
+        let dict = |col: Column| {
+            let encoded = col.dict_encode().unwrap_or(col);
+            match encoded {
+                Column::Dict { codes, dict } if wide => {
+                    let codes: Vec<u16> = codes.iter().map(|&c| c as u16).collect();
+                    Column::dict16(codes, *dict).expect("widened codes stay valid")
+                }
+                other => other,
+            }
+        };
+        let key = |col: Column| if rle_keys { col.rle_encode().unwrap_or(col) } else { col };
+        let mut encoded = Table::new("t");
+        for (name, col) in [
+            ("ga", key(Column::u8(ga.clone()))),
+            ("gb", key(Column::u8(gb.clone()))),
+            ("kr", key(Column::i32(kr.clone()))),
+            ("k", Column::i32(k.clone())),
+            ("v", dict(Column::f64(v.clone()))),
+            ("w", dict(Column::f64(w.clone()))),
+            ("x", Column::f64(x.clone())),
+        ] {
+            encoded.add_column(name, col).expect("fresh table");
+        }
+        let mut decoded = Table::new("t");
+        for (name, _) in encoded.schema() {
+            let col = encoded.column(name).expect("column").decode();
+            decoded.add_column(name, col).expect("fresh table");
+        }
+
+        for (filtered, keep) in [(false, vec![true; n]), (true, x.iter().map(|&x| x < cut).collect())] {
+            for (name, group, key_of) in GROUPINGS {
+                let mut plan = group(QueryPlan::scan("t"))
+                    .sum(Expr::col("v"))
+                    .avg(Expr::col("v"))
+                    .min(Expr::col("v"))
+                    .max(Expr::col("v"))
+                    .sum(Expr::col("w"))
+                    .avg(Expr::col("w"))
+                    .min(Expr::col("w"))
+                    .max(Expr::col("w"))
+                    .sum(Expr::col("v").mul(Expr::col("w")))
+                    .count();
+                if filtered {
+                    plan = plan.filter(Expr::col("x").lt(Expr::lit(cut)));
+                }
+                // Per output key: exact SUM(v), SUM(w) with row count and
+                // largest magnitude, and the exact MIN / MAX of v.
+                let mut truth: BTreeMap<i64, [(ExactSum, usize, f64); 2]> = BTreeMap::new();
+                let mut extrema: BTreeMap<i64, (f64, f64)> = BTreeMap::new();
+                for r in (0..n).filter(|&r| keep[r]) {
+                    let key = key_of(ga[r], gb[r], k[r], kr[r]);
+                    let sums = truth.entry(key).or_insert_with(|| {
+                        [(ExactSum::new(), 0, 0.0), (ExactSum::new(), 0, 0.0)]
+                    });
+                    for (slot, val) in sums.iter_mut().zip([v[r], w[r]]) {
+                        slot.0.add(val);
+                        slot.1 += 1;
+                        slot.2 = slot.2.max(val.abs());
+                    }
+                    let e = extrema.entry(key).or_insert((f64::INFINITY, f64::NEG_INFINITY));
+                    *e = (e.0.min(v[r]), e.1.max(v[r]));
+                }
+                for backend in FUSED_BACKENDS {
+                    let want = plan.execute(&decoded, backend, &ExecOptions::serial()).unwrap();
+                    for opts in shapes() {
+                        let ctx = format!(
+                            "{name} filtered={filtered} wide={wide} rle_keys={rle_keys} {backend:?} t{} b{}",
+                            opts.threads, opts.batch_rows
+                        );
+                        let got = plan.execute(&encoded, backend, &opts).unwrap();
+                        assert_results_bitwise(&want, &got, &ctx);
+                    }
+                    // An ungrouped plan keeps its one row even when the
+                    // filter leaves nothing; there is no sum to check then.
+                    if truth.is_empty() {
+                        continue;
+                    }
+                    prop_assert_eq!(
+                        &want.keys,
+                        &truth.keys().copied().collect::<Vec<_>>(),
+                        "{} {:?}", name, backend
+                    );
+                    for (row, key) in want.keys.iter().enumerate() {
+                        let (lo, hi) = extrema[key];
+                        prop_assert_eq!(want.columns[2].f64s()[row].to_bits(), lo.to_bits());
+                        prop_assert_eq!(want.columns[3].f64s()[row].to_bits(), hi.to_bits());
+                        let Some(levels) = levels(backend) else { continue };
+                        for (col, (exact, count, max_abs)) in [0, 4].into_iter().zip(&truth[key]) {
+                            let sum = want.columns[col].f64s()[row];
+                            let mut err = exact.clone();
+                            err.sub(sum);
+                            let bound = reproducible_bound::<f64>(*count, levels, *max_abs)
+                                + sum.abs() * f64::EPSILON;
+                            prop_assert!(
+                                err.round_f64().abs() <= bound,
+                                "{} {:?} key {} column {}: {} off the exact sum by {:e} > {:e}",
+                                name, backend, key, col, sum, err.round_f64(), bound
+                            );
+                            // AVG is that SUM over the exact count.
+                            let avg = want.columns[col + 1].f64s()[row];
+                            prop_assert_eq!(avg.to_bits(), (sum / *count as f64).to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// encode → decode is the exact identity on the stored bits, for
     /// every (values, encoding) pair where the encoding applies.

@@ -6,7 +6,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rfa_engine::{BoolExpr, CmpOp, Column, EvalScratch, Expr, Table};
+use rfa_engine::{BoolExpr, CmpOp, Column, EvalScratch, Expr, Sel, Table};
 
 /// Naïve per-row tree walk — the semantic reference the compiled
 /// register program must match bitwise (paper footnote 3: the expression
@@ -163,7 +163,7 @@ proptest! {
             let sel: Vec<u32> = (0..rows.len() as u32).collect();
             let mut out = vec![0.0f64; rows.len()];
             for (schunk, ochunk) in sel.chunks(batch).zip(out.chunks_mut(batch)) {
-                bound.eval_into(schunk, &mut scratch, ochunk);
+                bound.eval_into(Sel::new(schunk), &mut scratch, ochunk);
             }
             for (row, &got) in out.iter().enumerate() {
                 let want = walk(&e, &fetch, row);
