@@ -299,6 +299,19 @@ fn bench_simd(c: &mut Criterion) {
     g.finish();
 }
 
+/// The dispatch levels this host can be forced to, by `RFA_SIMD` name.
+fn dispatch_levels() -> Vec<(&'static str, rfa_core::cpu::SimdLevel)> {
+    use rfa_core::cpu::{self, SimdLevel};
+    let mut levels = vec![("scalar", SimdLevel::Scalar)];
+    if cpu::avx2_supported() {
+        levels.push(("avx2", SimdLevel::Avx2));
+    }
+    if cpu::avx512_supported() {
+        levels.push(("avx512", SimdLevel::Avx512));
+    }
+    levels
+}
+
 /// Batched hash-table probe (`AggHashTable::probe_batch`) under three key
 /// mixes — hit-heavy (every key resident at its home slot, the SIMD
 /// gather+compare bulk path), collision-chained (identity-aliased keys that
@@ -308,17 +321,11 @@ fn bench_simd(c: &mut Criterion) {
 /// directly as the probe-kernel dispatch win per mix.
 fn bench_hash_probe(c: &mut Criterion) {
     use rfa_agg::AggHashTable;
-    use rfa_core::cpu::{self, SimdLevel};
+    use rfa_core::cpu;
 
     const GROUPS: usize = 1 << 12;
     const BATCH: usize = 4096;
-    let mut levels: Vec<(&str, SimdLevel)> = vec![("scalar", SimdLevel::Scalar)];
-    if cpu::avx2_supported() {
-        levels.push(("avx2", SimdLevel::Avx2));
-    }
-    if cpu::avx512_supported() {
-        levels.push(("avx512", SimdLevel::Avx512));
-    }
+    let levels = dispatch_levels();
 
     // Hit-heavy: GROUPS distinct keys cycled over N probes; after the first
     // pass every probe finds its key already resident.
@@ -411,6 +418,90 @@ fn bench_grouped_deposit(c: &mut Criterion) {
     g.finish();
 }
 
+/// Group-id assignment alone: a `COUNT(*) … GROUP BY` scan (no SUM state,
+/// unbuffered backend, so nothing is partitioned) per key shape — a plain
+/// byte pair, the pair over a `Dict` and an RLE leg, a dictionary code,
+/// and a plain `i32` at 4 / 256 / 2^14 groups — over a dense selection and
+/// a 98.7 %-selective one (Q1's), per dispatch level. Narrow keys index a
+/// direct-mapped table, so their rows must not depend on the level; the
+/// `i32` rows are the SIMD hash probe. thrpt is keys/s.
+fn bench_gid_assign(c: &mut Criterion) {
+    use rfa_core::cpu;
+    use rfa_engine::{
+        run_fused, Column, ExecOptions, Expr, FusedQuery, GroupKey, SumBackend, Table,
+    };
+    use rfa_workloads::SplitMix64;
+
+    const ROWS: usize = 1 << 20;
+    let mut rng = SplitMix64::new(0x61D);
+    let mut draw = |below: u64| -> Vec<u64> { (0..ROWS).map(|_| rng.below(below)).collect() };
+    let bytes = |v: &[u64]| Column::u8(v.iter().map(|&x| x as u8).collect::<Vec<_>>());
+    let ints = |v: &[u64]| Column::i32(v.iter().map(|&x| x as i32).collect::<Vec<_>>());
+    let (a, b) = (draw(2), draw(2));
+    let mut t = Table::new("t");
+    let mut add = |name: &str, col: Column| t.add_column(name, col).expect("fresh table");
+    add("a", bytes(&a));
+    add("b", bytes(&b));
+    add("a_dict", bytes(&a).dict_encode().expect("two values"));
+    // Runs of 4096 rows: what a clustered status column looks like.
+    let runs: Vec<u64> = (0..ROWS).map(|i| (i >> 12 & 1) as u64).collect();
+    add("b_rle", bytes(&runs).rle_encode().expect("long runs"));
+    add("code", ints(&draw(256)).dict_encode().expect("256 values"));
+    for groups in [4, 256, 1 << 14] {
+        add(&format!("k{groups}"), ints(&draw(groups)));
+    }
+    add("m", ints(&draw(1000)));
+
+    let pair = |a: &str, b: &str| GroupKey::HashPair {
+        a: a.into(),
+        b: b.into(),
+        hash: HashKind::Identity,
+    };
+    let by = |col: &str| GroupKey::Hash {
+        col: col.into(),
+        hash: HashKind::Identity,
+    };
+    let shapes = [
+        ("pair_plain", pair("a", "b")),
+        ("pair_dict_rle", pair("a_dict", "b_rle")),
+        ("dict_code_g256", by("code")),
+        ("i32_g4", by("k4")),
+        ("i32_g256", by("k256")),
+        ("i32_g16384", by("k16384")),
+    ];
+    let selections = [
+        ("dense", vec![]),
+        ("sel987", vec![Expr::col("m").lt(Expr::lit(987.0))]),
+    ];
+    let levels = dispatch_levels();
+
+    let mut g = c.benchmark_group("gid_assign");
+    g.throughput(Throughput::Elements(ROWS as u64));
+    let opts = ExecOptions::serial();
+    for (shape, group_by) in shapes {
+        for (selection, filter) in &selections {
+            let query = FusedQuery {
+                filter: filter.clone(),
+                sums: vec![],
+                mins: vec![],
+                maxs: vec![],
+                group_by: group_by.clone(),
+            };
+            for &(name, level) in &levels {
+                cpu::set_override(Some(level));
+                g.bench_function(format!("{shape}_{selection}_{name}"), |b| {
+                    b.iter(|| {
+                        let run = run_fused(&t, &query, SumBackend::ReproUnbuffered, &opts);
+                        black_box(run.expect("no reserved key").counts)
+                    })
+                });
+                cpu::set_override(None);
+            }
+        }
+    }
+    g.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -422,6 +513,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_summation, bench_operators, bench_parallel, bench_fused_scan, bench_simd, bench_hash_probe,
-        bench_grouped_deposit
+        bench_grouped_deposit, bench_gid_assign
 }
 criterion_main!(benches);

@@ -18,10 +18,16 @@
 //! finalization. The paper's Table IV folds our Scan into its "Other";
 //! compare paper "other" against Scan + Other. Table-view setup is
 //! zero-copy (Arc clones) and free — it no longer pollutes any phase.
+//! The "Group-id only" row splits Scan: it is the whole time of Q1's
+//! `COUNT(*)` twin (same filter, same grouping, no SUM input), i.e. filter
+//! + group-id assignment + counting; Scan minus it is the projection.
 
 use rfa_bench::{BenchConfig, ResultTable};
 use rfa_core::CacheModel;
-use rfa_engine::{run_q1, run_q1_materializing, run_q1_par, PhaseTiming, SumBackend};
+use rfa_engine::{
+    lineitem_table, q1_plan, run_q1, run_q1_materializing, run_q1_par, ExecOptions, PhaseTiming,
+    QueryPlan, SumBackend,
+};
 use rfa_workloads::Lineitem;
 
 fn measure_with(
@@ -49,6 +55,29 @@ fn measure(t: &Lineitem, backend: SumBackend, reps: usize) -> PhaseTiming {
     })
 }
 
+/// Fastest run of Q1's `COUNT(*)` twin: what the fused scan spends before
+/// the first aggregate input is evaluated.
+fn measure_gid_only(
+    t: &Lineitem,
+    backend: SumBackend,
+    opts: &ExecOptions,
+    reps: usize,
+) -> std::time::Duration {
+    let table = lineitem_table(t);
+    let twin = QueryPlan {
+        aggs: Vec::new(),
+        ..q1_plan()
+    }
+    .count();
+    (0..=reps)
+        .map(|_| {
+            let run = twin.execute(&table, backend, opts);
+            run.expect("COUNT(*) cannot overflow").timing.total()
+        })
+        .min()
+        .expect("at least one run")
+}
+
 fn main() {
     let cfg = BenchConfig::from_env();
     // Q1 groups = 6, so Eq. 4 gives the maximal buffer size.
@@ -74,6 +103,18 @@ fn main() {
     let buf_par = measure_with(&t, cfg.reps, |t| {
         run_q1_par(t, SumBackend::ReproBuffered { buffer_size: bsz }).expect("Q1 must not overflow")
     });
+
+    let serial = ExecOptions::serial();
+    let gid_only = [
+        measure_gid_only(&t, SumBackend::Double, &serial, cfg.reps),
+        measure_gid_only(&t, SumBackend::ReproUnbuffered, &serial, cfg.reps),
+        measure_gid_only(
+            &t,
+            SumBackend::ReproBuffered { buffer_size: bsz },
+            &serial,
+            cfg.reps,
+        ),
+    ];
 
     let base = double.total().as_secs_f64();
     let pct = |d: std::time::Duration| format!("{:.1}", 100.0 * d.as_secs_f64() / base);
@@ -110,6 +151,14 @@ fn main() {
             pct(phase(&buf_matz)),
             pct(phase(&buf_par)),
         ]);
+        if name == "Scan" {
+            // The materializing pipelines and the CPU-time-summed parallel
+            // column have no comparable twin.
+            let mut row = vec!["  Group-id only".to_string()];
+            row.extend(gid_only.iter().map(|&d| pct(d)));
+            row.extend(["-", "-", "-"].map(String::from));
+            table.row(row);
+        }
     }
     table.print();
     table.write_csv("table4_tpch_q1");

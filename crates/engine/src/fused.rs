@@ -30,23 +30,33 @@
 //!
 //! * [`GroupKey::None`] — a single accumulator (group id 0), taking the
 //!   vectorized single-group fast paths;
-//! * [`GroupKey::Dense`] — two dictionary-encoded `U8` columns mapped to
-//!   a dense id by an `encode` fn (Q1's flag/status pair), direct array
-//!   indexing as MonetDB does for small group counts;
-//! * [`GroupKey::Hash`] — arbitrary-cardinality `I32`/`U32`/`U8` keys.
-//!   Each scan range owns an [`AggHashTable`] mapping key → dense local
-//!   group id; whole batches of keys are resolved through
-//!   [`AggHashTable::upsert_batch`] (the §IV batched probe), unseen keys
-//!   are appended to a slot→key list in first-seen row order, and the
-//!   per-group state arrays grow on demand. Parallel partials merge *by
-//!   key*: the reduction walks the other side's slot→key list and folds
-//!   each slot into the local slot of the same key.
+//! * [`GroupKey::Dense`] — two `U8` columns mapped to a dense id by an
+//!   `encode` fn (Q1's flag/status pair), called once per pair *seen*;
+//! * [`GroupKey::Hash`] — an `I32`/`U32`/`U8` key column. Group ids are
+//!   handed out in first-seen row order, unseen keys are appended to a
+//!   gid→key list, and the per-group state arrays grow on demand.
+//!   Parallel partials merge *by key*: the reduction walks the other
+//!   side's gid→key list and folds each slot into the local slot of the
+//!   same key.
 //! * [`GroupKey::HashPair`] — two `U8` columns packed into one `u32` key
-//!   (`(a << 8) | b`) through the same hash arm. This is how a SQL
-//!   `GROUP BY flag, status` over dictionary-encoded byte columns runs
-//!   without a precomputed dense `encode` fn: only observed pairs
-//!   materialize group state, and the packed key sorts output rows in
-//!   `(a, b)` lexicographic order.
+//!   (`(a << 8) | b`). This is how a SQL `GROUP BY flag, status` over
+//!   byte columns runs without a precomputed dense `encode` fn: only
+//!   observed pairs materialize group state, and the packed key sorts
+//!   output rows in `(a, b)` lexicographic order.
+//!
+//! **Group ids at the price of their key.** How a key becomes a group id
+//! is decided once, when the query is bound, from the key's *storage*. A
+//! key at most 16 bits wide — a byte, a byte pair (dense or not), a `Dict`
+//! / `Dict16` column's *code* — indexes a `NO_GROUP`-initialised table of
+//! its whole domain (256 or 65 536 entries): one load per row, and the
+//! first sighting of an index is the rare branch that assigns the id (or
+//! calls `encode`, or resolves a dictionary code to its key), in row
+//! order. 32-bit key values go through each scan range's
+//! [`AggHashTable`] and its SIMD batched probe
+//! ([`AggHashTable::probe_gids`], §IV). A batch's keys are laid down by
+//! one tight loop per key leg — column slices for a dense batch, a
+//! gather otherwise, RLE legs once per run. Ids, first-seen order and the
+//! data-dependent errors are those of a per-row walk either way.
 //!
 //! **Why fusion preserves bit-identity** (paper footnote 3, extended to
 //! batched evaluation): the per-row expression dag is evaluated with the
@@ -130,7 +140,6 @@ use crate::q1::PhaseTiming;
 use crate::sum_op::{BatchPartition, GroupedStates, OverflowError, SumBackend, SCAN_MORSEL_ROWS};
 use rayon::prelude::*;
 use rfa_agg::{AggHashTable, HashKind};
-use rfa_core::cpu::{self, SimdLevel};
 use rfa_core::{faults, CancelToken};
 use std::time::{Duration, Instant};
 
@@ -153,18 +162,21 @@ pub struct GroupSpec {
 pub enum GroupKey {
     /// No GROUP BY: one un-grouped accumulator (group id 0).
     None,
-    /// Dense dictionary-encoded grouping over a `U8` column pair;
-    /// `groups` is the number of ids `spec.encode` can produce.
+    /// Dense grouping over a `U8` column pair; `groups` is the number of
+    /// ids `spec.encode` can produce.
     Dense { spec: GroupSpec, groups: usize },
-    /// Arbitrary-cardinality grouping on an `I32`, `U32` or `U8` key
-    /// column, group ids assigned through a per-morsel [`AggHashTable`].
-    /// The key value `u32::MAX` (`-1_i32`) is reserved as the table's
-    /// empty-slot sentinel; scanning it surfaces as
+    /// Grouping on an `I32`, `U32` or `U8` key column, group ids in
+    /// first-seen order. 32-bit key values go through a per-range
+    /// [`AggHashTable`] under `hash`; a `U8` column and the codes of a
+    /// dictionary-encoded one index a direct-mapped table, which `hash`
+    /// does not reach. The key value `u32::MAX` (`-1_i32`) is reserved;
+    /// a selected row carrying it surfaces as
     /// [`FusedError::ReservedKey`].
     Hash { col: ColRef, hash: HashKind },
     /// Grouping on a pair of `U8` columns packed into one `u32` key
-    /// (`(a << 8) | b`) through the hash arm — the SQL
-    /// `GROUP BY a, b` shape over dictionary-encoded byte columns.
+    /// (`(a << 8) | b`), first-seen ids — the SQL `GROUP BY a, b` shape
+    /// over byte columns. The pair indexes a direct-mapped table; `hash`
+    /// is accepted for symmetry with [`GroupKey::Hash`] and unused.
     HashPair {
         a: ColRef,
         b: ColRef,
@@ -362,7 +374,7 @@ impl CancelCheck {
 }
 
 /// Result of a fused scan: finalized per-state per-group values, group
-/// counts, the hash arm's group keys, and the CPU-time phase split (scan
+/// counts, the first-seen group keys, and the CPU-time phase split (scan
 /// vs aggregation; summed across workers on the parallel path, like the
 /// paper's CPU-time accounting).
 #[derive(Debug)]
@@ -375,8 +387,9 @@ pub struct FusedRun {
     pub maxs: Vec<Vec<f64>>,
     /// `counts[g]` — COUNT(*) per group.
     pub counts: Vec<u64>,
-    /// [`GroupKey::Hash`] only: the key of each group slot, in first-seen
-    /// row order (schedule-independent; see module doc).
+    /// [`GroupKey::Hash`] / [`GroupKey::HashPair`] only: the key of each
+    /// group slot, in first-seen row order (schedule-independent; see
+    /// module doc).
     pub keys: Option<Vec<u32>>,
     pub timing: PhaseTiming,
     /// Batches of the scan grid the filter was run on (those overlapping
@@ -432,6 +445,8 @@ pub fn run_fused(
     validate_encodings(table, query, &compiled)?;
     let rows = table.rows();
     let filter = ScanFilter::bind(table, &compiled.filter);
+    let group = GroupBind::bind(table, &query.group_by);
+    let group = group.as_ref();
 
     // Plain doubles cannot merge exactly: parallel execution would change
     // the answer, so they always scan serially (module doc).
@@ -451,7 +466,7 @@ pub fn run_fused(
 
     let scan = |lo, hi| {
         scan_range(
-            table, query, &compiled, &filter, backend, &opts, &check, lo, hi,
+            table, query, &compiled, &filter, group, backend, &opts, &check, lo, hi,
         )
     };
     let partial = if live.len() <= 1 {
@@ -467,7 +482,7 @@ pub fn run_fused(
                 || Ok(None),
                 |a: Result<Option<Partial>, FusedError>, b| match (a?, b?) {
                     (Some(mut x), Some(y)) => {
-                        x.merge(y)?;
+                        x.merge(y, group)?;
                         Ok(Some(x))
                     }
                     (x, y) => Ok(x.or(y)),
@@ -485,7 +500,9 @@ pub fn run_fused(
         mins: out.mins,
         maxs: out.maxs,
         counts: out.counts,
-        keys: partial.hash.map(|h| h.keys),
+        keys: group
+            .zip(partial.groups)
+            .and_then(|(bind, groups)| bind.output_keys(groups.keys)),
         timing,
         batches_visited: partial.batches_visited,
         batches_pruned: grid_batches(rows, &opts) - partial.batches_visited,
@@ -602,215 +619,19 @@ fn validate_encodings(
     Ok(())
 }
 
-/// Sentinel state in the key→group-id hash table: "no group id assigned
-/// yet" (distinct from the table's own empty-*key* sentinel).
+/// "No group id assigned yet" in both key → group-id maps (distinct from
+/// the hash table's own empty-*key* sentinel).
 const NO_GROUP: u32 = u32::MAX;
 
-/// Direct-mapped slot count of the last-seen key→group-id cache. Small
-/// enough to stay L1-resident next to the scan's other working state.
-const GID_CACHE_SLOTS: usize = 512;
-
-/// Batches to sit out after the hit-rate gate trips before retrying.
-const GID_CACHE_COOLDOWN: u32 = 32;
-
-/// A direct-mapped last-seen key→group-id cache in front of the hash
-/// table. Group keys arrive with heavy run locality in real scans —
-/// Q15's suppkey after sorting, RLE-adjacent encodings, time-clustered
-/// facts — and for those streams a key's group id was almost always
-/// assigned a few rows ago. One array lookup then replaces the whole
-/// hash-probe.
-///
-/// The cache is *bit-invisible* by construction: it only ever returns
-/// group ids the table already assigned (entries are written at
-/// assignment time and a key's id never changes), and a key's **first**
-/// occurrence can never hit, so first-seen ordering is decided solely by
-/// the table probe, exactly as without the cache. Stale entries are
-/// therefore still-correct mappings, never wrong ones — no invalidation
-/// exists anywhere.
-///
-/// Adversarial streams (uniform random keys over a domain much larger
-/// than the cache) pay the lookup and miss almost always; a per-batch
-/// hit-rate gate switches the front-end off for [`GID_CACHE_COOLDOWN`]
-/// batches when fewer than 1-in-8 lookups hit, then retries (the stream
-/// may turn clustered again).
-struct GidCache {
-    /// `u32::MAX` marks an empty entry — it is the engine's reserved
-    /// group key, rejected before any key reaches the cache.
-    keys: Vec<u32>,
-    gids: Vec<u32>,
-    cooldown: u32,
-}
-
-impl GidCache {
-    fn new() -> Self {
-        GidCache {
-            keys: vec![u32::MAX; GID_CACHE_SLOTS],
-            gids: vec![0; GID_CACHE_SLOTS],
-            cooldown: 0,
-        }
-    }
-
-    /// Whether the front-end runs for this batch (counting down a trip).
-    #[inline]
-    fn admit(&mut self) -> bool {
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            false
-        } else {
-            true
-        }
-    }
-
-    /// Post-batch gate on the observed hit rate.
-    #[inline]
-    fn observe(&mut self, hits: usize, lookups: usize) {
-        if hits * 8 < lookups {
-            self.cooldown = GID_CACHE_COOLDOWN;
-        }
-    }
-}
-
-/// The hash arm's group-id assignment state: an open-addressing table
-/// mapping key → dense local group id, the inverse slot→key list in
-/// first-seen row order, and the [`GidCache`] front-end.
-struct HashGroups {
-    table: AggHashTable<u32>,
-    keys: Vec<u32>,
-    cache: GidCache,
-}
-
-impl HashGroups {
-    /// `rows` is the scan range's row count: the table is pre-sized for
-    /// `rows / 4` distinct keys (capped at 64 Ki ≈ 1 MiB of table) so the
-    /// common analytics shape — cardinality well below row count —
-    /// reaches its final size without walking the doubling chain, whose
-    /// rehashes otherwise re-insert every key once per doubling. Capacity
-    /// is bit-invisible: group ids are assigned in first-seen row order
-    /// whatever the slot count.
-    fn new(hash: HashKind, rows: usize) -> Self {
-        HashGroups {
-            table: AggHashTable::with_capacity((rows / 4).clamp(64, 1 << 16), hash, &NO_GROUP),
-            keys: Vec::new(),
-            cache: GidCache::new(),
-        }
-    }
-
-    /// Assigns a group id to every key in `key_buf`, appending to `gids`
-    /// in row order and registering unseen keys in first-seen order.
-    /// `gid_buf`/`miss_pos`/`miss_keys` are reused scratch.
-    ///
-    /// At SIMD dispatch levels the [`GidCache`] front-end short-circuits
-    /// run-local keys and the remainder goes through the table's fused
-    /// gather-compare-gather probe ([`AggHashTable::probe_gids`]): hit
-    /// lanes produce their gid straight from the kernel, only first-seen
-    /// keys and collision chains run scalar code. Under
-    /// `RFA_SIMD=scalar` this is the plain batched loop of PR 8, which
-    /// doubles as the bit-identity reference for the dispatch matrix
-    /// tests.
-    fn assign_gids(
-        &mut self,
-        key_buf: &[u32],
-        gids: &mut Vec<u32>,
-        gid_buf: &mut Vec<u32>,
-        miss_pos: &mut Vec<u32>,
-        miss_keys: &mut Vec<u32>,
-    ) {
-        let HashGroups { table, keys, cache } = self;
-        // Cardinality pre-gate: once the table holds several times more
-        // groups than the cache has slots, the direct-mapped front-end
-        // cannot sustain a useful hit rate on anything but pathological
-        // skew — skip it without burning a probe batch to find out.
-        let fronted = cpu::active() != SimdLevel::Scalar
-            && table.len() <= GID_CACHE_SLOTS * 4
-            && cache.admit();
-        if !fronted {
-            table.probe_gids(key_buf, gids, |k| {
-                let g = keys.len() as u32;
-                keys.push(k);
-                g
-            });
-            return;
-        }
-        let base = gids.len();
-        gids.resize(base + key_buf.len(), NO_GROUP);
-        miss_pos.clear();
-        miss_keys.clear();
-        for (i, &k) in key_buf.iter().enumerate() {
-            let c = k as usize & (GID_CACHE_SLOTS - 1);
-            if cache.keys[c] == k {
-                gids[base + i] = cache.gids[c];
-            } else {
-                miss_pos.push(i as u32);
-                miss_keys.push(k);
-            }
-        }
-        let hits = key_buf.len() - miss_keys.len();
-        gid_buf.clear();
-        table.probe_gids(miss_keys, gid_buf, |k| {
-            let g = keys.len() as u32;
-            keys.push(k);
-            g
-        });
-        for (j, &g) in gid_buf.iter().enumerate() {
-            let k = miss_keys[j];
-            let c = k as usize & (GID_CACHE_SLOTS - 1);
-            cache.keys[c] = k;
-            cache.gids[c] = g;
-            gids[base + miss_pos[j] as usize] = g;
-        }
-        cache.observe(hits, key_buf.len());
-    }
-}
-
-/// Per-morsel (or whole-input) accumulation state.
-struct Partial {
-    states: GroupedStates,
-    /// `Some` for [`GroupKey::Hash`]: this range's key→group-id mapping.
-    hash: Option<HashGroups>,
-    timing: PhaseTiming,
-    batches_visited: u64,
-}
-
-impl Partial {
-    fn merge(&mut self, other: Partial) -> Result<(), FusedError> {
-        let Partial { states, hash, .. } = self;
-        match (hash.as_mut(), other.hash) {
-            // Dense / un-grouped: both sides index groups identically.
-            (None, None) => states.merge(other.states)?,
-            // Hash: fold the other side's slots in by *key*. `self` holds
-            // the earlier row range (the reduction merges morsels in index
-            // order), so appending unseen keys here reproduces the global
-            // first-seen order, and tie-breaking folds keep earlier rows.
-            (Some(h), Some(oh)) => {
-                for (src, &key) in oh.keys.iter().enumerate() {
-                    let slot = h.table.slot_mut(key, &NO_GROUP);
-                    if *slot == NO_GROUP {
-                        *slot = h.keys.len() as u32;
-                        h.keys.push(key);
-                    }
-                    let dst = *slot as usize;
-                    states.ensure_groups(h.keys.len());
-                    states.merge_group(dst, &other.states, src)?;
-                }
-            }
-            _ => unreachable!("hash and dense partials never mix"),
-        }
-        self.timing.scan += other.timing.scan;
-        self.timing.aggregation += other.timing.aggregation;
-        self.timing.other += other.timing.other;
-        self.batches_visited += other.batches_visited;
-        Ok(())
-    }
-}
-
-/// A `U8` group-key leg bound to its storage, *without decompressing*:
-/// plain bytes, dictionary codes indexing a ≤256-entry byte dictionary,
-/// or RLE runs walked by a monotonic cursor. The fused scan reads group
-/// keys through this — the compressed forms never materialize an n-sized
-/// byte vector.
+/// A byte-wide leg of a narrow group key bound to its storage, *without
+/// decompressing*: plain bytes, dictionary codes indexing a byte
+/// dictionary, or RLE runs walked by a monotonic cursor. `U8` / `U16`
+/// also carry the raw *codes* of a dictionary key column, which index the
+/// gid table directly.
 #[derive(Clone, Copy)]
-enum U8Src<'t> {
-    Plain(&'t [u8]),
+enum Leg<'t> {
+    U8(&'t [u8]),
+    U16(&'t [u16]),
     Dict {
         codes: &'t [u8],
         dict: &'t [u8],
@@ -828,62 +649,96 @@ enum U8Src<'t> {
     },
 }
 
-impl<'t> U8Src<'t> {
-    /// The key byte of `row`. `cursor` is this leg's run position, carried
-    /// across calls (selection vectors are increasing, so the RLE arm is
-    /// amortized O(1); [`advance_run`] resets by binary search otherwise).
-    /// Dictionary codes were validated against the dictionary length
-    /// before the scan started, so the index cannot be out of bounds.
-    #[inline(always)]
-    fn get(&self, row: usize, cursor: &mut usize) -> u8 {
-        match *self {
-            U8Src::Plain(col) => col[row],
-            U8Src::Dict { codes, dict } => dict[codes[row] as usize],
-            U8Src::Dict16 { codes, dict } => dict[codes[row] as usize],
-            U8Src::Rle { run_ends, values } => {
-                *cursor = advance_run(run_ends, *cursor, row as u32);
-                values[*cursor]
+/// End of the span of the increasing `sel[i..]` whose rows lie below
+/// `bound` — the rows one run holds. At least one row long.
+#[inline]
+fn span_end(sel: &[u32], i: usize, bound: u32) -> usize {
+    let mut j = i + 1;
+    while j < sel.len() && sel[j] < bound {
+        j += 1;
+    }
+    j
+}
+
+/// `out[i] = f(out[i], col[row i])` over a batch's selected rows: one
+/// slice of the column when the batch is dense, a gather otherwise.
+#[inline(always)]
+fn map_rows<T: Copy>(
+    col: &[T],
+    batch: Sel,
+    sel: &[u32],
+    out: &mut [u32],
+    f: impl Fn(u32, T) -> u32,
+) {
+    match batch.dense_start() {
+        Some(lo) => {
+            for (o, &v) in out.iter_mut().zip(&col[lo..lo + sel.len()]) {
+                *o = f(*o, v);
             }
         }
-    }
-
-    fn rle(&self) -> Option<(&'t [u32], &'t [u8])> {
-        match *self {
-            U8Src::Rle { run_ends, values } => Some((run_ends, values)),
-            _ => None,
+        None => {
+            for (o, &row) in out.iter_mut().zip(sel) {
+                *o = f(*o, col[row as usize]);
+            }
         }
     }
 }
 
-/// A hash-grouping key column bound to its storage. `I32` keys are mapped
-/// to `u32` by bit pattern (a bijection), so negative keys group
-/// correctly — except `-1`, which collides with the reserved sentinel.
-/// `U8` and packed `U8` pairs can never produce the sentinel. Encoded key
-/// columns precompute the `u32` key per dictionary code / per run, so the
-/// per-row work is one byte load plus one table lookup — the column is
-/// never decompressed.
+impl Leg<'_> {
+    /// `out[i] = place(out[i], value)` for this leg's value of every
+    /// selected row — one tight loop per storage shape. `cursor` is the
+    /// leg's run position, carried across the range's batches (selections
+    /// are increasing, so the RLE walk is amortized O(1)). Dictionary
+    /// codes were validated against the dictionary length before the scan
+    /// started, so the index cannot be out of bounds.
+    fn fill(
+        &self,
+        batch: Sel,
+        sel: &[u32],
+        cursor: &mut usize,
+        out: &mut [u32],
+        place: impl Fn(u32, u32) -> u32,
+    ) {
+        match *self {
+            Leg::U8(col) => map_rows(col, batch, sel, out, |o, v| place(o, v as u32)),
+            Leg::U16(col) => map_rows(col, batch, sel, out, |o, v| place(o, v as u32)),
+            Leg::Dict { codes, dict } => map_rows(codes, batch, sel, out, |o, c| {
+                place(o, dict[c as usize] as u32)
+            }),
+            Leg::Dict16 { codes, dict } => map_rows(codes, batch, sel, out, |o, c| {
+                place(o, dict[c as usize] as u32)
+            }),
+            Leg::Rle { run_ends, values } => {
+                let mut i = 0;
+                while i < sel.len() {
+                    *cursor = advance_run(run_ends, *cursor, sel[i]);
+                    let j = span_end(sel, i, run_ends[*cursor]);
+                    let v = values[*cursor] as u32;
+                    for o in &mut out[i..j] {
+                        *o = place(*o, v);
+                    }
+                    i = j;
+                }
+            }
+        }
+    }
+}
+
+/// A group-key column (or byte pair) bound to its storage. `I32` keys are
+/// mapped to `u32` by bit pattern (a bijection), so negative keys group
+/// correctly — except `-1`, which is the reserved key. The column is
+/// never decompressed: narrow keys are read leg by leg, RLE keys once per
+/// run.
 enum KeyCol<'t> {
     I32(&'t [i32]),
     U32(&'t [u32]),
-    U8(&'t [u8]),
-    /// Dictionary-encoded key column: `keys[code]` is the key of every row
-    /// carrying `code` (indexed by the validated codes, so ≤ dict len).
-    Dict {
-        codes: &'t [u8],
-        keys: Vec<u32>,
-    },
-    /// Wide-dictionary key column (`u16` codes, ≤65536 entries): same
-    /// per-code key table, two-byte loads.
-    Dict16 {
-        codes: &'t [u16],
-        keys: Vec<u32>,
-    },
     /// RLE key column: `keys[run]` is the key of every row in `run`.
     Rle {
         run_ends: &'t [u32],
         keys: Vec<u32>,
     },
-    U8Pair(U8Src<'t>, U8Src<'t>),
+    /// At most 16 physical bits: one leg, or a pair packed `(a << 8) | b`.
+    Legs(Leg<'t>, Option<Leg<'t>>),
 }
 
 /// Run positions of the (up to two) RLE group-key legs of a scan range,
@@ -895,52 +750,73 @@ struct RunCursors {
 }
 
 impl KeyCol<'_> {
-    #[inline(always)]
-    fn get(&self, row: usize, cur: &mut RunCursors) -> u32 {
-        match self {
-            KeyCol::I32(col) => col[row] as u32,
-            KeyCol::U32(col) => col[row],
-            KeyCol::U8(col) => col[row] as u32,
-            KeyCol::Dict { codes, keys } => keys[codes[row] as usize],
-            KeyCol::Dict16 { codes, keys } => keys[codes[row] as usize],
-            KeyCol::Rle { run_ends, keys } => {
-                cur.a = advance_run(run_ends, cur.a, row as u32);
-                keys[cur.a]
-            }
-            KeyCol::U8Pair(a, b) => {
-                ((a.get(row, &mut cur.a) as u32) << 8) | b.get(row, &mut cur.b) as u32
-            }
+    /// One key per selected row, in `buf`. A dense batch reads column
+    /// slices (loops the compiler vectorizes), any other gathers.
+    fn fill<'a>(
+        &self,
+        batch: Sel,
+        sel: &[u32],
+        cur: &mut RunCursors,
+        buf: &'a mut Vec<u32>,
+    ) -> &'a [u32] {
+        if buf.len() < sel.len() {
+            buf.resize(sel.len(), 0);
         }
+        let out = &mut buf[..sel.len()];
+        match self {
+            KeyCol::I32(col) => map_rows(col, batch, sel, out, |_, v| v as u32),
+            KeyCol::U32(col) => map_rows(col, batch, sel, out, |_, v| v),
+            KeyCol::Legs(a, None) => a.fill(batch, sel, &mut cur.a, out, |_, v| v),
+            KeyCol::Legs(a, Some(b)) => {
+                a.fill(batch, sel, &mut cur.a, out, |_, v| v << 8);
+                b.fill(batch, sel, &mut cur.b, out, |o, v| o | v);
+            }
+            KeyCol::Rle { .. } => unreachable!("RLE keys are read per run"),
+        }
+        out
     }
 
-    /// Bulk key extraction for a contiguous row range `lo..lo + len` —
-    /// the no-predicate scan case, where the per-row [`Self::get`] +
-    /// sentinel-check + push loop reduces to a widening slice copy (or a
-    /// gather through the ≤2^16-entry dictionary) that the compiler
-    /// vectorizes, with the reserved-key check hoisted into one compare
-    /// scan afterwards. Returns `false` for the run-cursor shapes, which
-    /// keep the per-row loop.
-    fn fill_contiguous(&self, lo: usize, len: usize, out: &mut Vec<u32>) -> bool {
+    /// Whether every leg is RLE: the key is then computed once per run
+    /// span ([`Self::run_key`]), not per row.
+    fn run_blocked(&self) -> bool {
+        matches!(
+            self,
+            KeyCol::Rle { .. } | KeyCol::Legs(Leg::Rle { .. }, Some(Leg::Rle { .. }))
+        )
+    }
+
+    /// The key of the run span holding `row`, and the row that span ends
+    /// at (where the first of the legs' runs does).
+    fn run_key(&self, row: u32, cur: &mut RunCursors) -> (u32, u32) {
         match self {
-            KeyCol::I32(col) => out.extend(col[lo..lo + len].iter().map(|&v| v as u32)),
-            KeyCol::U32(col) => out.extend_from_slice(&col[lo..lo + len]),
-            KeyCol::U8(col) => out.extend(col[lo..lo + len].iter().map(|&v| v as u32)),
-            KeyCol::Dict { codes, keys } => {
-                out.extend(codes[lo..lo + len].iter().map(|&c| keys[c as usize]))
+            KeyCol::Rle { run_ends, keys } => {
+                cur.a = advance_run(run_ends, cur.a, row);
+                (keys[cur.a], run_ends[cur.a])
             }
-            KeyCol::Dict16 { codes, keys } => {
-                out.extend(codes[lo..lo + len].iter().map(|&c| keys[c as usize]))
+            KeyCol::Legs(
+                Leg::Rle {
+                    run_ends: ea,
+                    values: va,
+                },
+                Some(Leg::Rle {
+                    run_ends: eb,
+                    values: vb,
+                }),
+            ) => {
+                cur.a = advance_run(ea, cur.a, row);
+                cur.b = advance_run(eb, cur.b, row);
+                (
+                    ((va[cur.a] as u32) << 8) | vb[cur.b] as u32,
+                    ea[cur.a].min(eb[cur.b]),
+                )
             }
-            KeyCol::Rle { .. } | KeyCol::U8Pair(..) => return false,
+            _ => unreachable!("only run_blocked() keys are read per run"),
         }
-        true
     }
 }
 
-/// The per-code (dictionary) or per-run (RLE) `u32` hash keys of an
-/// encoded key column's inner values — one widening pass over the
-/// dictionary entries (≤256 for `Dict`, ≤65536 for `Dict16`) or the run
-/// values, never over n rows.
+/// The `u32` keys of an encoded key column's inner values — one widening
+/// pass over the dictionary entries or the run values, never over n rows.
 fn inner_keys(col: &Column) -> Vec<u32> {
     match col {
         Column::I32(v) => v.iter().map(|&x| x as u32).collect(),
@@ -953,36 +829,357 @@ fn inner_keys(col: &Column) -> Vec<u32> {
     }
 }
 
-/// Per-batch grouping context of one scan range.
-enum GroupCtx<'t> {
-    Single,
-    Dense {
-        a: U8Src<'t>,
-        b: U8Src<'t>,
+/// Per dictionary code: the key it stands for and the first code holding
+/// the same key, so duplicate dictionary entries share one group.
+fn dict_keys(dict: &Column) -> Vec<(u32, u32)> {
+    let keys = inner_keys(dict);
+    let mut by_key: Vec<u32> = (0..keys.len() as u32).collect();
+    by_key.sort_unstable_by_key(|&c| (keys[c as usize], c));
+    let mut out = vec![(0, 0); keys.len()];
+    for same in by_key.chunk_by(|&a, &b| keys[a as usize] == keys[b as usize]) {
+        for &c in same {
+            out[c as usize] = (keys[c as usize], same[0]);
+        }
+    }
+    out
+}
+
+/// How a key's first sighting in a direct-mapped table becomes a group id.
+enum Assign {
+    /// [`GroupKey::Dense`]: `encode(a, b)` of the packed pair, checked
+    /// against `groups`. Ids mean the same in every scan range.
+    Encode {
         encode: fn(u8, u8) -> u32,
         groups: usize,
     },
-    Hash {
-        col: &'t ColRef,
-        key_col: KeyCol<'t>,
-    },
+    /// The next id, in first-seen row order. For a dictionary key column
+    /// the table is indexed by *code* and `dict` is its [`dict_keys`].
+    FirstSeen { dict: Option<Vec<(u32, u32)>> },
 }
 
-/// A fully-RLE hash key: a single RLE key column with per-run keys, or a
-/// `U8` pair whose legs are both RLE. Either way the key is computable
-/// once per run span, so hash grouping upserts per span, not per row.
+/// A query's grouping, bound once and shared by every scan range and by
+/// the merge. Whether keys index a table or hash into one is decided
+/// here, from the key column's storage alone.
+struct GroupBind<'t> {
+    /// The column [`FusedError::ReservedKey`] names.
+    col: &'t ColRef,
+    key_col: KeyCol<'t>,
+    map: MapKind,
+    assign: Assign,
+}
+
+/// Which key → group-id map every scan range of a query builds.
 #[derive(Clone, Copy)]
-enum RleKey<'a> {
-    Single {
-        run_ends: &'a [u32],
-        keys: &'a [u32],
-    },
-    Pair {
-        ea: &'a [u32],
-        va: &'a [u8],
-        eb: &'a [u32],
-        vb: &'a [u8],
-    },
+enum MapKind {
+    /// A table indexed by the physical key, with an entry for its whole
+    /// domain: 256 for a byte or a `u8` code, 65 536 for a byte pair or a
+    /// `u16` code.
+    Direct(usize),
+    /// An [`AggHashTable`], for 32-bit key values.
+    Hash(HashKind),
+}
+
+impl<'t> GroupBind<'t> {
+    fn bind(table: &'t Table, group_by: &'t GroupKey) -> Option<GroupBind<'t>> {
+        let column = |name: &ColRef| {
+            table
+                .column(name.as_str())
+                .expect("fused query references a missing column")
+        };
+        let leg = |name: &ColRef| -> Leg<'t> {
+            let bytes = |col: &'t Column| match col {
+                Column::U8(v) => &v[..],
+                other => panic!(
+                    "pair group key {name:?} must be a U8 column, found {}",
+                    other.type_name()
+                ),
+            };
+            match column(name) {
+                Column::Dict { codes, dict } => Leg::Dict {
+                    codes,
+                    dict: bytes(dict),
+                },
+                Column::Dict16 { codes, dict } => Leg::Dict16 {
+                    codes,
+                    dict: bytes(dict),
+                },
+                Column::Rle { run_ends, values } => Leg::Rle {
+                    run_ends,
+                    values: bytes(values),
+                },
+                plain => Leg::U8(bytes(plain)),
+            }
+        };
+        let first_seen = Assign::FirstSeen { dict: None };
+        let (byte, pair) = (MapKind::Direct(1 << 8), MapKind::Direct(1 << 16));
+        let (col, key_col, map, assign) = match group_by {
+            GroupKey::None => return None,
+            GroupKey::Dense { spec, groups } => (
+                &spec.a,
+                KeyCol::Legs(leg(&spec.a), Some(leg(&spec.b))),
+                pair,
+                Assign::Encode {
+                    encode: spec.encode,
+                    groups: *groups,
+                },
+            ),
+            GroupKey::HashPair { a, b, .. } => {
+                (a, KeyCol::Legs(leg(a), Some(leg(b))), pair, first_seen)
+            }
+            GroupKey::Hash { col, hash } => {
+                let hashed = MapKind::Hash(*hash);
+                let coded = |dict| Assign::FirstSeen {
+                    dict: Some(dict_keys(dict)),
+                };
+                let (key_col, map, assign) = match column(col) {
+                    Column::I32(v) => (KeyCol::I32(v), hashed, first_seen),
+                    Column::U32(v) => (KeyCol::U32(v), hashed, first_seen),
+                    Column::U8(v) => (KeyCol::Legs(Leg::U8(v), None), byte, first_seen),
+                    Column::Dict { codes, dict } => {
+                        (KeyCol::Legs(Leg::U8(codes), None), byte, coded(dict))
+                    }
+                    Column::Dict16 { codes, dict } => {
+                        (KeyCol::Legs(Leg::U16(codes), None), pair, coded(dict))
+                    }
+                    Column::Rle { run_ends, values } => (
+                        KeyCol::Rle {
+                            run_ends,
+                            keys: inner_keys(values),
+                        },
+                        if matches!(**values, Column::U8(_)) {
+                            byte
+                        } else {
+                            hashed
+                        },
+                        first_seen,
+                    ),
+                    other => panic!(
+                        "hash group key must be an I32, U32 or U8 column, found {}",
+                        other.type_name()
+                    ),
+                };
+                (col, key_col, map, assign)
+            }
+        };
+        Some(GroupBind {
+            col,
+            key_col,
+            map,
+            assign,
+        })
+    }
+
+    /// Groups every range starts with: all of a dense encoding's ids,
+    /// none of a first-seen assignment's.
+    fn init_groups(&self) -> usize {
+        match self.assign {
+            Assign::Encode { groups, .. } => groups,
+            Assign::FirstSeen { .. } => 0,
+        }
+    }
+
+    /// Whether ids are per-range (first-seen), so partials merge by key.
+    fn first_seen(&self) -> bool {
+        matches!(self.assign, Assign::FirstSeen { .. })
+    }
+
+    fn reserved_key(&self) -> FusedError {
+        FusedError::ReservedKey {
+            col: self.col.to_string(),
+        }
+    }
+
+    /// The group keys [`FusedRun::keys`] reports for a range's first-seen
+    /// list: a dictionary key column's codes become their key values.
+    fn output_keys(&self, keys: Vec<u32>) -> Option<Vec<u32>> {
+        match &self.assign {
+            Assign::Encode { .. } => None,
+            Assign::FirstSeen { dict: None } => Some(keys),
+            Assign::FirstSeen { dict: Some(dict) } => {
+                Some(keys.iter().map(|&c| dict[c as usize].0).collect())
+            }
+        }
+    }
+}
+
+/// A scan range's key → group-id map: indexed by the key itself where its
+/// domain is small, an open-addressing table for 32-bit keys.
+enum GidMap {
+    /// `NO_GROUP` until the key (pair, or dictionary code) is first seen.
+    Direct(Vec<u32>),
+    Hash(AggHashTable<u32>),
+}
+
+/// Group-id assignment state of one scan range: the map and its inverse,
+/// the keys (dictionary codes, for a dictionary key column) in first-seen
+/// row order.
+struct Groups {
+    map: GidMap,
+    keys: Vec<u32>,
+}
+
+/// A direct-mapped key's first sighting. Rare (once per distinct key per
+/// range) and in row order, so first-seen ids and the data-dependent
+/// errors are those of a per-row walk.
+#[cold]
+fn first_sight(
+    lut: &mut [u32],
+    keys: &mut Vec<u32>,
+    bind: &GroupBind<'_>,
+    key: u32,
+) -> Result<u32, FusedError> {
+    let gid = match &bind.assign {
+        Assign::Encode { encode, groups } => {
+            let got = encode((key >> 8) as u8, key as u8);
+            if got as usize >= *groups {
+                return Err(FusedError::GroupIdOutOfBounds {
+                    got,
+                    groups: *groups,
+                });
+            }
+            got
+        }
+        Assign::FirstSeen { dict } => {
+            let first = match dict {
+                Some(dict) => {
+                    let (value, first) = dict[key as usize];
+                    if value == u32::MAX {
+                        return Err(bind.reserved_key());
+                    }
+                    first as usize
+                }
+                None => key as usize,
+            };
+            if lut[first] == NO_GROUP {
+                lut[first] = keys.len() as u32;
+                keys.push(first as u32);
+            }
+            lut[first]
+        }
+    };
+    lut[key as usize] = gid;
+    Ok(gid)
+}
+
+impl Groups {
+    /// `rows` is the scan range's row count: a hash table is pre-sized
+    /// for `rows / 4` distinct keys (capped at 64 Ki ≈ 1 MiB of table) so
+    /// the common analytics shape — cardinality well below row count —
+    /// reaches its final size without walking the doubling chain, whose
+    /// rehashes otherwise re-insert every key once per doubling. Capacity
+    /// is bit-invisible: group ids are assigned in first-seen row order
+    /// whatever the slot count.
+    fn new(bind: &GroupBind<'_>, rows: usize) -> Self {
+        let map = match bind.map {
+            MapKind::Direct(slots) => GidMap::Direct(vec![NO_GROUP; slots]),
+            MapKind::Hash(hash) => GidMap::Hash(AggHashTable::with_capacity(
+                (rows / 4).clamp(64, 1 << 16),
+                hash,
+                &NO_GROUP,
+            )),
+        };
+        Groups {
+            map,
+            keys: Vec::new(),
+        }
+    }
+
+    /// The group id of one key (a run span's, or a merged partial's).
+    #[inline]
+    fn gid(&mut self, bind: &GroupBind<'_>, key: u32) -> Result<u32, FusedError> {
+        let Groups { map, keys } = self;
+        match map {
+            GidMap::Direct(lut) => match lut[key as usize] {
+                NO_GROUP => first_sight(lut, keys, bind, key),
+                gid => Ok(gid),
+            },
+            GidMap::Hash(table) => {
+                if key == u32::MAX {
+                    return Err(bind.reserved_key());
+                }
+                let slot = table.slot_mut(key, &NO_GROUP);
+                if *slot == NO_GROUP {
+                    *slot = keys.len() as u32;
+                    keys.push(key);
+                }
+                Ok(*slot)
+            }
+        }
+    }
+
+    /// One group id per key of a batch into `gids`, in row order. Narrow
+    /// keys are one table load each; 32-bit keys go through the table's
+    /// fused gather-compare-gather probe ([`AggHashTable::probe_gids`]):
+    /// hit lanes produce their gid straight from the kernel, only
+    /// first-seen keys and collision chains run scalar code
+    /// (`RFA_SIMD=scalar`: all of them, the bit-identity reference).
+    fn assign(
+        &mut self,
+        bind: &GroupBind<'_>,
+        batch_keys: &[u32],
+        gids: &mut Vec<u32>,
+    ) -> Result<(), FusedError> {
+        let Groups { map, keys } = self;
+        gids.clear();
+        match map {
+            GidMap::Direct(lut) => {
+                gids.resize(batch_keys.len(), 0);
+                for (gid, &key) in gids.iter_mut().zip(batch_keys) {
+                    *gid = match lut[key as usize] {
+                        NO_GROUP => first_sight(lut, keys, bind, key)?,
+                        gid => gid,
+                    };
+                }
+            }
+            GidMap::Hash(table) => {
+                if batch_keys.contains(&u32::MAX) {
+                    return Err(bind.reserved_key());
+                }
+                table.probe_gids(batch_keys, gids, |k| {
+                    let g = keys.len() as u32;
+                    keys.push(k);
+                    g
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Per-morsel (or whole-input) accumulation state.
+struct Partial {
+    states: GroupedStates,
+    /// `Some` for a grouped scan: this range's key → group-id mapping.
+    groups: Option<Groups>,
+    timing: PhaseTiming,
+    batches_visited: u64,
+}
+
+impl Partial {
+    fn merge(&mut self, other: Partial, bind: Option<&GroupBind<'_>>) -> Result<(), FusedError> {
+        let Partial { states, groups, .. } = self;
+        match (bind, groups.as_mut(), other.groups) {
+            // First-seen ids: fold the other side's slots in by *key*.
+            // `self` holds the earlier row range (the reduction merges
+            // morsels in index order), so appending unseen keys here
+            // reproduces the global first-seen order, and tie-breaking
+            // folds keep earlier rows.
+            (Some(bind), Some(g), Some(og)) if bind.first_seen() => {
+                for (src, &key) in og.keys.iter().enumerate() {
+                    let dst = g.gid(bind, key)? as usize;
+                    states.ensure_groups(g.keys.len());
+                    states.merge_group(dst, &other.states, src)?;
+                }
+            }
+            // Dense / un-grouped: both sides index groups identically.
+            _ => states.merge(other.states)?,
+        }
+        self.timing.scan += other.timing.scan;
+        self.timing.aggregation += other.timing.aggregation;
+        self.timing.other += other.timing.other;
+        self.batches_visited += other.batches_visited;
+        Ok(())
+    }
 }
 
 /// How a batch's selected rows deposit into the group states.
@@ -1111,11 +1308,7 @@ fn deposit_algebraic(
             *cursor = advance_run(run_ends, *cursor, sel[i]);
             // The deposit span ends where the value run does (or
             // where the selection / group span leaves it).
-            let bound = run_ends[*cursor];
-            let mut j = i + 1;
-            while j < end && sel[j] < bound {
-                j += 1;
-            }
+            let j = span_end(&sel[..end], i, run_ends[*cursor]);
             let v = values[*cursor];
             match agg {
                 AggSlot::Sum(s) => states.deposit_scaled(s, g as usize, v, (j - i) as u64)?,
@@ -1211,6 +1404,7 @@ fn scan_range(
     query: &FusedQuery,
     compiled: &CompiledAggs,
     filter: &ScanFilter<'_>,
+    group: Option<&GroupBind<'_>>,
     backend: SumBackend,
     opts: &ExecOptions,
     check: &CancelCheck,
@@ -1230,98 +1424,10 @@ fn scan_range(
     .flat_map(|(exprs, compiled, slot)| bind_aggs(table, exprs, compiled, backend, slot))
     .collect();
 
-    let bind_u8 = |name: &ColRef| -> U8Src {
-        let col = table
-            .column(name.as_str())
-            .expect("fused query references a missing column");
-        match col {
-            Column::U8(v) => U8Src::Plain(v),
-            Column::Dict { codes, dict } => match &**dict {
-                Column::U8(d) => U8Src::Dict { codes, dict: d },
-                other => panic!(
-                    "dense group key must be a U8 column, found Dict<{}>",
-                    other.type_name()
-                ),
-            },
-            Column::Dict16 { codes, dict } => match &**dict {
-                Column::U8(d) => U8Src::Dict16 { codes, dict: d },
-                other => panic!(
-                    "dense group key must be a U8 column, found Dict16<{}>",
-                    other.type_name()
-                ),
-            },
-            Column::Rle { run_ends, values } => match &**values {
-                Column::U8(v) => U8Src::Rle {
-                    run_ends,
-                    values: v,
-                },
-                other => panic!(
-                    "dense group key must be a U8 column, found Rle<{}>",
-                    other.type_name()
-                ),
-            },
-            other => panic!(
-                "dense group key must be a U8 column, found {}",
-                other.type_name()
-            ),
-        }
-    };
-    let (ctx, init_groups, mut hash) = match &query.group_by {
-        GroupKey::None => (GroupCtx::Single, 1, None),
-        GroupKey::Dense { spec, groups } => (
-            GroupCtx::Dense {
-                a: bind_u8(&spec.a),
-                b: bind_u8(&spec.b),
-                encode: spec.encode,
-                groups: *groups,
-            },
-            *groups,
-            None,
-        ),
-        GroupKey::Hash { col, hash } => (
-            GroupCtx::Hash {
-                col,
-                key_col: match table
-                    .column(col.as_str())
-                    .expect("fused query references a missing column")
-                {
-                    Column::I32(v) => KeyCol::I32(v),
-                    Column::U32(v) => KeyCol::U32(v),
-                    Column::U8(v) => KeyCol::U8(v),
-                    Column::Dict { codes, dict } => KeyCol::Dict {
-                        codes,
-                        keys: inner_keys(dict),
-                    },
-                    Column::Dict16 { codes, dict } => KeyCol::Dict16 {
-                        codes,
-                        keys: inner_keys(dict),
-                    },
-                    Column::Rle { run_ends, values } => KeyCol::Rle {
-                        run_ends,
-                        keys: inner_keys(values),
-                    },
-                    other => panic!(
-                        "hash group key must be an I32, U32 or U8 column, found {}",
-                        other.type_name()
-                    ),
-                },
-            },
-            0,
-            Some(HashGroups::new(*hash, hi - lo)),
-        ),
-        GroupKey::HashPair { a, b, hash } => (
-            GroupCtx::Hash {
-                col: a,
-                key_col: KeyCol::U8Pair(bind_u8(a), bind_u8(b)),
-            },
-            0,
-            Some(HashGroups::new(*hash, hi - lo)),
-        ),
-    };
-
+    let mut grouping = group.map(|bind| (bind, Groups::new(bind, hi - lo)));
     let mut states = GroupedStates::new(
         backend,
-        init_groups,
+        group.map_or(1, GroupBind::init_groups),
         query.sums.len(),
         query.mins.len(),
         query.maxs.len(),
@@ -1331,31 +1437,17 @@ fn scan_range(
     let mut sel: Vec<u32> = Vec::with_capacity(opts.batch_rows);
     let mut gids: Vec<u32> = Vec::with_capacity(opts.batch_rows);
     let mut key_buf: Vec<u32> = Vec::new();
-    let mut slot_buf: Vec<u32> = Vec::new();
-    let mut miss_pos: Vec<u32> = Vec::new();
-    let mut miss_keys: Vec<u32> = Vec::new();
     let mut scratch = EvalScratch::new();
     // Run-blocked grouping state: `(group id, end index in sel)` spans of
     // the current batch's selection, and the RLE leg cursors (monotonic
     // across batches of this range — batches advance forward).
     let mut segs: Vec<(u32, usize)> = Vec::new();
     let mut cur = RunCursors::default();
-    // COUNT(*) of a batch with one group id per row, which also decides
-    // how the batch's SUMs deposit: the buffered backends partition it by
+    // The buffered backends partition a batch with one group id per row by
     // group id when it holds few groups relative to its rows
     // ([`BatchPartition::build`] decides) and count from the segments.
     let mut part = BatchPartition::default();
     let buffered = backend.buffered();
-    let count_rows = |states: &mut GroupedStates, gids: &[u32], part: &mut BatchPartition| {
-        if buffered && part.build(gids, states.groups()) {
-            states.add_counts_partitioned(part);
-            Deposit::Partitioned
-        } else {
-            states.add_counts(gids);
-            Deposit::Rows
-        }
-    };
-
     // The batch grid restarts at every morsel boundary, so a serial scan
     // of the whole table walks the same batches as the morsels of a
     // parallel one.
@@ -1421,148 +1513,36 @@ fn scan_range(
         // maximal spans of rows sharing one group (`segs`), the group id
         // is computed once per span — per run, not per row — and counts
         // and state deposits happen in one block call per span.
-        let deposit = match &ctx {
-            GroupCtx::Single => {
+        let deposit = match &mut grouping {
+            Some((bind, groups)) if bind.key_col.run_blocked() => {
+                segs.clear();
+                let mut i = 0;
+                while i < sel.len() {
+                    let (key, bound) = bind.key_col.run_key(sel[i], &mut cur);
+                    let g = groups.gid(bind, key)?;
+                    let j = span_end(&sel, i, bound);
+                    states.ensure_groups(groups.keys.len());
+                    states.add_count_run(g as usize, (j - i) as u64);
+                    segs.push((g, j));
+                    i = j;
+                }
+                Deposit::Segs
+            }
+            Some((bind, groups)) => {
+                let keys = bind.key_col.fill(batch, &sel, &mut cur, &mut key_buf);
+                groups.assign(bind, keys, &mut gids)?;
+                states.ensure_groups(groups.keys.len());
+                if buffered && part.build(&gids, states.groups()) {
+                    states.add_counts_partitioned(&part);
+                    Deposit::Partitioned
+                } else {
+                    states.add_counts(&gids);
+                    Deposit::Rows
+                }
+            }
+            None => {
                 states.add_count_single(sel.len() as u64);
                 Deposit::Single
-            }
-            GroupCtx::Dense {
-                a,
-                b,
-                encode,
-                groups,
-            } => {
-                if let (Some((ea, va)), Some((eb, vb))) = (a.rle(), b.rle()) {
-                    segs.clear();
-                    let mut i = 0;
-                    while i < sel.len() {
-                        let row = sel[i];
-                        cur.a = advance_run(ea, cur.a, row);
-                        cur.b = advance_run(eb, cur.b, row);
-                        let g = encode(va[cur.a], vb[cur.b]);
-                        if g as usize >= *groups {
-                            return Err(FusedError::GroupIdOutOfBounds {
-                                got: g,
-                                groups: *groups,
-                            });
-                        }
-                        // The span ends where the first of the two runs
-                        // does (or the selection skips past it).
-                        let bound = ea[cur.a].min(eb[cur.b]);
-                        let mut j = i + 1;
-                        while j < sel.len() && sel[j] < bound {
-                            j += 1;
-                        }
-                        states.add_count_run(g as usize, (j - i) as u64);
-                        segs.push((g, j));
-                        i = j;
-                    }
-                    Deposit::Segs
-                } else {
-                    gids.clear();
-                    for &row in &sel {
-                        let g = encode(
-                            a.get(row as usize, &mut cur.a),
-                            b.get(row as usize, &mut cur.b),
-                        );
-                        if g as usize >= *groups {
-                            return Err(FusedError::GroupIdOutOfBounds {
-                                got: g,
-                                groups: *groups,
-                            });
-                        }
-                        gids.push(g);
-                    }
-                    count_rows(&mut states, &gids, &mut part)
-                }
-            }
-            GroupCtx::Hash { col, key_col } => {
-                let h = hash.as_mut().expect("hash grouping has a HashGroups");
-                // Run-blocked path when the key is fully RLE: a single RLE
-                // key column, or a U8 pair with both legs RLE.
-                let rle_key = match key_col {
-                    KeyCol::Rle { run_ends, keys } => Some(RleKey::Single { run_ends, keys }),
-                    KeyCol::U8Pair(a, b) => match (a.rle(), b.rle()) {
-                        (Some((ea, va)), Some((eb, vb))) => Some(RleKey::Pair { ea, va, eb, vb }),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                if let Some(rk) = rle_key {
-                    segs.clear();
-                    let mut i = 0;
-                    while i < sel.len() {
-                        let row = sel[i];
-                        let (key, bound) = match rk {
-                            RleKey::Single { run_ends, keys } => {
-                                cur.a = advance_run(run_ends, cur.a, row);
-                                (keys[cur.a], run_ends[cur.a])
-                            }
-                            RleKey::Pair { ea, va, eb, vb } => {
-                                cur.a = advance_run(ea, cur.a, row);
-                                cur.b = advance_run(eb, cur.b, row);
-                                (
-                                    ((va[cur.a] as u32) << 8) | vb[cur.b] as u32,
-                                    ea[cur.a].min(eb[cur.b]),
-                                )
-                            }
-                        };
-                        if key == u32::MAX {
-                            return Err(FusedError::ReservedKey {
-                                col: col.to_string(),
-                            });
-                        }
-                        let mut j = i + 1;
-                        while j < sel.len() && sel[j] < bound {
-                            j += 1;
-                        }
-                        let slot = h.table.slot_mut(key, &NO_GROUP);
-                        if *slot == NO_GROUP {
-                            *slot = h.keys.len() as u32;
-                            h.keys.push(key);
-                        }
-                        let g = *slot;
-                        states.ensure_groups(h.keys.len());
-                        states.add_count_run(g as usize, (j - i) as u64);
-                        segs.push((g, j));
-                        i = j;
-                    }
-                    Deposit::Segs
-                } else {
-                    key_buf.clear();
-                    // A dense batch bulk-extracts its keys and folds the
-                    // per-row reserved-key branch into one compare scan.
-                    let bulk = batch
-                        .dense_start()
-                        .is_some_and(|f| key_col.fill_contiguous(f, sel.len(), &mut key_buf));
-                    if bulk {
-                        if key_buf.contains(&u32::MAX) {
-                            return Err(FusedError::ReservedKey {
-                                col: col.to_string(),
-                            });
-                        }
-                    } else {
-                        for &row in &sel {
-                            let k = key_col.get(row as usize, &mut cur);
-                            if k == u32::MAX {
-                                return Err(FusedError::ReservedKey {
-                                    col: col.to_string(),
-                                });
-                            }
-                            key_buf.push(k);
-                        }
-                    }
-                    gids.clear();
-                    h.assign_gids(
-                        &key_buf,
-                        &mut gids,
-                        &mut slot_buf,
-                        &mut miss_pos,
-                        &mut miss_keys,
-                    );
-                    states.ensure_groups(h.keys.len());
-                    count_rows(&mut states, &gids, &mut part)
-                }
             }
         };
         timing.scan += t0.elapsed();
@@ -1604,7 +1584,7 @@ fn scan_range(
 
     Ok(Partial {
         states,
-        hash,
+        groups: grouping.map(|(_, groups)| groups),
         timing,
         batches_visited,
     })
@@ -2297,24 +2277,37 @@ mod tests {
         assert_eq!(plain.sums[0][0].to_bits(), armed.sums[0][0].to_bits());
     }
 
+    /// A table whose second key pair `(1, 0)` first appears at row `n / 2`:
+    /// a dense `encode` fn runs once per *seen* pair, so its call for that
+    /// pair is a hook that fires mid-scan, on the scanning thread.
+    fn late_pair_table(n: usize) -> Table {
+        let mut t = Table::new("t");
+        t.add_column("x", Column::f64(vec![0.5; n])).unwrap();
+        t.add_column(
+            "ga",
+            Column::u8((0..n).map(|i| (i >= n / 2) as u8).collect::<Vec<_>>()),
+        )
+        .unwrap();
+        t.add_column("gb", Column::u8(vec![0; n])).unwrap();
+        t
+    }
+
     /// Cancellation lands *mid-scan*: an `encode` fn with a side effect
     /// trips the token partway through the scan (deterministic, same
     /// thread), and the next batch-boundary check must surface
     /// `Cancelled` — not a panic, not a hang, not a completed result.
     #[test]
     fn cancel_mid_scan_surfaces_typed_error() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::OnceLock;
         static TOKEN: OnceLock<CancelToken> = OnceLock::new();
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
         fn cancelling_encode(a: u8, b: u8) -> u32 {
-            if CALLS.fetch_add(1, Ordering::Relaxed) == 5_000 {
+            if a == 1 {
                 TOKEN.get().unwrap().cancel();
             }
             encode_low_bit(a, b)
         }
         let token = TOKEN.get_or_init(CancelToken::new).clone();
-        let table = sample_table(20_000);
+        let table = late_pair_table(20_000);
         let query = FusedQuery {
             filter: vec![],
             sums: vec![Expr::col("x")],
@@ -3056,17 +3049,14 @@ mod tests {
     /// boundary check raises the typed error carrying the original budget.
     #[test]
     fn deadline_expiry_mid_scan_surfaces_typed_error() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        const DEADLINE: Duration = Duration::from_millis(50);
         fn slow_encode(a: u8, b: u8) -> u32 {
-            // ~1ms per 64-row batch: a 20k-row scan takes ~300ms, far past
-            // the 10ms budget, so expiry is guaranteed to land mid-scan.
-            if CALLS.fetch_add(1, Ordering::Relaxed).is_multiple_of(64) {
-                std::thread::sleep(Duration::from_millis(1));
+            if a == 1 {
+                std::thread::sleep(DEADLINE + Duration::from_millis(10));
             }
             encode_low_bit(a, b)
         }
-        let table = sample_table(20_000);
+        let table = late_pair_table(20_000);
         let query = FusedQuery {
             filter: vec![],
             sums: vec![Expr::col("x")],
@@ -3081,7 +3071,7 @@ mod tests {
                 groups: 4,
             },
         };
-        let deadline = Duration::from_millis(10);
+        let deadline = DEADLINE;
         let opts = ExecOptions {
             batch_rows: 64,
             deadline: Some(deadline),

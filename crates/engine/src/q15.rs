@@ -13,7 +13,7 @@
 //! This is the engine's high-cardinality grouped query: `l_suppkey` spans
 //! 10 000 values (scale factor 1), far beyond any dense dictionary
 //! encoding, so the plan takes the fused executor's **hash arm** — group
-//! ids are assigned batch-at-a-time through [`AggHashTable::upsert_batch`]
+//! ids are assigned batch-at-a-time through [`AggHashTable::probe_gids`]
 //! with the paper's identity hashing (suppkeys are a dense domain,
 //! §VI-A), and parallel morsels merge their per-key states exactly. The
 //! result is bit-identical at any thread count for the repro backends —
@@ -24,7 +24,7 @@
 //! (un-grouped, ~2% selectivity): a mid-selectivity scan whose aggregate
 //! state is thousands of times wider than either.
 //!
-//! [`AggHashTable::upsert_batch`]: rfa_agg::AggHashTable::upsert_batch
+//! [`AggHashTable::probe_gids`]: rfa_agg::AggHashTable::probe_gids
 
 use crate::expr::Expr;
 use crate::fused::ExecOptions;

@@ -14,8 +14,12 @@
 //!    vectors on the same input — the gap fusion removes;
 //! 4. the buffered backend's footprint is O(batch + groups) like every
 //!    other's: its staging is one batch-sized partition per scan range,
-//!    not a buffer per group — SQL Q1 (the hash-pair grouping path) and a
-//!    2^14-group `SUM … GROUP BY` stay within a few MiB.
+//!    not a buffer per group — SQL Q1 (the byte-pair grouping path) and a
+//!    2^14-group `SUM … GROUP BY` stay within a few MiB;
+//! 5. a byte-pair key builds no hash table: the only allocation of SQL Q1
+//!    that reaches 256 KiB is the direct-mapped group-id table, one per
+//!    scan range (one per morsel at 2 threads — a count, so it is exact
+//!    under any schedule).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,9 +29,23 @@ struct CountingAlloc;
 
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 
+/// Size of a 65 536-entry `u32` group-id table, the threshold of "large".
+const LARGE: usize = 256 * 1024;
+/// Allocations of at least [`LARGE`] bytes, and the largest of them.
+static LARGE_COUNT: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+fn note_large(size: usize) {
+    if size >= LARGE {
+        LARGE_COUNT.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(size, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+        note_large(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -38,6 +56,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Count only the growth; shrinking is free.
         ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        if new_size > layout.size() {
+            note_large(new_size);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -125,9 +146,10 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
         "fused Q6 allocated {q6_bytes} bytes — expected O(batch)"
     );
 
-    // (4a) Q1 from SQL text: `GROUP BY l_returnflag, l_linestatus` runs
-    // the hash-pair arm, whose states grow as groups are discovered — no
-    // up-front reservation sized by the row count.
+    // (4a) Q1 from SQL text: `GROUP BY l_returnflag, l_linestatus` is a
+    // byte-pair key, whose states grow as groups are discovered — no
+    // up-front reservation sized by the row count. Measured 0.66 MiB
+    // (1.48 MiB while each scan range pre-sized a hash table for it).
     let table = lineitem_table(&t);
     let q1 = sql_query(&q1_sql(), &table).unwrap();
     q1.execute(&table, backend, &opts).unwrap();
@@ -135,9 +157,35 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
         q1.execute(&table, backend, &opts).unwrap();
     });
     assert!(
-        sql_q1_bytes < 2 * 1024 * 1024,
+        sql_q1_bytes < 1024 * 1024,
         "SQL Q1 allocated {sql_q1_bytes} bytes — expected O(batch + groups)"
     );
+
+    // (5) … and the direct-mapped gid table is its only large allocation:
+    // one per scan range, whether that is the table or a morsel.
+    for threads in [1, 2] {
+        let opts = ExecOptions {
+            threads,
+            ..ExecOptions::default()
+        };
+        q1.execute(&table, backend, &opts).unwrap();
+        LARGE_COUNT.store(0, Ordering::Relaxed);
+        LARGEST.store(0, Ordering::Relaxed);
+        q1.execute(&table, backend, &opts).unwrap();
+        let ranges = if threads == 1 {
+            1
+        } else {
+            N.div_ceil(opts.morsel_rows)
+        };
+        assert_eq!(
+            (
+                LARGE_COUNT.load(Ordering::Relaxed),
+                LARGEST.load(Ordering::Relaxed)
+            ),
+            (ranges, LARGE),
+            "SQL Q1 at {threads} thread(s): allocations of >= 256 KiB (count, largest)"
+        );
+    }
 
     // (4b) High cardinality: 2^14 groups over 2^20 rows. Measured
     // 5.7 MiB: 2^14 accumulators of 120 bytes are 1.9 MiB live, 3.3 MiB

@@ -278,12 +278,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The SIMD batched probe + gid-cache front-end (`GroupKey::Hash`):
-    /// every key distribution the probe kernels specialize for —
-    /// run-clustered (cache-friendly), uniform random (cache-adversarial,
-    /// gate must trip harmlessly), and hash-hostile strides under both
-    /// hash kinds — produces bit-identical group keys, sums and counts
-    /// at every dispatch level, backend and thread shape. The Double
+    /// The SIMD batched probe behind 32-bit keys (`GroupKey::Hash` over an
+    /// `I32` column): every key distribution the probe kernels
+    /// specialize for — run-clustered (home-slot hits in bulk), uniform
+    /// random, and hash-hostile strides under both hash kinds — produces
+    /// bit-identical group keys, sums and counts at every dispatch
+    /// level, backend and thread shape. The Double
     /// backend's sums are order-sensitive, so this also proves per-row
     /// deposit order is level-invariant.
     #[test]
@@ -294,8 +294,8 @@ proptest! {
     ) {
         force_pool();
         let n = rows.len();
-        // Clustered stream: keys repeat in runs of `run_len` (the shape
-        // the gid cache exploits), then strided to sparse domains.
+        // Clustered stream: keys repeat in runs of `run_len`, then strided
+        // to sparse domains.
         let keys: Vec<i32> = (0..n)
             .map(|i| {
                 let (base, _) = rows[i / run_len.max(1) % n.max(1)];
