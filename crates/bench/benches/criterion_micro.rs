@@ -502,6 +502,79 @@ fn bench_gid_assign(c: &mut Criterion) {
     g.finish();
 }
 
+/// The project step alone: Q1's five aggregate inputs over 4096-row
+/// batches whose selection keeps a given share of its covering range —
+/// the sweep [`rfa_engine::NEAR_DENSE`] is set from (EXPERIMENTS.md).
+/// `separate_*` is one program per input (five programs, eight column
+/// loads), `shared_*` the one program the scan runs (four loads, the
+/// discounted price once). `*_gather` loads the selected rows column by
+/// column; `shared_range` evaluates the covering range as slices and
+/// leaves the selection to the consumer — what a partitioned or per-row
+/// deposit reads. thrpt is selected rows/s.
+fn bench_projection(c: &mut Criterion) {
+    use rfa_engine::{lineitem_table, CompiledExpr, EvalScratch, Expr, Sel};
+    use rfa_workloads::{Lineitem, SplitMix64};
+
+    const ROWS: usize = 1 << 18;
+    const BATCH: usize = 4096;
+    let table = lineitem_table(&Lineitem::generate(ROWS, 7));
+    let col = Expr::col;
+    let disc_price = || col("l_extendedprice").mul(Expr::lit(1.0).sub(col("l_discount")));
+    let inputs = [
+        col("l_quantity"),
+        col("l_extendedprice"),
+        disc_price(),
+        disc_price().mul(Expr::lit(1.0).add(col("l_tax"))),
+        col("l_discount"),
+    ];
+    let shared = CompiledExpr::compile_all(&inputs);
+    let shared = shared.bind(&table).expect("lineitem columns");
+    let separate: Vec<CompiledExpr> = inputs.iter().map(Expr::compile).collect();
+    let separate: Vec<_> = separate
+        .iter()
+        .map(|e| e.bind(&table).expect("lineitem columns"))
+        .collect();
+
+    let mut g = c.benchmark_group("projection");
+    for kept in [1.0, 0.987, 0.9, 0.75, 0.5, 0.25, 0.02] {
+        let mut rng = SplitMix64::new(0x5E1);
+        let rows: Vec<u32> = (0..ROWS as u32)
+            .filter(|_| (rng.below(1 << 20) as f64) < kept * (1 << 20) as f64)
+            .collect();
+        // One selection vector per batch of the grid, as the scan sees them.
+        let batches: Vec<&[u32]> = rows
+            .chunk_by(|a, b| a / BATCH as u32 == b / BATCH as u32)
+            .collect();
+        g.throughput(Throughput::Elements(rows.len() as u64));
+        let mut scratch = EvalScratch::new();
+        g.bench_function(format!("separate_gather_kept{kept}"), |b| {
+            b.iter(|| {
+                for rows in &batches {
+                    for e in &separate {
+                        e.eval(Sel::new(rows), &mut scratch);
+                        black_box(e.output(0, &scratch));
+                    }
+                }
+            })
+        });
+        let mut eval_shared = |name: &str, sel: fn(&[u32]) -> Sel<'_>| {
+            g.bench_function(format!("{name}_kept{kept}"), |b| {
+                b.iter(|| {
+                    for rows in &batches {
+                        shared.eval(sel(rows), &mut scratch);
+                        for k in 0..inputs.len() {
+                            black_box(shared.output(k, &scratch));
+                        }
+                    }
+                })
+            });
+        };
+        eval_shared("shared_gather", |rows| Sel::new(rows));
+        eval_shared("shared_range", |rows| Sel::covering(rows));
+    }
+    g.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -513,6 +586,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_summation, bench_operators, bench_parallel, bench_fused_scan, bench_simd, bench_hash_probe,
-        bench_grouped_deposit, bench_gid_assign
+        bench_grouped_deposit, bench_gid_assign, bench_projection
 }
 criterion_main!(benches);

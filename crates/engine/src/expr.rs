@@ -1,28 +1,40 @@
 //! The typed vectorized expression layer: scalar arithmetic *and* boolean
 //! predicates over table columns, compiled to one batchwise register
-//! machine.
+//! program per query.
 //!
 //! The engine's queries evaluate arithmetic expressions like
 //! `l_extendedprice * (1 - l_discount) * (1 + l_tax)` over the selected
 //! rows before aggregation, and boolean predicates like
 //! `l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24` to build the
-//! selection vectors in the first place. Both are *compiled* into flat
-//! stack-machine programs ([`CompiledExpr`] / [`CompiledPredicate`]) that
-//! evaluate batch-at-a-time into reused scratch registers — the
-//! X100-style vectorized model — so a scan never materializes one vector
-//! per AST node, and constants are folded at compile time instead of
-//! being broadcast into n-sized vectors.
+//! selection vectors in the first place. Both are *compiled*
+//! ([`CompiledExpr`] / [`CompiledPredicate`]) and evaluate
+//! batch-at-a-time into reused scratch registers — the X100-style
+//! vectorized model — so a scan never materializes one vector per AST
+//! node, and constants are folded at compile time instead of being
+//! broadcast into n-sized vectors.
+//!
+//! **One program, many outputs.** Any number of scalar expressions lower
+//! into *one* program over a hash-consed dag
+//! ([`CompiledExpr::compile_all`]; one expression is its one-output
+//! case). Node identity is [`Expr`]'s bitwise equality after constant
+//! folding, so a shared column is loaded (or decoded, or run-filled) once
+//! per batch and a shared subtree — Q1's `price * (1 - discount)` — is
+//! computed once. Nothing is commuted, reassociated or folded across
+//! expressions (`a + b` and `b + a` are distinct nodes): every output
+//! sees the IEEE operations it would see compiled alone. Registers are
+//! assigned by liveness, and a plain `F64` column read over a row *range*
+//! is not loaded: the column slice is the operand — or the result.
 //!
 //! **Types.** A scalar [`Expr`] references columns by [`ColRef`] (owned
 //! names, so runtime-defined SQL schemas resolve) and may read any
 //! numeric column — `F64`, `I32`, `U32` or `U8`. Non-F64 columns are
-//! widened to `f64` at gather time; every one of those integer types
+//! widened to `f64` at load time; every one of those integer types
 //! converts *exactly* (f64 has 53 mantissa bits), so arithmetic and
 //! comparisons over them are bit-deterministic regardless of the storage
 //! type. The boolean subset ([`BoolExpr`]) wraps comparisons of scalar
 //! expressions ([`CmpOp`], `BETWEEN`) composed with `AND`/`OR`/`NOT`;
-//! comparisons compile to instructions producing *masks* (one byte per
-//! row) on a second register stack of the same machine.
+//! comparisons read their scalar operands from the same dag evaluator and
+//! produce *masks* (one byte per row) on a small mask stack.
 //!
 //! **Predicates stay branchless.** A compiled predicate filters a batch
 //! by evaluating its mask and compacting the selection vector with the
@@ -30,24 +42,23 @@
 //! single-comparison shapes — `col ⟨cmp⟩ const` and
 //! `col BETWEEN const AND const` — additionally carry a fast path that
 //! tests rows directly against the typed column (`i32` bounds compare in
-//! the integer domain), skipping mask materialization entirely; this is
-//! exactly what the engine's former closed `Pred` enum hard-coded, now
-//! reconstructed automatically from composable expressions.
+//! the integer domain), skipping mask materialization entirely.
 //!
 //! Reproducibility note (paper footnote 3): an arithmetic expression
 //! evaluated in its entirety per row is a fixed dag of roundings — itself
 //! order-independent. Compilation preserves that dag exactly: constant
 //! folding performs the same IEEE operation once at compile time that the
-//! tree walk performed per row, and the fused `<op>Const` instructions
-//! apply the identical operation with the identical operand order
-//! (addition and multiplication are bitwise commutative in IEEE 754;
-//! subtraction and division keep distinct `SubConst`/`ConstSub` and
-//! `DivConst`/`ConstDiv` forms because they are not), so compiled
-//! evaluation is bit-identical to the naïve tree walk. Only the
-//! subsequent *aggregation* of the results needs the reproducible
-//! accumulator; this module provides the deterministic per-row part.
+//! tree walk performed per row, and a constant operand fused into its
+//! consumer keeps the operand order (addition and multiplication are
+//! bitwise commutative in IEEE 754, so `c + x` is stored as `x + c`;
+//! subtraction and division are not, so `c - x` and `c / x` stay
+//! *flipped* forms), so compiled evaluation is bit-identical to the naïve
+//! tree walk. Only the subsequent *aggregation* of the results needs the
+//! reproducible accumulator; this module provides the deterministic
+//! per-row part.
 
 use crate::column::{ColRef, Column, Table, TableError};
+use crate::sum_op::NEAR_DENSE;
 
 /// The `expected` tag of [`TableError::TypeMismatch`] raised when an
 /// expression references a column whose storage type cannot be read as a
@@ -165,112 +176,135 @@ pub enum BoolExpr {
     Not(Box<BoolExpr>),
 }
 
-/// One instruction of a compiled program, operating on a virtual stack of
-/// batch-sized scalar registers plus a second stack of mask registers
-/// (comparisons pop scalars and push masks; `And`/`Or`/`Not` combine
-/// masks).
-#[derive(Clone, Debug)]
-enum Inst {
-    /// Push a gather of column `cols[i]` through the selection vector
-    /// (integer columns widen exactly to `f64`).
-    Col(usize),
-    /// Push a broadcast constant (only reachable for expressions that are
-    /// entirely constant; mixed const/column nodes compile to the fused
-    /// `*Const` forms below).
-    Const(f64),
-    /// Pop b, pop a, push a ⊕ b.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum BinOp {
     Add,
     Sub,
     Mul,
     Div,
-    /// Fused constant operand: top = top + c.
-    AddConst(f64),
-    /// top = top - c.
-    SubConst(f64),
-    /// top = c - top.
-    ConstSub(f64),
-    /// top = top * c.
-    MulConst(f64),
-    /// top = top / c.
-    DivConst(f64),
-    /// top = c / top.
-    ConstDiv(f64),
-    /// top = -top (sign flip).
-    Neg,
-    /// Pop scalar b, pop scalar a, push mask a ⟨op⟩ b.
-    Cmp(CmpOp),
-    /// Pop scalar a, push mask a ⟨op⟩ c.
-    CmpConst(CmpOp, f64),
-    /// Pop scalar a, push mask (lo <= a) & (a <= hi).
-    BetweenConst(f64, f64),
-    /// Push a constant mask (a fully folded comparison).
-    MaskConst(bool),
-    /// Pop mask b, pop mask a, push a & b.
+}
+
+/// One node of a program's scalar dag. Operands are earlier nodes;
+/// constants are bit patterns, so node equality is [`Expr`]'s.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Node {
+    /// Column `cols[i]` (integer columns widen exactly to `f64`).
+    Col(usize),
+    /// An entirely constant expression (else constants fuse: `BinConst`).
+    Const(u64),
+    /// `-a` (sign flip).
+    Neg(usize),
+    /// `a ⊕ b`.
+    Bin(BinOp, usize, usize),
+    /// `a ⊕ c` — `c ⊕ a` when `flipped`, which only `Sub` and `Div` ever
+    /// are: `c + a` and `c * a` equal `a + c` and `a * c` bitwise.
+    BinConst {
+        op: BinOp,
+        a: usize,
+        c: u64,
+        flipped: bool,
+    },
+}
+
+impl Node {
+    fn operands(self) -> impl Iterator<Item = usize> {
+        let (a, b) = match self {
+            Node::Col(_) | Node::Const(_) => (None, None),
+            Node::Neg(a) | Node::BinConst { a, .. } => (Some(a), None),
+            Node::Bin(_, a, b) => (Some(a), Some(b)),
+        };
+        a.into_iter().chain(b)
+    }
+}
+
+/// One instruction of a predicate's mask program: comparisons read scalar
+/// nodes and push a mask (one byte per row), `And` / `Or` pop two masks
+/// and push one, `Not` flips the top.
+#[derive(Clone, Copy, Debug)]
+enum MaskInst {
+    Cmp(CmpOp, usize, usize),
+    CmpConst(CmpOp, usize, f64),
+    /// `(lo <= a) & (a <= hi)`.
+    BetweenConst(usize, f64, f64),
+    /// A fully folded comparison.
+    Const(bool),
     And,
-    /// Pop mask b, pop mask a, push a | b.
     Or,
-    /// top-of-mask = !top-of-mask.
     Not,
 }
 
-/// A compiled program: flat postfix instructions plus the column names it
-/// references and the register depths it needs.
+/// A program under construction.
+#[derive(Default)]
+struct Builder {
+    nodes: Vec<Node>,
+    cols: Vec<ColRef>,
+    outputs: Vec<usize>,
+    masks: Vec<MaskInst>,
+}
+
+/// A compiled program: the scalar dag in dependency order, the nodes
+/// handed out as results (expression outputs, or the scalar operands of a
+/// predicate's comparisons) and a predicate's mask instructions.
 #[derive(Clone, Debug)]
 struct Prog {
-    insts: Vec<Inst>,
+    nodes: Vec<Node>,
+    /// `regs[i]`: the register node `i` is written to.
+    regs: Vec<usize>,
+    n_regs: usize,
     cols: Vec<ColRef>,
-    scalar_depth: usize,
-    mask_depth: usize,
+    outputs: Vec<usize>,
+    masks: Vec<MaskInst>,
+}
+
+impl Builder {
+    /// The node computing `node`, created on first use.
+    fn intern(&mut self, node: Node) -> usize {
+        self.nodes
+            .iter()
+            .position(|n| *n == node)
+            .unwrap_or_else(|| {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            })
+    }
+
+    /// Assigns registers by liveness: a node takes over the register of
+    /// an operand nobody reads after it (and then computes in place), else
+    /// a free one. `outputs` stay live to the end of the program.
+    fn finish(self) -> Prog {
+        let Builder {
+            nodes,
+            cols,
+            outputs,
+            masks,
+        } = self;
+        let mut last_use: Vec<usize> = (0..nodes.len()).collect();
+        for (i, node) in nodes.iter().enumerate() {
+            node.operands().for_each(|a| last_use[a] = i);
+        }
+        outputs.iter().for_each(|&o| last_use[o] = usize::MAX);
+        let mut regs: Vec<usize> = Vec::with_capacity(nodes.len());
+        let (mut free, mut n_regs) = (Vec::new(), 0);
+        for (i, node) in nodes.iter().enumerate() {
+            let dying = node.operands().filter(|&a| last_use[a] == i);
+            let mut dying: Vec<usize> = dying.map(|a| regs[a]).collect();
+            dying.dedup();
+            free.extend(dying);
+            regs.push(free.pop().unwrap_or(n_regs));
+            n_regs = n_regs.max(regs[i] + 1);
+        }
+        Prog {
+            nodes,
+            regs,
+            n_regs,
+            cols,
+            outputs,
+            masks,
+        }
+    }
 }
 
 impl Prog {
-    fn new(insts: Vec<Inst>, cols: Vec<ColRef>) -> Prog {
-        let (mut ssp, mut sdepth) = (0usize, 0usize);
-        let (mut msp, mut mdepth) = (0usize, 0usize);
-        for inst in &insts {
-            match inst {
-                Inst::Col(_) | Inst::Const(_) => {
-                    ssp += 1;
-                    sdepth = sdepth.max(ssp);
-                }
-                Inst::Add | Inst::Sub | Inst::Mul | Inst::Div => ssp -= 1,
-                Inst::AddConst(_)
-                | Inst::SubConst(_)
-                | Inst::ConstSub(_)
-                | Inst::MulConst(_)
-                | Inst::DivConst(_)
-                | Inst::ConstDiv(_)
-                | Inst::Neg => {} // operate on the scalar top in place
-                Inst::Cmp(_) => {
-                    ssp -= 2;
-                    msp += 1;
-                    mdepth = mdepth.max(msp);
-                }
-                Inst::CmpConst(..) | Inst::BetweenConst(..) => {
-                    ssp -= 1;
-                    msp += 1;
-                    mdepth = mdepth.max(msp);
-                }
-                Inst::MaskConst(_) => {
-                    msp += 1;
-                    mdepth = mdepth.max(msp);
-                }
-                Inst::And | Inst::Or => msp -= 1,
-                Inst::Not => {} // mask top in place
-            }
-        }
-        // Every well-formed program leaves exactly one result: a scalar
-        // (expressions) or a mask (predicates). A future emit bug would
-        // otherwise silently read a stale register.
-        debug_assert_eq!(ssp + msp, 1, "unbalanced program");
-        Prog {
-            insts,
-            cols,
-            scalar_depth: sdepth,
-            mask_depth: mdepth,
-        }
-    }
-
     /// Resolves the referenced columns against a table. Missing columns
     /// and non-numeric storage surface as [`TableError`]s.
     fn bind<'t>(&'t self, table: &'t Table) -> Result<BoundProg<'t>, TableError> {
@@ -278,12 +312,7 @@ impl Prog {
         for name in &self.cols {
             cols.push(bind_numeric(table, name)?);
         }
-        Ok(BoundProg {
-            insts: &self.insts,
-            cols,
-            scalar_depth: self.scalar_depth,
-            mask_depth: self.mask_depth,
-        })
+        Ok(BoundProg { prog: self, cols })
     }
 }
 
@@ -343,50 +372,78 @@ pub(crate) fn advance_run(run_ends: &[u32], run: usize, row: u32) -> usize {
     run
 }
 
-/// One batch's selected row ids, plus whether they form a single contiguous
-/// range — decided once, when the filter is done, and then used by every
-/// consumer that has a slice form (column loads here, key extraction and
-/// bare-column aggregate inputs in the fused executor). A selection is a
-/// row *range* until a predicate says otherwise: a dense batch reads
-/// `col[start..start + n]` instead of gathering row by row.
+/// The rows one batch evaluates over: a contiguous row *range* — read as
+/// column slices by every consumer that has a slice form — or a list of
+/// row ids to gather. Decided once, when the filter is done.
 #[derive(Clone, Copy, Debug)]
 pub struct Sel<'a> {
-    rows: &'a [u32],
-    dense: bool,
+    pub(crate) rows: &'a [u32],
+    /// `(first row, length)` when evaluation reads a range.
+    range: Option<(usize, usize)>,
 }
 
 impl<'a> Sel<'a> {
     /// A selection vector as the scan filter produces it: strictly
-    /// increasing row ids. Contiguity is then one subtraction.
+    /// increasing row ids, read as a range if they are one.
     pub fn new(rows: &'a [u32]) -> Sel<'a> {
+        Sel::keeping(rows, 1.0)
+    }
+
+    /// [`Sel::new`] for a consumer that applies the selection itself
+    /// ([`Self::selection`]): a *near-dense* one, keeping at least
+    /// [`NEAR_DENSE`] of its covering range, is read as that range too.
+    pub fn near_dense(rows: &'a [u32]) -> Sel<'a> {
+        Sel::keeping(rows, NEAR_DENSE)
+    }
+
+    /// The covering range of `rows` if they keep at least `share` of it.
+    fn keeping(rows: &'a [u32], share: f64) -> Sel<'a> {
+        let covering = Sel::covering(rows);
+        match covering.range {
+            Some((_, span)) if rows.len() as f64 >= share * span as f64 => covering,
+            _ => Sel::unordered(rows),
+        }
+    }
+
+    /// The covering range `[first, last]` of a strictly increasing
+    /// selection: evaluation computes every row of it, selected or not,
+    /// and whoever reads the results applies [`Self::selection`].
+    pub fn covering(rows: &'a [u32]) -> Sel<'a> {
         debug_assert!(
             rows.windows(2).all(|w| w[0] < w[1]),
             "selection vectors are strictly increasing"
         );
-        let dense = match (rows.first(), rows.last()) {
-            (Some(&f), Some(&l)) => (l - f) as usize + 1 == rows.len(),
-            _ => false,
+        let range = match (rows.first(), rows.last()) {
+            (Some(&f), Some(&l)) => Some((f as usize, (l - f) as usize + 1)),
+            _ => None,
         };
-        Sel { rows, dense }
+        Sel { rows, range }
     }
 
     /// Row ids in arbitrary order (the materializing wrappers accept any
     /// gather list): never treated as a range.
     pub fn unordered(rows: &'a [u32]) -> Sel<'a> {
-        Sel { rows, dense: false }
+        Sel { rows, range: None }
     }
 
+    /// Rows evaluated: the range's length, or the gather list's.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.range.map_or(self.rows.len(), |(_, n)| n)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
-    /// First row of the range, if the selection is one contiguous range.
+    /// First row of the range, if evaluation reads a range.
     pub fn dense_start(&self) -> Option<usize> {
-        self.dense.then(|| self.rows[0] as usize)
+        self.range.map(|(lo, _)| lo)
+    }
+
+    /// The selection still to be applied to values evaluated over these
+    /// rows: `Some` exactly when they cover dropped rows too.
+    pub fn selection(&self) -> Option<&'a [u32]> {
+        (self.len() > self.rows.len()).then_some(self.rows)
     }
 }
 
@@ -409,10 +466,10 @@ fn widen_into<T: Copy + Into<f64>>(src: &[T], out: &mut [f64]) {
 }
 
 impl ColData<'_> {
-    /// Loads the selected rows, widened to `f64`, into `out`. A dense
-    /// selection reads one slice of the column (a copy, a widening loop
-    /// the compiler vectorizes, or a fill per run); a sparse one gathers.
-    /// Both produce the identical values in the identical order.
+    /// Loads the batch's rows, widened to `f64`, into `out`. A range reads
+    /// one slice of the column (a copy, a widening loop the compiler
+    /// vectorizes, or a fill per run); a row list gathers. Both produce
+    /// the identical values in the identical order.
     #[inline]
     fn load(&self, sel: Sel<'_>, out: &mut [f64]) {
         match sel.dense_start() {
@@ -530,20 +587,19 @@ fn bind_numeric<'t>(table: &'t Table, name: &ColRef) -> Result<ColData<'t>, Tabl
 
 /// A compiled program bound to one table's column storage.
 struct BoundProg<'t> {
-    insts: &'t [Inst],
+    prog: &'t Prog,
     cols: Vec<ColData<'t>>,
-    scalar_depth: usize,
-    mask_depth: usize,
 }
 
-/// A compiled scalar expression: compile once per query, bind per table,
-/// evaluate per batch.
+/// One or more scalar expressions compiled into one program
+/// ([`Expr::compile`], [`CompiledExpr::compile_all`]): compile once per
+/// query, bind per table, evaluate per batch.
 #[derive(Clone, Debug)]
 pub struct CompiledExpr {
     prog: Prog,
 }
 
-/// A compiled scalar expression bound to one table's column storage.
+/// A compiled expression program bound to one table's column storage.
 pub struct BoundExpr<'t> {
     prog: BoundProg<'t>,
 }
@@ -660,13 +716,16 @@ pub(crate) fn intersect_ranges(a: &[RowRange], b: &[RowRange]) -> Vec<RowRange> 
 }
 
 /// Reusable batch-sized evaluation registers. One scratch serves any
-/// number of expressions, predicates and batches; registers grow to the
-/// deepest program and widest batch seen and are then reused
-/// allocation-free.
+/// number of programs and batches; registers grow to the widest batch
+/// written to them and are then reused allocation-free.
 #[derive(Default)]
 pub struct EvalScratch {
     regs: Vec<Vec<f64>>,
     masks: Vec<Vec<u8>>,
+    /// The row range the last evaluation read, if it read one.
+    range: Option<(usize, usize)>,
+    /// Rows the last evaluation produced per node.
+    rows: usize,
 }
 
 impl EvalScratch {
@@ -674,23 +733,14 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    fn ensure(&mut self, scalar_depth: usize, mask_depth: usize, rows: usize) {
-        if self.regs.len() < scalar_depth {
-            self.regs.resize_with(scalar_depth, Vec::new);
-        }
-        for r in &mut self.regs[..scalar_depth] {
-            if r.len() < rows {
-                r.resize(rows, 0.0);
-            }
-        }
-        if self.masks.len() < mask_depth {
-            self.masks.resize_with(mask_depth, Vec::new);
-        }
-        for m in &mut self.masks[..mask_depth] {
-            if m.len() < rows {
-                m.resize(rows, 0);
-            }
-        }
+    /// Readies the scratch for one evaluation. Registers are sized when
+    /// first written: one that a slice stands in for is never touched.
+    fn begin(&mut self, prog: &Prog, sel: Sel<'_>) {
+        let regs = self.regs.len().max(prog.n_regs);
+        self.regs.resize_with(regs, Vec::new);
+        let masks = self.masks.len().max(prog.masks.len());
+        self.masks.resize_with(masks, Vec::new);
+        (self.range, self.rows) = (sel.range, sel.len());
     }
 }
 
@@ -774,15 +824,10 @@ impl Expr {
         }
     }
 
-    /// Compiles the expression to a register program with constant
+    /// Compiles the expression to a one-output program with constant
     /// subtrees folded and constant operands fused into their consumer.
     pub fn compile(&self) -> CompiledExpr {
-        let mut insts = Vec::new();
-        let mut cols = Vec::new();
-        emit(self, &mut insts, &mut cols);
-        CompiledExpr {
-            prog: Prog::new(insts, cols),
-        }
+        CompiledExpr::compile_all([self])
     }
 
     /// Evaluates over the rows of `sel` (a selection vector of row ids),
@@ -826,11 +871,10 @@ impl BoolExpr {
     /// Compiles the predicate to a mask program, recognizing the
     /// fast-path single-comparison shapes.
     pub fn compile(&self) -> CompiledPredicate {
-        let mut insts = Vec::new();
-        let mut cols = Vec::new();
-        emit_bool(self, &mut insts, &mut cols);
+        let mut b = Builder::default();
+        b.lower_bool(self);
         CompiledPredicate {
-            prog: Prog::new(insts, cols),
+            prog: b.finish(),
             fast: self.fast_shape(),
         }
     }
@@ -877,7 +921,6 @@ impl BoolExpr {
             .zip(out.chunks_mut(EVAL_BATCH_ROWS))
         {
             bound.exec(Sel::unordered(schunk), &mut scratch);
-            debug_assert!(bound.mask_depth >= 1, "predicates produce a mask");
             for (o, &m) in ochunk.iter_mut().zip(&scratch.masks[0][..schunk.len()]) {
                 *o = m != 0;
             }
@@ -890,130 +933,107 @@ impl BoolExpr {
 /// wrappers (the fused pipeline chooses its own batch size).
 const EVAL_BATCH_ROWS: usize = 4096;
 
-fn col_index(cols: &mut Vec<ColRef>, name: &ColRef) -> usize {
-    if let Some(i) = cols.iter().position(|c| c == name) {
-        i
-    } else {
-        cols.push(name.clone());
-        cols.len() - 1
+impl Builder {
+    /// [`Self::lower`]s a result: an expression, or a comparison operand.
+    fn output(&mut self, e: &Expr) -> usize {
+        let node = self.lower(e);
+        self.outputs.push(node);
+        node
     }
-}
 
-fn emit(e: &Expr, insts: &mut Vec<Inst>, cols: &mut Vec<ColRef>) {
-    if let Some(v) = e.const_value() {
-        insts.push(Inst::Const(v));
-        return;
-    }
-    match e {
-        Expr::Const(_) => unreachable!("handled by const_value"),
-        Expr::Col(name) => insts.push(Inst::Col(col_index(cols, name))),
-        Expr::Add(a, b) => emit_bin(a, b, BinOp::Add, insts, cols),
-        Expr::Sub(a, b) => emit_bin(a, b, BinOp::Sub, insts, cols),
-        Expr::Mul(a, b) => emit_bin(a, b, BinOp::Mul, insts, cols),
-        Expr::Div(a, b) => emit_bin(a, b, BinOp::Div, insts, cols),
-        Expr::Neg(a) => {
-            emit(a, insts, cols);
-            insts.push(Inst::Neg);
+    /// The node computing `e`: constant subtrees fold to one `Const`, a
+    /// constant operand fuses into its consumer, and a subtree already
+    /// lowered — by this expression or an earlier one — is reused.
+    fn lower(&mut self, e: &Expr) -> usize {
+        if let Some(v) = e.const_value() {
+            return self.intern(Node::Const(v.to_bits()));
         }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-}
-
-fn emit_bin(a: &Expr, b: &Expr, op: BinOp, insts: &mut Vec<Inst>, cols: &mut Vec<ColRef>) {
-    match (a.const_value(), b.const_value()) {
-        // Both-const is folded one level up in `emit`.
-        (Some(c), None) => {
-            emit(b, insts, cols);
-            insts.push(match op {
-                // c + x == x + c and c * x == x * c bitwise (IEEE 754
-                // addition/multiplication are commutative); subtraction
-                // and division are not, hence the Const* forms.
-                BinOp::Add => Inst::AddConst(c),
-                BinOp::Sub => Inst::ConstSub(c),
-                BinOp::Mul => Inst::MulConst(c),
-                BinOp::Div => Inst::ConstDiv(c),
-            });
-        }
-        (None, Some(c)) => {
-            emit(a, insts, cols);
-            insts.push(match op {
-                BinOp::Add => Inst::AddConst(c),
-                BinOp::Sub => Inst::SubConst(c),
-                BinOp::Mul => Inst::MulConst(c),
-                BinOp::Div => Inst::DivConst(c),
-            });
-        }
-        _ => {
-            emit(a, insts, cols);
-            emit(b, insts, cols);
-            insts.push(match op {
-                BinOp::Add => Inst::Add,
-                BinOp::Sub => Inst::Sub,
-                BinOp::Mul => Inst::Mul,
-                BinOp::Div => Inst::Div,
-            });
-        }
-    }
-}
-
-fn emit_bool(e: &BoolExpr, insts: &mut Vec<Inst>, cols: &mut Vec<ColRef>) {
-    match e {
-        BoolExpr::Cmp(op, a, b) => match (a.const_value(), b.const_value()) {
-            (Some(x), Some(y)) => insts.push(Inst::MaskConst(op.test(x, y))),
-            (None, Some(c)) => {
-                emit(a, insts, cols);
-                insts.push(Inst::CmpConst(*op, c));
+        match e {
+            Expr::Const(_) => unreachable!("handled by const_value"),
+            Expr::Col(name) => {
+                let col = self.cols.iter().position(|c| c == name).unwrap_or_else(|| {
+                    self.cols.push(name.clone());
+                    self.cols.len() - 1
+                });
+                self.intern(Node::Col(col))
             }
-            (Some(c), None) => {
-                emit(b, insts, cols);
-                insts.push(Inst::CmpConst(op.flip(), c));
+            Expr::Add(a, b) => self.lower_bin(a, b, BinOp::Add),
+            Expr::Sub(a, b) => self.lower_bin(a, b, BinOp::Sub),
+            Expr::Mul(a, b) => self.lower_bin(a, b, BinOp::Mul),
+            Expr::Div(a, b) => self.lower_bin(a, b, BinOp::Div),
+            Expr::Neg(a) => {
+                let a = self.lower(a);
+                self.intern(Node::Neg(a))
             }
-            (None, None) => {
-                emit(a, insts, cols);
-                emit(b, insts, cols);
-                insts.push(Inst::Cmp(*op));
+        }
+    }
+
+    fn lower_bin(&mut self, a: &Expr, b: &Expr, op: BinOp) -> usize {
+        // c + x == x + c and c * x == x * c bitwise (IEEE 754 addition and
+        // multiplication are commutative); subtraction and division are
+        // not, hence `flipped`. Both-const is folded one level up.
+        let (x, c, flipped) = match (a.const_value(), b.const_value()) {
+            (Some(c), None) => (b, c, matches!(op, BinOp::Sub | BinOp::Div)),
+            (None, Some(c)) => (a, c, false),
+            _ => {
+                let node = Node::Bin(op, self.lower(a), self.lower(b));
+                return self.intern(node);
             }
-        },
-        BoolExpr::Between(e, lo, hi) => {
-            match (e.const_value(), lo.const_value(), hi.const_value()) {
-                (None, Some(l), Some(h)) => {
-                    emit(e, insts, cols);
-                    insts.push(Inst::BetweenConst(l, h));
-                }
-                // Non-constant bounds (or a fully constant subject): desugar
-                // to the two inclusive comparisons SQL defines BETWEEN as.
-                _ => {
-                    let desugared = BoolExpr::Cmp(CmpOp::Ge, e.clone(), lo.clone())
-                        .and(BoolExpr::Cmp(CmpOp::Le, e.clone(), hi.clone()));
-                    emit_bool(&desugared, insts, cols);
+        };
+        let (a, c) = (self.lower(x), c.to_bits());
+        self.intern(Node::BinConst { op, a, c, flipped })
+    }
+
+    fn lower_bool(&mut self, e: &BoolExpr) {
+        let inst = match e {
+            BoolExpr::Cmp(op, a, b) => match (a.const_value(), b.const_value()) {
+                (Some(x), Some(y)) => MaskInst::Const(op.test(x, y)),
+                (None, Some(c)) => MaskInst::CmpConst(*op, self.output(a), c),
+                (Some(c), None) => MaskInst::CmpConst(op.flip(), self.output(b), c),
+                (None, None) => MaskInst::Cmp(*op, self.output(a), self.output(b)),
+            },
+            BoolExpr::Between(e, lo, hi) => {
+                match (e.const_value(), lo.const_value(), hi.const_value()) {
+                    (None, Some(l), Some(h)) => MaskInst::BetweenConst(self.output(e), l, h),
+                    // Non-constant bounds (or a fully constant subject):
+                    // desugar to the two inclusive comparisons SQL defines
+                    // BETWEEN as.
+                    _ => {
+                        let desugared = BoolExpr::Cmp(CmpOp::Ge, e.clone(), lo.clone())
+                            .and(BoolExpr::Cmp(CmpOp::Le, e.clone(), hi.clone()));
+                        return self.lower_bool(&desugared);
+                    }
                 }
             }
-        }
-        BoolExpr::And(a, b) => {
-            emit_bool(a, insts, cols);
-            emit_bool(b, insts, cols);
-            insts.push(Inst::And);
-        }
-        BoolExpr::Or(a, b) => {
-            emit_bool(a, insts, cols);
-            emit_bool(b, insts, cols);
-            insts.push(Inst::Or);
-        }
-        BoolExpr::Not(a) => {
-            emit_bool(a, insts, cols);
-            insts.push(Inst::Not);
-        }
+            BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
+                self.lower_bool(a);
+                self.lower_bool(b);
+                if matches!(e, BoolExpr::And(..)) {
+                    MaskInst::And
+                } else {
+                    MaskInst::Or
+                }
+            }
+            BoolExpr::Not(a) => {
+                self.lower_bool(a);
+                MaskInst::Not
+            }
+        };
+        self.masks.push(inst);
     }
 }
 
 impl CompiledExpr {
+    /// Compiles `exprs` into one program with one output each, in order:
+    /// bit-identical to each compiled alone (module docs).
+    pub fn compile_all<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> CompiledExpr {
+        let mut b = Builder::default();
+        exprs.into_iter().for_each(|e| {
+            b.output(e);
+        });
+        CompiledExpr { prog: b.finish() }
+    }
+
     /// Resolves the referenced columns against a table. The borrowed view
     /// is cheap to build (per query, per morsel): binding copies no data.
     /// Missing *and* non-numeric columns surface as [`TableError`]s —
@@ -1337,154 +1357,176 @@ impl BoundFast<'_> {
 }
 
 impl BoundProg<'_> {
-    /// Executes the program over one batch; the scalar result (if any)
-    /// lands in `scratch.regs[0][..n]`, the mask result in
-    /// `scratch.masks[0][..n]`.
+    /// Executes the program over one batch — the one scalar evaluator:
+    /// every node once, in dependency order, then the mask instructions
+    /// (if any), whose result lands in `scratch.masks[0][..n]`.
     fn exec(&self, sel: Sel<'_>, scratch: &mut EvalScratch) {
-        let n = sel.len();
-        scratch.ensure(self.scalar_depth.max(1), self.mask_depth, n);
-        let EvalScratch { regs, masks } = scratch;
-        let mut ssp = 0usize;
+        scratch.begin(self.prog, sel);
+        let (n, regs) = (sel.len(), &mut scratch.regs[..]);
+        for (i, node) in self.prog.nodes.iter().enumerate() {
+            match *node {
+                Node::Col(_) if self.slice(i, sel.range).is_some() => {}
+                Node::Col(c) => self.write(regs, i, n, |dst, _| self.cols[c].load(sel, dst)),
+                Node::Const(c) => self.write(regs, i, n, |dst, _| dst.fill(f64::from_bits(c))),
+                Node::Neg(a) => self.map(regs, i, a, sel, |x| -x),
+                Node::BinConst { op, a, c, flipped } => {
+                    let c = f64::from_bits(c);
+                    match (op, flipped) {
+                        (BinOp::Add, _) => self.map(regs, i, a, sel, |x| x + c),
+                        (BinOp::Mul, _) => self.map(regs, i, a, sel, |x| x * c),
+                        (BinOp::Sub, false) => self.map(regs, i, a, sel, |x| x - c),
+                        (BinOp::Sub, true) => self.map(regs, i, a, sel, |x| c - x),
+                        (BinOp::Div, false) => self.map(regs, i, a, sel, |x| x / c),
+                        (BinOp::Div, true) => self.map(regs, i, a, sel, |x| c / x),
+                    }
+                }
+                Node::Bin(op, a, b) => match op {
+                    BinOp::Add => self.zip(regs, i, a, b, sel, |x, y| x + y),
+                    BinOp::Sub => self.zip(regs, i, a, b, sel, |x, y| x - y),
+                    BinOp::Mul => self.zip(regs, i, a, b, sel, |x, y| x * y),
+                    BinOp::Div => self.zip(regs, i, a, b, sel, |x, y| x / y),
+                },
+            }
+        }
+        let EvalScratch { regs, masks, .. } = scratch;
         let mut msp = 0usize;
-        for inst in self.insts {
+        for inst in &self.prog.masks {
+            // A comparison pushes a mask over its scalar operand(s).
+            let mut push = |a: &[f64], f: &dyn Fn(&mut [u8], &[f64])| {
+                if masks[msp].len() < n {
+                    masks[msp].resize(n, 0);
+                }
+                f(&mut masks[msp][..n], a);
+                msp += 1;
+            };
+            let values = |a: usize| self.values(a, regs, sel.range, n);
             match *inst {
-                Inst::Col(c) => {
-                    self.cols[c].load(sel, &mut regs[ssp][..n]);
-                    ssp += 1;
-                }
-                Inst::Const(v) => {
-                    regs[ssp][..n].fill(v);
-                    ssp += 1;
-                }
-                Inst::Add => {
-                    ssp -= 1;
-                    let (lo, hi) = regs.split_at_mut(ssp);
-                    for (a, &b) in lo[ssp - 1][..n].iter_mut().zip(&hi[0][..n]) {
-                        *a += b;
-                    }
-                }
-                Inst::Sub => {
-                    ssp -= 1;
-                    let (lo, hi) = regs.split_at_mut(ssp);
-                    for (a, &b) in lo[ssp - 1][..n].iter_mut().zip(&hi[0][..n]) {
-                        *a -= b;
-                    }
-                }
-                Inst::Mul => {
-                    ssp -= 1;
-                    let (lo, hi) = regs.split_at_mut(ssp);
-                    for (a, &b) in lo[ssp - 1][..n].iter_mut().zip(&hi[0][..n]) {
-                        *a *= b;
-                    }
-                }
-                Inst::Div => {
-                    ssp -= 1;
-                    let (lo, hi) = regs.split_at_mut(ssp);
-                    for (a, &b) in lo[ssp - 1][..n].iter_mut().zip(&hi[0][..n]) {
-                        *a /= b;
-                    }
-                }
-                Inst::AddConst(c) => {
-                    for a in &mut regs[ssp - 1][..n] {
-                        *a += c;
-                    }
-                }
-                Inst::SubConst(c) => {
-                    for a in &mut regs[ssp - 1][..n] {
-                        *a -= c;
-                    }
-                }
-                Inst::ConstSub(c) => {
-                    for a in &mut regs[ssp - 1][..n] {
-                        *a = c - *a;
-                    }
-                }
-                Inst::MulConst(c) => {
-                    for a in &mut regs[ssp - 1][..n] {
-                        *a *= c;
-                    }
-                }
-                Inst::DivConst(c) => {
-                    for a in &mut regs[ssp - 1][..n] {
-                        *a /= c;
-                    }
-                }
-                Inst::ConstDiv(c) => {
-                    for a in &mut regs[ssp - 1][..n] {
-                        *a = c / *a;
-                    }
-                }
-                Inst::Neg => {
-                    for a in &mut regs[ssp - 1][..n] {
-                        *a = -*a;
-                    }
-                }
-                Inst::Cmp(op) => {
-                    ssp -= 2;
-                    let (lo, hi) = regs.split_at_mut(ssp + 1);
-                    let a = &lo[ssp][..n];
-                    let b = &hi[0][..n];
-                    let m = &mut masks[msp][..n];
-                    match op {
-                        CmpOp::Lt => cmp_loop(m, a, b, |x, y| x < y),
-                        CmpOp::Le => cmp_loop(m, a, b, |x, y| x <= y),
-                        CmpOp::Gt => cmp_loop(m, a, b, |x, y| x > y),
-                        CmpOp::Ge => cmp_loop(m, a, b, |x, y| x >= y),
-                        CmpOp::Eq => cmp_loop(m, a, b, |x, y| x == y),
-                        CmpOp::Ne => cmp_loop(m, a, b, |x, y| x != y),
-                    }
-                    msp += 1;
-                }
-                Inst::CmpConst(op, c) => {
-                    ssp -= 1;
-                    let a = &regs[ssp][..n];
-                    let m = &mut masks[msp][..n];
-                    match op {
-                        CmpOp::Lt => cmp_const_loop(m, a, |x| x < c),
-                        CmpOp::Le => cmp_const_loop(m, a, |x| x <= c),
-                        CmpOp::Gt => cmp_const_loop(m, a, |x| x > c),
-                        CmpOp::Ge => cmp_const_loop(m, a, |x| x >= c),
-                        CmpOp::Eq => cmp_const_loop(m, a, |x| x == c),
-                        CmpOp::Ne => cmp_const_loop(m, a, |x| x != c),
-                    }
-                    msp += 1;
-                }
-                Inst::BetweenConst(l, h) => {
-                    ssp -= 1;
-                    let a = &regs[ssp][..n];
-                    cmp_const_loop(&mut masks[msp][..n], a, |x| (x >= l) & (x <= h));
-                    msp += 1;
-                }
-                Inst::MaskConst(b) => {
-                    masks[msp][..n].fill(b as u8);
-                    msp += 1;
-                }
-                Inst::And => {
+                MaskInst::Cmp(op, a, b) => push(values(a), &|m, a| match op {
+                    CmpOp::Lt => cmp_loop(m, a, values(b), |x, y| x < y),
+                    CmpOp::Le => cmp_loop(m, a, values(b), |x, y| x <= y),
+                    CmpOp::Gt => cmp_loop(m, a, values(b), |x, y| x > y),
+                    CmpOp::Ge => cmp_loop(m, a, values(b), |x, y| x >= y),
+                    CmpOp::Eq => cmp_loop(m, a, values(b), |x, y| x == y),
+                    CmpOp::Ne => cmp_loop(m, a, values(b), |x, y| x != y),
+                }),
+                MaskInst::CmpConst(op, a, c) => push(values(a), &|m, a| match op {
+                    CmpOp::Lt => cmp_const_loop(m, a, |x| x < c),
+                    CmpOp::Le => cmp_const_loop(m, a, |x| x <= c),
+                    CmpOp::Gt => cmp_const_loop(m, a, |x| x > c),
+                    CmpOp::Ge => cmp_const_loop(m, a, |x| x >= c),
+                    CmpOp::Eq => cmp_const_loop(m, a, |x| x == c),
+                    CmpOp::Ne => cmp_const_loop(m, a, |x| x != c),
+                }),
+                MaskInst::BetweenConst(a, l, h) => push(values(a), &|m, a| {
+                    cmp_const_loop(m, a, |x| (x >= l) & (x <= h))
+                }),
+                MaskInst::Const(b) => push(&[], &|m, _| m.fill(b as u8)),
+                MaskInst::And | MaskInst::Or => {
                     msp -= 1;
                     let (lo, hi) = masks.split_at_mut(msp);
+                    let and = matches!(inst, MaskInst::And);
                     for (a, &b) in lo[msp - 1][..n].iter_mut().zip(&hi[0][..n]) {
-                        *a &= b;
+                        *a = if and { *a & b } else { *a | b };
                     }
                 }
-                Inst::Or => {
-                    msp -= 1;
-                    let (lo, hi) = masks.split_at_mut(msp);
-                    for (a, &b) in lo[msp - 1][..n].iter_mut().zip(&hi[0][..n]) {
-                        *a |= b;
-                    }
-                }
-                Inst::Not => {
-                    for m in &mut masks[msp - 1][..n] {
-                        *m ^= 1;
+                MaskInst::Not => masks[msp - 1][..n].iter_mut().for_each(|m| *m ^= 1),
+            }
+        }
+        // A well-formed predicate leaves exactly one mask; a lowering bug
+        // would otherwise silently hand out a stale one.
+        debug_assert!(self.prog.masks.is_empty() || msp == 1, "unbalanced masks");
+    }
+
+    /// The column slice that stands in for node `i`: a plain-`F64` column
+    /// read over a range is not loaded.
+    fn slice(&self, i: usize, range: Option<(usize, usize)>) -> Option<&[f64]> {
+        match (self.prog.nodes[i], range) {
+            (Node::Col(c), Some((lo, n))) => match self.cols[c] {
+                ColData::F64(col) => Some(&col[lo..lo + n]),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Node `i`'s `n` values after evaluation: its slice or its register.
+    fn values<'a>(
+        &'a self,
+        i: usize,
+        regs: &'a [Vec<f64>],
+        range: Option<(usize, usize)>,
+        n: usize,
+    ) -> &'a [f64] {
+        let reg = &regs[self.prog.regs[i]];
+        self.slice(i, range).unwrap_or_else(|| &reg[..n])
+    }
+
+    /// Runs `f` on the first `n` values of node `i`'s register, which is
+    /// taken out meanwhile so that `f` may read the other registers.
+    #[inline(always)]
+    fn write(
+        &self,
+        regs: &mut [Vec<f64>],
+        i: usize,
+        n: usize,
+        f: impl FnOnce(&mut [f64], &[Vec<f64>]),
+    ) {
+        let mut dst = std::mem::take(&mut regs[self.prog.regs[i]]);
+        if dst.len() < n {
+            dst.resize(n, 0.0);
+        }
+        f(&mut dst[..n], regs);
+        regs[self.prog.regs[i]] = dst;
+    }
+
+    /// Operand `a` of node `i` while [`Self::write`] holds `i`'s register:
+    /// `None` when `a` lives in that very register (`i` took it over).
+    fn operand<'a>(
+        &'a self,
+        a: usize,
+        i: usize,
+        regs: &'a [Vec<f64>],
+        sel: Sel<'_>,
+    ) -> Option<&'a [f64]> {
+        let own = self.prog.regs[a] == self.prog.regs[i] && self.slice(a, sel.range).is_none();
+        (!own).then(|| self.values(a, regs, sel.range, sel.len()))
+    }
+
+    /// Node `i` = `f(a)`, row by row.
+    #[inline(always)]
+    fn map(&self, regs: &mut [Vec<f64>], i: usize, a: usize, sel: Sel<'_>, f: impl Fn(f64) -> f64) {
+        self.write(regs, i, sel.len(), |out, regs| {
+            match self.operand(a, i, regs, sel) {
+                None => out.iter_mut().for_each(|x| *x = f(*x)),
+                Some(a) => out.iter_mut().zip(a).for_each(|(o, &x)| *o = f(x)),
+            }
+        });
+    }
+
+    /// Node `i` = `f(a, b)`, row by row.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn zip(
+        &self,
+        regs: &mut [Vec<f64>],
+        i: usize,
+        a: usize,
+        b: usize,
+        sel: Sel<'_>,
+        f: impl Fn(f64, f64) -> f64,
+    ) {
+        self.write(regs, i, sel.len(), |out, regs| {
+            match (self.operand(a, i, regs, sel), self.operand(b, i, regs, sel)) {
+                (None, None) => out.iter_mut().for_each(|x| *x = f(*x, *x)),
+                (None, Some(b)) => out.iter_mut().zip(b).for_each(|(x, &y)| *x = f(*x, y)),
+                (Some(a), None) => out.iter_mut().zip(a).for_each(|(y, &x)| *y = f(x, *y)),
+                (Some(a), Some(b)) => {
+                    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                        *o = f(x, y);
                     }
                 }
             }
-        }
-        debug_assert_eq!(
-            (ssp, msp),
-            if self.mask_depth == 0 { (1, 0) } else { (0, 1) },
-            "program left an unbalanced stack"
-        );
+        });
     }
 }
 
@@ -1503,27 +1545,34 @@ fn cmp_const_loop(m: &mut [u8], a: &[f64], f: impl Fn(f64) -> bool) {
 }
 
 impl BoundExpr<'_> {
-    /// Evaluates one batch: `out[k] = expr(row sel[k])` for every selected
-    /// row. All intermediates live in `scratch`; nothing is allocated once
-    /// the scratch has warmed up to this depth and batch size.
-    pub fn eval_into(&self, sel: Sel<'_>, scratch: &mut EvalScratch, out: &mut [f64]) {
-        debug_assert_eq!(sel.len(), out.len());
-        out.copy_from_slice(self.values(sel, scratch));
+    /// Evaluates one batch: every node once, every [`Self::output`] ready.
+    /// All intermediates live in `scratch`; nothing is allocated once it
+    /// has warmed up to this program and batch size.
+    pub fn eval(&self, sel: Sel<'_>, scratch: &mut EvalScratch) {
+        debug_assert!(self.prog.prog.masks.is_empty(), "scalar program");
+        self.prog.exec(sel, scratch);
     }
 
-    /// One batch's values, borrowed from wherever they already are: a bare
-    /// plain-`F64` column over a dense selection *is* the answer — a slice
-    /// of the column, no register, no copy — and everything else is the
-    /// program's result register.
-    pub fn values<'a>(&'a self, sel: Sel<'_>, scratch: &'a mut EvalScratch) -> &'a [f64] {
-        debug_assert_eq!(self.prog.mask_depth, 0, "scalar expression");
-        if let (Some(lo), [Inst::Col(c)]) = (sel.dense_start(), self.prog.insts) {
-            if let ColData::F64(col) = self.prog.cols[*c] {
-                return &col[lo..lo + sel.len()];
-            }
-        }
-        self.prog.exec(sel, scratch);
-        &scratch.regs[0][..sel.len()]
+    /// Number of outputs.
+    pub fn outputs(&self) -> usize {
+        self.prog.prog.outputs.len()
+    }
+
+    /// Output `k` of the last [`Self::eval`] into `scratch`, one value per
+    /// row of its `sel`, borrowed from wherever it already is: a bare
+    /// plain-`F64` column over a range *is* the answer, no copy.
+    pub fn output<'a>(&'a self, k: usize, scratch: &'a EvalScratch) -> &'a [f64] {
+        let node = self.prog.prog.outputs[k];
+        self.prog
+            .values(node, &scratch.regs, scratch.range, scratch.rows)
+    }
+
+    /// Evaluates one batch of a one-output program: `out[k] = expr(row
+    /// sel[k])` for every selected row.
+    pub fn eval_into(&self, sel: Sel<'_>, scratch: &mut EvalScratch, out: &mut [f64]) {
+        debug_assert!(sel.selection().is_none(), "one value per selected row");
+        self.eval(sel, scratch);
+        out.copy_from_slice(self.output(0, scratch));
     }
 }
 
@@ -1688,10 +1737,17 @@ mod tests {
             .mul(Expr::lit(10.0).sub(Expr::lit(4.0)))
             .div(Expr::lit(2.0).neg().neg());
         let c = e.compile();
-        assert_eq!(c.prog.insts.len(), 1);
-        assert!(matches!(c.prog.insts[0], Inst::Const(v) if v == 15.0));
+        assert_eq!(c.prog.nodes, [Node::Const(15.0f64.to_bits())]);
         let t = table();
         assert_eq!(e.eval(&t, &[0, 1]).unwrap(), vec![15.0, 15.0]);
+    }
+
+    /// Whether the program holds a node `x ⊕ v` (`v ⊕ x` when `flipped`).
+    fn has_fused(e: &CompiledExpr, op: BinOp, v: f64, flipped: bool) -> bool {
+        let want = (op, v.to_bits(), flipped);
+        e.prog.nodes.iter().any(
+            |n| matches!(*n, Node::BinConst { op, c, flipped, .. } if (op, c, flipped) == want),
+        )
     }
 
     #[test]
@@ -1702,12 +1758,8 @@ mod tests {
             .mul(Expr::lit(1.0).sub(Expr::col("disc")))
             .mul(Expr::lit(1.0).add(Expr::lit(0.5)));
         let c = e.compile();
-        assert_eq!(c.prog.scalar_depth, 2);
-        assert!(c
-            .prog
-            .insts
-            .iter()
-            .any(|i| matches!(i, Inst::MulConst(v) if *v == 1.5)));
+        assert_eq!(c.prog.n_regs, 2);
+        assert!(has_fused(&c, BinOp::Mul, 1.5, false));
         let out = e.eval(&table(), &[0, 1, 2]).unwrap();
         assert_eq!(out, vec![135.0, 300.0, 225.0]);
     }
@@ -1718,20 +1770,12 @@ mod tests {
         // price / 4 -> DivConst; 100 / price -> ConstDiv; -price -> Neg.
         let e = Expr::col("price").div(Expr::lit(4.0));
         let c = e.compile();
-        assert!(c
-            .prog
-            .insts
-            .iter()
-            .any(|i| matches!(i, Inst::DivConst(v) if *v == 4.0)));
+        assert!(has_fused(&c, BinOp::Div, 4.0, false));
         assert_eq!(e.eval(&t, &[0, 2]).unwrap(), vec![25.0, 75.0]);
 
         let e = Expr::lit(100.0).div(Expr::col("price"));
         let c = e.compile();
-        assert!(c
-            .prog
-            .insts
-            .iter()
-            .any(|i| matches!(i, Inst::ConstDiv(v) if *v == 100.0)));
+        assert!(has_fused(&c, BinOp::Div, 100.0, true));
         assert_eq!(e.eval(&t, &[0, 1]).unwrap(), vec![1.0, 0.5]);
 
         let e = Expr::col("price").neg();

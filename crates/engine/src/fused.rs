@@ -8,9 +8,11 @@
 //! vectors, and only then aggregates. This module instead walks the table
 //! once in fixed cache-resident batches ([`FUSED_BATCH_ROWS`] rows): each
 //! batch is filtered into a small reused selection vector, projected
-//! through compiled expressions into reused scratch registers
-//! ([`crate::expr`]), and deposited straight into the per-group
-//! [`GroupedStates`] — the MonetDB/X100 vectorized execution model.
+//! through *one* compiled program for all of the query's aggregate inputs
+//! into reused scratch registers ([`crate::expr`]: a shared column or
+//! subexpression is evaluated once per batch), and deposited straight
+//! into the per-group [`GroupedStates`] — the MonetDB/X100 vectorized
+//! execution model.
 //! Peak intermediate footprint is O(batch + groups), independent of n.
 //!
 //! This is the *physical* executor the plan layer ([`crate::plan`])
@@ -54,9 +56,10 @@
 //! order. 32-bit key values go through each scan range's
 //! [`AggHashTable`] and its SIMD batched probe
 //! ([`AggHashTable::probe_gids`], §IV). A batch's keys are laid down by
-//! one tight loop per key leg — column slices for a dense batch, a
-//! gather otherwise, RLE legs once per run. Ids, first-seen order and the
-//! data-dependent errors are those of a per-row walk either way.
+//! one tight loop per key leg — column slices for a dense or near-dense
+//! batch, a gather otherwise, RLE legs once per run. Ids, first-seen
+//! order and the data-dependent errors are those of a per-row walk over
+//! the selected rows either way.
 //!
 //! **Why fusion preserves bit-identity** (paper footnote 3, extended to
 //! batched evaluation): the per-row expression dag is evaluated with the
@@ -92,13 +95,25 @@
 //! [`FusedRun::batches_visited`] / [`FusedRun::batches_pruned`] say how
 //! much of the grid was skipped.
 //!
-//! **Dense batches read slices.** Whether a batch's selection is still
-//! one contiguous row range is decided once, after the filter
-//! ([`Sel`]), and every consumer with a slice form uses it: hash keys are
-//! bulk-extracted, expression programs load `col[start..start + n]`
-//! instead of gathering, and a bare plain-`F64` aggregate input reaches
-//! the deposit as a borrowed slice of the column itself. A batch whose
-//! selection is empty stops right after the filter.
+//! **Dense and near-dense batches read slices.** How a batch's rows are
+//! read is decided once, after the filter ([`Sel`]). A selection that is
+//! one row range is read as column slices by every consumer with a slice
+//! form: key legs are bulk-extracted, the expression program loads
+//! `col[start..start + n]`, and a bare plain-`F64` input reaches the
+//! deposit as a borrowed slice of the column. A *near-dense* selection —
+//! one keeping at least [`crate::sum_op::NEAR_DENSE`] of its covering
+//! range `[first, last]`, like Q1's 98.7 % — is read over that range the
+//! same way wherever the selection can be applied afterwards at no cost:
+//! keys are compacted once, before any is looked up; a partition's
+//! permutation lists covering-range offsets, so the gather every SUM
+//! state performs anyway selects and partitions in one pass; per-row
+//! deposits read their values through the row ids. A dropped row's value
+//! is computed and discarded — never deposited, folded or
+//! overflow-checked — its key never reaches a group-id map, and COUNT
+//! comes from the selected rows' group ids. Sparser batches gather, as do
+//! ungrouped and run-blocked ones, whose block kernels want their values
+//! in a row (compacting each output measured no better than the
+//! gathers); an empty batch stops right after the filter.
 //!
 //! **Algebraic aggregation over RLE inputs.** When a SUM / MIN / MAX
 //! input is a *bare* RLE column over plain numeric storage, the executor
@@ -401,12 +416,57 @@ pub struct FusedRun {
     pub batches_pruned: u64,
 }
 
-/// Compiled form of a query's filter and aggregate input expressions.
-struct CompiledAggs {
+/// Compiled form of a query's filter and aggregate inputs.
+struct CompiledAggs<'q> {
     filter: Vec<CompiledPredicate>,
-    sums: Vec<CompiledExpr>,
-    mins: Vec<CompiledExpr>,
-    maxs: Vec<CompiledExpr>,
+    /// Every evaluated aggregate input: one program, one output each.
+    prog: CompiledExpr,
+    /// Every aggregate — SUMs, then MINs, then MAXs — with its input.
+    aggs: Vec<(AggSlot, AggInput<'q>)>,
+}
+
+/// Where an aggregate's input values come from.
+enum AggInput<'q> {
+    /// Output `k` of [`CompiledAggs::prog`].
+    Output(usize),
+    /// A bare RLE column, deposited algebraically once per run span.
+    Rle(RleSrc<'q>),
+}
+
+impl<'q> CompiledAggs<'q> {
+    /// Bare RLE SUM inputs take the once-per-run deposit only on backends
+    /// whose state is a pure function of the input multiset
+    /// (`merges_exactly`) — there the k·v fold is bit-identical to k
+    /// per-row adds (DESIGN.md §26). Plain doubles are order-sensitive
+    /// with no algebraic shortcut, so they keep the per-row path by
+    /// design. MIN / MAX comparison folds are idempotent and
+    /// order-insensitive, so they fold once per span on every backend.
+    fn new(table: &'q Table, query: &'q FusedQuery, backend: SumBackend) -> Self {
+        let slots: [fn(usize) -> AggSlot; 3] = [AggSlot::Sum, AggSlot::Min, AggSlot::Max];
+        let mut evaluated = Vec::new();
+        let mut aggs = Vec::new();
+        for (exprs, slot) in [&query.sums, &query.mins, &query.maxs]
+            .into_iter()
+            .zip(slots)
+        {
+            let algebraic = backend.merges_exactly() || !matches!(slot(0), AggSlot::Sum(_));
+            for (s, e) in exprs.iter().enumerate() {
+                let input = match bind_alg(e, table).filter(|_| algebraic) {
+                    Some(src) => AggInput::Rle(src),
+                    None => {
+                        evaluated.push(e);
+                        AggInput::Output(evaluated.len() - 1)
+                    }
+                };
+                aggs.push((slot(s), input));
+            }
+        }
+        CompiledAggs {
+            filter: query.filter.iter().map(BoolExpr::compile).collect(),
+            prog: CompiledExpr::compile_all(evaluated),
+            aggs,
+        }
+    }
 }
 
 /// Executes a fused query over a table.
@@ -436,12 +496,7 @@ pub fn run_fused(
     // typed error even on an empty table.
     let check = CancelCheck::new(&opts);
     check.check()?;
-    let compiled = CompiledAggs {
-        filter: query.filter.iter().map(BoolExpr::compile).collect(),
-        sums: query.sums.iter().map(Expr::compile).collect(),
-        mins: query.mins.iter().map(Expr::compile).collect(),
-        maxs: query.maxs.iter().map(Expr::compile).collect(),
-    };
+    let compiled = CompiledAggs::new(table, query, backend);
     validate_encodings(table, query, &compiled)?;
     let rows = table.rows();
     let filter = ScanFilter::bind(table, &compiled.filter);
@@ -575,7 +630,7 @@ impl<'t> ScanFilter<'t> {
 fn validate_encodings(
     table: &Table,
     query: &FusedQuery,
-    compiled: &CompiledAggs,
+    compiled: &CompiledAggs<'_>,
 ) -> Result<(), FusedError> {
     let check = |name: &ColRef| -> Result<(), FusedError> {
         if let Ok(col) = table.column(name.as_str()) {
@@ -594,14 +649,12 @@ fn validate_encodings(
             check(name)?;
         }
     }
-    for e in compiled
-        .sums
-        .iter()
-        .chain(&compiled.mins)
-        .chain(&compiled.maxs)
-    {
-        for name in e.col_names() {
-            check(name)?;
+    for name in compiled.prog.col_names() {
+        check(name)?;
+    }
+    for (_, input) in &compiled.aggs {
+        if let AggInput::Rle(src) = input {
+            check(src.col)?;
         }
     }
     match &query.group_by {
@@ -660,24 +713,18 @@ fn span_end(sel: &[u32], i: usize, bound: u32) -> usize {
     j
 }
 
-/// `out[i] = f(out[i], col[row i])` over a batch's selected rows: one
-/// slice of the column when the batch is dense, a gather otherwise.
+/// `out[i] = f(out[i], col[row i])` over a batch's rows: one slice of the
+/// column when `batch` is a range (`out` is as long), a gather otherwise.
 #[inline(always)]
-fn map_rows<T: Copy>(
-    col: &[T],
-    batch: Sel,
-    sel: &[u32],
-    out: &mut [u32],
-    f: impl Fn(u32, T) -> u32,
-) {
+fn map_rows<T: Copy>(col: &[T], batch: Sel, out: &mut [u32], f: impl Fn(u32, T) -> u32) {
     match batch.dense_start() {
         Some(lo) => {
-            for (o, &v) in out.iter_mut().zip(&col[lo..lo + sel.len()]) {
+            for (o, &v) in out.iter_mut().zip(&col[lo..lo + batch.len()]) {
                 *o = f(*o, v);
             }
         }
         None => {
-            for (o, &row) in out.iter_mut().zip(sel) {
+            for (o, &row) in out.iter_mut().zip(batch.rows) {
                 *o = f(*o, col[row as usize]);
             }
         }
@@ -694,21 +741,21 @@ impl Leg<'_> {
     fn fill(
         &self,
         batch: Sel,
-        sel: &[u32],
         cursor: &mut usize,
         out: &mut [u32],
         place: impl Fn(u32, u32) -> u32,
     ) {
         match *self {
-            Leg::U8(col) => map_rows(col, batch, sel, out, |o, v| place(o, v as u32)),
-            Leg::U16(col) => map_rows(col, batch, sel, out, |o, v| place(o, v as u32)),
-            Leg::Dict { codes, dict } => map_rows(codes, batch, sel, out, |o, c| {
-                place(o, dict[c as usize] as u32)
-            }),
-            Leg::Dict16 { codes, dict } => map_rows(codes, batch, sel, out, |o, c| {
-                place(o, dict[c as usize] as u32)
-            }),
+            Leg::U8(col) => map_rows(col, batch, out, |o, v| place(o, v as u32)),
+            Leg::U16(col) => map_rows(col, batch, out, |o, v| place(o, v as u32)),
+            Leg::Dict { codes, dict } => {
+                map_rows(codes, batch, out, |o, c| place(o, dict[c as usize] as u32))
+            }
+            Leg::Dict16 { codes, dict } => {
+                map_rows(codes, batch, out, |o, c| place(o, dict[c as usize] as u32))
+            }
             Leg::Rle { run_ends, values } => {
+                let sel = batch.rows;
                 let mut i = 0;
                 while i < sel.len() {
                     *cursor = advance_run(run_ends, *cursor, sel[i]);
@@ -751,29 +798,40 @@ struct RunCursors {
 
 impl KeyCol<'_> {
     /// One key per selected row, in `buf`. A dense batch reads column
-    /// slices (loops the compiler vectorizes), any other gathers.
-    fn fill<'a>(
-        &self,
-        batch: Sel,
-        sel: &[u32],
-        cur: &mut RunCursors,
-        buf: &'a mut Vec<u32>,
-    ) -> &'a [u32] {
-        if buf.len() < sel.len() {
-            buf.resize(sel.len(), 0);
+    /// slices (loops the compiler vectorizes); a near-dense one reads its
+    /// covering range the same way and compacts the keys through the
+    /// selection, once, before anything looks at them; any other gathers.
+    /// RLE legs walk the selection, so a key with one reads no such range.
+    fn fill<'a>(&self, mut batch: Sel, cur: &mut RunCursors, buf: &'a mut Vec<u32>) -> &'a [u32] {
+        let sel = batch.rows;
+        let rle_leg = |leg: &Leg| matches!(leg, Leg::Rle { .. });
+        if batch.selection().is_some()
+            && matches!(self, KeyCol::Legs(a, b) if rle_leg(a) || b.as_ref().is_some_and(rle_leg))
+        {
+            batch = Sel::unordered(sel);
         }
-        let out = &mut buf[..sel.len()];
+        if buf.len() < batch.len() {
+            buf.resize(batch.len(), 0);
+        }
+        let out = &mut buf[..batch.len()];
         match self {
-            KeyCol::I32(col) => map_rows(col, batch, sel, out, |_, v| v as u32),
-            KeyCol::U32(col) => map_rows(col, batch, sel, out, |_, v| v),
-            KeyCol::Legs(a, None) => a.fill(batch, sel, &mut cur.a, out, |_, v| v),
+            KeyCol::I32(col) => map_rows(col, batch, out, |_, v| v as u32),
+            KeyCol::U32(col) => map_rows(col, batch, out, |_, v| v),
+            KeyCol::Legs(a, None) => a.fill(batch, &mut cur.a, out, |_, v| v),
             KeyCol::Legs(a, Some(b)) => {
-                a.fill(batch, sel, &mut cur.a, out, |_, v| v << 8);
-                b.fill(batch, sel, &mut cur.b, out, |o, v| o | v);
+                a.fill(batch, &mut cur.a, out, |_, v| v << 8);
+                b.fill(batch, &mut cur.b, out, |o, v| o | v);
             }
             KeyCol::Rle { .. } => unreachable!("RLE keys are read per run"),
         }
-        out
+        if batch.selection().is_some() {
+            // Offsets never trail their position: a forward pass reads
+            // every key before overwriting it.
+            for (k, &row) in sel.iter().enumerate() {
+                out[k] = out[(row - sel[0]) as usize];
+            }
+        }
+        &buf[..sel.len()]
     }
 
     /// Whether every leg is RLE: the key is then computed once per run
@@ -1200,6 +1258,19 @@ enum Deposit {
     Segs,
 }
 
+impl Deposit {
+    /// The rows a batch that deposits this way evaluates over. Per-row
+    /// deposits and a partition's gather apply a selection themselves, so
+    /// their near-dense batches read the covering range; the block kernels
+    /// of the other two want one value per selected row, in a row.
+    fn rows(self, sel: &[u32]) -> Sel<'_> {
+        match self {
+            Deposit::Rows | Deposit::Partitioned => Sel::near_dense(sel),
+            Deposit::Single | Deposit::Segs => Sel::new(sel),
+        }
+    }
+}
+
 /// A SUM / MIN / MAX input that is a *bare RLE column*, bound for
 /// algebraic aggregation: instead of gathering one `f64` per selected
 /// row, each selected run span deposits once with its repetition count
@@ -1208,6 +1279,7 @@ enum Deposit {
 /// conversion the gather path applies per row, so the deposited values
 /// are bit-identical to the per-row path's.
 struct RleSrc<'t> {
+    col: &'t ColRef,
     run_ends: &'t [u32],
     values: Vec<f64>,
 }
@@ -1229,10 +1301,11 @@ fn widen_plain(col: &Column) -> Option<Vec<f64>> {
 /// over plain numeric storage. Anything else — expression compositions,
 /// plain and dictionary columns — returns `None` and is evaluated, then
 /// deposited.
-fn bind_alg<'t>(expr: &Expr, table: &'t Table) -> Option<RleSrc<'t>> {
-    let Expr::Col(name) = expr else { return None };
-    match table.column(name.as_str()).ok()? {
+fn bind_alg<'t>(expr: &'t Expr, table: &'t Table) -> Option<RleSrc<'t>> {
+    let Expr::Col(col) = expr else { return None };
+    match table.column(col.as_str()).ok()? {
         Column::Rle { run_ends, values } => Some(RleSrc {
+            col,
             run_ends,
             values: widen_plain(values)?,
         }),
@@ -1301,7 +1374,9 @@ fn deposit_algebraic(
     gids: &[u32],
     segs: &[(u32, usize)],
 ) -> Result<(), FusedError> {
-    let RleSrc { run_ends, values } = src;
+    let RleSrc {
+        run_ends, values, ..
+    } = src;
     for_each_group_span(deposit, sel.len(), gids, segs, |g, start, end| {
         let mut i = start;
         while i < end {
@@ -1321,12 +1396,15 @@ fn deposit_algebraic(
     })
 }
 
-/// Deposits one batch's evaluated `vals` (one per selected row, in row
-/// order) the way the batch's grouping decided.
+/// Deposits one batch's evaluated `vals` the way the batch's grouping
+/// decided: one per selected row, in row order — or, with `rows` (a
+/// near-dense batch's selection), one per row of its covering range.
+#[allow(clippy::too_many_arguments)]
 fn deposit_values(
     states: &mut GroupedStates,
     agg: AggSlot,
     vals: &[f64],
+    rows: Option<&[u32]>,
     deposit: Deposit,
     gids: &[u32],
     segs: &[(u32, usize)],
@@ -1336,10 +1414,14 @@ fn deposit_values(
         (Deposit::Single, AggSlot::Sum(s)) => states.update_sum_single(s, vals)?,
         (Deposit::Single, AggSlot::Min(s)) => states.update_min_single(s, vals),
         (Deposit::Single, AggSlot::Max(s)) => states.update_max_single(s, vals),
-        (Deposit::Rows, AggSlot::Sum(s)) => states.update_sum(s, gids, vals)?,
+        (Deposit::Rows, AggSlot::Sum(s)) => states.update_sum_rows(s, gids, vals, rows)?,
         (Deposit::Partitioned, AggSlot::Sum(s)) => states.update_sum_partitioned(s, part, vals)?,
-        (Deposit::Rows | Deposit::Partitioned, AggSlot::Min(s)) => states.update_min(s, gids, vals),
-        (Deposit::Rows | Deposit::Partitioned, AggSlot::Max(s)) => states.update_max(s, gids, vals),
+        (Deposit::Rows | Deposit::Partitioned, AggSlot::Min(s)) => {
+            states.update_min_rows(s, gids, vals, rows)
+        }
+        (Deposit::Rows | Deposit::Partitioned, AggSlot::Max(s)) => {
+            states.update_max_rows(s, gids, vals, rows)
+        }
         (Deposit::Segs, _) => {
             let mut start = 0;
             for &(g, end) in segs {
@@ -1356,98 +1438,185 @@ fn deposit_values(
     Ok(())
 }
 
-/// One aggregate of a scan range: the state array it feeds, its input
-/// expression, and — for a bare RLE input — the algebraic source with its
-/// run cursor (carried across the range's batches).
-struct BoundAgg<'t> {
-    slot: AggSlot,
-    expr: BoundExpr<'t>,
-    rle: Option<(RleSrc<'t>, usize)>,
+/// One scan range's working state: what is resolved once per range, and
+/// the batch-sized scratch every batch of the range reuses.
+struct RangeScan<'q> {
+    prog: BoundExpr<'q>,
+    /// Run position of every algebraic input (indexed like
+    /// [`CompiledAggs::aggs`]), carried across the range's batches.
+    cursors: Vec<usize>,
+    grouping: Option<(&'q GroupBind<'q>, Groups)>,
+    states: GroupedStates,
+    /// Whether batches with one group id per row are partitioned by it
+    /// when [`BatchPartition::build`] finds few groups for their rows.
+    buffered: bool,
+    sel: Vec<u32>,
+    gids: Vec<u32>,
+    key_buf: Vec<u32>,
+    /// Run-blocked grouping: `(group id, end index in sel)` spans of the
+    /// batch's selection, and the RLE leg cursors (monotonic per range).
+    segs: Vec<(u32, usize)>,
+    cur: RunCursors,
+    part: BatchPartition,
+    eval: EvalScratch,
 }
 
-/// Binds one kind of aggregate. Bare RLE SUM inputs take the once-per-run
-/// deposit only on backends whose state is a pure function of the input
-/// multiset (`merges_exactly`) — there the k·v fold is bit-identical to k
-/// per-row adds (DESIGN.md §26). Plain doubles are order-sensitive with no
-/// algebraic shortcut, so they keep the per-row path by design. MIN / MAX
-/// comparison folds are idempotent and order-insensitive, so they fold
-/// once per span on every backend.
-fn bind_aggs<'t>(
-    table: &'t Table,
-    exprs: &[Expr],
-    compiled: &'t [CompiledExpr],
-    backend: SumBackend,
-    slot: fn(usize) -> AggSlot,
-) -> Vec<BoundAgg<'t>> {
-    let algebraic = backend.merges_exactly() || !matches!(slot(0), AggSlot::Sum(_));
-    exprs
-        .iter()
-        .zip(compiled)
-        .enumerate()
-        .map(|(s, (e, c))| BoundAgg {
-            slot: slot(s),
-            expr: c
-                .bind(table)
+impl<'q> RangeScan<'q> {
+    fn bind(
+        table: &'q Table,
+        query: &FusedQuery,
+        compiled: &'q CompiledAggs<'q>,
+        group: Option<&'q GroupBind<'q>>,
+        backend: SumBackend,
+        rows: usize,
+    ) -> Self {
+        let groups = group.map_or(1, GroupBind::init_groups);
+        let (sums, mins, maxs) = (query.sums.len(), query.mins.len(), query.maxs.len());
+        RangeScan {
+            prog: (compiled.prog.bind(table))
                 .expect("fused query references a missing or mistyped column"),
-            rle: bind_alg(e, table).filter(|_| algebraic).map(|src| (src, 0)),
+            cursors: vec![0; compiled.aggs.len()],
+            grouping: group.map(|bind| (bind, Groups::new(bind, rows))),
+            states: GroupedStates::new(backend, groups, sums, mins, maxs),
+            buffered: backend.buffered(),
+            sel: Vec::new(),
+            gids: Vec::new(),
+            key_buf: Vec::new(),
+            segs: Vec::new(),
+            cur: RunCursors::default(),
+            part: BatchPartition::default(),
+            eval: EvalScratch::new(),
+        }
+    }
+
+    /// The selection vector of batch `[blo, bhi)`, starting from batch ∩
+    /// kept ranges (`filter.ranges[range..]`). One piece (the rule: a
+    /// sorted column, or no decided conjunct at all) is the first
+    /// remaining conjunct's fill window; several pieces are laid down,
+    /// then refined.
+    fn filter(&mut self, filter: &ScanFilter<'_>, range: usize, blo: usize, bhi: usize) {
+        let (ScanFilter { ranges, preds }, sel) = (filter, &mut self.sel);
+        let (start, end) = ranges[range];
+        sel.clear();
+        let one_piece =
+            end as usize >= bhi || ranges.get(range + 1).is_none_or(|r| r.0 as usize >= bhi);
+        match preds.split_first() {
+            Some((first, rest)) if one_piece => {
+                let (flo, fhi) = (blo.max(start as usize), bhi.min(end as usize));
+                first.fill(flo, fhi, sel, &mut self.eval);
+                for p in rest {
+                    p.refine(sel, &mut self.eval);
+                }
+            }
+            _ => {
+                extend_clipped(&ranges[range..], blo, bhi, sel);
+                for p in preds {
+                    p.refine(sel, &mut self.eval);
+                }
+            }
+        }
+    }
+
+    /// Group-id assignment + COUNT(*), and with them how the batch
+    /// deposits. When every group-key leg is RLE the batch takes the
+    /// run-blocked path: the selection is cut into maximal spans of rows
+    /// sharing one group (`segs`), the group id is computed once per span
+    /// — per run, not per row — and counts and state deposits happen in
+    /// one block call per span.
+    fn group(&mut self) -> Result<Deposit, FusedError> {
+        let RangeScan {
+            sel, states, segs, ..
+        } = self;
+        Ok(match &mut self.grouping {
+            Some((bind, groups)) if bind.key_col.run_blocked() => {
+                segs.clear();
+                let mut i = 0;
+                while i < sel.len() {
+                    let (key, bound) = bind.key_col.run_key(sel[i], &mut self.cur);
+                    let g = groups.gid(bind, key)?;
+                    let j = span_end(sel, i, bound);
+                    states.ensure_groups(groups.keys.len());
+                    states.add_count_run(g as usize, (j - i) as u64);
+                    segs.push((g, j));
+                    i = j;
+                }
+                Deposit::Segs
+            }
+            Some((bind, groups)) => {
+                let batch = Sel::near_dense(sel);
+                let keys = bind.key_col.fill(batch, &mut self.cur, &mut self.key_buf);
+                groups.assign(bind, keys, &mut self.gids)?;
+                states.ensure_groups(groups.keys.len());
+                if self.buffered && self.part.build(&self.gids, states.groups()) {
+                    // A near-dense batch's partition lists covering-range
+                    // offsets (if there is anything for it to gather).
+                    if let Some(rows) = batch.selection().filter(|_| self.prog.outputs() > 0) {
+                        self.part.select(rows);
+                    }
+                    states.add_counts_partitioned(&self.part);
+                    Deposit::Partitioned
+                } else {
+                    states.add_counts(&self.gids);
+                    Deposit::Rows
+                }
+            }
+            None => {
+                states.add_count_single(sel.len() as u64);
+                Deposit::Single
+            }
         })
-        .collect()
+    }
+
+    /// Evaluates every aggregate input of the batch, once.
+    fn project(&mut self, deposit: Deposit) {
+        self.prog.eval(deposit.rows(&self.sel), &mut self.eval);
+    }
+
+    /// Deposits every aggregate of the batch; the partition's permutation
+    /// and the per-row deposits read a near-dense batch's selected rows
+    /// out of its covering-range outputs (module docs).
+    fn deposit(
+        &mut self,
+        aggs: &[(AggSlot, AggInput<'_>)],
+        deposit: Deposit,
+    ) -> Result<(), FusedError> {
+        let rows = deposit.rows(&self.sel).selection();
+        for (&(slot, ref input), cursor) in aggs.iter().zip(&mut self.cursors) {
+            let (states, part) = (&mut self.states, &mut self.part);
+            let (sel, gids, segs) = (&self.sel, &self.gids, &self.segs);
+            match input {
+                AggInput::Rle(src) => {
+                    deposit_algebraic(states, slot, src, cursor, sel, deposit, gids, segs)?
+                }
+                AggInput::Output(k) => {
+                    let vals = self.prog.output(*k, &self.eval);
+                    deposit_values(states, slot, vals, rows, deposit, gids, segs, part)?
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Scans `[lo, hi)` batch-at-a-time into fresh per-call states. All
-/// scratch is batch-sized and reused across the range's batches. Each
+/// Scans `[lo, hi)` batch-at-a-time into fresh per-call states. Each
 /// visited batch is a cancellation point (`check`) and a fault-injection
-/// point ([`faults::scan_point`]).
+/// point ([`faults::scan_point`]), and is timed as two intervals: filter,
+/// group ids and projection (`scan`), then the deposits (`aggregation`).
 #[allow(clippy::too_many_arguments)]
-fn scan_range(
-    table: &Table,
+fn scan_range<'q>(
+    table: &'q Table,
     query: &FusedQuery,
-    compiled: &CompiledAggs,
+    compiled: &'q CompiledAggs<'q>,
     filter: &ScanFilter<'_>,
-    group: Option<&GroupBind<'_>>,
+    group: Option<&'q GroupBind<'q>>,
     backend: SumBackend,
     opts: &ExecOptions,
     check: &CancelCheck,
     lo: usize,
     hi: usize,
 ) -> Result<Partial, FusedError> {
-    let mut aggs: Vec<BoundAgg> = [
-        (
-            &query.sums,
-            &compiled.sums,
-            AggSlot::Sum as fn(usize) -> AggSlot,
-        ),
-        (&query.mins, &compiled.mins, AggSlot::Min),
-        (&query.maxs, &compiled.maxs, AggSlot::Max),
-    ]
-    .into_iter()
-    .flat_map(|(exprs, compiled, slot)| bind_aggs(table, exprs, compiled, backend, slot))
-    .collect();
-
-    let mut grouping = group.map(|bind| (bind, Groups::new(bind, hi - lo)));
-    let mut states = GroupedStates::new(
-        backend,
-        group.map_or(1, GroupBind::init_groups),
-        query.sums.len(),
-        query.mins.len(),
-        query.maxs.len(),
-    );
+    let mut scan = RangeScan::bind(table, query, compiled, group, backend, hi - lo);
     let mut timing = PhaseTiming::default();
-
-    let mut sel: Vec<u32> = Vec::with_capacity(opts.batch_rows);
-    let mut gids: Vec<u32> = Vec::with_capacity(opts.batch_rows);
-    let mut key_buf: Vec<u32> = Vec::new();
-    let mut scratch = EvalScratch::new();
-    // Run-blocked grouping state: `(group id, end index in sel)` spans of
-    // the current batch's selection, and the RLE leg cursors (monotonic
-    // across batches of this range — batches advance forward).
-    let mut segs: Vec<(u32, usize)> = Vec::new();
-    let mut cur = RunCursors::default();
-    // The buffered backends partition a batch with one group id per row by
-    // group id when it holds few groups relative to its rows
-    // ([`BatchPartition::build`] decides) and count from the segments.
-    let mut part = BatchPartition::default();
-    let buffered = backend.buffered();
     // The batch grid restarts at every morsel boundary, so a serial scan
     // of the whole table walks the same batches as the morsels of a
     // parallel one.
@@ -1455,7 +1624,7 @@ fn scan_range(
         let morsel = row / opts.morsel_rows * opts.morsel_rows;
         morsel + (row - morsel) / opts.batch_rows * opts.batch_rows
     };
-    let ScanFilter { ranges, preds } = filter;
+    let ranges = &filter.ranges;
     let mut range = filter.first_after(lo);
     let mut batches_visited = 0u64;
     let mut blo = lo;
@@ -1464,7 +1633,7 @@ fn scan_range(
         while ranges.get(range).is_some_and(|r| r.1 as usize <= blo) {
             range += 1;
         }
-        let Some(&(start, end)) = ranges.get(range) else {
+        let Some(&(start, _)) = ranges.get(range) else {
             break;
         };
         if start as usize >= hi {
@@ -1478,113 +1647,24 @@ fn scan_range(
         faults::scan_point();
         batches_visited += 1;
         let t0 = Instant::now();
-
-        // Filter: selection vector for this batch only, starting from
-        // batch ∩ kept ranges. One piece (the rule: a sorted column, or no
-        // decided conjunct at all) is the first remaining conjunct's fill
-        // window; several pieces are laid down, then refined.
-        sel.clear();
-        let one_piece =
-            end as usize >= bhi || ranges.get(range + 1).is_none_or(|r| r.0 as usize >= bhi);
-        match preds.split_first() {
-            Some((first, rest)) if one_piece => {
-                let (flo, fhi) = (blo.max(start as usize), bhi.min(end as usize));
-                first.fill(flo, fhi, &mut sel, &mut scratch);
-                for p in rest {
-                    p.refine(&mut sel, &mut scratch);
-                }
-            }
-            _ => {
-                extend_clipped(&ranges[range..], blo, bhi, &mut sel);
-                for p in preds {
-                    p.refine(&mut sel, &mut scratch);
-                }
-            }
-        }
-        if sel.is_empty() {
+        scan.filter(filter, range, blo, bhi);
+        blo = bhi;
+        // A batch whose selection is empty stops right after the filter.
+        if scan.sel.is_empty() {
             timing.scan += t0.elapsed();
-            blo = bhi;
             continue;
         }
-        let batch = Sel::new(&sel);
-
-        // Group-id assignment + COUNT(*). When every group-key leg is RLE
-        // the batch takes the run-blocked path: the selection is cut into
-        // maximal spans of rows sharing one group (`segs`), the group id
-        // is computed once per span — per run, not per row — and counts
-        // and state deposits happen in one block call per span.
-        let deposit = match &mut grouping {
-            Some((bind, groups)) if bind.key_col.run_blocked() => {
-                segs.clear();
-                let mut i = 0;
-                while i < sel.len() {
-                    let (key, bound) = bind.key_col.run_key(sel[i], &mut cur);
-                    let g = groups.gid(bind, key)?;
-                    let j = span_end(&sel, i, bound);
-                    states.ensure_groups(groups.keys.len());
-                    states.add_count_run(g as usize, (j - i) as u64);
-                    segs.push((g, j));
-                    i = j;
-                }
-                Deposit::Segs
-            }
-            Some((bind, groups)) => {
-                let keys = bind.key_col.fill(batch, &sel, &mut cur, &mut key_buf);
-                groups.assign(bind, keys, &mut gids)?;
-                states.ensure_groups(groups.keys.len());
-                if buffered && part.build(&gids, states.groups()) {
-                    states.add_counts_partitioned(&part);
-                    Deposit::Partitioned
-                } else {
-                    states.add_counts(&gids);
-                    Deposit::Rows
-                }
-            }
-            None => {
-                states.add_count_single(sel.len() as u64);
-                Deposit::Single
-            }
-        };
-        timing.scan += t0.elapsed();
-
-        // Project + aggregate, one state array at a time.
-        for agg in &mut aggs {
-            if let Some((src, cursor)) = &mut agg.rle {
-                let t2 = Instant::now();
-                deposit_algebraic(
-                    &mut states,
-                    agg.slot,
-                    src,
-                    cursor,
-                    &sel,
-                    deposit,
-                    &gids,
-                    &segs,
-                )?;
-                timing.aggregation += t2.elapsed();
-                continue;
-            }
-            let t1 = Instant::now();
-            let vals = agg.expr.values(batch, &mut scratch);
-            let t2 = Instant::now();
-            timing.scan += t2 - t1;
-            deposit_values(
-                &mut states,
-                agg.slot,
-                vals,
-                deposit,
-                &gids,
-                &segs,
-                &mut part,
-            )?;
-            timing.aggregation += t2.elapsed();
-        }
-        blo = bhi;
+        let deposit = scan.group()?;
+        scan.project(deposit);
+        let t1 = Instant::now();
+        timing.scan += t1 - t0;
+        scan.deposit(&compiled.aggs, deposit)?;
+        timing.aggregation += t1.elapsed();
     }
 
     Ok(Partial {
-        states,
-        groups: grouping.map(|(_, groups)| groups),
+        states: scan.states,
+        groups: scan.grouping.map(|(_, groups)| groups),
         timing,
         batches_visited,
     })

@@ -11,9 +11,11 @@
 //!   paper's PostgreSQL example;
 //! * [`expr`] — typed scalar *and* boolean expressions over numeric
 //!   columns (`F64`/`I32`/`U32`/`U8`), compiled to batch-at-a-time
-//!   register programs with constant folding (no per-node vectors);
-//!   boolean predicates ([`BoolExpr`]) build branchless selection
-//!   vectors, with typed fast paths for `col ⟨cmp⟩ const` shapes;
+//!   register programs with constant folding (no per-node vectors) — all
+//!   of a query's aggregate inputs into *one* program that evaluates a
+//!   shared column or subexpression once; boolean predicates
+//!   ([`BoolExpr`]) build branchless selection vectors, with typed fast
+//!   paths for `col ⟨cmp⟩ const` shapes;
 //! * [`sum_op`] — the grouped SUM operator with pluggable backends: plain
 //!   overflow-checked doubles (MonetDB behaviour), `repro<double, 4>`
 //!   deposited per row or batch-partitioned through the block kernel
@@ -103,5 +105,5 @@ pub use sql::{
 };
 pub use sum_op::{
     count_grouped, sum_grouped, sum_grouped_par, BatchPartition, GroupedOutput, GroupedStates,
-    GroupedSums, OverflowError, SumBackend, MIN_SEG, SCAN_MORSEL_ROWS,
+    GroupedSums, OverflowError, SumBackend, MIN_SEG, NEAR_DENSE, SCAN_MORSEL_ROWS,
 };

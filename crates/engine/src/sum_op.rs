@@ -165,21 +165,19 @@ impl<const L: usize> ReproStates<L> {
     /// high-cardinality batch, so the state of row `i +`
     /// [`PREFETCH_AHEAD`] is requested while row `i` is added; a resident
     /// array skips the hint, which there only costs issue slots.
-    fn update(&mut self, group_ids: &[u32], values: &[f64]) {
+    fn update(&mut self, group_ids: &[u32], values: impl Iterator<Item = f64>) {
         if std::mem::size_of_val(self.0.as_slice()) <= PREFETCH_MIN_BYTES {
-            for (&g, &v) in group_ids.iter().zip(values.iter()) {
+            for (&g, v) in group_ids.iter().zip(values) {
                 self.0[g as usize].add(v);
             }
             return;
         }
-        let ahead = group_ids.get(PREFETCH_AHEAD..).unwrap_or(&[]);
-        let base = self.0.as_ptr();
-        for ((&g, &v), &a) in group_ids.iter().zip(values.iter()).zip(ahead) {
-            prefetch(base.wrapping_add(a as usize));
-            self.0[g as usize].add(v);
-        }
-        let tail = ahead.len();
-        for (&g, &v) in group_ids[tail..].iter().zip(values[tail..].iter()) {
+        // The batch's last rows ask for the last row's state again: a
+        // hint for a line already on its way costs nothing.
+        let (base, last) = (self.0.as_ptr(), group_ids.len().saturating_sub(1));
+        for (i, (&g, v)) in group_ids.iter().zip(values).enumerate() {
+            let ahead = group_ids[(i + PREFETCH_AHEAD).min(last)];
+            prefetch(base.wrapping_add(ahead as usize));
             self.0[g as usize].add(v);
         }
     }
@@ -221,6 +219,17 @@ impl<const L: usize> ReproStates<L> {
 /// produce identical states.
 pub const MIN_SEG: usize = 512;
 
+/// Least share of its covering range `[first, last]` a batch's selection
+/// must keep to be *near-dense* ([`crate::Sel::near_dense`]): the fused scan
+/// then reads that range as column slices — applying the selection
+/// afterwards, where the batch's deposit makes it cheapest — instead of
+/// gathering the selected rows column by column. Set by
+/// `criterion_micro`'s `projection` sweep (EXPERIMENTS.md): Q1's
+/// 98.7 %-kept batches are far above it, Q6's 2 % far below.
+/// Bit-invisible — every side of it deposits the same values in the same
+/// order.
+pub const NEAR_DENSE: f64 = 0.5;
+
 /// One batch's rows, stably partitioned by group id: a permutation that
 /// lists batch-local row indices group by group (ascending group id, row
 /// order kept inside each group) plus the `(group, end)` segment list
@@ -229,6 +238,15 @@ pub const MIN_SEG: usize = 512;
 /// evaluated values through the permutation and deposits one block call
 /// per group. (MIN / MAX keep their per-row folds over the row-ordered
 /// group ids: a compare-and-keep per row is cheaper than the gather.)
+///
+/// **Selecting while partitioning.** Re-aimed at the batch's selection
+/// ([`Self::select`]), the permutation lists *offsets into the
+/// selection's covering range* instead — `rows[i] - rows[0]` for batch
+/// position `i`. The values then handed to the gather are that whole
+/// range's, selected or not, and the gather every SUM state performs
+/// anyway picks exactly the selected rows, group by group: the paper's
+/// §V buffer fill, which never sees how its per-group batch was
+/// assembled.
 ///
 /// **Why no bit can change.** The counting sort is stable, so each group
 /// slot receives exactly the values it would receive per row, in the same
@@ -242,6 +260,9 @@ pub struct BatchPartition {
     cursors: Vec<u32>,
     /// One state's values in partition order (reused across states).
     sorted: Vec<f64>,
+    /// Length of the value slices the permutation indexes: the batch's
+    /// rows, or the covering range of its selection.
+    span: usize,
 }
 
 impl BatchPartition {
@@ -252,12 +273,29 @@ impl BatchPartition {
         if groups.saturating_mul(MIN_SEG) > group_ids.len() {
             return false;
         }
+        self.span = group_ids.len();
         #[cfg(target_arch = "x86_64")]
         if crate::simd_sel::partition_by_group(group_ids, groups, &mut self.perm, &mut self.segs) {
             return true;
         }
         self.counting_sort(group_ids, groups);
         true
+    }
+
+    /// Re-aims a partition just [built](Self::build) at the covering range
+    /// of the batch's strictly increasing selection `rows` (one row id per
+    /// group id; see the type docs). A pass of its own: packing the
+    /// offsets inside the partition kernel measured the same
+    /// (EXPERIMENTS.md).
+    pub fn select(&mut self, rows: &[u32]) {
+        assert_eq!(rows.len(), self.perm.len());
+        let Some((&first, &last)) = rows.first().zip(rows.last()) else {
+            return;
+        };
+        self.span = (last - first) as usize + 1;
+        for p in &mut self.perm {
+            *p = rows[*p as usize] - first;
+        }
     }
 
     /// Stable counting sort of the batch's row indices by group id — the
@@ -293,12 +331,24 @@ impl BatchPartition {
         &self.segs
     }
 
-    /// `values` (one per batch row, in row order) in partition order.
+    /// `values` (one per batch row in row order — per row of the covering
+    /// range, for a partition built over a selection) in partition order.
     fn gather(&mut self, values: &[f64]) -> (&[f64], &[(u32, usize)]) {
-        assert_eq!(values.len(), self.perm.len());
-        self.sorted.clear();
-        self.sorted
-            .extend(self.perm.iter().map(|&i| values[i as usize]));
+        assert_eq!(values.len(), self.span);
+        self.sorted.resize(self.perm.len(), 0.0);
+        // Eight values per iteration: at one, the loop is seven
+        // instructions whose speed hangs on where they fall in a 64-byte
+        // line — 0.6 or 0.95 ns per value from one build to the next
+        // (EXPERIMENTS.md), the whole of buffered ÷ double's spread.
+        let (mut sorted, mut perm) = (self.sorted.chunks_exact_mut(8), self.perm.chunks_exact(8));
+        for (out, idx) in (&mut sorted).zip(&mut perm) {
+            for (o, &i) in out.iter_mut().zip(idx) {
+                *o = values[i as usize];
+            }
+        }
+        for (o, &i) in sorted.into_remainder().iter_mut().zip(perm.remainder()) {
+            *o = values[i as usize];
+        }
         (&self.sorted, &self.segs)
     }
 }
@@ -341,10 +391,14 @@ impl Inner {
     }
 
     /// One per-row deposit per `(group_id, value)` pair.
-    fn update_rows(&mut self, group_ids: &[u32], values: &[f64]) -> Result<(), OverflowError> {
+    fn update_rows(
+        &mut self,
+        group_ids: &[u32],
+        values: impl Iterator<Item = f64>,
+    ) -> Result<(), OverflowError> {
         match self {
             Inner::Double(acc) => {
-                for (&g, &v) in group_ids.iter().zip(values.iter()) {
+                for (&g, v) in group_ids.iter().zip(values) {
                     let slot = &mut acc[g as usize];
                     *slot += v;
                     // MonetDB's ADD_WITH_CHECK: per-element result check.
@@ -431,7 +485,7 @@ impl GroupedSums {
     pub fn update(&mut self, group_ids: &[u32], values: &[f64]) -> Result<(), OverflowError> {
         debug_assert_eq!(group_ids.len(), values.len());
         let Some(part) = &mut self.partition else {
-            return self.inner.update_rows(group_ids, values);
+            return self.inner.update_rows(group_ids, values.iter().copied());
         };
         let groups = self.inner.groups();
         for (ids, vals) in group_ids
@@ -441,7 +495,7 @@ impl GroupedSums {
             if part.build(ids, groups) {
                 self.inner.update_partitioned(part, vals)?;
             } else {
-                self.inner.update_rows(ids, vals)?;
+                self.inner.update_rows(ids, vals.iter().copied())?;
             }
         }
         Ok(())
@@ -707,6 +761,26 @@ impl GroupedStates {
         self.sums[slot].update(group_ids, values)
     }
 
+    /// Per-row SUM deposit of one scan batch into state array `slot`,
+    /// never partitioned (the scan has decided). With `rows` — the
+    /// batch's strictly increasing selection — `values` holds one value
+    /// per row of the selection's covering range and the deposit reads
+    /// the selected ones through it: the values of dropped rows are never
+    /// looked at. Without, one value per group id.
+    pub fn update_sum_rows(
+        &mut self,
+        slot: usize,
+        group_ids: &[u32],
+        values: &[f64],
+        rows: Option<&[u32]>,
+    ) -> Result<(), OverflowError> {
+        let inner = &mut self.sums[slot].inner;
+        match rows {
+            Some(rows) => inner.update_rows(group_ids, selected(values, rows)),
+            None => inner.update_rows(group_ids, values.iter().copied()),
+        }
+    }
+
     /// SUM deposit of a partitioned batch into state array `slot` (see
     /// [`GroupedSums::update_partitioned`]).
     pub fn update_sum_partitioned(
@@ -772,12 +846,22 @@ impl GroupedStates {
 
     /// MIN deposit: strict `<` fold, first minimal value in row order wins.
     pub fn update_min(&mut self, slot: usize, group_ids: &[u32], values: &[f64]) {
+        self.update_min_rows(slot, group_ids, values, None);
+    }
+
+    /// [`Self::update_min`], reading `values` through the selection `rows`
+    /// if given (see [`Self::update_sum_rows`]).
+    pub fn update_min_rows(
+        &mut self,
+        slot: usize,
+        group_ids: &[u32],
+        values: &[f64],
+        rows: Option<&[u32]>,
+    ) {
         let m = &mut self.mins[slot];
-        for (&g, &v) in group_ids.iter().zip(values.iter()) {
-            let cur = &mut m[g as usize];
-            if v < *cur {
-                *cur = v;
-            }
+        match rows {
+            Some(rows) => fold_rows(m, group_ids, selected(values, rows), |v, cur| v < cur),
+            None => fold_rows(m, group_ids, values.iter().copied(), |v, cur| v < cur),
         }
     }
 
@@ -803,12 +887,22 @@ impl GroupedStates {
 
     /// MAX deposit: strict `>` fold, first maximal value in row order wins.
     pub fn update_max(&mut self, slot: usize, group_ids: &[u32], values: &[f64]) {
+        self.update_max_rows(slot, group_ids, values, None);
+    }
+
+    /// [`Self::update_max`], reading `values` through the selection `rows`
+    /// if given (see [`Self::update_sum_rows`]).
+    pub fn update_max_rows(
+        &mut self,
+        slot: usize,
+        group_ids: &[u32],
+        values: &[f64],
+        rows: Option<&[u32]>,
+    ) {
         let m = &mut self.maxs[slot];
-        for (&g, &v) in group_ids.iter().zip(values.iter()) {
-            let cur = &mut m[g as usize];
-            if v > *cur {
-                *cur = v;
-            }
+        match rows {
+            Some(rows) => fold_rows(m, group_ids, selected(values, rows), |v, cur| v > cur),
+            None => fold_rows(m, group_ids, values.iter().copied(), |v, cur| v > cur),
         }
     }
 
@@ -892,6 +986,28 @@ impl GroupedStates {
             sums: self.sums.into_iter().map(GroupedSums::finalize).collect(),
             mins: self.mins,
             maxs: self.maxs,
+        }
+    }
+}
+
+/// The values of the strictly increasing selection `rows`, out of
+/// `values`: one per row of the selection's covering range `[first, last]`.
+fn selected<'a>(values: &'a [f64], rows: &'a [u32]) -> impl Iterator<Item = f64> + 'a {
+    let first = rows.first().map_or(0, |&r| r);
+    rows.iter().map(move |&r| values[(r - first) as usize])
+}
+
+/// Per-row extremum fold: `m[g] = v` wherever `wins(v, m[g])`.
+fn fold_rows(
+    m: &mut [f64],
+    group_ids: &[u32],
+    values: impl Iterator<Item = f64>,
+    wins: impl Fn(f64, f64) -> bool,
+) {
+    for (&g, v) in group_ids.iter().zip(values) {
+        let cur = &mut m[g as usize];
+        if wins(v, *cur) {
+            *cur = v;
         }
     }
 }
@@ -1088,15 +1204,28 @@ mod tests {
         // Every batch length around the vector width, group counts on
         // both sides of the SIMD kernel's limit; the
         // dispatched build and the scalar counting sort must both produce
-        // the stable sort permutation and its segment list.
+        // the stable sort permutation and its segment list — which
+        // `select` re-aims at a selection's covering-range offsets.
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+            rng
+        };
         for n in (0..=40).chain([4096, 4099, 1 << 15]) {
             for groups in [1usize, 2, 3, 16, 17, 64] {
                 let gids: Vec<u32> = (0..n)
                     .map(|_| {
-                        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let r = draw();
                         // Skewed, so some groups stay empty.
-                        ((rng >> 33) % groups as u64 * (rng >> 62) / 3) as u32
+                        ((r >> 33) % groups as u64 * (r >> 62) / 3) as u32
+                    })
+                    .collect();
+                // A strictly increasing selection with gaps of 0..=2 rows.
+                let mut row = (draw() >> 40) as u32;
+                let rows: Vec<u32> = (0..n)
+                    .map(|_| {
+                        row += 1 + (draw() >> 33) as u32 % 3;
+                        row
                     })
                     .collect();
                 let mut expected: Vec<u32> = (0..n as u32).collect();
@@ -1108,6 +1237,10 @@ mod tests {
                         _ => segs.push((gids[i as usize], pos + 1)),
                     }
                 }
+                let reaimed: Vec<u32> = expected
+                    .iter()
+                    .map(|&i| rows[i as usize] - rows[0])
+                    .collect();
                 let mut scalar = BatchPartition::default();
                 scalar.counting_sort(&gids, groups);
                 assert_eq!(scalar.perm, expected, "scalar n {n} groups {groups}");
@@ -1116,6 +1249,11 @@ mod tests {
                 if built.build(&gids, groups) {
                     assert_eq!(built.perm, expected, "build n {n} groups {groups}");
                     assert_eq!(built.segs, segs, "build n {n} groups {groups}");
+                    assert_eq!(built.span, n);
+                    built.select(&rows);
+                    assert_eq!(built.perm, reaimed, "select n {n} groups {groups}");
+                    assert_eq!(built.segs, segs, "select n {n} groups {groups}");
+                    assert_eq!(built.span, (rows[n - 1] - rows[0]) as usize + 1);
                 } else {
                     assert!(groups * MIN_SEG > n);
                 }
