@@ -193,12 +193,10 @@ fn bench_fused_scan(c: &mut Criterion) {
 
 /// SIMD dispatch: the repro summation kernel per level (per-value scalar
 /// cascade vs the portable lane-array block kernel vs forced AVX2) for
-/// f64 and f32 at several sizes, and the AVX2 selection-vector build at
-/// low/half/high selectivity. All arms are bit-identical (proptested);
+/// f64 and f32 at several sizes. All arms are bit-identical (proptested);
 /// the thrpt columns read directly as the dispatch win.
 fn bench_simd(c: &mut Criterion) {
     use rfa_core::cpu::{self, SimdLevel};
-    use rfa_engine::{BoolExpr, CmpOp, Column, EvalScratch, Expr, Table};
 
     let avx2 = cpu::avx2_supported();
     let mut g = c.benchmark_group("simd");
@@ -261,41 +259,6 @@ fn bench_simd(c: &mut Criterion) {
         }
     }
 
-    // Selection-vector build (the `BoundFast` fill kernel) over a
-    // uniform-[0,1) f64 column; the threshold sets the selectivity.
-    let n = N;
-    let w = GroupedPairs::generate(n, 16, ValueDist::Uniform01, 29);
-    let mut table = Table::new("t");
-    table
-        .add_column("x", Column::f64(w.values.clone()))
-        .unwrap();
-    g.throughput(Throughput::Elements(n as u64));
-    for (pct, threshold) in [(2u32, 0.02f64), (50, 0.5), (98, 0.98)] {
-        let pred = BoolExpr::Cmp(
-            CmpOp::Lt,
-            Box::new(Expr::col("x")),
-            Box::new(Expr::lit(threshold)),
-        )
-        .compile();
-        let bound = pred.bind(&table).unwrap();
-        let levels: &[(&str, SimdLevel)] = if avx2 {
-            &[("scalar", SimdLevel::Scalar), ("avx2", SimdLevel::Avx2)]
-        } else {
-            &[("scalar", SimdLevel::Scalar)]
-        };
-        for &(name, level) in levels {
-            cpu::set_override(Some(level));
-            g.bench_function(format!("sel_fill_{pct}pct_{name}"), |b| {
-                let mut sel: Vec<u32> = Vec::with_capacity(n);
-                let mut scratch = EvalScratch::new();
-                b.iter(|| {
-                    bound.fill(0, n, &mut sel, &mut scratch);
-                    black_box(sel.len())
-                })
-            });
-            cpu::set_override(None);
-        }
-    }
     g.finish();
 }
 
@@ -575,6 +538,78 @@ fn bench_projection(c: &mut Criterion) {
     g.finish();
 }
 
+/// The scan filter's range kernels: selection-vector fill (first conjunct,
+/// contiguous rows) and refine (later conjuncts, gathered rows) over a
+/// plain `F64` and a plain `I32` column, per dispatch level, at 1 / 15 /
+/// 50 / 99 % selectivity. Every conjunct binds as a closed interval, so a
+/// one-sided comparison (`x < c` — Q1's shipdate cutoff) runs the same
+/// two-compare kernel as a two-sided window; both are measured so that
+/// what the second compare costs is a number (EXPERIMENTS.md holds the
+/// single-compare kernels this replaced, measured by this very group).
+/// Refines start from all rows each iteration (the copy is in the time).
+fn bench_filter(c: &mut Criterion) {
+    use rfa_core::cpu;
+    use rfa_engine::{Column, EvalScratch, Expr, Table};
+
+    let n = N;
+    // Uniform over [0, 10 000): the same bounds select the same share of
+    // both columns.
+    const SPAN: f64 = 10_000.0;
+    let w = GroupedPairs::generate(n, 16, ValueDist::Uniform01, 29);
+    let floats: Vec<f64> = w.values.iter().map(|v| v * SPAN).collect();
+    let ints: Vec<i32> = floats.iter().map(|&v| v as i32).collect();
+    let mut table = Table::new("t");
+    table.add_column("f64", Column::f64(floats)).unwrap();
+    table.add_column("i32", Column::i32(ints)).unwrap();
+    let all: Vec<u32> = (0..n as u32).collect();
+
+    let mut g = c.benchmark_group("filter");
+    g.measurement_time(std::time::Duration::from_millis(300));
+    g.throughput(Throughput::Elements(n as u64));
+    for col in ["f64", "i32"] {
+        for pct in [1u32, 15, 50, 99] {
+            // The lowest `pct` percent one-sided; as many from the middle.
+            let width = pct as f64 / 100.0 * SPAN;
+            let lo = ((SPAN - width) / 2.0).floor();
+            let preds = [
+                ("one_sided", Expr::col(col).lt(Expr::lit(width))),
+                (
+                    "two_sided",
+                    Expr::col(col).between(Expr::lit(lo), Expr::lit(lo + width - 1.0)),
+                ),
+            ];
+            for (sides, pred) in preds {
+                let pred = pred.compile();
+                let bound = pred.bind(&table).unwrap();
+                for (level_name, level) in dispatch_levels() {
+                    cpu::set_override(Some(level));
+                    let id = format!("{col}_{sides}_{pct}pct_{level_name}");
+                    g.bench_function(format!("fill_{id}"), |b| {
+                        let mut sel: Vec<u32> = Vec::with_capacity(n);
+                        let mut scratch = EvalScratch::new();
+                        b.iter(|| {
+                            bound.fill(0, n, &mut sel, &mut scratch);
+                            black_box(sel.len())
+                        })
+                    });
+                    g.bench_function(format!("refine_{id}"), |b| {
+                        let mut sel: Vec<u32> = Vec::with_capacity(n);
+                        let mut scratch = EvalScratch::new();
+                        b.iter(|| {
+                            sel.clear();
+                            sel.extend_from_slice(&all);
+                            bound.refine(&mut sel, &mut scratch);
+                            black_box(sel.len())
+                        })
+                    });
+                    cpu::set_override(None);
+                }
+            }
+        }
+    }
+    g.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -586,6 +621,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_summation, bench_operators, bench_parallel, bench_fused_scan, bench_simd, bench_hash_probe,
-        bench_grouped_deposit, bench_gid_assign, bench_projection
+        bench_grouped_deposit, bench_gid_assign, bench_projection, bench_filter
 }
 criterion_main!(benches);

@@ -92,8 +92,8 @@ pub enum Column {
     U8(Arc<Vec<u8>>),
     /// Dictionary encoding: row `i` holds `dict[codes[i]]`. `dict` must be
     /// a plain column with at most 256 entries (codes are `u8`). The
-    /// executor scans the *codes* — predicates evaluate once per dictionary
-    /// entry, never per row (see `expr::BoundFast`).
+    /// executor scans the *codes* — interval predicates evaluate once per
+    /// dictionary entry, never per row (see `expr::BoundFast`).
     Dict {
         codes: Arc<Vec<u8>>,
         dict: Box<Column>,

@@ -38,11 +38,24 @@
 //!
 //! **Predicates stay branchless.** A compiled predicate filters a batch
 //! by evaluating its mask and compacting the selection vector with the
-//! X100 increment-by-predicate idiom (no per-row branch). The common
-//! single-comparison shapes — `col ⟨cmp⟩ const` and
-//! `col BETWEEN const AND const` — additionally carry a fast path that
-//! tests rows directly against the typed column (`i32` bounds compare in
-//! the integer domain), skipping mask materialization entirely.
+//! X100 increment-by-predicate idiom (no per-row branch).
+//!
+//! **One closed interval per filtered column.** The common
+//! single-comparison shapes — `col ⟨cmp⟩ const` for the five ordered
+//! operators and `col BETWEEN const AND const` — have one normal form, a
+//! closed interval `[lo, hi]` over the column's widened values: `<` /
+//! `>` step the literal to its `f64` neighbour, one-sided tests use ±∞,
+//! `=` is `[c, c]`, a NaN literal keeps nothing. Intervals over one column
+//! intersect, so the scan filter binds *one* conjunct per filtered column
+//! however many comparisons the query spelled (Q6's date window is two;
+//! see `fused::ScanFilter`). Binding lowers the interval once into the
+//! column's own domain — an `f64` or integer range tested directly
+//! against the typed column (integer columns keep the integer domain
+//! under any literal: `[ceil lo, floor hi]`, clamped), a keep-set over a
+//! dictionary's codes, the row ranges of an RLE column's matching runs,
+//! nothing at all for an empty interval — skipping mask materialization
+//! entirely. `<>` is not an interval; it runs the mask program like any
+//! other composition.
 //!
 //! Reproducibility note (paper footnote 3): an arithmetic expression
 //! evaluated in its entirety per row is a fixed dag of roundings — itself
@@ -137,7 +150,7 @@ impl CmpOp {
     }
 
     #[inline]
-    pub(crate) fn test<T: Copy + PartialOrd>(self, a: T, b: T) -> bool {
+    fn test(self, a: f64, b: f64) -> bool {
         match self {
             CmpOp::Lt => a < b,
             CmpOp::Le => a <= b,
@@ -158,6 +171,73 @@ impl CmpOp {
             CmpOp::Eq => "=",
             CmpOp::Ne => "<>",
         }
+    }
+}
+
+/// A closed interval `[lo, hi]` of widened column values: the normal form
+/// of every fast-path conjunct. `v` is inside iff `lo <= v && v <= hi` —
+/// two ordered compares, so a NaN row is in no interval, exactly as it
+/// fails every ordered comparison. Bounds are never NaN; the empty
+/// interval is any with `lo > hi` ([`Interval::EMPTY`] canonically).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Interval {
+    lo: f64,
+    hi: f64,
+}
+
+impl Interval {
+    const EMPTY: Interval = Interval {
+        lo: f64::INFINITY,
+        hi: f64::NEG_INFINITY,
+    };
+
+    /// `[lo, hi]`; empty when `lo > hi` or either bound is NaN (`x >= NaN`
+    /// holds for no `x`).
+    fn new(lo: f64, hi: f64) -> Interval {
+        if lo <= hi {
+            Interval { lo, hi }
+        } else {
+            Interval::EMPTY
+        }
+    }
+
+    /// The values `v` with `v ⟨op⟩ c`, or `None` for `<>`, which keeps two
+    /// intervals and every NaN. A strict bound steps to the literal's
+    /// neighbour (`v < c ⇔ v <= c.next_down()`: no `f64` lies between),
+    /// and has nothing left to keep at the infinity it steps away from.
+    fn of_cmp(op: CmpOp, c: f64) -> Option<Interval> {
+        const INF: f64 = f64::INFINITY;
+        Some(match op {
+            CmpOp::Lt if c > -INF => Interval::new(-INF, c.next_down()),
+            CmpOp::Gt if c < INF => Interval::new(c.next_up(), INF),
+            CmpOp::Lt | CmpOp::Gt => Interval::EMPTY,
+            CmpOp::Le => Interval::new(-INF, c),
+            CmpOp::Ge => Interval::new(c, INF),
+            CmpOp::Eq => Interval::new(c, c),
+            CmpOp::Ne => return None,
+        })
+    }
+
+    pub(crate) fn intersect(self, other: Interval) -> Interval {
+        Interval::new(self.lo.max(other.lo), self.hi.min(other.hi))
+    }
+
+    fn is_empty(self) -> bool {
+        self.lo > self.hi
+    }
+
+    #[inline]
+    fn contains(self, v: f64) -> bool {
+        (v >= self.lo) & (v <= self.hi)
+    }
+
+    /// The integers of the interval that lie in `[min, max]` — `[ceil lo,
+    /// floor hi]`, clamped — or `None` if there are none. (`as i64`
+    /// saturates, so bounds at ±∞ or beyond `i64` clamp like any other.)
+    fn integers(self, min: i64, max: i64) -> Option<(i64, i64)> {
+        let lo = (self.lo.ceil() as i64).max(min);
+        let hi = (self.hi.floor() as i64).min(max);
+        (lo <= hi).then_some((lo, hi))
     }
 }
 
@@ -345,6 +425,15 @@ enum Vals<'t> {
 }
 
 impl Vals<'_> {
+    fn len(&self) -> usize {
+        match *self {
+            Vals::F64(v) => v.len(),
+            Vals::I32(v) => v.len(),
+            Vals::U32(v) => v.len(),
+            Vals::U8(v) => v.len(),
+        }
+    }
+
     #[inline]
     fn get(&self, i: usize) -> f64 {
         match *self {
@@ -604,85 +693,90 @@ pub struct BoundExpr<'t> {
     prog: BoundProg<'t>,
 }
 
-/// A compiled boolean predicate. Always carries the general mask program;
-/// single-comparison shapes additionally carry a fast path that tests
-/// rows directly against the typed column (see module docs).
+/// A compiled boolean predicate: the general mask program, and for a
+/// single comparison of a column with constants its interval normal
+/// form (see module docs), which binds to a typed range loop instead.
 #[derive(Clone, Debug)]
 pub struct CompiledPredicate {
     prog: Prog,
     fast: Option<FastShape>,
 }
 
-/// A compiled predicate bound to one table's column storage.
-pub struct BoundPredicate<'t> {
-    prog: BoundProg<'t>,
-    fast: Option<BoundFast<'t>>,
+/// A predicate bound to one table's column storage.
+pub struct BoundPredicate<'t>(Bound<'t>);
+
+enum Bound<'t> {
+    /// An interval over one column, lowered into the column's domain.
+    Fast(BoundFast<'t>),
+    /// Every other shape: the general mask program.
+    Mask(BoundProg<'t>),
 }
 
-/// A fast-path predicate shape recognized at compile time (bound to a
-/// concrete column type at bind time).
+/// The fast-path shape recognized at compile time: `col` within `range`
+/// (constant-on-the-left comparisons are normalized through
+/// [`CmpOp::flip`]). Lowered to a concrete column type at bind time.
 #[derive(Clone, Debug)]
-enum FastShape {
-    /// `col ⟨op⟩ rhs` (constant-on-the-left comparisons are normalized
-    /// through [`CmpOp::flip`]).
-    Cmp { col: ColRef, op: CmpOp, rhs: f64 },
-    /// `lo <= col <= hi`.
-    Between { col: ColRef, lo: f64, hi: f64 },
+struct FastShape {
+    col: ColRef,
+    range: Interval,
 }
 
+/// An interval lowered into its column's own domain.
 enum BoundFast<'t> {
-    F64Cmp {
-        col: &'t [f64],
-        op: CmpOp,
-        rhs: f64,
-    },
-    /// The i32 comparison runs in the integer domain — identical to the
-    /// widened f64 comparison (the conversion is exact) but without the
-    /// per-row convert.
-    I32Cmp {
-        col: &'t [i32],
-        op: CmpOp,
-        rhs: i32,
-    },
-    F64Between {
+    F64Range {
         col: &'t [f64],
         lo: f64,
         hi: f64,
     },
-    I32Between {
+    /// Integer columns test in the integer domain — identical to the
+    /// widened f64 test (the conversion is exact and monotone) but
+    /// without the per-row convert.
+    I32Range {
         col: &'t [i32],
         lo: i32,
         hi: i32,
     },
-    /// Dictionary predicate pushdown: the comparison ran once per
+    U32Range {
+        col: &'t [u32],
+        lo: u32,
+        hi: u32,
+    },
+    /// A keep-set over byte codes: the interval was tested once per
     /// dictionary entry (on the identical widened `f64` values the plain
-    /// column would produce per row), leaving a 256-entry code-membership
-    /// set. Rows test `keep[code]` — no float compare, no gather. Entries
-    /// are 0 / -1 so the AVX2 kernel can gather and movemask them
-    /// directly; codes past the dictionary stay 0 (validation rejects
-    /// them before any scan).
+    /// column would produce per row) — or once per byte value of a plain
+    /// `U8` column, which is its own code. Rows test `keep[code]` — no
+    /// float compare, no gather. Entries are 0 / -1 so the SIMD kernels
+    /// can gather and movemask them directly; codes past the dictionary
+    /// stay 0 (validation rejects them before any scan).
     DictInSet {
         codes: &'t [u8],
         keep: Box<[i32; 256]>,
     },
-    /// Wide-dictionary predicate pushdown: same once-per-entry evaluation
-    /// as [`BoundFast::DictInSet`], but the membership set is a 65536-bit
-    /// bitset (1024 × u64) indexed by the `u16` code — row `r` matches iff
-    /// bit `codes[r]` is set. Codes past the dictionary stay 0 (validation
-    /// rejects them before any scan).
+    /// Wide-dictionary keep-set: same once-per-entry test as
+    /// [`BoundFast::DictInSet`], held as a 65536-bit set indexed by the
+    /// `u16` code ([`u16_in_set`]; 32-bit words, which the AVX2 fill
+    /// gathers). Codes past the dictionary stay 0 (validation rejects
+    /// them before any scan).
     Dict16InSet {
         codes: &'t [u16],
-        keep: Box<[u64; 1024]>,
+        keep: Box<[u32; 2048]>,
     },
-    /// RLE predicate pushdown: the comparison ran once per run, and the
-    /// matching runs are kept as coalesced, increasing `[start, end)` row
-    /// ranges — the predicate is *decided* at bind time. The fused scan
-    /// takes these out of the conjunct list altogether
-    /// ([`BoundPredicate::into_rle_ranges`]) and never visits a batch
+    /// The predicate is *decided* at bind time: the rows it keeps, as
+    /// coalesced, increasing `[start, end)` ranges. An RLE column tests
+    /// the interval once per run and keeps its matching runs; an empty
+    /// interval keeps nothing on any column. The fused scan takes these
+    /// out of the conjunct list altogether
+    /// ([`BoundPredicate::into_decided_ranges`]) and never visits a batch
     /// outside them; `fill` / `refine` serve every other caller.
-    RleRuns {
+    Decided {
         ranges: Vec<RowRange>,
     },
+}
+
+/// Bit `c` of a 65536-bit code set.
+#[inline]
+pub(crate) fn u16_in_set(keep: &[u32; 2048], c: u16) -> bool {
+    keep[(c >> 5) as usize] >> (c & 31) & 1 != 0
 }
 
 /// A half-open `[start, end)` range of row ids.
@@ -869,7 +963,7 @@ impl BoolExpr {
     }
 
     /// Compiles the predicate to a mask program, recognizing the
-    /// fast-path single-comparison shapes.
+    /// single-comparison shapes that are an interval over a column.
     pub fn compile(&self) -> CompiledPredicate {
         let mut b = Builder::default();
         b.lower_bool(self);
@@ -880,30 +974,22 @@ impl BoolExpr {
     }
 
     fn fast_shape(&self) -> Option<FastShape> {
-        match self {
+        let (col, range) = match self {
             BoolExpr::Cmp(op, a, b) => match (&**a, &**b) {
-                (Expr::Col(c), Expr::Const(v)) => Some(FastShape::Cmp {
-                    col: c.clone(),
-                    op: *op,
-                    rhs: *v,
-                }),
-                (Expr::Const(v), Expr::Col(c)) => Some(FastShape::Cmp {
-                    col: c.clone(),
-                    op: op.flip(),
-                    rhs: *v,
-                }),
-                _ => None,
+                (Expr::Col(c), Expr::Const(v)) => (c, Interval::of_cmp(*op, *v)?),
+                (Expr::Const(v), Expr::Col(c)) => (c, Interval::of_cmp(op.flip(), *v)?),
+                _ => return None,
             },
             BoolExpr::Between(e, lo, hi) => match (&**e, &**lo, &**hi) {
-                (Expr::Col(c), Expr::Const(l), Expr::Const(h)) => Some(FastShape::Between {
-                    col: c.clone(),
-                    lo: *l,
-                    hi: *h,
-                }),
-                _ => None,
+                (Expr::Col(c), Expr::Const(l), Expr::Const(h)) => (c, Interval::new(*l, *h)),
+                _ => return None,
             },
-            _ => None,
-        }
+            _ => return None,
+        };
+        Some(FastShape {
+            col: col.clone(),
+            range,
+        })
     }
 
     /// Evaluates the predicate over the rows of `sel`, returning one
@@ -1054,15 +1140,21 @@ impl CompiledExpr {
 }
 
 impl CompiledPredicate {
-    /// Resolves the referenced columns against a table, selecting the
-    /// typed fast path when the shape and column type allow it.
+    /// Resolves the referenced columns against a table: an interval shape
+    /// lowers into its column's domain, anything else binds the mask
+    /// program. Missing and non-numeric columns surface as
+    /// [`TableError`]s either way.
     pub fn bind<'t>(&'t self, table: &'t Table) -> Result<BoundPredicate<'t>, TableError> {
-        let prog = self.prog.bind(table)?;
-        let fast = match &self.fast {
-            None => None,
-            Some(shape) => bind_fast(shape, table)?,
-        };
-        Ok(BoundPredicate { prog, fast })
+        match self.range() {
+            Some((col, range)) => BoundPredicate::range(table, col, range),
+            None => Ok(BoundPredicate(Bound::Mask(self.prog.bind(table)?))),
+        }
+    }
+
+    /// The column and interval of a predicate that is one (the scan
+    /// filter intersects those of the same column before binding).
+    pub(crate) fn range(&self) -> Option<(&ColRef, Interval)> {
+        self.fast.as_ref().map(|f| (&f.col, f.range))
     }
 
     /// The distinct column names this predicate reads (see
@@ -1072,102 +1164,88 @@ impl CompiledPredicate {
     }
 }
 
-/// Exactly representable as `i32`? (Comparing an i32 column against such
-/// a constant in the integer domain is bit-equivalent to the widened f64
-/// comparison.)
-fn as_exact_i32(v: f64) -> Option<i32> {
-    if v.fract() == 0.0 && (i32::MIN as f64..=i32::MAX as f64).contains(&v) {
-        Some(v as i32)
-    } else {
-        None
+/// The coalesced row ranges of the runs whose value `keep` accepts.
+/// Adjacent matching runs coalesce, so a sorted column under an interval
+/// leaves one range however many runs it spans.
+fn kept_runs(run_ends: &[u32], keep: impl Fn(usize) -> bool) -> Vec<RowRange> {
+    let mut ranges: Vec<RowRange> = Vec::new();
+    let mut start = 0u32;
+    for (r, &end) in run_ends.iter().enumerate() {
+        if keep(r) {
+            match ranges.last_mut() {
+                Some(last) if last.1 == start => last.1 = end,
+                _ => ranges.push((start, end)),
+            }
+        }
+        start = end;
     }
+    ranges
 }
 
-/// The predicate of a fast shape, applied to one widened value — the
-/// same IEEE comparison the general mask program performs per row, so
-/// evaluating it once per dictionary entry / run value yields the exact
-/// per-row truth table.
-fn shape_test(shape: &FastShape, v: f64) -> bool {
-    match shape {
-        FastShape::Cmp { op, rhs, .. } => op.test(v, *rhs),
-        FastShape::Between { lo, hi, .. } => (v >= *lo) & (v <= *hi),
-    }
-}
-
-fn bind_fast<'t>(shape: &FastShape, table: &'t Table) -> Result<Option<BoundFast<'t>>, TableError> {
-    let col_name = match shape {
-        FastShape::Cmp { col, .. } | FastShape::Between { col, .. } => col,
-    };
-    // Existence/type already validated by the program bind; fall back to
-    // the general program for column types without a dedicated fast loop.
-    let column = table.column(col_name.as_str())?;
-    Ok(match (shape, column) {
-        (shape, Column::Dict { codes, dict }) => {
-            let Ok(vals) = vals_of(dict, col_name) else {
-                return Ok(None);
-            };
+impl<'t> BoundPredicate<'t> {
+    /// Binds `col` within `range`, lowering the interval once into the
+    /// column's own domain (see [`BoundFast`]). Testing a dictionary entry
+    /// or a run value against the interval is the same pair of IEEE
+    /// comparisons the general mask program performs per row, so the
+    /// per-entry / per-run truth table is the exact per-row one.
+    pub(crate) fn range(
+        table: &'t Table,
+        col: &ColRef,
+        range: Interval,
+    ) -> Result<BoundPredicate<'t>, TableError> {
+        let nothing = || BoundFast::Decided { ranges: Vec::new() };
+        // The 0 / -1 keep-set over byte codes `< len` whose value is inside.
+        let byte_set = |len: usize, value: &dyn Fn(usize) -> f64| {
             let mut keep = Box::new([0i32; 256]);
-            for (c, k) in keep.iter_mut().enumerate().take(dict.len()) {
-                *k = -(shape_test(shape, vals.get(c)) as i32);
+            for (c, k) in keep.iter_mut().enumerate().take(len) {
+                *k = -(range.contains(value(c)) as i32);
             }
-            Some(BoundFast::DictInSet { codes, keep })
-        }
-        (shape, Column::Dict16 { codes, dict }) => {
-            let Ok(vals) = vals_of(dict, col_name) else {
-                return Ok(None);
-            };
-            let mut keep = Box::new([0u64; 1024]);
-            for c in 0..dict.len() {
-                if shape_test(shape, vals.get(c)) {
-                    keep[c >> 6] |= 1u64 << (c & 63);
+            keep
+        };
+        let fast = match bind_numeric(table, col)? {
+            _ if range.is_empty() => nothing(),
+            ColData::F64(col) => BoundFast::F64Range {
+                col,
+                lo: range.lo,
+                hi: range.hi,
+            },
+            ColData::I32(col) => range
+                .integers(i32::MIN.into(), i32::MAX.into())
+                .map_or_else(nothing, |(lo, hi)| BoundFast::I32Range {
+                    col,
+                    lo: lo as i32,
+                    hi: hi as i32,
+                }),
+            ColData::U32(col) => {
+                range
+                    .integers(0, u32::MAX.into())
+                    .map_or_else(nothing, |(lo, hi)| BoundFast::U32Range {
+                        col,
+                        lo: lo as u32,
+                        hi: hi as u32,
+                    })
+            }
+            ColData::U8(codes) => BoundFast::DictInSet {
+                codes,
+                keep: byte_set(256, &|c| c as f64),
+            },
+            ColData::Dict { codes, vals } => BoundFast::DictInSet {
+                codes,
+                keep: byte_set(vals.len(), &|c| vals.get(c)),
+            },
+            ColData::Dict16 { codes, vals } => {
+                let mut keep = Box::new([0u32; 2048]);
+                for c in (0..vals.len().min(1 << 16)).filter(|&c| range.contains(vals.get(c))) {
+                    keep[c >> 5] |= 1 << (c & 31);
                 }
+                BoundFast::Dict16InSet { codes, keep }
             }
-            Some(BoundFast::Dict16InSet { codes, keep })
-        }
-        (shape, Column::Rle { run_ends, values }) => {
-            let Ok(vals) = vals_of(values, col_name) else {
-                return Ok(None);
-            };
-            // Adjacent matching runs coalesce, so a sorted column under a
-            // comparison leaves one range however many runs it spans.
-            let mut ranges: Vec<RowRange> = Vec::new();
-            let mut start = 0u32;
-            for (r, &end) in run_ends.iter().enumerate() {
-                if shape_test(shape, vals.get(r)) {
-                    match ranges.last_mut() {
-                        Some(last) if last.1 == start => last.1 = end,
-                        _ => ranges.push((start, end)),
-                    }
-                }
-                start = end;
-            }
-            Some(BoundFast::RleRuns { ranges })
-        }
-        (FastShape::Cmp { op, rhs, .. }, Column::F64(v)) => Some(BoundFast::F64Cmp {
-            col: v,
-            op: *op,
-            rhs: *rhs,
-        }),
-        (FastShape::Cmp { op, rhs, .. }, Column::I32(v)) => {
-            as_exact_i32(*rhs).map(|rhs| BoundFast::I32Cmp {
-                col: v,
-                op: *op,
-                rhs,
-            })
-        }
-        (FastShape::Between { lo, hi, .. }, Column::F64(v)) => Some(BoundFast::F64Between {
-            col: v,
-            lo: *lo,
-            hi: *hi,
-        }),
-        (FastShape::Between { lo, hi, .. }, Column::I32(v)) => {
-            match (as_exact_i32(*lo), as_exact_i32(*hi)) {
-                (Some(lo), Some(hi)) => Some(BoundFast::I32Between { col: v, lo, hi }),
-                _ => None,
-            }
-        }
-        _ => None,
-    })
+            ColData::Rle { run_ends, vals } => BoundFast::Decided {
+                ranges: kept_runs(run_ends, |r| range.contains(vals.get(r))),
+            },
+        };
+        Ok(BoundPredicate(Bound::Fast(fast)))
+    }
 }
 
 /// Branchless selection-vector build: writes every candidate row id and
@@ -1197,41 +1275,25 @@ fn refine_with(sel: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
     sel.truncate(k);
 }
 
-/// Comparison-predicate fill with the operator dispatch hoisted out of
-/// the row loop (monomorphized per column type).
+/// Range fill in the column's own domain (monomorphized per type).
 #[inline]
-fn fill_cmp<T: Copy + PartialOrd>(
+fn fill_range<T: Copy + PartialOrd>(
     col: &[T],
-    op: CmpOp,
-    rhs: T,
+    (l, h): (T, T),
     lo: usize,
     hi: usize,
     sel: &mut Vec<u32>,
 ) {
-    match op {
-        CmpOp::Lt => fill_with(lo, hi, sel, |r| col[r] < rhs),
-        CmpOp::Le => fill_with(lo, hi, sel, |r| col[r] <= rhs),
-        CmpOp::Gt => fill_with(lo, hi, sel, |r| col[r] > rhs),
-        CmpOp::Ge => fill_with(lo, hi, sel, |r| col[r] >= rhs),
-        CmpOp::Eq => fill_with(lo, hi, sel, |r| col[r] == rhs),
-        CmpOp::Ne => fill_with(lo, hi, sel, |r| col[r] != rhs),
-    }
+    fill_with(lo, hi, sel, |r| (col[r] >= l) & (col[r] <= h))
 }
 
 #[inline]
-fn refine_cmp<T: Copy + PartialOrd>(col: &[T], op: CmpOp, rhs: T, sel: &mut Vec<u32>) {
-    match op {
-        CmpOp::Lt => refine_with(sel, |r| col[r] < rhs),
-        CmpOp::Le => refine_with(sel, |r| col[r] <= rhs),
-        CmpOp::Gt => refine_with(sel, |r| col[r] > rhs),
-        CmpOp::Ge => refine_with(sel, |r| col[r] >= rhs),
-        CmpOp::Eq => refine_with(sel, |r| col[r] == rhs),
-        CmpOp::Ne => refine_with(sel, |r| col[r] != rhs),
-    }
+fn refine_range<T: Copy + PartialOrd>(col: &[T], (l, h): (T, T), sel: &mut Vec<u32>) {
+    refine_with(sel, |r| (col[r] >= l) & (col[r] <= h))
 }
 
 impl BoundFast<'_> {
-    /// The AVX2 build of this predicate's selection vector, when the
+    /// The SIMD build of this predicate's selection vector, when the
     /// dispatch level allows it (`false` = run the scalar loop). On
     /// non-x86 targets there is no kernel and the scalar path is it.
     #[inline]
@@ -1240,26 +1302,22 @@ impl BoundFast<'_> {
         {
             use crate::simd_sel;
             match self {
-                BoundFast::F64Cmp { col, op, rhs } => {
-                    simd_sel::fill_f64_cmp(col, *op, *rhs, _lo, _hi, _sel)
+                BoundFast::F64Range { col, lo, hi } => {
+                    simd_sel::fill_f64_range(col, *lo, *hi, _lo, _hi, _sel)
                 }
-                BoundFast::I32Cmp { col, op, rhs } => {
-                    simd_sel::fill_i32_cmp(col, *op, *rhs, _lo, _hi, _sel)
-                }
-                BoundFast::F64Between { col, lo: l, hi: h } => {
-                    simd_sel::fill_f64_between(col, *l, *h, _lo, _hi, _sel)
-                }
-                BoundFast::I32Between { col, lo: l, hi: h } => {
-                    simd_sel::fill_i32_between(col, *l, *h, _lo, _hi, _sel)
+                BoundFast::I32Range { col, lo, hi } => {
+                    simd_sel::fill_i32_range(col, *lo, *hi, _lo, _hi, _sel)
                 }
                 BoundFast::DictInSet { codes, keep } => {
                     simd_sel::fill_u8_in_set(codes, keep, _lo, _hi, _sel)
                 }
-                // The u16 bitset test is two scalar ops per row; no
-                // dedicated kernel yet. Range emission is already
-                // O(selected rows); nothing for a per-row kernel to speed
-                // up there either.
-                BoundFast::Dict16InSet { .. } | BoundFast::RleRuns { .. } => false,
+                BoundFast::Dict16InSet { codes, keep } => {
+                    simd_sel::fill_u16_in_set(codes, keep, _lo, _hi, _sel)
+                }
+                // `U32` filter columns have no kernel (no workload has
+                // one). Range emission is already O(selected rows);
+                // nothing for a per-row kernel to speed up there.
+                BoundFast::U32Range { .. } | BoundFast::Decided { .. } => false,
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -1272,23 +1330,19 @@ impl BoundFast<'_> {
         {
             use crate::simd_sel;
             match self {
-                BoundFast::F64Cmp { col, op, rhs } => {
-                    simd_sel::refine_f64_cmp(col, *op, *rhs, _sel)
+                BoundFast::F64Range { col, lo, hi } => {
+                    simd_sel::refine_f64_range(col, *lo, *hi, _sel)
                 }
-                BoundFast::I32Cmp { col, op, rhs } => {
-                    simd_sel::refine_i32_cmp(col, *op, *rhs, _sel)
+                BoundFast::I32Range { col, lo, hi } => {
+                    simd_sel::refine_i32_range(col, *lo, *hi, _sel)
                 }
-                BoundFast::F64Between { col, lo, hi } => {
-                    simd_sel::refine_f64_between(col, *lo, *hi, _sel)
-                }
-                BoundFast::I32Between { col, lo, hi } => {
-                    simd_sel::refine_i32_between(col, *lo, *hi, _sel)
-                }
-                // An i32 gather over u8 codes would read past the column's
-                // end; the scalar LUT loop is the refine path for codes.
-                BoundFast::DictInSet { .. }
+                // An i32 gather over u8 / u16 codes would read past the
+                // column's end; the scalar loop is the refine path for
+                // codes.
+                BoundFast::U32Range { .. }
+                | BoundFast::DictInSet { .. }
                 | BoundFast::Dict16InSet { .. }
-                | BoundFast::RleRuns { .. } => false,
+                | BoundFast::Decided { .. } => false,
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -1300,24 +1354,16 @@ impl BoundFast<'_> {
             return;
         }
         match self {
-            BoundFast::F64Cmp { col, op, rhs } => fill_cmp(col, *op, *rhs, lo, hi, sel),
-            BoundFast::I32Cmp { col, op, rhs } => fill_cmp(col, *op, *rhs, lo, hi, sel),
-            BoundFast::F64Between { col, lo: l, hi: h } => {
-                let (l, h) = (*l, *h);
-                fill_with(lo, hi, sel, |r| (col[r] >= l) & (col[r] <= h))
-            }
-            BoundFast::I32Between { col, lo: l, hi: h } => {
-                let (l, h) = (*l, *h);
-                fill_with(lo, hi, sel, |r| (col[r] >= l) & (col[r] <= h))
-            }
+            BoundFast::F64Range { col, lo: l, hi: h } => fill_range(col, (*l, *h), lo, hi, sel),
+            BoundFast::I32Range { col, lo: l, hi: h } => fill_range(col, (*l, *h), lo, hi, sel),
+            BoundFast::U32Range { col, lo: l, hi: h } => fill_range(col, (*l, *h), lo, hi, sel),
             BoundFast::DictInSet { codes, keep } => {
                 fill_with(lo, hi, sel, |r| keep[codes[r] as usize] != 0)
             }
-            BoundFast::Dict16InSet { codes, keep } => fill_with(lo, hi, sel, |r| {
-                let c = codes[r] as usize;
-                keep[c >> 6] >> (c & 63) & 1 != 0
-            }),
-            BoundFast::RleRuns { ranges } => {
+            BoundFast::Dict16InSet { codes, keep } => {
+                fill_with(lo, hi, sel, |r| u16_in_set(keep, codes[r]))
+            }
+            BoundFast::Decided { ranges } => {
                 sel.clear();
                 extend_clipped(ranges, lo, hi, sel);
             }
@@ -1329,24 +1375,16 @@ impl BoundFast<'_> {
             return;
         }
         match self {
-            BoundFast::F64Cmp { col, op, rhs } => refine_cmp(col, *op, *rhs, sel),
-            BoundFast::I32Cmp { col, op, rhs } => refine_cmp(col, *op, *rhs, sel),
-            BoundFast::F64Between { col, lo, hi } => {
-                let (l, h) = (*lo, *hi);
-                refine_with(sel, |r| (col[r] >= l) & (col[r] <= h))
-            }
-            BoundFast::I32Between { col, lo, hi } => {
-                let (l, h) = (*lo, *hi);
-                refine_with(sel, |r| (col[r] >= l) & (col[r] <= h))
-            }
+            BoundFast::F64Range { col, lo, hi } => refine_range(col, (*lo, *hi), sel),
+            BoundFast::I32Range { col, lo, hi } => refine_range(col, (*lo, *hi), sel),
+            BoundFast::U32Range { col, lo, hi } => refine_range(col, (*lo, *hi), sel),
             BoundFast::DictInSet { codes, keep } => {
                 refine_with(sel, |r| keep[codes[r] as usize] != 0)
             }
-            BoundFast::Dict16InSet { codes, keep } => refine_with(sel, |r| {
-                let c = codes[r] as usize;
-                keep[c >> 6] >> (c & 63) & 1 != 0
-            }),
-            BoundFast::RleRuns { ranges } => {
+            BoundFast::Dict16InSet { codes, keep } => {
+                refine_with(sel, |r| u16_in_set(keep, codes[r]))
+            }
+            BoundFast::Decided { ranges } => {
                 sel.retain(|&row| {
                     let r = ranges.partition_point(|r| r.1 <= row);
                     ranges.get(r).is_some_and(|r| r.0 <= row)
@@ -1578,11 +1616,11 @@ impl BoundExpr<'_> {
 
 impl BoundPredicate<'_> {
     /// The row ranges this predicate keeps, when binding already decided
-    /// it for every row (a fast shape over an RLE column); the predicate
-    /// itself otherwise.
-    pub(crate) fn into_rle_ranges(self) -> Result<Vec<RowRange>, Self> {
-        match self.fast {
-            Some(BoundFast::RleRuns { ranges }) => Ok(ranges),
+    /// it for every row ([`BoundFast::Decided`]); the predicate itself
+    /// otherwise.
+    pub(crate) fn into_decided_ranges(self) -> Result<Vec<RowRange>, Self> {
+        match self.0 {
+            Bound::Fast(BoundFast::Decided { ranges }) => Ok(ranges),
             _ => Err(self),
         }
     }
@@ -1590,44 +1628,44 @@ impl BoundPredicate<'_> {
     /// First conjunct of a batch: fills `sel` with the matching row ids
     /// of `[blo, bhi)`.
     pub fn fill(&self, blo: usize, bhi: usize, sel: &mut Vec<u32>, scratch: &mut EvalScratch) {
-        if let Some(fast) = &self.fast {
-            fast.fill(blo, bhi, sel);
-            return;
+        match &self.0 {
+            Bound::Fast(fast) => fast.fill(blo, bhi, sel),
+            Bound::Mask(prog) => {
+                sel.clear();
+                sel.extend(blo as u32..bhi as u32);
+                mask_filter(prog, sel, scratch);
+            }
         }
-        sel.clear();
-        sel.extend(blo as u32..bhi as u32);
-        self.mask_filter(sel, scratch);
     }
 
     /// Later conjuncts: compacts `sel` in place (order-preserving).
     pub fn refine(&self, sel: &mut Vec<u32>, scratch: &mut EvalScratch) {
-        if let Some(fast) = &self.fast {
-            fast.refine(sel);
-            return;
+        match &self.0 {
+            Bound::Fast(fast) => fast.refine(sel),
+            Bound::Mask(prog) => mask_filter(prog, sel, scratch),
         }
-        self.mask_filter(sel, scratch);
     }
+}
 
-    /// General path: evaluate the mask program over the candidate rows,
-    /// then compact branchlessly by the mask bit.
-    fn mask_filter(&self, sel: &mut Vec<u32>, scratch: &mut EvalScratch) {
-        let n = sel.len();
-        if n == 0 {
-            return;
-        }
-        self.prog.exec(Sel::new(sel), scratch);
-        let mask = &scratch.masks[0][..n];
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd_sel::compact_by_mask(sel, mask) {
-            return;
-        }
-        let mut k = 0usize;
-        for (i, &m) in mask.iter().enumerate() {
-            sel[k] = sel[i];
-            k += (m != 0) as usize;
-        }
-        sel.truncate(k);
+/// General path: evaluate the mask program over the candidate rows, then
+/// compact branchlessly by the mask bit.
+fn mask_filter(prog: &BoundProg<'_>, sel: &mut Vec<u32>, scratch: &mut EvalScratch) {
+    let n = sel.len();
+    if n == 0 {
+        return;
     }
+    prog.exec(Sel::new(sel), scratch);
+    let mask = &scratch.masks[0][..n];
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd_sel::compact_by_mask(sel, mask) {
+        return;
+    }
+    let mut k = 0usize;
+    for (i, &m) in mask.iter().enumerate() {
+        sel[k] = sel[i];
+        k += (m != 0) as usize;
+    }
+    sel.truncate(k);
 }
 
 #[cfg(test)]
@@ -1948,22 +1986,161 @@ mod tests {
         }
     }
 
+    /// The fast path `e` binds on `t`, if it binds one.
+    fn bound_fast<'t>(compiled: &'t CompiledPredicate, t: &'t Table) -> Option<BoundFast<'t>> {
+        match compiled.bind(t).unwrap().0 {
+            Bound::Fast(fast) => Some(fast),
+            Bound::Mask(_) => None,
+        }
+    }
+
     #[test]
-    fn i32_fast_path_requires_exact_bounds() {
+    fn comparisons_normalize_to_closed_intervals() {
+        const INF: f64 = f64::INFINITY;
+        let iv = |op, c| Interval::of_cmp(op, c).unwrap();
+        assert_eq!(iv(CmpOp::Le, 3.5), Interval { lo: -INF, hi: 3.5 });
+        assert_eq!(iv(CmpOp::Ge, 3.5), Interval { lo: 3.5, hi: INF });
+        assert_eq!(iv(CmpOp::Eq, 3.5), Interval { lo: 3.5, hi: 3.5 });
+        // Strict bounds step to the literal's neighbour, across zero too:
+        // `x < 0.0` and `x < -0.0` both stop at the largest negative.
+        assert_eq!(iv(CmpOp::Lt, 3.0).hi, 3.0f64.next_down());
+        assert_eq!(iv(CmpOp::Gt, 3.0).lo, 3.0f64.next_up());
+        for zero in [0.0, -0.0] {
+            assert_eq!(iv(CmpOp::Lt, zero).hi, -f64::from_bits(1));
+            assert_eq!(iv(CmpOp::Gt, zero).lo, f64::from_bits(1));
+        }
+        assert_eq!(Interval::of_cmp(CmpOp::Ne, 3.0), None);
+        // Nothing is below -inf, above +inf, or ordered against NaN; but
+        // `<= -inf` and `= inf` keep the infinity itself.
+        for (op, c) in [
+            (CmpOp::Lt, -INF),
+            (CmpOp::Gt, INF),
+            (CmpOp::Lt, f64::NAN),
+            (CmpOp::Le, f64::NAN),
+            (CmpOp::Gt, f64::NAN),
+            (CmpOp::Ge, f64::NAN),
+            (CmpOp::Eq, f64::NAN),
+        ] {
+            assert!(iv(op, c).is_empty(), "{op:?} {c}");
+        }
+        assert!(iv(CmpOp::Le, -INF).contains(-INF));
+        assert!(iv(CmpOp::Eq, INF).contains(INF));
+        assert!(Interval::new(1.0, f64::NAN).is_empty());
+        assert!(Interval::new(2.0, 1.0).is_empty());
+        // Every interval test agrees with the operator it came from, on
+        // the literal, its neighbours and the special values.
+        let probes = |c: f64| {
+            [
+                c,
+                c.next_down(),
+                c.next_up(),
+                0.0,
+                -0.0,
+                INF,
+                -INF,
+                f64::NAN,
+            ]
+        };
+        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq] {
+            for c in [3.0, -0.0, 0.0, 5e-324, f64::MAX, f64::MIN, INF, -INF] {
+                for v in probes(c) {
+                    assert_eq!(iv(op, c).contains(v), op.test(v, c), "{v} {op:?} {c}");
+                }
+            }
+        }
+        // Intersection is the conjunction.
+        let window = iv(CmpOp::Ge, 730.0).intersect(iv(CmpOp::Lt, 1095.0));
+        assert_eq!(window, Interval::new(730.0, 1095.0f64.next_down()));
+        assert!(iv(CmpOp::Ge, 5.0).intersect(iv(CmpOp::Lt, 3.0)).is_empty());
+        assert!(window.intersect(Interval::EMPTY).is_empty());
+    }
+
+    #[test]
+    fn i32_fast_path_keeps_the_integer_domain() {
         let t = pred_table();
-        // 3.5 is not an i32: the comparison must fall back to the general
-        // (widened f64) program and still be correct.
-        let p = Expr::col("k").le(Expr::lit(3.5));
-        let compiled = p.compile();
-        let bound = compiled.bind(&t).unwrap();
-        assert!(bound.fast.is_none());
+        let k = || Expr::col("k");
+        let lit = Expr::lit;
+        // Any finite literal lowers to integer bounds: [ceil lo, floor hi].
+        for (p, want) in [
+            (k().le(lit(3.5)), (i32::MIN, 3)),
+            (k().le(lit(3.0)), (i32::MIN, 3)),
+            (k().lt(lit(3.0)), (i32::MIN, 2)),
+            (k().gt(lit(-0.5)), (0, i32::MAX)),
+            (k().between(lit(2.5), lit(7.5)), (3, 7)),
+            (k().eq(lit(4.0)), (4, 4)),
+            // Bounds beyond the type clamp.
+            (k().between(lit(-1e12), lit(1e300)), (i32::MIN, i32::MAX)),
+            (k().ge(lit(i32::MIN as f64 - 0.5)), (i32::MIN, i32::MAX)),
+            (k().le(lit(i32::MAX as f64 + 0.5)), (i32::MIN, i32::MAX)),
+        ] {
+            let compiled = p.compile();
+            match bound_fast(&compiled, &t) {
+                Some(BoundFast::I32Range { lo, hi, .. }) => assert_eq!((lo, hi), want, "{p:?}"),
+                _ => panic!("{p:?} must bind an integer range"),
+            }
+            check_pred(&p, &t);
+        }
+        // No integer inside (or no i32): decided at bind, keeps no row.
+        for p in [
+            k().between(lit(2.25), lit(2.75)),
+            k().eq(lit(3.5)),
+            k().gt(lit(i32::MAX as f64)),
+            k().lt(lit(-1e10)),
+            k().ge(lit(f64::NAN)),
+        ] {
+            let compiled = p.compile();
+            assert!(
+                matches!(bound_fast(&compiled, &t), Some(BoundFast::Decided { ranges }) if ranges.is_empty()),
+                "{p:?}"
+            );
+            check_pred(&p, &t);
+        }
+        // `<>` is not an interval: the mask program, as for any shape.
+        let p = k().ne(lit(3.0));
+        assert!(bound_fast(&p.compile(), &t).is_none());
         check_pred(&p, &t);
-        // An exact bound takes the integer fast path.
-        let p = Expr::col("k").le(Expr::lit(3.0));
-        let compiled = p.compile();
-        let bound = compiled.bind(&t).unwrap();
-        assert!(matches!(bound.fast, Some(BoundFast::I32Cmp { rhs: 3, .. })));
-        check_pred(&p, &t);
+    }
+
+    #[test]
+    fn unsigned_columns_bind_range_loops() {
+        let mut t = pred_table();
+        t.add_column(
+            "u",
+            Column::u32((0..200u32).map(|i| i * 21_474_836).collect::<Vec<_>>()),
+        )
+        .unwrap();
+        let (u, b, lit) = (|| Expr::col("u"), || Expr::col("b"), Expr::lit);
+        for (p, want) in [
+            (u().lt(lit(1e9)), (0, 999_999_999)),
+            (u().between(lit(-3.0), lit(2.5e9)), (0, 2_500_000_000)),
+            (u().gt(lit(4e9 + 0.5)), (4_000_000_001, u32::MAX)),
+        ] {
+            let compiled = p.compile();
+            match bound_fast(&compiled, &t) {
+                Some(BoundFast::U32Range { lo, hi, .. }) => assert_eq!((lo, hi), want, "{p:?}"),
+                _ => panic!("{p:?} must bind an unsigned range"),
+            }
+            check_pred(&p, &t);
+        }
+        let compiled = u().lt(lit(0.0)).compile();
+        assert!(matches!(
+            bound_fast(&compiled, &t),
+            Some(BoundFast::Decided { .. })
+        ));
+        // A byte column is its own code: the keep-set path of `Dict`.
+        for p in [
+            b().eq(lit(3.0)),
+            b().between(lit(0.5), lit(4.5)),
+            b().ge(lit(300.0)),
+            b().lt(lit(-1.0)),
+        ] {
+            let compiled = p.compile();
+            assert!(matches!(
+                bound_fast(&compiled, &t),
+                Some(BoundFast::DictInSet { .. })
+            ));
+            check_pred(&p, &t);
+        }
     }
 
     /// `pred_table` with `x` dictionary-encoded and a sorted RLE copy of
@@ -2018,7 +2195,7 @@ mod tests {
         // Dict comparison binds the code-membership fast path.
         let p = Expr::col("x").lt(Expr::lit(0.25)).compile();
         let bound = p.bind(&t).unwrap();
-        assert!(matches!(bound.fast, Some(BoundFast::DictInSet { .. })));
+        assert!(matches!(bound.0, Bound::Fast(BoundFast::DictInSet { .. })));
         let q = Expr::col("x_plain").lt(Expr::lit(0.25)).compile();
         let plain = q.bind(&t).unwrap();
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -2033,7 +2210,7 @@ mod tests {
             .between(Expr::lit(-2.0), Expr::lit(6.0))
             .compile();
         let bound = p.bind(&t).unwrap();
-        assert!(matches!(bound.fast, Some(BoundFast::RleRuns { .. })));
+        assert!(matches!(bound.0, Bound::Fast(BoundFast::Decided { .. })));
         let q = Expr::col("kr_plain")
             .between(Expr::lit(-2.0), Expr::lit(6.0))
             .compile();
@@ -2083,7 +2260,10 @@ mod tests {
         // The comparison binds the 65536-bit code-membership fast path.
         let p = Expr::col("v").lt(Expr::lit(11.5)).compile();
         let bound = p.bind(&t).unwrap();
-        assert!(matches!(bound.fast, Some(BoundFast::Dict16InSet { .. })));
+        assert!(matches!(
+            bound.0,
+            Bound::Fast(BoundFast::Dict16InSet { .. })
+        ));
         let q = Expr::col("v_plain").lt(Expr::lit(11.5)).compile();
         let plain = q.bind(&t).unwrap();
         let mut scratch = EvalScratch::new();

@@ -23,10 +23,21 @@
 //!
 //! **Filters** are conjunctions of compiled [`BoolExpr`] predicates
 //! ([`crate::expr`]): the first conjunct fills the batch's selection
-//! vector branchlessly, later conjuncts refine it in place. Simple
-//! `col ⟨cmp⟩ const` shapes run typed fast loops; arbitrary compositions
-//! (`OR`, `NOT`, arithmetic comparisons) run the mask program — both
-//! produce the identical selection in the identical row order.
+//! vector branchlessly, later conjuncts refine it in place.
+//!
+//! **One closed interval per filtered column.** A conjunct that compares
+//! one column with constants (`<`, `<=`, `>`, `>=`, `=`, `BETWEEN`) is a
+//! closed interval over the column's values, and when the filter is bound
+//! (`ScanFilter`, once per query) all the intervals over one column
+//! intersect into a single conjunct at the position of the first: Q6's
+//! `l_shipdate >= lo AND l_shipdate < hi` is one range fill over the date
+//! window, not a fill that keeps every row after `lo` and a refine that
+//! walks them all. The merged interval binds to a range loop in the
+//! column's own domain (f64, integer, dictionary keep-set — or, below,
+//! row ranges). A conjunction keeps a row iff every conjunct does, so the
+//! selection and its row order are untouched. Everything else (`OR`,
+//! `NOT`, `<>`, arithmetic comparisons) runs the mask program per batch,
+//! in its written position.
 //!
 //! **Group keys** come in four shapes:
 //!
@@ -83,10 +94,11 @@
 //! vector and the group ids stay in row order, so predicates, RLE
 //! cursors and the algebraic deposits below never see it.
 //!
-//! **Range pruning.** A top-level conjunct that is a fast shape over an
-//! RLE column is *decided* when it is bound — once per run, once per
-//! query — into the coalesced `[start, end)` row ranges of its matching
-//! runs. Those conjuncts never reach a batch: their ranges are
+//! **Range pruning.** An interval conjunct over an RLE column is
+//! *decided* when it is bound — once per run, once per query — into the
+//! coalesced `[start, end)` row ranges of its matching runs; an interval
+//! nothing can satisfy (`x >= 5 AND x < 3`, a NaN literal) is decided on
+//! any storage: no row. Those conjuncts never reach a batch: their ranges are
 //! intersected (`ScanFilter`), and the scan keeps its batch / morsel
 //! grid but visits only the batches (and morsels) that overlap a range,
 //! starting each from `batch ∩ range` — the remaining conjuncts fill and
@@ -575,10 +587,12 @@ fn grid_batches(rows: usize, opts: &ExecOptions) -> u64 {
 /// The scan filter, bound once per query and shared by every morsel.
 struct ScanFilter<'t> {
     /// The rows that survive every conjunct binding could decide outright
-    /// (fast shapes over RLE columns): coalesced, increasing, intersected
-    /// across those conjuncts. The whole table when there is none.
+    /// (intervals over RLE columns; an empty interval, which leaves no
+    /// row): coalesced, increasing, intersected across those conjuncts.
+    /// The whole table when there is none.
     ranges: Vec<RowRange>,
-    /// The conjuncts left to evaluate per batch.
+    /// The conjuncts left to evaluate per batch: one per column filtered
+    /// by intervals, one per conjunct of any other shape.
     preds: Vec<BoundPredicate<'t>>,
 }
 
@@ -586,22 +600,46 @@ struct ScanFilter<'t> {
 thread_local! {
     /// [`ScanFilter::bind`] calls made on this thread.
     static FILTER_BINDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// `preds.len()` of this thread's last [`ScanFilter::bind`].
+    static BOUND_PREDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl<'t> ScanFilter<'t> {
+    /// Binds the query's conjuncts. Those that are an interval over a
+    /// column ([`CompiledPredicate::range`]) merge: all that name one
+    /// column intersect into a single conjunct at the position of the
+    /// first — `d >= lo AND d < hi` fills one selection vector, not a
+    /// wide one and its refinement. A conjunction keeps a row iff every
+    /// conjunct does, in any order, so the selection — rows and row order
+    /// — is the one the conjuncts would have produced one by one.
     fn bind(table: &'t Table, filter: &'t [CompiledPredicate]) -> ScanFilter<'t> {
-        #[cfg(test)]
-        FILTER_BINDS.with(|c| c.set(c.get() + 1));
         let mut ranges = vec![(0, table.rows() as u32)];
         let mut preds = Vec::new();
-        for p in filter {
-            let bound = p
-                .bind(table)
-                .expect("fused query references a missing or mistyped column");
-            match bound.into_rle_ranges() {
+        for (i, p) in filter.iter().enumerate() {
+            let bound = match p.range() {
+                Some((col, range)) => {
+                    let on_col = |q: &'t CompiledPredicate| q.range().filter(|(c, _)| *c == col);
+                    if filter[..i].iter().any(|q| on_col(q).is_some()) {
+                        continue; // merged into the column's first conjunct
+                    }
+                    let later = filter[i + 1..].iter().filter_map(on_col);
+                    let merged = later.fold(range, |m, (_, r)| m.intersect(r));
+                    BoundPredicate::range(table, col, merged)
+                }
+                None => p.bind(table),
+            };
+            match bound
+                .expect("fused query references a missing or mistyped column")
+                .into_decided_ranges()
+            {
                 Ok(kept) => ranges = intersect_ranges(&ranges, &kept),
                 Err(pred) => preds.push(pred),
             }
+        }
+        #[cfg(test)]
+        {
+            FILTER_BINDS.with(|c| c.set(c.get() + 1));
+            BOUND_PREDS.with(|c| c.set(preds.len()));
         }
         ScanFilter { ranges, preds }
     }
@@ -2889,9 +2927,10 @@ mod tests {
     }
 
     /// Range boundaries inside a batch, on a batch edge and on a morsel
-    /// boundary; a single-run column; no run kept; every run kept; `<>`
-    /// leaving many disjoint ranges in one batch — each against the plain
-    /// twin, bit for bit, with the exact set of batches visited.
+    /// boundary; a single-run column; no run kept; every run kept; an
+    /// unsorted column leaving many disjoint ranges in one batch — each
+    /// against the plain twin, bit for bit, with the exact set of batches
+    /// visited.
     #[test]
     fn pruned_ranges_clip_batches_exactly() {
         let n = 1000usize;
@@ -2929,11 +2968,14 @@ mod tests {
                 Box::new(move |r| (lo..hi).contains(&d[r])),
             )
         };
-        let u_ne = {
+        let u_mid = {
             let u = u.clone();
             (
-                vec![Expr::col("u").ne(Expr::lit(2.0))],
-                Box::new(move |r| u[r] != 2) as Keep,
+                vec![
+                    Expr::col("u").ge(Expr::lit(1.0)),
+                    Expr::col("u").le(Expr::lit(2.0)),
+                ],
+                Box::new(move |r| (1..=2).contains(&u[r])) as Keep,
             )
         };
         let filters: Vec<(Vec<BoolExpr>, Keep)> = vec![
@@ -2942,13 +2984,13 @@ mod tests {
             between(3, 4),     // one run, inside one batch
             between(0, 100),   // every run kept
             between(100, 200), // no run kept
-            u_ne,              // many disjoint ranges per batch
+            u_mid,             // many disjoint ranges per batch
             (
                 vec![Expr::col("one").eq(Expr::lit(5.0))],
                 Box::new(|_| true),
             ),
             (
-                vec![Expr::col("one").ne(Expr::lit(5.0))],
+                vec![Expr::col("one").gt(Expr::lit(5.0))],
                 Box::new(|_| false),
             ),
         ];
@@ -3005,8 +3047,8 @@ mod tests {
         }
     }
 
-    /// Shapes binding cannot decide — `OR`, `NOT`, a comparison of an
-    /// expression — run on every batch, over RLE columns too.
+    /// Shapes binding cannot decide — `OR`, `NOT`, `<>`, a comparison of
+    /// an expression — run on every batch, over RLE columns too.
     #[test]
     fn undecidable_shapes_over_rle_columns_are_not_pruned() {
         let n = 600usize;
@@ -3022,6 +3064,7 @@ mod tests {
         for filter in [
             col().lt(Expr::lit(2.0)).or(col().gt(Expr::lit(9.0))),
             col().ge(Expr::lit(3.0)).not(),
+            col().ne(Expr::lit(3.0)),
             col().add(Expr::lit(1.0)).lt(Expr::lit(4.0)),
             col().lt(Expr::col("x")),
         ] {
@@ -3043,6 +3086,225 @@ mod tests {
                 let got = run_fused(&enc, &query, SumBackend::Double, &opts).unwrap();
                 assert_runs_bitwise(&got, &want, &format!("{:?}", query.filter));
                 assert_eq!((got.batches_visited, got.batches_pruned), (19, 0));
+            }
+        }
+    }
+
+    /// `preds.len()` of the [`ScanFilter`] a fused run of `filter` binds.
+    fn bound_preds(table: &Table, filter: Vec<BoolExpr>) -> usize {
+        let query = FusedQuery {
+            filter,
+            sums: vec![],
+            mins: vec![],
+            maxs: vec![],
+            group_by: GroupKey::None,
+        };
+        run_fused(table, &query, SumBackend::Double, &ExecOptions::serial()).unwrap();
+        BOUND_PREDS.with(|c| c.get())
+    }
+
+    /// Acceptance: same-column interval conjuncts merge at bind. Q6 binds
+    /// three per-batch conjuncts (its date window is one), Q15 one —
+    /// through the plan builder and through SQL alike — while the plan
+    /// itself still holds the query as written.
+    #[test]
+    fn same_column_conjuncts_bind_as_one() {
+        use crate::sql::sql_query;
+        let li = rfa_workloads::Lineitem::generate(5_000, 3);
+        let table = crate::q1::lineitem_table(&li);
+        let bound = |plan: &crate::plan::QueryPlan| {
+            let opts = ExecOptions::serial();
+            plan.execute(&table, SumBackend::ReproUnbuffered, &opts)
+                .unwrap();
+            BOUND_PREDS.with(|c| c.get())
+        };
+        let (q6, q15) = (crate::q6::q6_plan(), crate::q15::q15_plan());
+        assert_eq!(q6.lower(&table).unwrap().query.filter.len(), 4);
+        assert_eq!(bound(&q6), 3);
+        assert_eq!(bound(&q15), 1);
+        let q6 = sql_query(&crate::q6::q6_sql(), &table).unwrap();
+        let q15 = sql_query(&crate::q15::q15_sql(), &table).unwrap();
+        assert_eq!(bound(&q6.plan), 3);
+        assert_eq!(bound(&q15.plan), 1);
+
+        // The merged conjunct sits where the column's first one stood, and
+        // only intervals merge: `<>` and compositions keep their slot.
+        let t = sample_table(300);
+        let (x, k) = (|| Expr::col("x"), || Expr::col("k"));
+        let lit = Expr::lit;
+        for (filter, want) in [
+            (
+                vec![x().ge(lit(-1.0)), k().lt(lit(9.0)), x().lt(lit(5.0))],
+                2,
+            ),
+            (
+                vec![x().ge(lit(-1.0)), x().ne(lit(2.0)), x().lt(lit(5.0))],
+                2,
+            ),
+            (
+                vec![x().lt(lit(5.0)).or(x().gt(lit(7.0))), x().gt(lit(-9.0))],
+                2,
+            ),
+            (
+                vec![
+                    k().eq(lit(4.0)),
+                    k().between(lit(2.5), lit(7.5)),
+                    k().le(lit(4.0)),
+                ],
+                1,
+            ),
+            (vec![x().ge(lit(1.0)).and(x().lt(lit(5.0)))], 1),
+            (vec![], 0),
+            // Decided at bind: an empty window is no per-batch conjunct.
+            (
+                vec![x().ge(lit(5.0)), k().lt(lit(9.0)), x().lt(lit(3.0))],
+                1,
+            ),
+        ] {
+            let tag = format!("{filter:?}");
+            assert_eq!(bound_preds(&t, filter), want, "{tag}");
+        }
+    }
+
+    /// Random conjunct lists: the filter binds one per-batch conjunct per
+    /// column that interval conjuncts name plus one per conjunct of any
+    /// other shape — however often a column repeats, wherever it stands.
+    #[test]
+    fn bound_conjuncts_are_distinct_interval_columns_plus_the_rest() {
+        let mut t = sample_table(200);
+        let x = t.column("x").unwrap().clone();
+        t.add_column("xd", x.dict_encode().unwrap()).unwrap();
+        const COLS: [&str; 5] = ["x", "y", "k", "ga", "xd"];
+        let mut rng = rfa_workloads::SplitMix64::new(22);
+        for case in 0..200 {
+            let mut filter = Vec::new();
+            let mut interval_cols = std::collections::BTreeSet::new();
+            let mut others = 0;
+            for _ in 0..rng.below(7) {
+                let name = COLS[rng.below(5) as usize];
+                let col = || Expr::col(name);
+                // Lower bounds below zero, upper bounds above: no merged
+                // interval is empty.
+                let below = Expr::lit(-1.0 - rng.below(9) as f64 * 0.5);
+                let above = Expr::lit(0.5 + rng.below(9) as f64 * 0.5);
+                let shape = rng.below(9);
+                filter.push(match shape {
+                    0 => col().gt(below),
+                    1 => col().ge(below),
+                    2 => col().lt(above),
+                    3 => col().le(above),
+                    4 => col().between(below, above),
+                    5 => below.le(col()),
+                    6 => col().ne(above),
+                    7 => col().lt(above).or(col().gt(below)),
+                    _ => col().add(Expr::lit(1.0)).ge(below),
+                });
+                if shape < 6 {
+                    interval_cols.insert(name);
+                } else {
+                    others += 1;
+                }
+            }
+            let want = interval_cols.len() + others;
+            assert_eq!(
+                bound_preds(&t, filter.clone()),
+                want,
+                "case {case}: {filter:?}"
+            );
+        }
+    }
+
+    /// ROADMAP H.2 "all-filtered", pinned: a conjunction no value can
+    /// satisfy — crossed bounds, a NaN literal, a strict bound at the
+    /// infinity it excludes, no integer between the bounds of an integer
+    /// column — is decided when the filter is bound. No batch is visited,
+    /// and the answer is the one the scan that visits every batch and
+    /// keeps no row gives: COUNT 0, SUM +0.0, MIN +∞, MAX −∞, no hash
+    /// group — on every backend, serial and two threads.
+    #[test]
+    fn empty_intervals_visit_no_batch_and_answer_like_the_full_scan() {
+        let n = 1000;
+        let t = sample_table(n);
+        let (x, k) = (|| Expr::col("x"), || Expr::col("k"));
+        let lit = Expr::lit;
+        let filters = [
+            vec![x().ge(lit(5.0)), x().lt(lit(3.0))],
+            vec![x().ge(lit(5.0)), k().lt(lit(9.0)), x().lt(lit(5.0))],
+            vec![x().le(lit(f64::NAN))],
+            vec![x().between(lit(f64::NAN), lit(1.0))],
+            vec![x().lt(lit(f64::NEG_INFINITY))],
+            vec![lit(f64::INFINITY).lt(x())],
+            vec![k().between(lit(2.25), lit(2.75))],
+            vec![k().gt(lit(2.0)), k().lt(lit(3.0)), x().lt(lit(1.0))],
+            vec![k().ge(lit(3e9))],
+        ];
+        let group_bys = || {
+            [
+                GroupKey::None,
+                sample_query().group_by,
+                GroupKey::Hash {
+                    col: "k".into(),
+                    hash: HashKind::Identity,
+                },
+            ]
+        };
+        for filter in filters {
+            // The same truth table in a shape binding cannot decide.
+            let all = filter.iter().cloned().reduce(BoolExpr::and).unwrap();
+            let undecided = vec![all.not().not()];
+            for group_by in group_bys() {
+                let query = |filter: &Vec<BoolExpr>| FusedQuery {
+                    filter: filter.clone(),
+                    sums: vec![Expr::col("x"), Expr::col("x").mul(Expr::col("y"))],
+                    mins: vec![Expr::col("y")],
+                    maxs: vec![Expr::col("k")],
+                    group_by: group_by.clone(),
+                };
+                for backend in [
+                    SumBackend::Double,
+                    SumBackend::ReproUnbuffered,
+                    SumBackend::ReproBuffered { buffer_size: 64 },
+                    SumBackend::Rsum { levels: 2 },
+                    SumBackend::RsumBuffered {
+                        levels: 3,
+                        buffer_size: 48,
+                    },
+                ] {
+                    for threads in [1usize, 2] {
+                        let opts = ExecOptions {
+                            threads,
+                            batch_rows: 64,
+                            morsel_rows: 256,
+                            ..ExecOptions::default()
+                        };
+                        let tag = format!("{filter:?} {group_by:?} {backend:?} t{threads}");
+                        let got = run_fused(&t, &query(&filter), backend, &opts).unwrap();
+                        let want = run_fused(&t, &query(&undecided), backend, &opts).unwrap();
+                        let grid = grid_batches(n, &opts);
+                        assert_eq!(
+                            (got.batches_visited, got.batches_pruned),
+                            (0, grid),
+                            "{tag}"
+                        );
+                        assert_eq!((want.batches_visited, want.batches_pruned), (grid, 0));
+                        assert_runs_bitwise(&got, &want, &tag);
+                        assert!(got.counts.iter().all(|&c| c == 0), "{tag}");
+                        let bits = |v: f64| v.to_bits();
+                        let all_are = |arrays: &Vec<Vec<f64>>, v: f64| {
+                            arrays.iter().flatten().all(|&a| bits(a) == bits(v))
+                        };
+                        assert!(all_are(&got.sums, 0.0), "{tag}: {:?}", got.sums);
+                        assert!(all_are(&got.mins, f64::INFINITY), "{tag}");
+                        assert!(all_are(&got.maxs, f64::NEG_INFINITY), "{tag}");
+                        match &group_by {
+                            GroupKey::None => assert_eq!(got.counts, [0], "{tag}"),
+                            GroupKey::Dense { groups, .. } => {
+                                assert_eq!(got.counts.len(), *groups, "{tag}")
+                            }
+                            _ => assert_eq!(got.keys.as_deref(), Some(&[][..]), "{tag}"),
+                        }
+                    }
+                }
             }
         }
     }

@@ -453,8 +453,10 @@ impl QueryPlan {
     /// Validates every column reference and lowers the logical plan to
     /// the physical [`FusedQuery`], sharing one SUM state between SUM and
     /// AVG calls over structurally identical expressions and splitting
-    /// top-level `AND` conjunctions so single-comparison pieces take the
-    /// typed fast filter loops.
+    /// top-level `AND` conjunctions into conjuncts, as written: the scan
+    /// filter recognizes those that compare one column with constants as
+    /// intervals and binds one range loop per such column
+    /// ([`crate::fused`]).
     pub(crate) fn lower(&self, table: &Table) -> Result<Lowered, PlanError> {
         if self.table != table.name {
             return Err(PlanError::WrongTable {
@@ -611,8 +613,10 @@ fn intern(exprs: &mut Vec<Expr>, e: &Expr) -> usize {
     }
 }
 
-/// Splits top-level `AND`s into individual conjuncts (recursively), so
-/// `a AND b AND c` filters as three refine passes over the batch.
+/// Splits top-level `AND`s into individual conjuncts (recursively):
+/// `a AND b AND c` reaches the scan filter as three conjuncts, in order.
+/// Nothing is merged or reordered here — a plan holds the query as
+/// written; the filter's bind step intersects same-column intervals.
 fn split_conjuncts(e: &BoolExpr, out: &mut Vec<BoolExpr>) {
     if let BoolExpr::And(a, b) = e {
         split_conjuncts(a, out);

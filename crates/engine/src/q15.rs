@@ -46,8 +46,9 @@ pub struct RevenueRow {
     pub count: u64,
 }
 
-/// The Q15 revenue-view plan: one date-range conjunct, revenue SUM and
-/// COUNT grouped by `l_suppkey` through the hash arm.
+/// The Q15 revenue-view plan: the date range as the SQL spells it (two
+/// comparisons, which the scan binds as one interval conjunct), revenue
+/// SUM and COUNT grouped by `l_suppkey` through the hash arm.
 pub fn q15_plan() -> QueryPlan {
     QueryPlan::scan("lineitem")
         .filter(Expr::col("l_shipdate").ge(Expr::lit(Q15_DATE_LO as f64)))

@@ -37,8 +37,11 @@ use std::time::Instant;
 pub const Q6_DATE_LO: i32 = 2 * 365;
 pub const Q6_DATE_HI: i32 = 3 * 365;
 
-/// The Q6 logical plan: three filter conjuncts in the SQL's order, one
-/// un-grouped SUM of `l_extendedprice * l_discount`.
+/// The Q6 logical plan: the SQL's four comparisons in the SQL's order,
+/// one un-grouped SUM of `l_extendedprice * l_discount`. The scan binds
+/// three filter conjuncts: the two `l_shipdate` bounds are one closed
+/// interval, so the first fill keeps the date window's rows only (see
+/// [`crate::fused`], "one closed interval per filtered column").
 pub fn q6_plan() -> QueryPlan {
     QueryPlan::scan("lineitem")
         .filter(Expr::col("l_shipdate").ge(Expr::lit(Q6_DATE_LO as f64)))

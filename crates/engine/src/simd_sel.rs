@@ -1,19 +1,25 @@
 //! Explicit AVX2 kernels for selection-vector build and compaction.
 //!
-//! The scan filter's hot loops — [`crate::expr`]'s typed fast paths and
+//! The scan filter's hot loops — [`crate::expr`]'s typed range loops and
 //! the mask-compaction step of the general predicate program — are
 //! branchless scalar loops that LLVM partially vectorizes. This module
 //! provides hand-written AVX2 versions that process 8 candidate rows per
 //! iteration:
 //!
-//! * **fill**: compare 8 contiguous column values against the constant
-//!   bound(s) (`vcmppd` / `vpcmpgtd`), collapse the lane masks to an
-//!   8-bit scalar mask (`vmovmskpd` / `vmovmskps`), then append the
-//!   matching row ids in one shot via a 256-entry permutation LUT and
-//!   `vpermd` (left-pack) + unconditional 8-lane store;
+//! * **fill**: test 8 contiguous column values against the conjunct's
+//!   closed interval `[lo, hi]` (two `vcmppd` / two `vpcmpgtd` — every
+//!   fast conjunct is one interval, see [`crate::expr::Interval`]),
+//!   collapse the lane masks to an 8-bit scalar mask (`vmovmskpd` /
+//!   `vmovmskps`), then append the matching row ids in one shot via a
+//!   256-entry permutation LUT and `vpermd` (left-pack) + unconditional
+//!   8-lane store;
 //! * **refine**: same, but the 8 candidate rows come from the existing
 //!   selection vector, so column values are fetched with `vgatherdpd` /
 //!   `vpgatherdd` and the *selection entries themselves* are left-packed;
+//! * **code-set fills**: dictionary codes test membership in a keep-set
+//!   instead of comparing — `u8` codes gather a 0 / -1 entry per code,
+//!   `u16` codes gather the 32-bit word of a 65 536-bit set and shift
+//!   their bit into the lane's sign;
 //! * **compact_by_mask**: compaction by a precomputed 0/1 byte mask (the
 //!   general program's output); eight mask bytes collapse to eight bits
 //!   with one multiply (each partial product lands in a distinct bit, so
@@ -23,36 +29,43 @@
 //!   ids (`vpcmpeqd`) whose kept row indices append to one permutation.
 //!
 //! Every kernel is bit-exact with its scalar counterpart in `expr.rs`:
-//! comparisons map to the IEEE predicates Rust's operators use
-//! (ordered-quiet for everything except `!=`, which is true on NaN and
-//! therefore maps to `NEQ_UQ`), and compaction preserves row order.
+//! the interval test is two ordered-quiet compares (`false` on NaN, as
+//! Rust's `>=` / `<=` are), and compaction preserves row order.
 //!
 //! ## AVX-512
 //!
-//! The dictionary-code membership fill additionally has an `avx512f`
-//! variant processing **16** codes per iteration: widen 16 u8 codes to
-//! i32 lanes (`vpmovzxbd zmm`), gather their 0 / -1 entries from the
-//! same 256-entry LUT (`vpgatherdd zmm`), turn the non-zero lanes into a
-//! `__mmask16` (`vptestmd`), left-pack with `vpcompressd`, and store all
-//! 16 lanes unconditionally. Kernels without an AVX-512 variant keep
-//! their AVX2 flavour when [`cpu::active`] reports
+//! Three kernels additionally have an `avx512f` variant processing **16**
+//! rows per iteration, each kept because it measured ahead of its AVX2
+//! flavour end to end (EXPERIMENTS.md): the `i32` range fill (two
+//! `vpcmpd`-to-mask), the `f64` range refine (two 8-lane `vgatherdpd`,
+//! `vcmppd`-to-mask) and the `u8` code-set fill (`vpmovzxbd zmm`,
+//! `vpgatherdd zmm` over the same 256-entry LUT, `vptestmd`). All three
+//! left-pack with the native `vpcompressd` instead of a permutation LUT
+//! and store all 16 lanes unconditionally. Kernels without an AVX-512
+//! variant keep their AVX2 flavour when [`cpu::active`] reports
 //! [`SimdLevel::Avx512`] (every `avx512f` CPU supports AVX2).
 //!
 //! ## Safety boundary
 //!
-//! All `unsafe fn`s here are `#[target_feature(enable = "avx2")]` (or
-//! `"avx512f"`) and are reached only through the `pub(crate)` wrappers,
-//! which check [`cpu::active`] — the cached CPUID probe (overridable via
-//! `RFA_SIMD`) — and return `false` so the caller falls back to the
-//! scalar loop when no explicit kernel is in effect. The unconditional
-//! 8-lane (16-lane) stores never write out of bounds: the output cursor
-//! `k` trails the input cursor `i` (at most one id is kept per row seen),
-//! so `k + 8 <= i + 8 <= len` whenever a full group is stored — same
+//! All kernels are `#[target_feature(enable = "avx2")]` (or `"avx512f"`)
+//! and are reached only through the `pub(crate)` wrappers, which check
+//! [`cpu::active`] — the cached CPUID probe (overridable via `RFA_SIMD`) —
+//! and return `false` so the caller falls back to the scalar loop when no
+//! explicit kernel is in effect. What the kernels' raw loads rely on is
+//! checked, not assumed, so no argument safe code can pass reads out of
+//! bounds: the wrappers `assert!` that a fill window lies inside the
+//! column (each fill kernel restates that under `# Safety` and
+//! `debug_assert!`s it), and the refine kernels test every group of ids
+//! against the column's length before gathering it. The unconditional 8-lane (16-lane)
+//! stores never write out of bounds: the output cursor `k` trails the
+//! input cursor `i` (at most one id is kept per row seen), so
+//! `k + 8 <= i + 8 <= len` whenever a full group is stored — same
 //! argument with 16 for the AVX-512 kernel; partial tails run scalar.
 
 #![cfg(target_arch = "x86_64")]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
-use crate::expr::CmpOp;
+use crate::expr::u16_in_set;
 use core::arch::x86_64::*;
 use rfa_core::cpu::{self, SimdLevel};
 
@@ -88,8 +101,11 @@ const fn build_compact_lut() -> [[u32; 8]; 256] {
 }
 
 /// Left-packs the lanes of `ids` selected by `mask` to `dst[..popcount]`
-/// (stores all 8 lanes; the caller guarantees 8 writable slots) and
-/// returns the number of lanes kept.
+/// and returns the number of lanes kept.
+///
+/// # Safety
+/// `dst` must be valid for an 8-lane (32-byte) write — all 8 lanes are
+/// stored — and `mask < 256`.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn compact_store(dst: *mut u32, ids: __m256i, mask: u32) -> usize {
@@ -98,98 +114,59 @@ unsafe fn compact_store(dst: *mut u32, ids: __m256i, mask: u32) -> usize {
     mask.count_ones() as usize
 }
 
-/// 4-bit comparison mask for one f64 vector. The predicate immediates
-/// mirror Rust's scalar operators exactly: ordered-quiet (`false` on NaN)
-/// for `< <= > >= ==`, unordered for `!=` (NaN != x is `true`).
+/// 4-bit mask of the f64 lanes inside the closed interval
+/// (`lo <= v && v <= hi`; NaN fails both ordered compares, matching the
+/// scalar `&`).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn mask4_f64(vals: __m256d, rhs: __m256d, op: CmpOp) -> u32 {
-    (match op {
-        CmpOp::Lt => _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(vals, rhs)),
-        CmpOp::Le => _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(vals, rhs)),
-        CmpOp::Gt => _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(vals, rhs)),
-        CmpOp::Ge => _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(vals, rhs)),
-        CmpOp::Eq => _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(vals, rhs)),
-        CmpOp::Ne => _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NEQ_UQ>(vals, rhs)),
-    }) as u32
-}
-
-/// 4-bit inclusive-range mask for one f64 vector (`lo <= v && v <= hi`;
-/// NaN fails both ordered compares, matching the scalar `&`).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn mask4_f64_between(vals: __m256d, lo: __m256d, hi: __m256d) -> u32 {
+fn mask4_f64_range(vals: __m256d, lo: __m256d, hi: __m256d) -> u32 {
     let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(vals, lo);
     let le = _mm256_cmp_pd::<_CMP_LE_OQ>(vals, hi);
     _mm256_movemask_pd(_mm256_and_pd(ge, le)) as u32
 }
 
+/// 8-bit mask of the i32 lanes inside the closed interval. AVX2 only has
+/// signed `cmpgt`: `lo <= v && v <= hi` is `!(lo > v || v > hi)`, the
+/// complement taken on the scalar mask.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn not_si256(x: __m256i) -> __m256i {
-    _mm256_xor_si256(x, _mm256_set1_epi32(-1))
+fn mask8_i32_range(vals: __m256i, lo: __m256i, hi: __m256i) -> u32 {
+    let outside = _mm256_or_si256(_mm256_cmpgt_epi32(lo, vals), _mm256_cmpgt_epi32(vals, hi));
+    !(_mm256_movemask_ps(_mm256_castsi256_ps(outside)) as u32) & 0xFF
 }
 
-/// 8-bit comparison mask for one i32 vector. AVX2 only has signed
-/// `cmpgt`/`cmpeq`; the other four operators are their complements.
+/// The row count of a column as the broadcast limit [`check_ids`] tests
+/// ids against. Clamped to `2^31`: gather offsets are signed 32-bit
+/// lanes, so no id at or past it may reach one.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn mask8_i32(vals: __m256i, rhs: __m256i, op: CmpOp) -> u32 {
-    let m = match op {
-        CmpOp::Lt => _mm256_cmpgt_epi32(rhs, vals),
-        CmpOp::Le => not_si256(_mm256_cmpgt_epi32(vals, rhs)),
-        CmpOp::Gt => _mm256_cmpgt_epi32(vals, rhs),
-        CmpOp::Ge => not_si256(_mm256_cmpgt_epi32(rhs, vals)),
-        CmpOp::Eq => _mm256_cmpeq_epi32(vals, rhs),
-        CmpOp::Ne => not_si256(_mm256_cmpeq_epi32(vals, rhs)),
-    };
-    _mm256_movemask_ps(_mm256_castsi256_ps(m)) as u32
+fn id_limit(len: usize) -> __m256i {
+    _mm256_set1_epi32(len.min(1 << 31) as u32 as i32)
 }
 
-/// 8-bit inclusive-range mask: `lo <= v && v <= hi` is
-/// `!(lo > v || v > hi)`.
+/// Panics unless every lane of `ids` is below `limit` (unsigned) — the
+/// gathers' bounds check, 8 ids at a time: `max(id, limit) == id` exactly
+/// when `id >= limit`.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn mask8_i32_between(vals: __m256i, lo: __m256i, hi: __m256i) -> u32 {
-    let below = _mm256_cmpgt_epi32(lo, vals);
-    let above = _mm256_cmpgt_epi32(vals, hi);
-    let out = not_si256(_mm256_or_si256(below, above));
-    _mm256_movemask_ps(_mm256_castsi256_ps(out)) as u32
+fn check_ids(ids: __m256i, limit: __m256i) {
+    let over = _mm256_cmpeq_epi32(_mm256_max_epu32(ids, limit), ids);
+    assert!(
+        _mm256_testz_si256(over, over) == 1,
+        "row id outside the column"
+    );
 }
 
-/// 8-bit mask from 8 contiguous f64 rows (two 4-lane compares).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn load_mask8_f64(ptr: *const f64, op: CmpOp, rhs: __m256d) -> u32 {
-    let m0 = mask4_f64(_mm256_loadu_pd(ptr), rhs, op);
-    let m1 = mask4_f64(_mm256_loadu_pd(ptr.add(4)), rhs, op);
-    m0 | (m1 << 4)
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn load_mask8_f64_between(ptr: *const f64, lo: __m256d, hi: __m256d) -> u32 {
-    let m0 = mask4_f64_between(_mm256_loadu_pd(ptr), lo, hi);
-    let m1 = mask4_f64_between(_mm256_loadu_pd(ptr.add(4)), lo, hi);
-    m0 | (m1 << 4)
-}
-
-/// Gathers the 8 f64 column values addressed by the selection ids in
-/// `ids` (two 4-lane gathers; ids are row indices, always < 2^31).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_f64(col: *const f64, ids: __m256i) -> (__m256d, __m256d) {
-    let lo = _mm256_castsi256_si128(ids);
-    let hi = _mm256_extracti128_si256::<1>(ids);
-    (
-        _mm256_i32gather_pd::<8>(col, lo),
-        _mm256_i32gather_pd::<8>(col, hi),
-    )
-}
-
-/// Shared skeleton of the four `fill_*` kernels: `mask8(group start)`
-/// produces the 8-bit keep mask for rows `[start, start + 8)`; `keep`
-/// tests one row for the scalar tail.
+/// Shared skeleton of the `fill_*` kernels: `mask8(row)` produces the
+/// 8-bit keep mask for rows `[row, row + 8)`; `keep` tests one row for the
+/// scalar tail.
+///
+/// # Safety
+/// AVX2 must be available, `lo <= hi`, and `mask8(row)` must be sound for
+/// every `row` with `lo <= row` and `row + 8 <= hi` (it is called for no
+/// other). Store bounds: `sel` holds `hi - lo` slots; the group at input
+/// offset `i` stores 8 lanes at `k <= i`, so it ends at `k + 8 <= i + 8
+/// <= hi - lo`.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn fill_groups(
@@ -199,20 +176,24 @@ unsafe fn fill_groups(
     mut mask8: impl FnMut(usize) -> u32,
     keep: impl Fn(usize) -> bool,
 ) {
+    debug_assert!(lo <= hi);
     let n = hi - lo;
     sel.clear();
     sel.resize(n, 0);
     let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let eight = _mm256_set1_epi32(8);
+    let mut ids = _mm256_add_epi32(_mm256_set1_epi32(lo as i32), iota);
     let dst = sel.as_mut_ptr();
     let mut k = 0usize;
     let mut i = 0usize;
     while i + 8 <= n {
-        let row = lo + i;
-        let ids = _mm256_add_epi32(_mm256_set1_epi32(row as i32), iota);
-        k += compact_store(dst.add(k), ids, mask8(row));
+        debug_assert!(k <= i);
+        k += compact_store(dst.add(k), ids, mask8(lo + i));
+        ids = _mm256_add_epi32(ids, eight);
         i += 8;
     }
     while i < n {
+        debug_assert!(k <= i);
         let row = lo + i;
         *dst.add(k) = row as u32;
         k += keep(row) as usize;
@@ -227,6 +208,11 @@ unsafe fn fill_groups(
 /// tail. Reads of a group complete before its (overlapping, `k <= i`)
 /// packed store, and tail entries are handed to `keep` by value, so
 /// callers never re-read `sel` while it is being compacted.
+///
+/// # Safety
+/// AVX2 must be available, and `mask8(i, ids)` must be sound for every
+/// `i` with `i + 8 <= sel.len()` and `ids = sel[i..i + 8]`. Store bounds
+/// as in [`fill_groups`]: `k <= i`, so `k + 8 <= sel.len()`.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn refine_groups(
@@ -239,11 +225,13 @@ unsafe fn refine_groups(
     let mut k = 0usize;
     let mut i = 0usize;
     while i + 8 <= n {
+        debug_assert!(k <= i);
         let ids = _mm256_loadu_si256(p.add(i) as *const __m256i);
         k += compact_store(p.add(k), ids, mask8(i, ids));
         i += 8;
     }
     while i < n {
+        debug_assert!(k <= i);
         let id = *p.add(i);
         *p.add(k) = id;
         k += keep(i, id) as usize;
@@ -252,27 +240,14 @@ unsafe fn refine_groups(
     sel.truncate(k);
 }
 
+/// Range fill over an `f64` column: rows of `[lo, hi)` whose value lies in
+/// `[blo, bhi]`.
+///
+/// # Safety
+/// AVX2 must be available and `lo <= hi <= col.len()` (the vector groups
+/// load `col[row..row + 8]` unchecked).
 #[target_feature(enable = "avx2")]
-unsafe fn fill_f64_cmp_avx2(
-    col: &[f64],
-    op: CmpOp,
-    rhs: f64,
-    lo: usize,
-    hi: usize,
-    sel: &mut Vec<u32>,
-) {
-    let r = _mm256_set1_pd(rhs);
-    fill_groups(
-        lo,
-        hi,
-        sel,
-        |row| unsafe { load_mask8_f64(col.as_ptr().add(row), op, r) },
-        |row| op.test(col[row], rhs),
-    );
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn fill_f64_between_avx2(
+unsafe fn fill_f64_range_avx2(
     col: &[f64],
     blo: f64,
     bhi: f64,
@@ -280,41 +255,30 @@ unsafe fn fill_f64_between_avx2(
     hi: usize,
     sel: &mut Vec<u32>,
 ) {
-    let vlo = _mm256_set1_pd(blo);
-    let vhi = _mm256_set1_pd(bhi);
+    debug_assert!(lo <= hi && hi <= col.len());
+    let (vlo, vhi) = (_mm256_set1_pd(blo), _mm256_set1_pd(bhi));
+    let base = col.as_ptr();
     fill_groups(
         lo,
         hi,
         sel,
-        |row| unsafe { load_mask8_f64_between(col.as_ptr().add(row), vlo, vhi) },
+        // SAFETY: `fill_groups` passes rows with `row + 8 <= hi <=
+        // col.len()`, so both 4-lane loads stay inside the column.
+        |row| unsafe {
+            let m0 = mask4_f64_range(_mm256_loadu_pd(base.add(row)), vlo, vhi);
+            let m1 = mask4_f64_range(_mm256_loadu_pd(base.add(row + 4)), vlo, vhi);
+            m0 | (m1 << 4)
+        },
         |row| (col[row] >= blo) & (col[row] <= bhi),
     );
 }
 
+/// Range fill over an `i32` column (see [`fill_f64_range_avx2`]).
+///
+/// # Safety
+/// AVX2 must be available and `lo <= hi <= col.len()`.
 #[target_feature(enable = "avx2")]
-unsafe fn fill_i32_cmp_avx2(
-    col: &[i32],
-    op: CmpOp,
-    rhs: i32,
-    lo: usize,
-    hi: usize,
-    sel: &mut Vec<u32>,
-) {
-    let r = _mm256_set1_epi32(rhs);
-    fill_groups(
-        lo,
-        hi,
-        sel,
-        |row| unsafe {
-            let v = _mm256_loadu_si256(col.as_ptr().add(row) as *const __m256i);
-            mask8_i32(v, r, op)
-        },
-        |row| op.test(col[row], rhs),
-    );
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn fill_i32_between_avx2(
+unsafe fn fill_i32_range_avx2(
     col: &[i32],
     blo: i32,
     bhi: i32,
@@ -322,44 +286,44 @@ unsafe fn fill_i32_between_avx2(
     hi: usize,
     sel: &mut Vec<u32>,
 ) {
-    let vlo = _mm256_set1_epi32(blo);
-    let vhi = _mm256_set1_epi32(bhi);
+    debug_assert!(lo <= hi && hi <= col.len());
+    let (vlo, vhi) = (_mm256_set1_epi32(blo), _mm256_set1_epi32(bhi));
+    let base = col.as_ptr();
     fill_groups(
         lo,
         hi,
         sel,
+        // SAFETY: `fill_groups` passes rows with `row + 8 <= hi <=
+        // col.len()`, so the 8-lane load stays inside the column.
         |row| unsafe {
-            let v = _mm256_loadu_si256(col.as_ptr().add(row) as *const __m256i);
-            mask8_i32_between(v, vlo, vhi)
+            let v = _mm256_loadu_si256(base.add(row) as *const __m256i);
+            mask8_i32_range(v, vlo, vhi)
         },
         |row| (col[row] >= blo) & (col[row] <= bhi),
     );
 }
 
+/// Range refine over an `f64` column: keeps the ids of `sel` whose value
+/// lies in `[blo, bhi]` (two 4-lane `vgatherdpd` per group). An id that
+/// is not a row of `col` panics, as the scalar loop's index would.
+///
+/// # Safety
+/// AVX2 must be available. (The gathers need ids `< col.len()`: checked
+/// per group, before the group is gathered.)
 #[target_feature(enable = "avx2")]
-unsafe fn refine_f64_cmp_avx2(col: &[f64], op: CmpOp, rhs: f64, sel: &mut Vec<u32>) {
-    let r = _mm256_set1_pd(rhs);
+unsafe fn refine_f64_range_avx2(col: &[f64], blo: f64, bhi: f64, sel: &mut Vec<u32>) {
+    let (vlo, vhi) = (_mm256_set1_pd(blo), _mm256_set1_pd(bhi));
+    let limit = id_limit(col.len());
     let base = col.as_ptr();
     refine_groups(
         sel,
+        // SAFETY: `check_ids` has just verified every lane `< col.len()`,
+        // so every gathered lane is a column row.
         |_, ids| unsafe {
-            let (v0, v1) = gather_f64(base, ids);
-            mask4_f64(v0, r, op) | (mask4_f64(v1, r, op) << 4)
-        },
-        |_, id| op.test(col[id as usize], rhs),
-    );
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn refine_f64_between_avx2(col: &[f64], blo: f64, bhi: f64, sel: &mut Vec<u32>) {
-    let vlo = _mm256_set1_pd(blo);
-    let vhi = _mm256_set1_pd(bhi);
-    let base = col.as_ptr();
-    refine_groups(
-        sel,
-        |_, ids| unsafe {
-            let (v0, v1) = gather_f64(base, ids);
-            mask4_f64_between(v0, vlo, vhi) | (mask4_f64_between(v1, vlo, vhi) << 4)
+            check_ids(ids, limit);
+            let v0 = _mm256_i32gather_pd::<8>(base, _mm256_castsi256_si128(ids));
+            let v1 = _mm256_i32gather_pd::<8>(base, _mm256_extracti128_si256::<1>(ids));
+            mask4_f64_range(v0, vlo, vhi) | (mask4_f64_range(v1, vlo, vhi) << 4)
         },
         |_, id| {
             let v = col[id as usize];
@@ -368,25 +332,24 @@ unsafe fn refine_f64_between_avx2(col: &[f64], blo: f64, bhi: f64, sel: &mut Vec
     );
 }
 
+/// Range refine over an `i32` column (one 8-lane `vpgatherdd` per group;
+/// see [`refine_f64_range_avx2`]).
+///
+/// # Safety
+/// AVX2 must be available. (Ids are checked per group.)
 #[target_feature(enable = "avx2")]
-unsafe fn refine_i32_cmp_avx2(col: &[i32], op: CmpOp, rhs: i32, sel: &mut Vec<u32>) {
-    let r = _mm256_set1_epi32(rhs);
+unsafe fn refine_i32_range_avx2(col: &[i32], blo: i32, bhi: i32, sel: &mut Vec<u32>) {
+    let (vlo, vhi) = (_mm256_set1_epi32(blo), _mm256_set1_epi32(bhi));
+    let limit = id_limit(col.len());
     let base = col.as_ptr();
     refine_groups(
         sel,
-        |_, ids| unsafe { mask8_i32(_mm256_i32gather_epi32::<4>(base, ids), r, op) },
-        |_, id| op.test(col[id as usize], rhs),
-    );
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn refine_i32_between_avx2(col: &[i32], blo: i32, bhi: i32, sel: &mut Vec<u32>) {
-    let vlo = _mm256_set1_epi32(blo);
-    let vhi = _mm256_set1_epi32(bhi);
-    let base = col.as_ptr();
-    refine_groups(
-        sel,
-        |_, ids| unsafe { mask8_i32_between(_mm256_i32gather_epi32::<4>(base, ids), vlo, vhi) },
+        // SAFETY: `check_ids` has just verified every lane `< col.len()`,
+        // so every gathered lane is a column row.
+        |_, ids| unsafe {
+            check_ids(ids, limit);
+            mask8_i32_range(_mm256_i32gather_epi32::<4>(base, ids), vlo, vhi)
+        },
         |_, id| {
             let v = col[id as usize];
             (v >= blo) & (v <= bhi)
@@ -397,9 +360,11 @@ unsafe fn refine_i32_between_avx2(col: &[i32], blo: i32, bhi: i32, sel: &mut Vec
 /// Dictionary-code membership fill: 8 u8 codes widen to i32 lanes
 /// (`vpmovzxbd`), gather their 0 / -1 entries from the 256-entry
 /// membership LUT (`vpgatherdd`; indices are bytes, so every gather is
-/// in bounds), and the lane sign bits collapse to the keep mask. The
-/// 8-byte code load needs `row + 8 <= len`, which `fill_groups`
-/// guarantees for vector groups (`hi <= codes.len()`).
+/// in bounds), and the lane sign bits collapse to the keep mask.
+///
+/// # Safety
+/// AVX2 must be available and `lo <= hi <= codes.len()` (the vector
+/// groups load `codes[row..row + 8]` unchecked).
 #[target_feature(enable = "avx2")]
 unsafe fn fill_u8_in_set_avx2(
     codes: &[u8],
@@ -408,12 +373,16 @@ unsafe fn fill_u8_in_set_avx2(
     hi: usize,
     sel: &mut Vec<u32>,
 ) {
+    debug_assert!(lo <= hi && hi <= codes.len());
     let base = codes.as_ptr();
     let lut = keep.as_ptr();
     fill_groups(
         lo,
         hi,
         sel,
+        // SAFETY: `row + 8 <= hi <= codes.len()` keeps the 8-byte code
+        // load in bounds; the gather indices are bytes, `< 256 =
+        // keep.len()`.
         |row| unsafe {
             let bytes = _mm_loadl_epi64(base.add(row) as *const __m128i);
             let idx = _mm256_cvtepu8_epi32(bytes);
@@ -424,13 +393,100 @@ unsafe fn fill_u8_in_set_avx2(
     );
 }
 
-/// AVX-512 dictionary-code membership fill: 16 codes per iteration. The
-/// widen / gather steps mirror [`fill_u8_in_set_avx2`] at twice the
-/// width; the left-pack uses the native `vpcompressd` instead of a
-/// permutation LUT, and the keep mask comes straight from `vptestmd`
-/// (keep entries are `-1`, so "lane non-zero" is exactly membership).
-/// All 16 lanes store unconditionally; as in [`fill_groups`], `k <= i`
-/// keeps the store in bounds, and partial tails run scalar.
+/// Wide-dictionary membership fill: 8 u16 codes widen to i32 lanes
+/// (`vpmovzxwd`), each gathers the 32-bit word `keep[c >> 5]` of the
+/// 65 536-bit set (`vpgatherdd`; `c >> 5 < 2048`, so every gather is in
+/// bounds), and a per-lane left shift by `31 - (c & 31)` (`vpsllvd`) puts
+/// the code's bit into the lane's sign for `vmovmskps`.
+///
+/// # Safety
+/// AVX2 must be available and `lo <= hi <= codes.len()` (the vector
+/// groups load `codes[row..row + 8]` unchecked).
+#[target_feature(enable = "avx2")]
+unsafe fn fill_u16_in_set_avx2(
+    codes: &[u16],
+    keep: &[u32; 2048],
+    lo: usize,
+    hi: usize,
+    sel: &mut Vec<u32>,
+) {
+    debug_assert!(lo <= hi && hi <= codes.len());
+    let base = codes.as_ptr();
+    let words = keep.as_ptr() as *const i32;
+    let low5 = _mm256_set1_epi32(31);
+    fill_groups(
+        lo,
+        hi,
+        sel,
+        // SAFETY: `row + 8 <= hi <= codes.len()` keeps the 16-byte code
+        // load in bounds; the gather indices are `c >> 5 <= 2047 <
+        // keep.len()` for every u16 `c`.
+        |row| unsafe {
+            let c = _mm256_cvtepu16_epi32(_mm_loadu_si128(base.add(row) as *const __m128i));
+            let word = _mm256_i32gather_epi32::<4>(words, _mm256_srli_epi32::<5>(c));
+            // `!c & 31 == 31 - (c & 31)`.
+            let hit = _mm256_sllv_epi32(word, _mm256_andnot_si256(c, low5));
+            _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32
+        },
+        |row| u16_in_set(keep, codes[row]),
+    );
+}
+
+/// AVX-512 skeleton of the `fill_*` kernels: 16 rows per iteration,
+/// `mask16(row)` the keep mask of rows `[row, row + 16)`, left-packed by
+/// the native `vpcompressd` instead of a permutation LUT. All 16 lanes
+/// store unconditionally; partial tails run scalar.
+///
+/// # Safety
+/// `avx512f` must be available, `lo <= hi`, and `mask16(row)` must be
+/// sound for every `row` with `lo <= row` and `row + 16 <= hi`. Store
+/// bounds as in [`fill_groups`]: `k <= i`, so `k + 16 <= hi - lo`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn fill_groups_avx512(
+    lo: usize,
+    hi: usize,
+    sel: &mut Vec<u32>,
+    mut mask16: impl FnMut(usize) -> __mmask16,
+    keep: impl Fn(usize) -> bool,
+) {
+    debug_assert!(lo <= hi);
+    let n = hi - lo;
+    sel.clear();
+    sel.resize(n, 0);
+    let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let sixteen = _mm512_set1_epi32(16);
+    let mut ids = _mm512_add_epi32(_mm512_set1_epi32(lo as i32), iota);
+    let dst = sel.as_mut_ptr();
+    let mut k = 0usize;
+    let mut i = 0usize;
+    while i + 16 <= n {
+        debug_assert!(k <= i);
+        let mask = mask16(lo + i);
+        let packed = _mm512_maskz_compress_epi32(mask, ids);
+        _mm512_storeu_si512(dst.add(k) as *mut __m512i, packed);
+        k += mask.count_ones() as usize;
+        ids = _mm512_add_epi32(ids, sixteen);
+        i += 16;
+    }
+    while i < n {
+        debug_assert!(k <= i);
+        let row = lo + i;
+        *dst.add(k) = row as u32;
+        k += keep(row) as usize;
+        i += 1;
+    }
+    sel.truncate(k);
+}
+
+/// AVX-512 dictionary-code membership fill. The widen / gather steps
+/// mirror [`fill_u8_in_set_avx2`] at twice the width, and the keep mask
+/// comes straight from `vptestmd` (keep entries are `-1`, so "lane
+/// non-zero" is exactly membership).
+///
+/// # Safety
+/// `avx512f` must be available and `lo <= hi <= codes.len()` (the vector
+/// groups load `codes[row..row + 16]` unchecked).
 #[target_feature(enable = "avx512f")]
 unsafe fn fill_u8_in_set_avx512(
     codes: &[u8],
@@ -439,31 +495,99 @@ unsafe fn fill_u8_in_set_avx512(
     hi: usize,
     sel: &mut Vec<u32>,
 ) {
-    let n = hi - lo;
-    sel.clear();
-    sel.resize(n, 0);
+    debug_assert!(lo <= hi && hi <= codes.len());
     let base = codes.as_ptr();
     let lut = keep.as_ptr();
-    let dst = sel.as_mut_ptr();
-    let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    fill_groups_avx512(
+        lo,
+        hi,
+        sel,
+        // SAFETY: `row + 16 <= hi <= codes.len()` keeps the 16-byte code
+        // load in bounds; the gather indices are bytes, `< 256 =
+        // keep.len()`.
+        |row| unsafe {
+            let bytes = _mm_loadu_si128(base.add(row) as *const __m128i);
+            let hit = _mm512_i32gather_epi32::<4>(_mm512_cvtepu8_epi32(bytes), lut);
+            _mm512_test_epi32_mask(hit, hit)
+        },
+        |row| keep[codes[row] as usize] != 0,
+    );
+}
+
+/// AVX-512 range fill over an `i32` column: two `vpcmpd`-to-mask per 16
+/// rows.
+///
+/// # Safety
+/// `avx512f` must be available and `lo <= hi <= col.len()` (the vector
+/// groups load `col[row..row + 16]` unchecked).
+#[target_feature(enable = "avx512f")]
+unsafe fn fill_i32_range_avx512(
+    col: &[i32],
+    blo: i32,
+    bhi: i32,
+    lo: usize,
+    hi: usize,
+    sel: &mut Vec<u32>,
+) {
+    debug_assert!(lo <= hi && hi <= col.len());
+    let (vlo, vhi) = (_mm512_set1_epi32(blo), _mm512_set1_epi32(bhi));
+    let base = col.as_ptr();
+    fill_groups_avx512(
+        lo,
+        hi,
+        sel,
+        // SAFETY: `row + 16 <= hi <= col.len()` keeps the 16-lane load
+        // inside the column.
+        |row| unsafe {
+            let v = _mm512_loadu_si512(base.add(row) as *const __m512i);
+            _mm512_mask_cmple_epi32_mask(_mm512_cmpge_epi32_mask(v, vlo), v, vhi)
+        },
+        |row| (col[row] >= blo) & (col[row] <= bhi),
+    );
+}
+
+/// AVX-512 range refine over an `f64` column: 16 ids per iteration, two
+/// 8-lane `vgatherdpd`, `vcmppd`-to-mask, `vpcompressd`. An id that is
+/// not a row of `col` panics.
+///
+/// # Safety
+/// `avx512f` must be available. (Ids are checked per group — `vpcmpud`
+/// against the column's length, clamped as in [`id_limit`] — before the
+/// group is gathered.) Store bounds as in [`refine_groups`]: `k <= i`.
+#[target_feature(enable = "avx512f")]
+unsafe fn refine_f64_range_avx512(col: &[f64], blo: f64, bhi: f64, sel: &mut Vec<u32>) {
+    let (vlo, vhi) = (_mm512_set1_pd(blo), _mm512_set1_pd(bhi));
+    let limit = _mm512_set1_epi32(col.len().min(1 << 31) as u32 as i32);
+    let base = col.as_ptr();
+    let n = sel.len();
+    let p = sel.as_mut_ptr();
     let mut k = 0usize;
     let mut i = 0usize;
     while i + 16 <= n {
-        let row = lo + i;
-        let bytes = _mm_loadu_si128(base.add(row) as *const __m128i);
-        let idx = _mm512_cvtepu8_epi32(bytes);
-        let hit = _mm512_i32gather_epi32::<4>(idx, lut);
-        let mask = _mm512_test_epi32_mask(hit, hit);
-        let ids = _mm512_add_epi32(_mm512_set1_epi32(row as i32), iota);
+        debug_assert!(k <= i);
+        let ids = _mm512_loadu_si512(p.add(i) as *const __m512i);
+        assert!(
+            _mm512_cmpge_epu32_mask(ids, limit) == 0,
+            "row id outside the column"
+        );
+        let v0 = _mm512_i32gather_pd::<8>(_mm512_castsi512_si256(ids), base);
+        let v1 = _mm512_i32gather_pd::<8>(_mm512_extracti64x4_epi64::<1>(ids), base);
+        let m0 = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(v0, vlo);
+        let m1 = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(v1, vlo);
+        let m0 = _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(m0, v0, vhi);
+        let m1 = _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(m1, v1, vhi);
+        let mask = m0 as __mmask16 | ((m1 as __mmask16) << 8);
         let packed = _mm512_maskz_compress_epi32(mask, ids);
-        _mm512_storeu_si512(dst.add(k) as *mut __m512i, packed);
+        _mm512_storeu_si512(p.add(k) as *mut __m512i, packed);
         k += mask.count_ones() as usize;
         i += 16;
     }
     while i < n {
-        let row = lo + i;
-        *dst.add(k) = row as u32;
-        k += (keep[codes[row] as usize] != 0) as usize;
+        debug_assert!(k <= i);
+        let id = *p.add(i);
+        *p.add(k) = id;
+        let v = col[id as usize];
+        k += ((v >= blo) & (v <= bhi)) as usize;
         i += 1;
     }
     sel.truncate(k);
@@ -474,6 +598,10 @@ unsafe fn fill_u8_in_set_avx512(
 /// byte `i` contributes `2^(8i)`, the constant contributes `2^(7 + 7j)`,
 /// and each product bit `8i + 7j + 7` in the extracted window `[56, 63]`
 /// has exactly one `(i, j)` source, so no partial products collide.
+///
+/// # Safety
+/// AVX2 must be available and `mask.len() == sel.len()` (the vector
+/// groups read `mask[i..i + 8]` unchecked).
 #[target_feature(enable = "avx2")]
 unsafe fn compact_by_mask_avx2(sel: &mut Vec<u32>, mask: &[u8]) {
     debug_assert_eq!(sel.len(), mask.len());
@@ -481,6 +609,8 @@ unsafe fn compact_by_mask_avx2(sel: &mut Vec<u32>, mask: &[u8]) {
     let mp = mask.as_ptr();
     refine_groups(
         sel,
+        // SAFETY: `refine_groups` passes `i + 8 <= sel.len() ==
+        // mask.len()`, so the 8-byte read stays inside `mask`.
         |i, _| unsafe {
             let bytes = (mp.add(i) as *const u64).read_unaligned() & 0x0101_0101_0101_0101;
             (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32
@@ -503,6 +633,9 @@ unsafe fn compact_by_mask_avx2(sel: &mut Vec<u32>, mask: &[u8]) {
 /// `popcnt` is enabled on top of AVX2 because the loop advances `k` by a
 /// population count per vector; without it the count is a dozen ALU ops
 /// on the kernel's critical path.
+///
+/// # Safety
+/// AVX2 and POPCNT must be available.
 #[target_feature(enable = "avx2,popcnt")]
 unsafe fn partition_by_group_avx2(
     gids: &[u32],
@@ -545,26 +678,19 @@ unsafe fn partition_by_group_avx2(
 
 // ---- pub(crate) dispatch wrappers -------------------------------------
 //
-// Each returns `true` if the AVX2 kernel handled the batch; `false` means
-// "not in effect, run the scalar loop". Callers in `expr.rs` keep their
-// scalar code as the sole fallback, so `RFA_SIMD=scalar` exercises it.
+// Each returns `true` if an explicit kernel handled the batch; `false`
+// means "not in effect, run the scalar loop". Callers in `expr.rs` keep
+// their scalar code as the sole fallback, so `RFA_SIMD=scalar` exercises
+// it. The `assert!`s are the kernels' bounds preconditions: a window or an
+// id outside the column panics here, as the scalar loop's index would.
 
-pub(crate) fn fill_f64_cmp(
-    col: &[f64],
-    op: CmpOp,
-    rhs: f64,
-    lo: usize,
-    hi: usize,
-    sel: &mut Vec<u32>,
-) -> bool {
-    if !enabled() {
-        return false;
-    }
-    unsafe { fill_f64_cmp_avx2(col, op, rhs, lo, hi, sel) };
-    true
+/// The fill kernels' bounds precondition, as a panic.
+#[inline]
+fn check_window(lo: usize, hi: usize, len: usize) {
+    assert!(lo <= hi && hi <= len, "fill window outside the column");
 }
 
-pub(crate) fn fill_f64_between(
+pub(crate) fn fill_f64_range(
     col: &[f64],
     blo: f64,
     bhi: f64,
@@ -575,26 +701,13 @@ pub(crate) fn fill_f64_between(
     if !enabled() {
         return false;
     }
-    unsafe { fill_f64_between_avx2(col, blo, bhi, lo, hi, sel) };
+    check_window(lo, hi, col.len());
+    // SAFETY: `enabled()` verified AVX2; the window was checked above.
+    unsafe { fill_f64_range_avx2(col, blo, bhi, lo, hi, sel) };
     true
 }
 
-pub(crate) fn fill_i32_cmp(
-    col: &[i32],
-    op: CmpOp,
-    rhs: i32,
-    lo: usize,
-    hi: usize,
-    sel: &mut Vec<u32>,
-) -> bool {
-    if !enabled() {
-        return false;
-    }
-    unsafe { fill_i32_cmp_avx2(col, op, rhs, lo, hi, sel) };
-    true
-}
-
-pub(crate) fn fill_i32_between(
+pub(crate) fn fill_i32_range(
     col: &[i32],
     blo: i32,
     bhi: i32,
@@ -602,42 +715,42 @@ pub(crate) fn fill_i32_between(
     hi: usize,
     sel: &mut Vec<u32>,
 ) -> bool {
-    if !enabled() {
+    let level = cpu::active();
+    if level == SimdLevel::Scalar {
         return false;
     }
-    unsafe { fill_i32_between_avx2(col, blo, bhi, lo, hi, sel) };
+    check_window(lo, hi, col.len());
+    match level {
+        // SAFETY: `cpu::active()` reports AVX-512F only when the CPU has
+        // it; the window was checked above.
+        SimdLevel::Avx512 => unsafe { fill_i32_range_avx512(col, blo, bhi, lo, hi, sel) },
+        // SAFETY: the remaining level is AVX2, verified by
+        // `cpu::active()`; the window was checked above.
+        _ => unsafe { fill_i32_range_avx2(col, blo, bhi, lo, hi, sel) },
+    }
     true
 }
 
-pub(crate) fn refine_f64_cmp(col: &[f64], op: CmpOp, rhs: f64, sel: &mut Vec<u32>) -> bool {
-    if !enabled() {
+pub(crate) fn refine_f64_range(col: &[f64], blo: f64, bhi: f64, sel: &mut Vec<u32>) -> bool {
+    let level = cpu::active();
+    if level == SimdLevel::Scalar {
         return false;
     }
-    unsafe { refine_f64_cmp_avx2(col, op, rhs, sel) };
+    match level {
+        // SAFETY: `cpu::active()` reports AVX-512F only when the CPU has it.
+        SimdLevel::Avx512 => unsafe { refine_f64_range_avx512(col, blo, bhi, sel) },
+        // SAFETY: the remaining level is AVX2, verified by `cpu::active()`.
+        _ => unsafe { refine_f64_range_avx2(col, blo, bhi, sel) },
+    }
     true
 }
 
-pub(crate) fn refine_f64_between(col: &[f64], blo: f64, bhi: f64, sel: &mut Vec<u32>) -> bool {
+pub(crate) fn refine_i32_range(col: &[i32], blo: i32, bhi: i32, sel: &mut Vec<u32>) -> bool {
     if !enabled() {
         return false;
     }
-    unsafe { refine_f64_between_avx2(col, blo, bhi, sel) };
-    true
-}
-
-pub(crate) fn refine_i32_cmp(col: &[i32], op: CmpOp, rhs: i32, sel: &mut Vec<u32>) -> bool {
-    if !enabled() {
-        return false;
-    }
-    unsafe { refine_i32_cmp_avx2(col, op, rhs, sel) };
-    true
-}
-
-pub(crate) fn refine_i32_between(col: &[i32], blo: i32, bhi: i32, sel: &mut Vec<u32>) -> bool {
-    if !enabled() {
-        return false;
-    }
-    unsafe { refine_i32_between_avx2(col, blo, bhi, sel) };
+    // SAFETY: `enabled()` verified AVX2.
+    unsafe { refine_i32_range_avx2(col, blo, bhi, sel) };
     true
 }
 
@@ -648,17 +761,36 @@ pub(crate) fn fill_u8_in_set(
     hi: usize,
     sel: &mut Vec<u32>,
 ) -> bool {
-    match cpu::active() {
-        SimdLevel::Scalar => false,
-        SimdLevel::Avx2 => {
-            unsafe { fill_u8_in_set_avx2(codes, keep, lo, hi, sel) };
-            true
-        }
-        SimdLevel::Avx512 => {
-            unsafe { fill_u8_in_set_avx512(codes, keep, lo, hi, sel) };
-            true
-        }
+    let level = cpu::active();
+    if level == SimdLevel::Scalar {
+        return false;
     }
+    check_window(lo, hi, codes.len());
+    match level {
+        // SAFETY: `cpu::active()` reports AVX-512F only when the CPU has
+        // it; the window was checked above.
+        SimdLevel::Avx512 => unsafe { fill_u8_in_set_avx512(codes, keep, lo, hi, sel) },
+        // SAFETY: the remaining level is AVX2, verified by
+        // `cpu::active()`; the window was checked above.
+        _ => unsafe { fill_u8_in_set_avx2(codes, keep, lo, hi, sel) },
+    }
+    true
+}
+
+pub(crate) fn fill_u16_in_set(
+    codes: &[u16],
+    keep: &[u32; 2048],
+    lo: usize,
+    hi: usize,
+    sel: &mut Vec<u32>,
+) -> bool {
+    if !enabled() {
+        return false;
+    }
+    check_window(lo, hi, codes.len());
+    // SAFETY: `enabled()` verified AVX2; the window was checked above.
+    unsafe { fill_u16_in_set_avx2(codes, keep, lo, hi, sel) };
+    true
 }
 
 /// Most group slots [`partition_by_group`] takes: its cost grows with the
@@ -685,6 +817,8 @@ pub(crate) fn compact_by_mask(sel: &mut Vec<u32>, mask: &[u8]) -> bool {
     if !enabled() {
         return false;
     }
+    assert_eq!(sel.len(), mask.len(), "one mask byte per entry");
+    // SAFETY: `enabled()` verified AVX2; the lengths were checked above.
     unsafe { compact_by_mask_avx2(sel, mask) };
     true
 }
@@ -694,13 +828,23 @@ mod tests {
     use super::*;
     use rfa_core::cpu;
 
-    const OPS: [CmpOp; 6] = [
-        CmpOp::Lt,
-        CmpOp::Le,
-        CmpOp::Gt,
-        CmpOp::Ge,
-        CmpOp::Eq,
-        CmpOp::Ne,
+    /// Closed intervals under test: two-sided, both one-sided forms (how
+    /// `<` / `>=` bind), a point, everything, nothing.
+    const F64_RANGES: [(f64, f64); 6] = [
+        (-0.5, 0.5),
+        (f64::NEG_INFINITY, 0.05),
+        (0.05, f64::INFINITY),
+        (0.05, 0.05),
+        (f64::NEG_INFINITY, f64::INFINITY),
+        (f64::INFINITY, f64::NEG_INFINITY),
+    ];
+    const I32_RANGES: [(i32, i32); 6] = [
+        (-100, 900),
+        (i32::MIN, 17),
+        (17, i32::MAX),
+        (17, 17),
+        (i32::MIN, i32::MAX),
+        (1, 0),
     ];
 
     fn f64_col(n: usize) -> Vec<f64> {
@@ -710,6 +854,8 @@ mod tests {
                 1 => 0.05,
                 2 => -0.0,
                 3 => 0.0,
+                4 => f64::INFINITY,
+                5 => f64::NEG_INFINITY,
                 _ => ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 12) as f64 / 1e15 - 2.0,
             })
             .collect()
@@ -717,8 +863,53 @@ mod tests {
 
     fn i32_col(n: usize) -> Vec<i32> {
         (0..n)
-            .map(|i| ((i as u32).wrapping_mul(2_654_435_761) >> 16) as i32 - 30_000)
+            .map(|i| match i % 11 {
+                0 => 17,
+                1 => i32::MIN,
+                2 => i32::MAX,
+                _ => ((i as u32).wrapping_mul(2_654_435_761) >> 16) as i32 - 30_000,
+            })
             .collect()
+    }
+
+    fn u16_set(members: impl Iterator<Item = u16>) -> Box<[u32; 2048]> {
+        let mut keep = Box::new([0u32; 2048]);
+        for c in members {
+            keep[(c >> 5) as usize] |= 1 << (c & 31);
+        }
+        keep
+    }
+
+    /// Every fill window the bounds audit asks for — lengths `0 ..= 2 ·
+    /// lanes + 1` at every start offset `0..lanes` — plus long ones, with
+    /// the column ending exactly at the window's end (so a group load one
+    /// lane too far would leave the allocation).
+    fn windows(lanes: usize) -> Vec<(usize, usize)> {
+        let mut w: Vec<(usize, usize)> = (0..lanes)
+            .flat_map(|lo| (0..=2 * lanes + 1).map(move |n| (lo, lo + n)))
+            .collect();
+        w.extend([(0, 1003), (5, 1000), (3, 515)]);
+        w
+    }
+
+    /// Candidate vectors for the refine kernels: lengths `0 ..= 2 · lanes
+    /// + 1` starting at every offset `0..lanes`, strided (non-contiguous
+    /// ids), plus long ones; `len` is the column length they index.
+    fn candidates(lanes: usize, len: usize) -> Vec<Vec<u32>> {
+        let mut c: Vec<Vec<u32>> = Vec::new();
+        for lo in 0..lanes as u32 {
+            for n in 0..=2 * lanes + 1 {
+                c.push((lo..).step_by(3).take(n).collect());
+            }
+        }
+        c.push((0..len as u32).collect());
+        c.push((0..len as u32).step_by(3).collect());
+        c.push(vec![len as u32 - 1]);
+        c
+    }
+
+    fn scalar_fill(lo: usize, hi: usize, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+        (lo..hi).filter(|&r| keep(r)).map(|r| r as u32).collect()
     }
 
     #[test]
@@ -741,41 +932,22 @@ mod tests {
         if !cpu::avx2_supported() {
             return;
         }
-        let fcol = f64_col(1003);
-        let icol = i32_col(1003);
-        for &(lo, hi) in &[(0usize, 1003usize), (5, 1000), (7, 15), (100, 103), (3, 3)] {
-            for op in OPS {
+        for (lo, hi) in windows(8) {
+            let (fcol, icol) = (f64_col(hi), i32_col(hi));
+            for (l, h) in F64_RANGES {
                 let mut sel = Vec::new();
-                unsafe { fill_f64_cmp_avx2(&fcol, op, 0.05, lo, hi, &mut sel) };
-                let expected: Vec<u32> = (lo..hi)
-                    .filter(|&r| op.test(fcol[r], 0.05))
-                    .map(|r| r as u32)
-                    .collect();
-                assert_eq!(sel, expected, "f64 {op:?} [{lo},{hi})");
-
-                let mut sel = Vec::new();
-                unsafe { fill_i32_cmp_avx2(&icol, op, 17, lo, hi, &mut sel) };
-                let expected: Vec<u32> = (lo..hi)
-                    .filter(|&r| op.test(icol[r], 17))
-                    .map(|r| r as u32)
-                    .collect();
-                assert_eq!(sel, expected, "i32 {op:?} [{lo},{hi})");
+                // SAFETY: AVX2 checked above; `lo <= hi == fcol.len()`.
+                unsafe { fill_f64_range_avx2(&fcol, l, h, lo, hi, &mut sel) };
+                let expected = scalar_fill(lo, hi, |r| (fcol[r] >= l) & (fcol[r] <= h));
+                assert_eq!(sel, expected, "f64 [{l},{h}] rows [{lo},{hi})");
             }
-            let mut sel = Vec::new();
-            unsafe { fill_f64_between_avx2(&fcol, -0.5, 0.5, lo, hi, &mut sel) };
-            let expected: Vec<u32> = (lo..hi)
-                .filter(|&r| (fcol[r] >= -0.5) & (fcol[r] <= 0.5))
-                .map(|r| r as u32)
-                .collect();
-            assert_eq!(sel, expected, "f64 between [{lo},{hi})");
-
-            let mut sel = Vec::new();
-            unsafe { fill_i32_between_avx2(&icol, -100, 900, lo, hi, &mut sel) };
-            let expected: Vec<u32> = (lo..hi)
-                .filter(|&r| (icol[r] >= -100) & (icol[r] <= 900))
-                .map(|r| r as u32)
-                .collect();
-            assert_eq!(sel, expected, "i32 between [{lo},{hi})");
+            for (l, h) in I32_RANGES {
+                let mut sel = Vec::new();
+                // SAFETY: AVX2 checked above; `lo <= hi == icol.len()`.
+                unsafe { fill_i32_range_avx2(&icol, l, h, lo, hi, &mut sel) };
+                let expected = scalar_fill(lo, hi, |r| (icol[r] >= l) & (icol[r] <= h));
+                assert_eq!(sel, expected, "i32 [{l},{h}] rows [{lo},{hi})");
+            }
         }
     }
 
@@ -784,54 +956,62 @@ mod tests {
         if !cpu::avx2_supported() {
             return;
         }
-        let fcol = f64_col(2000);
-        let icol = i32_col(2000);
-        // Candidate sets of varied sizes, including non-contiguous ids.
-        let candidates: Vec<Vec<u32>> = vec![
-            (0..2000u32).collect(),
-            (0..2000u32).step_by(3).collect(),
-            (0..7u32).collect(),
-            vec![1999],
-            vec![],
-        ];
-        for cand in &candidates {
-            for op in OPS {
+        let (fcol, icol) = (f64_col(2000), i32_col(2000));
+        for cand in candidates(8, 2000) {
+            for (l, h) in F64_RANGES {
                 let mut sel = cand.clone();
-                unsafe { refine_f64_cmp_avx2(&fcol, op, 0.05, &mut sel) };
-                let expected: Vec<u32> = cand
-                    .iter()
-                    .copied()
-                    .filter(|&r| op.test(fcol[r as usize], 0.05))
+                // SAFETY: AVX2 checked above; every candidate id < 2000.
+                unsafe { refine_f64_range_avx2(&fcol, l, h, &mut sel) };
+                let expected: Vec<u32> = (cand.iter().copied())
+                    .filter(|&r| (fcol[r as usize] >= l) & (fcol[r as usize] <= h))
                     .collect();
-                assert_eq!(sel, expected, "f64 {op:?} n={}", cand.len());
-
-                let mut sel = cand.clone();
-                unsafe { refine_i32_cmp_avx2(&icol, op, 17, &mut sel) };
-                let expected: Vec<u32> = cand
-                    .iter()
-                    .copied()
-                    .filter(|&r| op.test(icol[r as usize], 17))
-                    .collect();
-                assert_eq!(sel, expected, "i32 {op:?} n={}", cand.len());
+                assert_eq!(sel, expected, "f64 [{l},{h}] n={}", cand.len());
             }
-            let mut sel = cand.clone();
-            unsafe { refine_f64_between_avx2(&fcol, -0.5, 0.5, &mut sel) };
-            let expected: Vec<u32> = cand
-                .iter()
-                .copied()
-                .filter(|&r| (fcol[r as usize] >= -0.5) & (fcol[r as usize] <= 0.5))
-                .collect();
-            assert_eq!(sel, expected);
-
-            let mut sel = cand.clone();
-            unsafe { refine_i32_between_avx2(&icol, -100, 900, &mut sel) };
-            let expected: Vec<u32> = cand
-                .iter()
-                .copied()
-                .filter(|&r| (icol[r as usize] >= -100) & (icol[r as usize] <= 900))
-                .collect();
-            assert_eq!(sel, expected);
+            for (l, h) in I32_RANGES {
+                let mut sel = cand.clone();
+                // SAFETY: AVX2 checked above; every candidate id < 2000.
+                unsafe { refine_i32_range_avx2(&icol, l, h, &mut sel) };
+                let expected: Vec<u32> = (cand.iter().copied())
+                    .filter(|&r| (icol[r as usize] >= l) & (icol[r as usize] <= h))
+                    .collect();
+                assert_eq!(sel, expected, "i32 [{l},{h}] n={}", cand.len());
+            }
         }
+    }
+
+    /// The wrappers turn an out-of-bounds window or id into a panic before
+    /// any unchecked load — what makes them safe to call.
+    #[test]
+    fn wrappers_reject_out_of_bounds_arguments() {
+        if !enabled() {
+            return;
+        }
+        let (fcol, icol) = (f64_col(20), i32_col(20));
+        let codes = [0u16; 20];
+        let panics = |f: &mut dyn FnMut()| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        };
+        assert!(panics(&mut || {
+            fill_f64_range(&fcol, 0.0, 1.0, 4, 21, &mut Vec::new());
+        }));
+        assert!(panics(&mut || {
+            fill_i32_range(&icol, 0, 1, 9, 8, &mut Vec::new());
+        }));
+        assert!(panics(&mut || {
+            fill_u16_in_set(&codes, &u16_set(0..1), 0, 28, &mut Vec::new());
+        }));
+        // A bad id in the scalar tail, in an 8-lane group, in a 16-lane one.
+        for ids in [vec![0, 20, 3], (13..21).collect(), (5..21).collect()] {
+            assert!(panics(&mut || {
+                refine_f64_range(&fcol, 0.0, 1.0, &mut ids.clone());
+            }));
+            assert!(panics(&mut || {
+                refine_i32_range(&icol, 0, 1, &mut ids.clone());
+            }));
+        }
+        let mut last_rows: Vec<u32> = (4..20).collect();
+        refine_f64_range(&fcol, f64::NEG_INFINITY, f64::INFINITY, &mut last_rows);
+        assert!(last_rows.ends_with(&[19]));
     }
 
     #[test]
@@ -839,19 +1019,49 @@ mod tests {
         if !cpu::avx2_supported() {
             return;
         }
-        let codes: Vec<u8> = (0..1003).map(|i| ((i * 31 + i / 5) % 11) as u8).collect();
         let mut keep = [0i32; 256];
         for c in [0usize, 3, 7, 10, 255] {
             keep[c] = -1;
         }
-        for &(lo, hi) in &[(0usize, 1003usize), (5, 1000), (7, 15), (100, 103), (3, 3)] {
+        for (lo, hi) in windows(8) {
+            let codes: Vec<u8> = (0..hi).map(|i| ((i * 31 + i / 5) % 11) as u8).collect();
             let mut sel = Vec::new();
+            // SAFETY: AVX2 checked above; `lo <= hi == codes.len()`.
             unsafe { fill_u8_in_set_avx2(&codes, &keep, lo, hi, &mut sel) };
-            let expected: Vec<u32> = (lo..hi)
-                .filter(|&r| keep[codes[r] as usize] != 0)
-                .map(|r| r as u32)
-                .collect();
+            let expected = scalar_fill(lo, hi, |r| keep[codes[r] as usize] != 0);
             assert_eq!(sel, expected, "[{lo},{hi})");
+        }
+    }
+
+    #[test]
+    fn u16_in_set_fill_matches_scalar() {
+        if !cpu::avx2_supported() {
+            return;
+        }
+        // Members at both ends of a word, of the set, and in between.
+        let keep = u16_set(
+            [0u16, 31, 32, 63, 1000, 40_000, 65_504, 65_535]
+                .into_iter()
+                .chain((300..900).step_by(7)),
+        );
+        for (lo, hi) in windows(8) {
+            let codes: Vec<u16> = (0..hi)
+                .map(|i| match i % 9 {
+                    0 => 0,
+                    1 => 31,
+                    2 => 32,
+                    3 => 65_535,
+                    4 => 65_504,
+                    5 => 33,
+                    _ => (300 + (i * 37) % 600) as u16,
+                })
+                .collect();
+            let mut sel = Vec::new();
+            // SAFETY: AVX2 checked above; `lo <= hi == codes.len()`.
+            unsafe { fill_u16_in_set_avx2(&codes, &keep, lo, hi, &mut sel) };
+            let expected = scalar_fill(lo, hi, |r| u16_in_set(&keep, codes[r]));
+            assert_eq!(sel, expected, "[{lo},{hi})");
+            assert!(lo + 9 > hi || !sel.is_empty(), "members are present");
         }
     }
 
@@ -860,30 +1070,51 @@ mod tests {
         if !cpu::avx512_supported() {
             return;
         }
-        let codes: Vec<u8> = (0..2003).map(|i| ((i * 131 + i / 7) % 253) as u8).collect();
         let mut keep = [0i32; 256];
         for c in [0usize, 3, 7, 10, 100, 200, 252, 255] {
             keep[c] = -1;
         }
-        for &(lo, hi) in &[
-            (0usize, 2003usize),
-            (5, 2000),
-            (7, 15),
-            (9, 30),
-            (100, 103),
-            (3, 3),
-        ] {
+        for (lo, hi) in windows(16) {
+            let codes: Vec<u8> = (0..hi).map(|i| ((i * 131 + i / 7) % 253) as u8).collect();
             let mut sel = Vec::new();
+            // SAFETY: AVX-512F checked above; `lo <= hi == codes.len()`.
             unsafe { fill_u8_in_set_avx512(&codes, &keep, lo, hi, &mut sel) };
-            let expected: Vec<u32> = (lo..hi)
-                .filter(|&r| keep[codes[r] as usize] != 0)
-                .map(|r| r as u32)
-                .collect();
+            let expected = scalar_fill(lo, hi, |r| keep[codes[r] as usize] != 0);
             assert_eq!(sel, expected, "avx512 vs scalar [{lo},{hi})");
 
             let mut sel2 = Vec::new();
+            // SAFETY: every AVX-512F CPU has AVX2; window as above.
             unsafe { fill_u8_in_set_avx2(&codes, &keep, lo, hi, &mut sel2) };
             assert_eq!(sel, sel2, "avx512 vs avx2 [{lo},{hi})");
+        }
+    }
+
+    #[test]
+    fn avx512_range_twins_match_scalar() {
+        if !cpu::avx512_supported() {
+            return;
+        }
+        for (lo, hi) in windows(16) {
+            let icol = i32_col(hi);
+            for (l, h) in I32_RANGES {
+                let mut sel = Vec::new();
+                // SAFETY: AVX-512F checked above; `lo <= hi == icol.len()`.
+                unsafe { fill_i32_range_avx512(&icol, l, h, lo, hi, &mut sel) };
+                let expected = scalar_fill(lo, hi, |r| (icol[r] >= l) & (icol[r] <= h));
+                assert_eq!(sel, expected, "i32 [{l},{h}] rows [{lo},{hi})");
+            }
+        }
+        let fcol = f64_col(2000);
+        for cand in candidates(16, 2000) {
+            for (l, h) in F64_RANGES {
+                let mut sel = cand.clone();
+                // SAFETY: AVX-512F checked above; every candidate id < 2000.
+                unsafe { refine_f64_range_avx512(&fcol, l, h, &mut sel) };
+                let expected: Vec<u32> = (cand.iter().copied())
+                    .filter(|&r| (fcol[r as usize] >= l) & (fcol[r as usize] <= h))
+                    .collect();
+                assert_eq!(sel, expected, "f64 [{l},{h}] n={}", cand.len());
+            }
         }
     }
 
@@ -892,10 +1123,11 @@ mod tests {
         if !cpu::avx2_supported() {
             return;
         }
-        for n in [0usize, 1, 7, 8, 9, 64, 255, 1001] {
+        for n in (0..=17).chain([64, 255, 1001]) {
             let mask: Vec<u8> = (0..n).map(|i| ((i * 7 + i / 3) % 3 == 0) as u8).collect();
             let base: Vec<u32> = (0..n as u32).map(|i| i * 2 + 1).collect();
             let mut sel = base.clone();
+            // SAFETY: AVX2 checked above; one mask byte per entry.
             unsafe { compact_by_mask_avx2(&mut sel, &mask) };
             let expected: Vec<u32> = base
                 .iter()
