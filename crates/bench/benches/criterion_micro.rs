@@ -418,7 +418,6 @@ fn bench_gid_assign(c: &mut Criterion) {
     let pair = |a: &str, b: &str| GroupKey::HashPair {
         a: a.into(),
         b: b.into(),
-        hash: HashKind::Identity,
     };
     let by = |col: &str| GroupKey::Hash {
         col: col.into(),

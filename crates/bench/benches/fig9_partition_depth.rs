@@ -148,9 +148,10 @@ fn main() {
 
     // --- hash-group panel: hash vs dense group-id assignment -------------
     // The identical plan-layer aggregation (one reproducible SUM over a
-    // 2^14-key domain) grouped (a) densely via a dictionary-encoded U8
-    // pair, (b) through the hash arm's SIMD batched probe on the raw i32
-    // key column, and (c) through the same probe over a *sparse* strided
+    // 2^14-key domain) grouped (a) densely — a U8 pair whose packed key
+    // indexes the direct-mapped group-id table — (b) through the hash
+    // arm's SIMD batched probe on the raw i32 key column, and (c)
+    // through the same probe over a *sparse* strided
     // key domain with `HashKind::Multiplicative` — identity hashing would
     // pile the ×1000 stride onto every 8th home slot, so this arm is the
     // real-hash configuration of the paper's §VI-A remark. The dense gap
@@ -188,14 +189,11 @@ fn main() {
     grouped
         .add_column("v", Column::f64(w.values.clone()))
         .unwrap();
-    fn encode_hi_lo(hi: u8, lo: u8) -> u32 {
-        ((hi as u32) << 8) | lo as u32
-    }
     let group_backend = SumBackend::ReproBuffered {
         buffer_size: model.buffer_size(domain, 8, 0),
     };
     let dense_plan = QueryPlan::scan("g")
-        .group_by_dense("hi", "lo", encode_hi_lo, domain)
+        .group_by_u8_pair("hi", "lo")
         .sum(Expr::col("v"));
     let hash_plan = QueryPlan::scan("g").group_by_key("key").sum(Expr::col("v"));
     let sparse_plan = QueryPlan::scan("g")
@@ -307,7 +305,7 @@ fn main() {
         format!("{:.2}x", sparse_ns / dense_ns),
     ]);
     hash_table.row(vec![
-        "dense (dictionary)".into(),
+        "dense (direct-mapped byte pair)".into(),
         f2(dense_ns),
         "1.00x".into(),
     ]);

@@ -118,9 +118,9 @@ pub enum Column {
 }
 
 /// Errors raised building or validating encoded ([`Column::Dict`] /
-/// [`Column::Rle`]) columns. Scan-time encoding failures surface as
-/// `FusedError::Encoding` / `PlanError::Encoding` wrapping one of these —
-/// never panics.
+/// [`Column::Dict16`] / [`Column::Rle`]) columns. [`Table::add_column`]
+/// refuses a malformed column with [`TableError::Encoding`] wrapping one
+/// of these, so no query ever scans one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EncodingError {
     /// Dictionary entries / run values must be plain columns.
@@ -365,8 +365,8 @@ impl Column {
 
     /// Materializes a plain column with the same logical content, bit for
     /// bit. Plain columns clone (a refcount bump). Panics on an invalid
-    /// encoding — run [`Column::validate_encoding`] first for hand-built
-    /// variants (the executor does).
+    /// encoding — run [`Column::validate_encoding`] first for a hand-built
+    /// variant (a column inside a [`Table`] has passed it).
     pub fn decode(&self) -> Column {
         fn gather<T: Copy>(codes: &[u8], dict: &[T]) -> Vec<T> {
             codes.iter().map(|&c| dict[c as usize]).collect()
@@ -414,10 +414,13 @@ impl Column {
 
     /// Checks the structural invariants of an encoded column (hand-built
     /// `Dict`/`Rle` variants bypass the validating constructors). Plain
-    /// columns always pass. The fused executor runs this once per
-    /// referenced encoded column before scanning, so scan loops can index
-    /// codes and runs without per-row checks.
+    /// columns always pass. [`Table::add_column`] runs this on every column
+    /// it accepts and no table operation breaks what it checked, so the
+    /// scan loops index codes and runs of a table's columns without
+    /// per-row checks — and without a per-query pass.
     pub fn validate_encoding(&self) -> Result<(), EncodingError> {
+        #[cfg(test)]
+        crate::fused::count(|c| c.validations += 1);
         match self {
             Column::Dict { codes, dict } => {
                 if dict.is_encoded() {
@@ -432,7 +435,7 @@ impl Column {
                 }
                 // Lane-parallel max so the whole-column check vectorizes
                 // (a short-circuiting scan would run scalar and cost more
-                // than a Q6 fill); this validation runs once per query.
+                // than a Q6 fill).
                 let mut lanes = [0u8; 64];
                 let mut tail = 0u8;
                 let mut chunks = codes.chunks_exact(64);
@@ -732,6 +735,13 @@ pub enum TableError {
         column: String,
         storage: &'static str,
     },
+    /// [`Table::add_column`] was handed an encoded column that fails
+    /// [`Column::validate_encoding`] (codes past the dictionary, run ends
+    /// not strictly increasing, a nested encoding).
+    Encoding {
+        column: String,
+        error: EncodingError,
+    },
 }
 
 impl fmt::Display for TableError {
@@ -753,6 +763,7 @@ impl fmt::Display for TableError {
                 f,
                 "column {column:?} ({storage}) cannot be reordered without decoding"
             ),
+            TableError::Encoding { column, error } => write!(f, "column {column:?}: {error}"),
         }
     }
 }
@@ -768,7 +779,14 @@ impl Table {
         }
     }
 
-    /// Adds a column; all columns must have equal length.
+    /// Adds a column; all columns must have equal length, and an encoded
+    /// column must pass [`Column::validate_encoding`]. This is the only way
+    /// a column enters a table, and [`Table::encode_auto`],
+    /// [`Table::reorder`] and [`Table::mvcc_update_i32`] — the only other
+    /// writers — keep a valid encoding valid (they produce encodings through
+    /// the encoders, permute codes, and rewrite plain values), so every
+    /// column of every table is well-formed: the guarantee the scan
+    /// kernels index codes and runs under.
     pub fn add_column(
         &mut self,
         name: impl Into<String>,
@@ -777,6 +795,12 @@ impl Table {
         let name = name.into();
         if self.columns.iter().any(|(n, _)| *n == name) {
             return Err(TableError::DuplicateColumn(name));
+        }
+        if let Err(error) = column.validate_encoding() {
+            return Err(TableError::Encoding {
+                column: name,
+                error,
+            });
         }
         if self.columns.is_empty() {
             self.rows = column.len();
@@ -961,7 +985,8 @@ impl Table {
     }
 }
 
-fn type_mismatch(name: &str, expected: &'static str, found: &Column) -> TableError {
+/// `name` is `found`'s (logical) type where `expected` was needed.
+pub(crate) fn type_mismatch(name: &str, expected: &'static str, found: &Column) -> TableError {
     TableError::TypeMismatch {
         column: name.to_string(),
         expected,
@@ -1249,6 +1274,151 @@ mod tests {
                 max: 65536
             }
         );
+    }
+
+    /// A malformed encoding built by hand around the validating
+    /// constructors is refused where it would enter a table — typed, and
+    /// before any query can see it.
+    #[test]
+    fn malformed_encodings_are_typed_errors() {
+        // Codes pointing past the dictionary.
+        let mut t = Table::new("t");
+        let err = t
+            .add_column(
+                "x",
+                Column::Dict {
+                    codes: Arc::new(vec![0, 1, 9]),
+                    dict: Box::new(Column::f64(vec![1.0, 2.0])),
+                },
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TableError::Encoding {
+                column: "x".into(),
+                error: EncodingError::CodeOutOfRange {
+                    code: 9,
+                    dict_len: 2
+                },
+            }
+        );
+        let err = t
+            .add_column(
+                "x",
+                Column::Dict16 {
+                    codes: Arc::new(vec![0, 300]),
+                    dict: Box::new(Column::i32((0..300).collect::<Vec<_>>())),
+                },
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TableError::Encoding {
+                column: "x".into(),
+                error: EncodingError::CodeOutOfRange {
+                    code: 300,
+                    dict_len: 300
+                },
+            }
+        );
+
+        // Run ends that are not strictly increasing (the logical length
+        // matches the table's; the *invariant* is broken).
+        t.add_column("v", Column::f64(vec![1.0, 2.0, 3.0, 4.0]))
+            .unwrap();
+        let err = t
+            .add_column(
+                "g",
+                Column::Rle {
+                    run_ends: Arc::new(vec![2, 2, 4]),
+                    values: Box::new(Column::u8(vec![0, 1, 0])),
+                },
+            )
+            .unwrap_err();
+        let want = TableError::Encoding {
+            column: "g".into(),
+            error: EncodingError::RunEndsNotIncreasing { index: 1 },
+        };
+        assert_eq!(err, want);
+        // The pinned message names the column and the defect.
+        assert_eq!(
+            want.to_string(),
+            "column \"g\": run_ends must be strictly increasing (violated at run 1)"
+        );
+        // A nested encoding, and nothing refused got in.
+        let inner = Column::u8(vec![7; 4]).rle_encode().unwrap();
+        let err = t
+            .add_column(
+                "n",
+                Column::Dict {
+                    codes: Arc::new(vec![0; 4]),
+                    dict: Box::new(inner),
+                },
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TableError::Encoding {
+                column: "n".into(),
+                error: EncodingError::Nested,
+            }
+        );
+        assert_eq!(t.column_names(), ["v"]);
+    }
+
+    /// `add_column` is the only way in, and the other writers —
+    /// `encode_auto` under every policy in use, `reorder`,
+    /// `mvcc_update_i32` — keep every column valid.
+    #[test]
+    fn table_writers_keep_encodings_valid() {
+        fn assert_valid(t: &Table, ctx: &str) {
+            for (name, col) in &t.columns {
+                assert_eq!(col.validate_encoding(), Ok(()), "{ctx}: {name}");
+            }
+        }
+        let n = 4096usize;
+        let table = |sorted: bool| {
+            let mut t = Table::new("t");
+            let col = |f: &dyn Fn(usize) -> i32| Column::i32((0..n).map(f).collect::<Vec<_>>());
+            if sorted {
+                t.add_column("runs", col(&|i| (i / 64) as i32)).unwrap();
+            }
+            t.add_column("id", col(&|i| i as i32)).unwrap();
+            t.add_column("tag", col(&|i| (i % 7) as i32)).unwrap();
+            t.add_column("key", col(&|i| (i * 7 % 1000) as i32))
+                .unwrap();
+            let pre = Column::dict(vec![1u8; n], Column::f64(vec![1.5, 2.5])).unwrap();
+            t.add_column("pre", pre).unwrap();
+            t
+        };
+        let policies = [
+            EncodePolicy::default(),
+            EncodePolicy {
+                max_dict: 256,
+                ..EncodePolicy::default()
+            },
+            EncodePolicy {
+                min_avg_run: 8,
+                ..EncodePolicy::default()
+            },
+        ];
+        for policy in policies {
+            let mut t = table(true);
+            t.encode_auto(policy);
+            assert_eq!(t.column("runs").unwrap().storage_name(), "Rle<I32>");
+            assert_valid(&t, &format!("encode_auto {policy:?}"));
+
+            // No RLE column: the table reorders, dictionary codes and all.
+            let mut t = table(false);
+            t.encode_auto(policy);
+            assert_eq!(t.column("tag").unwrap().storage_name(), "Dict<I32>");
+            let perm: Vec<u32> = (0..n as u32).map(|i| (i * 5 + 3) % n as u32).collect();
+            t.reorder(&perm).unwrap();
+            assert_valid(&t, &format!("reorder {policy:?}"));
+            let updated = t.mvcc_update_i32("id", |v| v % 3 == 0, |v| -v).unwrap();
+            assert_eq!(updated, n.div_ceil(3));
+            assert_valid(&t, &format!("mvcc_update_i32 {policy:?}"));
+        }
     }
 
     #[test]

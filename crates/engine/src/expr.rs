@@ -352,6 +352,8 @@ impl Builder {
     /// an operand nobody reads after it (and then computes in place), else
     /// a free one. `outputs` stay live to the end of the program.
     fn finish(self) -> Prog {
+        #[cfg(test)]
+        crate::fused::count(|c| c.compiles += 1);
         let Builder {
             nodes,
             cols,
@@ -747,7 +749,7 @@ enum BoundFast<'t> {
     /// `U8` column, which is its own code. Rows test `keep[code]` — no
     /// float compare, no gather. Entries are 0 / -1 so the SIMD kernels
     /// can gather and movemask them directly; codes past the dictionary
-    /// stay 0 (validation rejects them before any scan).
+    /// stay 0 (no column of a table holds one).
     DictInSet {
         codes: &'t [u8],
         keep: Box<[i32; 256]>,
@@ -755,8 +757,8 @@ enum BoundFast<'t> {
     /// Wide-dictionary keep-set: same once-per-entry test as
     /// [`BoundFast::DictInSet`], held as a 65536-bit set indexed by the
     /// `u16` code ([`u16_in_set`]; 32-bit words, which the AVX2 fill
-    /// gathers). Codes past the dictionary stay 0 (validation rejects
-    /// them before any scan).
+    /// gathers). Codes past the dictionary stay 0 (no column of a table
+    /// holds one).
     Dict16InSet {
         codes: &'t [u16],
         keep: Box<[u32; 2048]>,
@@ -1122,20 +1124,13 @@ impl CompiledExpr {
 
     /// Resolves the referenced columns against a table. The borrowed view
     /// is cheap to build (per query, per morsel): binding copies no data.
-    /// Missing *and* non-numeric columns surface as [`TableError`]s —
-    /// this is the check the plan layer validates aggregate expressions
-    /// with.
+    /// Missing *and* non-numeric columns surface as [`TableError`]s.
     pub fn bind<'t>(&'t self, table: &'t Table) -> Result<BoundExpr<'t>, TableError> {
+        #[cfg(test)]
+        crate::fused::count(|c| c.expr_binds += 1);
         Ok(BoundExpr {
             prog: self.prog.bind(table)?,
         })
-    }
-
-    /// The distinct column names this expression reads (the fused
-    /// executor validates encoded columns once per query against this
-    /// list before scanning).
-    pub(crate) fn col_names(&self) -> &[ColRef] {
-        &self.prog.cols
     }
 }
 
@@ -1155,12 +1150,6 @@ impl CompiledPredicate {
     /// filter intersects those of the same column before binding).
     pub(crate) fn range(&self) -> Option<(&ColRef, Interval)> {
         self.fast.as_ref().map(|f| (&f.col, f.range))
-    }
-
-    /// The distinct column names this predicate reads (see
-    /// [`CompiledExpr::col_names`]).
-    pub(crate) fn col_names(&self) -> &[ColRef] {
-        &self.prog.cols
     }
 }
 

@@ -39,12 +39,10 @@
 //! `NOT`, `<>`, arithmetic comparisons) runs the mask program per batch,
 //! in its written position.
 //!
-//! **Group keys** come in four shapes:
+//! **Group keys** come in three shapes:
 //!
 //! * [`GroupKey::None`] — a single accumulator (group id 0), taking the
 //!   vectorized single-group fast paths;
-//! * [`GroupKey::Dense`] — two `U8` columns mapped to a dense id by an
-//!   `encode` fn (Q1's flag/status pair), called once per pair *seen*;
 //! * [`GroupKey::Hash`] — an `I32`/`U32`/`U8` key column. Group ids are
 //!   handed out in first-seen row order, unseen keys are appended to a
 //!   gid→key list, and the per-group state arrays grow on demand.
@@ -52,25 +50,37 @@
 //!   side's gid→key list and folds each slot into the local slot of the
 //!   same key.
 //! * [`GroupKey::HashPair`] — two `U8` columns packed into one `u32` key
-//!   (`(a << 8) | b`). This is how a SQL `GROUP BY flag, status` over
-//!   byte columns runs without a precomputed dense `encode` fn: only
-//!   observed pairs materialize group state, and the packed key sorts
-//!   output rows in `(a, b)` lexicographic order.
+//!   (`(a << 8) | b`): Q1's flag / status pair, a SQL `GROUP BY a, b`
+//!   over byte columns. Only observed pairs materialize group state, and
+//!   the packed key sorts output rows in `(a, b)` lexicographic order.
+//!
+//! **The bind is the validation.** One function (`bind_query`) takes a
+//! query from its written form to what the scan reads: it compiles the
+//! filter conjuncts and the aggregate inputs, binds them and the grouping
+//! to the table's storage, and checks the backend. Every way a query can
+//! fail to fit its table — a missing column, one an expression cannot
+//! read, a group key of the wrong logical type under any encoding — or
+//! its backend is a typed [`FusedError`] from that one pass, in a fixed
+//! order; there is no earlier check for it to agree with and no later
+//! one. [`run_fused`] is that bind plus the scan; preparing a SQL
+//! statement runs the bind alone. Columns need no check at all: a
+//! [`Table`] only ever holds well-formed encodings
+//! ([`Table::add_column`]).
 //!
 //! **Group ids at the price of their key.** How a key becomes a group id
 //! is decided once, when the query is bound, from the key's *storage*. A
-//! key at most 16 bits wide — a byte, a byte pair (dense or not), a `Dict`
-//! / `Dict16` column's *code* — indexes a `NO_GROUP`-initialised table of
-//! its whole domain (256 or 65 536 entries): one load per row, and the
-//! first sighting of an index is the rare branch that assigns the id (or
-//! calls `encode`, or resolves a dictionary code to its key), in row
-//! order. 32-bit key values go through each scan range's
+//! key at most 16 bits wide — a byte, a byte pair, a `Dict` / `Dict16`
+//! column's *code* — indexes a `NO_GROUP`-initialised table of its whole
+//! domain (256 or 65 536 entries): one load per row, and the first
+//! sighting of an index is the rare branch that assigns the id (and
+//! resolves a dictionary code to its key), in row order. 32-bit key
+//! values go through each scan range's
 //! [`AggHashTable`] and its SIMD batched probe
 //! ([`AggHashTable::probe_gids`], §IV). A batch's keys are laid down by
 //! one tight loop per key leg — column slices for a dense or near-dense
 //! batch, a gather otherwise, RLE legs once per run. Ids, first-seen
-//! order and the data-dependent errors are those of a per-row walk over
-//! the selected rows either way.
+//! order and the data-dependent [`FusedError::ReservedKey`] are those of a
+//! per-row walk over the selected rows either way.
 //!
 //! **Why fusion preserves bit-identity** (paper footnote 3, extended to
 //! batched evaluation): the per-row expression dag is evaluated with the
@@ -155,10 +165,14 @@
 //! requested thread count: the engine's answers are then independent of
 //! `threads` for every backend, which the proptests assert.
 //! [`SumBackend::SortedDouble`] is inherently materializing (it sorts the
-//! projected values) and is routed to the materializing pipeline by the
-//! query entry points, never reaching this executor.
+//! projected values): the TPC-H wrappers route it to the materializing
+//! pipeline, and this executor refuses it ([`FusedError::Unsupported`]).
 
-use crate::column::{ColRef, Column, EncodingError, Table};
+// A query is outside input: nothing here may panic on one. What survives
+// is an `expect` stating an internal invariant, allowed where it stands.
+#![deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
+
+use crate::column::{type_mismatch, ColRef, Column, Table, TableError};
 use crate::expr::{
     advance_run, extend_clipped, intersect_ranges, BoolExpr, BoundExpr, BoundPredicate,
     CompiledExpr, CompiledPredicate, EvalScratch, Expr, RowRange, Sel,
@@ -175,23 +189,11 @@ use std::time::{Duration, Instant};
 /// amortizing per-batch dispatch — the X100 sweet spot.
 pub const FUSED_BATCH_ROWS: usize = 4096;
 
-/// GROUP BY over two dictionary-encoded `U8` columns, mapped to a dense
-/// group id by `encode` (Q1's `(l_returnflag, l_linestatus)` pair).
-#[derive(Clone, Debug)]
-pub struct GroupSpec {
-    pub a: ColRef,
-    pub b: ColRef,
-    pub encode: fn(u8, u8) -> u32,
-}
-
 /// Grouping mode of a fused scan.
 #[derive(Clone, Debug)]
 pub enum GroupKey {
     /// No GROUP BY: one un-grouped accumulator (group id 0).
     None,
-    /// Dense grouping over a `U8` column pair; `groups` is the number of
-    /// ids `spec.encode` can produce.
-    Dense { spec: GroupSpec, groups: usize },
     /// Grouping on an `I32`, `U32` or `U8` key column, group ids in
     /// first-seen order. 32-bit key values go through a per-range
     /// [`AggHashTable`] under `hash`; a `U8` column and the codes of a
@@ -201,29 +203,34 @@ pub enum GroupKey {
     /// [`FusedError::ReservedKey`].
     Hash { col: ColRef, hash: HashKind },
     /// Grouping on a pair of `U8` columns packed into one `u32` key
-    /// (`(a << 8) | b`), first-seen ids — the SQL `GROUP BY a, b` shape
-    /// over byte columns. The pair indexes a direct-mapped table; `hash`
-    /// is accepted for symmetry with [`GroupKey::Hash`] and unused.
-    HashPair {
-        a: ColRef,
-        b: ColRef,
-        hash: HashKind,
-    },
+    /// (`(a << 8) | b`), first-seen ids — Q1's flag / status pair, the SQL
+    /// `GROUP BY a, b` shape over byte columns. The pair indexes a
+    /// direct-mapped table of its 65 536-key domain.
+    HashPair { a: ColRef, b: ColRef },
 }
 
-/// Runtime errors of the fused executor (as opposed to the validation
-/// errors the plan layer raises before execution — these depend on the
-/// *data*, not the query shape).
+/// Errors of the fused executor. The first three are raised when the
+/// query is bound, before any row is read — they depend on the query, the
+/// table's schema and the backend; the rest depend on the *data* or the
+/// clock, and are raised by the scan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FusedError {
+    /// The query names a column the table lacks, or one whose logical
+    /// type its role cannot read: an `F32` column in an expression, a
+    /// group key that is not `I32` / `U32` / `U8`, a pair leg that is not
+    /// `U8` — whatever the column's encoding.
+    Table(TableError),
+    /// The backend cannot run here: [`SumBackend::SortedDouble`] must
+    /// materialize the values it sorts.
+    Unsupported(&'static str),
+    /// An `RSUM` backend asked for a precision outside `1..=4` levels
+    /// ([`SumBackend::check_levels`]).
+    RsumLevels { levels: u8 },
     /// The Double backend detected overflow (MonetDB aborts the query).
     Overflow(OverflowError),
     /// A [`GroupKey::Hash`] scan encountered the reserved key value
     /// `u32::MAX` (`-1` on an `I32` column) in the named column.
     ReservedKey { col: String },
-    /// A [`GroupKey::Dense`] `encode` fn produced an id outside
-    /// `0..groups` for a value pair actually present in the data.
-    GroupIdOutOfBounds { got: u32, groups: usize },
     /// The query's [`ExecOptions::cancel`] token tripped. Cooperative: the
     /// scan noticed at a batch boundary and unwound with this typed error
     /// — never a panic. Because accumulators are associative, a cancelled
@@ -235,37 +242,25 @@ pub enum FusedError {
         /// The budget that was exceeded.
         deadline: Duration,
     },
-    /// An encoded column referenced by the query failed
-    /// [`Column::validate_encoding`] (codes out of dictionary range, run
-    /// ends not strictly increasing or not covering the column). Checked
-    /// once per query before any batch is scanned, so malformed encodings
-    /// surface as this typed error — never as a panic mid-scan.
-    Encoding {
-        /// Name of the malformed column.
-        col: String,
-        error: EncodingError,
-    },
 }
 
 impl std::fmt::Display for FusedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FusedError::Table(e) => write!(f, "{e}"),
+            FusedError::Unsupported(what) => write!(f, "unsupported query: {what}"),
+            FusedError::RsumLevels { levels } => {
+                write!(f, "RSUM levels must be in 1..=4, got {levels}")
+            }
             FusedError::Overflow(e) => write!(f, "{e}"),
             FusedError::ReservedKey { col } => write!(
                 f,
                 "group key column {col:?} contains the reserved value u32::MAX (-1_i32)"
             ),
-            FusedError::GroupIdOutOfBounds { got, groups } => {
-                write!(
-                    f,
-                    "dense group encoding produced id {got} >= groups {groups}"
-                )
-            }
             FusedError::Cancelled => write!(f, "query cancelled"),
             FusedError::DeadlineExceeded { deadline } => {
                 write!(f, "query exceeded its {deadline:?} deadline")
             }
-            FusedError::Encoding { col, error } => write!(f, "column {col:?}: {error}"),
         }
     }
 }
@@ -275,6 +270,12 @@ impl std::error::Error for FusedError {}
 impl From<OverflowError> for FusedError {
     fn from(e: OverflowError) -> Self {
         FusedError::Overflow(e)
+    }
+}
+
+impl From<TableError> for FusedError {
+    fn from(e: TableError) -> Self {
+        FusedError::Table(e)
     }
 }
 
@@ -418,6 +419,9 @@ pub struct FusedRun {
     /// group slot, in first-seen row order (schedule-independent; see
     /// module doc).
     pub keys: Option<Vec<u32>>,
+    /// Whether `keys` are the bit patterns of an `I32` column's values
+    /// (the reader restores the sign).
+    pub key_signed: bool,
     pub timing: PhaseTiming,
     /// Batches of the scan grid the filter was run on (those overlapping
     /// a row range the bind-time-decided conjuncts keep — all of them when
@@ -428,68 +432,108 @@ pub struct FusedRun {
     pub batches_pruned: u64,
 }
 
-/// Compiled form of a query's filter and aggregate inputs.
-struct CompiledAggs<'q> {
-    filter: Vec<CompiledPredicate>,
+/// A query bound to a table: everything the scan reads, resolved once and
+/// shared by every scan range and by the merge.
+struct BoundQuery<'q> {
+    filter: ScanFilter<'q>,
+    group: Option<GroupBind<'q>>,
     /// Every evaluated aggregate input: one program, one output each.
-    prog: CompiledExpr,
+    prog: BoundExpr<'q>,
     /// Every aggregate — SUMs, then MINs, then MAXs — with its input.
     aggs: Vec<(AggSlot, AggInput<'q>)>,
+    /// State arrays per kind: SUM, MIN, MAX.
+    states: (usize, usize, usize),
+    backend: SumBackend,
 }
 
 /// Where an aggregate's input values come from.
 enum AggInput<'q> {
-    /// Output `k` of [`CompiledAggs::prog`].
+    /// Output `k` of [`BoundQuery::prog`].
     Output(usize),
     /// A bare RLE column, deposited algebraically once per run span.
     Rle(RleSrc<'q>),
 }
 
-impl<'q> CompiledAggs<'q> {
-    /// Bare RLE SUM inputs take the once-per-run deposit only on backends
-    /// whose state is a pure function of the input multiset
-    /// (`merges_exactly`) — there the k·v fold is bit-identical to k
-    /// per-row adds (DESIGN.md §26). Plain doubles are order-sensitive
-    /// with no algebraic shortcut, so they keep the per-row path by
-    /// design. MIN / MAX comparison folds are idempotent and
-    /// order-insensitive, so they fold once per span on every backend.
-    fn new(table: &'q Table, query: &'q FusedQuery, backend: SumBackend) -> Self {
-        let slots: [fn(usize) -> AggSlot; 3] = [AggSlot::Sum, AggSlot::Min, AggSlot::Max];
-        let mut evaluated = Vec::new();
-        let mut aggs = Vec::new();
-        for (exprs, slot) in [&query.sums, &query.mins, &query.maxs]
-            .into_iter()
-            .zip(slots)
-        {
-            let algebraic = backend.merges_exactly() || !matches!(slot(0), AggSlot::Sum(_));
-            for (s, e) in exprs.iter().enumerate() {
-                let input = match bind_alg(e, table).filter(|_| algebraic) {
-                    Some(src) => AggInput::Rle(src),
-                    None => {
-                        evaluated.push(e);
-                        AggInput::Output(evaluated.len() - 1)
-                    }
-                };
-                aggs.push((slot(s), input));
-            }
-        }
-        CompiledAggs {
-            filter: query.filter.iter().map(BoolExpr::compile).collect(),
-            prog: CompiledExpr::compile_all(evaluated),
-            aggs,
+/// The one path from a query to the scan. Compiles the filter conjuncts
+/// and the aggregate inputs (one program for all that are evaluated),
+/// binds them and the grouping to `table`'s storage, checks the backend,
+/// and hands the bound query to `then`. Binding *is* the validation: every
+/// way the query can fail to fit the table or the backend surfaces here,
+/// typed, in this order — filter columns (conjunct order), group-key
+/// columns, aggregate input columns, [`SumBackend::SortedDouble`], `RSUM`
+/// levels — and what reaches `then` can fail only on the data. (`then`,
+/// not a return value: the bound forms borrow the compiled programs,
+/// which live in this frame.)
+fn bind_query<R>(
+    table: &Table,
+    query: &FusedQuery,
+    backend: SumBackend,
+    then: impl FnOnce(&BoundQuery<'_>) -> Result<R, FusedError>,
+) -> Result<R, FusedError> {
+    let filter: Vec<CompiledPredicate> = query.filter.iter().map(BoolExpr::compile).collect();
+    // Bare RLE SUM inputs take the once-per-run deposit only on backends
+    // whose state is a pure function of the input multiset
+    // (`merges_exactly`) — there the k·v fold is bit-identical to k
+    // per-row adds (DESIGN.md §26). Plain doubles are order-sensitive
+    // with no algebraic shortcut, so they keep the per-row path by
+    // design. MIN / MAX comparison folds are idempotent and
+    // order-insensitive, so they fold once per span on every backend.
+    let slots: [fn(usize) -> AggSlot; 3] = [AggSlot::Sum, AggSlot::Min, AggSlot::Max];
+    let mut evaluated = Vec::new();
+    let mut aggs = Vec::new();
+    for (exprs, slot) in [&query.sums, &query.mins, &query.maxs]
+        .into_iter()
+        .zip(slots)
+    {
+        let algebraic = backend.merges_exactly() || !matches!(slot(0), AggSlot::Sum(_));
+        for (s, e) in exprs.iter().enumerate() {
+            let input = match bind_alg(e, table).filter(|_| algebraic) {
+                Some(src) => AggInput::Rle(src),
+                None => {
+                    evaluated.push(e);
+                    AggInput::Output(evaluated.len() - 1)
+                }
+            };
+            aggs.push((slot(s), input));
         }
     }
+    let prog = CompiledExpr::compile_all(evaluated);
+    let bound = BoundQuery {
+        filter: ScanFilter::bind(table, &filter)?,
+        group: GroupBind::bind(table, &query.group_by)?,
+        prog: prog.bind(table)?,
+        aggs,
+        states: (query.sums.len(), query.mins.len(), query.maxs.len()),
+        backend,
+    };
+    if backend == SumBackend::SortedDouble {
+        return Err(FusedError::Unsupported(
+            "SortedDouble requires the materializing pipeline",
+        ));
+    }
+    backend
+        .check_levels()
+        .map_err(|levels| FusedError::RsumLevels { levels })?;
+    then(&bound)
 }
 
-/// Executes a fused query over a table.
+/// Whether `query` binds to `table`: exactly what [`run_fused`] refuses
+/// before it scans, on any backend this executor runs. Preparing a SQL
+/// statement calls this once, so a statement in the plan cache is known
+/// to bind.
+pub(crate) fn check_query(table: &Table, query: &FusedQuery) -> Result<(), FusedError> {
+    bind_query(table, query, SumBackend::ReproUnbuffered, |_| Ok(()))
+}
+
+/// Executes a fused query over a table: binds it (`bind_query` — the only
+/// validation there is, every failure a typed error) and scans.
 ///
-/// Panics if the query references a missing or mistyped column (queries
-/// reaching this executor are engine-internal; the plan layer validates
-/// user-built plans against the table first and surfaces `TableError`).
-/// Returns [`FusedError::Overflow`] exactly when the materializing
-/// pipeline would return [`OverflowError`], and the data-dependent
-/// [`FusedError::ReservedKey`] / [`FusedError::GroupIdOutOfBounds`] for
-/// inputs no up-front validation can rule out. Options are
+/// Never panics on its arguments. A query that does not fit the table or
+/// the backend is [`FusedError::Table`] / [`FusedError::Unsupported`] /
+/// [`FusedError::RsumLevels`] before any row is read. The scan returns
+/// [`FusedError::Overflow`] exactly when the materializing pipeline would
+/// return [`OverflowError`], the data-dependent
+/// [`FusedError::ReservedKey`], and the interruption errors. Options are
 /// [`ExecOptions::normalized`] first, so zero fields mean "minimum"
 /// rather than a hang.
 pub fn run_fused(
@@ -498,26 +542,30 @@ pub fn run_fused(
     backend: SumBackend,
     opts: &ExecOptions,
 ) -> Result<FusedRun, FusedError> {
-    assert!(
-        backend != SumBackend::SortedDouble,
-        "SortedDouble is inherently materializing; route it to the materializing pipeline"
-    );
     let opts = opts.normalized();
-    // Resolve the deadline to an absolute instant once, then check before
-    // any work: a pre-cancelled token or a zero deadline fails here with a
-    // typed error even on an empty table.
+    // The deadline runs from entry, resolved to an absolute instant once.
     let check = CancelCheck::new(&opts);
+    bind_query(table, query, backend, |bound| {
+        scan(bound, table.rows(), &opts, &check)
+    })
+}
+
+/// Scans a bound query over a `rows`-row table.
+fn scan(
+    bound: &BoundQuery<'_>,
+    rows: usize,
+    opts: &ExecOptions,
+    check: &CancelCheck,
+) -> Result<FusedRun, FusedError> {
+    // Before any work: a pre-cancelled token or a zero deadline fails here
+    // with a typed error even on an empty table.
     check.check()?;
-    let compiled = CompiledAggs::new(table, query, backend);
-    validate_encodings(table, query, &compiled)?;
-    let rows = table.rows();
-    let filter = ScanFilter::bind(table, &compiled.filter);
-    let group = GroupBind::bind(table, &query.group_by);
+    let BoundQuery { filter, group, .. } = bound;
     let group = group.as_ref();
 
     // Plain doubles cannot merge exactly: parallel execution would change
     // the answer, so they always scan serially (module doc).
-    let threads = if backend.merges_exactly() {
+    let threads = if bound.backend.merges_exactly() {
         opts.threads
     } else {
         1
@@ -531,19 +579,19 @@ pub fn run_fused(
             .collect()
     };
 
-    let scan = |lo, hi| {
-        scan_range(
-            table, query, &compiled, &filter, group, backend, &opts, &check, lo, hi,
-        )
-    };
+    // The `expect` states an invariant, not a check on input: the parallel
+    // arm runs with at least two live morsels, every morsel maps to `Some`
+    // partial, and merging two `Some`s (or a `Some` and the identity)
+    // stays `Some`.
+    #[allow(clippy::expect_used)]
     let partial = if live.len() <= 1 {
-        scan(0, rows)?
+        scan_range(bound, opts, check, 0, rows)?
     } else {
         live.into_par_iter()
             .with_min_len(1)
             .map(|m| {
                 let lo = m * opts.morsel_rows;
-                scan(lo, (lo + opts.morsel_rows).min(rows)).map(Some)
+                scan_range(bound, opts, check, lo, (lo + opts.morsel_rows).min(rows)).map(Some)
             })
             .reduce(
                 || Ok(None),
@@ -569,10 +617,11 @@ pub fn run_fused(
         counts: out.counts,
         keys: group
             .zip(partial.groups)
-            .and_then(|(bind, groups)| bind.output_keys(groups.keys)),
+            .map(|(bind, groups)| bind.output_keys(groups.keys)),
+        key_signed: group.is_some_and(|bind| bind.signed),
         timing,
         batches_visited: partial.batches_visited,
-        batches_pruned: grid_batches(rows, &opts) - partial.batches_visited,
+        batches_pruned: grid_batches(rows, opts) - partial.batches_visited,
     })
 }
 
@@ -596,12 +645,38 @@ struct ScanFilter<'t> {
     preds: Vec<BoundPredicate<'t>>,
 }
 
+/// Test-only tally of the per-query work done on this thread, so tests
+/// can assert what is done once per execution — and what not at all.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct BindCounts {
+    /// [`ScanFilter::bind`] calls.
+    pub filter_binds: usize,
+    /// `preds.len()` of the last [`ScanFilter::bind`].
+    pub bound_preds: usize,
+    /// [`GroupBind::bind`] calls that bound a grouping.
+    pub group_binds: usize,
+    /// Expression and predicate programs compiled.
+    pub compiles: usize,
+    /// [`CompiledExpr::bind`] calls.
+    pub expr_binds: usize,
+    /// [`Column::validate_encoding`] calls.
+    pub validations: usize,
+}
+
 #[cfg(test)]
 thread_local! {
-    /// [`ScanFilter::bind`] calls made on this thread.
-    static FILTER_BINDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// `preds.len()` of this thread's last [`ScanFilter::bind`].
-    static BOUND_PREDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    pub(crate) static BIND_COUNTS: std::cell::Cell<BindCounts> = std::cell::Cell::default();
+}
+
+/// Updates this thread's [`BindCounts`].
+#[cfg(test)]
+pub(crate) fn count(f: impl FnOnce(&mut BindCounts)) {
+    BIND_COUNTS.with(|c| {
+        let mut counts = c.get();
+        f(&mut counts);
+        c.set(counts);
+    });
 }
 
 impl<'t> ScanFilter<'t> {
@@ -612,7 +687,10 @@ impl<'t> ScanFilter<'t> {
     /// wide one and its refinement. A conjunction keeps a row iff every
     /// conjunct does, in any order, so the selection — rows and row order
     /// — is the one the conjuncts would have produced one by one.
-    fn bind(table: &'t Table, filter: &'t [CompiledPredicate]) -> ScanFilter<'t> {
+    fn bind(
+        table: &'t Table,
+        filter: &'t [CompiledPredicate],
+    ) -> Result<ScanFilter<'t>, TableError> {
         let mut ranges = vec![(0, table.rows() as u32)];
         let mut preds = Vec::new();
         for (i, p) in filter.iter().enumerate() {
@@ -628,20 +706,17 @@ impl<'t> ScanFilter<'t> {
                 }
                 None => p.bind(table),
             };
-            match bound
-                .expect("fused query references a missing or mistyped column")
-                .into_decided_ranges()
-            {
+            match bound?.into_decided_ranges() {
                 Ok(kept) => ranges = intersect_ranges(&ranges, &kept),
                 Err(pred) => preds.push(pred),
             }
         }
         #[cfg(test)]
-        {
-            FILTER_BINDS.with(|c| c.set(c.get() + 1));
-            BOUND_PREDS.with(|c| c.set(preds.len()));
-        }
-        ScanFilter { ranges, preds }
+        count(|c| {
+            c.filter_binds += 1;
+            c.bound_preds = preds.len();
+        });
+        Ok(ScanFilter { ranges, preds })
     }
 
     /// Index of the first range that ends after `row`.
@@ -654,60 +729,6 @@ impl<'t> ScanFilter<'t> {
             .get(self.first_after(lo))
             .is_some_and(|r| (r.0 as usize) < hi)
     }
-}
-
-/// Validates every encoded column the query touches — filter and
-/// aggregate inputs plus the group-key columns — exactly once, before any
-/// batch is scanned. The batch kernels index dictionaries by code and
-/// trust run ends to be strictly increasing; a malformed encoding (built
-/// by hand around the validating [`Column::dict`]/[`Column::rle`]
-/// constructors) must surface as [`FusedError::Encoding`], never as a
-/// panic or an out-of-bounds read mid-scan. Plain columns cost two loads
-/// here; encoded ones cost one pass over their (byte-sized) codes or run
-/// ends, once per query, not per morsel.
-fn validate_encodings(
-    table: &Table,
-    query: &FusedQuery,
-    compiled: &CompiledAggs<'_>,
-) -> Result<(), FusedError> {
-    let check = |name: &ColRef| -> Result<(), FusedError> {
-        if let Ok(col) = table.column(name.as_str()) {
-            if col.is_encoded() {
-                col.validate_encoding()
-                    .map_err(|error| FusedError::Encoding {
-                        col: name.to_string(),
-                        error,
-                    })?;
-            }
-        }
-        Ok(())
-    };
-    for p in &compiled.filter {
-        for name in p.col_names() {
-            check(name)?;
-        }
-    }
-    for name in compiled.prog.col_names() {
-        check(name)?;
-    }
-    for (_, input) in &compiled.aggs {
-        if let AggInput::Rle(src) = input {
-            check(src.col)?;
-        }
-    }
-    match &query.group_by {
-        GroupKey::None => {}
-        GroupKey::Dense { spec, .. } => {
-            check(&spec.a)?;
-            check(&spec.b)?;
-        }
-        GroupKey::Hash { col, .. } => check(col)?,
-        GroupKey::HashPair { a, b, .. } => {
-            check(a)?;
-            check(b)?;
-        }
-    }
-    Ok(())
 }
 
 /// "No group id assigned yet" in both key → group-id maps (distinct from
@@ -773,9 +794,9 @@ impl Leg<'_> {
     /// `out[i] = place(out[i], value)` for this leg's value of every
     /// selected row — one tight loop per storage shape. `cursor` is the
     /// leg's run position, carried across the range's batches (selections
-    /// are increasing, so the RLE walk is amortized O(1)). Dictionary
-    /// codes were validated against the dictionary length before the scan
-    /// started, so the index cannot be out of bounds.
+    /// are increasing, so the RLE walk is amortized O(1)). A table's
+    /// dictionary codes index inside their dictionary
+    /// ([`Table::add_column`]).
     fn fill(
         &self,
         batch: Sel,
@@ -911,24 +932,26 @@ impl KeyCol<'_> {
     }
 }
 
-/// The `u32` keys of an encoded key column's inner values — one widening
-/// pass over the dictionary entries or the run values, never over n rows.
-fn inner_keys(col: &Column) -> Vec<u32> {
-    match col {
-        Column::I32(v) => v.iter().map(|&x| x as u32).collect(),
-        Column::U32(v) => v.to_vec(),
-        Column::U8(v) => v.iter().map(|&x| x as u32).collect(),
-        other => panic!(
-            "hash group key must be an I32, U32 or U8 column, found {}",
-            other.type_name()
-        ),
-    }
+/// The logical types a hash group key can have.
+const HASH_KEY_TYPES: &str = "I32, U32 or U8";
+
+/// The `u32` keys of a hash-key column's values — for an encoded column
+/// its dictionary entries or run values, one widening pass that never
+/// touches n rows — and whether they are `I32` bit patterns. Which logical
+/// types can be a hash group key is decided here and in the plain arms of
+/// [`GroupBind::bind`], nowhere else in the engine.
+fn inner_keys(name: &ColRef, col: &Column) -> Result<(Vec<u32>, bool), TableError> {
+    Ok(match col {
+        Column::I32(v) => (v.iter().map(|&x| x as u32).collect(), true),
+        Column::U32(v) => (v.to_vec(), false),
+        Column::U8(v) => (v.iter().map(|&x| x as u32).collect(), false),
+        other => return Err(type_mismatch(name, HASH_KEY_TYPES, other)),
+    })
 }
 
 /// Per dictionary code: the key it stands for and the first code holding
 /// the same key, so duplicate dictionary entries share one group.
-fn dict_keys(dict: &Column) -> Vec<(u32, u32)> {
-    let keys = inner_keys(dict);
+fn dict_keys(keys: Vec<u32>) -> Vec<(u32, u32)> {
     let mut by_key: Vec<u32> = (0..keys.len() as u32).collect();
     by_key.sort_unstable_by_key(|&c| (keys[c as usize], c));
     let mut out = vec![(0, 0); keys.len()];
@@ -940,28 +963,20 @@ fn dict_keys(dict: &Column) -> Vec<(u32, u32)> {
     out
 }
 
-/// How a key's first sighting in a direct-mapped table becomes a group id.
-enum Assign {
-    /// [`GroupKey::Dense`]: `encode(a, b)` of the packed pair, checked
-    /// against `groups`. Ids mean the same in every scan range.
-    Encode {
-        encode: fn(u8, u8) -> u32,
-        groups: usize,
-    },
-    /// The next id, in first-seen row order. For a dictionary key column
-    /// the table is indexed by *code* and `dict` is its [`dict_keys`].
-    FirstSeen { dict: Option<Vec<(u32, u32)>> },
-}
-
 /// A query's grouping, bound once and shared by every scan range and by
 /// the merge. Whether keys index a table or hash into one is decided
-/// here, from the key column's storage alone.
+/// here, from the key column's storage alone. Group ids are handed out in
+/// first-seen row order, per scan range; partials merge by key.
 struct GroupBind<'t> {
     /// The column [`FusedError::ReservedKey`] names.
     col: &'t ColRef,
     key_col: KeyCol<'t>,
     map: MapKind,
-    assign: Assign,
+    /// A dictionary key column's table is indexed by *code*: its
+    /// [`dict_keys`].
+    dict: Option<Vec<(u32, u32)>>,
+    /// The keys are `I32` values by bit pattern.
+    signed: bool,
 }
 
 /// Which key → group-id map every scan range of a query builds.
@@ -976,107 +991,79 @@ enum MapKind {
 }
 
 impl<'t> GroupBind<'t> {
-    fn bind(table: &'t Table, group_by: &'t GroupKey) -> Option<GroupBind<'t>> {
-        let column = |name: &ColRef| {
-            table
-                .column(name.as_str())
-                .expect("fused query references a missing column")
-        };
-        let leg = |name: &ColRef| -> Leg<'t> {
+    /// Binds the grouping by the key columns' *logical* type, whatever
+    /// their encoding: a pair leg must be `U8`, a hash key `I32`, `U32` or
+    /// `U8`.
+    fn bind(table: &'t Table, group_by: &'t GroupKey) -> Result<Option<GroupBind<'t>>, TableError> {
+        let leg = |name: &'t ColRef| -> Result<Leg<'t>, TableError> {
             let bytes = |col: &'t Column| match col {
-                Column::U8(v) => &v[..],
-                other => panic!(
-                    "pair group key {name:?} must be a U8 column, found {}",
-                    other.type_name()
-                ),
+                Column::U8(v) => Ok(&v[..]),
+                other => Err(type_mismatch(name, "U8", other)),
             };
-            match column(name) {
+            Ok(match table.column(name.as_str())? {
                 Column::Dict { codes, dict } => Leg::Dict {
                     codes,
-                    dict: bytes(dict),
+                    dict: bytes(dict)?,
                 },
                 Column::Dict16 { codes, dict } => Leg::Dict16 {
                     codes,
-                    dict: bytes(dict),
+                    dict: bytes(dict)?,
                 },
                 Column::Rle { run_ends, values } => Leg::Rle {
                     run_ends,
-                    values: bytes(values),
+                    values: bytes(values)?,
                 },
-                plain => Leg::U8(bytes(plain)),
-            }
+                plain => Leg::U8(bytes(plain)?),
+            })
         };
-        let first_seen = Assign::FirstSeen { dict: None };
         let (byte, pair) = (MapKind::Direct(1 << 8), MapKind::Direct(1 << 16));
-        let (col, key_col, map, assign) = match group_by {
-            GroupKey::None => return None,
-            GroupKey::Dense { spec, groups } => (
-                &spec.a,
-                KeyCol::Legs(leg(&spec.a), Some(leg(&spec.b))),
-                pair,
-                Assign::Encode {
-                    encode: spec.encode,
-                    groups: *groups,
-                },
-            ),
-            GroupKey::HashPair { a, b, .. } => {
-                (a, KeyCol::Legs(leg(a), Some(leg(b))), pair, first_seen)
-            }
+        #[cfg(test)]
+        count(|c| c.group_binds += !matches!(group_by, GroupKey::None) as usize);
+        Ok(Some(match group_by {
+            GroupKey::None => return Ok(None),
+            GroupKey::HashPair { a, b } => GroupBind {
+                col: a,
+                key_col: KeyCol::Legs(leg(a)?, Some(leg(b)?)),
+                map: pair,
+                dict: None,
+                signed: false,
+            },
             GroupKey::Hash { col, hash } => {
                 let hashed = MapKind::Hash(*hash);
-                let coded = |dict| Assign::FirstSeen {
-                    dict: Some(dict_keys(dict)),
-                };
-                let (key_col, map, assign) = match column(col) {
-                    Column::I32(v) => (KeyCol::I32(v), hashed, first_seen),
-                    Column::U32(v) => (KeyCol::U32(v), hashed, first_seen),
-                    Column::U8(v) => (KeyCol::Legs(Leg::U8(v), None), byte, first_seen),
+                let (key_col, map, dict, signed) = match table.column(col.as_str())? {
+                    Column::I32(v) => (KeyCol::I32(v), hashed, None, true),
+                    Column::U32(v) => (KeyCol::U32(v), hashed, None, false),
+                    Column::U8(v) => (KeyCol::Legs(Leg::U8(v), None), byte, None, false),
                     Column::Dict { codes, dict } => {
-                        (KeyCol::Legs(Leg::U8(codes), None), byte, coded(dict))
+                        let (keys, signed) = inner_keys(col, dict)?;
+                        let codes = KeyCol::Legs(Leg::U8(codes), None);
+                        (codes, byte, Some(dict_keys(keys)), signed)
                     }
                     Column::Dict16 { codes, dict } => {
-                        (KeyCol::Legs(Leg::U16(codes), None), pair, coded(dict))
+                        let (keys, signed) = inner_keys(col, dict)?;
+                        let codes = KeyCol::Legs(Leg::U16(codes), None);
+                        (codes, pair, Some(dict_keys(keys)), signed)
                     }
-                    Column::Rle { run_ends, values } => (
-                        KeyCol::Rle {
-                            run_ends,
-                            keys: inner_keys(values),
-                        },
-                        if matches!(**values, Column::U8(_)) {
+                    Column::Rle { run_ends, values } => {
+                        let (keys, signed) = inner_keys(col, values)?;
+                        let map = if matches!(**values, Column::U8(_)) {
                             byte
                         } else {
                             hashed
-                        },
-                        first_seen,
-                    ),
-                    other => panic!(
-                        "hash group key must be an I32, U32 or U8 column, found {}",
-                        other.type_name()
-                    ),
+                        };
+                        (KeyCol::Rle { run_ends, keys }, map, None, signed)
+                    }
+                    other => return Err(type_mismatch(col, HASH_KEY_TYPES, other)),
                 };
-                (col, key_col, map, assign)
+                GroupBind {
+                    col,
+                    key_col,
+                    map,
+                    dict,
+                    signed,
+                }
             }
-        };
-        Some(GroupBind {
-            col,
-            key_col,
-            map,
-            assign,
-        })
-    }
-
-    /// Groups every range starts with: all of a dense encoding's ids,
-    /// none of a first-seen assignment's.
-    fn init_groups(&self) -> usize {
-        match self.assign {
-            Assign::Encode { groups, .. } => groups,
-            Assign::FirstSeen { .. } => 0,
-        }
-    }
-
-    /// Whether ids are per-range (first-seen), so partials merge by key.
-    fn first_seen(&self) -> bool {
-        matches!(self.assign, Assign::FirstSeen { .. })
+        }))
     }
 
     fn reserved_key(&self) -> FusedError {
@@ -1087,13 +1074,10 @@ impl<'t> GroupBind<'t> {
 
     /// The group keys [`FusedRun::keys`] reports for a range's first-seen
     /// list: a dictionary key column's codes become their key values.
-    fn output_keys(&self, keys: Vec<u32>) -> Option<Vec<u32>> {
-        match &self.assign {
-            Assign::Encode { .. } => None,
-            Assign::FirstSeen { dict: None } => Some(keys),
-            Assign::FirstSeen { dict: Some(dict) } => {
-                Some(keys.iter().map(|&c| dict[c as usize].0).collect())
-            }
+    fn output_keys(&self, keys: Vec<u32>) -> Vec<u32> {
+        match &self.dict {
+            None => keys,
+            Some(dict) => keys.iter().map(|&c| dict[c as usize].0).collect(),
         }
     }
 }
@@ -1115,8 +1099,8 @@ struct Groups {
 }
 
 /// A direct-mapped key's first sighting. Rare (once per distinct key per
-/// range) and in row order, so first-seen ids and the data-dependent
-/// errors are those of a per-row walk.
+/// range) and in row order, so first-seen ids and
+/// [`FusedError::ReservedKey`] are those of a per-row walk.
 #[cold]
 fn first_sight(
     lut: &mut [u32],
@@ -1124,37 +1108,22 @@ fn first_sight(
     bind: &GroupBind<'_>,
     key: u32,
 ) -> Result<u32, FusedError> {
-    let gid = match &bind.assign {
-        Assign::Encode { encode, groups } => {
-            let got = encode((key >> 8) as u8, key as u8);
-            if got as usize >= *groups {
-                return Err(FusedError::GroupIdOutOfBounds {
-                    got,
-                    groups: *groups,
-                });
+    let first = match &bind.dict {
+        Some(dict) => {
+            let (value, first) = dict[key as usize];
+            if value == u32::MAX {
+                return Err(bind.reserved_key());
             }
-            got
+            first as usize
         }
-        Assign::FirstSeen { dict } => {
-            let first = match dict {
-                Some(dict) => {
-                    let (value, first) = dict[key as usize];
-                    if value == u32::MAX {
-                        return Err(bind.reserved_key());
-                    }
-                    first as usize
-                }
-                None => key as usize,
-            };
-            if lut[first] == NO_GROUP {
-                lut[first] = keys.len() as u32;
-                keys.push(first as u32);
-            }
-            lut[first]
-        }
+        None => key as usize,
     };
-    lut[key as usize] = gid;
-    Ok(gid)
+    if lut[first] == NO_GROUP {
+        lut[first] = keys.len() as u32;
+        keys.push(first as u32);
+    }
+    lut[key as usize] = lut[first];
+    Ok(lut[first])
 }
 
 impl Groups {
@@ -1255,19 +1224,19 @@ impl Partial {
     fn merge(&mut self, other: Partial, bind: Option<&GroupBind<'_>>) -> Result<(), FusedError> {
         let Partial { states, groups, .. } = self;
         match (bind, groups.as_mut(), other.groups) {
-            // First-seen ids: fold the other side's slots in by *key*.
-            // `self` holds the earlier row range (the reduction merges
-            // morsels in index order), so appending unseen keys here
-            // reproduces the global first-seen order, and tie-breaking
-            // folds keep earlier rows.
-            (Some(bind), Some(g), Some(og)) if bind.first_seen() => {
+            // Group ids are per range: fold the other side's slots in by
+            // *key*. `self` holds the earlier row range (the reduction
+            // merges morsels in index order), so appending unseen keys
+            // here reproduces the global first-seen order, and
+            // tie-breaking folds keep earlier rows.
+            (Some(bind), Some(g), Some(og)) => {
                 for (src, &key) in og.keys.iter().enumerate() {
                     let dst = g.gid(bind, key)? as usize;
                     states.ensure_groups(g.keys.len());
                     states.merge_group(dst, &other.states, src)?;
                 }
             }
-            // Dense / un-grouped: both sides index groups identically.
+            // Un-grouped: one slot on both sides.
             _ => states.merge(other.states)?,
         }
         self.timing.scan += other.timing.scan;
@@ -1317,7 +1286,6 @@ impl Deposit {
 /// conversion the gather path applies per row, so the deposited values
 /// are bit-identical to the per-row path's.
 struct RleSrc<'t> {
-    col: &'t ColRef,
     run_ends: &'t [u32],
     values: Vec<f64>,
 }
@@ -1343,7 +1311,6 @@ fn bind_alg<'t>(expr: &'t Expr, table: &'t Table) -> Option<RleSrc<'t>> {
     let Expr::Col(col) = expr else { return None };
     match table.column(col.as_str()).ok()? {
         Column::Rle { run_ends, values } => Some(RleSrc {
-            col,
             run_ends,
             values: widen_plain(values)?,
         }),
@@ -1412,9 +1379,7 @@ fn deposit_algebraic(
     gids: &[u32],
     segs: &[(u32, usize)],
 ) -> Result<(), FusedError> {
-    let RleSrc {
-        run_ends, values, ..
-    } = src;
+    let RleSrc { run_ends, values } = src;
     for_each_group_span(deposit, sel.len(), gids, segs, |g, start, end| {
         let mut i = start;
         while i < end {
@@ -1476,18 +1441,16 @@ fn deposit_values(
     Ok(())
 }
 
-/// One scan range's working state: what is resolved once per range, and
-/// the batch-sized scratch every batch of the range reuses.
+/// One scan range's working state: the range's group-id map, its states,
+/// its run cursors, and the batch-sized scratch every batch reuses.
 struct RangeScan<'q> {
-    prog: BoundExpr<'q>,
+    query: &'q BoundQuery<'q>,
     /// Run position of every algebraic input (indexed like
-    /// [`CompiledAggs::aggs`]), carried across the range's batches.
+    /// [`BoundQuery::aggs`]), carried across the range's batches.
     cursors: Vec<usize>,
-    grouping: Option<(&'q GroupBind<'q>, Groups)>,
+    /// `Some` for a grouped query.
+    groups: Option<Groups>,
     states: GroupedStates,
-    /// Whether batches with one group id per row are partitioned by it
-    /// when [`BatchPartition::build`] finds few groups for their rows.
-    buffered: bool,
     sel: Vec<u32>,
     gids: Vec<u32>,
     key_buf: Vec<u32>,
@@ -1500,23 +1463,16 @@ struct RangeScan<'q> {
 }
 
 impl<'q> RangeScan<'q> {
-    fn bind(
-        table: &'q Table,
-        query: &FusedQuery,
-        compiled: &'q CompiledAggs<'q>,
-        group: Option<&'q GroupBind<'q>>,
-        backend: SumBackend,
-        rows: usize,
-    ) -> Self {
-        let groups = group.map_or(1, GroupBind::init_groups);
-        let (sums, mins, maxs) = (query.sums.len(), query.mins.len(), query.maxs.len());
+    fn new(query: &'q BoundQuery<'q>, rows: usize) -> Self {
+        let (sums, mins, maxs) = query.states;
+        // A grouped range starts with no group; an un-grouped one has its
+        // single slot.
+        let groups = query.group.is_none() as usize;
         RangeScan {
-            prog: (compiled.prog.bind(table))
-                .expect("fused query references a missing or mistyped column"),
-            cursors: vec![0; compiled.aggs.len()],
-            grouping: group.map(|bind| (bind, Groups::new(bind, rows))),
-            states: GroupedStates::new(backend, groups, sums, mins, maxs),
-            buffered: backend.buffered(),
+            query,
+            cursors: vec![0; query.aggs.len()],
+            groups: query.group.as_ref().map(|bind| Groups::new(bind, rows)),
+            states: GroupedStates::new(query.backend, groups, sums, mins, maxs),
             sel: Vec::new(),
             gids: Vec::new(),
             key_buf: Vec::new(),
@@ -1532,8 +1488,8 @@ impl<'q> RangeScan<'q> {
     /// sorted column, or no decided conjunct at all) is the first
     /// remaining conjunct's fill window; several pieces are laid down,
     /// then refined.
-    fn filter(&mut self, filter: &ScanFilter<'_>, range: usize, blo: usize, bhi: usize) {
-        let (ScanFilter { ranges, preds }, sel) = (filter, &mut self.sel);
+    fn filter(&mut self, range: usize, blo: usize, bhi: usize) {
+        let (ScanFilter { ranges, preds }, sel) = (&self.query.filter, &mut self.sel);
         let (start, end) = ranges[range];
         sel.clear();
         let one_piece =
@@ -1563,10 +1519,14 @@ impl<'q> RangeScan<'q> {
     /// one block call per span.
     fn group(&mut self) -> Result<Deposit, FusedError> {
         let RangeScan {
-            sel, states, segs, ..
+            query,
+            sel,
+            states,
+            segs,
+            ..
         } = self;
-        Ok(match &mut self.grouping {
-            Some((bind, groups)) if bind.key_col.run_blocked() => {
+        Ok(match (&query.group, &mut self.groups) {
+            (Some(bind), Some(groups)) if bind.key_col.run_blocked() => {
                 segs.clear();
                 let mut i = 0;
                 while i < sel.len() {
@@ -1580,15 +1540,18 @@ impl<'q> RangeScan<'q> {
                 }
                 Deposit::Segs
             }
-            Some((bind, groups)) => {
+            (Some(bind), Some(groups)) => {
                 let batch = Sel::near_dense(sel);
                 let keys = bind.key_col.fill(batch, &mut self.cur, &mut self.key_buf);
                 groups.assign(bind, keys, &mut self.gids)?;
                 states.ensure_groups(groups.keys.len());
-                if self.buffered && self.part.build(&self.gids, states.groups()) {
+                // Batches of a buffered backend are partitioned by group
+                // id when `BatchPartition::build` finds few groups for
+                // their rows.
+                if query.backend.buffered() && self.part.build(&self.gids, states.groups()) {
                     // A near-dense batch's partition lists covering-range
                     // offsets (if there is anything for it to gather).
-                    if let Some(rows) = batch.selection().filter(|_| self.prog.outputs() > 0) {
+                    if let Some(rows) = batch.selection().filter(|_| query.prog.outputs() > 0) {
                         self.part.select(rows);
                     }
                     states.add_counts_partitioned(&self.part);
@@ -1598,7 +1561,7 @@ impl<'q> RangeScan<'q> {
                     Deposit::Rows
                 }
             }
-            None => {
+            _ => {
                 states.add_count_single(sel.len() as u64);
                 Deposit::Single
             }
@@ -1607,19 +1570,17 @@ impl<'q> RangeScan<'q> {
 
     /// Evaluates every aggregate input of the batch, once.
     fn project(&mut self, deposit: Deposit) {
-        self.prog.eval(deposit.rows(&self.sel), &mut self.eval);
+        let rows = deposit.rows(&self.sel);
+        self.query.prog.eval(rows, &mut self.eval);
     }
 
     /// Deposits every aggregate of the batch; the partition's permutation
     /// and the per-row deposits read a near-dense batch's selected rows
     /// out of its covering-range outputs (module docs).
-    fn deposit(
-        &mut self,
-        aggs: &[(AggSlot, AggInput<'_>)],
-        deposit: Deposit,
-    ) -> Result<(), FusedError> {
+    fn deposit(&mut self, deposit: Deposit) -> Result<(), FusedError> {
+        let query = self.query;
         let rows = deposit.rows(&self.sel).selection();
-        for (&(slot, ref input), cursor) in aggs.iter().zip(&mut self.cursors) {
+        for (&(slot, ref input), cursor) in query.aggs.iter().zip(&mut self.cursors) {
             let (states, part) = (&mut self.states, &mut self.part);
             let (sel, gids, segs) = (&self.sel, &self.gids, &self.segs);
             match input {
@@ -1627,7 +1588,7 @@ impl<'q> RangeScan<'q> {
                     deposit_algebraic(states, slot, src, cursor, sel, deposit, gids, segs)?
                 }
                 AggInput::Output(k) => {
-                    let vals = self.prog.output(*k, &self.eval);
+                    let vals = query.prog.output(*k, &self.eval);
                     deposit_values(states, slot, vals, rows, deposit, gids, segs, part)?
                 }
             }
@@ -1640,20 +1601,15 @@ impl<'q> RangeScan<'q> {
 /// visited batch is a cancellation point (`check`) and a fault-injection
 /// point ([`faults::scan_point`]), and is timed as two intervals: filter,
 /// group ids and projection (`scan`), then the deposits (`aggregation`).
-#[allow(clippy::too_many_arguments)]
-fn scan_range<'q>(
-    table: &'q Table,
-    query: &FusedQuery,
-    compiled: &'q CompiledAggs<'q>,
-    filter: &ScanFilter<'_>,
-    group: Option<&'q GroupBind<'q>>,
-    backend: SumBackend,
+fn scan_range(
+    bound: &BoundQuery<'_>,
     opts: &ExecOptions,
     check: &CancelCheck,
     lo: usize,
     hi: usize,
 ) -> Result<Partial, FusedError> {
-    let mut scan = RangeScan::bind(table, query, compiled, group, backend, hi - lo);
+    let filter = &bound.filter;
+    let mut scan = RangeScan::new(bound, hi - lo);
     let mut timing = PhaseTiming::default();
     // The batch grid restarts at every morsel boundary, so a serial scan
     // of the whole table walks the same batches as the morsels of a
@@ -1685,7 +1641,7 @@ fn scan_range<'q>(
         faults::scan_point();
         batches_visited += 1;
         let t0 = Instant::now();
-        scan.filter(filter, range, blo, bhi);
+        scan.filter(range, blo, bhi);
         blo = bhi;
         // A batch whose selection is empty stops right after the filter.
         if scan.sel.is_empty() {
@@ -1696,25 +1652,29 @@ fn scan_range<'q>(
         scan.project(deposit);
         let t1 = Instant::now();
         timing.scan += t1 - t0;
-        scan.deposit(&compiled.aggs, deposit)?;
+        scan.deposit(deposit)?;
         timing.aggregation += t1.elapsed();
     }
 
     Ok(Partial {
         states: scan.states,
-        groups: scan.grouping.map(|(_, groups)| groups),
+        groups: scan.groups,
         timing,
         batches_visited,
     })
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::column::Column;
 
-    fn encode_low_bit(a: u8, b: u8) -> u32 {
-        ((a & 1) * 2 + (b & 1)) as u32
+    fn pair(a: &str, b: &str) -> GroupKey {
+        GroupKey::HashPair {
+            a: a.into(),
+            b: b.into(),
+        }
     }
 
     fn sample_table(n: usize) -> Table {
@@ -1766,14 +1726,7 @@ mod tests {
             ],
             mins: vec![],
             maxs: vec![],
-            group_by: GroupKey::Dense {
-                spec: GroupSpec {
-                    a: "ga".into(),
-                    b: "gb".into(),
-                    encode: encode_low_bit,
-                },
-                groups: 4,
-            },
+            group_by: pair("ga", "gb"),
         }
     }
 
@@ -1791,29 +1744,37 @@ mod tests {
     }
 
     /// Materializing reference: n-sized selection vector, Expr::eval,
-    /// sum_grouped — the pipeline fusion must be bit-identical to.
+    /// sum_grouped — the pipeline fusion must be bit-identical to. Pair
+    /// groups are numbered in first-seen row order; returns their keys
+    /// (`None` un-grouped), the SUMs and the counts.
     fn reference(
         table: &Table,
         query: &FusedQuery,
         backend: SumBackend,
-    ) -> (Vec<Vec<f64>>, Vec<u64>) {
+    ) -> (Option<Vec<u32>>, Vec<Vec<f64>>, Vec<u64>) {
         let sel = selected_rows(table, &query.filter);
-        let (gids, groups): (Vec<u32>, usize) = match &query.group_by {
-            GroupKey::Dense { spec, groups } => {
-                let a = table.column(spec.a.as_str()).unwrap().as_u8();
-                let b = table.column(spec.b.as_str()).unwrap().as_u8();
-                (
-                    sel.iter()
-                        .map(|&i| (spec.encode)(a[i as usize], b[i as usize]))
-                        .collect(),
-                    *groups,
-                )
+        let (gids, keys): (Vec<u32>, Option<Vec<u32>>) = match &query.group_by {
+            GroupKey::HashPair { a, b } => {
+                let a = table.column(a.as_str()).unwrap().as_u8();
+                let b = table.column(b.as_str()).unwrap().as_u8();
+                let mut keys = Vec::new();
+                let gids = sel
+                    .iter()
+                    .map(|&i| {
+                        let key = (a[i as usize] as u32) << 8 | b[i as usize] as u32;
+                        let seen = keys.iter().position(|&k| k == key);
+                        seen.unwrap_or_else(|| {
+                            keys.push(key);
+                            keys.len() - 1
+                        }) as u32
+                    })
+                    .collect();
+                (gids, Some(keys))
             }
-            GroupKey::None => (vec![0; sel.len()], 1),
-            GroupKey::Hash { .. } | GroupKey::HashPair { .. } => {
-                unreachable!("hash reference is separate")
-            }
+            GroupKey::None => (vec![0; sel.len()], None),
+            GroupKey::Hash { .. } => unreachable!("hash reference is separate"),
         };
+        let groups = keys.as_ref().map_or(1, Vec::len);
         let sums = query
             .sums
             .iter()
@@ -1822,7 +1783,7 @@ mod tests {
                 crate::sum_op::sum_grouped(backend, &gids, &vals, groups).unwrap()
             })
             .collect();
-        (sums, crate::sum_op::count_grouped(&gids, groups))
+        (keys, sums, crate::sum_op::count_grouped(&gids, groups))
     }
 
     #[test]
@@ -1839,7 +1800,8 @@ mod tests {
                 buffer_size: 64,
             },
         ] {
-            let (ref_sums, ref_counts) = reference(&table, &query, backend);
+            let (ref_keys, ref_sums, ref_counts) = reference(&table, &query, backend);
+            assert_eq!(ref_keys.as_ref().map(Vec::len), Some(15));
             for (threads, batch_rows, morsel_rows) in [
                 (1, 64, 1 << 16),
                 (1, 4096, 1 << 16),
@@ -1853,6 +1815,7 @@ mod tests {
                     ..ExecOptions::default()
                 };
                 let run = run_fused(&table, &query, backend, &opts).unwrap();
+                assert_eq!(run.keys, ref_keys, "{backend:?} {opts:?}");
                 assert_eq!(run.counts, ref_counts, "{backend:?} {opts:?}");
                 for (a, (rs, fs)) in ref_sums.iter().zip(run.sums.iter()).enumerate() {
                     for (g, (r, f)) in rs.iter().zip(fs.iter()).enumerate() {
@@ -1993,22 +1956,26 @@ mod tests {
             },
         )
         .unwrap();
-        // Scalar reference.
+        // Scalar reference, per packed pair.
         let a = table.column("ga").unwrap().as_u8();
         let b = table.column("gb").unwrap().as_u8();
         let x = table.column("x").unwrap().as_f64();
         let y = table.column("y").unwrap().as_f64();
-        let mut mins = [f64::INFINITY; 4];
-        let mut maxs = [f64::NEG_INFINITY; 4];
+        let mut folds = std::collections::BTreeMap::new();
         for i in selected_rows(&table, &query.filter) {
             let i = i as usize;
-            let g = encode_low_bit(a[i], b[i]) as usize;
-            mins[g] = mins[g].min(x[i]);
-            maxs[g] = maxs[g].max(x[i] * y[i]);
+            let (min, max) = folds
+                .entry((a[i] as u32) << 8 | b[i] as u32)
+                .or_insert((f64::INFINITY, f64::NEG_INFINITY));
+            *min = min.min(x[i]);
+            *max = max.max(x[i] * y[i]);
         }
-        for g in 0..4 {
-            assert_eq!(run.mins[0][g].to_bits(), mins[g].to_bits(), "group {g}");
-            assert_eq!(run.maxs[0][g].to_bits(), maxs[g].to_bits(), "group {g}");
+        let keys = run.keys.as_ref().unwrap();
+        assert_eq!(keys.len(), folds.len());
+        for (g, key) in keys.iter().enumerate() {
+            let (min, max) = folds[key];
+            assert_eq!(run.mins[0][g].to_bits(), min.to_bits(), "pair {key:#x}");
+            assert_eq!(run.maxs[0][g].to_bits(), max.to_bits(), "pair {key:#x}");
         }
     }
 
@@ -2027,7 +1994,7 @@ mod tests {
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 256 },
         ] {
-            let (ref_sums, ref_counts) = reference(&table, &query, backend);
+            let (_, ref_sums, ref_counts) = reference(&table, &query, backend);
             let run = run_fused(&table, &query, backend, &ExecOptions::serial()).unwrap();
             assert_eq!(run.counts, ref_counts);
             assert_eq!(
@@ -2049,8 +2016,10 @@ mod tests {
             &ExecOptions::serial(),
         )
         .unwrap();
-        assert_eq!(run.counts, vec![0; 4]);
-        assert!(run.sums.iter().all(|s| s.iter().all(|&v| v == 0.0)));
+        // A grouped scan of no rows has no group.
+        assert_eq!(run.keys, Some(vec![]));
+        assert!(run.counts.is_empty());
+        assert!(run.sums.iter().all(|s| s.is_empty()));
 
         // No filter at all: every row selected.
         let table = sample_table(100);
@@ -2141,41 +2110,6 @@ mod tests {
                 FusedError::ReservedKey { col: "k".into() }
             );
         }
-    }
-
-    #[test]
-    fn out_of_bounds_dense_group_id_is_an_error_not_a_panic() {
-        let table = sample_table(100);
-        fn bad_encode(_a: u8, _b: u8) -> u32 {
-            100
-        }
-        let q = FusedQuery {
-            filter: vec![],
-            sums: vec![Expr::col("x")],
-            mins: vec![],
-            maxs: vec![],
-            group_by: GroupKey::Dense {
-                spec: GroupSpec {
-                    a: "ga".into(),
-                    b: "gb".into(),
-                    encode: bad_encode,
-                },
-                groups: 4,
-            },
-        };
-        assert_eq!(
-            run_fused(
-                &table,
-                &q,
-                SumBackend::ReproUnbuffered,
-                &ExecOptions::serial()
-            )
-            .unwrap_err(),
-            FusedError::GroupIdOutOfBounds {
-                got: 100,
-                groups: 4
-            }
-        );
     }
 
     /// Satellite: a zero in any `ExecOptions` field is clamped to 1, not a
@@ -2395,58 +2329,46 @@ mod tests {
         assert_eq!(plain.sums[0][0].to_bits(), armed.sums[0][0].to_bits());
     }
 
-    /// A table whose second key pair `(1, 0)` first appears at row `n / 2`:
-    /// a dense `encode` fn runs once per *seen* pair, so its call for that
-    /// pair is a hook that fires mid-scan, on the scanning thread.
-    fn late_pair_table(n: usize) -> Table {
-        let mut t = Table::new("t");
-        t.add_column("x", Column::f64(vec![0.5; n])).unwrap();
-        t.add_column(
-            "ga",
-            Column::u8((0..n).map(|i| (i >= n / 2) as u8).collect::<Vec<_>>()),
-        )
-        .unwrap();
-        t.add_column("gb", Column::u8(vec![0; n])).unwrap();
-        t
-    }
-
-    /// Cancellation lands *mid-scan*: an `encode` fn with a side effect
-    /// trips the token partway through the scan (deterministic, same
-    /// thread), and the next batch-boundary check must surface
-    /// `Cancelled` — not a panic, not a hang, not a completed result.
-    #[test]
-    fn cancel_mid_scan_surfaces_typed_error() {
-        use std::sync::OnceLock;
-        static TOKEN: OnceLock<CancelToken> = OnceLock::new();
-        fn cancelling_encode(a: u8, b: u8) -> u32 {
-            if a == 1 {
-                TOKEN.get().unwrap().cancel();
-            }
-            encode_low_bit(a, b)
-        }
-        let token = TOKEN.get_or_init(CancelToken::new).clone();
-        let table = late_pair_table(20_000);
-        let query = FusedQuery {
-            filter: vec![],
-            sums: vec![Expr::col("x")],
-            mins: vec![],
-            maxs: vec![],
-            group_by: GroupKey::Dense {
-                spec: GroupSpec {
-                    a: "ga".into(),
-                    b: "gb".into(),
-                    encode: cancelling_encode,
-                },
-                groups: 4,
-            },
-        };
+    /// A scan slow enough (one batch, two clock reads and a cancellation
+    /// point per row) that a clock or another thread overtakes it.
+    fn slow_scan(n: usize) -> (Table, FusedQuery, ExecOptions) {
+        let mut query = sample_query();
+        query.filter.clear();
         let opts = ExecOptions {
-            batch_rows: 64, // many batches => many cancellation points
-            cancel: Some(token),
+            batch_rows: 1,
             ..ExecOptions::default()
         };
-        let err = run_fused(&table, &query, SumBackend::ReproUnbuffered, &opts).unwrap_err();
-        assert_eq!(err, FusedError::Cancelled);
+        (sample_table(n), query, opts)
+    }
+
+    /// Cancellation lands *mid-scan*: another thread trips the token while
+    /// this one scans, and the next batch-boundary check must surface
+    /// `Cancelled` — not a panic, not a hang. A scan the canceller was too
+    /// slow for completes with the undisturbed answer; the one after it
+    /// fails up front, so the loop ends either way.
+    #[test]
+    fn cancel_mid_scan_surfaces_typed_error() {
+        let (table, query, opts) = slow_scan(200_000);
+        let want = run_fused(&table, &query, SumBackend::ReproUnbuffered, &opts).unwrap();
+        let token = CancelToken::new();
+        let opts = ExecOptions {
+            cancel: Some(token.clone()),
+            ..opts
+        };
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                token.cancel();
+            });
+            start.wait();
+            loop {
+                match run_fused(&table, &query, SumBackend::ReproUnbuffered, &opts) {
+                    Ok(run) => assert_runs_bitwise(&run, &want, "finished before the cancel"),
+                    Err(err) => break assert_eq!(err, FusedError::Cancelled),
+                }
+            }
+        });
     }
 
     /// Tentpole: the same logical table with dictionary- and RLE-encoded
@@ -2491,7 +2413,7 @@ mod tests {
         enc.add_column("k", Column::rle_encode(&Column::i32(k)).unwrap())
             .unwrap();
         // And a fully-RLE twin of the group-key pair for the run-blocked
-        // dense/pair paths.
+        // pair path.
         let mut enc_rle = Table::new("t");
         for (name, col) in [
             ("ga", enc.column("ga").unwrap().decode()),
@@ -2510,25 +2432,14 @@ mod tests {
                 sums: vec![Expr::col("x")],
                 mins: vec![Expr::col("x")],
                 maxs: vec![Expr::col("x")],
-                group_by: GroupKey::Dense {
-                    spec: GroupSpec {
-                        a: "ga".into(),
-                        b: "gb".into(),
-                        encode: encode_low_bit,
-                    },
-                    groups: 4,
-                },
+                group_by: pair("ga", "gb"),
             },
             FusedQuery {
                 filter: vec![],
                 sums: vec![Expr::col("x")],
                 mins: vec![],
                 maxs: vec![],
-                group_by: GroupKey::HashPair {
-                    a: "ga".into(),
-                    b: "gb".into(),
-                    hash: HashKind::Identity,
-                },
+                group_by: pair("ga", "gb"),
             },
             FusedQuery {
                 filter: vec![Expr::col("x").ge(Expr::lit(-7.0))],
@@ -2633,23 +2544,11 @@ mod tests {
         };
         let queries = [
             bare_aggs(GroupKey::None),
-            bare_aggs(GroupKey::Dense {
-                spec: GroupSpec {
-                    a: "ga".into(),
-                    b: "gb".into(),
-                    encode: encode_low_bit,
-                },
-                groups: 4,
-            }),
             bare_aggs(GroupKey::Hash {
                 col: "k".into(),
                 hash: HashKind::Identity,
             }),
-            bare_aggs(GroupKey::HashPair {
-                a: "ga".into(),
-                b: "gb".into(),
-                hash: HashKind::Identity,
-            }),
+            bare_aggs(pair("ga", "gb")),
         ];
         for (q, query) in queries.iter().enumerate() {
             for backend in [
@@ -2692,7 +2591,7 @@ mod tests {
 
     /// Satellite: `Dict16` group keys — a wide-dictionary hash key column
     /// (1000 distinct `I32` keys, `u16` codes) and a hand-built
-    /// `Dict16<U8>` dense key leg — group bit-identically to plain keys.
+    /// `Dict16<U8>` pair key leg — group bit-identically to plain keys.
     #[test]
     fn dict16_group_keys_match_plain() {
         use std::sync::Arc;
@@ -2744,25 +2643,7 @@ mod tests {
                 sums: vec![Expr::col("x")],
                 mins: vec![],
                 maxs: vec![],
-                group_by: GroupKey::Dense {
-                    spec: GroupSpec {
-                        a: "ga".into(),
-                        b: "gb".into(),
-                        encode: encode_low_bit,
-                    },
-                    groups: 4,
-                },
-            },
-            FusedQuery {
-                filter: vec![],
-                sums: vec![Expr::col("x")],
-                mins: vec![],
-                maxs: vec![],
-                group_by: GroupKey::HashPair {
-                    a: "ga".into(),
-                    b: "gb".into(),
-                    hash: HashKind::Identity,
-                },
+                group_by: pair("ga", "gb"),
             },
         ];
         for (q, query) in queries.iter().enumerate() {
@@ -2898,11 +2779,11 @@ mod tests {
                     morsel_rows,
                     ..ExecOptions::default()
                 };
-                let binds = FILTER_BINDS.with(|c| c.get());
+                let binds = BIND_COUNTS.get().filter_binds;
                 let got = plan
                     .execute(&encoded, SumBackend::ReproUnbuffered, &opts)
                     .unwrap();
-                assert_eq!(FILTER_BINDS.with(|c| c.get()), binds + 1, "{opts:?}");
+                assert_eq!(BIND_COUNTS.get().filter_binds, binds + 1, "{opts:?}");
                 let want = plan
                     .execute(&plain, SumBackend::ReproUnbuffered, &opts)
                     .unwrap();
@@ -3100,7 +2981,7 @@ mod tests {
             group_by: GroupKey::None,
         };
         run_fused(table, &query, SumBackend::Double, &ExecOptions::serial()).unwrap();
-        BOUND_PREDS.with(|c| c.get())
+        BIND_COUNTS.get().bound_preds
     }
 
     /// Acceptance: same-column interval conjuncts merge at bind. Q6 binds
@@ -3116,7 +2997,7 @@ mod tests {
             let opts = ExecOptions::serial();
             plan.execute(&table, SumBackend::ReproUnbuffered, &opts)
                 .unwrap();
-            BOUND_PREDS.with(|c| c.get())
+            BIND_COUNTS.get().bound_preds
         };
         let (q6, q15) = (crate::q6::q6_plan(), crate::q15::q15_plan());
         assert_eq!(q6.lower(&table).unwrap().query.filter.len(), 4);
@@ -3298,9 +3179,6 @@ mod tests {
                         assert!(all_are(&got.maxs, f64::NEG_INFINITY), "{tag}");
                         match &group_by {
                             GroupKey::None => assert_eq!(got.counts, [0], "{tag}"),
-                            GroupKey::Dense { groups, .. } => {
-                                assert_eq!(got.counts.len(), *groups, "{tag}")
-                            }
                             _ => assert_eq!(got.keys.as_deref(), Some(&[][..]), "{tag}"),
                         }
                     }
@@ -3309,115 +3187,65 @@ mod tests {
         }
     }
 
-    /// Tentpole: a malformed encoding built around the validating
-    /// constructors surfaces as the typed [`FusedError::Encoding`] before
-    /// any batch is scanned — never a panic or an out-of-bounds read.
+    /// One path from a plan to the scan: preparing a statement binds it
+    /// once, and a serial execution binds the filter once, the grouping
+    /// once and the aggregate-input program once, compiles every conjunct
+    /// and that program once — and validates no column: the encoded table
+    /// was checked when its columns entered it.
     #[test]
-    fn malformed_encodings_are_typed_errors() {
-        use crate::column::EncodingError;
-        use std::sync::Arc;
-
-        // Codes pointing past the dictionary.
-        let mut t = Table::new("t");
-        t.add_column(
-            "x",
-            Column::Dict {
-                codes: Arc::new(vec![0, 1, 9]),
-                dict: Box::new(Column::f64(vec![1.0, 2.0])),
-            },
-        )
-        .unwrap();
-        let q = FusedQuery {
-            filter: vec![],
-            sums: vec![Expr::col("x")],
-            mins: vec![],
-            maxs: vec![],
-            group_by: GroupKey::None,
+    fn an_execution_binds_and_compiles_once_and_validates_nothing() {
+        use crate::sql::sql_query;
+        let li = rfa_workloads::Lineitem::generate(20_000, 5).sorted_by_shipdate();
+        let table = crate::q1::lineitem_table_encoded(&li);
+        assert!(table.column("l_shipdate").unwrap().is_encoded());
+        let since = |before: BindCounts| {
+            let now = BIND_COUNTS.get();
+            BindCounts {
+                filter_binds: now.filter_binds - before.filter_binds,
+                bound_preds: now.bound_preds,
+                group_binds: now.group_binds - before.group_binds,
+                compiles: now.compiles - before.compiles,
+                expr_binds: now.expr_binds - before.expr_binds,
+                validations: now.validations - before.validations,
+            }
         };
-        assert_eq!(
-            run_fused(&t, &q, SumBackend::ReproUnbuffered, &ExecOptions::serial()).unwrap_err(),
-            FusedError::Encoding {
-                col: "x".into(),
-                error: EncodingError::CodeOutOfRange {
-                    code: 9,
-                    dict_len: 2
-                },
-            }
-        );
-
-        // Run ends that never reach the column length (same logical len
-        // as "ga" so add_column accepts it; the *invariant* is broken).
-        let mut t = Table::new("t");
-        t.add_column("v", Column::f64(vec![1.0, 2.0, 3.0, 4.0]))
-            .unwrap();
-        t.add_column(
-            "g",
-            Column::Rle {
-                run_ends: Arc::new(vec![2, 2, 4]),
-                values: Box::new(Column::u8(vec![0, 1, 0])),
-            },
-        )
-        .unwrap();
-        let q = FusedQuery {
-            filter: vec![],
-            sums: vec![Expr::col("v")],
-            mins: vec![],
-            maxs: vec![],
-            group_by: GroupKey::Hash {
-                col: "g".into(),
-                hash: HashKind::Identity,
-            },
-        };
-        assert_eq!(
-            run_fused(&t, &q, SumBackend::ReproUnbuffered, &ExecOptions::serial()).unwrap_err(),
-            FusedError::Encoding {
-                col: "g".into(),
-                error: EncodingError::RunEndsNotIncreasing { index: 1 },
-            }
-        );
-        // The pinned message names the column and the defect.
-        assert_eq!(
-            FusedError::Encoding {
-                col: "g".into(),
-                error: EncodingError::RunEndsNotIncreasing { index: 1 },
-            }
-            .to_string(),
-            "column \"g\": run_ends must be strictly increasing (violated at run 1)"
-        );
+        for (sql, grouped) in [
+            (crate::q1::q1_sql(), 1),
+            (crate::q6::q6_sql(), 0),
+            (crate::q15::q15_sql(), 1),
+        ] {
+            let before = BIND_COUNTS.get();
+            let query = sql_query(&sql, &table).unwrap();
+            let prepared = since(before);
+            let conjuncts = query.plan.lower(&table).unwrap().query.filter.len();
+            let before = BIND_COUNTS.get();
+            query
+                .execute(&table, SumBackend::ReproUnbuffered, &ExecOptions::serial())
+                .unwrap();
+            let executed = since(before);
+            let want = BindCounts {
+                filter_binds: 1,
+                bound_preds: executed.bound_preds,
+                group_binds: grouped,
+                compiles: conjuncts + 1,
+                expr_binds: 1,
+                validations: 0,
+            };
+            assert_eq!(executed, want, "{sql}");
+            assert_eq!(prepared, want, "preparing {sql}");
+        }
     }
 
-    /// A deadline expires *mid-scan* (not just up front): a deliberately
-    /// slow `encode` fn pushes execution past the budget and the next
-    /// boundary check raises the typed error carrying the original budget.
+    /// A deadline expires *mid-scan* (not just up front): the scan cannot
+    /// finish inside its budget, and the boundary check that notices
+    /// raises the typed error carrying the original budget.
     #[test]
     fn deadline_expiry_mid_scan_surfaces_typed_error() {
-        const DEADLINE: Duration = Duration::from_millis(50);
-        fn slow_encode(a: u8, b: u8) -> u32 {
-            if a == 1 {
-                std::thread::sleep(DEADLINE + Duration::from_millis(10));
-            }
-            encode_low_bit(a, b)
-        }
-        let table = late_pair_table(20_000);
-        let query = FusedQuery {
-            filter: vec![],
-            sums: vec![Expr::col("x")],
-            mins: vec![],
-            maxs: vec![],
-            group_by: GroupKey::Dense {
-                spec: GroupSpec {
-                    a: "ga".into(),
-                    b: "gb".into(),
-                    encode: slow_encode,
-                },
-                groups: 4,
-            },
-        };
-        let deadline = DEADLINE;
+        let (table, query, opts) = slow_scan(1 << 18);
+        let deadline = Duration::from_millis(2);
         let opts = ExecOptions {
-            batch_rows: 64,
             deadline: Some(deadline),
-            ..ExecOptions::default()
+            ..opts
         };
         let err = run_fused(&table, &query, SumBackend::ReproUnbuffered, &opts).unwrap_err();
         assert_eq!(err, FusedError::DeadlineExceeded { deadline });

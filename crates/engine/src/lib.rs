@@ -87,7 +87,7 @@ pub use expr::{
     Sel,
 };
 pub use fused::{
-    run_fused, ExecOptions, FusedError, FusedQuery, FusedRun, GroupKey, GroupSpec, FUSED_BATCH_ROWS,
+    run_fused, ExecOptions, FusedError, FusedQuery, FusedRun, GroupKey, FUSED_BATCH_ROWS,
 };
 pub use plan::{AggCall, AggColumn, PlanError, PlanResult, QueryPlan};
 pub use q1::{

@@ -6,11 +6,10 @@
 //! expressible as plans over arbitrary aggregates and group keys, not as
 //! hand-written `run_qN` functions. A [`QueryPlan`] names the source
 //! table, a conjunctive filter, a [`GroupKey`] and a list of
-//! [`AggCall`]s; [`QueryPlan::execute`] validates it against a concrete
-//! [`Table`] (missing or mistyped columns surface as [`TableError`]s, not
-//! panics), lowers it to a physical [`FusedQuery`], runs the fused
-//! zero-copy scan, and finalizes the per-group states into a
-//! [`PlanResult`].
+//! [`AggCall`]s; [`QueryPlan::execute`] lowers it to a physical
+//! [`FusedQuery`], runs the fused zero-copy scan — whose bind step is the
+//! validation: missing or mistyped columns surface as [`TableError`]s,
+//! not panics — and finalizes the per-group states into a [`PlanResult`].
 //!
 //! ```
 //! use rfa_engine::plan::{AggCall, QueryPlan};
@@ -44,17 +43,22 @@
 //! requesting both costs one state array, exactly like the hand-written
 //! Q1 operator did.
 //!
-//! **Output order** is deterministic: dense groups ascend by group id,
-//! hash groups ascend by key value, and groups that matched no row are
-//! dropped (SQL GROUP BY semantics). An un-grouped plan always yields
+//! **Output order** is deterministic: groups ascend by key value (a byte
+//! pair by its packed `(a << 8) | b` key, i.e. in `(a, b)` order), and only
+//! keys some selected row carries have a group (SQL GROUP BY semantics).
+//! An un-grouped plan always yields
 //! exactly one row, even when no row matched (SQL aggregate semantics;
 //! the engine has no NULL, so over zero rows SUM yields `0.0`, COUNT
 //! `0`, AVG `NaN` (`0.0 / 0`), MIN `+∞` and MAX `-∞` — the closest f64
 //! stand-ins for SQL's NULL).
 
-use crate::column::{ColRef, Column, EncodingError, Table, TableError};
+// A query is outside input: nothing here may panic on one. What survives
+// is an `expect` stating an internal invariant, allowed where it stands.
+#![deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
+
+use crate::column::{ColRef, Table, TableError};
 use crate::expr::{BoolExpr, Expr};
-use crate::fused::{run_fused, ExecOptions, FusedError, FusedQuery, GroupKey, GroupSpec};
+use crate::fused::{check_query, run_fused, ExecOptions, FusedError, FusedQuery, GroupKey};
 use crate::q1::PhaseTiming;
 use crate::sum_op::{OverflowError, SumBackend};
 use rfa_agg::HashKind;
@@ -94,11 +98,11 @@ pub struct QueryPlan {
     pub aggs: Vec<AggCall>,
 }
 
-/// Errors surfaced by plan validation and execution.
+/// Errors surfaced by plan lowering, binding and execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// The plan references a column the table lacks, at the wrong type,
-    /// or targets a different table.
+    /// The plan references a column the table lacks, or one at the wrong
+    /// type for its role ([`FusedError::Table`]).
     Table(TableError),
     /// The plan was executed against a table with a different name.
     WrongTable { expected: String, found: String },
@@ -106,12 +110,8 @@ pub enum PlanError {
     Overflow(OverflowError),
     /// The hash group-key column contains the reserved value `u32::MAX`
     /// (`-1` on an `I32` column) — a data-dependent error the scan
-    /// reports, since no up-front validation can rule it out.
+    /// reports, since nothing short of reading the rows can rule it out.
     ReservedKey { col: String },
-    /// A dense `encode` fn produced a group id outside `0..groups` for a
-    /// value pair present in the data (also data-dependent: `encode` is
-    /// only ever called on pairs that actually occur).
-    GroupIdOutOfBounds { got: u32, groups: usize },
     /// The plan cannot run on the fused executor as configured (e.g. the
     /// SortedDouble backend, which requires materializing, or a plan with
     /// no aggregates).
@@ -126,15 +126,6 @@ pub enum PlanError {
     DeadlineExceeded {
         /// The budget that was exceeded.
         deadline: std::time::Duration,
-    },
-    /// An encoded column the query touches failed its encoding invariants
-    /// (codes out of dictionary range, malformed run ends) — data-
-    /// dependent like [`PlanError::ReservedKey`], surfaced by the scan's
-    /// up-front validation pass, never a panic.
-    Encoding {
-        /// Name of the malformed column.
-        col: String,
-        error: EncodingError,
     },
 }
 
@@ -153,12 +144,6 @@ impl fmt::Display for PlanError {
                 f,
                 "group key column {col:?} contains the reserved value u32::MAX (-1_i32)"
             ),
-            PlanError::GroupIdOutOfBounds { got, groups } => {
-                write!(
-                    f,
-                    "dense group encoding produced id {got} >= groups {groups}"
-                )
-            }
             PlanError::Unsupported(what) => write!(f, "unsupported plan: {what}"),
             PlanError::RsumLevels { levels } => {
                 write!(f, "RSUM levels must be in 1..=4, got {levels}")
@@ -167,7 +152,6 @@ impl fmt::Display for PlanError {
             PlanError::DeadlineExceeded { deadline } => {
                 write!(f, "query exceeded its {deadline:?} deadline")
             }
-            PlanError::Encoding { col, error } => write!(f, "column {col:?}: {error}"),
         }
     }
 }
@@ -189,14 +173,13 @@ impl From<OverflowError> for PlanError {
 impl From<FusedError> for PlanError {
     fn from(e: FusedError) -> Self {
         match e {
+            FusedError::Table(t) => PlanError::Table(t),
+            FusedError::Unsupported(what) => PlanError::Unsupported(what),
+            FusedError::RsumLevels { levels } => PlanError::RsumLevels { levels },
             FusedError::Overflow(o) => PlanError::Overflow(o),
             FusedError::ReservedKey { col } => PlanError::ReservedKey { col },
-            FusedError::GroupIdOutOfBounds { got, groups } => {
-                PlanError::GroupIdOutOfBounds { got, groups }
-            }
             FusedError::Cancelled => PlanError::Cancelled,
             FusedError::DeadlineExceeded { deadline } => PlanError::DeadlineExceeded { deadline },
-            FusedError::Encoding { col, error } => PlanError::Encoding { col, error },
         }
     }
 }
@@ -214,6 +197,9 @@ impl AggColumn {
     ///
     /// # Panics
     /// If this is a COUNT column.
+    // A typed accessor's documented panic on a caller's own mix-up of its
+    // plan's columns — no query or table can cause it.
+    #[allow(clippy::panic)]
     pub fn f64s(&self) -> &[f64] {
         match self {
             AggColumn::F64(v) => v,
@@ -225,6 +211,7 @@ impl AggColumn {
     ///
     /// # Panics
     /// If this is not a COUNT column.
+    #[allow(clippy::panic)] // as for `f64s`
     pub fn u64s(&self) -> &[u64] {
         match self {
             AggColumn::U64(v) => v,
@@ -249,9 +236,9 @@ impl AggColumn {
 /// deterministic order, with one [`AggColumn`] per [`AggCall`].
 #[derive(Clone, Debug)]
 pub struct PlanResult {
-    /// The group key of each output row: the dense group id for
-    /// [`GroupKey::Dense`], the (sign-restored) key value for
-    /// [`GroupKey::Hash`], and `0` for the single row of an un-grouped
+    /// The group key of each output row: the (sign-restored) key value
+    /// for [`GroupKey::Hash`], the packed `(a << 8) | b` pair for
+    /// [`GroupKey::HashPair`], and `0` for the single row of an un-grouped
     /// plan. Rows ascend by this value.
     pub keys: Vec<i64>,
     /// `columns[a]` parallels `plan.aggs[a]`; each holds one value per
@@ -288,25 +275,6 @@ impl QueryPlan {
         self
     }
 
-    /// Groups by a dictionary-encoded `U8` column pair mapped to dense
-    /// ids in `0..groups` by `encode` (the Q1 shape).
-    pub fn group_by_dense(
-        self,
-        a: impl Into<ColRef>,
-        b: impl Into<ColRef>,
-        encode: fn(u8, u8) -> u32,
-        groups: usize,
-    ) -> Self {
-        self.group_by(GroupKey::Dense {
-            spec: GroupSpec {
-                a: a.into(),
-                b: b.into(),
-                encode,
-            },
-            groups,
-        })
-    }
-
     /// Groups by an arbitrary-cardinality `I32`/`U32`/`U8` key column
     /// through the hash arm, with the paper's identity hashing (the right
     /// default for domain-encoded dense-ish keys; see [`HashKind`]).
@@ -326,15 +294,14 @@ impl QueryPlan {
         })
     }
 
-    /// Groups by a pair of `U8` columns through the hash arm, packed into
-    /// one key as `(a << 8) | b` — the SQL `GROUP BY a, b` shape. Only
-    /// observed pairs materialize state (unlike a dense 65 536-id
-    /// encoding), and output rows ascend in `(a, b)` lexicographic order.
+    /// Groups by a pair of `U8` columns packed into one key as
+    /// `(a << 8) | b` — the Q1 shape, a SQL `GROUP BY a, b`. Only observed
+    /// pairs materialize state, and output rows ascend in `(a, b)`
+    /// lexicographic order.
     pub fn group_by_u8_pair(self, a: impl Into<ColRef>, b: impl Into<ColRef>) -> Self {
         self.group_by(GroupKey::HashPair {
             a: a.into(),
             b: b.into(),
-            hash: HashKind::Identity,
         })
     }
 
@@ -369,18 +336,17 @@ impl QueryPlan {
         self.agg(AggCall::Max(e))
     }
 
-    /// Validates the plan against `table` and executes it on the fused
-    /// zero-copy scan pipeline.
+    /// Lowers the plan and executes it on the fused zero-copy scan
+    /// pipeline, whose bind step validates it against `table`.
     ///
     /// Errors — never panics — when the plan targets a different table,
-    /// references a missing or mistyped column, has no aggregates, or
+    /// has no aggregates, references a missing or mistyped column, or
     /// requests [`SumBackend::SortedDouble`] (whose sort requires the
-    /// materializing pipeline; the TPC-H wrappers route it there).
-    /// Data-dependent conditions no validation can rule out also surface
-    /// as errors from the scan itself: a hash key column containing the
-    /// reserved `u32::MAX`/`-1_i32` value ([`PlanError::ReservedKey`]),
-    /// a dense `encode` fn yielding an id `>= groups` for a pair present
-    /// in the data ([`PlanError::GroupIdOutOfBounds`]), and Double
+    /// materializing pipeline; the TPC-H wrappers route it there) or an
+    /// `RSUM` precision outside `1..=4` levels — in that order.
+    /// Conditions only the rows can decide surface as errors from the
+    /// scan itself: a hash key column containing the reserved
+    /// `u32::MAX`/`-1_i32` value ([`PlanError::ReservedKey`]) and Double
     /// overflow ([`PlanError::Overflow`]).
     pub fn execute(
         &self,
@@ -389,31 +355,16 @@ impl QueryPlan {
         opts: &ExecOptions,
     ) -> Result<PlanResult, PlanError> {
         let lowered = self.lower(table)?;
-        if backend == SumBackend::SortedDouble {
-            return Err(PlanError::Unsupported(
-                "SortedDouble requires the materializing pipeline",
-            ));
-        }
-        backend
-            .check_levels()
-            .map_err(|levels| PlanError::RsumLevels { levels })?;
         let run = run_fused(table, &lowered.query, backend, opts)?;
         let t0 = Instant::now();
 
         // Output group rows, in deterministic order.
-        let mut rows: Vec<(i64, usize)> = match &self.group_by {
-            GroupKey::None => vec![(0, 0)],
-            GroupKey::Dense { .. } => (0..run.counts.len())
-                .filter(|&g| run.counts[g] > 0)
-                .map(|g| (g as i64, g))
-                .collect(),
-            GroupKey::Hash { .. } | GroupKey::HashPair { .. } => sort_hash_groups(
-                run.keys.as_deref().expect("hash scan returns keys"),
-                lowered.key_signed,
-            ),
+        let mut rows: Vec<(i64, usize)> = match run.keys.as_deref() {
+            None => vec![(0, 0)],
+            Some(keys) => sort_hash_groups(keys, run.key_signed),
         };
-        // (Hash groups only exist once seen, dense empties were dropped;
-        // the single un-grouped row is kept even at count 0.)
+        // (Groups only exist once seen; the single un-grouped row is kept
+        // even at count 0.)
         debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
 
         let columns = self
@@ -450,13 +401,21 @@ impl QueryPlan {
         })
     }
 
-    /// Validates every column reference and lowers the logical plan to
-    /// the physical [`FusedQuery`], sharing one SUM state between SUM and
-    /// AVG calls over structurally identical expressions and splitting
-    /// top-level `AND` conjunctions into conjuncts, as written: the scan
-    /// filter recognizes those that compare one column with constants as
-    /// intervals and binds one range loop per such column
-    /// ([`crate::fused`]).
+    /// Whether the plan lowers and binds to `table`: everything
+    /// [`QueryPlan::execute`] would refuse before scanning, on any backend
+    /// the fused executor runs.
+    pub(crate) fn check(&self, table: &Table) -> Result<(), PlanError> {
+        Ok(check_query(table, &self.lower(table)?.query)?)
+    }
+
+    /// Lowers the logical plan to the physical [`FusedQuery`] — the
+    /// logical half only: the table name, a non-empty aggregate list, one
+    /// SUM state shared between SUM and AVG calls over structurally
+    /// identical expressions, and top-level `AND` conjunctions split into
+    /// conjuncts, as written (the scan filter recognizes those that
+    /// compare one column with constants as intervals and binds one range
+    /// loop per such column). Whether the columns exist and fit their
+    /// roles is the executor's bind to say ([`crate::fused`]).
     pub(crate) fn lower(&self, table: &Table) -> Result<Lowered, PlanError> {
         if self.table != table.name {
             return Err(PlanError::WrongTable {
@@ -468,58 +427,12 @@ impl QueryPlan {
             return Err(PlanError::Unsupported("plan has no aggregates"));
         }
 
-        // Filter predicates: split top-level ANDs (a conjunction of
-        // conjuncts filters the identical rows in the identical order),
-        // then validate every column reference via compile-and-bind.
+        // A conjunction of conjuncts filters the identical rows in the
+        // identical order.
         let mut filter = Vec::new();
         for pred in &self.filter {
             split_conjuncts(pred, &mut filter);
         }
-        for pred in &filter {
-            pred.compile().bind(table)?;
-        }
-
-        // Group key columns, validated by *logical* type: a dictionary-
-        // or RLE-encoded U8 column groups exactly like a plain one (the
-        // executor reads keys through the encoding), so lowering is
-        // encoding-agnostic.
-        let u8_key = |name: &ColRef| -> Result<(), PlanError> {
-            match table.column(name)?.logical() {
-                Column::U8(_) => Ok(()),
-                other => Err(PlanError::Table(TableError::TypeMismatch {
-                    column: name.to_string(),
-                    expected: "U8",
-                    found: other.type_name(),
-                })),
-            }
-        };
-        let mut key_signed = false;
-        match &self.group_by {
-            GroupKey::None => {}
-            GroupKey::Dense { spec, .. } => {
-                u8_key(&spec.a)?;
-                u8_key(&spec.b)?;
-            }
-            GroupKey::Hash { col, .. } => match table.column(col)?.logical() {
-                Column::I32(_) => key_signed = true,
-                Column::U32(_) | Column::U8(_) => {}
-                other => {
-                    return Err(PlanError::Table(TableError::TypeMismatch {
-                        column: col.to_string(),
-                        expected: "I32, U32 or U8",
-                        found: other.type_name(),
-                    }))
-                }
-            },
-            GroupKey::HashPair { a, b, .. } => {
-                u8_key(a)?;
-                u8_key(b)?;
-            }
-        }
-
-        // Aggregate expressions: validate via compile-and-bind (checks
-        // every referenced column exists with numeric storage), dedup
-        // SUM inputs.
         let mut query = FusedQuery {
             filter,
             sums: Vec::new(),
@@ -529,9 +442,6 @@ impl QueryPlan {
         };
         let mut outputs = Vec::with_capacity(self.aggs.len());
         for call in &self.aggs {
-            if let AggCall::Sum(e) | AggCall::Avg(e) | AggCall::Min(e) | AggCall::Max(e) = call {
-                e.compile().bind(table)?;
-            }
             outputs.push(match call {
                 AggCall::Sum(e) => Output::Sum(intern(&mut query.sums, e)),
                 AggCall::Avg(e) => Output::Avg(intern(&mut query.sums, e)),
@@ -540,11 +450,7 @@ impl QueryPlan {
                 AggCall::Max(e) => Output::Max(intern(&mut query.maxs, e)),
             });
         }
-        Ok(Lowered {
-            query,
-            outputs,
-            key_signed,
-        })
+        Ok(Lowered { query, outputs })
     }
 }
 
@@ -626,13 +532,11 @@ fn split_conjuncts(e: &BoolExpr, out: &mut Vec<BoolExpr>) {
     }
 }
 
-/// A validated plan lowered to physical form.
+/// A plan lowered to physical form.
 pub(crate) struct Lowered {
     pub(crate) query: FusedQuery,
     /// Per [`AggCall`]: which state array (by kind and slot) finalizes it.
     outputs: Vec<Output>,
-    /// Hash keys came from an `I32` column (restore the sign on output).
-    key_signed: bool,
 }
 
 enum Output {
@@ -644,8 +548,10 @@ enum Output {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
+    use crate::column::Column;
 
     fn sensor_table() -> Table {
         let mut t = Table::new("sensors");
@@ -778,21 +684,20 @@ mod tests {
         assert_eq!(r.columns[1].u64s(), &[0]);
     }
 
+    /// The pair's 65 536-entry key domain is direct-mapped, but only pairs
+    /// some row carries become groups, and rows ascend by the packed key.
     #[test]
     fn dense_grouping_drops_empty_groups_and_orders_by_id() {
         let t = sensor_table();
-        fn encode(a: u8, _b: u8) -> u32 {
-            // Ids 0 and 2 of a 4-id domain; 1 and 3 never occur.
-            (a as u32) * 2
-        }
         let plan = QueryPlan::scan("sensors")
-            .group_by_dense("flag", "flag", encode, 4)
+            .group_by_u8_pair("flag", "flag")
             .count()
             .max(Expr::col("temp"));
         let r = plan
             .execute(&t, SumBackend::ReproUnbuffered, &ExecOptions::serial())
             .unwrap();
-        assert_eq!(r.keys, vec![0, 2]);
+        // Pairs (0, 0) and (1, 1); (0, 1) and (1, 0) never occur.
+        assert_eq!(r.keys, vec![0, (1 << 8) | 1]);
         assert_eq!(r.columns[0].u64s(), &[3, 3]);
         // flag 0 rows: 21.5, 22.5, 20.0; flag 1 rows: 19.0, 18.0, 25.0.
         assert_eq!(r.columns[1].f64s(), &[22.5, 25.0]);
@@ -800,9 +705,10 @@ mod tests {
 
     #[test]
     fn u8_pair_grouping_matches_dense_encoding_bitwise() {
-        // The same (flag, grade)-style pair grouped (a) densely with an
-        // encode fn and (b) through the packed hash-pair arm: identical
-        // per-group bits, with pair keys in lexicographic order.
+        // The same (flag, grade)-style pair grouped (a) through the
+        // direct-mapped pair arm and (b) as an I32 column holding the
+        // packed key, which hashes: identical keys and per-group bits,
+        // in lexicographic pair order.
         let n = 4_000;
         let mut t = Table::new("t");
         let a: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect();
@@ -810,17 +716,21 @@ mod tests {
         let v: Vec<f64> = (0..n)
             .map(|i| (i % 101) as f64 * 0.125 - 4.0 + 2.5e-16)
             .collect();
-        t.add_column("a", Column::u8(a.clone())).unwrap();
-        t.add_column("b", Column::u8(b.clone())).unwrap();
+        let packed: Vec<i32> = a
+            .iter()
+            .zip(&b)
+            .map(|(&a, &b)| (a as i32) << 8 | b as i32)
+            .collect();
+        t.add_column("a", Column::u8(a)).unwrap();
+        t.add_column("b", Column::u8(b)).unwrap();
+        t.add_column("packed", Column::i32(packed)).unwrap();
         t.add_column("v", Column::f64(v)).unwrap();
-        fn encode(a: u8, b: u8) -> u32 {
-            ((a as u32) << 8) | b as u32
-        }
         let aggs = |p: QueryPlan| p.sum(Expr::col("v")).count().avg(Expr::col("v"));
-        let dense = aggs(QueryPlan::scan("t").group_by_dense("a", "b", encode, 1 << 16));
+        let hashed = aggs(QueryPlan::scan("t").group_by_key("packed"));
         let pair = aggs(QueryPlan::scan("t").group_by_u8_pair("a", "b"));
         for backend in [SumBackend::ReproUnbuffered, SumBackend::Double] {
-            let d = dense.execute(&t, backend, &ExecOptions::serial()).unwrap();
+            let d = hashed.execute(&t, backend, &ExecOptions::serial()).unwrap();
+            assert_eq!(d.keys.len(), 15);
             for opts in [
                 ExecOptions::serial(),
                 ExecOptions {
@@ -866,10 +776,6 @@ mod tests {
         assert_eq!(
             PlanError::ReservedKey { col: "k".into() }.to_string(),
             "group key column \"k\" contains the reserved value u32::MAX (-1_i32)"
-        );
-        assert_eq!(
-            PlanError::GroupIdOutOfBounds { got: 9, groups: 2 }.to_string(),
-            "dense group encoding produced id 9 >= groups 2"
         );
     }
 
@@ -994,12 +900,8 @@ mod tests {
                 .unwrap_err(),
             PlanError::Table(TableError::TypeMismatch { expected: "U8", .. })
         ));
-        // Dense keys must be U8 columns.
-        fn encode(_: u8, _: u8) -> u32 {
-            0
-        }
         let plan = QueryPlan::scan("sensors")
-            .group_by_dense("station", "flag", encode, 1)
+            .group_by_u8_pair("station", "flag")
             .count();
         assert!(matches!(
             plan.execute(&t, SumBackend::Double, &ExecOptions::serial())
@@ -1046,18 +948,15 @@ mod tests {
                 .unwrap_err(),
             PlanError::ReservedKey { col: "k".into() }
         );
-        // Dense encode out of range for a pair present in the data.
-        let t = sensor_table();
-        fn bad_encode(_: u8, _: u8) -> u32 {
-            9
-        }
-        let plan = QueryPlan::scan("sensors")
-            .group_by_dense("flag", "flag", bad_encode, 2)
-            .count();
+        // Double overflow.
+        let mut t = Table::new("t");
+        t.add_column("v", Column::f64(vec![f64::MAX, f64::MAX]))
+            .unwrap();
+        let plan = QueryPlan::scan("t").sum(Expr::col("v"));
         assert_eq!(
-            plan.execute(&t, SumBackend::ReproUnbuffered, &ExecOptions::serial())
+            plan.execute(&t, SumBackend::Double, &ExecOptions::serial())
                 .unwrap_err(),
-            PlanError::GroupIdOutOfBounds { got: 9, groups: 2 }
+            PlanError::Overflow(OverflowError)
         );
     }
 

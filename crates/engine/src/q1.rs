@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Q1 is expressed as a [`QueryPlan`] ([`q1_plan`]) — four SUMs, three
-//! AVGs and a COUNT over the dense flag/status grouping — lowered onto
+//! AVGs and a COUNT grouped by the flag / status byte pair — lowered onto
 //! the fused zero-copy scan of [`crate::fused`]: batches are filtered,
 //! projected and aggregated in one pass over a shared-storage table view,
 //! with no n-sized intermediates. The AVG columns are finalized by the
@@ -77,7 +77,8 @@ pub struct Q1Row {
     pub count: u64,
 }
 
-const GROUPS: usize = 6; // 3 returnflags × 2 linestatuses (dense encoding)
+// 3 returnflags × 2 linestatuses: the materializing reference's dense ids.
+const GROUPS: usize = 6;
 
 /// Builds a zero-copy engine [`Table`] view of all lineitem columns the
 /// TPC-H queries touch: each column is an `Arc` clone of the workload's
@@ -135,23 +136,19 @@ pub fn lineitem_table_encoded(t: &Lineitem) -> Table {
 }
 
 /// The Q1 logical plan: one filter conjunct and the eight TPC-H output
-/// aggregates in SQL order, grouped by the dictionary-encoded flag pair
-/// ([`Lineitem::encode_group`] — the same mapping the materializing
-/// pipeline uses via [`Lineitem::q1_group`]). Lowering shares SUM states
-/// between the SUM and AVG calls, so exactly five SUM state arrays run —
-/// the same operator shape (and the same bits) as the hand-written fused
-/// query this replaced.
+/// aggregates in SQL order, grouped by the `(l_returnflag, l_linestatus)`
+/// byte pair — the grouping [`q1_sql`] lowers to, so the two are one
+/// plan. Output rows ascend by the packed pair, which is TPC-H's
+/// `ORDER BY l_returnflag, l_linestatus` (`'A' < 'N' < 'R'`, `'F' < 'O'`)
+/// and the order of the materializing pipeline's dense ids
+/// ([`Lineitem::q1_group`]). Lowering shares SUM states between the SUM
+/// and AVG calls, so exactly five SUM state arrays run.
 pub fn q1_plan() -> QueryPlan {
     let disc_price =
         || Expr::col("l_extendedprice").mul(Expr::lit(1.0).sub(Expr::col("l_discount")));
     QueryPlan::scan("lineitem")
         .filter(Expr::col("l_shipdate").le(Expr::lit(Q1_SHIPDATE_CUTOFF as f64)))
-        .group_by_dense(
-            "l_returnflag",
-            "l_linestatus",
-            Lineitem::encode_group,
-            GROUPS,
-        )
+        .group_by_u8_pair("l_returnflag", "l_linestatus")
         .sum(Expr::col("l_quantity"))
         .sum(Expr::col("l_extendedprice"))
         .sum(disc_price())
@@ -163,10 +160,7 @@ pub fn q1_plan() -> QueryPlan {
 }
 
 /// The pinned Q1 SQL text: parsing and lowering this through
-/// [`crate::sql`] produces results bit-identical to [`q1_plan`] (the SQL
-/// groups through the hash-pair arm rather than the dense dictionary
-/// encoding, but every group receives the identical value sequence, and
-/// both output orders ascend by `(l_returnflag, l_linestatus)`). The
+/// [`crate::sql`] produces [`q1_plan`]'s plan and so its bits. The
 /// date cutoff is inlined as the day number behind
 /// [`Q1_SHIPDATE_CUTOFF`], since the engine stores dates as days since
 /// 1992-01-01.
@@ -260,11 +254,11 @@ pub fn run_q1_with(
         })?;
     let t0 = Instant::now();
     let mut rows = Vec::with_capacity(result.keys.len());
-    for (i, &gid) in result.keys.iter().enumerate() {
-        let (returnflag, linestatus) = Lineitem::decode_group(gid as u32);
+    for (i, &pair) in result.keys.iter().enumerate() {
         rows.push(Q1Row {
-            returnflag,
-            linestatus,
+            // The packed `(flag << 8) | status` key, both ASCII bytes.
+            returnflag: (pair >> 8) as u8 as char,
+            linestatus: pair as u8 as char,
             sum_qty: result.columns[0].f64s()[i],
             sum_base_price: result.columns[1].f64s()[i],
             sum_disc_price: result.columns[2].f64s()[i],

@@ -857,7 +857,7 @@ impl SqlQuery {
         backend: SumBackend,
         opts: &ExecOptions,
     ) -> Result<SqlResult, SqlError> {
-        let r: PlanResult = self.plan.execute(table, backend, opts)?;
+        let mut r: PlanResult = self.plan.execute(table, backend, opts)?;
         let rows = r.keys.len();
         let columns = self
             .outputs
@@ -873,9 +873,11 @@ impl SqlQuery {
                         })
                         .collect(),
                 ),
-                OutputCol::Agg(i) => match &r.columns[*i] {
-                    crate::plan::AggColumn::F64(v) => SqlColumn::F64(v.clone()),
-                    crate::plan::AggColumn::U64(v) => SqlColumn::U64(v.clone()),
+                // Every SELECT item owns a distinct `plan.aggs` index, so
+                // each result column is taken exactly once.
+                OutputCol::Agg(i) => match &mut r.columns[*i] {
+                    crate::plan::AggColumn::F64(v) => SqlColumn::F64(std::mem::take(v)),
+                    crate::plan::AggColumn::U64(v) => SqlColumn::U64(std::mem::take(v)),
                 },
             })
             .collect();
@@ -1136,9 +1138,10 @@ pub fn resolve_select(stmt: &SelectStmt, table: &Table) -> Result<SqlQuery, SqlE
         ));
     }
 
-    // Validate the lowering eagerly so every name/type error surfaces
-    // here with SQL context rather than at execution.
-    plan.lower(table).map_err(SqlError::Plan)?;
+    // Bind once at prepare time — the same bind every execution runs — so
+    // a name or type error the checks above do not word surfaces here,
+    // and a statement in the plan cache is known to bind.
+    plan.check(table).map_err(SqlError::Plan)?;
 
     Ok(SqlQuery {
         plan,

@@ -227,10 +227,6 @@ fn levels(backend: SumBackend) -> Option<usize> {
     }
 }
 
-fn dict_pair_encode(a: u8, b: u8) -> u32 {
-    a as u32 * 2 + b as u32
-}
-
 /// The groupings of the dictionary-input test: the plan, and the output
 /// key each row falls under.
 type Grouping = (
@@ -238,13 +234,8 @@ type Grouping = (
     fn(QueryPlan) -> QueryPlan,
     fn(u8, u8, i32, i32) -> i64,
 );
-const GROUPINGS: [Grouping; 5] = [
+const GROUPINGS: [Grouping; 4] = [
     ("ungrouped", |p| p, |_, _, _, _| 0),
-    (
-        "dense pair",
-        |p| p.group_by_dense("ga", "gb", dict_pair_encode, 6),
-        |a, b, _, _| dict_pair_encode(a, b) as i64,
-    ),
     ("hash", |p| p.group_by_key("k"), |_, _, k, _| k as i64),
     (
         "hash on run key",
@@ -263,8 +254,8 @@ proptest! {
 
     /// SUM / AVG / MIN / MAX whose input is a `Dict` or `Dict16` column —
     /// bare, and inside an expression — ungrouped and under every
-    /// grouping (dense, hash, and the run-blocked `Segs` deposits RLE keys
-    /// produce): bitwise the decoded table's answer on every backend, and
+    /// grouping (byte pair, hash, and the run-blocked `Segs` deposits RLE
+    /// keys produce): bitwise the decoded table's answer on every backend, and
     /// for the reproducible ones within the paper's bound of the exact
     /// sum.
     #[test]

@@ -11,16 +11,16 @@
 //! `Dict16`, RLE, a dictionary that lists every value twice), filter with
 //! a random selection shape, and compare across every fused backend,
 //! 1 / 2 / 8 threads, 1- / 7- / 4096-row batches and every SIMD dispatch
-//! level. The data-dependent errors of group-id assignment keep their
-//! conditions: they fire for a *selected* row only.
+//! level. The data-dependent error of group-id assignment keeps its
+//! condition: it fires for a *selected* row only.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
-    lineitem_table, q1_plan, q1_sql, run_fused, sql_query, BoolExpr, Column, ExecOptions, Expr,
-    FusedError, FusedQuery, GroupKey, GroupSpec, SqlColumn, SumBackend, Table,
+    lineitem_table, q1_plan, q1_sql, run_fused, run_q1_materializing, sql_query, BoolExpr, Column,
+    ExecOptions, Expr, FusedError, FusedQuery, GroupKey, SqlColumn, SumBackend, Table,
 };
 use rfa_workloads::Lineitem;
 use std::sync::{Mutex, MutexGuard};
@@ -300,7 +300,6 @@ proptest! {
                             GroupKey::HashPair {
                                 a: "a".into(),
                                 b: "b".into(),
-                                hash: HashKind::Identity,
                             },
                             pair_indices,
                         ),
@@ -322,9 +321,10 @@ proptest! {
         }
     }
 
-    /// `q1_plan()` (a dense `encode` fn over the pair) and `q1_sql()`
-    /// (the pair itself as the key) share the direct-mapped loop: same
-    /// rows, same bits, whatever the encoding of the two key columns.
+    /// `q1_plan()` and `q1_sql()` group by the flag / status pair and the
+    /// materializing reference by its dense `encode_group` ids: same
+    /// rows, same order, same bits, whatever the encoding of the two key
+    /// columns.
     #[test]
     fn q1_dense_plan_matches_q1_sql_pair_bitwise(
         rows in vec(
@@ -366,22 +366,35 @@ proptest! {
             SqlColumn::F64(v) => v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             other => panic!("expected an f64 column, got {other:?}"),
         };
+        let i64s = |c: &SqlColumn| match c {
+            SqlColumn::I64(v) => v.clone(),
+            other => panic!("expected a key column, got {other:?}"),
+        };
         for backend in BACKENDS {
+            let (reference, _) = run_q1_materializing(&t, backend).unwrap();
             each_level(|level| {
                 for opts in shapes() {
                     let ctx = format!("{backend:?} {level:?} {opts:?} enc {enc:?}");
                     let s = sql.execute(&table, backend, &opts).unwrap();
                     let p = plan.execute(&table, backend, &opts).unwrap();
                     assert_eq!(s.rows, p.keys.len(), "{ctx}");
-                    // Both orders ascend by (returnflag, linestatus); the
-                    // SQL result leads with the two key columns.
-                    let flags = match &s.columns[0] {
-                        SqlColumn::I64(v) => v.clone(),
-                        other => panic!("expected the key column, got {other:?}"),
-                    };
-                    for (i, &key) in p.keys.iter().enumerate() {
-                        let (rf, _) = Lineitem::decode_group(key as u32);
-                        assert_eq!(flags[i], rf as u8 as i64, "{ctx}");
+                    assert_eq!(s.rows, reference.len(), "{ctx}");
+                    // All three orders ascend by (returnflag, linestatus);
+                    // the SQL result leads with the two key columns.
+                    let (flags, statuses) = (i64s(&s.columns[0]), i64s(&s.columns[1]));
+                    for (i, (&key, row)) in p.keys.iter().zip(&reference).enumerate() {
+                        assert_eq!((flags[i], statuses[i]), (key >> 8, key & 0xff), "{ctx}");
+                        assert_eq!(
+                            (row.returnflag as i64, row.linestatus as i64),
+                            (key >> 8, key & 0xff),
+                            "{ctx}"
+                        );
+                        let sums = [row.sum_qty, row.sum_base_price, row.sum_disc_price];
+                        for (c, want) in sums.iter().chain([&row.sum_charge]).enumerate() {
+                            let got = p.columns[c].f64s()[i];
+                            assert_eq!(got.to_bits(), want.to_bits(), "{ctx} column {c}");
+                        }
+                        assert_eq!(p.columns[7].u64s()[i], row.count, "{ctx}");
                     }
                     for c in 0..7 {
                         let want: Vec<u64> =
@@ -398,15 +411,6 @@ proptest! {
     }
 }
 
-/// `encode` of the dense error test: the pair `(9, _)` is out of range.
-fn encode_with_a_hole(a: u8, b: u8) -> u32 {
-    if a == 9 {
-        77
-    } else {
-        (a * 2 + b) as u32
-    }
-}
-
 fn thread_shapes() -> [ExecOptions; 2] {
     [1, 8].map(|threads| ExecOptions {
         threads,
@@ -414,59 +418,6 @@ fn thread_shapes() -> [ExecOptions; 2] {
         morsel_rows: 64,
         ..ExecOptions::default()
     })
-}
-
-/// `GroupIdOutOfBounds` is raised iff a *selected* row's pair encodes out
-/// of range: the offender filtered out, or an out-of-range pair that no
-/// row carries, is not an error.
-#[test]
-fn out_of_bounds_dense_id_needs_a_selected_row() {
-    force_pool();
-    let n = 400usize;
-    let mut t = Table::new("t");
-    // One offending row, at 250: a = 9.
-    let a: Vec<u8> = (0..n)
-        .map(|i| if i == 250 { 9 } else { (i % 2) as u8 })
-        .collect();
-    t.add_column("a", Column::u8(a)).unwrap();
-    t.add_column(
-        "b",
-        Column::u8((0..n).map(|i| (i % 3 == 0) as u8).collect::<Vec<_>>()),
-    )
-    .unwrap();
-    t.add_column("row", Column::i32((0..n as i32).collect::<Vec<_>>()))
-        .unwrap();
-    t.add_column("v", Column::f64(vec![1.5; n])).unwrap();
-    let query = |filter| FusedQuery {
-        filter,
-        sums: vec![Expr::col("v")],
-        mins: vec![],
-        maxs: vec![],
-        group_by: GroupKey::Dense {
-            spec: GroupSpec {
-                a: "a".into(),
-                b: "b".into(),
-                encode: encode_with_a_hole,
-            },
-            groups: 4,
-        },
-    };
-    let not_row_250 = Expr::col("row")
-        .lt(Expr::lit(250.0))
-        .or(Expr::col("row").gt(Expr::lit(250.0)));
-    for opts in thread_shapes() {
-        for backend in [SumBackend::ReproUnbuffered, SumBackend::Double] {
-            let err = run_fused(&t, &query(vec![]), backend, &opts).unwrap_err();
-            assert_eq!(err, FusedError::GroupIdOutOfBounds { got: 77, groups: 4 });
-            // Filtered out: the other 399 rows aggregate.
-            let ok = run_fused(&t, &query(vec![not_row_250.clone()]), backend, &opts).unwrap();
-            assert_eq!(ok.counts.iter().sum::<u64>(), 399);
-            // Before the offender: it is never reached by a selection.
-            let prefix = vec![Expr::col("row").lt(Expr::lit(250.0))];
-            let ok = run_fused(&t, &query(prefix), backend, &opts).unwrap();
-            assert_eq!(ok.counts.iter().sum::<u64>(), 250);
-        }
-    }
 }
 
 /// `ReservedKey` for a dictionary-encoded `I32` key whose dictionary

@@ -123,9 +123,9 @@ proptest! {
                 let r = q1_plan().execute(&table, backend, &opts).unwrap();
                 prop_assert_eq!(r.keys.len(), legacy.len(), "{:?} {:?}", backend, opts);
                 for (i, row) in legacy.iter().enumerate() {
-                    let (rf, ls) = rfa_workloads::Lineitem::decode_group(r.keys[i] as u32);
-                    prop_assert_eq!(rf, row.returnflag);
-                    prop_assert_eq!(ls, row.linestatus);
+                    // The plan's key packs the pair as (flag << 8) | status.
+                    prop_assert_eq!((r.keys[i] >> 8) as u8 as char, row.returnflag);
+                    prop_assert_eq!(r.keys[i] as u8 as char, row.linestatus);
                     let f = |c: usize| r.columns[c].f64s()[i];
                     prop_assert_eq!(f(0).to_bits(), row.sum_qty.to_bits(),
                         "sum_qty {:?} {:?}", backend, opts);
@@ -167,17 +167,17 @@ proptest! {
         }
     }
 
-    /// Hash-keyed grouping == dense-keyed grouping, bitwise, on a key
-    /// domain small enough to run both: the same rows grouped (a) densely
-    /// via a U8 pair encoding and (b) through the hash arm on an I32
-    /// column holding the identical group value.
+    /// Hash-keyed grouping == direct-mapped pair grouping, bitwise: the
+    /// same rows grouped (a) by a U8 pair, whose packed key indexes the
+    /// dense 65 536-entry group-id table, and (b) through the hash arm on
+    /// an I32 column holding the identical packed key.
     #[test]
     fn hash_grouping_matches_dense_grouping_bitwise(
         rows in vec(((0u8..3), (0u8..4), (-1.0e4..1.0e4f64)), 0..500)
     ) {
         force_pool();
         fn encode(a: u8, b: u8) -> u32 {
-            (a as u32) * 4 + (b as u32)
+            (a as u32) << 8 | b as u32
         }
         let mut table = Table::new("t");
         table
@@ -207,14 +207,14 @@ proptest! {
                 .min(Expr::col("v"))
                 .max(Expr::col("v"))
         };
-        let dense = aggs(QueryPlan::scan("t").group_by_dense("ka", "kb", encode, 12));
+        let dense = aggs(QueryPlan::scan("t").group_by_u8_pair("ka", "kb"));
         let hashed = aggs(QueryPlan::scan("t").group_by_key("key"));
         for backend in FUSED_BACKENDS {
             for opts in shapes() {
                 let d = dense.execute(&table, backend, &opts).unwrap();
                 let h = hashed.execute(&table, backend, &opts).unwrap();
-                // Dense ids equal the key values, so the sorted outputs
-                // must line up row for row, column for column.
+                // The packed pairs equal the key values, so the sorted
+                // outputs must line up row for row, column for column.
                 prop_assert_eq!(&d.keys, &h.keys, "{:?} {:?}", backend, opts);
                 for (c, (dc, hc)) in d.columns.iter().zip(&h.columns).enumerate() {
                     match (dc, hc) {

@@ -23,7 +23,7 @@ use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
     run_fused, Column, CompiledExpr, EvalScratch, ExecOptions, Expr, FusedError, FusedQuery,
-    FusedRun, GroupKey, GroupSpec, Sel, SumBackend, Table, NEAR_DENSE,
+    FusedRun, GroupKey, Sel, SumBackend, Table, NEAR_DENSE,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -156,17 +156,8 @@ const POISON: [(f64, f64); 8] = [
 ];
 
 /// The byte a dropped row holds in both key legs (no kept row does): as a
-/// pair it would be a group of its own, and [`encode`] maps it out of
-/// range.
+/// pair it would be a group of its own.
 const BAD_LEG: u8 = 255;
-
-fn encode(a: u8, b: u8) -> u32 {
-    if a == BAD_LEG || b == BAD_LEG {
-        1 << 20
-    } else {
-        (a as u32 + b as u32) % 2
-    }
-}
 
 /// `col` under encoding `choice`: 0 plain, 1 `Dict`, 2 `Dict16` (the
 /// `u8` codes widened), 3 RLE.
@@ -265,20 +256,13 @@ fn query(group_by: GroupKey) -> FusedQuery {
 }
 
 fn group_keys() -> Vec<(&'static str, GroupKey)> {
-    let spec = GroupSpec {
-        a: "a".into(),
-        b: "b".into(),
-        encode,
-    };
     vec![
         ("none", GroupKey::None),
-        ("dense", GroupKey::Dense { spec, groups: 2 }),
         (
             "pair",
             GroupKey::HashPair {
                 a: "a".into(),
                 b: "b".into(),
-                hash: HashKind::Identity,
             },
         ),
         (

@@ -1,5 +1,5 @@
 //! The plan-driven query layer: build logical plans over SUM / COUNT /
-//! AVG / MIN / MAX with dense or hash group keys, execute them on the
+//! AVG / MIN / MAX with byte-pair or hash group keys, execute them on the
 //! fused zero-copy scan, and watch reproducibility survive a physical
 //! reorder that flips the plain-double answer.
 //!
@@ -18,7 +18,7 @@ fn main() {
     // FROM lineitem WHERE l_shipdate <= 1000 GROUP BY flag pair
     let plan = QueryPlan::scan("lineitem")
         .filter(Expr::col("l_shipdate").le(Expr::lit(1000.0)))
-        .group_by_dense("l_returnflag", "l_linestatus", Lineitem::encode_group, 6)
+        .group_by_u8_pair("l_returnflag", "l_linestatus")
         .sum(Expr::col("l_quantity"))
         .avg(Expr::col("l_quantity"))
         .min(Expr::col("l_extendedprice"))
@@ -28,10 +28,11 @@ fn main() {
     let r = plan
         .execute(&table, backend, &ExecOptions::parallel())
         .expect("valid plan");
-    println!("dense-grouped plan over lineitem (shipdate <= 1000):");
+    println!("pair-grouped plan over lineitem (shipdate <= 1000):");
     println!("  rf ls |      sum_qty |  avg_qty |  min_price |  max_price | count");
-    for (i, &gid) in r.keys.iter().enumerate() {
-        let (rf, ls) = Lineitem::decode_group(gid as u32);
+    for (i, &pair) in r.keys.iter().enumerate() {
+        // The key packs the two ASCII bytes as `(flag << 8) | status`.
+        let (rf, ls) = ((pair >> 8) as u8 as char, pair as u8 as char);
         println!(
             "   {rf}  {ls} | {:>12.2} | {:>8.4} | {:>10.2} | {:>10.2} | {:>5}",
             r.columns[0].f64s()[i],
