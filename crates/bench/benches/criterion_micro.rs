@@ -192,13 +192,16 @@ fn bench_fused_scan(c: &mut Criterion) {
 }
 
 /// SIMD dispatch: the repro summation kernel per level (per-value scalar
-/// cascade vs the portable lane-array block kernel vs forced AVX2) for
-/// f64 and f32 at several sizes. All arms are bit-identical (proptested);
-/// the thrpt columns read directly as the dispatch win.
+/// cascade vs the portable lane-array block kernel vs forced AVX2 vs
+/// forced AVX-512) for f64 and f32 at several sizes, then `repro<d,4>`
+/// along the depth axis — inputs whose chunks need 1, 2 or 4 cascade
+/// levels — per level. All arms are bit-identical (proptested); the thrpt
+/// columns read directly as the dispatch and level-count win.
 fn bench_simd(c: &mut Criterion) {
     use rfa_core::cpu::{self, SimdLevel};
 
     let avx2 = cpu::avx2_supported();
+    let avx512 = cpu::avx512_supported();
     let mut g = c.benchmark_group("simd");
 
     for exp in [10u32, 14, 18] {
@@ -224,6 +227,17 @@ fn bench_simd(c: &mut Criterion) {
         if avx2 {
             cpu::set_override(Some(SimdLevel::Avx2));
             g.bench_function(format!("add_slice_f64_avx2_2^{exp}"), |b| {
+                b.iter(|| {
+                    let mut acc = ReproSum::<f64, 2>::new();
+                    simd::add_slice(&mut acc, v64);
+                    black_box(acc.value())
+                })
+            });
+            cpu::set_override(None);
+        }
+        if avx512 {
+            cpu::set_override(Some(SimdLevel::Avx512));
+            g.bench_function(format!("add_slice_f64_avx512_2^{exp}"), |b| {
                 b.iter(|| {
                     let mut acc = ReproSum::<f64, 2>::new();
                     simd::add_slice(&mut acc, v64);
@@ -259,6 +273,38 @@ fn bench_simd(c: &mut Criterion) {
         }
     }
 
+    // The depth axis at 2^14 values: denormals on the bottom rung (1
+    // level), magnitudes in [0.5, 1) (2 levels), and the same with one
+    // 1e-30 per 512 values (4 levels).
+    let n = 1usize << 14;
+    let w = GroupedPairs::generate(n, 16, ValueDist::Uniform01, 40);
+    let unit: Vec<f64> = w.values.iter().map(|v| 0.5 + 0.5 * v).collect();
+    let tiny = |(i, &v): (usize, &f64)| if i % 512 == 0 { 1e-30 } else { v };
+    let depths = [
+        (
+            "depth1",
+            unit.iter().map(|v| v * 2f64.powi(-1040)).collect(),
+        ),
+        ("depth2", unit.clone()),
+        (
+            "depth4",
+            unit.iter().enumerate().map(tiny).collect::<Vec<_>>(),
+        ),
+    ];
+    g.throughput(Throughput::Elements(n as u64));
+    for (depth, values) in &depths {
+        for (name, level) in dispatch_levels() {
+            cpu::set_override(Some(level));
+            g.bench_function(format!("add_slice_f64_L4_{depth}_{name}"), |b| {
+                b.iter(|| {
+                    let mut acc = ReproSum::<f64, 4>::new();
+                    simd::add_slice(&mut acc, values);
+                    black_box(acc.value())
+                })
+            });
+            cpu::set_override(None);
+        }
+    }
     g.finish();
 }
 

@@ -8,104 +8,120 @@
 //! bits once per block, and performing a *horizontal* (exact) merge of the
 //! lane states at the end (Eq. 2/3).
 //!
-//! Two implementations are kept, selected at runtime through
-//! [`crate::cpu`]:
+//! ## One skeleton, three widths
 //!
-//! * [`add_slice_portable`] — the lanes expressed as fixed arrays with
-//!   branch-free inner loops that LLVM auto-vectorizes (builds on every
-//!   target; stable Rust has no portable SIMD);
-//! * an explicit AVX2 kernel (`std::arch::x86_64`) writing the paper's
-//!   formulation literally: `V = 4` `f64` lanes in one `__m256d`
-//!   (`V = 8` `f32` lanes in one `__m256`), the per-block max/NaN validity
-//!   scan as vector max/compare, the extract/accumulate cascade as vector
-//!   add/sub, and carry propagation as vector round/multiply/subtract.
+//! The chunk logic — validity scan, scalar cold path, promotion and lane
+//! shift, level count, cascade, carry propagation, horizontal merge — is
+//! written once (`kernel`) over `Reg`: one register of `V` lanes and the
+//! ten operations the chunk logic needs. Three widths implement it,
+//! selected at runtime through [`crate::cpu`]:
 //!
-//! Because every lane operation is exact and the final merge is exact, the
+//! * `Portable<T>` — the paper's `V` (4 `f64`, 8 `f32`) lanes as a fixed
+//!   array whose loops LLVM autovectorizes (every target;
+//!   [`add_slice_portable`]);
+//! * AVX2 — `V = 4` `f64` lanes in one `__m256d`, `V = 8` `f32` lanes in
+//!   one `__m256`;
+//! * AVX-512 — `V = 8` `f64` lanes in one `__m512d`; its validity scan is
+//!   an unsigned max / min over the magnitude bits, where NaN sorts above
+//!   every number, so no separate NaN sweep runs. `f32` keeps its AVX2
+//!   width at this level: no workload sums `f32`.
+//!
+//! Every lane operation is exact and the final merge is exact, so the
 //! result is **bit-identical** to feeding the same values through the
 //! scalar path (a property the test-suite asserts) *and* identical between
-//! the two implementations regardless of lane width: vectorization is
-//! purely a performance choice, exactly as the paper requires.
+//! the widths: vectorization is purely a performance choice, exactly as the
+//! paper requires. A chunk's last, partial group is zero-padded into one
+//! more register (a zero deposits `+0.0` everywhere), so no value takes a
+//! scalar tail, and the lanes' carry counts go straight into the
+//! accumulator's integer counters, which promotions shift in step with the
+//! lanes.
+//!
+//! ## Only the levels a chunk can reach
+//!
+//! After the chunk's promotion to rung `top`, level `l`'s grid (the ulp of
+//! its extractor) is `2^(e(top+l) − m)`. Every chunk value is a multiple of
+//! `2^(max(E_min, e_bottom) − m)`, with `E_min` the exponent of the
+//! smallest non-zero `|v|` (found by the validity scan) and `e_bottom − m`
+//! the denormal floor. A remainder that is a multiple of level `l`'s grid
+//! extracts to itself there, so every deeper level would add exactly
+//! `+0.0` — a no-op, lane sums being never `−0.0`. The cascade therefore
+//! runs `N = 1 + ⌈(e(top) − max(E_min, e_bottom)) / W⌉` levels (clamped to
+//! `L`; `0` when no value is non-zero), each `N` its own instantiation with
+//! no branch in the inner loop. DESIGN.md S3 has the argument in full.
 //!
 //! ## Safety boundary
 //!
-//! All `unsafe` in this module is confined to the `avx2` submodule and is
-//! of exactly two kinds:
+//! `unsafe` here is of three kinds (`#![deny(clippy::undocumented_unsafe_
+//! blocks)]` holds every block to a `SAFETY:` line):
 //!
-//! 1. **`#[target_feature(enable = "avx2")]`** — the kernels execute AVX2
-//!    instructions, so they are `unsafe fn`; the single caller
-//!    ([`add_slice`]) guards them behind [`crate::cpu::active`], which
-//!    only reports [`crate::cpu::SimdLevel::Avx2`] after
-//!    `is_x86_feature_detected!("avx2")` succeeded (or an explicit
-//!    override that performs the same check).
-//! 2. **Monomorphic downcast** — `add_slice` is generic over the sealed
-//!    [`ReproFloat`] (only `f32`/`f64` exist); the dispatcher compares
-//!    `TypeId`s and casts `ReproSum<T, L> → ReproSum<f64, L>` (resp.
-//!    `f32`) only when `T` *is* that exact type, so the cast is an
-//!    identity at runtime.
-//!
-//! All loads are `loadu`/`storeu` (no alignment contract), and every slice
-//! access stays within `chunks_exact` bounds.
+//! 1. **Target features.** The AVX2 / AVX-512 `Reg` operations execute
+//!    their feature's instructions, so every `Reg` method and the skeleton
+//!    are `unsafe fn` whose one precondition is a CPU with that feature.
+//!    The three `#[target_feature]` entries in `x86` are reached only from
+//!    [`add_slice`], after [`crate::cpu::active`] reported their level —
+//!    which it does only once `is_x86_feature_detected!` succeeded.
+//! 2. **Bounds.** The only raw memory accesses are `Reg::load`, which reads
+//!    `V` values from a slice it requires to hold `V` (a `chunks_exact(V)`
+//!    group or the `MAX_LANES`-long padded tail), and `Reg::lanes`, which
+//!    stores `V ≤ MAX_LANES` values into a local array.
+//! 3. **Monomorphic downcast.** `add_slice` is generic over the sealed
+//!    [`ReproFloat`] (only `f32`/`f64` exist); `retype` casts
+//!    `ReproSum<T, L> → ReproSum<U, L>` only when `TypeId`s prove `T` *is*
+//!    `U`, so the cast is an identity at runtime.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::cpu;
 use crate::float::ReproFloat;
 use crate::repro::ReproSum;
 
-/// Upper bound on `T::LANES` (f32 uses 8); arrays are padded to this.
+/// The widest register in lanes (AVX-512 `f64`, AVX2 `f32`, portable);
+/// per-lane arrays are padded to it.
 const MAX_LANES: usize = 8;
 
-/// Per-call lane state (the paper's in-register representation: Algorithm 3
-/// lines 1–2 initialize it from the memory-resident state, line 8–11 merge
-/// it back; we start lanes at the exact additive identity instead, which is
-/// equivalent because merging is exact and associative).
-struct Lanes<T, const L: usize> {
-    sums: [[T; MAX_LANES]; L],
-    carries: [[i64; MAX_LANES]; L],
+/// One register of `V` lanes of `F` and the operations the chunk skeleton
+/// is written in. Calling any method requires a CPU with the implementing
+/// width's target feature (the portable width requires nothing).
+trait Reg: Copy {
+    type F: ReproFloat;
+    /// Lanes per register, at most `MAX_LANES`.
+    const V: usize;
+    /// The running state of the validity scan.
+    type Scan: Copy;
+
+    unsafe fn splat(x: Self::F) -> Self;
+    /// The first `V` values of `v`, which must hold at least `V`.
+    unsafe fn load(v: &[Self::F]) -> Self;
+    unsafe fn add(self, o: Self) -> Self;
+    unsafe fn sub(self, o: Self) -> Self;
+    /// Lane `i` in slot `i`; slots `V..` are zero.
+    unsafe fn lanes(self) -> [Self::F; MAX_LANES];
+    /// The sum of the lanes, in any order. Applied to propagated lane sums
+    /// it is exact: each is within half a carry unit, `2^(m−3)` steps of
+    /// its level's grid, so eight of them and any partial sum stay within
+    /// `2^m` steps.
+    #[inline(always)]
+    unsafe fn sum(self) -> Self::F {
+        let s = self.lanes();
+        ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+    }
+    /// `(d, self − d·unit)` per lane, `d = round_ties_even(self / unit)` —
+    /// both exact (carry propagation, Algorithm 2 lines 14–18). `None`
+    /// when every lane is within `unit / 2` of zero, where every `d` is
+    /// `±0` and propagation moves nothing.
+    unsafe fn carry(self, unit: Self::F) -> Option<(Self, Self)>;
+    unsafe fn scan_start() -> Self::Scan;
+    unsafe fn scan(s: Self::Scan, x: Self) -> Self::Scan;
+    /// `(max |x|, min non-zero |x|)` over everything scanned: the max is
+    /// NaN if any lane was (the portable width's also if one was ±∞), the
+    /// min `+∞` if no lane was non-zero.
+    unsafe fn scan_end(s: Self::Scan) -> (Self::F, Self::F);
 }
 
-impl<T: ReproFloat, const L: usize> Lanes<T, L> {
-    #[inline]
-    fn new() -> Self {
-        Lanes {
-            sums: [[T::ZERO; MAX_LANES]; L],
-            carries: [[0; MAX_LANES]; L],
-        }
-    }
-
-    /// Mirrors `ReproSum::promote`: shifts the level window by `k` rungs.
-    fn shift(&mut self, k: usize) {
-        for l in (0..L).rev() {
-            if l >= k {
-                self.sums[l] = self.sums[l - k];
-                self.carries[l] = self.carries[l - k];
-            } else {
-                self.sums[l] = [T::ZERO; MAX_LANES];
-                self.carries[l] = [0; MAX_LANES];
-            }
-        }
-    }
-
-    /// Carry-bit propagation for every lane (Algorithm 3 line 7).
-    fn propagate(&mut self, top: u32) {
-        for l in 0..L {
-            let bin = top as usize + l;
-            if bin >= T::NUM_BINS {
-                break;
-            }
-            let unit = T::carry_unit(bin);
-            for v in 0..T::LANES {
-                let d = (self.sums[l][v] / unit).round_ties_even_();
-                if d != T::ZERO {
-                    self.sums[l][v] -= d * unit;
-                    self.carries[l][v] += d.to_i64();
-                }
-            }
-        }
-    }
-}
-
-/// Adds all `values` into `acc` using the vectorized kernel, dispatching
-/// to the explicit AVX2 implementation when [`crate::cpu`] resolves to it
-/// and to [`add_slice_portable`] otherwise.
+/// Adds all `values` into `acc` using the vectorized kernel at the widest
+/// width [`crate::cpu`] allows: AVX-512 for `f64` at
+/// [`cpu::SimdLevel::Avx512`], AVX2 otherwise on x86-64, and
+/// [`add_slice_portable`] at [`cpu::SimdLevel::Scalar`] or elsewhere.
 ///
 /// Bit-identical to `acc.add_all(values)` — verified by tests — but several
 /// times faster for long slices. Small calls pay a fixed lane setup/merge
@@ -114,430 +130,553 @@ impl<T: ReproFloat, const L: usize> Lanes<T, L> {
 #[inline]
 pub fn add_slice<T: ReproFloat, const L: usize>(acc: &mut ReproSum<T, L>, values: &[T]) {
     #[cfg(target_arch = "x86_64")]
-    // At the AVX-512 level this kernel keeps its AVX2 flavour (every
-    // avx512f CPU supports AVX2); only level `Scalar` forces the fallback.
-    if cpu::active() != cpu::SimdLevel::Scalar {
-        use core::any::TypeId;
-        // `ReproFloat` is sealed: `T` is exactly `f64` or `f32`, so one of
-        // the two TypeId tests matches and the pointer casts below are
-        // identities (same concrete type, same layout).
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // SAFETY: `T == f64` (TypeId equality of 'static types), so
-            // both casts only rename the type; AVX2 support was verified
-            // by `cpu::active()`.
-            unsafe {
-                let acc = &mut *(acc as *mut ReproSum<T, L>).cast::<ReproSum<f64, L>>();
-                let values =
-                    core::slice::from_raw_parts(values.as_ptr().cast::<f64>(), values.len());
-                avx2::add_slice_f64(acc, values);
+    {
+        let level = cpu::active();
+        if level != cpu::SimdLevel::Scalar {
+            if let Some((acc, values)) = retype::<T, f64, L>(acc, values) {
+                // SAFETY: `cpu::active()` reports a level only on a CPU with
+                // its feature.
+                unsafe {
+                    if level == cpu::SimdLevel::Avx512 {
+                        x86::f64_avx512(acc, values)
+                    } else {
+                        x86::f64_avx2(acc, values)
+                    }
+                }
+                return;
             }
-            return;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // SAFETY: as above with `T == f32`.
-            unsafe {
-                let acc = &mut *(acc as *mut ReproSum<T, L>).cast::<ReproSum<f32, L>>();
-                let values =
-                    core::slice::from_raw_parts(values.as_ptr().cast::<f32>(), values.len());
-                avx2::add_slice_f32(acc, values);
+            if let Some((acc, values)) = retype::<T, f32, L>(acc, values) {
+                // SAFETY: as above; every AVX-512F CPU also has AVX2.
+                unsafe { x86::f32_avx2(acc, values) };
+                return;
             }
-            return;
         }
     }
     add_slice_portable(acc, values);
 }
 
+/// `acc` and `values` as `U`, when `T` is `U` (`ReproFloat` is sealed: `T`
+/// is exactly `f32` or `f64`).
+#[cfg(target_arch = "x86_64")]
+fn retype<'a, T: ReproFloat, U: ReproFloat, const L: usize>(
+    acc: &'a mut ReproSum<T, L>,
+    values: &'a [T],
+) -> Option<(&'a mut ReproSum<U, L>, &'a [U])> {
+    if core::any::TypeId::of::<T>() != core::any::TypeId::of::<U>() {
+        return None;
+    }
+    let len = values.len();
+    // SAFETY: `T` and `U` are one type (equal `TypeId`s of `'static`
+    // types), so both casts only rename it: same layout, same lifetime.
+    unsafe {
+        Some((
+            &mut *(acc as *mut ReproSum<T, L>).cast::<ReproSum<U, L>>(),
+            core::slice::from_raw_parts(values.as_ptr().cast::<U>(), len),
+        ))
+    }
+}
+
 /// The portable lane-array kernel (the autovectorized fallback of
 /// [`add_slice`]; public so benchmarks can measure it against the
 /// dispatched path).
-// The lane loops deliberately index fixed-size arrays (the paper's
-// register-lane formulation; LLVM vectorizes them), and `!(max < huge)`
-// is the NaN-conservative comparison form.
-#[allow(clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
 pub fn add_slice_portable<T: ReproFloat, const L: usize>(acc: &mut ReproSum<T, L>, values: &[T]) {
-    let mut lanes = Lanes::<T, L>::new();
-    let block = T::LANES * T::BLOCK;
-    let huge = T::exp2i(T::HUGE_EXP);
+    // SAFETY: the portable width executes no target-specific instruction.
+    unsafe { kernel::<Portable<T>, L>(acc, values) }
+}
 
-    for chunk in values.chunks(block) {
-        // Algorithm 3 line 4: one validity check per block. The max runs
-        // lane-parallel (no serial dependency chain) so it vectorizes.
-        let mut maxs = [T::ZERO; MAX_LANES];
-        let mut nans = [false; MAX_LANES];
-        let mut scan = chunk.chunks_exact(MAX_LANES);
-        for g in &mut scan {
-            for v in 0..MAX_LANES {
-                maxs[v] = maxs[v].max_(g[v].abs());
-                nans[v] |= g[v].is_nan();
-            }
+/// The chunk loop of Algorithm 3 at width `R` — the one copy of it.
+///
+/// # Safety
+/// The CPU must support `R`'s target feature.
+#[inline(always)]
+// `!(hi < huge)` is the NaN-conservative form: NaN must take the cold path.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+unsafe fn kernel<R: Reg, const L: usize>(acc: &mut ReproSum<R::F, L>, values: &[R::F]) {
+    const { assert!(R::V <= MAX_LANES) };
+    // Lane sums start at the exact additive identity (Algorithm 3 lines
+    // 1–2 load the memory-resident state instead; equivalent, because the
+    // merge is exact and associative). Lane carry counts go straight into
+    // `acc`'s: integers add in any order, and a promotion shifts `acc`'s
+    // levels by the `k` it shifts the lanes by.
+    let zero = R::splat(R::F::ZERO);
+    let mut sums = [zero; L];
+    let huge = R::F::exp2i(R::F::HUGE_EXP);
+
+    for chunk in values.chunks(R::V * R::F::BLOCK) {
+        // Algorithm 3 line 4: one validity check per block; the same pass
+        // finds the smallest non-zero magnitude for the level count.
+        let mut scan = R::scan_start();
+        let mut groups = chunk.chunks_exact(R::V);
+        for g in &mut groups {
+            scan = R::scan(scan, R::load(g));
         }
-        let mut max_abs = T::ZERO;
-        let mut any_nan = false;
-        for v in 0..MAX_LANES {
-            max_abs = max_abs.max_(maxs[v]);
-            any_nan |= nans[v];
+        let tail = padded::<R>(groups.remainder());
+        if let Some(tail) = tail {
+            scan = R::scan(scan, tail);
         }
-        for &v in scan.remainder() {
-            max_abs = max_abs.max_(v.abs());
-            any_nan |= v.is_nan();
+        let (hi, lo) = R::scan_end(scan);
+
+        // Specials or overflow-magnitude values take the scalar cold path
+        // per value. Every state update being exact, interleaving it with
+        // the lane state is harmless, but a promotion by a binnable value
+        // in the same chunk must shift the lanes too.
+        let old_top = acc.top_rung();
+        let cold = !(hi < huge);
+        if cold {
+            acc.add_all(chunk);
+        } else if hi != R::F::ZERO {
+            let promoted = acc.promote_for(hi);
+            debug_assert!(promoted, "in-range value must be binnable");
         }
-        if any_nan || !(max_abs < huge) {
-            // Specials or overflow-magnitude values: scalar cold path per
-            // value. Exactness of all state updates makes interleaving with
-            // the lane state harmless, but a promotion triggered by a
-            // binnable value in the same chunk must also shift the lanes.
-            let old_top = acc.top_rung();
-            for &v in chunk {
-                acc.add(v);
-            }
-            let k = old_top - acc.top_rung();
-            if k > 0 {
-                lanes.shift(k as usize);
-            }
+        shift(&mut sums, (old_top - acc.top_rung()) as usize, zero);
+        if cold {
             continue;
         }
-        if max_abs != T::ZERO {
-            let old_top = acc.top_rung();
-            let promoted = acc.promote_for(max_abs);
-            debug_assert!(promoted, "in-range value must be binnable");
-            let k = old_top - acc.top_rung();
-            if k > 0 {
-                lanes.shift(k as usize);
-            }
-        }
 
-        let extractors = acc.extractor_cache();
-        let mut groups = chunk.chunks_exact(T::LANES);
-        for group in &mut groups {
-            // Algorithm 2 lines 8–13, V lanes wide (Algorithm 3 line 6).
-            let mut r = [T::ZERO; MAX_LANES];
-            r[..T::LANES].copy_from_slice(group);
-            for l in 0..L {
-                let m = extractors[l];
-                for v in 0..T::LANES {
-                    let s = m + r[v];
-                    let q = s - m;
-                    lanes.sums[l][v] += q;
-                    r[v] -= q;
-                }
+        let top = acc.top_rung() as usize;
+        let n = depth(top, lo, L);
+        let ext = acc.extractor_cache();
+        let full = &chunk[..chunk.len() - chunk.len() % R::V];
+        match n {
+            0 => {}
+            1 => cascade::<R, L, 1>(full, tail, &ext, &mut sums),
+            2 if L >= 2 => cascade::<R, L, 2>(full, tail, &ext, &mut sums),
+            3 if L >= 3 => cascade::<R, L, 3>(full, tail, &ext, &mut sums),
+            _ => cascade::<R, L, L>(full, tail, &ext, &mut sums),
+        }
+        // Carry propagation (Algorithm 3 line 7) of the levels this chunk
+        // reached. Deeper ones are unchanged since their last propagation,
+        // and propagation is idempotent.
+        let levels = sums.iter_mut().zip(acc.raw_parts_mut().1).take(n);
+        for (l, (s, c)) in levels.enumerate() {
+            if let Some((d, rest)) = s.carry(R::F::carry_unit(top + l)) {
+                *s = rest;
+                *c += d.lanes().into_iter().map(|d| d.to_i64()).sum::<i64>();
             }
         }
-        for &v in groups.remainder() {
-            acc.add(v);
-        }
-        lanes.propagate(acc.top_rung());
     }
 
-    // Horizontal merge (Eq. 2/3): exact fold of lane state into `acc`.
-    let top = acc.top_rung();
-    let (sums, carries) = acc.raw_parts_mut();
-    for l in 0..L {
-        if top as usize + l >= T::NUM_BINS {
-            break;
-        }
-        for v in 0..T::LANES {
-            sums[l] += lanes.sums[l][v];
-            carries[l] += lanes.carries[l][v];
-        }
+    // Horizontal merge (Eq. 2/3): an exact fold of the lanes into `acc`.
+    for (a, s) in acc.raw_parts_mut().0.iter_mut().zip(&sums) {
+        *a += s.sum();
     }
     acc.propagate_carries();
 }
 
-/// The explicit AVX2 kernels (see the module-level safety boundary).
+/// The levels a chunk's cascade runs under rung `top` when its smallest
+/// non-zero magnitude is `lo` (`+∞`: none): `1 + ⌈(e(top) − max(E_min,
+/// e_bottom)) / W⌉`, at most `levels`. Level `N − 1`'s grid is then no
+/// coarser than the lowest bit a chunk value can carry, so every deeper
+/// level would receive exactly `+0.0` (module docs).
+fn depth<T: ReproFloat>(top: usize, lo: T, levels: usize) -> usize {
+    if !lo.is_finite() {
+        return 0;
+    }
+    let lowest = lo.exponent().max(T::bin_exp(T::NUM_BINS - 1));
+    let span = T::bin_exp(top) - lowest;
+    debug_assert!(span >= 0, "every value lies below the top rung");
+    (1 + ((span + T::W - 1) / T::W) as usize).min(levels)
+}
+
+/// The extraction cascade (Algorithm 2 lines 8–13, `V` lanes wide:
+/// Algorithm 3 line 6) of the `V`-value groups of `full` and of the padded
+/// `tail` over the first `N` levels.
 ///
-/// Each kernel mirrors [`add_slice_portable`] decision for decision: the
-/// same `V·NB` chunking, the same per-chunk max/NaN validity scan, the
-/// same scalar cold path for specials/overflow, the same promote points
-/// and the same final lane-order horizontal merge. Since every arithmetic
-/// step of the cascade is exact, identical *decisions* imply identical
-/// *bits* — which is also why the result survives the lane-width change
-/// from the portable formulation's `MAX_LANES`-wide scan arrays to one
-/// hardware register here.
+/// # Safety
+/// As `kernel`.
+#[inline(always)]
+unsafe fn cascade<R: Reg, const L: usize, const N: usize>(
+    full: &[R::F],
+    tail: Option<R>,
+    ext: &[R::F; L],
+    sums: &mut [R; L],
+) {
+    // Register copies of the extractors and of the sums: `sums` lives in
+    // memory (`shift` moves it), and the loop must not store to it.
+    let (mut m, mut acc) = ([sums[0]; N], [sums[0]; N]);
+    for l in 0..N {
+        (m[l], acc[l]) = (R::splat(ext[l]), sums[l]);
+    }
+    for g in full.chunks_exact(R::V) {
+        deposit(&m, &mut acc, R::load(g));
+    }
+    if let Some(tail) = tail {
+        deposit(&m, &mut acc, tail);
+    }
+    sums[..N].copy_from_slice(&acc);
+}
+
+/// One register of values through the first `N` levels.
+///
+/// # Safety
+/// As `kernel`.
+#[inline(always)]
+unsafe fn deposit<R: Reg, const N: usize>(m: &[R; N], sums: &mut [R; N], mut r: R) {
+    for l in 0..N {
+        let q = m[l].add(r).sub(m[l]);
+        sums[l] = sums[l].add(q);
+        r = r.sub(q);
+    }
+}
+
+/// A chunk's last, partial group, zero-padded to a register (`None` if
+/// there is none): a zero deposits `+0.0` into every level and moves
+/// neither end of the scan.
+///
+/// # Safety
+/// As `kernel`; `rest.len() < R::V`.
+#[inline(always)]
+unsafe fn padded<R: Reg>(rest: &[R::F]) -> Option<R> {
+    if rest.is_empty() {
+        return None;
+    }
+    // A fixed-length fill: a `copy_from_slice` of `rest.len()` values is a
+    // `memcpy` call.
+    let pad: [R::F; MAX_LANES] =
+        core::array::from_fn(|i| if i < rest.len() { rest[i] } else { R::F::ZERO });
+    Some(R::load(&pad))
+}
+
+/// Moves the lane levels `k` rungs deeper after a promotion (Algorithm 2
+/// lines 5–7, as `ReproSum::promote`): the deepest `k` are dropped, the
+/// top `k` start empty.
+fn shift<R: Copy, const L: usize>(sums: &mut [R; L], k: usize, zero: R) {
+    let k = k.min(L);
+    if k > 0 {
+        sums.copy_within(..L - k, k);
+        sums[..k].fill(zero);
+    }
+}
+
+/// The portable width: the paper's `V = T::LANES` lanes (4 `f64`, 8
+/// `f32`) in a `MAX_LANES` array whose slots `V..` stay zero.
+#[derive(Clone, Copy)]
+struct Portable<T>([T; MAX_LANES]);
+
+impl<T: ReproFloat> Portable<T> {
+    #[inline(always)]
+    fn from_fn(f: impl Fn(usize) -> T) -> Self {
+        Portable(core::array::from_fn(|v| {
+            if v < T::LANES {
+                f(v)
+            } else {
+                T::ZERO
+            }
+        }))
+    }
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(T, T) -> T) -> Self {
+        Self::from_fn(|v| f(self.0[v], o.0[v]))
+    }
+}
+
+impl<T: ReproFloat> Reg for Portable<T> {
+    type F = T;
+    const V: usize = T::LANES;
+    /// Per lane: max |x|, min non-zero |x|, and a sum of `x − x` that is
+    /// NaN once a NaN or ±∞ passed.
+    type Scan = (Self, Self, Self);
+
+    #[inline(always)]
+    unsafe fn splat(x: T) -> Self {
+        Self::from_fn(|_| x)
+    }
+    #[inline(always)]
+    unsafe fn load(v: &[T]) -> Self {
+        Self::from_fn(|i| v[i])
+    }
+    #[inline(always)]
+    unsafe fn add(self, o: Self) -> Self {
+        self.zip(o, |a, b| a + b)
+    }
+    #[inline(always)]
+    unsafe fn sub(self, o: Self) -> Self {
+        self.zip(o, |a, b| a - b)
+    }
+    #[inline(always)]
+    unsafe fn lanes(self) -> [T; MAX_LANES] {
+        self.0
+    }
+    #[inline(always)]
+    unsafe fn carry(self, unit: T) -> Option<(Self, Self)> {
+        let half = unit * T::from_f64(0.5);
+        if self.0.iter().all(|x| x.abs() <= half) {
+            return None;
+        }
+        let d = Self::from_fn(|v| (self.0[v] / unit).round_ties_even_());
+        Some((d, self.zip(d, |x, d| x - d * unit)))
+    }
+    #[inline(always)]
+    unsafe fn scan_start() -> Self::Scan {
+        let zero = Self::splat(T::ZERO);
+        (zero, Self::splat(T::infinity()), zero)
+    }
+    #[inline(always)]
+    unsafe fn scan((hi, lo, nan): Self::Scan, x: Self) -> Self::Scan {
+        // Plain selects (`maxpd` / `minpd`): non-finite values are `nan`'s.
+        let a = Self::from_fn(|v| x.0[v].abs());
+        (
+            hi.zip(a, |hi, a| if a > hi { a } else { hi }),
+            lo.zip(a, |lo, a| if a != T::ZERO && a < lo { a } else { lo }),
+            nan.add(x.sub(x)),
+        )
+    }
+    #[inline(always)]
+    unsafe fn scan_end((hi, lo, nan): Self::Scan) -> (T, T) {
+        let lo = lo.0[..T::LANES]
+            .iter()
+            .fold(T::infinity(), |a, &b| if b < a { b } else { a });
+        if nan.0.iter().any(|n| n.is_nan()) {
+            return (T::nan(), lo);
+        }
+        (hi.0.into_iter().fold(T::ZERO, T::max_), lo)
+    }
+}
+
+/// The AVX2 and AVX-512 widths and their `#[target_feature]` entries.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
+mod x86 {
     use super::*;
     use core::arch::x86_64::*;
 
     const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
 
-    /// Shifts the f64 level window by `k` rungs (`Lanes::shift`, vector
-    /// form).
-    #[target_feature(enable = "avx2")]
-    unsafe fn shift_f64<const L: usize>(
-        sums: &mut [__m256d; L],
-        carries: &mut [[i64; 4]; L],
-        k: usize,
-    ) {
-        for l in (0..L).rev() {
-            if l >= k {
-                sums[l] = sums[l - k];
-                carries[l] = carries[l - k];
-            } else {
-                sums[l] = _mm256_setzero_pd();
-                carries[l] = [0; 4];
-            }
-        }
-    }
-
-    /// Carry-bit propagation for all four f64 lanes (`Lanes::propagate`,
-    /// vector form): `d = round_ties_even(sum / unit)` is the hardware
-    /// `vroundpd` with the default (ties-even) rounding, and both
-    /// `d · unit` and the subtraction are exact, so the per-lane state
-    /// matches the scalar propagation bit for bit. Lanes with `d = 0`
-    /// subtract an exact `+0.0`, which preserves every value (lane sums
-    /// are never `-0.0`: each deposited `q` with zero value is `+0.0`).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::needless_range_loop)]
-    unsafe fn propagate_f64<const L: usize>(
-        top: u32,
-        sums: &mut [__m256d; L],
-        carries: &mut [[i64; 4]; L],
-    ) {
-        for l in 0..L {
-            let bin = top as usize + l;
-            if bin >= <f64 as ReproFloat>::NUM_BINS {
-                break;
-            }
-            let unit = _mm256_set1_pd(f64::carry_unit(bin));
-            let d = _mm256_round_pd::<NEAREST>(_mm256_div_pd(sums[l], unit));
-            if _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NEQ_OQ>(d, _mm256_setzero_pd())) == 0 {
-                continue; // all-zero d: nothing to move (the common case)
-            }
-            sums[l] = _mm256_sub_pd(sums[l], _mm256_mul_pd(d, unit));
-            let mut dl = [0.0f64; 4];
-            _mm256_storeu_pd(dl.as_mut_ptr(), d);
-            for v in 0..4 {
-                carries[l][v] += dl[v] as i64;
-            }
-        }
-    }
-
     /// [`add_slice`] for `f64`, four lanes per `__m256d`.
     ///
     /// # Safety
-    /// The CPU must support AVX2 (guaranteed by the dispatcher).
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
-    pub(super) unsafe fn add_slice_f64<const L: usize>(acc: &mut ReproSum<f64, L>, values: &[f64]) {
-        let mut sums = [_mm256_setzero_pd(); L];
-        let mut carries = [[0i64; 4]; L];
-        let block = 4 * <f64 as ReproFloat>::BLOCK;
-        let huge = f64::exp2i(f64::HUGE_EXP);
-        let sign = _mm256_set1_pd(-0.0);
-
-        for chunk in values.chunks(block) {
-            // Validity scan: vector max of |v| plus an unordered-compare
-            // NaN sweep. Any reduction order yields the same maximum (and
-            // NaN chunks take the cold path regardless of the max).
-            let mut vmax = _mm256_setzero_pd();
-            let mut vnan = _mm256_setzero_pd();
-            let mut scan = chunk.chunks_exact(4);
-            for g in &mut scan {
-                let x = _mm256_loadu_pd(g.as_ptr());
-                vmax = _mm256_max_pd(vmax, _mm256_andnot_pd(sign, x));
-                vnan = _mm256_or_pd(vnan, _mm256_cmp_pd::<_CMP_UNORD_Q>(x, x));
-            }
-            let mut any_nan = _mm256_movemask_pd(vnan) != 0;
-            let mut maxs = [0.0f64; 4];
-            _mm256_storeu_pd(maxs.as_mut_ptr(), vmax);
-            let mut max_abs = 0.0f64;
-            for v in 0..4 {
-                max_abs = max_abs.max(maxs[v]);
-            }
-            for &v in scan.remainder() {
-                max_abs = max_abs.max(v.abs());
-                any_nan |= v.is_nan();
-            }
-            if any_nan || !(max_abs < huge) {
-                // Scalar cold path, identical to the portable kernel.
-                let old_top = acc.top_rung();
-                for &v in chunk {
-                    acc.add(v);
-                }
-                let k = old_top - acc.top_rung();
-                if k > 0 {
-                    shift_f64(&mut sums, &mut carries, k as usize);
-                }
-                continue;
-            }
-            if max_abs != 0.0 {
-                let old_top = acc.top_rung();
-                let promoted = acc.promote_for(max_abs);
-                debug_assert!(promoted, "in-range value must be binnable");
-                let k = old_top - acc.top_rung();
-                if k > 0 {
-                    shift_f64(&mut sums, &mut carries, k as usize);
-                }
-            }
-
-            let extractors = acc.extractor_cache();
-            let mut groups = chunk.chunks_exact(4);
-            for group in &mut groups {
-                // Algorithm 2 lines 8–13, one vector wide (Algorithm 3
-                // line 6): r extracts against each level's broadcast M.
-                let mut r = _mm256_loadu_pd(group.as_ptr());
-                for l in 0..L {
-                    let m = _mm256_set1_pd(extractors[l]);
-                    let s = _mm256_add_pd(m, r);
-                    let q = _mm256_sub_pd(s, m);
-                    sums[l] = _mm256_add_pd(sums[l], q);
-                    r = _mm256_sub_pd(r, q);
-                }
-            }
-            for &v in groups.remainder() {
-                acc.add(v);
-            }
-            propagate_f64(acc.top_rung(), &mut sums, &mut carries);
-        }
-
-        // Horizontal merge in lane order, exactly like the portable fold.
-        let top = acc.top_rung();
-        let (acc_sums, acc_carries) = acc.raw_parts_mut();
-        for l in 0..L {
-            if top as usize + l >= <f64 as ReproFloat>::NUM_BINS {
-                break;
-            }
-            let mut lane = [0.0f64; 4];
-            _mm256_storeu_pd(lane.as_mut_ptr(), sums[l]);
-            for v in 0..4 {
-                acc_sums[l] += lane[v];
-                acc_carries[l] += carries[l][v];
-            }
-        }
-        acc.propagate_carries();
-    }
-
-    /// `shift_f64` for the eight-lane `f32` state.
-    #[target_feature(enable = "avx2")]
-    unsafe fn shift_f32<const L: usize>(
-        sums: &mut [__m256; L],
-        carries: &mut [[i64; 8]; L],
-        k: usize,
-    ) {
-        for l in (0..L).rev() {
-            if l >= k {
-                sums[l] = sums[l - k];
-                carries[l] = carries[l - k];
-            } else {
-                sums[l] = _mm256_setzero_ps();
-                carries[l] = [0; 8];
-            }
-        }
-    }
-
-    /// `propagate_f64` for the eight-lane `f32` state.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::needless_range_loop)]
-    unsafe fn propagate_f32<const L: usize>(
-        top: u32,
-        sums: &mut [__m256; L],
-        carries: &mut [[i64; 8]; L],
-    ) {
-        for l in 0..L {
-            let bin = top as usize + l;
-            if bin >= <f32 as ReproFloat>::NUM_BINS {
-                break;
-            }
-            let unit = _mm256_set1_ps(f32::carry_unit(bin));
-            let d = _mm256_round_ps::<NEAREST>(_mm256_div_ps(sums[l], unit));
-            if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_OQ>(d, _mm256_setzero_ps())) == 0 {
-                continue;
-            }
-            sums[l] = _mm256_sub_ps(sums[l], _mm256_mul_ps(d, unit));
-            let mut dl = [0.0f32; 8];
-            _mm256_storeu_ps(dl.as_mut_ptr(), d);
-            for v in 0..8 {
-                carries[l][v] += dl[v] as i64;
-            }
-        }
+    pub(super) unsafe fn f64_avx2<const L: usize>(acc: &mut ReproSum<f64, L>, values: &[f64]) {
+        kernel::<Avx2F64, L>(acc, values)
     }
 
     /// [`add_slice`] for `f32`, eight lanes per `__m256`.
     ///
     /// # Safety
-    /// The CPU must support AVX2 (guaranteed by the dispatcher).
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
-    pub(super) unsafe fn add_slice_f32<const L: usize>(acc: &mut ReproSum<f32, L>, values: &[f32]) {
-        let mut sums = [_mm256_setzero_ps(); L];
-        let mut carries = [[0i64; 8]; L];
-        let block = 8 * <f32 as ReproFloat>::BLOCK;
-        let huge = f32::exp2i(f32::HUGE_EXP);
-        let sign = _mm256_set1_ps(-0.0);
+    pub(super) unsafe fn f32_avx2<const L: usize>(acc: &mut ReproSum<f32, L>, values: &[f32]) {
+        kernel::<Avx2F32, L>(acc, values)
+    }
 
-        for chunk in values.chunks(block) {
-            let mut vmax = _mm256_setzero_ps();
-            let mut vnan = _mm256_setzero_ps();
-            let mut scan = chunk.chunks_exact(8);
-            for g in &mut scan {
-                let x = _mm256_loadu_ps(g.as_ptr());
-                vmax = _mm256_max_ps(vmax, _mm256_andnot_ps(sign, x));
-                vnan = _mm256_or_ps(vnan, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x));
-            }
-            let mut any_nan = _mm256_movemask_ps(vnan) != 0;
-            let mut maxs = [0.0f32; 8];
-            _mm256_storeu_ps(maxs.as_mut_ptr(), vmax);
-            let mut max_abs = 0.0f32;
-            for v in 0..8 {
-                max_abs = max_abs.max(maxs[v]);
-            }
-            for &v in scan.remainder() {
-                max_abs = max_abs.max(v.abs());
-                any_nan |= v.is_nan();
-            }
-            if any_nan || !(max_abs < huge) {
-                let old_top = acc.top_rung();
-                for &v in chunk {
-                    acc.add(v);
-                }
-                let k = old_top - acc.top_rung();
-                if k > 0 {
-                    shift_f32(&mut sums, &mut carries, k as usize);
-                }
-                continue;
-            }
-            if max_abs != 0.0 {
-                let old_top = acc.top_rung();
-                let promoted = acc.promote_for(max_abs);
-                debug_assert!(promoted, "in-range value must be binnable");
-                let k = old_top - acc.top_rung();
-                if k > 0 {
-                    shift_f32(&mut sums, &mut carries, k as usize);
-                }
-            }
+    /// [`add_slice`] for `f64`, eight lanes per `__m512d`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn f64_avx512<const L: usize>(acc: &mut ReproSum<f64, L>, values: &[f64]) {
+        kernel::<Avx512F64, L>(acc, values)
+    }
 
-            let extractors = acc.extractor_cache();
-            let mut groups = chunk.chunks_exact(8);
-            for group in &mut groups {
-                let mut r = _mm256_loadu_ps(group.as_ptr());
-                for l in 0..L {
-                    let m = _mm256_set1_ps(extractors[l]);
-                    let s = _mm256_add_ps(m, r);
-                    let q = _mm256_sub_ps(s, m);
-                    sums[l] = _mm256_add_ps(sums[l], q);
-                    r = _mm256_sub_ps(r, q);
-                }
-            }
-            for &v in groups.remainder() {
-                acc.add(v);
-            }
-            propagate_f32(acc.top_rung(), &mut sums, &mut carries);
+    #[derive(Clone, Copy)]
+    struct Avx2F64(__m256d);
+
+    impl Reg for Avx2F64 {
+        type F = f64;
+        const V: usize = 4;
+        /// Per lane: max |x|, min non-zero |x|, NaN seen.
+        type Scan = (__m256d, __m256d, __m256d);
+
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            Self(_mm256_set1_pd(x))
         }
-
-        let top = acc.top_rung();
-        let (acc_sums, acc_carries) = acc.raw_parts_mut();
-        for l in 0..L {
-            if top as usize + l >= <f32 as ReproFloat>::NUM_BINS {
-                break;
-            }
-            let mut lane = [0.0f32; 8];
-            _mm256_storeu_ps(lane.as_mut_ptr(), sums[l]);
-            for v in 0..8 {
-                acc_sums[l] += lane[v];
-                acc_carries[l] += carries[l][v];
-            }
+        #[inline(always)]
+        unsafe fn load(v: &[f64]) -> Self {
+            debug_assert!(v.len() >= Self::V);
+            Self(_mm256_loadu_pd(v.as_ptr()))
         }
-        acc.propagate_carries();
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            Self(_mm256_add_pd(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            Self(_mm256_sub_pd(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn lanes(self) -> [f64; MAX_LANES] {
+            let mut out = [0.0; MAX_LANES];
+            _mm256_storeu_pd(out.as_mut_ptr(), self.0);
+            out
+        }
+        #[inline(always)]
+        unsafe fn carry(self, unit: f64) -> Option<(Self, Self)> {
+            let a = _mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0);
+            let far = _mm256_cmp_pd::<_CMP_GT_OQ>(a, _mm256_set1_pd(0.5 * unit));
+            if _mm256_movemask_pd(far) == 0 {
+                return None;
+            }
+            let unit = _mm256_set1_pd(unit);
+            let d = _mm256_round_pd::<NEAREST>(_mm256_div_pd(self.0, unit));
+            Some((Self(d), Self(_mm256_sub_pd(self.0, _mm256_mul_pd(d, unit)))))
+        }
+        #[inline(always)]
+        unsafe fn scan_start() -> Self::Scan {
+            let zero = _mm256_setzero_pd();
+            (zero, _mm256_set1_pd(f64::INFINITY), zero)
+        }
+        #[inline(always)]
+        unsafe fn scan((hi, lo, nan): Self::Scan, x: Self) -> Self::Scan {
+            let a = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x.0);
+            // Zero lanes turn all-ones, a NaN, which `minpd` passes over: it
+            // returns its second operand when either one is NaN.
+            let nz = _mm256_or_pd(a, _mm256_cmp_pd::<_CMP_EQ_OQ>(a, _mm256_setzero_pd()));
+            let x_nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(x.0, x.0);
+            (
+                _mm256_max_pd(hi, a),
+                _mm256_min_pd(nz, lo),
+                _mm256_or_pd(nan, x_nan),
+            )
+        }
+        #[inline(always)]
+        unsafe fn scan_end((hi, lo, nan): Self::Scan) -> (f64, f64) {
+            let lo = Self(lo).lanes()[..Self::V]
+                .iter()
+                .fold(f64::INFINITY, |a, &b| a.min(b));
+            if _mm256_movemask_pd(nan) != 0 {
+                return (f64::NAN, lo);
+            }
+            (Self(hi).lanes().into_iter().fold(0.0, f64::max), lo)
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    struct Avx2F32(__m256);
+
+    impl Reg for Avx2F32 {
+        type F = f32;
+        const V: usize = 8;
+        /// Per lane: max |x|, min non-zero |x|, NaN seen.
+        type Scan = (__m256, __m256, __m256);
+
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            Self(_mm256_set1_ps(x))
+        }
+        #[inline(always)]
+        unsafe fn load(v: &[f32]) -> Self {
+            debug_assert!(v.len() >= Self::V);
+            Self(_mm256_loadu_ps(v.as_ptr()))
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            Self(_mm256_add_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            Self(_mm256_sub_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn lanes(self) -> [f32; MAX_LANES] {
+            let mut out = [0.0; MAX_LANES];
+            _mm256_storeu_ps(out.as_mut_ptr(), self.0);
+            out
+        }
+        #[inline(always)]
+        unsafe fn carry(self, unit: f32) -> Option<(Self, Self)> {
+            let a = _mm256_andnot_ps(_mm256_set1_ps(-0.0), self.0);
+            let far = _mm256_cmp_ps::<_CMP_GT_OQ>(a, _mm256_set1_ps(0.5 * unit));
+            if _mm256_movemask_ps(far) == 0 {
+                return None;
+            }
+            let unit = _mm256_set1_ps(unit);
+            let d = _mm256_round_ps::<NEAREST>(_mm256_div_ps(self.0, unit));
+            Some((Self(d), Self(_mm256_sub_ps(self.0, _mm256_mul_ps(d, unit)))))
+        }
+        #[inline(always)]
+        unsafe fn scan_start() -> Self::Scan {
+            let zero = _mm256_setzero_ps();
+            (zero, _mm256_set1_ps(f32::INFINITY), zero)
+        }
+        #[inline(always)]
+        unsafe fn scan((hi, lo, nan): Self::Scan, x: Self) -> Self::Scan {
+            let a = _mm256_andnot_ps(_mm256_set1_ps(-0.0), x.0);
+            // As `Avx2F64::scan`.
+            let nz = _mm256_or_ps(a, _mm256_cmp_ps::<_CMP_EQ_OQ>(a, _mm256_setzero_ps()));
+            let x_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x.0, x.0);
+            (
+                _mm256_max_ps(hi, a),
+                _mm256_min_ps(nz, lo),
+                _mm256_or_ps(nan, x_nan),
+            )
+        }
+        #[inline(always)]
+        unsafe fn scan_end((hi, lo, nan): Self::Scan) -> (f32, f32) {
+            let lo = Self(lo).lanes().into_iter().fold(f32::INFINITY, f32::min);
+            if _mm256_movemask_ps(nan) != 0 {
+                return (f32::NAN, lo);
+            }
+            (Self(hi).lanes().into_iter().fold(0.0, f32::max), lo)
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    struct Avx512F64(__m512d);
+
+    impl Reg for Avx512F64 {
+        type F = f64;
+        const V: usize = 8;
+        /// Magnitude bits as `u64` lanes: their max (a NaN's exceed +∞'s,
+        /// which exceed every finite value's), and their min after
+        /// subtracting one (a zero wraps to the top and never wins).
+        type Scan = (__m512i, __m512i);
+
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            Self(_mm512_set1_pd(x))
+        }
+        #[inline(always)]
+        unsafe fn load(v: &[f64]) -> Self {
+            debug_assert!(v.len() >= Self::V);
+            Self(_mm512_loadu_pd(v.as_ptr()))
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            Self(_mm512_add_pd(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            Self(_mm512_sub_pd(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn lanes(self) -> [f64; MAX_LANES] {
+            let mut out = [0.0; MAX_LANES];
+            _mm512_storeu_pd(out.as_mut_ptr(), self.0);
+            out
+        }
+        #[inline(always)]
+        unsafe fn sum(self) -> f64 {
+            _mm512_reduce_add_pd(self.0)
+        }
+        #[inline(always)]
+        unsafe fn carry(self, unit: f64) -> Option<(Self, Self)> {
+            let half = _mm512_set1_pd(0.5 * unit);
+            if _mm512_cmp_pd_mask::<_CMP_GT_OQ>(_mm512_abs_pd(self.0), half) == 0 {
+                return None;
+            }
+            let unit = _mm512_set1_pd(unit);
+            let d = _mm512_roundscale_pd::<NEAREST>(_mm512_div_pd(self.0, unit));
+            Some((Self(d), Self(_mm512_sub_pd(self.0, _mm512_mul_pd(d, unit)))))
+        }
+        #[inline(always)]
+        unsafe fn scan_start() -> Self::Scan {
+            (_mm512_setzero_si512(), _mm512_set1_epi64(-1))
+        }
+        #[inline(always)]
+        unsafe fn scan((hi, lo): Self::Scan, x: Self) -> Self::Scan {
+            let a = _mm512_and_si512(_mm512_castpd_si512(x.0), _mm512_set1_epi64(i64::MAX));
+            let a_less_one = _mm512_sub_epi64(a, _mm512_set1_epi64(1));
+            (_mm512_max_epu64(hi, a), _mm512_min_epu64(lo, a_less_one))
+        }
+        #[inline(always)]
+        unsafe fn scan_end((hi, lo): Self::Scan) -> (f64, f64) {
+            let lo = match _mm512_reduce_min_epu64(lo) {
+                u64::MAX => f64::INFINITY,
+                bits => f64::from_bits(bits + 1),
+            };
+            (f64::from_bits(_mm512_reduce_max_epu64(hi)), lo)
+        }
     }
 }
 
@@ -637,5 +776,87 @@ mod tests {
         let mut acc = ReproSum::<f64, 2>::new();
         add_slice(&mut acc, &values);
         assert_eq!(acc.value().to_bits(), 0.0f64.to_bits());
+    }
+
+    /// A width's entry point, by name.
+    type Kernel<T, const L: usize> = (&'static str, fn(&mut ReproSum<T, L>, &[T]));
+
+    /// Every `f64` width this CPU can run.
+    fn widths_f64<const L: usize>() -> Vec<Kernel<f64, L>> {
+        let mut widths: Vec<Kernel<f64, L>> = vec![("portable", add_slice_portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if cpu::avx2_supported() {
+                // SAFETY: pushed only where AVX2 was detected.
+                widths.push(("avx2", |a, v| unsafe { x86::f64_avx2(a, v) }));
+            }
+            if cpu::avx512_supported() {
+                // SAFETY: pushed only where AVX-512F was detected.
+                widths.push(("avx512", |a, v| unsafe { x86::f64_avx512(a, v) }));
+            }
+        }
+        widths
+    }
+
+    /// Every `f32` width this CPU can run.
+    fn widths_f32<const L: usize>() -> Vec<Kernel<f32, L>> {
+        let mut widths: Vec<Kernel<f32, L>> = vec![("portable", add_slice_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if cpu::avx2_supported() {
+            // SAFETY: pushed only where AVX2 was detected.
+            widths.push(("avx2", |a, v| unsafe { x86::f32_avx2(a, v) }));
+        }
+        widths
+    }
+
+    /// Every length `0..=2·lanes+1` of the widest width, at two start
+    /// offsets into `pool`, through every width equals the scalar cascade
+    /// — the full groups, the zero-padded last group and nothing else.
+    fn check_tails<T: ReproFloat, const L: usize>(widths: &[Kernel<T, L>], pool: &[T]) {
+        for &(name, kernel) in widths {
+            for len in 0..=2 * MAX_LANES + 1 {
+                for start in [0, 3] {
+                    let values = &pool[start..start + len];
+                    let mut want = ReproSum::<T, L>::new();
+                    want.add_all(values);
+                    let mut got = ReproSum::<T, L>::new();
+                    kernel(&mut got, values);
+                    let ctx = format!("{name} L={L} len={len} start={start}");
+                    assert_eq!(got.canonical_state(), want.canonical_state(), "{ctx}");
+                    assert_eq!(got.value(), want.value(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tails_of_every_width_type_and_level_count() {
+        let pool = pseudo_values(2 * MAX_LANES + 4, 1e3);
+        let pool32: Vec<f32> = pool.iter().map(|&v| v as f32).collect();
+        check_tails(&widths_f64::<1>(), &pool);
+        check_tails(&widths_f64::<2>(), &pool);
+        check_tails(&widths_f64::<3>(), &pool);
+        check_tails(&widths_f64::<4>(), &pool);
+        check_tails(&widths_f32::<1>(), &pool32);
+        check_tails(&widths_f32::<2>(), &pool32);
+        check_tails(&widths_f32::<3>(), &pool32);
+        check_tails(&widths_f32::<4>(), &pool32);
+    }
+
+    #[test]
+    fn depth_counts_levels_to_the_lowest_reachable_bit() {
+        // 1.0's rung is e = 18 (f64); the smallest value decides.
+        let top = f64::bin_for(1.0).unwrap();
+        assert_eq!(f64::bin_exp(top), 18);
+        assert_eq!(depth(top, f64::INFINITY, 4), 0);
+        assert_eq!(depth(top, 1.0, 4), 2); // 18 - 0 = 18 ≤ 40
+        assert_eq!(depth(top, f64::exp2i(-22), 4), 2); // exactly one rung
+        assert_eq!(depth(top, f64::exp2i(-23), 4), 3); // one bit below it
+        assert_eq!(depth(top, 1e-300, 4), 4); // clamped to L
+        assert_eq!(depth(top, 1e-300, 2), 2);
+        // The bottom rung: every value, denormals included, is on its grid.
+        let bottom = f64::NUM_BINS - 1;
+        assert_eq!(depth(bottom, f64::from_bits(1), 4), 1);
+        assert_eq!(depth(f32::NUM_BINS - 1, f32::from_bits(1), 4), 1);
     }
 }

@@ -1,21 +1,24 @@
-//! Forced-dispatch bit-identity tests of the explicit AVX2 kernel.
+//! Forced-dispatch bit-identity tests of the block kernel's widths.
 //!
 //! The paper's contract: vectorization is a *pure performance choice* —
-//! the AVX2 kernel, the portable lane-array kernel and the scalar cascade
-//! must all produce bit-identical accumulator states. These tests force
-//! each dispatch level in turn (via [`rfa_core::cpu::set_override`],
-//! serialized by a local mutex since the override is process-global) and
-//! compare:
+//! the AVX-512 and AVX2 widths, the portable lane-array width and the
+//! scalar cascade must all produce bit-identical accumulator states. These
+//! tests force each dispatch level in turn (via
+//! [`rfa_core::cpu::set_override`], serialized by a local mutex since the
+//! override is process-global) and compare:
 //!
 //! * dispatched [`simd::add_slice`] vs. the scalar `add_all` cascade,
 //! * forced-scalar vs. forced-AVX2 / forced-AVX-512 `add_slice` directly
 //!   (each leg skipped on hardware without the feature),
-//! * promotion, special values and chunk-boundary cases.
+//! * promotion, special values and chunk-boundary cases,
+//! * chunks engineered to need exactly 1, 2, 3, 4 (and 5) cascade levels,
+//!   with a value whose lowest bit sits exactly on the deepest needed
+//!   level's grid or one bit below it.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_core::cpu::{self, SimdLevel};
-use rfa_core::{simd, ReproSum, SummationBuffer};
+use rfa_core::{simd, ReproFloat, ReproSum, SummationBuffer};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes tests that flip the process-global dispatch override.
@@ -37,8 +40,8 @@ fn with_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
 }
 
 /// The explicit kernel levels this CPU can force (beyond scalar). At the
-/// AVX-512 level `add_slice` runs its AVX2 flavour — forcing it still
-/// asserts the level plumbing changes nothing.
+/// AVX-512 level `add_slice` runs its own 8-lane width for `f64` and the
+/// AVX2 width for `f32`.
 fn forced_levels() -> Vec<SimdLevel> {
     let mut levels = Vec::new();
     if cpu::avx2_supported() {
@@ -232,4 +235,129 @@ fn portable_entry_point_matches_dispatch() {
     simd::add_slice(&mut dispatched, &values);
     assert_eq!(portable.value().to_bits(), dispatched.value().to_bits());
     assert_eq!(portable.canonical_state(), dispatched.canonical_state());
+}
+
+/// `(1 + 2^-m) · 2^e`: exponent `e` and a full significand, so its lowest
+/// set bit is `2^(e − m)` — the finest bit a value of exponent `e` can
+/// carry, which is what the level count must reach.
+fn full<T: ReproFloat>(e: i32) -> T {
+    T::exp2i(e) + T::exp2i(e - T::MANTISSA_BITS)
+}
+
+/// Deterministic magnitudes in `[0.5, 1)`, alternating in sign.
+fn unit_fill<T: ReproFloat>(n: usize, seed: u64) -> Vec<T> {
+    (0..n as u64)
+        .map(|i| {
+            let x = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+            let v = 0.5 + x as f64 / (1u64 << 54) as f64;
+            T::from_f64(if i % 2 == 0 { v } else { -v })
+        })
+        .collect()
+}
+
+/// Chunks whose cascade depth is known, `len` values each, by label.
+///
+/// All but two live under `1.0`'s rung `e_top` and contain its largest
+/// admissible magnitude, so `top` is that rung whatever else they hold;
+/// the filler alone needs 2 levels. A value of exponent `e_top − k·W`
+/// lies exactly on level `k`'s grid (needs `k + 1` levels), one of
+/// exponent `e_top − k·W − 1` one bit below it (needs `k + 2`). Each such
+/// value sits mid-slice and again as the last value (in the zero-padded
+/// tail group).
+fn depth_chunks<T: ReproFloat>(len: usize) -> Vec<(String, Vec<T>)> {
+    let top = T::bin_for(T::ONE).expect("1.0 is binnable");
+    let e_top = T::bin_exp(top);
+    let e_max = e_top - T::MANTISSA_BITS + T::W - 2;
+    assert_eq!(T::bin_for(T::exp2i(e_max)), Some(top), "fills the rung");
+    let fill: Vec<T> = unit_fill::<T>(len, 7)
+        .into_iter()
+        .map(|u| u * T::exp2i(e_max + 1))
+        .collect();
+    let with = |v: T| {
+        let mut chunk = fill.clone();
+        chunk[len / 2] = v;
+        chunk[len - 1] = -v;
+        chunk
+    };
+    let mut chunks = vec![("2 levels: filler only".to_string(), fill.clone())];
+    for k in 1..=3 {
+        let e = e_top - k * T::W;
+        chunks.push((
+            format!("{} levels: on level {k}'s grid", k + 1),
+            with(full(e)),
+        ));
+        chunks.push((
+            format!("{} levels: one bit below", k + 2),
+            with(full(e - 1)),
+        ));
+    }
+    chunks.push(("tiny among large".into(), with(full(e_top - 5 * T::W))));
+    // The bottom rung, whose grid is the denormal floor: one level.
+    let floor = T::bin_exp(T::NUM_BINS - 1) - T::MANTISSA_BITS;
+    let denormals = unit_fill::<T>(len, 9)
+        .into_iter()
+        .enumerate()
+        .map(|(i, u)| {
+            u * T::exp2i(floor + T::W - 3) + T::exp2i(floor) * T::from_f64((i % 2) as f64)
+        })
+        .collect();
+    chunks.push(("1 level: denormals at the bottom rung".into(), denormals));
+    let zeros = (0..len).map(|i| if i % 3 == 0 { -T::ZERO } else { T::ZERO });
+    chunks.push(("0 levels: all ±0.0".into(), zeros.collect()));
+    // Two rungs lower first, then the full rung: a promotion mid-slice.
+    let mut promoted: Vec<T> = fill[..len / 2]
+        .iter()
+        .map(|&v| v * T::exp2i(-2 * T::W))
+        .collect();
+    promoted.extend(with(full(e_top - 2 * T::W))[len / 2..].iter().copied());
+    chunks.push(("promotion mid-slice".into(), promoted));
+    chunks
+}
+
+/// `add_slice` under every forced level equals the scalar cascade, state
+/// and rounded value.
+fn assert_depths<T: ReproFloat, const L: usize>(lengths: &[usize]) {
+    let levels: Vec<SimdLevel> = std::iter::once(SimdLevel::Scalar)
+        .chain(forced_levels())
+        .collect();
+    for &len in lengths {
+        for (label, values) in depth_chunks::<T>(len) {
+            let mut cascade = ReproSum::<T, L>::new();
+            cascade.add_all(&values);
+            for &level in &levels {
+                let got = with_level(level, || {
+                    let mut acc = ReproSum::<T, L>::new();
+                    simd::add_slice(&mut acc, &values);
+                    acc
+                });
+                let ctx = format!("{label}, len {len}, {level}, L = {L}");
+                assert_eq!(got.canonical_state(), cascade.canonical_state(), "{ctx}");
+                assert_eq!(
+                    got.value().to_f64().to_bits(),
+                    cascade.value().to_f64().to_bits(),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+}
+
+/// The level count never drops a bit: chunks needing exactly 1…5 levels,
+/// boundary values on and one bit below a level's grid, zeros, denormals
+/// and a mid-slice promotion, at lengths `V·NB ± 1` of every width, under
+/// every forced level and `L ∈ 1..=4`.
+#[test]
+fn level_count_boundaries_match_the_cascade() {
+    // V·NB: 4·1024 (AVX2 f64), 8·1024 (AVX-512 f64), 4·1024 (portable
+    // f64); 8·16 for f32 at every width.
+    let f64_lengths = [2, 4095, 4096, 4097, 8191, 8192, 8193];
+    assert_depths::<f64, 1>(&f64_lengths);
+    assert_depths::<f64, 2>(&f64_lengths);
+    assert_depths::<f64, 3>(&f64_lengths);
+    assert_depths::<f64, 4>(&f64_lengths);
+    let f32_lengths = [2, 127, 128, 129, 255, 256, 257];
+    assert_depths::<f32, 1>(&f32_lengths);
+    assert_depths::<f32, 2>(&f32_lengths);
+    assert_depths::<f32, 3>(&f32_lengths);
+    assert_depths::<f32, 4>(&f32_lengths);
 }
