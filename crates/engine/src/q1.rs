@@ -706,6 +706,73 @@ mod tests {
         }
     }
 
+    /// The sort-first baseline's bits on a fixed input, per group:
+    /// `[sum_qty, sum_base_price, sum_disc_price, sum_charge, avg_disc]`.
+    #[test]
+    fn sorted_double_bits_are_pinned() {
+        let want: [(char, char, [u64; 5]); 4] = [
+            (
+                'A',
+                'F',
+                [
+                    0x4126_f6d4_0000_0000,
+                    0x41c6_69a7_679c_28fd,
+                    0x41c5_4ce1_fdef_fcc9,
+                    0x41c6_2669_c2a1_f050,
+                    0x3fa9_7241_ea61_21c5,
+                ],
+            ),
+            (
+                'N',
+                'F',
+                [
+                    0x40d3_5ac0_0000_0000,
+                    0x4172_fed6_b30a_3d72,
+                    0x4172_137d_ec60_aa64,
+                    0x4172_c87d_1d02_be8b,
+                    0x3fa8_9842_7ac5_d493,
+                ],
+            ),
+            (
+                'N',
+                'O',
+                [
+                    0x4136_e114_0000_0000,
+                    0x41d6_57f3_0a01_4792,
+                    0x41d5_3afe_b4b5_b083,
+                    0x41d6_1475_8cc9_aed3,
+                    0x3fa9_8b3c_f70e_0b5e,
+                ],
+            ),
+            (
+                'R',
+                'F',
+                [
+                    0x4126_e7c0_0000_0000,
+                    0x41c6_5e16_03c5_1e9f,
+                    0x41c5_41dd_4f5e_24cb,
+                    0x41c6_1bb5_d43a_cab5,
+                    0x3fa9_75d6_5aa1_0c58,
+                ],
+            ),
+        ];
+        let (rows, _) = run_q1(&table(), SumBackend::SortedDouble).unwrap();
+        let got: Vec<(char, char, [u64; 5])> = rows
+            .iter()
+            .map(|r| {
+                let sums = [
+                    r.sum_qty,
+                    r.sum_base_price,
+                    r.sum_disc_price,
+                    r.sum_charge,
+                    r.avg_disc,
+                ];
+                (r.returnflag, r.linestatus, sums.map(f64::to_bits))
+            })
+            .collect();
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn averages_are_consistent() {
         let (rows, _) = run_q1(&table(), SumBackend::ReproUnbuffered).unwrap();

@@ -297,6 +297,14 @@ mod tests {
         }
     }
 
+    /// The sort-first baseline's bits on a fixed input: the revenue terms
+    /// ascending by bit pattern, summed from `+0.0`.
+    #[test]
+    fn sorted_double_bits_are_pinned() {
+        let (revenue, _) = run_q6(&table(), SumBackend::SortedDouble).unwrap();
+        assert_eq!(revenue.to_bits(), 0x4135_6df1_8d0e_5600);
+    }
+
     #[test]
     fn repro_backend_is_reorder_invariant() {
         let t = table();
