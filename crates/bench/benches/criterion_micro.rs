@@ -127,13 +127,9 @@ fn bench_parallel(c: &mut Criterion) {
 
 /// Fused-scan primitives: per-batch overhead of the zero-copy pipeline in
 /// isolation — batched expression evaluation into reused scratch, the
-/// batched hash-table probe, and the end-to-end fused-vs-materializing
-/// query pair (read the fusion win straight off the thrpt column).
+/// batched hash-table probe, and the end-to-end Q1 / Q6 queries.
 fn bench_fused_scan(c: &mut Criterion) {
-    use rfa_engine::{
-        lineitem_table, run_q1, run_q1_materializing, run_q6, run_q6_materializing, EvalScratch,
-        Expr, Sel, SumBackend,
-    };
+    use rfa_engine::{lineitem_table, run_q1, run_q6, EvalScratch, Expr, Sel, SumBackend};
     use rfa_workloads::Lineitem;
 
     let lineitem = Lineitem::generate(N, 7);
@@ -144,14 +140,8 @@ fn bench_fused_scan(c: &mut Criterion) {
     g.bench_function("q1_fused", |b| {
         b.iter(|| black_box(run_q1(&lineitem, backend).unwrap()))
     });
-    g.bench_function("q1_materializing", |b| {
-        b.iter(|| black_box(run_q1_materializing(&lineitem, backend).unwrap()))
-    });
     g.bench_function("q6_fused", |b| {
         b.iter(|| black_box(run_q6(&lineitem, backend).unwrap()))
-    });
-    g.bench_function("q6_materializing", |b| {
-        b.iter(|| black_box(run_q6_materializing(&lineitem, backend).unwrap()))
     });
 
     // Compiled batch evaluation of the Q1 charge expression over reused

@@ -16,14 +16,14 @@ use rfa_bench::{
     f2, ns_per_elem,
     runner::{groupby_ns, groupby_ns_threads},
     time_min, time_min_set, write_bench_smoke, BenchConfig, BenchSmoke, HashGroupSmoke,
-    ResultTable, ScanSmoke, SimdSmoke, SqlSmoke,
+    ResultTable, SimdSmoke, SqlSmoke,
 };
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_core::{CacheModel, ReproSum};
 use rfa_engine::plan::QueryPlan;
 use rfa_engine::{
-    lineitem_table, q6_plan, q6_sql, run_q1, run_q1_materializing, run_q6, sql_query, Column,
-    ExecOptions, Expr, PlanCache, SqlColumn, SumBackend, Table,
+    lineitem_table, q6_plan, q6_sql, run_q6, sql_query, Column, ExecOptions, Expr, PlanCache,
+    SqlColumn, SumBackend, Table,
 };
 use rfa_workloads::{GroupedPairs, Lineitem, ValueDist};
 
@@ -111,40 +111,13 @@ fn main() {
     par_table.print();
     par_table.write_csv("fig9_parallel");
 
-    // --- scan panel: fused zero-copy pipeline vs materializing -----------
-    // TPC-H Q1 through the engine, serial, repro<d,4> buffered (the
-    // paper's headline backend): the fused pipeline must be no slower
-    // than the materializing one — it does the same arithmetic without
-    // the n-sized selection/gather/projection vectors.
+    // The TPC-H lineitem table and backend of the SQL and SIMD panels:
+    // serial repro<d,4> buffered, the paper's headline backend.
     let scan_rows = cfg.n;
     let lineitem = Lineitem::generate(scan_rows, 1);
     let backend = SumBackend::ReproBuffered {
         buffer_size: CacheModel::default().buffer_size(6, 8, 0),
     };
-    let fused_d = time_min(cfg.reps, || {
-        std::hint::black_box(run_q1(&lineitem, backend).expect("q1"));
-    });
-    let materializing_d = time_min(cfg.reps, || {
-        std::hint::black_box(run_q1_materializing(&lineitem, backend).expect("q1"));
-    });
-    let fused = ns_per_elem(fused_d, scan_rows);
-    let materializing = ns_per_elem(materializing_d, scan_rows);
-    let mut scan_table = ResultTable::new(
-        format!("Figure 9 (scan): TPC-H Q1 fused vs materializing, serial, n = {scan_rows}"),
-        &["pipeline", "ns/elem", "vs materializing"],
-    );
-    scan_table.row(vec![
-        "fused zero-copy".into(),
-        f2(fused),
-        format!("{:.2}x", fused / materializing),
-    ]);
-    scan_table.row(vec![
-        "materializing".into(),
-        f2(materializing),
-        "1.00x".into(),
-    ]);
-    scan_table.print();
-    scan_table.write_csv("fig9_scan");
 
     // --- hash-group panel: hash vs dense group-id assignment -------------
     // The identical plan-layer aggregation (one reproducible SUM over a
@@ -490,11 +463,6 @@ fn main() {
             pool_threads: pool,
             serial_ns_per_elem: serial,
             parallel_ns_per_elem: parallel,
-            scan: Some(ScanSmoke {
-                query: "tpch_q1 serial repro<d,4> buffered",
-                fused_ns_per_elem: fused,
-                materializing_ns_per_elem: materializing,
-            }),
             hash_group: Some(HashGroupSmoke {
                 query: "plan sum-by-key serial repro<d,4> buffered",
                 groups: domain,
@@ -522,8 +490,6 @@ fn main() {
         "  parallel shape: wall-clock speedup approaches the worker count once the\n  \
          input spans enough morsels; on a single-core host both columns coincide\n  \
          (the split tree is identical — only the scheduling differs).\n  \
-         scan shape: fused ns/elem at or below materializing — same arithmetic,\n  \
-         no n-sized intermediates (bit-identical output, proptest-enforced).\n  \
          hash-group shape: hash within a small constant of dense ids — the SIMD\n  \
          gather-compare probe resolves resident keys in bulk; the sparse ×1000 arm\n  \
          pays the multiplicative hash on top. All arms bit-identical (asserted,\n  \

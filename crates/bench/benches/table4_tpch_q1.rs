@@ -6,17 +6,16 @@
 //! 38.7 / 64.0 / 102.7 (the 2.7% headline); sorted double = 45.1 / 682.1
 //! / 727.2 (sorting is catastrophic).
 //!
-//! The engine's default pipeline is the fused zero-copy scan, so the
-//! first four columns measure it (materializing for the sorted baseline,
-//! which must sort its projected columns). The "buffered (matz)" column
-//! runs the same backend through the materializing reference pipeline —
-//! the allocation overhead the fusion removed — and the last column runs
+//! The engine's one pipeline is the fused zero-copy scan, so every column
+//! measures it — the sorted baseline too, whose SUM states keep each
+//! group's values and sort them when they finalize. The last column runs
 //! the fused pipeline morsel-parallel on the pool.
 //!
 //! Phase accounting: "Scan" is selection + group-id + projection,
-//! "Aggregations" the SUM-state deposits and merges, "Other" sorting and
-//! finalization. The paper's Table IV folds our Scan into its "Other";
-//! compare paper "other" against Scan + Other. Table-view setup is
+//! "Aggregations" the SUM-state deposits and merges, "Other"
+//! finalization (for the sorted baseline, its sorts). The paper's Table
+//! IV folds our Scan into its "Other"; compare paper "other" against
+//! Scan + Other. Table-view setup is
 //! zero-copy (Arc clones) and free — it no longer pollutes any phase.
 //! The two indented rows split Scan: "Group-id only" is the whole time of
 //! Q1's `COUNT(*)` twin (same filter, same grouping, no SUM input), i.e.
@@ -26,8 +25,7 @@
 use rfa_bench::{BenchConfig, ResultTable};
 use rfa_core::CacheModel;
 use rfa_engine::{
-    lineitem_table, q1_plan, run_q1, run_q1_materializing, run_q1_par, ExecOptions, PhaseTiming,
-    QueryPlan, SumBackend,
+    lineitem_table, q1_plan, run_q1, run_q1_par, ExecOptions, PhaseTiming, QueryPlan, SumBackend,
 };
 use rfa_workloads::Lineitem;
 
@@ -91,12 +89,6 @@ fn main() {
     let unbuf = measure(&t, SumBackend::ReproUnbuffered, cfg.reps);
     let buf = measure(&t, SumBackend::ReproBuffered { buffer_size: bsz }, cfg.reps);
     let sorted = measure(&t, SumBackend::SortedDouble, cfg.reps);
-    // The materializing reference pipeline on the buffered backend: what
-    // the fused scan saves shows up in its Scan row.
-    let buf_matz = measure_with(&t, cfg.reps, |t| {
-        run_q1_materializing(t, SumBackend::ReproBuffered { buffer_size: bsz })
-            .expect("Q1 must not overflow")
-    });
     // Morsel-driven parallel fused scan + aggregation on the work-stealing
     // pool (bit-identical to the serial fused column; phase times are
     // summed across workers, i.e. CPU time like the paper reports).
@@ -115,6 +107,7 @@ fn main() {
             &serial,
             cfg.reps,
         ),
+        measure_gid_only(&t, SumBackend::SortedDouble, &serial, cfg.reps),
     ];
 
     let base = double.total().as_secs_f64();
@@ -131,7 +124,6 @@ fn main() {
             "repro<d,4> unbuffered",
             "repro<d,4> buffered",
             "double (sorted)",
-            "buffered (matz)",
             &par_col,
         ],
     );
@@ -149,13 +141,11 @@ fn main() {
             pct(phase(&unbuf)),
             pct(phase(&buf)),
             pct(phase(&sorted)),
-            pct(phase(&buf_matz)),
             pct(phase(&buf_par)),
         ]);
         if name == "Scan" {
-            // The materializing pipelines and the CPU-time-summed parallel
-            // column have no comparable twin.
-            let fused = [&double, &unbuf, &buf];
+            // The CPU-time-summed parallel column has no comparable twin.
+            let fused = [&double, &unbuf, &buf, &sorted];
             let projection = fused
                 .iter()
                 .zip(gid_only)
@@ -166,7 +156,7 @@ fn main() {
             ] {
                 let mut row = vec![name.to_string()];
                 row.extend(split.into_iter().map(pct));
-                row.extend(["-", "-", "-"].map(String::from));
+                row.push("-".into());
                 table.row(row);
             }
         }
@@ -178,9 +168,9 @@ fn main() {
          buffered 38.7/64.0/102.7; sorted 45.1/682.1/727.2. Our Scan row is part of\n  \
          the paper's 'other'; compare paper other vs Scan + Other.\n  \
          shape to check: buffered overhead within a few %, unbuffered tens of %,\n  \
-         sorted several-fold slower end to end; 'buffered (matz)' pays extra Scan\n  \
-         for its n-sized gather/projection vectors. The parallel column is CPU time\n  \
-         summed over the {pool}-worker pool — wall clock drops by ~the worker count\n  \
-         on real multicore hardware, bit-identical output either way."
+         sorted several-fold slower end to end (its sorts land in Other).\n  \
+         The parallel column is CPU time summed over the {pool}-worker pool — wall\n  \
+         clock drops by ~the worker count on real multicore hardware, bit-identical\n  \
+         output either way."
     );
 }

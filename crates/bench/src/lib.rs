@@ -231,16 +231,6 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
-/// The scan-pipeline entry of the smoke artifact: fused vs materializing
-/// serial ns/elem for one representative engine query.
-#[derive(Clone, Copy, Debug)]
-pub struct ScanSmoke {
-    /// Which query was measured (e.g. "tpch_q1 repro<d,4> buffered").
-    pub query: &'static str,
-    pub fused_ns_per_elem: f64,
-    pub materializing_ns_per_elem: f64,
-}
-
 /// The hash-grouping entry of the smoke artifact: the same fused
 /// plan-layer aggregation grouped through the hash arm
 /// (`AggHashTable::upsert_batch` group-id assignment) vs dense dictionary
@@ -297,8 +287,8 @@ pub struct SimdSmoke {
 }
 
 /// Everything one `bench_smoke.json` records: serial vs pool wall-clock
-/// ns/elem for a representative configuration, plus the optional scan,
-/// hash-group and SQL-frontend comparisons.
+/// ns/elem for a representative configuration, plus the optional
+/// hash-group, SQL-frontend and SIMD comparisons.
 #[derive(Clone, Debug)]
 pub struct BenchSmoke<'a> {
     pub bench: &'a str,
@@ -307,7 +297,6 @@ pub struct BenchSmoke<'a> {
     pub pool_threads: usize,
     pub serial_ns_per_elem: f64,
     pub parallel_ns_per_elem: f64,
-    pub scan: Option<ScanSmoke>,
     pub hash_group: Option<HashGroupSmoke>,
     pub sql: Option<SqlSmoke>,
     pub simd: Option<SimdSmoke>,
@@ -393,11 +382,10 @@ pub fn merge_smoke_object(key: &str, body: &str) {
 }
 
 /// Writes the `fig9` object of the smoke artifact. The acceptance shape:
-/// `speedup` ≥ ~1 on multicore hosts,
-/// `scan.fused_ns_per_elem` ≤ `scan.materializing_ns_per_elem` at laptop
-/// scale, `hash_group.hash_over_dense` a small constant (the probe
-/// cost), and `sql.sql_over_builder` ≈ 1 (parse/lower overhead is a
-/// per-query constant, invisible at any realistic scan size).
+/// `speedup` ≥ ~1 on multicore hosts, `hash_group.hash_over_dense` a
+/// small constant (the probe cost), and `sql.sql_over_builder` ≈ 1
+/// (parse/lower overhead is a per-query constant, invisible at any
+/// realistic scan size).
 pub fn write_bench_smoke(smoke: &BenchSmoke) {
     let BenchSmoke {
         bench,
@@ -406,7 +394,6 @@ pub fn write_bench_smoke(smoke: &BenchSmoke) {
         pool_threads,
         serial_ns_per_elem,
         parallel_ns_per_elem,
-        scan,
         hash_group,
         sql,
         simd,
@@ -415,23 +402,6 @@ pub fn write_bench_smoke(smoke: &BenchSmoke) {
         serial_ns_per_elem / parallel_ns_per_elem
     } else {
         0.0
-    };
-    let scan_json = match scan {
-        None => String::new(),
-        Some(s) => {
-            let ratio = if s.materializing_ns_per_elem > 0.0 {
-                s.fused_ns_per_elem / s.materializing_ns_per_elem
-            } else {
-                0.0
-            };
-            format!(
-                ",\n    \"scan\": {{\n      \"query\": \"{}\",\n      \
-                 \"fused_ns_per_elem\": {:.3},\n      \
-                 \"materializing_ns_per_elem\": {:.3},\n      \
-                 \"fused_over_materializing\": {ratio:.3}\n    }}",
-                s.query, s.fused_ns_per_elem, s.materializing_ns_per_elem
-            )
-        }
     };
     let hash_json = match hash_group {
         None => String::new(),
@@ -520,7 +490,7 @@ pub fn write_bench_smoke(smoke: &BenchSmoke) {
              \"pool_threads\": {pool_threads},\n    \
              \"serial_ns_per_elem\": {serial_ns_per_elem:.3},\n    \
              \"parallel_ns_per_elem\": {parallel_ns_per_elem:.3},\n    \"speedup\": {speedup:.3}\
-             {scan_json}{hash_json}{sql_json}{simd_json}\n  }}"
+             {hash_json}{sql_json}{simd_json}\n  }}"
         ),
     );
 }

@@ -1,18 +1,16 @@
 //! The fused zero-copy scan pipeline: batch-at-a-time
 //! filter → project → aggregate with no n-sized intermediates.
 //!
-//! The materializing pipeline (kept as `run_q1_materializing` /
-//! `run_q6_materializing` for reference and differential testing) walks
-//! the table three times before the §III kernel ever runs: it builds an
-//! n-sized selection vector, gathers every projected column into fresh
-//! vectors, and only then aggregates. This module instead walks the table
-//! once in fixed cache-resident batches ([`FUSED_BATCH_ROWS`] rows): each
-//! batch is filtered into a small reused selection vector, projected
-//! through *one* compiled program for all of the query's aggregate inputs
-//! into reused scratch registers ([`crate::expr`]: a shared column or
-//! subexpression is evaluated once per batch), and deposited straight
-//! into the per-group [`GroupedStates`] — the MonetDB/X100 vectorized
-//! execution model.
+//! A materializing pipeline walks the table three times before the §III
+//! kernel ever runs: it builds an n-sized selection vector, gathers every
+//! projected column into fresh vectors, and only then aggregates. This
+//! module instead walks the table once in fixed cache-resident batches
+//! ([`FUSED_BATCH_ROWS`] rows): each batch is filtered into a small
+//! reused selection vector, projected through *one* compiled program for
+//! all of the query's aggregate inputs into reused scratch registers
+//! ([`crate::expr`]: a shared column or subexpression is evaluated once
+//! per batch), and deposited straight into the per-group
+//! [`GroupedStates`] — the MonetDB/X100 vectorized execution model.
 //! Peak intermediate footprint is O(batch + groups), independent of n.
 //!
 //! This is the *physical* executor the plan layer ([`crate::plan`])
@@ -87,9 +85,9 @@
 //! identical operations in the identical row order — batching only changes
 //! *when* rows are processed, never *what* is computed or in which order
 //! per accumulator slot. Every SUM slot therefore receives the
-//! same value sequence as in the materializing pipeline, so every backend
+//! same value sequence as a per-row walk of the table, so every backend
 //! — including order-sensitive plain doubles — finalizes to the same bits
-//! as serial materializing execution. The single-group fast path may swap
+//! as serial per-row execution. The single-group fast path may swap
 //! per-row deposits for the vectorized block kernel (`simd::add_slice`),
 //! which §III-D proves bit-transparent.
 //!
@@ -144,9 +142,10 @@
 //! ([`crate::GroupedSums::update_scaled`] →
 //! [`rfa_core::ReproSum::add_scaled`]) folds into the reproducible
 //! accumulators bit-identically to `k` per-row additions (DESIGN.md
-//! §26). Plain doubles are order-sensitive with no algebraic shortcut —
-//! their SUMs keep the per-row path ([`SumBackend::merges_exactly`] gates
-//! the fast path), while MIN / MAX comparison folds, being idempotent and
+//! §26); the sorted baseline appends `k` copies. Plain doubles are
+//! order-sensitive with no algebraic shortcut — their SUMs keep the
+//! per-row path ([`SumBackend::merges_exactly`] gates the fast path),
+//! while MIN / MAX comparison folds, being idempotent and
 //! order-insensitive, run once per run on every backend. Dictionary
 //! inputs are evaluated and deposited like any other expression: a code
 //! lookup per row costs less than any per-code bookkeeping saved.
@@ -155,18 +154,17 @@
 //! work-stealing pool: each morsel ([`ExecOptions::morsel_rows`] rows)
 //! processes its batches into private states, merged along the
 //! deterministic split tree. Exact state merging makes the repro backends
+//! and the sorted baseline (whose state is each group's value multiset)
 //! bit-identical to serial execution at any thread count; MIN/MAX merge by
 //! comparison folds whose ties resolve to the earlier range, and the hash
 //! arm's first-seen key order is schedule-independent because the split
 //! tree always merges the earlier range into the left operand. Plain
 //! doubles cannot merge exactly — the *only* way to parallelize them
-//! without changing the answer would be to materialize or sort — so the
-//! fused executor deliberately runs [`SumBackend::Double`] serially at any
-//! requested thread count: the engine's answers are then independent of
-//! `threads` for every backend, which the proptests assert.
-//! [`SumBackend::SortedDouble`] is inherently materializing (it sorts the
-//! projected values): the TPC-H wrappers route it to the materializing
-//! pipeline, and this executor refuses it ([`FusedError::Unsupported`]).
+//! without changing the answer would be to sort, which is
+//! [`SumBackend::SortedDouble`] — so the fused executor deliberately runs
+//! [`SumBackend::Double`] serially at any requested thread count: the
+//! engine's answers are then independent of `threads` for every backend,
+//! which the proptests assert.
 
 // A query is outside input: nothing here may panic on one. What survives
 // is an `expect` stating an internal invariant, allowed where it stands.
@@ -209,7 +207,7 @@ pub enum GroupKey {
     HashPair { a: ColRef, b: ColRef },
 }
 
-/// Errors of the fused executor. The first three are raised when the
+/// Errors of the fused executor. The first two are raised when the
 /// query is bound, before any row is read — they depend on the query, the
 /// table's schema and the backend; the rest depend on the *data* or the
 /// clock, and are raised by the scan.
@@ -220,13 +218,11 @@ pub enum FusedError {
     /// group key that is not `I32` / `U32` / `U8`, a pair leg that is not
     /// `U8` — whatever the column's encoding.
     Table(TableError),
-    /// The backend cannot run here: [`SumBackend::SortedDouble`] must
-    /// materialize the values it sorts.
-    Unsupported(&'static str),
     /// An `RSUM` backend asked for a precision outside `1..=4` levels
     /// ([`SumBackend::check_levels`]).
     RsumLevels { levels: u8 },
-    /// The Double backend detected overflow (MonetDB aborts the query).
+    /// A Double or SortedDouble sum went non-finite (MonetDB aborts the
+    /// query).
     Overflow(OverflowError),
     /// A [`GroupKey::Hash`] scan encountered the reserved key value
     /// `u32::MAX` (`-1` on an `I32` column) in the named column.
@@ -248,7 +244,6 @@ impl std::fmt::Display for FusedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FusedError::Table(e) => write!(f, "{e}"),
-            FusedError::Unsupported(what) => write!(f, "unsupported query: {what}"),
             FusedError::RsumLevels { levels } => {
                 write!(f, "RSUM levels must be in 1..=4, got {levels}")
             }
@@ -460,8 +455,8 @@ enum AggInput<'q> {
 /// and hands the bound query to `then`. Binding *is* the validation: every
 /// way the query can fail to fit the table or the backend surfaces here,
 /// typed, in this order — filter columns (conjunct order), group-key
-/// columns, aggregate input columns, [`SumBackend::SortedDouble`], `RSUM`
-/// levels — and what reaches `then` can fail only on the data. (`then`,
+/// columns, aggregate input columns, `RSUM` levels — and what reaches
+/// `then` can fail only on the data. (`then`,
 /// not a return value: the bound forms borrow the compiled programs,
 /// which live in this frame.)
 fn bind_query<R>(
@@ -506,11 +501,6 @@ fn bind_query<R>(
         states: (query.sums.len(), query.mins.len(), query.maxs.len()),
         backend,
     };
-    if backend == SumBackend::SortedDouble {
-        return Err(FusedError::Unsupported(
-            "SortedDouble requires the materializing pipeline",
-        ));
-    }
     backend
         .check_levels()
         .map_err(|levels| FusedError::RsumLevels { levels })?;
@@ -529,10 +519,10 @@ pub(crate) fn check_query(table: &Table, query: &FusedQuery) -> Result<(), Fused
 /// validation there is, every failure a typed error) and scans.
 ///
 /// Never panics on its arguments. A query that does not fit the table or
-/// the backend is [`FusedError::Table`] / [`FusedError::Unsupported`] /
-/// [`FusedError::RsumLevels`] before any row is read. The scan returns
-/// [`FusedError::Overflow`] exactly when the materializing pipeline would
-/// return [`OverflowError`], the data-dependent
+/// the backend is [`FusedError::Table`] / [`FusedError::RsumLevels`]
+/// before any row is read. The scan returns [`FusedError::Overflow`]
+/// exactly when a per-row [`crate::sum_grouped`] over the selected rows
+/// would return [`OverflowError`], the data-dependent
 /// [`FusedError::ReservedKey`], and the interruption errors. Options are
 /// [`ExecOptions::normalized`] first, so zero fields mean "minimum"
 /// rather than a hang.
@@ -607,7 +597,7 @@ fn scan(
     };
 
     let t0 = Instant::now();
-    let out = partial.states.finalize();
+    let out = partial.states.finalize()?;
     let mut timing = partial.timing;
     timing.other += t0.elapsed();
     Ok(FusedRun {
@@ -1743,7 +1733,7 @@ mod tests {
             .collect()
     }
 
-    /// Materializing reference: n-sized selection vector, Expr::eval,
+    /// Per-row reference: n-sized selection vector, Expr::eval,
     /// sum_grouped — the pipeline fusion must be bit-identical to. Pair
     /// groups are numbered in first-seen row order; returns their keys
     /// (`None` un-grouped), the SUMs and the counts.
@@ -1787,11 +1777,12 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_materializing_bitwise_across_batch_and_thread_shapes() {
+    fn fused_matches_a_per_row_reference_across_batch_and_thread_shapes() {
         let table = sample_table(10_000);
         let query = sample_query();
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 128 },
             SumBackend::Rsum { levels: 2 },
@@ -1854,6 +1845,7 @@ mod tests {
         let vals: Vec<f64> = sel.iter().map(|&i| x[i] * y[i]).collect();
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::RsumBuffered {
                 levels: 2,
@@ -2074,10 +2066,12 @@ mod tests {
             maxs: vec![],
             group_by: GroupKey::None,
         };
-        assert_eq!(
-            run_fused(&t, &q, SumBackend::Double, &ExecOptions::serial()).unwrap_err(),
-            FusedError::Overflow(OverflowError)
-        );
+        for backend in [SumBackend::Double, SumBackend::SortedDouble] {
+            assert_eq!(
+                run_fused(&t, &q, backend, &ExecOptions::serial()).unwrap_err(),
+                FusedError::Overflow(OverflowError)
+            );
+        }
     }
 
     #[test]
@@ -2553,6 +2547,7 @@ mod tests {
         for (q, query) in queries.iter().enumerate() {
             for backend in [
                 SumBackend::Double,
+                SumBackend::SortedDouble,
                 SumBackend::ReproUnbuffered,
                 SumBackend::ReproBuffered { buffer_size: 64 },
                 SumBackend::Rsum { levels: 2 },

@@ -37,10 +37,10 @@
 //! * [`q1`], [`q6`], [`q15`] — TPC-H Query 1, 6 and the Q15 revenue view
 //!   expressed as plans *and* as pinned SQL texts
 //!   ([`q1_sql`]/[`q6_sql`]/[`q15_sql`], proptested bit-identical to the
-//!   builder plans), with the materializing reference pipeline kept for
-//!   differential testing and the sorted-double baseline, reporting the
-//!   CPU-time split (scan / aggregation / other) that Table IV builds
-//!   on. Parallel execution is bit-identical to serial for every backend.
+//!   builder plans), reporting the CPU-time split (scan / aggregation /
+//!   other) that Table IV builds on. Every backend, the sorted-double
+//!   baseline included, runs every query through the one fused pipeline,
+//!   and parallel execution is bit-identical to serial for every backend.
 //!
 //! ```
 //! use rfa_engine::{run_q1, SumBackend};
@@ -91,19 +91,16 @@ pub use fused::{
 };
 pub use plan::{AggCall, AggColumn, PlanError, PlanResult, QueryPlan};
 pub use q1::{
-    lineitem_table, lineitem_table_encoded, q1_plan, q1_sql, run_q1, run_q1_materializing,
-    run_q1_materializing_par, run_q1_par, run_q1_with, PhaseTiming, Q1Row,
+    lineitem_table, lineitem_table_encoded, q1_plan, q1_sql, run_q1, run_q1_par, run_q1_with,
+    PhaseTiming, Q1Row,
 };
 pub use q15::{q15_plan, q15_sql, run_q15, run_q15_par, run_q15_with, RevenueRow};
-pub use q6::{
-    q6_plan, q6_sql, run_q6, run_q6_materializing, run_q6_materializing_par, run_q6_par,
-    run_q6_with,
-};
+pub use q6::{q6_plan, q6_sql, run_q6, run_q6_par, run_q6_with};
 pub use sql::{
     parse_select, resolve_select, sql_query, PlanCache, PlanCacheStats, SelectItem, SelectStmt,
     SqlColumn, SqlError, SqlQuery, SqlResult,
 };
 pub use sum_op::{
-    count_grouped, sum_grouped, sum_grouped_par, BatchPartition, GroupedOutput, GroupedStates,
-    GroupedSums, OverflowError, SumBackend, MIN_SEG, NEAR_DENSE, SCAN_MORSEL_ROWS,
+    count_grouped, sum_grouped, BatchPartition, GroupedOutput, GroupedStates, GroupedSums,
+    OverflowError, SumBackend, MIN_SEG, NEAR_DENSE, SCAN_MORSEL_ROWS,
 };

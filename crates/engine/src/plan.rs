@@ -112,9 +112,7 @@ pub enum PlanError {
     /// (`-1` on an `I32` column) — a data-dependent error the scan
     /// reports, since nothing short of reading the rows can rule it out.
     ReservedKey { col: String },
-    /// The plan cannot run on the fused executor as configured (e.g. the
-    /// SortedDouble backend, which requires materializing, or a plan with
-    /// no aggregates).
+    /// The plan cannot run as written: it has no aggregates.
     Unsupported(&'static str),
     /// An `RSUM` backend asked for a precision outside `1..=4` levels
     /// ([`SumBackend::check_levels`]).
@@ -174,7 +172,6 @@ impl From<FusedError> for PlanError {
     fn from(e: FusedError) -> Self {
         match e {
             FusedError::Table(t) => PlanError::Table(t),
-            FusedError::Unsupported(what) => PlanError::Unsupported(what),
             FusedError::RsumLevels { levels } => PlanError::RsumLevels { levels },
             FusedError::Overflow(o) => PlanError::Overflow(o),
             FusedError::ReservedKey { col } => PlanError::ReservedKey { col },
@@ -341,13 +338,11 @@ impl QueryPlan {
     ///
     /// Errors — never panics — when the plan targets a different table,
     /// has no aggregates, references a missing or mistyped column, or
-    /// requests [`SumBackend::SortedDouble`] (whose sort requires the
-    /// materializing pipeline; the TPC-H wrappers route it there) or an
-    /// `RSUM` precision outside `1..=4` levels — in that order.
-    /// Conditions only the rows can decide surface as errors from the
-    /// scan itself: a hash key column containing the reserved
-    /// `u32::MAX`/`-1_i32` value ([`PlanError::ReservedKey`]) and Double
-    /// overflow ([`PlanError::Overflow`]).
+    /// requests an `RSUM` precision outside `1..=4` levels — in that
+    /// order. Conditions only the rows can decide surface as errors from
+    /// the scan itself: a hash key column containing the reserved
+    /// `u32::MAX`/`-1_i32` value ([`PlanError::ReservedKey`]) and Double /
+    /// SortedDouble overflow ([`PlanError::Overflow`]).
     pub fn execute(
         &self,
         table: &Table,
@@ -928,12 +923,12 @@ mod tests {
                 .unwrap_err(),
             PlanError::Unsupported("plan has no aggregates")
         );
+        // Every backend runs a plan that binds — the sorted baseline too.
         let plan = QueryPlan::scan("sensors").count();
-        assert_eq!(
-            plan.execute(&t, SumBackend::SortedDouble, &ExecOptions::serial())
-                .unwrap_err(),
-            PlanError::Unsupported("SortedDouble requires the materializing pipeline")
-        );
+        let r = plan
+            .execute(&t, SumBackend::SortedDouble, &ExecOptions::serial())
+            .unwrap();
+        assert_eq!(r.columns[0].u64s(), &[t.rows() as u64]);
     }
 
     #[test]
@@ -979,7 +974,7 @@ mod tests {
     #[test]
     fn validation_runs_before_execution_errors() {
         // A broken plan on a SortedDouble backend reports the *table*
-        // error: validation happens before backend routing.
+        // error: the columns are bound before the backend is checked.
         let t = sensor_table();
         let plan = QueryPlan::scan("sensors").sum(Expr::col("nope"));
         assert!(matches!(
@@ -991,8 +986,8 @@ mod tests {
 
     #[test]
     fn hash_grouped_plan_is_thread_count_invariant() {
-        // 2^12 keys over 20k rows, all aggregate kinds, repro backends:
-        // {1, 2, 8} threads must agree bitwise.
+        // 2^12 keys over 20k rows, all aggregate kinds, exactly merging
+        // backends: {1, 2, 8} threads must agree bitwise.
         let n = 20_000;
         let mut t = Table::new("wide");
         t.add_column(
@@ -1026,6 +1021,7 @@ mod tests {
                 levels: 2,
                 buffer_size: 64,
             },
+            SumBackend::SortedDouble,
         ] {
             let serial = plan.execute(&t, backend, &ExecOptions::serial()).unwrap();
             assert_eq!(serial.keys.len(), 4096);

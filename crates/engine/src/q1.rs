@@ -20,27 +20,19 @@
 //! engine from the shared reproducible SUM states and the exact COUNT
 //! (not by post-hoc division here), and each AVG shares its SUM state
 //! with the matching SUM column, so the plan still runs exactly five SUM
-//! state arrays. The original materializing pipeline (selection vector →
-//! gather → expression vectors → grouped aggregation) is kept as
-//! [`run_q1_materializing`] / [`run_q1_materializing_par`] — it is the
-//! differential-testing reference, and the only pipeline that can serve
-//! [`SumBackend::SortedDouble`], whose deterministic total order requires
-//! materializing the projected columns before sorting them.
+//! state arrays — on every backend, [`SumBackend::SortedDouble`]
+//! included: each of its SUM states sorts its own column's values.
 //!
 //! CPU time is split into *scan* (selection + projection), *aggregation*
-//! and *other* (sorting, finalization). The paper's Table IV reports
+//! and *other* (finalization). The paper's Table IV reports
 //! "aggregation" vs "other", where its "other" is our scan + other; the
-//! table-view setup the materializing pipeline used to charge to "other"
-//! is now zero-copy and free.
+//! table view is zero-copy and free.
 
 use crate::column::Table;
 use crate::expr::Expr;
 use crate::fused::ExecOptions;
 use crate::plan::{PlanError, QueryPlan};
-use crate::sum_op::{
-    count_grouped, sum_grouped, sum_grouped_par, OverflowError, SumBackend, SCAN_MORSEL_ROWS,
-};
-use rayon::prelude::*;
+use crate::sum_op::{OverflowError, SumBackend};
 use rfa_workloads::tpch::{Lineitem, Q1_SHIPDATE_CUTOFF};
 use std::time::{Duration, Instant};
 
@@ -52,7 +44,8 @@ pub struct PhaseTiming {
     pub scan: Duration,
     /// Deposits into the SUM states and their merges.
     pub aggregation: Duration,
-    /// Everything else: sorting (SortedDouble), finalization.
+    /// Everything else: finalization — for [`SumBackend::SortedDouble`],
+    /// the sort of every group's values with it.
     pub other: Duration,
 }
 
@@ -76,9 +69,6 @@ pub struct Q1Row {
     pub avg_disc: f64,
     pub count: u64,
 }
-
-// 3 returnflags × 2 linestatuses: the materializing reference's dense ids.
-const GROUPS: usize = 6;
 
 /// Builds a zero-copy engine [`Table`] view of all lineitem columns the
 /// TPC-H queries touch: each column is an `Arc` clone of the workload's
@@ -140,9 +130,9 @@ pub fn lineitem_table_encoded(t: &Lineitem) -> Table {
 /// byte pair — the grouping [`q1_sql`] lowers to, so the two are one
 /// plan. Output rows ascend by the packed pair, which is TPC-H's
 /// `ORDER BY l_returnflag, l_linestatus` (`'A' < 'N' < 'R'`, `'F' < 'O'`)
-/// and the order of the materializing pipeline's dense ids
-/// ([`Lineitem::q1_group`]). Lowering shares SUM states between the SUM
-/// and AVG calls, so exactly five SUM state arrays run.
+/// and the order of the dense ids [`Lineitem::q1_group`]. Lowering shares
+/// SUM states between the SUM and AVG calls, so exactly five SUM state
+/// arrays run.
 pub fn q1_plan() -> QueryPlan {
     let disc_price =
         || Expr::col("l_extendedprice").mul(Expr::lit(1.0).sub(Expr::col("l_discount")));
@@ -177,40 +167,7 @@ pub fn q1_sql() -> String {
     )
 }
 
-/// Assembles Q1 output rows from per-group sums and counts.
-fn build_q1_rows(
-    sum_qty: &[f64],
-    sum_price: &[f64],
-    sum_disc_price: &[f64],
-    sum_charge: &[f64],
-    sum_disc: &[f64],
-    counts: &[u64],
-) -> Vec<Q1Row> {
-    let mut rows = Vec::new();
-    for g in 0..GROUPS {
-        if counts[g] == 0 {
-            continue; // (A, O) never occurs in TPC-H data
-        }
-        let c = counts[g] as f64;
-        let (rf, ls) = Lineitem::decode_group(g as u32);
-        rows.push(Q1Row {
-            returnflag: rf,
-            linestatus: ls,
-            sum_qty: sum_qty[g],
-            sum_base_price: sum_price[g],
-            sum_disc_price: sum_disc_price[g],
-            sum_charge: sum_charge[g],
-            avg_qty: sum_qty[g] / c,
-            avg_price: sum_price[g] / c,
-            avg_disc: sum_disc[g] / c,
-            count: counts[g],
-        });
-    }
-    rows
-}
-
-/// Executes Q1 serially through the fused pipeline (materializing for
-/// [`SumBackend::SortedDouble`]).
+/// Executes Q1 serially through the fused pipeline.
 pub fn run_q1(
     lineitem: &Lineitem,
     backend: SumBackend,
@@ -219,9 +176,9 @@ pub fn run_q1(
 }
 
 /// Executes Q1 morsel-parallel on the work-stealing pool. Bit-identical
-/// to [`run_q1`] for *every* backend: repro states merge exactly, the
-/// sorted baseline re-sorts into the serial total order, and plain
-/// doubles deliberately scan serially (see [`crate::fused`]).
+/// to [`run_q1`] for *every* backend: repro states and the sorted
+/// baseline's value lists merge exactly, and plain doubles deliberately
+/// scan serially (see [`crate::fused`]).
 pub fn run_q1_par(
     lineitem: &Lineitem,
     backend: SumBackend,
@@ -231,20 +188,13 @@ pub fn run_q1_par(
 
 /// Executes Q1 with explicit execution options (thread budget, batch and
 /// morsel sizing) by lowering [`q1_plan`] onto the fused executor. The
-/// result is bit-identical to [`run_q1_materializing`] for every backend
-/// and any options — asserted by the proptest suite.
+/// result is bit-identical for every backend and any options, and equal
+/// to a naive per-row reference — asserted by the proptest suite.
 pub fn run_q1_with(
     lineitem: &Lineitem,
     backend: SumBackend,
     opts: &ExecOptions,
 ) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    if backend == SumBackend::SortedDouble {
-        return if opts.threads > 1 {
-            run_q1_materializing_par(lineitem, backend)
-        } else {
-            run_q1_materializing(lineitem, backend)
-        };
-    }
     let table = lineitem_table(lineitem);
     let result = q1_plan()
         .execute(&table, backend, opts)
@@ -271,226 +221,6 @@ pub fn run_q1_with(
     }
     let mut timing = result.timing;
     timing.other += t0.elapsed();
-    Ok((rows, timing))
-}
-
-/// The original materializing pipeline: n-sized selection vector, gather
-/// and expression evaluation into full-length vectors, then grouped
-/// aggregation. Kept as the differential-testing reference and as the
-/// only pipeline able to sort for [`SumBackend::SortedDouble`].
-pub fn run_q1_materializing(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    let mut timing = PhaseTiming::default();
-    let t0 = Instant::now();
-
-    // --- scan: selection vector (l_shipdate <= cutoff) -------------------
-    let sel: Vec<u32> = lineitem
-        .shipdate
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d <= Q1_SHIPDATE_CUTOFF)
-        .map(|(i, _)| i as u32)
-        .collect();
-
-    // --- scan: gather + expression evaluation ----------------------------
-    let n = sel.len();
-    let mut group_ids = Vec::with_capacity(n);
-    let mut qty = Vec::with_capacity(n);
-    let mut price = Vec::with_capacity(n);
-    let mut disc = Vec::with_capacity(n);
-    let mut disc_price = Vec::with_capacity(n);
-    let mut charge = Vec::with_capacity(n);
-    for &i in &sel {
-        let i = i as usize;
-        let p = lineitem.extendedprice[i];
-        let d = lineitem.discount[i];
-        let t = lineitem.tax[i];
-        let dp = p * (1.0 - d);
-        group_ids.push(lineitem.q1_group(i));
-        qty.push(lineitem.quantity[i]);
-        price.push(p);
-        disc.push(d);
-        disc_price.push(dp);
-        charge.push(dp * (1.0 + t));
-    }
-    timing.scan += t0.elapsed();
-
-    // --- other (SortedDouble only): sort into a total deterministic order.
-    if backend == SumBackend::SortedDouble {
-        let t1 = Instant::now();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        // Total order: group, then the bit patterns of every aggregated
-        // column (ties are then bit-identical rows, so unstable sorting
-        // cannot introduce non-determinism).
-        order.sort_unstable_by_key(|&i| {
-            let i = i as usize;
-            (
-                group_ids[i],
-                qty[i].to_bits(),
-                price[i].to_bits(),
-                disc_price[i].to_bits(),
-                charge[i].to_bits(),
-                disc[i].to_bits(),
-            )
-        });
-        let apply = |v: &mut Vec<f64>| {
-            let out: Vec<f64> = order.iter().map(|&i| v[i as usize]).collect();
-            *v = out;
-        };
-        let gids: Vec<u32> = order.iter().map(|&i| group_ids[i as usize]).collect();
-        group_ids = gids;
-        apply(&mut qty);
-        apply(&mut price);
-        apply(&mut disc);
-        apply(&mut disc_price);
-        apply(&mut charge);
-        timing.other += t1.elapsed();
-    }
-
-    // --- aggregation: five grouped SUMs + COUNT --------------------------
-    let t1 = Instant::now();
-    let sum_qty = sum_grouped(backend, &group_ids, &qty, GROUPS)?;
-    let sum_price = sum_grouped(backend, &group_ids, &price, GROUPS)?;
-    let sum_disc_price = sum_grouped(backend, &group_ids, &disc_price, GROUPS)?;
-    let sum_charge = sum_grouped(backend, &group_ids, &charge, GROUPS)?;
-    let sum_disc = sum_grouped(backend, &group_ids, &disc, GROUPS)?;
-    let counts = count_grouped(&group_ids, GROUPS);
-    timing.aggregation += t1.elapsed();
-
-    // --- other: finalization (averages, output order) --------------------
-    let t2 = Instant::now();
-    let rows = build_q1_rows(
-        &sum_qty,
-        &sum_price,
-        &sum_disc_price,
-        &sum_charge,
-        &sum_disc,
-        &counts,
-    );
-    timing.other += t2.elapsed();
-    Ok((rows, timing))
-}
-
-/// One morsel's worth of selected-and-projected Q1 columns.
-#[derive(Default)]
-struct Q1ScanCols {
-    group_ids: Vec<u32>,
-    qty: Vec<f64>,
-    price: Vec<f64>,
-    disc: Vec<f64>,
-    disc_price: Vec<f64>,
-    charge: Vec<f64>,
-}
-
-impl Q1ScanCols {
-    fn append(&mut self, other: &mut Q1ScanCols) {
-        self.group_ids.append(&mut other.group_ids);
-        self.qty.append(&mut other.qty);
-        self.price.append(&mut other.price);
-        self.disc.append(&mut other.disc);
-        self.disc_price.append(&mut other.disc_price);
-        self.charge.append(&mut other.charge);
-    }
-}
-
-/// Morsel-parallel materializing pipeline: the scan materializes
-/// per-morsel column fragments concatenated in morsel order (the serial
-/// row order), then aggregates with [`sum_grouped_par`]. This is what
-/// [`SumBackend::SortedDouble`] runs under [`run_q1_par`] — its parallel
-/// merge sort lands in the same total order as the serial sort, keeping
-/// it bit-identical to [`run_q1_materializing`].
-pub fn run_q1_materializing_par(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    let mut timing = PhaseTiming::default();
-    let t0 = Instant::now();
-
-    // --- scan: morsel-parallel selection + gather + expression eval ------
-    let n = lineitem.len();
-    let mut cols = (0..n.div_ceil(SCAN_MORSEL_ROWS))
-        .into_par_iter()
-        .with_min_len(1)
-        .fold(Q1ScanCols::default, |mut acc, m| {
-            let lo = m * SCAN_MORSEL_ROWS;
-            let hi = (lo + SCAN_MORSEL_ROWS).min(n);
-            for i in lo..hi {
-                if lineitem.shipdate[i] > Q1_SHIPDATE_CUTOFF {
-                    continue;
-                }
-                let p = lineitem.extendedprice[i];
-                let d = lineitem.discount[i];
-                let t = lineitem.tax[i];
-                let dp = p * (1.0 - d);
-                acc.group_ids.push(lineitem.q1_group(i));
-                acc.qty.push(lineitem.quantity[i]);
-                acc.price.push(p);
-                acc.disc.push(d);
-                acc.disc_price.push(dp);
-                acc.charge.push(dp * (1.0 + t));
-            }
-            acc
-        })
-        .reduce(Q1ScanCols::default, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
-    timing.scan += t0.elapsed();
-
-    // --- other (SortedDouble only): parallel sort into the same total
-    // deterministic order the serial path uses.
-    if backend == SumBackend::SortedDouble {
-        let t1 = Instant::now();
-        let rows = cols.group_ids.len();
-        let mut order: Vec<u32> = (0..rows as u32).collect();
-        order.par_sort_unstable_by_key(|&i| {
-            let i = i as usize;
-            (
-                cols.group_ids[i],
-                cols.qty[i].to_bits(),
-                cols.price[i].to_bits(),
-                cols.disc_price[i].to_bits(),
-                cols.charge[i].to_bits(),
-                cols.disc[i].to_bits(),
-            )
-        });
-        let apply = |v: &mut Vec<f64>| {
-            let out: Vec<f64> = order.iter().map(|&i| v[i as usize]).collect();
-            *v = out;
-        };
-        cols.group_ids = order.iter().map(|&i| cols.group_ids[i as usize]).collect();
-        apply(&mut cols.qty);
-        apply(&mut cols.price);
-        apply(&mut cols.disc);
-        apply(&mut cols.disc_price);
-        apply(&mut cols.charge);
-        timing.other += t1.elapsed();
-    }
-
-    // --- aggregation: five morsel-parallel grouped SUMs + COUNT ----------
-    let t1 = Instant::now();
-    let g = &cols.group_ids;
-    let sum_qty = sum_grouped_par(backend, g, &cols.qty, GROUPS)?;
-    let sum_price = sum_grouped_par(backend, g, &cols.price, GROUPS)?;
-    let sum_disc_price = sum_grouped_par(backend, g, &cols.disc_price, GROUPS)?;
-    let sum_charge = sum_grouped_par(backend, g, &cols.charge, GROUPS)?;
-    let sum_disc = sum_grouped_par(backend, g, &cols.disc, GROUPS)?;
-    let counts = count_grouped(g, GROUPS);
-    timing.aggregation += t1.elapsed();
-
-    // --- other: finalization ---------------------------------------------
-    let t2 = Instant::now();
-    let rows = build_q1_rows(
-        &sum_qty,
-        &sum_price,
-        &sum_disc_price,
-        &sum_charge,
-        &sum_disc,
-        &counts,
-    );
-    timing.other += t2.elapsed();
     Ok((rows, timing))
 }
 
@@ -550,25 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_is_bit_identical_to_materializing_for_every_backend() {
-        let t = table();
-        for backend in [
-            SumBackend::Double,
-            SumBackend::ReproUnbuffered,
-            SumBackend::ReproBuffered { buffer_size: 512 },
-            SumBackend::Rsum { levels: 3 },
-            SumBackend::RsumBuffered {
-                levels: 2,
-                buffer_size: 256,
-            },
-        ] {
-            let (reference, _) = run_q1_materializing(&t, backend).unwrap();
-            let (fused, _) = run_q1(&t, backend).unwrap();
-            assert_rows_bit_identical(&reference, &fused, &format!("{backend:?}"));
-        }
-    }
-
-    #[test]
     fn repro_backend_survives_physical_reorder() {
         let t = table();
         let (u1, _) = run_q1(&t, SumBackend::ReproUnbuffered).unwrap();
@@ -595,16 +306,14 @@ mod tests {
         // The sorted baseline is also reproducible.
         let (s1, _) = run_q1(&t, SumBackend::SortedDouble).unwrap();
         let (s2, _) = run_q1(&reordered, SumBackend::SortedDouble).unwrap();
-        for (a, b) in s1.iter().zip(s2.iter()) {
-            assert_eq!(a.sum_charge.to_bits(), b.sum_charge.to_bits());
-        }
+        assert_rows_bit_identical(&s1, &s2, "SortedDouble");
     }
 
     #[test]
     fn parallel_scan_is_bit_identical_to_serial_for_every_backend() {
         // The fused executor keeps even plain doubles thread-count
-        // independent (they scan serially); repro backends merge exactly;
-        // SortedDouble re-sorts into the serial order.
+        // independent (they scan serially); every other backend merges
+        // exactly.
         let t = table();
         for backend in [
             SumBackend::Double,
@@ -688,6 +397,7 @@ mod tests {
             SumBackend::Double,
             SumBackend::ReproUnbuffered,
             SumBackend::Rsum { levels: 2 },
+            SumBackend::SortedDouble,
         ] {
             for threads in [1usize, 4] {
                 let opts = ExecOptions {
@@ -704,73 +414,6 @@ mod tests {
                 assert_bitwise(&want, &got, &format!("{backend:?} t{threads} rle"));
             }
         }
-    }
-
-    /// The sort-first baseline's bits on a fixed input, per group:
-    /// `[sum_qty, sum_base_price, sum_disc_price, sum_charge, avg_disc]`.
-    #[test]
-    fn sorted_double_bits_are_pinned() {
-        let want: [(char, char, [u64; 5]); 4] = [
-            (
-                'A',
-                'F',
-                [
-                    0x4126_f6d4_0000_0000,
-                    0x41c6_69a7_679c_28fd,
-                    0x41c5_4ce1_fdef_fcc9,
-                    0x41c6_2669_c2a1_f050,
-                    0x3fa9_7241_ea61_21c5,
-                ],
-            ),
-            (
-                'N',
-                'F',
-                [
-                    0x40d3_5ac0_0000_0000,
-                    0x4172_fed6_b30a_3d72,
-                    0x4172_137d_ec60_aa64,
-                    0x4172_c87d_1d02_be8b,
-                    0x3fa8_9842_7ac5_d493,
-                ],
-            ),
-            (
-                'N',
-                'O',
-                [
-                    0x4136_e114_0000_0000,
-                    0x41d6_57f3_0a01_4792,
-                    0x41d5_3afe_b4b5_b083,
-                    0x41d6_1475_8cc9_aed3,
-                    0x3fa9_8b3c_f70e_0b5e,
-                ],
-            ),
-            (
-                'R',
-                'F',
-                [
-                    0x4126_e7c0_0000_0000,
-                    0x41c6_5e16_03c5_1e9f,
-                    0x41c5_41dd_4f5e_24cb,
-                    0x41c6_1bb5_d43a_cab5,
-                    0x3fa9_75d6_5aa1_0c58,
-                ],
-            ),
-        ];
-        let (rows, _) = run_q1(&table(), SumBackend::SortedDouble).unwrap();
-        let got: Vec<(char, char, [u64; 5])> = rows
-            .iter()
-            .map(|r| {
-                let sums = [
-                    r.sum_qty,
-                    r.sum_base_price,
-                    r.sum_disc_price,
-                    r.sum_charge,
-                    r.avg_disc,
-                ];
-                (r.returnflag, r.linestatus, sums.map(f64::to_bits))
-            })
-            .collect();
-        assert_eq!(got, want);
     }
 
     #[test]

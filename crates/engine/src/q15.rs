@@ -82,9 +82,9 @@ pub fn run_q15(
 }
 
 /// Morsel-parallel Q15 on the work-stealing pool — bit-identical to
-/// [`run_q15`] for the repro backends (exact per-key state merges) and
-/// for plain doubles (which deliberately scan serially; see
-/// [`crate::fused`]).
+/// [`run_q15`] for the repro backends and the sorted baseline (exact
+/// per-key state merges) and for plain doubles (which deliberately scan
+/// serially; see [`crate::fused`]).
 pub fn run_q15_par(
     lineitem: &Lineitem,
     backend: SumBackend,
@@ -93,11 +93,6 @@ pub fn run_q15_par(
 }
 
 /// Executes Q15 with explicit execution options.
-///
-/// Unlike Q1/Q6 there is no materializing host for
-/// [`SumBackend::SortedDouble`] here, so that backend is rejected as
-/// [`PlanError::Unsupported`] (sorting per hash group would be a
-/// different operator, not a baseline of the paper's Table IV).
 pub fn run_q15_with(
     lineitem: &Lineitem,
     backend: SumBackend,
@@ -177,6 +172,7 @@ mod tests {
         let t = table();
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 64 },
             SumBackend::Rsum { levels: 2 },
@@ -212,6 +208,7 @@ mod tests {
                 levels: 4,
                 buffer_size: 64,
             },
+            SumBackend::SortedDouble,
         ] {
             let (serial, _) = run_q15(&t, backend).unwrap();
             for threads in [2usize, 8] {
@@ -245,7 +242,6 @@ mod tests {
     #[test]
     fn q15_is_physical_order_invariant_for_repro() {
         let t = table();
-        let (fwd, _) = run_q15(&t, SumBackend::ReproUnbuffered).unwrap();
         let rev = Lineitem::from_columns(
             t.quantity.iter().rev().copied().collect(),
             t.extendedprice.iter().rev().copied().collect(),
@@ -256,20 +252,20 @@ mod tests {
             t.linestatus.iter().rev().copied().collect(),
             t.suppkey.iter().rev().copied().collect(),
         );
-        let (bwd, _) = run_q15(&rev, SumBackend::ReproUnbuffered).unwrap();
-        assert_eq!(fwd.len(), bwd.len());
-        for (a, b) in fwd.iter().zip(&bwd) {
-            assert_eq!(a.suppkey, b.suppkey);
-            assert_eq!(a.count, b.count);
-            assert_eq!(a.total_revenue.to_bits(), b.total_revenue.to_bits());
+        // The sorted baseline is order-invariant by construction.
+        for backend in [SumBackend::ReproUnbuffered, SumBackend::SortedDouble] {
+            let (fwd, _) = run_q15(&t, backend).unwrap();
+            let (bwd, _) = run_q15(&rev, backend).unwrap();
+            assert_eq!(fwd.len(), bwd.len());
+            for (a, b) in fwd.iter().zip(&bwd) {
+                assert_eq!(a.suppkey, b.suppkey);
+                assert_eq!(a.count, b.count);
+                assert_eq!(
+                    a.total_revenue.to_bits(),
+                    b.total_revenue.to_bits(),
+                    "{backend:?}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn sorted_double_is_rejected() {
-        assert_eq!(
-            run_q15(&Lineitem::generate(100, 1), SumBackend::SortedDouble).unwrap_err(),
-            PlanError::Unsupported("SortedDouble requires the materializing pipeline")
-        );
     }
 }

@@ -19,19 +19,16 @@
 //! lowered onto the fused zero-copy scan ([`crate::fused`]). Each batch's
 //! revenue terms are evaluated into a reused scratch register and fed
 //! straight into the accumulator through the vectorized block kernel — no
-//! selection vector or term vector of length n ever exists.
-//! [`run_q6_materializing`] / [`run_q6_materializing_par`] keep the
-//! original three-pass pipeline as the differential-testing reference and
-//! as the [`SumBackend::SortedDouble`] host.
+//! selection vector or term vector of length n ever exists — except under
+//! [`SumBackend::SortedDouble`], whose state keeps the selected terms to
+//! sort them.
 
 use crate::expr::Expr;
 use crate::fused::ExecOptions;
 use crate::plan::{PlanError, QueryPlan};
 use crate::q1::{lineitem_table, PhaseTiming};
-use crate::sum_op::{sum_grouped, sum_grouped_par, OverflowError, SumBackend, SCAN_MORSEL_ROWS};
-use rayon::prelude::*;
+use crate::sum_op::{OverflowError, SumBackend};
 use rfa_workloads::tpch::Lineitem;
-use std::time::Instant;
 
 /// Q6 date window in days since 1992-01-01: [1994-01-01, 1995-01-01).
 pub const Q6_DATE_LO: i32 = 2 * 365;
@@ -65,8 +62,8 @@ pub fn q6_sql() -> String {
     )
 }
 
-/// Executes Q6 serially through the fused pipeline (materializing for
-/// [`SumBackend::SortedDouble`]); returns (revenue, timing split).
+/// Executes Q6 serially through the fused pipeline; returns (revenue,
+/// timing split).
 pub fn run_q6(
     lineitem: &Lineitem,
     backend: SumBackend,
@@ -84,20 +81,14 @@ pub fn run_q6_par(
     run_q6_with(lineitem, backend, &ExecOptions::parallel())
 }
 
-/// Executes Q6 with explicit execution options. Bit-identical to
-/// [`run_q6_materializing`] for every backend and any options.
+/// Executes Q6 with explicit execution options. Bit-identical for every
+/// backend and any options, and equal to a naive per-row reference —
+/// asserted by the proptest suite.
 pub fn run_q6_with(
     lineitem: &Lineitem,
     backend: SumBackend,
     opts: &ExecOptions,
 ) -> Result<(f64, PhaseTiming), OverflowError> {
-    if backend == SumBackend::SortedDouble {
-        return if opts.threads > 1 {
-            run_q6_materializing_par(lineitem, backend)
-        } else {
-            run_q6_materializing(lineitem, backend)
-        };
-    }
     let table = lineitem_table(lineitem);
     let result = q6_plan()
         .execute(&table, backend, opts)
@@ -106,112 +97,6 @@ pub fn run_q6_with(
             other => unreachable!("the engine-built Q6 plan is valid: {other}"),
         })?;
     Ok((result.columns[0].f64s()[0], result.timing))
-}
-
-/// The original materializing pipeline: n-sized selection vector, term
-/// vector, then one SUM. Kept as the differential-testing reference and
-/// the [`SumBackend::SortedDouble`] host.
-pub fn run_q6_materializing(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(f64, PhaseTiming), OverflowError> {
-    let mut timing = PhaseTiming::default();
-    let t0 = Instant::now();
-
-    // --- scan: selection --------------------------------------------------
-    let sel: Vec<u32> = (0..lineitem.len() as u32)
-        .filter(|&i| {
-            let i = i as usize;
-            let d = lineitem.shipdate[i];
-            (Q6_DATE_LO..Q6_DATE_HI).contains(&d)
-                && (0.05..=0.07).contains(&lineitem.discount[i])
-                && lineitem.quantity[i] < 24.0
-        })
-        .collect();
-
-    // --- scan: expression evaluation --------------------------------------
-    let table = lineitem_table(lineitem);
-    let revenue_terms = Expr::col("l_extendedprice")
-        .mul(Expr::col("l_discount"))
-        .eval(&table, &sel)
-        .expect("columns exist");
-    timing.scan += t0.elapsed();
-
-    // --- other (SortedDouble only): deterministic total order ------------
-    let terms = if backend == SumBackend::SortedDouble {
-        let t2 = Instant::now();
-        let mut order: Vec<u32> = (0..revenue_terms.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| revenue_terms[i as usize].to_bits());
-        let sorted: Vec<f64> = order.iter().map(|&i| revenue_terms[i as usize]).collect();
-        timing.other += t2.elapsed();
-        sorted
-    } else {
-        revenue_terms
-    };
-
-    // --- aggregation: one un-grouped SUM ----------------------------------
-    let t1 = Instant::now();
-    let ids = vec![0u32; terms.len()];
-    let revenue = sum_grouped(backend, &ids, &terms, 1)?[0];
-    timing.aggregation += t1.elapsed();
-    Ok((revenue, timing))
-}
-
-/// Morsel-parallel materializing Q6: selection and the revenue-term
-/// expression run fused over morsels (per-morsel term fragments
-/// concatenated in morsel order — the serial term sequence), then the
-/// single SUM runs through [`sum_grouped_par`]. This is what
-/// [`SumBackend::SortedDouble`] runs under [`run_q6_par`]; its parallel
-/// sort lands in the serial path's total order.
-pub fn run_q6_materializing_par(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(f64, PhaseTiming), OverflowError> {
-    let mut timing = PhaseTiming::default();
-    let t0 = Instant::now();
-
-    // --- scan: fused morsel-parallel selection + expression eval ---------
-    let n = lineitem.len();
-    let terms = (0..n.div_ceil(SCAN_MORSEL_ROWS))
-        .into_par_iter()
-        .with_min_len(1)
-        .fold(Vec::new, |mut acc: Vec<f64>, m| {
-            let lo = m * SCAN_MORSEL_ROWS;
-            let hi = (lo + SCAN_MORSEL_ROWS).min(n);
-            for i in lo..hi {
-                if (Q6_DATE_LO..Q6_DATE_HI).contains(&lineitem.shipdate[i])
-                    && (0.05..=0.07).contains(&lineitem.discount[i])
-                    && lineitem.quantity[i] < 24.0
-                {
-                    acc.push(lineitem.extendedprice[i] * lineitem.discount[i]);
-                }
-            }
-            acc
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        });
-    timing.scan += t0.elapsed();
-
-    // --- other (SortedDouble only): parallel sort into the serial path's
-    // total order.
-    let terms = if backend == SumBackend::SortedDouble {
-        let t2 = Instant::now();
-        let mut sorted = terms;
-        sorted.par_sort_unstable_by_key(|v| v.to_bits());
-        timing.other += t2.elapsed();
-        sorted
-    } else {
-        terms
-    };
-
-    // --- aggregation: one morsel-parallel SUM -----------------------------
-    let t1 = Instant::now();
-    let ids = vec![0u32; terms.len()];
-    let revenue = sum_grouped_par(backend, &ids, &terms, 1)?[0];
-    timing.aggregation += t1.elapsed();
-    Ok((revenue, timing))
 }
 
 #[cfg(test)]
@@ -258,25 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_is_bit_identical_to_materializing_for_every_backend() {
-        let t = table();
-        for backend in [
-            SumBackend::Double,
-            SumBackend::ReproUnbuffered,
-            SumBackend::ReproBuffered { buffer_size: 256 },
-            SumBackend::Rsum { levels: 2 },
-            SumBackend::RsumBuffered {
-                levels: 4,
-                buffer_size: 128,
-            },
-        ] {
-            let (reference, _) = run_q6_materializing(&t, backend).unwrap();
-            let (fused, _) = run_q6(&t, backend).unwrap();
-            assert_eq!(reference.to_bits(), fused.to_bits(), "{backend:?}");
-        }
-    }
-
-    #[test]
     fn parallel_scan_is_bit_identical_to_serial_for_every_backend() {
         let t = table();
         for backend in [
@@ -295,14 +161,6 @@ mod tests {
             let (parallel, _) = run_q6_par(&t, backend).unwrap();
             assert_eq!(serial.to_bits(), parallel.to_bits(), "{backend:?}");
         }
-    }
-
-    /// The sort-first baseline's bits on a fixed input: the revenue terms
-    /// ascending by bit pattern, summed from `+0.0`.
-    #[test]
-    fn sorted_double_bits_are_pinned() {
-        let (revenue, _) = run_q6(&table(), SumBackend::SortedDouble).unwrap();
-        assert_eq!(revenue.to_bits(), 0x4135_6df1_8d0e_5600);
     }
 
     #[test]

@@ -1622,16 +1622,17 @@ mod tests {
     }
 
     #[test]
-    fn sorted_double_is_a_typed_error_through_sql() {
+    fn sorted_double_answers_through_sql() {
         let t = sensor_table();
-        let q = sql_query("SELECT SUM(temp) FROM sensors", &t).unwrap();
-        assert_eq!(
-            q.execute(&t, SumBackend::SortedDouble, &ExecOptions::serial())
-                .unwrap_err(),
-            SqlError::Plan(PlanError::Unsupported(
-                "SortedDouble requires the materializing pipeline"
-            ))
-        );
+        let q = sql_query(
+            "SELECT station, SUM(temp) FROM sensors GROUP BY station",
+            &t,
+        )
+        .unwrap();
+        let r = q
+            .execute(&t, SumBackend::SortedDouble, &ExecOptions::parallel())
+            .unwrap();
+        assert_eq!(r.columns[1], SqlColumn::F64(vec![39.0, 69.0, 18.0]));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! The operator state is reified as [`GroupedSums`]: an incremental,
 //! mergeable per-group accumulator array that the fused scan pipeline
 //! (`crate::fused`) feeds batch-at-a-time, and that the one-shot
-//! [`sum_grouped`] / [`sum_grouped_par`] wrappers drive over materialized
-//! arrays. Both drivers perform the identical per-slot operation sequence,
-//! which is what makes fused and materializing execution bit-identical.
+//! [`sum_grouped`] wrapper drives over whole arrays. Both drivers perform
+//! the identical per-slot operation sequence, so they finalize to the
+//! same bits.
 //!
 //! Backends:
 //!
@@ -31,12 +31,14 @@
 //!   group's values go through the vectorized block kernel in one call.
 //!   The staging lives with the batch, not with the group — there are no
 //!   per-group summation buffers in the engine.
-//! * [`SumBackend::SortedDouble`] — assumes the caller sorted the input
-//!   into a total deterministic order; sums runs sequentially (the
-//!   "sort the input" baseline of Table IV).
+//! * [`SumBackend::SortedDouble`] — the "sort the input, then sum
+//!   doubles" baseline of Table IV. Each group keeps the values deposited
+//!   into it; finalization sorts them ascending by bit pattern and adds
+//!   them in that order from `+0.0`. The state is a function of the input
+//!   multiset, so — like the repro states, and unlike `Double` — it
+//!   merges exactly, in any schedule (Goodrich & Eldawy).
 
 use crate::fused::FUSED_BATCH_ROWS;
-use rayon::prelude::*;
 use rfa_core::{simd, ReproSum};
 
 /// Rows per morsel in the engine's parallel scans and aggregations.
@@ -55,7 +57,8 @@ pub enum SumBackend {
     /// the wire format and the benchmark construct it; any value gives
     /// the same bits at the same speed.
     ReproBuffered { buffer_size: usize },
-    /// Plain double over pre-sorted input (reproducible via ordering).
+    /// Plain double over each group's values sorted by bit pattern
+    /// (reproducible via ordering).
     SortedDouble,
     /// The paper's §V-D user-facing vision: `RSUM(⟨expression⟩, L)` — a
     /// reproducible sum with caller-chosen precision `L ∈ 1..=4`
@@ -68,11 +71,12 @@ pub enum SumBackend {
 
 impl SumBackend {
     /// Whether per-group states merge *exactly*, making any morsel/thread
-    /// schedule bit-identical to serial execution. Plain doubles (and the
-    /// sorted baseline, whose whole argument is one fixed sequential
-    /// order) do not merge exactly.
+    /// schedule — and a k·v deposit for k equal values — bit-identical to
+    /// serial per-row execution. Every state that is a function of its
+    /// input multiset does: the repro ladders and the sorted baseline's
+    /// value lists. Plain doubles alone do not.
     pub fn merges_exactly(self) -> bool {
-        !matches!(self, SumBackend::Double | SumBackend::SortedDouble)
+        self != SumBackend::Double
     }
 
     /// Whether grouped batches deposit through a [`BatchPartition`].
@@ -359,9 +363,8 @@ impl BatchPartition {
 ///
 /// For a given input split into batches in row order, the per-slot
 /// operation sequence is identical to a single [`sum_grouped`] pass, so
-/// batched (fused) and one-shot (materializing) execution finalize to the
-/// same bits for *every* backend. [`SumBackend::SortedDouble`] sums like
-/// `Double` — the sort that justifies it is the caller's job.
+/// batched (fused) and one-shot execution finalize to the same bits for
+/// *every* backend.
 pub struct GroupedSums {
     inner: Inner,
     /// [`GroupedSums::update`]'s own partition scratch — `Some` exactly
@@ -373,16 +376,28 @@ pub struct GroupedSums {
 
 enum Inner {
     Double(Vec<f64>),
+    /// [`SumBackend::SortedDouble`]: every group's deposited values, in
+    /// no particular order until [`sorted_sum`] sorts them.
+    Sorted(Vec<Vec<f64>>),
     Repro1(ReproStates<1>),
     Repro2(ReproStates<2>),
     Repro3(ReproStates<3>),
     Repro4(ReproStates<4>),
 }
 
+/// The sort-first baseline's sum of one group: its values ascending by
+/// bit pattern (ties are equal bits, so the order is total), added in that
+/// order from `+0.0`.
+fn sorted_sum(mut values: Vec<f64>) -> f64 {
+    values.sort_unstable_by_key(|v| v.to_bits());
+    values.into_iter().fold(0.0, |sum, v| sum + v)
+}
+
 impl Inner {
     fn groups(&self) -> usize {
         match self {
             Inner::Double(acc) => acc.len(),
+            Inner::Sorted(lists) => lists.len(),
             Inner::Repro1(s) => s.0.len(),
             Inner::Repro2(s) => s.0.len(),
             Inner::Repro3(s) => s.0.len(),
@@ -407,6 +422,11 @@ impl Inner {
                     }
                 }
             }
+            Inner::Sorted(lists) => {
+                for (&g, v) in group_ids.iter().zip(values) {
+                    lists[g as usize].push(v);
+                }
+            }
             Inner::Repro1(s) => s.update(group_ids, values),
             Inner::Repro2(s) => s.update(group_ids, values),
             Inner::Repro3(s) => s.update(group_ids, values),
@@ -426,6 +446,7 @@ impl Inner {
                     }
                 }
             }
+            Inner::Sorted(lists) => lists[group].extend_from_slice(values),
             Inner::Repro1(s) => s.update_run(group, values),
             Inner::Repro2(s) => s.update_run(group, values),
             Inner::Repro3(s) => s.update_run(group, values),
@@ -461,7 +482,8 @@ impl GroupedSums {
             "RSUM levels must be in 1..=4"
         );
         let inner = match backend {
-            SumBackend::Double | SumBackend::SortedDouble => Inner::Double(vec![0.0; groups]),
+            SumBackend::Double => Inner::Double(vec![0.0; groups]),
+            SumBackend::SortedDouble => Inner::Sorted(vec![Vec::new(); groups]),
             SumBackend::ReproUnbuffered | SumBackend::ReproBuffered { .. } => {
                 Inner::Repro4(ReproStates::new(groups))
             }
@@ -536,7 +558,7 @@ impl GroupedSums {
     /// backend the result is bit-identical to `k` per-row deposits
     /// ([`rfa_core::ReproSum::add_scaled`], DESIGN.md §26); this is the
     /// state-level primitive behind the fused executor's RLE-run
-    /// aggregate pushdown.
+    /// aggregate pushdown. The sorted baseline appends `k` copies.
     ///
     /// The `Double` backend has no algebraic shortcut — plain doubles are
     /// order-sensitive, `k·v ≠ v + … + v` in general — so it keeps the
@@ -555,6 +577,7 @@ impl GroupedSums {
                     }
                 }
             }
+            Inner::Sorted(lists) => lists[group].extend(std::iter::repeat_n(v, k as usize)),
             Inner::Repro1(s) => s.update_scaled(group, v, k),
             Inner::Repro2(s) => s.update_scaled(group, v, k),
             Inner::Repro3(s) => s.update_scaled(group, v, k),
@@ -573,6 +596,7 @@ impl GroupedSums {
     pub fn push_groups(&mut self, n: usize) {
         match &mut self.inner {
             Inner::Double(acc) => acc.resize(acc.len() + n, 0.0),
+            Inner::Sorted(lists) => lists.resize_with(lists.len() + n, Vec::new),
             Inner::Repro1(s) => s.push_groups(n),
             Inner::Repro2(s) => s.push_groups(n),
             Inner::Repro3(s) => s.push_groups(n),
@@ -582,9 +606,9 @@ impl GroupedSums {
 
     /// Merges one group slot of `other` into one slot of `self` — the
     /// keyed merge of hash-grouped partials, where the same group key may
-    /// live at different dense slots on different morsels. Exact for the
-    /// repro backends, a checked addition for doubles, exactly like
-    /// [`GroupedSums::merge`].
+    /// live at different dense slots on different morsels. Exact for every
+    /// backend that [merges exactly](SumBackend::merges_exactly), a
+    /// checked addition for doubles, exactly like [`GroupedSums::merge`].
     pub fn merge_slot(
         &mut self,
         dst: usize,
@@ -598,6 +622,7 @@ impl GroupedSums {
                     return Err(OverflowError);
                 }
             }
+            (Inner::Sorted(a), Inner::Sorted(b)) => a[dst].extend_from_slice(&b[src]),
             (Inner::Repro1(a), Inner::Repro1(b)) => a.0[dst].merge(&b.0[src]),
             (Inner::Repro2(a), Inner::Repro2(b)) => a.0[dst].merge(&b.0[src]),
             (Inner::Repro3(a), Inner::Repro3(b)) => a.0[dst].merge(&b.0[src]),
@@ -608,8 +633,9 @@ impl GroupedSums {
     }
 
     /// Merges another state array of the same backend and group count.
-    /// Exact (bit-transparent) for the repro backends; a plain checked
-    /// addition per group for doubles.
+    /// Exact (bit-transparent) for the repro backends; the sorted baseline
+    /// concatenates value lists; a plain checked addition per group for
+    /// doubles.
     pub fn merge(&mut self, other: GroupedSums) -> Result<(), OverflowError> {
         match (&mut self.inner, other.inner) {
             (Inner::Double(a), Inner::Double(b)) => {
@@ -618,6 +644,11 @@ impl GroupedSums {
                     if !x.is_finite() {
                         return Err(OverflowError);
                     }
+                }
+            }
+            (Inner::Sorted(a), Inner::Sorted(b)) => {
+                for (x, mut y) in a.iter_mut().zip(b) {
+                    x.append(&mut y);
                 }
             }
             (Inner::Repro1(a), Inner::Repro1(b)) => a.merge(&b),
@@ -633,11 +664,26 @@ impl GroupedSums {
     pub fn finalize(self) -> Vec<f64> {
         match self.inner {
             Inner::Double(acc) => acc,
+            Inner::Sorted(lists) => lists.into_iter().map(sorted_sum).collect(),
             Inner::Repro1(s) => s.finalize(),
             Inner::Repro2(s) => s.finalize(),
             Inner::Repro3(s) => s.finalize(),
             Inner::Repro4(s) => s.finalize(),
         }
+    }
+
+    /// [`GroupedSums::finalize`] with the sorted baseline's overflow
+    /// check, where the engine finalizes. One `is_finite` per sum raises
+    /// [`OverflowError`] exactly when a check after every addition would:
+    /// once an IEEE sum is ±∞ or NaN, adding anything keeps it non-finite.
+    /// (`Double` checked every addition as it went.)
+    fn finalize_checked(self) -> Result<Vec<f64>, OverflowError> {
+        let sorted = matches!(self.inner, Inner::Sorted(_));
+        let sums = self.finalize();
+        if sorted && !sums.iter().all(|s| s.is_finite()) {
+            return Err(OverflowError);
+        }
+        Ok(sums)
     }
 }
 
@@ -979,14 +1025,20 @@ impl GroupedStates {
         Ok(())
     }
 
-    /// Rounds every SUM state to a double and hands all arrays out.
-    pub fn finalize(self) -> GroupedOutput {
-        GroupedOutput {
+    /// Rounds every SUM state to a double and hands all arrays out — or
+    /// the sorted baseline's [`OverflowError`], raised here, where its
+    /// sums are first added up.
+    pub fn finalize(self) -> Result<GroupedOutput, OverflowError> {
+        Ok(GroupedOutput {
             counts: self.counts,
-            sums: self.sums.into_iter().map(GroupedSums::finalize).collect(),
+            sums: self
+                .sums
+                .into_iter()
+                .map(GroupedSums::finalize_checked)
+                .collect::<Result<_, _>>()?,
             mins: self.mins,
             maxs: self.maxs,
-        }
+        })
     }
 }
 
@@ -1023,56 +1075,7 @@ pub fn sum_grouped(
     assert_eq!(group_ids.len(), values.len());
     let mut state = GroupedSums::new(backend, groups);
     state.update(group_ids, values)?;
-    Ok(state.finalize())
-}
-
-/// Morsel-parallel variant of [`sum_grouped`]: each pool task aggregates a
-/// fixed-size morsel into private per-group states, which merge pairwise
-/// along the deterministic split tree of the parallel reduction.
-///
-/// Reproducibility: for the `repro` backends state merging is *exact*, so
-/// the result is bit-identical to [`sum_grouped`] (and to any thread
-/// count or morsel schedule) — the paper's core claim carried into the
-/// engine. For [`SumBackend::Double`] the merge order differs from the
-/// serial left-to-right sum, so results are deterministic for a given
-/// input length but generally not bit-identical to the serial path (plain
-/// doubles are order-sensitive; that is the point).
-/// [`SumBackend::SortedDouble`] delegates to the serial sum — its whole
-/// reproducibility argument is the fixed sequential order.
-pub fn sum_grouped_par(
-    backend: SumBackend,
-    group_ids: &[u32],
-    values: &[f64],
-    groups: usize,
-) -> Result<Vec<f64>, OverflowError> {
-    assert_eq!(group_ids.len(), values.len());
-    if backend == SumBackend::SortedDouble {
-        return sum_grouped(backend, group_ids, values, groups);
-    }
-    let n = group_ids.len();
-    let merged = (0..n.div_ceil(SCAN_MORSEL_ROWS))
-        .into_par_iter()
-        .with_min_len(1)
-        .map(|m| {
-            let lo = m * SCAN_MORSEL_ROWS;
-            let hi = (lo + SCAN_MORSEL_ROWS).min(n);
-            let mut state = GroupedSums::new(backend, groups);
-            state.update(&group_ids[lo..hi], &values[lo..hi])?;
-            Ok(Some(state))
-        })
-        .reduce(
-            || Ok(None),
-            |a: Result<Option<GroupedSums>, OverflowError>, b| match (a?, b?) {
-                (Some(mut x), Some(y)) => {
-                    x.merge(y)?;
-                    Ok(Some(x))
-                }
-                (x, y) => Ok(x.or(y)),
-            },
-        )?;
-    Ok(merged
-        .unwrap_or_else(|| GroupedSums::new(backend, groups))
-        .finalize())
+    state.finalize_checked()
 }
 
 /// Per-group COUNT (shared by all backends; integer, always reproducible).
@@ -1124,6 +1127,27 @@ mod tests {
         }
     }
 
+    /// `sum_grouped` over morsels of [`SCAN_MORSEL_ROWS`] rows, each into
+    /// a state of its own, merged in morsel order — what a parallel scan
+    /// does with its morsels.
+    fn sum_by_morsels(
+        backend: SumBackend,
+        ids: &[u32],
+        values: &[f64],
+        groups: usize,
+    ) -> Result<Vec<f64>, OverflowError> {
+        let mut merged = GroupedSums::new(backend, groups);
+        for (ids, values) in ids
+            .chunks(SCAN_MORSEL_ROWS)
+            .zip(values.chunks(SCAN_MORSEL_ROWS))
+        {
+            let mut morsel = GroupedSums::new(backend, groups);
+            morsel.update(ids, values)?;
+            merged.merge(morsel)?;
+        }
+        merged.finalize_checked()
+    }
+
     #[test]
     fn repro_backends_are_permutation_invariant() {
         let (ids, values) = workload();
@@ -1132,6 +1156,7 @@ mod tests {
         for backend in [
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 64 },
+            SumBackend::SortedDouble,
         ] {
             let a = sum_grouped(backend, &ids, &values, 4).unwrap();
             let b = sum_grouped(backend, &rids, &rvalues, 4).unwrap();
@@ -1167,9 +1192,10 @@ mod tests {
                 levels: 2,
                 buffer_size: 64,
             },
+            SumBackend::SortedDouble,
         ] {
             let serial = sum_grouped(backend, &ids, &values, 4).unwrap();
-            let parallel = sum_grouped_par(backend, &ids, &values, 4).unwrap();
+            let parallel = sum_by_morsels(backend, &ids, &values, 4).unwrap();
             for g in 0..4 {
                 assert_eq!(
                     serial[g].to_bits(),
@@ -1180,7 +1206,7 @@ mod tests {
         }
         // Plain doubles: numerically equal, bitwise not asserted.
         let serial = sum_grouped(SumBackend::Double, &ids, &values, 4).unwrap();
-        let parallel = sum_grouped_par(SumBackend::Double, &ids, &values, 4).unwrap();
+        let parallel = sum_by_morsels(SumBackend::Double, &ids, &values, 4).unwrap();
         for g in 0..4 {
             assert!((serial[g] - parallel[g]).abs() <= 1e-9 * serial[g].abs().max(1.0));
         }
@@ -1193,10 +1219,13 @@ mod tests {
         let mut values = vec![0.0f64; n];
         values[SCAN_MORSEL_ROWS] = f64::MAX;
         values[SCAN_MORSEL_ROWS + 1] = f64::MAX;
-        assert_eq!(
-            sum_grouped_par(SumBackend::Double, &ids, &values, 1),
-            Err(OverflowError)
-        );
+        for backend in [SumBackend::Double, SumBackend::SortedDouble] {
+            assert_eq!(
+                sum_by_morsels(backend, &ids, &values, 1),
+                Err(OverflowError),
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]
@@ -1321,6 +1350,7 @@ mod tests {
         let (ids, values) = workload();
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 96 },
             SumBackend::Rsum { levels: 2 },
@@ -1349,9 +1379,10 @@ mod tests {
 
     #[test]
     fn push_groups_and_merge_slot_match_dense_merge() {
-        // Repro backends only: their keyed merge is exact, so the split
-        // halves must finalize to the one-shot bits. (A Double merge adds
-        // subtotals — deterministic, but not the sequential bit pattern.)
+        // Exactly merging backends only: their keyed merge is exact, so the
+        // split halves must finalize to the one-shot bits. (A Double merge
+        // adds subtotals — deterministic, but not the sequential bit
+        // pattern.)
         let (ids, values) = workload();
         for backend in [
             SumBackend::ReproUnbuffered,
@@ -1361,6 +1392,7 @@ mod tests {
                 levels: 3,
                 buffer_size: 32,
             },
+            SumBackend::SortedDouble,
         ] {
             let reference = sum_grouped(backend, &ids, &values, 4).unwrap();
             // Split the input, aggregate the halves into states whose
@@ -1419,7 +1451,7 @@ mod tests {
         whole.update_sum(0, &ids, &values).unwrap();
         whole.update_min(0, &ids, &values);
         whole.update_max(0, &ids, &values);
-        let whole = whole.finalize();
+        let whole = whole.finalize().unwrap();
         // Batched halves merged like two morsels.
         let mid = ids.len() / 2 + 7;
         let mut left = GroupedStates::new(backend, 4, 1, 1, 1);
@@ -1433,7 +1465,7 @@ mod tests {
         right.update_min(0, &ids[mid..], &values[mid..]);
         right.update_max(0, &ids[mid..], &values[mid..]);
         left.merge(right).unwrap();
-        let merged = left.finalize();
+        let merged = left.finalize().unwrap();
         assert_eq!(whole.counts, merged.counts);
         for g in 0..4 {
             assert_eq!(whole.sums[0][g].to_bits(), merged.sums[0][g].to_bits());
@@ -1464,7 +1496,7 @@ mod tests {
         grouped.update_sum(0, &ids, &values).unwrap();
         grouped.update_min(0, &ids, &values);
         grouped.update_max(0, &ids, &values);
-        let grouped = grouped.finalize();
+        let grouped = grouped.finalize().unwrap();
         let mut single = GroupedStates::new(backend, 1, 1, 1, 1);
         for chunk in values.chunks(997) {
             single.add_count_single(chunk.len() as u64);
@@ -1472,7 +1504,7 @@ mod tests {
             single.update_min_single(0, chunk);
             single.update_max_single(0, chunk);
         }
-        let single = single.finalize();
+        let single = single.finalize().unwrap();
         assert_eq!(grouped.counts, single.counts);
         assert_eq!(grouped.sums[0][0].to_bits(), single.sums[0][0].to_bits());
         assert_eq!(grouped.mins[0][0].to_bits(), single.mins[0][0].to_bits());
@@ -1493,6 +1525,7 @@ mod tests {
         let svalues: Vec<f64> = order.iter().map(|&i| values[i]).collect();
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::ReproBuffered { buffer_size: 96 },
             SumBackend::Rsum { levels: 2 },
@@ -1506,7 +1539,7 @@ mod tests {
             per_row.update_sum(0, &sids, &svalues).unwrap();
             per_row.update_min(0, &sids, &svalues);
             per_row.update_max(0, &sids, &svalues);
-            let per_row = per_row.finalize();
+            let per_row = per_row.finalize().unwrap();
 
             let mut blocked = GroupedStates::new(backend, 4, 1, 1, 1);
             let mut i = 0;
@@ -1524,7 +1557,7 @@ mod tests {
                 blocked.update_max_run(0, g as usize, &svalues[i..j]);
                 i = j;
             }
-            let blocked = blocked.finalize();
+            let blocked = blocked.finalize().unwrap();
 
             assert_eq!(per_row.counts, blocked.counts, "{backend:?}");
             for g in 0..4 {
@@ -1581,8 +1614,8 @@ mod tests {
                 }
                 scaled.add_count_run(g as usize, k);
             }
-            let per_row = per_row.finalize();
-            let scaled = scaled.finalize();
+            let per_row = per_row.finalize().unwrap();
+            let scaled = scaled.finalize().unwrap();
             assert_eq!(per_row.counts, scaled.counts, "{backend:?}");
             for g in 0..4 {
                 assert_eq!(
@@ -1630,7 +1663,7 @@ mod tests {
         s.update_sum(1, &[2], &[1.5]).unwrap();
         s.update_min(0, &[0], &[4.0]);
         s.update_max(0, &[1], &[-4.0]);
-        let out = s.finalize();
+        let out = s.finalize().unwrap();
         assert_eq!(out.counts, vec![0, 0, 0]);
         assert_eq!(out.sums[1][2], 1.5);
         assert_eq!(out.mins[0][0], 4.0);
@@ -1648,6 +1681,7 @@ mod tests {
         let ids = vec![0u32; values.len()];
         for backend in [
             SumBackend::Double,
+            SumBackend::SortedDouble,
             SumBackend::ReproUnbuffered,
             SumBackend::Rsum { levels: 2 },
             SumBackend::ReproBuffered { buffer_size: 128 },

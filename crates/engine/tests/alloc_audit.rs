@@ -10,13 +10,11 @@
 //!    no per-query column clones;
 //! 2. a fused Q1 run over 1M rows allocates far less than one n-sized
 //!    vector (its footprint is batch-sized scratch + 6 group states);
-//! 3. the materializing reference pipeline allocates many n-sized
-//!    vectors on the same input — the gap fusion removes;
-//! 4. the buffered backend's footprint is O(batch + groups) like every
+//! 3. the buffered backend's footprint is O(batch + groups) like every
 //!    other's: its staging is one batch-sized partition per scan range,
 //!    not a buffer per group — SQL Q1 (the byte-pair grouping path) and a
 //!    2^14-group `SUM … GROUP BY` stay within a few MiB;
-//! 5. a byte-pair key builds no hash table: the only allocation of SQL Q1
+//! 4. a byte-pair key builds no hash table: the only allocation of SQL Q1
 //!    that reaches 256 KiB is the direct-mapped group-id table, one per
 //!    scan range (one per morsel at 2 threads — a count, so it is exact
 //!    under any schedule).
@@ -75,8 +73,8 @@ fn allocated_during(f: impl FnOnce()) -> usize {
 #[test]
 fn fused_pipeline_performs_no_n_sized_allocations() {
     use rfa_engine::{
-        lineitem_table, q1_sql, run_q1_materializing, run_q1_with, run_q6_with, sql_query, Column,
-        ExecOptions, SumBackend, Table,
+        lineitem_table, q1_sql, run_q1_with, run_q6_with, sql_query, Column, ExecOptions,
+        SumBackend, Table,
     };
     use rfa_workloads::{GroupedPairs, Lineitem, ValueDist};
 
@@ -109,8 +107,7 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
     // output register + expression scratch (few × 32 KiB), the batch
     // partition (permutation + gathered values, 48 KiB), 6 group states
     // × 5 aggregates (< 4 KiB), output rows. Allow 2 MiB of slack — still
-    // 4× under ONE n-sized vector, while the materializing pipeline
-    // allocates six-plus of them.
+    // 4× under ONE n-sized vector.
     assert!(
         fused_bytes < 2 * 1024 * 1024,
         "fused Q1 allocated {fused_bytes} bytes — expected O(batch + groups)"
@@ -118,21 +115,6 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
     assert!(
         fused_bytes < n_vector_bytes / 4,
         "fused Q1 allocated {fused_bytes} bytes — not clearly below an n-sized vector ({n_vector_bytes})"
-    );
-
-    // (3) The materializing reference on the same input: n-sized selection
-    // vector plus six gathered/projected columns (Q1 selects ~98% of rows).
-    run_q1_materializing(&t, backend).unwrap();
-    let materializing_bytes = allocated_during(|| {
-        run_q1_materializing(&t, backend).unwrap();
-    });
-    assert!(
-        materializing_bytes > 4 * n_vector_bytes,
-        "materializing Q1 allocated only {materializing_bytes} bytes — reference unexpectedly cheap"
-    );
-    assert!(
-        fused_bytes * 10 < materializing_bytes,
-        "fused ({fused_bytes}) should allocate orders of magnitude less than materializing ({materializing_bytes})"
     );
 
     // Q6 single-accumulator path: the budget is even tighter (one sink,
@@ -146,7 +128,7 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
         "fused Q6 allocated {q6_bytes} bytes — expected O(batch)"
     );
 
-    // (4a) Q1 from SQL text: `GROUP BY l_returnflag, l_linestatus` is a
+    // (3a) Q1 from SQL text: `GROUP BY l_returnflag, l_linestatus` is a
     // byte-pair key, whose states grow as groups are discovered — no
     // up-front reservation sized by the row count. Measured 0.66 MiB
     // (1.48 MiB while each scan range pre-sized a hash table for it).
@@ -161,7 +143,7 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
         "SQL Q1 allocated {sql_q1_bytes} bytes — expected O(batch + groups)"
     );
 
-    // (5) … and the direct-mapped gid table is its only large allocation:
+    // (4) … and the direct-mapped gid table is its only large allocation:
     // one per scan range, whether that is the table or a morsel.
     for threads in [1, 2] {
         let opts = ExecOptions {
@@ -187,7 +169,7 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
         );
     }
 
-    // (4b) High cardinality: 2^14 groups over 2^20 rows. Measured
+    // (3b) High cardinality: 2^14 groups over 2^20 rows. Measured
     // 5.7 MiB: 2^14 accumulators of 120 bytes are 1.9 MiB live, 3.3 MiB
     // of capacity after the last doubling; the pre-sized hash table is
     // 1 MiB; group keys, counts and the result's key / value columns

@@ -2,18 +2,19 @@
 //! (values, encoding) pairs, encode → decode must round-trip **exactly**
 //! (same storage bits), and Q1/Q6/Q15-shaped plans over Dict/Dict16/Rle
 //! columns must be bit-identical to the same plans over plain columns —
-//! across every fused backend, thread count, and batch/morsel shape.
+//! across every backend, thread count, and batch/morsel shape.
 //!
 //! Why bit-identity holds: dictionary pushdown evaluates the predicate
 //! once per dictionary *entry* over the same f64/i32 bits a plain scan
 //! would load per row; a dictionary aggregate input is looked up per row
 //! into the identical value sequence the plain column holds; and an RLE
 //! aggregate input is *algebraic* — a run deposits once as an exact k·v
-//! product split, proven bit-transparent to the per-row order for every
-//! backend whose merge is exact (`Double` keeps the per-row path and is
-//! covered here too). The dictionary-input test also holds every
-//! reproducible SUM to the exact oracle (`rfa-exact`) within the paper's
-//! bound — agreement between paths is not yet agreement with the truth.
+//! product split (`SortedDouble`: k copies), proven bit-transparent to
+//! the per-row order for every backend whose merge is exact (`Double`
+//! keeps the per-row path and is covered here too). The dictionary-input
+//! test also holds every reproducible SUM to the exact oracle
+//! (`rfa-exact`) within the paper's bound — agreement between paths is
+//! not yet agreement with the truth.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -33,10 +34,10 @@ fn force_pool() {
         .build_global();
 }
 
-/// Every backend the fused executor accepts (`SortedDouble` is routed to
-/// the materializing pipeline and never sees encoded scan paths).
-const FUSED_BACKENDS: [SumBackend; 5] = [
+/// All six SUM backends.
+const BACKENDS: [SumBackend; 6] = [
     SumBackend::Double,
+    SumBackend::SortedDouble,
     SumBackend::ReproUnbuffered,
     SumBackend::ReproBuffered { buffer_size: 64 },
     SumBackend::Rsum { levels: 2 },
@@ -202,7 +203,7 @@ fn encoded_twin(plain: &Table, choices: &[u8]) -> Table {
 fn check_plans_over(plain: &Table, encoded: &Table, ctx: &str) {
     for (plan, which) in [(q1_plan(), "q1"), (q6_plan(), "q6"), (q15_plan(), "q15")] {
         let plan: QueryPlan = plan;
-        for backend in FUSED_BACKENDS {
+        for backend in BACKENDS {
             for opts in shapes() {
                 let want = plan.execute(plain, backend, &opts).unwrap();
                 let got = plan.execute(encoded, backend, &opts).unwrap();
@@ -216,7 +217,8 @@ fn check_plans_over(plain: &Table, encoded: &Table, ctx: &str) {
     }
 }
 
-/// Levels of the reproducible state behind `backend` (`None`: `Double`).
+/// Levels of the reproducible state behind `backend` (`None`: `Double`
+/// and `SortedDouble`).
 fn levels(backend: SumBackend) -> Option<usize> {
     match backend {
         SumBackend::ReproUnbuffered | SumBackend::ReproBuffered { .. } => Some(4),
@@ -345,7 +347,7 @@ proptest! {
                     let e = extrema.entry(key).or_insert((f64::INFINITY, f64::NEG_INFINITY));
                     *e = (e.0.min(v[r]), e.1.max(v[r]));
                 }
-                for backend in FUSED_BACKENDS {
+                for backend in BACKENDS {
                     let want = plan.execute(&decoded, backend, &ExecOptions::serial()).unwrap();
                     for opts in shapes() {
                         let ctx = format!(
@@ -412,7 +414,7 @@ proptest! {
 
     /// Q1/Q6/Q15 plans over per-column (dict | dict16 | rle | plain)
     /// storage choices produce bitwise the results of the all-plain
-    /// table, for every fused backend × thread count × batch/morsel
+    /// table, for every backend × thread count × batch/morsel
     /// shape.
     #[test]
     fn plans_over_random_encodings_match_plain_bitwise(

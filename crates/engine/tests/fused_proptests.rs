@@ -1,25 +1,32 @@
 //! Property tests of the fused scan pipeline: for arbitrary lineitem
-//! contents, every backend, and every batch/morsel/thread shape, the
-//! fused pipeline must be **bit-identical** to the serial materializing
-//! reference pipeline — the acceptance contract of the zero-copy scan.
+//! contents, every backend, and every batch/morsel/thread shape, TPC-H
+//! Q1 and Q6 must be **bit-identical** to the naive, materializing
+//! per-row reference in `support` — the acceptance contract of the
+//! zero-copy scan.
 //!
 //! Why this holds per backend (and is therefore assertable for *all* of
 //! them, not just the reproducible ones):
 //!
 //! * repro backends — per-slot deposits commute and state merging is
 //!   exact, so any batch/morsel/thread schedule finalizes identically;
+//! * `SortedDouble` — each group keeps its value multiset, which merges
+//!   exactly; the reference sorts each column's `(group, bits)` pairs
+//!   itself, so the state is checked against its definition;
 //! * plain `Double` — the fused executor deliberately scans it serially
 //!   at any requested thread count (exact merging is impossible), and the
-//!   serial fused scan performs the identical addition sequence;
-//! * `SortedDouble` — routed to the materializing pipeline, whose
-//!   parallel variant sorts into the same total order as the serial one.
+//!   serial fused scan performs the identical addition sequence.
+
+mod support;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rfa_agg::HashKind;
 use rfa_engine::{
-    run_q1_materializing, run_q1_with, run_q6_materializing, run_q6_with, ExecOptions, SumBackend,
+    run_fused, run_q1_with, run_q6_with, sum_grouped, Column, ExecOptions, Expr, FusedError,
+    FusedQuery, GroupKey, GroupedSums, OverflowError, SumBackend, Table,
 };
 use rfa_workloads::Lineitem;
+use support::{q1_reference, q6_reference};
 
 /// Requests an 8-worker pool for this test binary so the parallel paths
 /// genuinely run multi-threaded even on small CI boxes (a pinned
@@ -129,7 +136,7 @@ proptest! {
     fn q1_fused_is_bit_identical_to_materializing(t in lineitem_strategy(700)) {
         force_pool();
         for backend in BACKENDS {
-            let (reference, _) = run_q1_materializing(&t, backend).unwrap();
+            let reference = q1_reference(&t, backend).unwrap();
             for opts in shapes() {
                 let (fused, _) = run_q1_with(&t, backend, &opts).unwrap();
                 prop_assert_eq!(reference.len(), fused.len(), "{:?} {:?}", backend, opts);
@@ -156,7 +163,7 @@ proptest! {
     fn q6_fused_is_bit_identical_to_materializing(t in lineitem_strategy(900)) {
         force_pool();
         for backend in BACKENDS {
-            let (reference, _) = run_q6_materializing(&t, backend).unwrap();
+            let reference = q6_reference(&t, backend).unwrap();
             for opts in shapes() {
                 let (fused, _) = run_q6_with(&t, backend, &opts).unwrap();
                 prop_assert_eq!(
@@ -205,6 +212,7 @@ proptest! {
         for backend in [
             SumBackend::ReproUnbuffered,
             SumBackend::RsumBuffered { levels: 2, buffer_size: 32 },
+            SumBackend::SortedDouble,
         ] {
             let (a, _) = run_q1_with(&t, backend, &opts).unwrap();
             let (b, _) = run_q1_with(&shuffled, backend, &opts).unwrap();
@@ -214,6 +222,179 @@ proptest! {
                 prop_assert_eq!(x.sum_charge.to_bits(), y.sum_charge.to_bits(), "{:?}", backend);
                 prop_assert_eq!(x.sum_qty.to_bits(), y.sum_qty.to_bits(), "{:?}", backend);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The sort-first baseline: its definition, its pinned bits, its overflow.
+// ---------------------------------------------------------------------------
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `SortedDouble` is, per group, the values ascending by bit pattern added
+/// from `+0.0`: +0.0, 1, 2^53, then the negatives by magnitude (-0.0, -1).
+/// 0 + 1 + 2^53 rounds the 1 away, so the order shows. An empty group and
+/// a group of only -0.0 sum to +0.0.
+#[test]
+fn sorted_double_sums_by_bit_pattern_from_positive_zero() {
+    let big = 2f64.powi(53);
+    let values = [-1.0, big, -0.0, 1.0, 0.0, -0.0];
+    let gids = [0, 0, 0, 0, 0, 2];
+    let want = [0.0 + 1.0 + big + -0.0 + -1.0, 0.0, 0.0];
+    for chunk in [1, 2, 6] {
+        let mut state = GroupedSums::new(SumBackend::SortedDouble, 3);
+        for (g, v) in gids.chunks(chunk).zip(values.chunks(chunk)) {
+            state.update(g, v).unwrap();
+        }
+        assert_eq!(bits(&state.finalize()), bits(&want), "chunk {chunk}");
+    }
+}
+
+/// The fused Q6 at 1 and 2 threads and the reference, all on the pinned
+/// bits of one fixed input.
+#[test]
+fn q6_sorted_double_bits_are_pinned() {
+    force_pool();
+    let t = Lineitem::generate(100_000, 11);
+    let reference = q6_reference(&t, SumBackend::SortedDouble).unwrap();
+    assert_eq!(reference.to_bits(), 0x4135_6df1_8d0e_5600);
+    for threads in [1, 2] {
+        let opts = ExecOptions {
+            threads,
+            ..ExecOptions::default()
+        };
+        let (revenue, _) = run_q6_with(&t, SumBackend::SortedDouble, &opts).unwrap();
+        assert_eq!(revenue.to_bits(), reference.to_bits(), "t{threads}");
+    }
+}
+
+/// As for Q6, per group: `[sum_qty, sum_base_price, sum_disc_price,
+/// sum_charge, avg_disc]`.
+#[test]
+fn q1_sorted_double_bits_are_pinned() {
+    force_pool();
+    let want: [[u64; 5]; 4] = [
+        [
+            0x4126_f6d4_0000_0000,
+            0x41c6_69a7_679c_28e3,
+            0x41c5_4ce1_fdef_fcd6,
+            0x41c6_2669_c2a1_f051,
+            0x3fa9_7241_ea61_27a8,
+        ],
+        [
+            0x40d3_5ac0_0000_0000,
+            0x4172_fed6_b30a_3d71,
+            0x4172_137d_ec60_aa63,
+            0x4172_c87d_1d02_be89,
+            0x3fa8_9842_7ac5_d49e,
+        ],
+        [
+            0x4136_e114_0000_0000,
+            0x41d6_57f3_0a01_478a,
+            0x41d5_3afe_b4b5_b093,
+            0x41d6_1475_8cc9_aec1,
+            0x3fa9_8b3c_f70d_fea5,
+        ],
+        [
+            0x4126_e7c0_0000_0000,
+            0x41c6_5e16_03c5_1ea1,
+            0x41c5_41dd_4f5e_24d7,
+            0x41c6_1bb5_d43a_caa3,
+            0x3fa9_75d6_5aa1_1251,
+        ],
+    ];
+    let pinned = |rows: &[rfa_engine::Q1Row]| -> Vec<(char, char, Vec<u64>)> {
+        rows.iter()
+            .map(|r| {
+                let sums = [
+                    r.sum_qty,
+                    r.sum_base_price,
+                    r.sum_disc_price,
+                    r.sum_charge,
+                    r.avg_disc,
+                ];
+                (r.returnflag, r.linestatus, bits(&sums))
+            })
+            .collect()
+    };
+    let groups = [('A', 'F'), ('N', 'F'), ('N', 'O'), ('R', 'F')];
+    let want: Vec<_> = groups
+        .iter()
+        .zip(want)
+        .map(|(&(f, s), w)| (f, s, w.to_vec()))
+        .collect();
+    let t = Lineitem::generate(120_000, 7);
+    assert_eq!(
+        pinned(&q1_reference(&t, SumBackend::SortedDouble).unwrap()),
+        want
+    );
+    for threads in [1, 2] {
+        let opts = ExecOptions {
+            threads,
+            ..ExecOptions::default()
+        };
+        let (rows, _) = run_q1_with(&t, SumBackend::SortedDouble, &opts).unwrap();
+        assert_eq!(pinned(&rows), want, "t{threads}");
+    }
+}
+
+/// Overflow parity of the sort-first baseline: a `f64::MAX` pair, a `+∞`
+/// or a NaN in the middle of a group makes `SortedDouble` return
+/// `Overflow` — exactly when a check after every addition of its sorted
+/// sum would, since a non-finite sum stays non-finite — at 1 / 2 / 8
+/// threads, over a plain and an RLE value column (k·v deposits), grouped
+/// and not, and through `sum_grouped`.
+#[test]
+fn sorted_double_overflows_like_a_check_after_every_addition() {
+    force_pool();
+    let n = 1200;
+    let g: Vec<i32> = (0..n).map(|i| i / 50 % 2).collect();
+    let gids: Vec<u32> = g.iter().map(|&k| k as u32).collect();
+    for poison in [&[f64::MAX, f64::MAX][..], &[f64::INFINITY], &[f64::NAN]] {
+        // Runs of 20 equal values; rows 610.. sit mid-way through group 0.
+        let mut v: Vec<f64> = (0..n).map(|i| (i / 20 % 5) as f64 + 0.5).collect();
+        v[610..610 + poison.len()].copy_from_slice(poison);
+        let mut t = Table::new("t");
+        t.add_column("g", Column::i32(g.clone())).unwrap();
+        t.add_column("v", Column::f64(v.clone())).unwrap();
+        t.add_column("vr", Column::f64(v.clone()).rle_encode().unwrap())
+            .unwrap();
+        let keyed = GroupKey::Hash {
+            col: "g".into(),
+            hash: HashKind::Identity,
+        };
+        for col in ["v", "vr"] {
+            for group_by in [GroupKey::None, keyed.clone()] {
+                let q = FusedQuery {
+                    filter: vec![],
+                    sums: vec![Expr::col(col)],
+                    mins: vec![],
+                    maxs: vec![],
+                    group_by,
+                };
+                for threads in [1, 2, 8] {
+                    let opts = ExecOptions {
+                        threads,
+                        batch_rows: 16,
+                        morsel_rows: 64,
+                        ..ExecOptions::default()
+                    };
+                    let run = run_fused(&t, &q, SumBackend::SortedDouble, &opts);
+                    assert_eq!(
+                        run.map(|r| r.counts).unwrap_err(),
+                        FusedError::Overflow(OverflowError),
+                        "{poison:?} {col} {:?} t{threads}",
+                        q.group_by
+                    );
+                }
+            }
+        }
+        for backend in [SumBackend::SortedDouble, SumBackend::Double] {
+            let sums = sum_grouped(backend, &gids, &v, 2);
+            assert_eq!(sums, Err(OverflowError), "{poison:?} {backend:?}");
         }
     }
 }

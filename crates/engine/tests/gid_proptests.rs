@@ -9,21 +9,24 @@
 //! packed into a plain `I32` column, which forces the hash path and is the
 //! reference — put every narrow leg under a random encoding (plain, `Dict`,
 //! `Dict16`, RLE, a dictionary that lists every value twice), filter with
-//! a random selection shape, and compare across every fused backend,
+//! a random selection shape, and compare across every backend,
 //! 1 / 2 / 8 threads, 1- / 7- / 4096-row batches and every SIMD dispatch
 //! level. The data-dependent error of group-id assignment keeps its
 //! condition: it fires for a *selected* row only.
+
+mod support;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
-    lineitem_table, q1_plan, q1_sql, run_fused, run_q1_materializing, sql_query, BoolExpr, Column,
-    ExecOptions, Expr, FusedError, FusedQuery, GroupKey, SqlColumn, SumBackend, Table,
+    lineitem_table, q1_plan, q1_sql, run_fused, sql_query, BoolExpr, Column, ExecOptions, Expr,
+    FusedError, FusedQuery, GroupKey, SqlColumn, SumBackend, Table,
 };
 use rfa_workloads::Lineitem;
 use std::sync::{Mutex, MutexGuard};
+use support::q1_reference;
 
 fn force_pool() {
     let _ = rayon::ThreadPoolBuilder::new()
@@ -53,8 +56,9 @@ fn each_level(mut f: impl FnMut(SimdLevel)) {
     cpu::set_override(None);
 }
 
-const BACKENDS: [SumBackend; 5] = [
+const BACKENDS: [SumBackend; 6] = [
     SumBackend::Double,
+    SumBackend::SortedDouble,
     SumBackend::ReproUnbuffered,
     SumBackend::ReproBuffered { buffer_size: 64 },
     SumBackend::Rsum { levels: 2 },
@@ -322,9 +326,8 @@ proptest! {
     }
 
     /// `q1_plan()` and `q1_sql()` group by the flag / status pair and the
-    /// materializing reference by its dense `encode_group` ids: same
-    /// rows, same order, same bits, whatever the encoding of the two key
-    /// columns.
+    /// per-row reference by its dense `encode_group` ids: same rows, same
+    /// order, same bits, whatever the encoding of the two key columns.
     #[test]
     fn q1_dense_plan_matches_q1_sql_pair_bitwise(
         rows in vec(
@@ -371,7 +374,7 @@ proptest! {
             other => panic!("expected a key column, got {other:?}"),
         };
         for backend in BACKENDS {
-            let (reference, _) = run_q1_materializing(&t, backend).unwrap();
+            let reference = q1_reference(&t, backend).unwrap();
             each_level(|level| {
                 for opts in shapes() {
                     let ctx = format!("{backend:?} {level:?} {opts:?} enc {enc:?}");

@@ -11,8 +11,8 @@
 //! * nothing unwinds out of [`run_fused`] or [`QueryPlan::execute`];
 //! * a query that cannot bind fails with the error an oracle written from
 //!   the documented precedence predicts (filter conjuncts in order, the
-//!   group key, the aggregate inputs, `SortedDouble`, `RSUM` levels) —
-//!   the *same* typed error from both entry points;
+//!   group key, the aggregate inputs, `RSUM` levels) — the *same* typed
+//!   error from both entry points;
 //! * a query that binds either answers — the same bits at 1, 2 and 8
 //!   threads, from both entry points — or fails on the data
 //!   (`ReservedKey`), at every thread count alike.
@@ -250,11 +250,6 @@ proptest! {
             .or(key_error)
             .or_else(|| inputs.clone().find_map(|(name, _)| unreadable(name)))
             .map(FusedError::Table)
-            .or_else(|| {
-                (backend == SumBackend::SortedDouble).then_some(FusedError::Unsupported(
-                    "SortedDouble requires the materializing pipeline",
-                ))
-            })
             .or_else(|| {
                 let levels = backend.check_levels().err()?;
                 Some(FusedError::RsumLevels { levels })

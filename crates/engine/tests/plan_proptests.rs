@@ -1,23 +1,24 @@
 //! Property tests of the plan layer: plans built through the *public*
-//! [`QueryPlan`] builder must be bit-identical to the legacy pipelines,
-//! and hash-keyed grouping must be bit-identical to dense-keyed grouping
-//! on key domains small enough to run both.
+//! [`QueryPlan`] builder must be bit-identical to the naive per-row
+//! reference (`support`), and hash-keyed grouping must be bit-identical
+//! to dense-keyed grouping on key domains small enough to run both.
 //!
 //! These complement `fused_proptests.rs` (which pins the thin
-//! `run_q1`/`run_q6` wrappers — themselves plan-backed — to the
-//! materializing reference for all six backends): here the plans are
-//! constructed via the builder API, so the lowering itself (SUM-state
-//! sharing for AVG, COUNT wiring, group-key routing) is under test, not
-//! just the wrappers.
+//! `run_q1`/`run_q6` wrappers — themselves plan-backed — to the same
+//! reference): here the plans are constructed via the builder API, so the
+//! lowering itself (SUM-state sharing for AVG, COUNT wiring, group-key
+//! routing) is under test, not just the wrappers.
+
+mod support;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_engine::plan::QueryPlan;
 use rfa_engine::{
-    lineitem_table, q1_plan, q6_plan, run_q1_materializing, run_q6_materializing, AggColumn,
-    Column, ExecOptions, Expr, SumBackend, Table,
+    lineitem_table, q1_plan, q6_plan, AggColumn, Column, ExecOptions, Expr, SumBackend, Table,
 };
 use rfa_workloads::Lineitem;
+use support::{q1_reference, q6_reference};
 
 /// Requests an 8-worker pool so the parallel paths genuinely run
 /// multi-threaded even on small CI boxes.
@@ -27,10 +28,10 @@ fn force_pool() {
         .build_global();
 }
 
-/// The five backends the fused plan executor serves (SortedDouble routes
-/// to the materializing pipeline and is covered by `fused_proptests.rs`).
-const FUSED_BACKENDS: [SumBackend; 5] = [
+/// All six SUM backends.
+const BACKENDS: [SumBackend; 6] = [
     SumBackend::Double,
+    SumBackend::SortedDouble,
     SumBackend::ReproUnbuffered,
     SumBackend::ReproBuffered { buffer_size: 64 },
     SumBackend::Rsum { levels: 2 },
@@ -110,15 +111,15 @@ fn lineitem_strategy(max_rows: usize) -> impl Strategy<Value = Lineitem> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Builder-constructed Q1 plan == legacy materializing Q1, bitwise,
-    /// for every fused backend × thread count × batch/morsel shape —
-    /// including the engine-finalized AVG and COUNT columns.
+    /// Builder-constructed Q1 plan == the per-row reference Q1, bitwise,
+    /// for every backend × thread count × batch/morsel shape — including
+    /// the engine-finalized AVG and COUNT columns.
     #[test]
     fn q1_plan_matches_legacy_bitwise(t in lineitem_strategy(600)) {
         force_pool();
         let table = lineitem_table(&t);
-        for backend in FUSED_BACKENDS {
-            let (legacy, _) = run_q1_materializing(&t, backend).unwrap();
+        for backend in BACKENDS {
+            let legacy = q1_reference(&t, backend).unwrap();
             for opts in shapes() {
                 let r = q1_plan().execute(&table, backend, &opts).unwrap();
                 prop_assert_eq!(r.keys.len(), legacy.len(), "{:?} {:?}", backend, opts);
@@ -147,13 +148,13 @@ proptest! {
         }
     }
 
-    /// Builder-constructed Q6 plan == legacy materializing Q6, bitwise.
+    /// Builder-constructed Q6 plan == the per-row reference Q6, bitwise.
     #[test]
     fn q6_plan_matches_legacy_bitwise(t in lineitem_strategy(800)) {
         force_pool();
         let table = lineitem_table(&t);
-        for backend in FUSED_BACKENDS {
-            let (legacy, _) = run_q6_materializing(&t, backend).unwrap();
+        for backend in BACKENDS {
+            let legacy = q6_reference(&t, backend).unwrap();
             for opts in shapes() {
                 let r = q6_plan().execute(&table, backend, &opts).unwrap();
                 prop_assert_eq!(
@@ -209,7 +210,7 @@ proptest! {
         };
         let dense = aggs(QueryPlan::scan("t").group_by_u8_pair("ka", "kb"));
         let hashed = aggs(QueryPlan::scan("t").group_by_key("key"));
-        for backend in FUSED_BACKENDS {
+        for backend in BACKENDS {
             for opts in shapes() {
                 let d = dense.execute(&table, backend, &opts).unwrap();
                 let h = hashed.execute(&table, backend, &opts).unwrap();

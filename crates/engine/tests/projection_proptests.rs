@@ -8,7 +8,7 @@
 //! ±Inf, zero divisors, ±`f64::MAX`, reserved and out-of-range group keys —
 //! in *filtered-out* rows only, under selection shapes on both sides of
 //! the constant, and require results bit-identical to the same table with
-//! those rows physically removed: every fused backend × 1 / 2 / 8 threads
+//! those rows physically removed: every backend × 1 / 2 / 8 threads
 //! × 1- / 7- / 4096-row batches × every SIMD dispatch level × ungrouped,
 //! per-row, partitioned and run-blocked deposits × SUM / MIN / MAX.
 //!
@@ -55,8 +55,9 @@ fn each_level(mut f: impl FnMut(SimdLevel)) {
     cpu::set_override(None);
 }
 
-const BACKENDS: [SumBackend; 5] = [
+const BACKENDS: [SumBackend; 6] = [
     SumBackend::Double,
+    SumBackend::SortedDouble,
     SumBackend::ReproUnbuffered,
     SumBackend::ReproBuffered { buffer_size: 64 },
     SumBackend::Rsum { levels: 2 },
@@ -421,7 +422,8 @@ proptest! {
 }
 
 /// The mirrored case: poison in a *selected* row of a near-dense batch
-/// still overflows `Double` — whatever the deposit — and only `Double`.
+/// still overflows `Double` and `SortedDouble` — whatever the deposit —
+/// and only those.
 #[test]
 fn selected_poison_still_overflows_double() {
     let mut rng = Xorshift(0x5EED);
@@ -436,15 +438,18 @@ fn selected_poison_still_overflows_double() {
             let t = table_of(&rows, enc);
             for (name, group_by) in group_keys() {
                 let q = query(group_by);
-                let opts = ExecOptions::serial();
-                let double = run_fused(&t, &q, SumBackend::Double, &opts);
-                assert!(
-                    matches!(double, Err(FusedError::Overflow(_))),
-                    "{name} {legs:?} {enc:?}"
-                );
-                for backend in &BACKENDS[1..] {
-                    let run = run_fused(&t, &q, *backend, &opts);
-                    assert!(run.is_ok(), "{name} {legs:?} {enc:?} {backend:?}");
+                for backend in BACKENDS {
+                    let run = run_fused(&t, &q, backend, &ExecOptions::serial());
+                    let doubles = matches!(backend, SumBackend::Double | SumBackend::SortedDouble);
+                    assert_eq!(
+                        matches!(run, Err(FusedError::Overflow(_))),
+                        doubles,
+                        "{name} {legs:?} {enc:?} {backend:?}"
+                    );
+                    assert!(
+                        doubles || run.is_ok(),
+                        "{name} {legs:?} {enc:?} {backend:?}"
+                    );
                 }
             }
         }

@@ -58,8 +58,9 @@ fn force_pool() {
         .build_global();
 }
 
-const BACKENDS: [SumBackend; 4] = [
+const BACKENDS: [SumBackend; 5] = [
     SumBackend::Double,
+    SumBackend::SortedDouble,
     SumBackend::ReproUnbuffered,
     SumBackend::ReproBuffered { buffer_size: 64 },
     SumBackend::RsumBuffered {

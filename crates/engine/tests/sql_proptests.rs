@@ -2,7 +2,7 @@
 //!
 //! 1. The pinned TPC-H SQL texts (`q1_sql`/`q6_sql`/`q15_sql`) parse,
 //!    resolve and lower to queries whose results are **bit-identical** to
-//!    the builder plans (`q1_plan`/`q6_plan`/`q15_plan`) for every fused
+//!    the builder plans (`q1_plan`/`q6_plan`/`q15_plan`) for every
 //!    backend × thread count × batch/morsel shape. Q1 additionally
 //!    crosses grouping arms: the SQL text groups through the packed
 //!    hash-pair arm while the builder uses the dense dictionary encoding,
@@ -14,8 +14,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_engine::sql::{parse_select, SelectItem, SelectStmt, SqlAgg, SqlBinOp, SqlExpr};
 use rfa_engine::{
-    lineitem_table, q15_plan, q15_sql, q1_plan, q1_sql, q6_plan, q6_sql, sql_query, ExecOptions,
-    PlanError, SqlColumn, SqlError, SumBackend,
+    lineitem_table, q15_plan, q15_sql, q1_plan, q1_sql, q6_plan, q6_sql, run_q6, sql_query,
+    ExecOptions, SqlColumn, SumBackend,
 };
 use rfa_workloads::Lineitem;
 
@@ -27,10 +27,10 @@ fn force_pool() {
         .build_global();
 }
 
-/// The five backends the fused plan executor serves (SortedDouble is a
-/// typed error through both the SQL and builder paths — asserted below).
-const FUSED_BACKENDS: [SumBackend; 5] = [
+/// All six SUM backends.
+const BACKENDS: [SumBackend; 6] = [
     SumBackend::Double,
+    SumBackend::SortedDouble,
     SumBackend::ReproUnbuffered,
     SumBackend::ReproBuffered { buffer_size: 64 },
     SumBackend::Rsum { levels: 2 },
@@ -132,7 +132,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// SQL Q1 == builder Q1 (both group by the flag / status byte pair),
-    /// bitwise, for every fused backend × thread count × batch/morsel
+    /// bitwise, for every backend × thread count × batch/morsel
     /// shape — all eight aggregate columns.
     #[test]
     fn q1_sql_matches_builder_plan_bitwise(t in lineitem_strategy(600)) {
@@ -140,7 +140,7 @@ proptest! {
         let table = lineitem_table(&t);
         let sql = sql_query(&q1_sql(), &table).unwrap();
         let builder = q1_plan();
-        for backend in FUSED_BACKENDS {
+        for backend in BACKENDS {
             for opts in shapes() {
                 let s = sql.execute(&table, backend, &opts).unwrap();
                 let b = builder.execute(&table, backend, &opts).unwrap();
@@ -171,7 +171,7 @@ proptest! {
         let table = lineitem_table(&t);
         let sql = sql_query(&q6_sql(), &table).unwrap();
         let builder = q6_plan();
-        for backend in FUSED_BACKENDS {
+        for backend in BACKENDS {
             for opts in shapes() {
                 let s = sql.execute(&table, backend, &opts).unwrap();
                 let b = builder.execute(&table, backend, &opts).unwrap();
@@ -192,7 +192,7 @@ proptest! {
         let table = lineitem_table(&t);
         let sql = sql_query(&q15_sql(), &table).unwrap();
         let builder = q15_plan();
-        for backend in FUSED_BACKENDS {
+        for backend in BACKENDS {
             for opts in shapes() {
                 let s = sql.execute(&table, backend, &opts).unwrap();
                 let b = builder.execute(&table, backend, &opts).unwrap();
@@ -223,25 +223,38 @@ proptest! {
     }
 }
 
-/// SortedDouble yields the identical typed error through the SQL and
-/// builder paths — no panic reaches either API.
+/// SortedDouble answers through the SQL and builder paths and the Q6
+/// wrapper alike, with the same bits at 1, 2 and 8 threads.
 #[test]
-fn sorted_double_is_the_same_typed_error_on_both_paths() {
-    let t = Lineitem::generate(1_000, 3);
+fn sorted_double_is_the_same_answer_on_every_path() {
+    force_pool();
+    let t = Lineitem::generate(20_000, 3);
     let table = lineitem_table(&t);
     let sql = sql_query(&q6_sql(), &table).unwrap();
-    let want = PlanError::Unsupported("SortedDouble requires the materializing pipeline");
-    assert_eq!(
-        sql.execute(&table, SumBackend::SortedDouble, &ExecOptions::serial())
-            .unwrap_err(),
-        SqlError::Plan(want.clone())
-    );
-    assert_eq!(
-        q6_plan()
-            .execute(&table, SumBackend::SortedDouble, &ExecOptions::serial())
-            .unwrap_err(),
-        want
-    );
+    let (want, _) = run_q6(&t, SumBackend::SortedDouble).unwrap();
+    for threads in [1, 2, 8] {
+        let opts = ExecOptions {
+            threads,
+            morsel_rows: 4096,
+            ..ExecOptions::default()
+        };
+        let s = sql
+            .execute(&table, SumBackend::SortedDouble, &opts)
+            .unwrap();
+        let b = q6_plan()
+            .execute(&table, SumBackend::SortedDouble, &opts)
+            .unwrap();
+        assert_eq!(
+            f64s(&s.columns[0])[0].to_bits(),
+            want.to_bits(),
+            "t{threads}"
+        );
+        assert_eq!(
+            b.columns[0].f64s()[0].to_bits(),
+            want.to_bits(),
+            "t{threads}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ pub enum ErrorCode {
     /// (parse, resolution and type errors; also malformed payloads on an
     /// otherwise intact connection).
     BadRequest = 1,
-    /// Well-formed but not executable as configured (e.g. the
-    /// `SortedDouble` backend, which the fused executor rejects).
+    /// Well-formed but outside what the engine executes (e.g. SQL beyond
+    /// the supported subset, or a plan with no aggregates).
     Unsupported = 2,
     /// The admission queue was full; the query was never started. Safe
     /// to retry — for reproducible backends a retry returns the same
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn every_backend_byte_pair_decodes_to_a_runnable_backend_or_is_malformed() {
-        use rfa_engine::{sql_query, Column, ExecOptions, PlanError, SqlError, Table};
+        use rfa_engine::{sql_query, Column, ExecOptions, SqlColumn, Table};
 
         let mut table = Table::new("t");
         table
@@ -618,13 +618,11 @@ mod tests {
                     }
                 };
                 decoded += 1;
-                // Whatever decodes must execute or fail typed — never
-                // reach the state constructor's `levels` assert.
+                // Whatever decodes must execute — never reach the state
+                // constructor's `levels` assert — and every backend adds
+                // these three values exactly.
                 match query.execute(&table, backend, &ExecOptions::serial()) {
-                    Ok(_) => {}
-                    Err(SqlError::Plan(PlanError::Unsupported(_))) => {
-                        assert_eq!(backend, SumBackend::SortedDouble)
-                    }
+                    Ok(r) => assert_eq!(r.columns, [SqlColumn::F64(vec![-1.25])], "{backend:?}"),
                     Err(e) => panic!("tag {tag} levels {levels}: {e}"),
                 }
             }

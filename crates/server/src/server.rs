@@ -526,7 +526,9 @@ mod tests {
             ErrorCode::DeadlineExceeded
         );
         assert_eq!(
-            classify(&SqlError::Plan(PlanError::Unsupported("sorted baseline"))),
+            classify(&SqlError::Plan(PlanError::Unsupported(
+                "plan has no aggregates"
+            ))),
             ErrorCode::Unsupported
         );
         assert_eq!(

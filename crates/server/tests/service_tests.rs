@@ -1,7 +1,7 @@
 //! End-to-end service behaviour on a healthy network: bit-identity with
-//! the in-process engine, typed errors for every failure class
-//! (bad SQL, unsupported backends, deadlines, cancellation, overload,
-//! broken framing), and survival of all of them.
+//! the in-process engine on every backend, typed errors for every failure
+//! class (bad SQL, deadlines, cancellation, overload, broken framing), and
+//! survival of all of them.
 //!
 //! These tests pin fault injection to `FaultSpec::NONE` so the CI chaos
 //! leg (`RFA_FAULTS=...`) cannot destabilize them — chaos behaviour has
@@ -11,7 +11,8 @@
 use rfa_core::faults::{self, FaultSpec};
 use rfa_core::wire::{Frame, MAX_FRAME_LEN};
 use rfa_engine::{
-    lineitem_table, q15_sql, q1_sql, q6_sql, ExecOptions, SqlColumn, SumBackend, Table,
+    lineitem_table, q15_sql, q1_sql, q6_sql, run_q1, ExecOptions, Q1Row, SqlColumn, SumBackend,
+    Table,
 };
 use rfa_server::{Client, ClientError, ErrorCode, Response, Server, ServerConfig};
 use rfa_workloads::Lineitem;
@@ -169,15 +170,33 @@ fn bad_sql_is_a_typed_bad_request_and_the_server_survives() {
 }
 
 #[test]
-fn sorted_double_backend_is_typed_unsupported() {
+fn sorted_double_over_the_wire_matches_in_process() {
     no_faults();
     let server = Server::spawn(table(), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let err = client
-        .query(&q1_sql(), SumBackend::SortedDouble, 1, None)
-        .unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::Unsupported));
-    client.ping().unwrap();
+    // The rows behind `table()`, through the in-process Q1 wrapper.
+    let lineitem = Lineitem::generate(60_000, 42);
+    let (rows, _) = run_q1(&lineitem, SumBackend::SortedDouble).unwrap();
+    let f64s = |f: fn(&Q1Row) -> f64| SqlColumn::F64(rows.iter().map(f).collect());
+    let want = [
+        SqlColumn::I64(rows.iter().map(|r| r.returnflag as i64).collect()),
+        SqlColumn::I64(rows.iter().map(|r| r.linestatus as i64).collect()),
+        f64s(|r| r.sum_qty),
+        f64s(|r| r.sum_base_price),
+        f64s(|r| r.sum_disc_price),
+        f64s(|r| r.sum_charge),
+        f64s(|r| r.avg_qty),
+        f64s(|r| r.avg_price),
+        f64s(|r| r.avg_disc),
+        SqlColumn::U64(rows.iter().map(|r| r.count).collect()),
+    ];
+    for threads in [1, 2] {
+        let got = client
+            .query(&q1_sql(), SumBackend::SortedDouble, threads, None)
+            .unwrap();
+        assert_bits_eq(&got.columns, &want);
+    }
+    assert_eq!(server.stats().completed, 2);
 }
 
 #[test]

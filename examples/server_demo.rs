@@ -1,7 +1,8 @@
 //! The query service end to end: spawn a server on a TPC-H lineitem
 //! table, run Q1 over the wire at several thread counts, probe the
 //! hardening behaviours (deadline, cancellation, overload-safe retry),
-//! and show that every completed answer carries identical bits.
+//! run the sort-first baseline, and show that every completed answer
+//! carries identical bits.
 //!
 //! ```text
 //! cargo run --release --example server_demo
@@ -67,12 +68,20 @@ fn main() {
         Err(e) => panic!("unexpected error: {e}"),
     }
 
-    // The unsupported baseline backend answers a typed error, and the
-    // session keeps serving afterwards.
-    let err = client
-        .query(&q1_sql(), SumBackend::SortedDouble, 1, None)
-        .expect_err("sorted baseline is not servable");
-    println!("sorted baseline  -> {err}");
+    // The paper's sort-first baseline is a backend like any other: it
+    // answers over the wire, with the same bits at any thread count.
+    let mut sorted = Vec::new();
+    for threads in [1u32, 2] {
+        let reply = client
+            .query(&q1_sql(), SumBackend::SortedDouble, threads, None)
+            .expect("sorted baseline");
+        sorted.push(reply.columns);
+    }
+    assert_eq!(sorted[0], sorted[1], "sorted baseline bits diverged");
+    println!(
+        "sorted baseline  -> {} group rows, bit-identical at 1 and 2 threads",
+        sorted[0][0].len()
+    );
     client.ping().expect("still alive");
 
     let stats = server.stats();
