@@ -81,6 +81,12 @@ pub(crate) mod simd_sel;
 pub mod sql;
 pub mod sum_op;
 
+#[cfg(test)]
+extern crate self as rfa_engine;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod test_support;
+
 pub use column::{ColRef, Column, EncodingError, Table, TableError};
 pub use expr::{
     BoolExpr, BoundExpr, BoundPredicate, CmpOp, CompiledExpr, CompiledPredicate, EvalScratch, Expr,

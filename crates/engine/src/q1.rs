@@ -280,6 +280,27 @@ mod tests {
     }
 
     #[test]
+    fn fused_is_bit_identical_to_materializing_for_every_backend() {
+        // The reference materializes each SUM input row by row.
+        let t = table();
+        for backend in [
+            SumBackend::Double,
+            SumBackend::SortedDouble,
+            SumBackend::ReproUnbuffered,
+            SumBackend::ReproBuffered { buffer_size: 512 },
+            SumBackend::Rsum { levels: 3 },
+            SumBackend::RsumBuffered {
+                levels: 2,
+                buffer_size: 256,
+            },
+        ] {
+            let reference = crate::test_support::q1_reference(&t, backend).unwrap();
+            let (fused, _) = run_q1(&t, backend).unwrap();
+            assert_rows_bit_identical(&reference, &fused, &format!("{backend:?}"));
+        }
+    }
+
+    #[test]
     fn repro_backend_survives_physical_reorder() {
         let t = table();
         let (u1, _) = run_q1(&t, SumBackend::ReproUnbuffered).unwrap();

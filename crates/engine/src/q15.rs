@@ -242,6 +242,7 @@ mod tests {
     #[test]
     fn q15_is_physical_order_invariant_for_repro() {
         let t = table();
+        let (fwd, _) = run_q15(&t, SumBackend::ReproUnbuffered).unwrap();
         let rev = Lineitem::from_columns(
             t.quantity.iter().rev().copied().collect(),
             t.extendedprice.iter().rev().copied().collect(),
@@ -252,20 +253,26 @@ mod tests {
             t.linestatus.iter().rev().copied().collect(),
             t.suppkey.iter().rev().copied().collect(),
         );
-        // The sorted baseline is order-invariant by construction.
-        for backend in [SumBackend::ReproUnbuffered, SumBackend::SortedDouble] {
-            let (fwd, _) = run_q15(&t, backend).unwrap();
-            let (bwd, _) = run_q15(&rev, backend).unwrap();
-            assert_eq!(fwd.len(), bwd.len());
-            for (a, b) in fwd.iter().zip(&bwd) {
-                assert_eq!(a.suppkey, b.suppkey);
-                assert_eq!(a.count, b.count);
-                assert_eq!(
-                    a.total_revenue.to_bits(),
-                    b.total_revenue.to_bits(),
-                    "{backend:?}"
-                );
-            }
+        let (bwd, _) = run_q15(&rev, SumBackend::ReproUnbuffered).unwrap();
+        assert_eq!(fwd.len(), bwd.len());
+        for (a, b) in fwd.iter().zip(&bwd) {
+            assert_eq!(a.suppkey, b.suppkey);
+            assert_eq!(a.count, b.count);
+            assert_eq!(a.total_revenue.to_bits(), b.total_revenue.to_bits());
         }
+    }
+
+    #[test]
+    fn sorted_double_answers_q15_in_any_row_order() {
+        // The sorted baseline is order-invariant by construction.
+        let t = table();
+        let bits = |t: &Lineitem| -> Vec<(i32, u64, u64)> {
+            let (rows, _) = run_q15(t, SumBackend::SortedDouble).unwrap();
+            let key = |r: &RevenueRow| (r.suppkey, r.count, r.total_revenue.to_bits());
+            rows.iter().map(key).collect()
+        };
+        let expected = bits(&t);
+        assert_eq!(bits(&t.sorted_by_shipdate()), expected);
+        assert_eq!(bits(&t.sorted_by_quantity()), expected);
     }
 }

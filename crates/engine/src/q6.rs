@@ -143,6 +143,27 @@ mod tests {
     }
 
     #[test]
+    fn fused_is_bit_identical_to_materializing_for_every_backend() {
+        // The reference materializes the revenue terms row by row.
+        let t = table();
+        for backend in [
+            SumBackend::Double,
+            SumBackend::SortedDouble,
+            SumBackend::ReproUnbuffered,
+            SumBackend::ReproBuffered { buffer_size: 256 },
+            SumBackend::Rsum { levels: 2 },
+            SumBackend::RsumBuffered {
+                levels: 4,
+                buffer_size: 128,
+            },
+        ] {
+            let reference = crate::test_support::q6_reference(&t, backend).unwrap();
+            let (fused, _) = run_q6(&t, backend).unwrap();
+            assert_eq!(reference.to_bits(), fused.to_bits(), "{backend:?}");
+        }
+    }
+
+    #[test]
     fn parallel_scan_is_bit_identical_to_serial_for_every_backend() {
         let t = table();
         for backend in [
