@@ -45,12 +45,23 @@
 //!
 //! As in the engine's selection kernels, the `unsafe fn`s are
 //! `#[target_feature]`-gated and reachable only through
-//! [`probe_home_hits`], which consults [`cpu::active`] (the cached CPUID
-//! probe, overridable via `RFA_SIMD`) and returns `None` so the caller
-//! runs the scalar loop when no kernel is in effect. Gathers only read
-//! `table_keys[hash & mask]`, always in bounds; stores write
-//! `slots[i..i+8/16]` inside the full vector groups only, tails run
-//! scalar.
+//! [`probe_home_hits`] and [`probe_home_gids`], which consult
+//! [`cpu::active`] (the cached CPUID probe, overridable via `RFA_SIMD`)
+//! and return `None` so the caller runs the scalar loop when no kernel is
+//! in effect. What the kernels' raw loads, gathers and stores rely on is
+//! checked by those two wrappers, not assumed: the table is a power of
+//! two (`table_keys.len() == mask + 1`, and the gid states as long),
+//! `mask < 2^31` so every gather offset is a non-negative `i32`, and the
+//! output is as long as the keys. Gathers then only read
+//! `table_keys[hash & mask]` (and `gid_states[hash & mask]`), always in
+//! bounds; loads and stores touch `keys[i..i + 8/16]` and
+//! `out[i..i + 8/16]` inside the full vector groups only; tails run
+//! scalar. Each kernel restates these under `# Safety` and
+//! `debug_assert!`s them.
+//!
+//! [`cpu::active`]: rfa_core::cpu::active
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::hash_table::HashKind;
 
@@ -72,8 +83,8 @@ pub(crate) fn probe_home_hits(
     keys: &[u32],
     slots: &mut [u32],
 ) -> Option<usize> {
-    debug_assert_eq!(keys.len(), slots.len());
-    debug_assert_eq!(table_keys.len(), mask + 1);
+    assert_eq!(keys.len(), slots.len(), "one slot per key");
+    assert_eq!(table_keys.len(), mask + 1, "a table of mask + 1 slots");
     #[cfg(target_arch = "x86_64")]
     {
         use rfa_core::cpu::{self, SimdLevel};
@@ -83,9 +94,14 @@ pub(crate) fn probe_home_hits(
         match cpu::active() {
             SimdLevel::Scalar => None,
             SimdLevel::Avx2 => {
+                // SAFETY: `cpu::active()` reports AVX2 only when the CPU has
+                // it; the lengths are asserted above and `mask < 2^31` checked.
                 Some(unsafe { x86::probe_avx2(hash, table_keys, mask, keys, slots) })
             }
             SimdLevel::Avx512 => {
+                // SAFETY: `cpu::active()` reports AVX-512F only when the CPU
+                // has it; the lengths are asserted above and `mask < 2^31`
+                // checked.
                 Some(unsafe { x86::probe_avx512(hash, table_keys, mask, keys, slots) })
             }
         }
@@ -114,9 +130,9 @@ pub(crate) fn probe_home_gids(
     keys: &[u32],
     out: &mut [u32],
 ) -> Option<usize> {
-    debug_assert_eq!(keys.len(), out.len());
-    debug_assert_eq!(table_keys.len(), mask + 1);
-    debug_assert_eq!(gid_states.len(), mask + 1);
+    assert_eq!(keys.len(), out.len(), "one gid per key");
+    assert_eq!(table_keys.len(), mask + 1, "a table of mask + 1 slots");
+    assert_eq!(gid_states.len(), mask + 1, "one gid per table slot");
     #[cfg(target_arch = "x86_64")]
     {
         use rfa_core::cpu::{self, SimdLevel};
@@ -126,9 +142,14 @@ pub(crate) fn probe_home_gids(
         match cpu::active() {
             SimdLevel::Scalar => None,
             SimdLevel::Avx2 => {
+                // SAFETY: `cpu::active()` reports AVX2 only when the CPU has
+                // it; the lengths are asserted above and `mask < 2^31` checked.
                 Some(unsafe { x86::gids_avx2(hash, table_keys, gid_states, mask, keys, out) })
             }
             SimdLevel::Avx512 => {
+                // SAFETY: `cpu::active()` reports AVX-512F only when the CPU
+                // has it; the lengths are asserted above and `mask < 2^31`
+                // checked.
                 Some(unsafe { x86::gids_avx512(hash, table_keys, gid_states, mask, keys, out) })
             }
         }
@@ -183,6 +204,10 @@ mod x86 {
     /// Home-slot indices for 8 key lanes: `hash(k) & mask`. Identity is a
     /// single `vpand`; the multiplicative fold assembles `mulhi(k, C_LO)`
     /// from the even/odd widening products (see module docs).
+    ///
+    /// # Safety
+    /// AVX2 must be available. (Register arithmetic only: every lane of
+    /// the result is `≤ mask`, whatever the keys.)
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn home_idx_avx2(
@@ -208,6 +233,9 @@ mod x86 {
 
     /// Home-slot indices for 16 key lanes (AVX-512 form of
     /// [`home_idx_avx2`]).
+    ///
+    /// # Safety
+    /// AVX-512F must be available. (Register arithmetic only.)
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn home_idx_avx512(
@@ -231,6 +259,14 @@ mod x86 {
         }
     }
 
+    /// [`super::probe_home_hits`], 8 keys per vector group.
+    ///
+    /// # Safety
+    /// AVX2 must be available, `mask < 2^31`, `table_keys.len() == mask +
+    /// 1` (every lane gathers `table_keys[hash & mask]`, a non-negative
+    /// `i32` offset inside the table) and `slots.len() == keys.len()` (a
+    /// full group loads `keys[i..i + 8]` and stores `slots[i..i + 8]` for
+    /// `i + 8 <= keys.len()`).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn probe_avx2(
         hash: HashKind,
@@ -239,6 +275,8 @@ mod x86 {
         keys: &[u32],
         slots: &mut [u32],
     ) -> usize {
+        debug_assert!(mask < 1 << 31 && table_keys.len() == mask + 1);
+        debug_assert_eq!(slots.len(), keys.len());
         let n = keys.len();
         let tbl = table_keys.as_ptr() as *const i32;
         let m = _mm256_set1_epi32(mask as i32);
@@ -248,14 +286,18 @@ mod x86 {
         let mut misses = 0usize;
         let mut i = 0usize;
         while i + 8 <= n {
-            let k = _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i);
+            // SAFETY: `i + 8 <= n == keys.len()`.
+            let k = unsafe { _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i) };
             let idx = home_idx_avx2(hash, k, m, c_lo, c_hi);
-            let resident = _mm256_i32gather_epi32::<4>(tbl, idx);
+            // SAFETY: every lane of `idx` is `hash & mask`, an offset
+            // inside the `mask + 1`-slot table (and `< 2^31`).
+            let resident = unsafe { _mm256_i32gather_epi32::<4>(tbl, idx) };
             let hit = _mm256_cmpeq_epi32(resident, k);
             // Hit lanes keep their home slot; miss lanes become MISS
             // (all-ones) by OR-ing the complemented hit mask in.
             let res = _mm256_or_si256(idx, _mm256_xor_si256(hit, ones));
-            _mm256_storeu_si256(slots.as_mut_ptr().add(i) as *mut __m256i, res);
+            // SAFETY: `i + 8 <= n == slots.len()`.
+            unsafe { _mm256_storeu_si256(slots.as_mut_ptr().add(i) as *mut __m256i, res) };
             let hm = _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32;
             misses += 8 - hm.count_ones() as usize;
             i += 8;
@@ -268,6 +310,10 @@ mod x86 {
         misses
     }
 
+    /// [`super::probe_home_hits`], 16 keys per vector group.
+    ///
+    /// # Safety
+    /// As [`probe_avx2`], with AVX-512F and groups of 16.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn probe_avx512(
         hash: HashKind,
@@ -276,6 +322,8 @@ mod x86 {
         keys: &[u32],
         slots: &mut [u32],
     ) -> usize {
+        debug_assert!(mask < 1 << 31 && table_keys.len() == mask + 1);
+        debug_assert_eq!(slots.len(), keys.len());
         let n = keys.len();
         let tbl = table_keys.as_ptr() as *const i32;
         let m = _mm512_set1_epi32(mask as i32);
@@ -285,12 +333,16 @@ mod x86 {
         let mut misses = 0usize;
         let mut i = 0usize;
         while i + 16 <= n {
-            let k = _mm512_loadu_si512(keys.as_ptr().add(i) as *const __m512i);
+            // SAFETY: `i + 16 <= n == keys.len()`.
+            let k = unsafe { _mm512_loadu_si512(keys.as_ptr().add(i) as *const __m512i) };
             let idx = home_idx_avx512(hash, k, m, c_lo, c_hi);
-            let resident = _mm512_i32gather_epi32::<4>(idx, tbl);
+            // SAFETY: every lane of `idx` is `hash & mask`, inside the
+            // table.
+            let resident = unsafe { _mm512_i32gather_epi32::<4>(idx, tbl) };
             let hit = _mm512_cmpeq_epi32_mask(resident, k);
             let res = _mm512_mask_blend_epi32(hit, miss, idx);
-            _mm512_storeu_si512(slots.as_mut_ptr().add(i) as *mut __m512i, res);
+            // SAFETY: `i + 16 <= n == slots.len()`.
+            unsafe { _mm512_storeu_si512(slots.as_mut_ptr().add(i) as *mut __m512i, res) };
             misses += 16 - hit.count_ones() as usize;
             i += 16;
         }
@@ -302,6 +354,11 @@ mod x86 {
         misses
     }
 
+    /// [`super::probe_home_gids`], 8 keys per vector group.
+    ///
+    /// # Safety
+    /// As [`probe_avx2`] with `out` for `slots`, and `gid_states.len() ==
+    /// mask + 1` (the second gather reads `gid_states[hash & mask]`).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gids_avx2(
         hash: HashKind,
@@ -311,6 +368,9 @@ mod x86 {
         keys: &[u32],
         out: &mut [u32],
     ) -> usize {
+        debug_assert!(mask < 1 << 31 && table_keys.len() == mask + 1);
+        debug_assert_eq!(gid_states.len(), mask + 1);
+        debug_assert_eq!(out.len(), keys.len());
         let n = keys.len();
         let tbl = table_keys.as_ptr() as *const i32;
         let gds = gid_states.as_ptr() as *const i32;
@@ -321,16 +381,22 @@ mod x86 {
         let mut misses = 0usize;
         let mut i = 0usize;
         while i + 8 <= n {
-            let k = _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i);
+            // SAFETY: `i + 8 <= n == keys.len()`.
+            let k = unsafe { _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i) };
             let idx = home_idx_avx2(hash, k, m, c_lo, c_hi);
-            let resident = _mm256_i32gather_epi32::<4>(tbl, idx);
+            // SAFETY: every lane of `idx` is `hash & mask`, inside the
+            // table.
+            let resident = unsafe { _mm256_i32gather_epi32::<4>(tbl, idx) };
             let hit = _mm256_cmpeq_epi32(resident, k);
             // Second gather fetches the resident gids; hit lanes take the
-            // gid, miss lanes MISS (all-ones). Indices are in bounds for
-            // every lane, so the unconditional gather is safe.
-            let gid = _mm256_i32gather_epi32::<4>(gds, idx);
+            // gid, miss lanes MISS (all-ones).
+            // SAFETY: the same in-table indices, into the gid states of
+            // the same length: the unconditional gather reads no lane out
+            // of bounds.
+            let gid = unsafe { _mm256_i32gather_epi32::<4>(gds, idx) };
             let res = _mm256_blendv_epi8(ones, gid, hit);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, res);
+            // SAFETY: `i + 8 <= n == out.len()`.
+            unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, res) };
             let hm = _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32;
             misses += 8 - hm.count_ones() as usize;
             i += 8;
@@ -343,6 +409,10 @@ mod x86 {
         misses
     }
 
+    /// [`super::probe_home_gids`], 16 keys per vector group.
+    ///
+    /// # Safety
+    /// As [`gids_avx2`], with AVX-512F and groups of 16.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn gids_avx512(
         hash: HashKind,
@@ -352,6 +422,9 @@ mod x86 {
         keys: &[u32],
         out: &mut [u32],
     ) -> usize {
+        debug_assert!(mask < 1 << 31 && table_keys.len() == mask + 1);
+        debug_assert_eq!(gid_states.len(), mask + 1);
+        debug_assert_eq!(out.len(), keys.len());
         let n = keys.len();
         let tbl = table_keys.as_ptr() as *const i32;
         let gds = gid_states.as_ptr() as *const i32;
@@ -362,13 +435,21 @@ mod x86 {
         let mut misses = 0usize;
         let mut i = 0usize;
         while i + 16 <= n {
-            let k = _mm512_loadu_si512(keys.as_ptr().add(i) as *const __m512i);
+            // SAFETY: `i + 16 <= n == keys.len()`.
+            let k = unsafe { _mm512_loadu_si512(keys.as_ptr().add(i) as *const __m512i) };
             let idx = home_idx_avx512(hash, k, m, c_lo, c_hi);
-            let resident = _mm512_i32gather_epi32::<4>(idx, tbl);
+            // SAFETY: every lane of `idx` is `hash & mask`, inside both
+            // the table and the gid states.
+            let (resident, gid) = unsafe {
+                (
+                    _mm512_i32gather_epi32::<4>(idx, tbl),
+                    _mm512_i32gather_epi32::<4>(idx, gds),
+                )
+            };
             let hit = _mm512_cmpeq_epi32_mask(resident, k);
-            let gid = _mm512_i32gather_epi32::<4>(idx, gds);
             let res = _mm512_mask_blend_epi32(hit, miss, gid);
-            _mm512_storeu_si512(out.as_mut_ptr().add(i) as *mut __m512i, res);
+            // SAFETY: `i + 16 <= n == out.len()`.
+            unsafe { _mm512_storeu_si512(out.as_mut_ptr().add(i) as *mut __m512i, res) };
             misses += 16 - hit.count_ones() as usize;
             i += 16;
         }
@@ -404,7 +485,10 @@ mod tests {
         (keys, gids)
     }
 
-    fn check_kernels(hash: HashKind, slots: usize, resident: &[u32], probes: &[u32]) {
+    /// Every kernel the CPU has against the scalar classification, each
+    /// writing its output at offset `at` of a larger buffer whose other
+    /// entries must survive.
+    fn check_kernels(hash: HashKind, slots: usize, resident: &[u32], probes: &[u32], at: usize) {
         let (table, gid_states) = build_table(hash, slots, resident);
         let mask = slots - 1;
         let expected: Vec<u32> = probes
@@ -416,27 +500,41 @@ mod tests {
             .map(|&k| classify_gid_scalar(hash, &table, &gid_states, mask, k))
             .collect();
         let expected_misses = expected.iter().filter(|&&s| s == MISS).count();
+        let n = probes.len();
+        let check = |kernel: &str, want: &[u32], run: &dyn Fn(&mut [u32]) -> usize| {
+            const GUARD: u32 = 0xDEAD_BEEF;
+            let mut buf = vec![GUARD; at + n + 16];
+            let misses = run(&mut buf[at..at + n]);
+            let what = format!("{kernel} {hash:?} slots={slots} n={n} at={at}");
+            assert_eq!(&buf[at..at + n], want, "{what}");
+            assert_eq!(misses, expected_misses, "{what}: miss count");
+            assert!(
+                buf[..at].iter().chain(&buf[at + n..]).all(|&x| x == GUARD),
+                "{what}: wrote outside its output"
+            );
+        };
+        // SAFETY (every call below): the CPU has the kernel's feature
+        // (checked first), `table` and `gid_states` have `mask + 1 < 2^31`
+        // entries, and `out` holds one entry per probe.
         if cpu::avx2_supported() {
-            let mut got = vec![0u32; probes.len()];
-            let misses = unsafe { x86::probe_avx2(hash, &table, mask, probes, &mut got) };
-            assert_eq!(got, expected, "avx2 {hash:?} slots={slots}");
-            assert_eq!(misses, expected_misses, "avx2 miss count");
-            let mut got = vec![0u32; probes.len()];
-            let misses =
-                unsafe { x86::gids_avx2(hash, &table, &gid_states, mask, probes, &mut got) };
-            assert_eq!(got, expected_gids, "gids avx2 {hash:?} slots={slots}");
-            assert_eq!(misses, expected_misses, "gids avx2 miss count");
+            // SAFETY: see above.
+            check("avx2", &expected, &|out| unsafe {
+                x86::probe_avx2(hash, &table, mask, probes, out)
+            });
+            // SAFETY: see above.
+            check("gids avx2", &expected_gids, &|out| unsafe {
+                x86::gids_avx2(hash, &table, &gid_states, mask, probes, out)
+            });
         }
         if cpu::avx512_supported() {
-            let mut got = vec![0u32; probes.len()];
-            let misses = unsafe { x86::probe_avx512(hash, &table, mask, probes, &mut got) };
-            assert_eq!(got, expected, "avx512 {hash:?} slots={slots}");
-            assert_eq!(misses, expected_misses, "avx512 miss count");
-            let mut got = vec![0u32; probes.len()];
-            let misses =
-                unsafe { x86::gids_avx512(hash, &table, &gid_states, mask, probes, &mut got) };
-            assert_eq!(got, expected_gids, "gids avx512 {hash:?} slots={slots}");
-            assert_eq!(misses, expected_misses, "gids avx512 miss count");
+            // SAFETY: see above.
+            check("avx512", &expected, &|out| unsafe {
+                x86::probe_avx512(hash, &table, mask, probes, out)
+            });
+            // SAFETY: see above.
+            check("gids avx512", &expected_gids, &|out| unsafe {
+                x86::gids_avx512(hash, &table, &gid_states, mask, probes, out)
+            });
         }
     }
 
@@ -450,23 +548,31 @@ mod tests {
                 .map(|i| (i * 7) % 160)
                 .chain([0, 95, 96, 128, 135, 136, 1 << 20])
                 .collect();
-            check_kernels(hash, 128, &resident, &probes);
+            check_kernels(hash, 128, &resident, &probes, 0);
 
             // Sparse keys through a small table: long chains, many misses.
             let resident: Vec<u32> = (0..40u32).map(|i| i * 1000 + 7).collect();
             let probes: Vec<u32> = (0..133u32).map(|i| (i % 50) * 1000 + 7).collect();
-            check_kernels(hash, 64, &resident, &probes);
+            check_kernels(hash, 64, &resident, &probes, 0);
         }
     }
 
     #[test]
     fn tail_lengths_are_classified() {
-        // Exercise every vector-group/tail split around the 8- and
-        // 16-lane boundaries.
+        // Every vector-group/tail split around the 8- and 16-lane
+        // boundaries (lengths 0..=2·16+8), for both hashes, with the probe
+        // keys and the output each starting at every offset 0..16 inside
+        // a larger buffer: unaligned loads and stores, and no store past
+        // the output.
         let resident: Vec<u32> = (0..20u32).collect();
-        for n in 0..=40usize {
-            let probes: Vec<u32> = (0..n as u32).map(|i| i * 3 % 37).collect();
-            check_kernels(HashKind::Multiplicative, 32, &resident, &probes);
+        let keys: Vec<u32> = (0..64u32).map(|i| i * 3 % 37).collect();
+        for hash in [HashKind::Identity, HashKind::Multiplicative] {
+            for offset in 0..16 {
+                for n in 0..=40usize {
+                    let probes = &keys[offset..offset + n];
+                    check_kernels(hash, 32, &resident, probes, offset);
+                }
+            }
         }
     }
 

@@ -9,9 +9,21 @@
 //! reused selection vector, projected through *one* compiled program for
 //! all of the query's aggregate inputs into reused scratch registers
 //! ([`crate::expr`]: a shared column or subexpression is evaluated once
-//! per batch), and deposited straight into the per-group
-//! [`GroupedStates`] — the MonetDB/X100 vectorized execution model.
-//! Peak intermediate footprint is O(batch + groups), independent of n.
+//! per batch), and deposited straight into the query's per-group state
+//! arrays ([`crate::sum_op`]: COUNT plus one array per aggregate) — the
+//! MonetDB/X100 vectorized execution model. Peak intermediate footprint
+//! is O(batch + groups), independent of n.
+//!
+//! **One deposit.** How a batch reaches the states is decided once per
+//! batch, by its grouping: `Single` (ungrouped: one block), `Rows` (one
+//! group id per row), `Partitioned` (the same, plus a partition by
+//! group), `Segs` (RLE group keys: one block per run of a group). Every
+//! aggregate's input is either evaluated values or a bare RLE column. One
+//! generic deposit function takes any such batch and input into any kind
+//! of state array; a state's kind — a SUM backend's, MIN's, MAX's — is
+//! matched once per batch and aggregate to enter it, and each kind
+//! answers the deposit its own fastest way (a block kernel, a `k·v` fold,
+//! a checked add).
 //!
 //! This is the *physical* executor the plan layer ([`crate::plan`])
 //! lowers onto: a [`FusedQuery`] names the filter conjuncts, the SUM /
@@ -94,10 +106,12 @@
 //! **Partition, then aggregate** (paper §V, at batch granularity). A
 //! grouped batch of a [buffered](SumBackend::buffered) backend that holds
 //! few groups relative to its rows ([`crate::sum_op::MIN_SEG`]) is
-//! counting-sorted by group id once ([`BatchPartition`]); COUNT reads the
-//! segment lengths and every SUM state gathers its evaluated values
-//! through the permutation and deposits one block-kernel call per group —
-//! the deposit RLE group keys get from their runs, for any key storage.
+//! counting-sorted by group id once; COUNT reads the segment lengths and
+//! every repro SUM state gathers its evaluated values through the
+//! permutation and deposits one block-kernel call per group — the deposit
+//! RLE group keys get from their runs, for any key storage. (MIN and MAX
+//! fold that batch per row: a compare per row costs less than the
+//! gather.)
 //! The sort is stable and only the *values* are permuted: the selection
 //! vector and the group ids stay in row order, so predicates, RLE
 //! cursors and the algebraic deposits below never see it.
@@ -138,15 +152,15 @@
 //! **Algebraic aggregation over RLE inputs.** When a SUM / MIN / MAX
 //! input is a *bare* RLE column over plain numeric storage, the executor
 //! skips the per-row gather entirely: each selected run span deposits its
-//! value once with its repetition count. The `k·v` deposit
-//! ([`crate::GroupedSums::update_scaled`] →
-//! [`rfa_core::ReproSum::add_scaled`]) folds into the reproducible
-//! accumulators bit-identically to `k` per-row additions (DESIGN.md
-//! §26); the sorted baseline appends `k` copies. Plain doubles are
-//! order-sensitive with no algebraic shortcut — their SUMs keep the
-//! per-row path ([`SumBackend::merges_exactly`] gates the fast path),
-//! while MIN / MAX comparison folds, being idempotent and
-//! order-insensitive, run once per run on every backend. Dictionary
+//! value once with its repetition count. Every state kind answers that
+//! `k·v` deposit bit-identically to `k` per-row ones: the reproducible
+//! accumulators by the exact scaled fold of
+//! [`rfa_core::ReproSum::add_scaled`] (DESIGN.md §26), the sorted
+//! baseline by appending `k` copies, MIN / MAX — idempotent — by one fold
+//! when `k ≥ 1`. Plain doubles are order-sensitive with no algebraic
+//! shortcut — `k` checked additions are all they could do, so their SUMs
+//! keep the per-row path ([`SumBackend::merges_exactly`] gates the fast
+//! path), while MIN / MAX run once per run on every backend. Dictionary
 //! inputs are evaluated and deposited like any other expression: a code
 //! lookup per row costs less than any per-code bookkeeping saved.
 //!
@@ -176,7 +190,10 @@ use crate::expr::{
     CompiledExpr, CompiledPredicate, EvalScratch, Expr, RowRange, Sel,
 };
 use crate::q1::PhaseTiming;
-use crate::sum_op::{BatchPartition, GroupedStates, OverflowError, SumBackend, SCAN_MORSEL_ROWS};
+use crate::sum_op::{
+    dispatch, per_row, BatchPartition, GroupedStates, OverflowError, State, States, SumBackend,
+    SCAN_MORSEL_ROWS,
+};
 use rayon::prelude::*;
 use rfa_agg::{AggHashTable, HashKind};
 use rfa_core::{faults, CancelToken};
@@ -434,8 +451,9 @@ struct BoundQuery<'q> {
     group: Option<GroupBind<'q>>,
     /// Every evaluated aggregate input: one program, one output each.
     prog: BoundExpr<'q>,
-    /// Every aggregate — SUMs, then MINs, then MAXs — with its input.
-    aggs: Vec<(AggSlot, AggInput<'q>)>,
+    /// The input of every aggregate — SUMs, then MINs, then MAXs, the
+    /// order of `GroupedStates::aggs`.
+    aggs: Vec<AggInput<'q>>,
     /// State arrays per kind: SUM, MIN, MAX.
     states: (usize, usize, usize),
     backend: SumBackend,
@@ -466,31 +484,25 @@ fn bind_query<R>(
     then: impl FnOnce(&BoundQuery<'_>) -> Result<R, FusedError>,
 ) -> Result<R, FusedError> {
     let filter: Vec<CompiledPredicate> = query.filter.iter().map(BoolExpr::compile).collect();
-    // Bare RLE SUM inputs take the once-per-run deposit only on backends
-    // whose state is a pure function of the input multiset
-    // (`merges_exactly`) — there the k·v fold is bit-identical to k
-    // per-row adds (DESIGN.md §26). Plain doubles are order-sensitive
-    // with no algebraic shortcut, so they keep the per-row path by
-    // design. MIN / MAX comparison folds are idempotent and
-    // order-insensitive, so they fold once per span on every backend.
-    let slots: [fn(usize) -> AggSlot; 3] = [AggSlot::Sum, AggSlot::Min, AggSlot::Max];
     let mut evaluated = Vec::new();
     let mut aggs = Vec::new();
-    for (exprs, slot) in [&query.sums, &query.mins, &query.maxs]
-        .into_iter()
-        .zip(slots)
-    {
-        let algebraic = backend.merges_exactly() || !matches!(slot(0), AggSlot::Sum(_));
-        for (s, e) in exprs.iter().enumerate() {
-            let input = match bind_alg(e, table).filter(|_| algebraic) {
-                Some(src) => AggInput::Rle(src),
-                None => {
-                    evaluated.push(e);
-                    AggInput::Output(evaluated.len() - 1)
-                }
-            };
-            aggs.push((slot(s), input));
-        }
+    let inputs = query.sums.iter().chain(&query.mins).chain(&query.maxs);
+    for (i, e) in inputs.enumerate() {
+        // Bare RLE SUM inputs take the once-per-run deposit only on
+        // backends whose state is a pure function of the input multiset
+        // (`merges_exactly`) — there the k·v fold is bit-identical to k
+        // per-row adds (DESIGN.md §26). Plain doubles are order-sensitive
+        // with no algebraic shortcut, so they keep the per-row path by
+        // design. MIN / MAX comparison folds are idempotent and
+        // order-insensitive, so they fold once per span on every backend.
+        let algebraic = i >= query.sums.len() || backend.merges_exactly();
+        aggs.push(match bind_alg(e, table).filter(|_| algebraic) {
+            Some(src) => AggInput::Rle(src),
+            None => {
+                evaluated.push(e);
+                AggInput::Output(evaluated.len() - 1)
+            }
+        });
     }
     let prog = CompiledExpr::compile_all(evaluated);
     let bound = BoundQuery {
@@ -597,14 +609,17 @@ fn scan(
     };
 
     let t0 = Instant::now();
-    let out = partial.states.finalize()?;
+    let (counts, mut sums) = partial.states.finalize()?;
+    let (s, m, _) = bound.states;
+    let maxs = sums.split_off(s + m);
+    let mins = sums.split_off(s);
     let mut timing = partial.timing;
     timing.other += t0.elapsed();
     Ok(FusedRun {
-        sums: out.sums,
-        mins: out.mins,
-        maxs: out.maxs,
-        counts: out.counts,
+        sums,
+        mins,
+        maxs,
+        counts,
         keys: group
             .zip(partial.groups)
             .map(|(bind, groups)| bind.output_keys(groups.keys)),
@@ -1213,22 +1228,23 @@ struct Partial {
 impl Partial {
     fn merge(&mut self, other: Partial, bind: Option<&GroupBind<'_>>) -> Result<(), FusedError> {
         let Partial { states, groups, .. } = self;
-        match (bind, groups.as_mut(), other.groups) {
+        let slots = match (bind, groups.as_mut(), &other.groups) {
             // Group ids are per range: fold the other side's slots in by
             // *key*. `self` holds the earlier row range (the reduction
             // merges morsels in index order), so appending unseen keys
             // here reproduces the global first-seen order, and
             // tie-breaking folds keep earlier rows.
             (Some(bind), Some(g), Some(og)) => {
-                for (src, &key) in og.keys.iter().enumerate() {
-                    let dst = g.gid(bind, key)? as usize;
-                    states.ensure_groups(g.keys.len());
-                    states.merge_group(dst, &other.states, src)?;
-                }
+                let slots = (og.keys.iter().enumerate())
+                    .map(|(src, &key)| Ok((g.gid(bind, key)? as usize, src)))
+                    .collect::<Result<Vec<_>, FusedError>>()?;
+                states.ensure_groups(g.keys.len());
+                slots
             }
             // Un-grouped: one slot on both sides.
-            _ => states.merge(other.states)?,
-        }
+            _ => vec![(0, 0)],
+        };
+        states.merge(&other.states, &slots)?;
         self.timing.scan += other.timing.scan;
         self.timing.aggregation += other.timing.aggregation;
         self.timing.other += other.timing.other;
@@ -1238,20 +1254,22 @@ impl Partial {
 }
 
 /// How a batch's selected rows deposit into the group states.
-#[derive(Clone, Copy, PartialEq)]
-enum Deposit {
-    /// Ungrouped: the single-group block kernels.
+#[derive(Clone, Copy, Default, PartialEq)]
+pub(crate) enum Deposit {
+    /// Ungrouped: every row in group 0, one block deposit.
+    #[default]
     Single,
     /// One group id per selected row (`gids`).
     Rows,
     /// `gids` as for `Rows`, plus the batch's [`BatchPartition`] built
-    /// over them: aggregates over evaluated values deposit one block
-    /// call per group through it. The selection and `gids` stay in row
-    /// order, so algebraic deposits read this exactly like `Rows`.
+    /// over them: a repro SUM gathers its evaluated values through it and
+    /// deposits one block call per group; every other state reads it like
+    /// `Rows`. The selection and `gids` stay in row order, so run inputs
+    /// do too.
     Partitioned,
     /// Run-blocked: `segs` partitions the selection into maximal spans of
-    /// rows sharing a group (RLE group keys only); each span deposits
-    /// through one `update_*_run` block call instead of per-row updates.
+    /// rows sharing a group (RLE group keys only); each span is one block
+    /// deposit instead of per-row ones.
     Segs,
 }
 
@@ -1268,14 +1286,38 @@ impl Deposit {
     }
 }
 
+/// One batch, as every aggregate's deposit reads it.
+#[derive(Default)]
+pub(crate) struct Batch<'a> {
+    pub(crate) shape: Deposit,
+    /// The selected rows, increasing (read by run inputs).
+    pub(crate) sel: &'a [u32],
+    /// `Rows` / `Partitioned`: the group id of each selected row.
+    pub(crate) gids: &'a [u32],
+    /// `Segs`: the `(group id, end index in sel)` spans.
+    pub(crate) segs: &'a [(u32, usize)],
+    /// A near-dense batch's selection, through which per-row deposits
+    /// read their values out of the covering range's ([`per_row`]).
+    pub(crate) rows: Option<&'a [u32]>,
+}
+
+/// Where one aggregate's values of a batch come from.
+pub(crate) enum Input<'a> {
+    /// Evaluated values: one per selected row, or one per row of the
+    /// covering range for a batch with [`Batch::rows`].
+    Values(&'a [f64]),
+    /// A bare RLE column, and its run position in the scan range.
+    Runs(&'a RleSrc<'a>, &'a mut usize),
+}
+
 /// A SUM / MIN / MAX input that is a *bare RLE column*, bound for
 /// algebraic aggregation: instead of gathering one `f64` per selected
 /// row, each selected run span deposits once with its repetition count
-/// ([`GroupedStates::deposit_scaled`] — the exact `k·v` fold). The run
-/// values widen to `f64` here, once per run, with the same `as f64`
-/// conversion the gather path applies per row, so the deposited values
-/// are bit-identical to the per-row path's.
-struct RleSrc<'t> {
+/// (the `k·v` deposit, [`States::scaled`]). The run values widen to `f64`
+/// here, once per run, with the same `as f64` conversion the gather path
+/// applies per row, so the deposited values are bit-identical to the
+/// per-row path's.
+pub(crate) struct RleSrc<'t> {
     run_ends: &'t [u32],
     values: Vec<f64>,
 }
@@ -1308,124 +1350,67 @@ fn bind_alg<'t>(expr: &'t Expr, table: &'t Table) -> Option<RleSrc<'t>> {
     }
 }
 
-/// Which state array a deposit feeds.
-#[derive(Clone, Copy)]
-enum AggSlot {
-    Sum(usize),
-    Min(usize),
-    Max(usize),
-}
-
-/// Calls `f(group, start, end)` for each maximal span `sel[start..end)`
-/// of the batch's selection whose rows share one group id, in selection
-/// order.
-fn for_each_group_span(
-    deposit: Deposit,
-    sel_len: usize,
-    gids: &[u32],
-    segs: &[(u32, usize)],
-    mut f: impl FnMut(u32, usize, usize) -> Result<(), FusedError>,
-) -> Result<(), FusedError> {
-    match deposit {
-        Deposit::Single => {
-            if sel_len > 0 {
-                f(0, 0, sel_len)?;
-            }
-        }
-        Deposit::Segs => {
-            let mut start = 0;
-            for &(g, end) in segs {
-                f(g, start, end)?;
-                start = end;
-            }
-        }
-        Deposit::Rows | Deposit::Partitioned => {
-            let mut i = 0;
-            while i < sel_len {
-                let g = gids[i];
-                let mut j = i + 1;
-                while j < sel_len && gids[j] == g {
-                    j += 1;
-                }
-                f(g, i, j)?;
-                i = j;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Deposits one batch of an RLE source: once per `(group, run)` span.
-/// `cursor` is this source's run position, carried across the range's
-/// batches (selections are increasing, so advancing is amortized O(1)).
-#[allow(clippy::too_many_arguments)]
-fn deposit_algebraic(
-    states: &mut GroupedStates,
-    agg: AggSlot,
-    src: &RleSrc<'_>,
-    cursor: &mut usize,
-    sel: &[u32],
-    deposit: Deposit,
-    gids: &[u32],
-    segs: &[(u32, usize)],
-) -> Result<(), FusedError> {
-    let RleSrc { run_ends, values } = src;
-    for_each_group_span(deposit, sel.len(), gids, segs, |g, start, end| {
-        let mut i = start;
-        while i < end {
-            *cursor = advance_run(run_ends, *cursor, sel[i]);
-            // The deposit span ends where the value run does (or
-            // where the selection / group span leaves it).
-            let j = span_end(&sel[..end], i, run_ends[*cursor]);
-            let v = values[*cursor];
-            match agg {
-                AggSlot::Sum(s) => states.deposit_scaled(s, g as usize, v, (j - i) as u64)?,
-                AggSlot::Min(s) => states.update_min_value(s, g as usize, v),
-                AggSlot::Max(s) => states.update_max_value(s, g as usize, v),
-            }
-            i = j;
-        }
-        Ok(())
-    })
-}
-
-/// Deposits one batch's evaluated `vals` the way the batch's grouping
-/// decided: one per selected row, in row order — or, with `rows` (a
-/// near-dense batch's selection), one per row of its covering range.
-#[allow(clippy::too_many_arguments)]
-fn deposit_values(
-    states: &mut GroupedStates,
-    agg: AggSlot,
-    vals: &[f64],
-    rows: Option<&[u32]>,
-    deposit: Deposit,
-    gids: &[u32],
-    segs: &[(u32, usize)],
+/// The one deposit: one batch's `input` into one aggregate's state array,
+/// the way the batch's shape says. The state's kind is matched here, once
+/// per batch and aggregate, to enter [`deposit_as`] for that kind.
+pub(crate) fn deposit(
+    state: &mut State,
+    batch: &Batch<'_>,
     part: &mut BatchPartition,
-) -> Result<(), FusedError> {
-    match (deposit, agg) {
-        (Deposit::Single, AggSlot::Sum(s)) => states.update_sum_single(s, vals)?,
-        (Deposit::Single, AggSlot::Min(s)) => states.update_min_single(s, vals),
-        (Deposit::Single, AggSlot::Max(s)) => states.update_max_single(s, vals),
-        (Deposit::Rows, AggSlot::Sum(s)) => states.update_sum_rows(s, gids, vals, rows)?,
-        (Deposit::Partitioned, AggSlot::Sum(s)) => states.update_sum_partitioned(s, part, vals)?,
-        (Deposit::Rows | Deposit::Partitioned, AggSlot::Min(s)) => {
-            states.update_min_rows(s, gids, vals, rows)
-        }
-        (Deposit::Rows | Deposit::Partitioned, AggSlot::Max(s)) => {
-            states.update_max_rows(s, gids, vals, rows)
-        }
-        (Deposit::Segs, _) => {
-            let mut start = 0;
-            for &(g, end) in segs {
-                let (g, run) = (g as usize, &vals[start..end]);
-                match agg {
-                    AggSlot::Sum(s) => states.update_sum_run(s, g, run)?,
-                    AggSlot::Min(s) => states.update_min_run(s, g, run),
-                    AggSlot::Max(s) => states.update_max_run(s, g, run),
+    input: Input<'_>,
+) -> Result<(), OverflowError> {
+    dispatch!(state, |s| deposit_as(s, batch, part, input))
+}
+
+/// [`deposit`] into one kind of state array. Evaluated values go in by
+/// the batch's shape; an RLE input once per span of rows that shares
+/// both a group and a value run, as one `k·v` deposit.
+fn deposit_as<S: States>(
+    s: &mut S,
+    b: &Batch<'_>,
+    part: &mut BatchPartition,
+    input: Input<'_>,
+) -> Result<(), OverflowError> {
+    let (RleSrc { run_ends, values }, cursor) = match input {
+        Input::Values(vals) => {
+            return match b.shape {
+                Deposit::Single => s.run(0, vals),
+                Deposit::Rows => per_row(s, b.gids, vals, b.rows),
+                Deposit::Partitioned => s.partitioned(part, b.gids, vals, b.rows),
+                Deposit::Segs => {
+                    let mut start = 0;
+                    for &(g, end) in b.segs {
+                        s.run(g as usize, &vals[start..end])?;
+                        start = end;
+                    }
+                    Ok(())
                 }
-                start = end;
+            };
+        }
+        Input::Runs(src, cursor) => (src, cursor),
+    };
+    let (sel, mut i, mut seg) = (b.sel, 0, 0);
+    while i < sel.len() {
+        // The group span from row `i`: the batch, a segment, or the rows
+        // sharing row `i`'s group id.
+        let (g, end) = match b.shape {
+            Deposit::Single => (0, sel.len()),
+            Deposit::Segs => b.segs[seg],
+            Deposit::Rows | Deposit::Partitioned => {
+                let g = b.gids[i];
+                (g, i + b.gids[i..].iter().take_while(|&&h| h == g).count())
             }
+        };
+        seg += 1;
+        while i < end {
+            // `cursor` carries across the range's batches: selections
+            // increase, so advancing is amortized O(1). A deposit span
+            // ends where the value run does, or where the group span
+            // leaves it.
+            *cursor = advance_run(run_ends, *cursor, sel[i]);
+            let j = span_end(&sel[..end], i, run_ends[*cursor]);
+            s.scaled(g as usize, values[*cursor], (j - i) as u64)?;
+            i = j;
         }
     }
     Ok(())
@@ -1454,7 +1439,6 @@ struct RangeScan<'q> {
 
 impl<'q> RangeScan<'q> {
     fn new(query: &'q BoundQuery<'q>, rows: usize) -> Self {
-        let (sums, mins, maxs) = query.states;
         // A grouped range starts with no group; an un-grouped one has its
         // single slot.
         let groups = query.group.is_none() as usize;
@@ -1462,7 +1446,7 @@ impl<'q> RangeScan<'q> {
             query,
             cursors: vec![0; query.aggs.len()],
             groups: query.group.as_ref().map(|bind| Groups::new(bind, rows)),
-            states: GroupedStates::new(query.backend, groups, sums, mins, maxs),
+            states: GroupedStates::new(query.backend, groups, query.states),
             sel: Vec::new(),
             gids: Vec::new(),
             key_buf: Vec::new(),
@@ -1524,7 +1508,7 @@ impl<'q> RangeScan<'q> {
                     let g = groups.gid(bind, key)?;
                     let j = span_end(sel, i, bound);
                     states.ensure_groups(groups.keys.len());
-                    states.add_count_run(g as usize, (j - i) as u64);
+                    states.add_count(g as usize, j - i);
                     segs.push((g, j));
                     i = j;
                 }
@@ -1544,7 +1528,12 @@ impl<'q> RangeScan<'q> {
                     if let Some(rows) = batch.selection().filter(|_| query.prog.outputs() > 0) {
                         self.part.select(rows);
                     }
-                    states.add_counts_partitioned(&self.part);
+                    // The segment lengths are the batch's COUNT.
+                    let mut start = 0;
+                    for &(g, end) in self.part.segs() {
+                        states.add_count(g as usize, end - start);
+                        start = end;
+                    }
                     Deposit::Partitioned
                 } else {
                     states.add_counts(&self.gids);
@@ -1552,7 +1541,7 @@ impl<'q> RangeScan<'q> {
                 }
             }
             _ => {
-                states.add_count_single(sel.len() as u64);
+                states.add_count(0, sel.len());
                 Deposit::Single
             }
         })
@@ -1567,21 +1556,22 @@ impl<'q> RangeScan<'q> {
     /// Deposits every aggregate of the batch; the partition's permutation
     /// and the per-row deposits read a near-dense batch's selected rows
     /// out of its covering-range outputs (module docs).
-    fn deposit(&mut self, deposit: Deposit) -> Result<(), FusedError> {
+    fn deposit(&mut self, shape: Deposit) -> Result<(), FusedError> {
         let query = self.query;
-        let rows = deposit.rows(&self.sel).selection();
-        for (&(slot, ref input), cursor) in query.aggs.iter().zip(&mut self.cursors) {
-            let (states, part) = (&mut self.states, &mut self.part);
-            let (sel, gids, segs) = (&self.sel, &self.gids, &self.segs);
-            match input {
-                AggInput::Rle(src) => {
-                    deposit_algebraic(states, slot, src, cursor, sel, deposit, gids, segs)?
-                }
-                AggInput::Output(k) => {
-                    let vals = query.prog.output(*k, &self.eval);
-                    deposit_values(states, slot, vals, rows, deposit, gids, segs, part)?
-                }
-            }
+        let batch = Batch {
+            shape,
+            sel: &self.sel,
+            gids: &self.gids,
+            segs: &self.segs,
+            rows: shape.rows(&self.sel).selection(),
+        };
+        let aggs = query.aggs.iter().zip(&mut self.cursors);
+        for ((input, cursor), state) in aggs.zip(&mut self.states.aggs) {
+            let input = match input {
+                AggInput::Output(k) => Input::Values(query.prog.output(*k, &self.eval)),
+                AggInput::Rle(src) => Input::Runs(src, cursor),
+            };
+            deposit(state, &batch, &mut self.part, input)?;
         }
         Ok(())
     }

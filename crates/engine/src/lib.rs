@@ -16,12 +16,14 @@
 //!   shared column or subexpression once; boolean predicates
 //!   ([`BoolExpr`]) build branchless selection vectors, with typed fast
 //!   paths for `col ⟨cmp⟩ const` shapes;
-//! * [`sum_op`] — the grouped SUM operator with pluggable backends: plain
-//!   overflow-checked doubles (MonetDB behaviour), `repro<double, 4>`
-//!   deposited per row or batch-partitioned through the block kernel
-//!   ([`BatchPartition`]), and the sorted-input baseline — all
-//!   reified as the incremental, mergeable [`GroupedSums`] state, composed
-//!   with exact COUNT and MIN/MAX arrays in [`GroupedStates`];
+//! * [`sum_op`] — the per-group aggregate states, one vocabulary for all
+//!   of them: a SUM of any backend — plain overflow-checked doubles
+//!   (MonetDB behaviour), `repro<double, L>` deposited per row or
+//!   batch-partitioned through the block kernel ([`MIN_SEG`]), the
+//!   sorted-input baseline — a MIN and a MAX each answer the same
+//!   deposits, merges and finalize, and sit next to an exact COUNT in one
+//!   query's states. [`GroupedSums`] is one SUM state array on its own,
+//!   [`sum_grouped`] the one-shot grouped SUM;
 //! * [`fused`] — the fused zero-copy scan pipeline:
 //!   filter → project → aggregate in cache-resident batches with no
 //!   n-sized intermediates, serial or morsel-parallel, grouping on
@@ -107,6 +109,6 @@ pub use sql::{
     SqlColumn, SqlError, SqlQuery, SqlResult,
 };
 pub use sum_op::{
-    count_grouped, sum_grouped, BatchPartition, GroupedOutput, GroupedStates, GroupedSums,
-    OverflowError, SumBackend, MIN_SEG, NEAR_DENSE, SCAN_MORSEL_ROWS,
+    count_grouped, sum_grouped, GroupedSums, OverflowError, SumBackend, MIN_SEG, NEAR_DENSE,
+    SCAN_MORSEL_ROWS,
 };

@@ -1,4 +1,4 @@
-//! The engine's grouped SUM operator with pluggable numeric backends
+//! The engine's per-group aggregate states and its grouped SUM operator
 //! (paper §VI-E).
 //!
 //! This mirrors the paper's MonetDB modification: "we modified MonetDB's
@@ -9,42 +9,82 @@
 //! encoded), so the operator uses direct array indexing — as MonetDB does
 //! for small group counts.
 //!
-//! The operator state is reified as [`GroupedSums`]: an incremental,
-//! mergeable per-group accumulator array that the fused scan pipeline
-//! (`crate::fused`) feeds batch-at-a-time, and that the one-shot
-//! [`sum_grouped`] wrapper drives over whole arrays. Both drivers perform
-//! the identical per-slot operation sequence, so they finalize to the
-//! same bits.
-//!
-//! Backends:
+//! **One state vocabulary.** That "locally allocated array" is a drop-in:
+//! every per-group state array — the SUM of any [`SumBackend`], a MIN, a
+//! MAX — answers the same deposits. It takes one value into one group, a
+//! block of values into one group, `k` copies of one value, one value per
+//! row of a batch, or a batch partitioned by group, and it grows, merges
+//! slot by slot and finalizes the same way. Each kind implements one
+//! per-value `add` and overrides only the deposits it does faster; the
+//! rest loop over `add`. The scan matches an array's kind once per batch
+//! and aggregate and enters one generic deposit for that kind
+//! (`crate::fused`), so nothing matches per row or per run and nothing is
+//! a trait object. Because exact states merge in any order (Goodrich &
+//! Eldawy), the kinds are interchangeable behind that one interface:
 //!
 //! * [`SumBackend::Double`] — MonetDB's own behaviour: plain `dbl` sum
 //!   *with per-element overflow checking* (MonetDB's `ADD_WITH_CHECK`
 //!   macros; the paper notes this makes the baseline slower than a raw
-//!   loop, §VI-E). Order-sensitive.
-//! * [`SumBackend::ReproUnbuffered`] — `repro<double, L>` per group, one
-//!   per-row `add` per value: the paper's drop-in type.
-//! * [`SumBackend::ReproBuffered`] — the same `repro<double, L>` states,
-//!   fed *partition-then-aggregate* at batch granularity: when a batch
-//!   holds few groups relative to its rows ([`MIN_SEG`]) it is
-//!   counting-sorted by group id once ([`BatchPartition`]) and every
-//!   group's values go through the vectorized block kernel in one call.
-//!   The staging lives with the batch, not with the group — there are no
-//!   per-group summation buffers in the engine.
-//! * [`SumBackend::SortedDouble`] — the "sort the input, then sum
-//!   doubles" baseline of Table IV. Each group keeps the values deposited
-//!   into it; finalization sorts them ascending by bit pattern and adds
-//!   them in that order from `+0.0`. The state is a function of the input
-//!   multiset, so — like the repro states, and unlike `Double` — it
-//!   merges exactly, in any schedule (Goodrich & Eldawy).
+//!   loop, §VI-E). Every deposit is that checked add. Order-sensitive.
+//! * [`SumBackend::ReproUnbuffered`] / [`SumBackend::Rsum`] —
+//!   `repro<double, L>` per group, the paper's drop-in type: a block goes
+//!   through the vectorized block kernel, `k` copies through the exact
+//!   scaled fold, and per-row deposits prefetch once the array outgrows
+//!   L2.
+//! * [`SumBackend::ReproBuffered`] / [`SumBackend::RsumBuffered`] — the
+//!   same states, fed *partition-then-aggregate* at batch granularity:
+//!   when a batch holds few groups relative to its rows ([`MIN_SEG`]) it
+//!   is counting-sorted by group id once (`BatchPartition`) and every
+//!   group's values go through the block kernel in one call. The staging
+//!   lives with the batch, not with the group — there are no per-group
+//!   summation buffers in the engine.
+//! * [`SumBackend::SortedDouble`] — the "sort the input, then sum doubles"
+//!   baseline of Table IV. Each group keeps the values deposited into it;
+//!   finalization sorts them ascending by bit pattern and adds them in
+//!   that order from `+0.0`. The state is a function of the input
+//!   multiset, so — like the repro states, and unlike `Double` — it merges
+//!   exactly, in any schedule.
+//! * MIN and MAX — strict-compare folds: the first extreme value in row
+//!   order wins, and a NaN never enters a slot.
+//!
+//! [`GroupedSums`] is the public face of one SUM state array, and
+//! [`sum_grouped`] drives one over whole arrays. They deposit through the
+//! scan's own deposit, so batched (fused) and one-shot execution finalize
+//! to the same bits.
 
-use crate::fused::FUSED_BATCH_ROWS;
+use crate::fused::{deposit, Batch, Deposit, Input, FUSED_BATCH_ROWS};
 use rfa_core::{simd, ReproSum};
 
 /// Rows per morsel in the engine's parallel scans and aggregations.
 pub const SCAN_MORSEL_ROWS: usize = 1 << 16;
 
 /// Numeric backend of the grouped SUM operator.
+///
+/// **Special values.** Every deposit path — per row, block, partitioned,
+/// `k·v`, merged — gives one answer per cell, pinned for every state kind
+/// by this module's state-contract tests (which CI runs at every SIMD
+/// tier). For the SUM of one group:
+///
+/// | input | `Double` | `SortedDouble` | repro (`L = 1..=4`) |
+/// |---|---|---|---|
+/// | NaN | `OverflowError` | `OverflowError` | NaN |
+/// | `+∞` (or `−∞`) | `OverflowError` | `OverflowError` | `+∞` (`−∞`) |
+/// | `+∞` and `−∞` | `OverflowError` | `OverflowError` | NaN |
+/// | only `−0.0` | `+0.0` | `+0.0` | `+0.0` |
+/// | overflow (`f64::MAX + f64::MAX`) | `OverflowError` | `OverflowError` | `+∞` |
+///
+/// `Double` raises at the first addition whose result is not finite
+/// (MonetDB's check); `SortedDouble` checks each finished sum once, which
+/// raises exactly when a check after every addition would. The repro
+/// states instead follow IEEE addition with a sticky special state, and
+/// a finite value too large to bin (`|v| ≥ 2^1005`) counts as `±∞`. That
+/// is a decision, not an accident: an `OverflowError` raised mid-scan
+/// depends on which rows came first, so it cannot be part of an answer
+/// that is the same in every order. A repro sum reports `±∞` or NaN as
+/// its value instead, the same in any order. Subnormals are ordinary
+/// values on every backend. MIN and MAX ignore NaN, take `±∞` like any
+/// value, keep the first of `−0.0` and `+0.0`, and answer `+∞` / `−∞` for
+/// a group that received no value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SumBackend {
     /// Plain double with MonetDB-style overflow checks (non-reproducible).
@@ -52,10 +92,10 @@ pub enum SumBackend {
     /// `repro<double, 4>` drop-in (reproducible, unbuffered).
     ReproUnbuffered,
     /// `repro<double, 4>` with batch-partitioned block deposits (see
-    /// [`BatchPartition`]). `buffer_size` sizes nothing: the staging area
-    /// is the scan batch, shared by all groups. The field remains because
-    /// the wire format and the benchmark construct it; any value gives
-    /// the same bits at the same speed.
+    /// [`MIN_SEG`]). `buffer_size` sizes nothing: the staging area is the
+    /// scan batch, shared by all groups. The field remains because the
+    /// wire format and the benchmark construct it; any value gives the
+    /// same bits at the same speed.
     ReproBuffered { buffer_size: usize },
     /// Plain double over each group's values sorted by bit pattern
     /// (reproducible via ordering).
@@ -79,7 +119,8 @@ impl SumBackend {
         self != SumBackend::Double
     }
 
-    /// Whether grouped batches deposit through a [`BatchPartition`].
+    /// Whether grouped batches deposit through a batch partition (see
+    /// [`MIN_SEG`]).
     pub fn buffered(self) -> bool {
         matches!(
             self,
@@ -152,70 +193,11 @@ fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
-/// Per-group reproducible states at one ladder height `L`.
-struct ReproStates<const L: usize>(Vec<ReproSum<f64, L>>);
-
-impl<const L: usize> ReproStates<L> {
-    fn new(groups: usize) -> Self {
-        ReproStates(vec![ReproSum::new(); groups])
-    }
-
-    fn push_groups(&mut self, n: usize) {
-        self.0.extend((0..n).map(|_| ReproSum::new()));
-    }
-
-    /// Per-row deposits. A state array larger than a core's share of L2
-    /// ([`PREFETCH_MIN_BYTES`]) misses on nearly every row of a
-    /// high-cardinality batch, so the state of row `i +`
-    /// [`PREFETCH_AHEAD`] is requested while row `i` is added; a resident
-    /// array skips the hint, which there only costs issue slots.
-    fn update(&mut self, group_ids: &[u32], values: impl Iterator<Item = f64>) {
-        if std::mem::size_of_val(self.0.as_slice()) <= PREFETCH_MIN_BYTES {
-            for (&g, v) in group_ids.iter().zip(values) {
-                self.0[g as usize].add(v);
-            }
-            return;
-        }
-        // The batch's last rows ask for the last row's state again: a
-        // hint for a line already on its way costs nothing.
-        let (base, last) = (self.0.as_ptr(), group_ids.len().saturating_sub(1));
-        for (i, (&g, v)) in group_ids.iter().zip(values).enumerate() {
-            let ahead = group_ids[(i + PREFETCH_AHEAD).min(last)];
-            prefetch(base.wrapping_add(ahead as usize));
-            self.0[g as usize].add(v);
-        }
-    }
-
-    /// Block deposit: a slice of values all belonging to one group goes
-    /// through the vectorized block kernel (Algorithm 3), bit-identical
-    /// to per-row `add` by the §III-D exactness argument — un-grouped
-    /// scans, RLE runs over group-key columns, partitioned batches.
-    fn update_run(&mut self, group: usize, values: &[f64]) {
-        simd::add_slice(&mut self.0[group], values);
-    }
-
-    /// Algebraic deposit of `k` copies of `v` (RLE runs over *value*
-    /// columns). Bit-identical to `k` per-row
-    /// adds by the exact scaled fold of [`ReproSum::add_scaled`].
-    fn update_scaled(&mut self, group: usize, v: f64, k: u64) {
-        self.0[group].add_scaled(v, k);
-    }
-
-    fn merge(&mut self, other: &Self) {
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            a.merge(b);
-        }
-    }
-
-    fn finalize(self) -> Vec<f64> {
-        self.0.into_iter().map(|s| s.finalize()).collect()
-    }
-}
-
 /// Minimum average rows per group slot for a batch to be partitioned: a
-/// batch of `n` rows over `groups` slots takes the [`BatchPartition`] path
-/// when `groups · MIN_SEG ≤ n` — at most 8 groups in a default 4096-row
-/// batch — and per-row `add` otherwise. Set by `criterion_micro`'s
+/// batch of `n` rows over `groups` slots takes the partitioned path of
+/// the [buffered](SumBackend::buffered) backends when
+/// `groups · MIN_SEG ≤ n` — at most 8 groups in a default 4096-row batch
+/// — and per-row `add` otherwise. Set by `criterion_micro`'s
 /// `grouped_deposit` sweep (EXPERIMENTS.md, Fig. 10 row) at the last
 /// group count where the partitioned operator beats the per-row one:
 /// past it, partitioning a batch costs more than the block kernel gives
@@ -257,7 +239,7 @@ pub const NEAR_DENSE: f64 = 0.5;
 /// order; the block kernel is bit-transparent to per-value `add`
 /// (§III-D). Only *when* a slot is visited differs — never what it sees.
 #[derive(Default)]
-pub struct BatchPartition {
+pub(crate) struct BatchPartition {
     perm: Vec<u32>,
     segs: Vec<(u32, usize)>,
     /// Per-group write cursors of the counting sort.
@@ -273,7 +255,7 @@ impl BatchPartition {
     /// Partitions one batch of group ids (all `< groups`). Returns `false`
     /// — without partitioning — when the batch has fewer than [`MIN_SEG`]
     /// rows per group slot; the caller then deposits per row.
-    pub fn build(&mut self, group_ids: &[u32], groups: usize) -> bool {
+    pub(crate) fn build(&mut self, group_ids: &[u32], groups: usize) -> bool {
         if groups.saturating_mul(MIN_SEG) > group_ids.len() {
             return false;
         }
@@ -291,7 +273,7 @@ impl BatchPartition {
     /// group id; see the type docs). A pass of its own: packing the
     /// offsets inside the partition kernel measured the same
     /// (EXPERIMENTS.md).
-    pub fn select(&mut self, rows: &[u32]) {
+    pub(crate) fn select(&mut self, rows: &[u32]) {
         assert_eq!(rows.len(), self.perm.len());
         let Some((&first, &last)) = rows.first().zip(rows.last()) else {
             return;
@@ -331,7 +313,7 @@ impl BatchPartition {
 
     /// `(group, end)` per non-empty group, ascending: group `g` owns
     /// positions `previous end..end` of the partition order.
-    pub fn segs(&self) -> &[(u32, usize)] {
+    pub(crate) fn segs(&self) -> &[(u32, usize)] {
         &self.segs
     }
 
@@ -357,117 +339,389 @@ impl BatchPartition {
     }
 }
 
-/// Incremental per-group SUM state for one backend: the engine's
-/// "locally allocated array" of intermediate aggregates, consumable
-/// batch-at-a-time and mergeable across morsels.
+/// A per-group state array: the one vocabulary every aggregate state
+/// answers (module docs). A deposit's error is the `Double` backend's
+/// overflow; the state after an error is discarded.
+///
+/// The per-value loops (`run`, `rows`) are never inlined into the scan's
+/// deposit: inside that one large function the compiler kept the state
+/// array's base and length in stack slots and reloaded them on every row
+/// — right after storing into a state, a load whose cost then depends on
+/// where the stack happens to sit. In a function of their own they stay
+/// in registers, as they did in the per-kind functions these replace.
+pub(crate) trait States: Sized {
+    /// Deposits `v` into group `g`.
+    fn add(&mut self, g: usize, v: f64) -> Result<(), OverflowError>;
+
+    /// Deposits `values`, in order, into group `g`.
+    #[inline(never)]
+    fn run(&mut self, g: usize, values: &[f64]) -> Result<(), OverflowError> {
+        for &v in values {
+            self.add(g, v)?;
+        }
+        Ok(())
+    }
+
+    /// Deposits `k` copies of `v` into group `g`.
+    fn scaled(&mut self, g: usize, v: f64, k: u64) -> Result<(), OverflowError> {
+        for _ in 0..k {
+            self.add(g, v)?;
+        }
+        Ok(())
+    }
+
+    /// Deposits each value into the group of its group id, in row order.
+    #[inline(never)]
+    fn rows(
+        &mut self,
+        gids: &[u32],
+        values: impl Iterator<Item = f64>,
+    ) -> Result<(), OverflowError> {
+        for (&g, v) in gids.iter().zip(values) {
+            self.add(g as usize, v)?;
+        }
+        Ok(())
+    }
+
+    /// Deposits a batch that `part` partitions by group: as [`per_row`]
+    /// over `(gids, values, sel)`, which it is bit-identical to
+    /// (`BatchPartition`'s stability argument).
+    fn partitioned(
+        &mut self,
+        part: &mut BatchPartition,
+        gids: &[u32],
+        values: &[f64],
+        sel: Option<&[u32]>,
+    ) -> Result<(), OverflowError> {
+        let _ = part;
+        per_row(self, gids, values, sel)
+    }
+
+    /// Appends `n` empty group slots.
+    fn push_groups(&mut self, n: usize);
+
+    /// Merges slot `src` of `other` into slot `dst`.
+    fn merge_slot(&mut self, dst: usize, other: &Self, src: usize) -> Result<(), OverflowError>;
+
+    /// Every group's answer, into `out` — written even when the result is
+    /// the [`OverflowError`] of a kind that finds its overflow only here.
+    fn finalize(self, out: &mut Vec<f64>) -> Result<(), OverflowError>;
+}
+
+/// Per-row deposits of one batch: with `sel` — the batch's strictly
+/// increasing selection — `values` holds one value per row of the
+/// selection's covering range and the deposit reads the selected ones
+/// through it, never looking at a dropped row's value. Without, one value
+/// per group id.
+pub(crate) fn per_row<S: States>(
+    s: &mut S,
+    gids: &[u32],
+    values: &[f64],
+    sel: Option<&[u32]>,
+) -> Result<(), OverflowError> {
+    match sel {
+        Some(rows) => {
+            let first = rows.first().map_or(0, |&r| r);
+            s.rows(
+                gids,
+                rows.iter().map(move |&r| values[(r - first) as usize]),
+            )
+        }
+        None => s.rows(gids, values.iter().copied()),
+    }
+}
+
+/// [`SumBackend::Double`]: one `f64` per group, every deposit the checked
+/// add, so every deposit form is the default.
+#[derive(Default)]
+pub(crate) struct Doubles(Vec<f64>);
+
+impl States for Doubles {
+    fn add(&mut self, g: usize, v: f64) -> Result<(), OverflowError> {
+        let slot = &mut self.0[g];
+        *slot += v;
+        // MonetDB's ADD_WITH_CHECK: per-element result check.
+        if slot.is_finite() {
+            Ok(())
+        } else {
+            Err(OverflowError)
+        }
+    }
+
+    fn push_groups(&mut self, n: usize) {
+        self.0.resize(self.0.len() + n, 0.0);
+    }
+
+    fn merge_slot(&mut self, dst: usize, other: &Self, src: usize) -> Result<(), OverflowError> {
+        self.add(dst, other.0[src])
+    }
+
+    fn finalize(self, out: &mut Vec<f64>) -> Result<(), OverflowError> {
+        *out = self.0;
+        Ok(())
+    }
+}
+
+/// [`SumBackend::SortedDouble`]: every group's deposited values, in no
+/// particular order until [`States::finalize`] sorts them.
+#[derive(Default)]
+pub(crate) struct Sorted(Vec<Vec<f64>>);
+
+impl States for Sorted {
+    fn add(&mut self, g: usize, v: f64) -> Result<(), OverflowError> {
+        self.0[g].push(v);
+        Ok(())
+    }
+
+    fn run(&mut self, g: usize, values: &[f64]) -> Result<(), OverflowError> {
+        self.0[g].extend_from_slice(values);
+        Ok(())
+    }
+
+    fn scaled(&mut self, g: usize, v: f64, k: u64) -> Result<(), OverflowError> {
+        self.0[g].extend(std::iter::repeat_n(v, k as usize));
+        Ok(())
+    }
+
+    fn push_groups(&mut self, n: usize) {
+        self.0.resize_with(self.0.len() + n, Vec::new);
+    }
+
+    fn merge_slot(&mut self, dst: usize, other: &Self, src: usize) -> Result<(), OverflowError> {
+        self.run(dst, &other.0[src])
+    }
+
+    /// Each group's values ascending by bit pattern (ties are equal bits,
+    /// so the order is total), added in that order from `+0.0`. One
+    /// `is_finite` per sum raises [`OverflowError`] exactly when a check
+    /// after every addition would: once an IEEE sum is ±∞ or NaN, adding
+    /// anything keeps it non-finite.
+    fn finalize(self, out: &mut Vec<f64>) -> Result<(), OverflowError> {
+        *out = (self.0.into_iter())
+            .map(|mut values| {
+                values.sort_unstable_by_key(|v| v.to_bits());
+                values.into_iter().fold(0.0, |sum, v| sum + v)
+            })
+            .collect();
+        out.iter()
+            .all(|s| s.is_finite())
+            .then_some(())
+            .ok_or(OverflowError)
+    }
+}
+
+/// Per-group reproducible states at one ladder height `L`.
+#[derive(Default)]
+pub(crate) struct ReproStates<const L: usize>(Vec<ReproSum<f64, L>>);
+
+impl<const L: usize> States for ReproStates<L> {
+    fn add(&mut self, g: usize, v: f64) -> Result<(), OverflowError> {
+        self.0[g].add(v);
+        Ok(())
+    }
+
+    /// The vectorized block kernel (Algorithm 3), bit-identical to
+    /// per-row `add` by the §III-D exactness argument.
+    fn run(&mut self, g: usize, values: &[f64]) -> Result<(), OverflowError> {
+        simd::add_slice(&mut self.0[g], values);
+        Ok(())
+    }
+
+    /// The exact scaled fold of [`ReproSum::add_scaled`], bit-identical
+    /// to `k` per-row adds (DESIGN.md S26).
+    fn scaled(&mut self, g: usize, v: f64, k: u64) -> Result<(), OverflowError> {
+        self.0[g].add_scaled(v, k);
+        Ok(())
+    }
+
+    /// A state array larger than a core's share of L2
+    /// ([`PREFETCH_MIN_BYTES`]) misses on nearly every row of a
+    /// high-cardinality batch, so the state of row `i +`
+    /// [`PREFETCH_AHEAD`] is requested while row `i` is added; a resident
+    /// array skips the hint, which there only costs issue slots.
+    #[inline(never)]
+    fn rows(
+        &mut self,
+        gids: &[u32],
+        values: impl Iterator<Item = f64>,
+    ) -> Result<(), OverflowError> {
+        if std::mem::size_of_val(self.0.as_slice()) <= PREFETCH_MIN_BYTES {
+            for (&g, v) in gids.iter().zip(values) {
+                self.0[g as usize].add(v);
+            }
+            return Ok(());
+        }
+        // The batch's last rows ask for the last row's state again: a
+        // hint for a line already on its way costs nothing.
+        let (base, last) = (self.0.as_ptr(), gids.len().saturating_sub(1));
+        for (i, (&g, v)) in gids.iter().zip(values).enumerate() {
+            prefetch(base.wrapping_add(gids[(i + PREFETCH_AHEAD).min(last)] as usize));
+            self.0[g as usize].add(v);
+        }
+        Ok(())
+    }
+
+    /// Gathers the values group by group and deposits one block-kernel
+    /// call per group.
+    fn partitioned(
+        &mut self,
+        part: &mut BatchPartition,
+        _: &[u32],
+        values: &[f64],
+        _: Option<&[u32]>,
+    ) -> Result<(), OverflowError> {
+        let (sorted, segs) = part.gather(values);
+        let mut start = 0;
+        for &(g, end) in segs {
+            self.run(g as usize, &sorted[start..end])?;
+            start = end;
+        }
+        Ok(())
+    }
+
+    fn push_groups(&mut self, n: usize) {
+        self.0.resize_with(self.0.len() + n, ReproSum::new);
+    }
+
+    fn merge_slot(&mut self, dst: usize, other: &Self, src: usize) -> Result<(), OverflowError> {
+        self.0[dst].merge(&other.0[src]);
+        Ok(())
+    }
+
+    fn finalize(self, out: &mut Vec<f64>) -> Result<(), OverflowError> {
+        *out = self.0.into_iter().map(ReproSum::finalize).collect();
+        Ok(())
+    }
+}
+
+/// MIN (`MAX = false`) or MAX per group: a strict-compare fold, so the
+/// first extreme value in row order wins a tie (`-0.0` against `0.0`) and
+/// a NaN never enters a slot. An empty group holds `+∞` (MIN) or `−∞`
+/// (MAX).
+#[derive(Default)]
+pub(crate) struct Extremum<const MAX: bool>(Vec<f64>);
+
+impl<const MAX: bool> States for Extremum<MAX> {
+    fn add(&mut self, g: usize, v: f64) -> Result<(), OverflowError> {
+        let cur = &mut self.0[g];
+        if if MAX { v > *cur } else { v < *cur } {
+            *cur = v;
+        }
+        Ok(())
+    }
+
+    /// Comparisons are idempotent: one fold of `v` is `k` folds of it —
+    /// and zero copies fold nothing.
+    fn scaled(&mut self, g: usize, v: f64, k: u64) -> Result<(), OverflowError> {
+        if k > 0 {
+            self.add(g, v)?;
+        }
+        Ok(())
+    }
+
+    fn push_groups(&mut self, n: usize) {
+        let empty = if MAX { -f64::INFINITY } else { f64::INFINITY };
+        self.0.resize(self.0.len() + n, empty);
+    }
+
+    /// The destination keeps its value on a tie: merged in range order,
+    /// it holds the earlier rows.
+    fn merge_slot(&mut self, dst: usize, other: &Self, src: usize) -> Result<(), OverflowError> {
+        self.add(dst, other.0[src])
+    }
+
+    fn finalize(self, out: &mut Vec<f64>) -> Result<(), OverflowError> {
+        *out = self.0;
+        Ok(())
+    }
+}
+
+/// One aggregate's per-group state array, of one of the kinds above.
+pub(crate) enum State {
+    Double(Doubles),
+    Sorted(Sorted),
+    Repro1(ReproStates<1>),
+    Repro2(ReproStates<2>),
+    Repro3(ReproStates<3>),
+    Repro4(ReproStates<4>),
+    Min(Extremum<false>),
+    Max(Extremum<true>),
+}
+
+/// Matches a [`State`] — or two of one kind — once, binding the concrete
+/// array(s) in `$body`: the one dispatch of each state operation.
+macro_rules! dispatch {
+    ($state:expr, |$s:ident| $body:expr) => {
+        dispatch!(@one $state, $s, $body, [Double Sorted Repro1 Repro2 Repro3 Repro4 Min Max])
+    };
+    ($a:expr, $b:expr, |$s:ident, $o:ident| $body:expr) => {
+        dispatch!(@two $a, $b, $s, $o, $body, [Double Sorted Repro1 Repro2 Repro3 Repro4 Min Max])
+    };
+    (@one $state:expr, $s:ident, $body:expr, [$($kind:ident)*]) => {
+        match $state {
+            $($crate::sum_op::State::$kind($s) => $body,)*
+        }
+    };
+    (@two $a:expr, $b:expr, $s:ident, $o:ident, $body:expr, [$($kind:ident)*]) => {
+        match ($a, $b) {
+            $(($crate::sum_op::State::$kind($s), $crate::sum_op::State::$kind($o)) => $body,)*
+            _ => panic!("merging state arrays of different kinds"),
+        }
+    };
+}
+pub(crate) use dispatch;
+
+impl State {
+    /// An empty SUM state array of `backend`.
+    fn sum(backend: SumBackend) -> State {
+        let levels = match backend {
+            SumBackend::Double => return State::Double(Doubles::default()),
+            SumBackend::SortedDouble => return State::Sorted(Sorted::default()),
+            SumBackend::ReproUnbuffered | SumBackend::ReproBuffered { .. } => 4,
+            SumBackend::Rsum { levels } | SumBackend::RsumBuffered { levels, .. } => levels,
+        };
+        match levels {
+            1 => State::Repro1(ReproStates::default()),
+            2 => State::Repro2(ReproStates::default()),
+            3 => State::Repro3(ReproStates::default()),
+            _ => State::Repro4(ReproStates::default()),
+        }
+    }
+
+    /// Appends `n` empty group slots.
+    fn push_groups(&mut self, n: usize) {
+        dispatch!(self, |s| s.push_groups(n))
+    }
+
+    /// Merges slot `src` of `other` into slot `dst`, for every pair of
+    /// `slots`.
+    fn merge(&mut self, other: &State, slots: &[(usize, usize)]) -> Result<(), OverflowError> {
+        dispatch!(self, other, |a, b| {
+            (slots.iter()).try_for_each(|&(dst, src)| a.merge_slot(dst, b, src))
+        })
+    }
+
+    /// Every group's answer (see [`States::finalize`]).
+    fn finalize(self, out: &mut Vec<f64>) -> Result<(), OverflowError> {
+        dispatch!(self, |s| s.finalize(out))
+    }
+}
+
+/// One SUM state array of one backend: the engine's "locally allocated
+/// array" of intermediate aggregates, fed batch-at-a-time through the
+/// scan's own deposit.
 ///
 /// For a given input split into batches in row order, the per-slot
 /// operation sequence is identical to a single [`sum_grouped`] pass, so
 /// batched (fused) and one-shot execution finalize to the same bits for
 /// *every* backend.
 pub struct GroupedSums {
-    inner: Inner,
-    /// [`GroupedSums::update`]'s own partition scratch — `Some` exactly
-    /// for the [buffered](SumBackend::buffered) backends. (The fused scan
-    /// shares one partition across all of a batch's states instead and
-    /// calls [`GroupedSums::update_partitioned`].)
-    partition: Option<BatchPartition>,
-}
-
-enum Inner {
-    Double(Vec<f64>),
-    /// [`SumBackend::SortedDouble`]: every group's deposited values, in
-    /// no particular order until [`sorted_sum`] sorts them.
-    Sorted(Vec<Vec<f64>>),
-    Repro1(ReproStates<1>),
-    Repro2(ReproStates<2>),
-    Repro3(ReproStates<3>),
-    Repro4(ReproStates<4>),
-}
-
-/// The sort-first baseline's sum of one group: its values ascending by
-/// bit pattern (ties are equal bits, so the order is total), added in that
-/// order from `+0.0`.
-fn sorted_sum(mut values: Vec<f64>) -> f64 {
-    values.sort_unstable_by_key(|v| v.to_bits());
-    values.into_iter().fold(0.0, |sum, v| sum + v)
-}
-
-impl Inner {
-    fn groups(&self) -> usize {
-        match self {
-            Inner::Double(acc) => acc.len(),
-            Inner::Sorted(lists) => lists.len(),
-            Inner::Repro1(s) => s.0.len(),
-            Inner::Repro2(s) => s.0.len(),
-            Inner::Repro3(s) => s.0.len(),
-            Inner::Repro4(s) => s.0.len(),
-        }
-    }
-
-    /// One per-row deposit per `(group_id, value)` pair.
-    fn update_rows(
-        &mut self,
-        group_ids: &[u32],
-        values: impl Iterator<Item = f64>,
-    ) -> Result<(), OverflowError> {
-        match self {
-            Inner::Double(acc) => {
-                for (&g, v) in group_ids.iter().zip(values) {
-                    let slot = &mut acc[g as usize];
-                    *slot += v;
-                    // MonetDB's ADD_WITH_CHECK: per-element result check.
-                    if !slot.is_finite() {
-                        return Err(OverflowError);
-                    }
-                }
-            }
-            Inner::Sorted(lists) => {
-                for (&g, v) in group_ids.iter().zip(values) {
-                    lists[g as usize].push(v);
-                }
-            }
-            Inner::Repro1(s) => s.update(group_ids, values),
-            Inner::Repro2(s) => s.update(group_ids, values),
-            Inner::Repro3(s) => s.update(group_ids, values),
-            Inner::Repro4(s) => s.update(group_ids, values),
-        }
-        Ok(())
-    }
-
-    fn update_run(&mut self, group: usize, values: &[f64]) -> Result<(), OverflowError> {
-        match self {
-            Inner::Double(acc) => {
-                let slot = &mut acc[group];
-                for &v in values {
-                    *slot += v;
-                    if !slot.is_finite() {
-                        return Err(OverflowError);
-                    }
-                }
-            }
-            Inner::Sorted(lists) => lists[group].extend_from_slice(values),
-            Inner::Repro1(s) => s.update_run(group, values),
-            Inner::Repro2(s) => s.update_run(group, values),
-            Inner::Repro3(s) => s.update_run(group, values),
-            Inner::Repro4(s) => s.update_run(group, values),
-        }
-        Ok(())
-    }
-
-    fn update_partitioned(
-        &mut self,
-        part: &mut BatchPartition,
-        values: &[f64],
-    ) -> Result<(), OverflowError> {
-        let (sorted, segs) = part.gather(values);
-        let mut start = 0;
-        for &(g, end) in segs {
-            self.update_run(g as usize, &sorted[start..end])?;
-            start = end;
-        }
-        Ok(())
-    }
+    state: State,
+    groups: usize,
+    /// Whether [`GroupedSums::update`] partitions its batches by group
+    /// ([`SumBackend::buffered`]), in `part`.
+    buffered: bool,
+    part: BatchPartition,
 }
 
 impl GroupedSums {
@@ -481,218 +735,75 @@ impl GroupedSums {
             backend.check_levels().is_ok(),
             "RSUM levels must be in 1..=4"
         );
-        let inner = match backend {
-            SumBackend::Double => Inner::Double(vec![0.0; groups]),
-            SumBackend::SortedDouble => Inner::Sorted(vec![Vec::new(); groups]),
-            SumBackend::ReproUnbuffered | SumBackend::ReproBuffered { .. } => {
-                Inner::Repro4(ReproStates::new(groups))
-            }
-            SumBackend::Rsum { levels } | SumBackend::RsumBuffered { levels, .. } => match levels {
-                1 => Inner::Repro1(ReproStates::new(groups)),
-                2 => Inner::Repro2(ReproStates::new(groups)),
-                3 => Inner::Repro3(ReproStates::new(groups)),
-                _ => Inner::Repro4(ReproStates::new(groups)),
-            },
-        };
+        let mut state = State::sum(backend);
+        state.push_groups(groups);
         GroupedSums {
-            inner,
-            partition: backend.buffered().then(BatchPartition::default),
+            state,
+            groups,
+            buffered: backend.buffered(),
+            part: BatchPartition::default(),
         }
     }
 
-    /// Folds one batch of `(group_id, value)` pairs into the states. The
-    /// buffered backends walk it in [`FUSED_BATCH_ROWS`] chunks, each
-    /// partitioned by group when [`MIN_SEG`] allows — the same deposit
-    /// the fused scan performs per batch.
+    /// Folds one batch of `(group_id, value)` pairs into the states, in
+    /// [`FUSED_BATCH_ROWS`] chunks: the fused scan's own deposit of its
+    /// batches, each partitioned by group when the backend is buffered
+    /// and [`MIN_SEG`] allows.
     pub fn update(&mut self, group_ids: &[u32], values: &[f64]) -> Result<(), OverflowError> {
         debug_assert_eq!(group_ids.len(), values.len());
-        let Some(part) = &mut self.partition else {
-            return self.inner.update_rows(group_ids, values.iter().copied());
-        };
-        let groups = self.inner.groups();
-        for (ids, vals) in group_ids
-            .chunks(FUSED_BATCH_ROWS)
-            .zip(values.chunks(FUSED_BATCH_ROWS))
-        {
-            if part.build(ids, groups) {
-                self.inner.update_partitioned(part, vals)?;
+        let batches = group_ids.chunks(FUSED_BATCH_ROWS);
+        for (gids, vals) in batches.zip(values.chunks(FUSED_BATCH_ROWS)) {
+            let shape = if self.buffered && self.part.build(gids, self.groups) {
+                Deposit::Partitioned
             } else {
-                self.inner.update_rows(ids, vals.iter().copied())?;
-            }
+                Deposit::Rows
+            };
+            self.deposit_batch(shape, gids, vals)?;
         }
         Ok(())
-    }
-
-    /// Deposits one batch's `values` (row order) through a partition
-    /// [built](BatchPartition::build) over the same batch's group ids:
-    /// one [`GroupedSums::update_run`] block call per non-empty group.
-    /// Bit-identical to [`GroupedSums::update`] over `(group_ids, values)`
-    /// (see [`BatchPartition`]).
-    pub fn update_partitioned(
-        &mut self,
-        part: &mut BatchPartition,
-        values: &[f64],
-    ) -> Result<(), OverflowError> {
-        self.inner.update_partitioned(part, values)
     }
 
     /// Folds a batch that belongs entirely to group 0 (the un-grouped SUM
-    /// of Q6): [`GroupedSums::update_run`] aimed at slot 0.
+    /// of Q6): one block deposit — the vectorized block kernel for the
+    /// repro backends, bit-identical to per-row `update`s (§III-D).
     pub fn update_single(&mut self, values: &[f64]) -> Result<(), OverflowError> {
-        self.update_run(0, values)
+        self.deposit_batch(Deposit::Single, &[], values)
     }
 
-    /// Folds a batch that belongs entirely to group `group` — the
-    /// run-blocked deposit of RLE grouped aggregation and of partitioned
-    /// batches. Repro states take the vectorized block kernel
-    /// (Algorithm 3): per-slot operation sequences (and thus final bits)
-    /// match the per-row [`GroupedSums::update`] path exactly, because
-    /// the block kernel is bit-transparent to per-value deposits (§III-D)
-    /// and the Double backend keeps its per-element overflow-checked loop.
-    pub fn update_run(&mut self, group: usize, values: &[f64]) -> Result<(), OverflowError> {
-        self.inner.update_run(group, values)
-    }
-
-    /// Deposits `k` copies of `v` into group `group` *algebraically* —
-    /// one exact k·v fold instead of `k` additions. For every repro
-    /// backend the result is bit-identical to `k` per-row deposits
-    /// ([`rfa_core::ReproSum::add_scaled`], DESIGN.md §26); this is the
-    /// state-level primitive behind the fused executor's RLE-run
-    /// aggregate pushdown. The sorted baseline appends `k` copies.
-    ///
-    /// The `Double` backend has no algebraic shortcut — plain doubles are
-    /// order-sensitive, `k·v ≠ v + … + v` in general — so it keeps the
-    /// per-element overflow-checked loop. The fused executor never routes
-    /// `Double` here (it gates the rewrite on
-    /// [`SumBackend::merges_exactly`]); the loop exists so this method is
-    /// semantics-preserving for every backend regardless of caller.
-    pub fn update_scaled(&mut self, group: usize, v: f64, k: u64) -> Result<(), OverflowError> {
-        match &mut self.inner {
-            Inner::Double(acc) => {
-                let slot = &mut acc[group];
-                for _ in 0..k {
-                    *slot += v;
-                    if !slot.is_finite() {
-                        return Err(OverflowError);
-                    }
-                }
-            }
-            Inner::Sorted(lists) => lists[group].extend(std::iter::repeat_n(v, k as usize)),
-            Inner::Repro1(s) => s.update_scaled(group, v, k),
-            Inner::Repro2(s) => s.update_scaled(group, v, k),
-            Inner::Repro3(s) => s.update_scaled(group, v, k),
-            Inner::Repro4(s) => s.update_scaled(group, v, k),
-        }
-        Ok(())
+    /// One batch of `values` through the scan's deposit.
+    fn deposit_batch(
+        &mut self,
+        shape: Deposit,
+        gids: &[u32],
+        vals: &[f64],
+    ) -> Result<(), OverflowError> {
+        let batch = Batch {
+            shape,
+            gids,
+            ..Batch::default()
+        };
+        deposit(&mut self.state, &batch, &mut self.part, Input::Values(vals))
     }
 
     /// Number of group slots.
     pub fn groups(&self) -> usize {
-        self.inner.groups()
+        self.groups
     }
 
-    /// Appends `n` fresh zeroed group slots. The hash-grouped scan calls
-    /// this as it discovers new keys — dense callers size up front.
-    pub fn push_groups(&mut self, n: usize) {
-        match &mut self.inner {
-            Inner::Double(acc) => acc.resize(acc.len() + n, 0.0),
-            Inner::Sorted(lists) => lists.resize_with(lists.len() + n, Vec::new),
-            Inner::Repro1(s) => s.push_groups(n),
-            Inner::Repro2(s) => s.push_groups(n),
-            Inner::Repro3(s) => s.push_groups(n),
-            Inner::Repro4(s) => s.push_groups(n),
-        }
-    }
-
-    /// Merges one group slot of `other` into one slot of `self` — the
-    /// keyed merge of hash-grouped partials, where the same group key may
-    /// live at different dense slots on different morsels. Exact for every
-    /// backend that [merges exactly](SumBackend::merges_exactly), a
-    /// checked addition for doubles, exactly like [`GroupedSums::merge`].
-    pub fn merge_slot(
-        &mut self,
-        dst: usize,
-        other: &GroupedSums,
-        src: usize,
-    ) -> Result<(), OverflowError> {
-        match (&mut self.inner, &other.inner) {
-            (Inner::Double(a), Inner::Double(b)) => {
-                a[dst] += b[src];
-                if !a[dst].is_finite() {
-                    return Err(OverflowError);
-                }
-            }
-            (Inner::Sorted(a), Inner::Sorted(b)) => a[dst].extend_from_slice(&b[src]),
-            (Inner::Repro1(a), Inner::Repro1(b)) => a.0[dst].merge(&b.0[src]),
-            (Inner::Repro2(a), Inner::Repro2(b)) => a.0[dst].merge(&b.0[src]),
-            (Inner::Repro3(a), Inner::Repro3(b)) => a.0[dst].merge(&b.0[src]),
-            (Inner::Repro4(a), Inner::Repro4(b)) => a.0[dst].merge(&b.0[src]),
-            _ => panic!("merging GroupedSums of different backends"),
-        }
-        Ok(())
-    }
-
-    /// Merges another state array of the same backend and group count.
-    /// Exact (bit-transparent) for the repro backends; the sorted baseline
-    /// concatenates value lists; a plain checked addition per group for
-    /// doubles.
-    pub fn merge(&mut self, other: GroupedSums) -> Result<(), OverflowError> {
-        match (&mut self.inner, other.inner) {
-            (Inner::Double(a), Inner::Double(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                    if !x.is_finite() {
-                        return Err(OverflowError);
-                    }
-                }
-            }
-            (Inner::Sorted(a), Inner::Sorted(b)) => {
-                for (x, mut y) in a.iter_mut().zip(b) {
-                    x.append(&mut y);
-                }
-            }
-            (Inner::Repro1(a), Inner::Repro1(b)) => a.merge(&b),
-            (Inner::Repro2(a), Inner::Repro2(b)) => a.merge(&b),
-            (Inner::Repro3(a), Inner::Repro3(b)) => a.merge(&b),
-            (Inner::Repro4(a), Inner::Repro4(b)) => a.merge(&b),
-            _ => panic!("merging GroupedSums of different backends"),
-        }
-        Ok(())
-    }
-
-    /// Rounds every group state to a double.
+    /// Rounds every group state to a double. A sorted-baseline sum that is
+    /// not finite is returned as added up; [`sum_grouped`] and the engine
+    /// raise [`OverflowError`] for it.
     pub fn finalize(self) -> Vec<f64> {
-        match self.inner {
-            Inner::Double(acc) => acc,
-            Inner::Sorted(lists) => lists.into_iter().map(sorted_sum).collect(),
-            Inner::Repro1(s) => s.finalize(),
-            Inner::Repro2(s) => s.finalize(),
-            Inner::Repro3(s) => s.finalize(),
-            Inner::Repro4(s) => s.finalize(),
-        }
-    }
-
-    /// [`GroupedSums::finalize`] with the sorted baseline's overflow
-    /// check, where the engine finalizes. One `is_finite` per sum raises
-    /// [`OverflowError`] exactly when a check after every addition would:
-    /// once an IEEE sum is ±∞ or NaN, adding anything keeps it non-finite.
-    /// (`Double` checked every addition as it went.)
-    fn finalize_checked(self) -> Result<Vec<f64>, OverflowError> {
-        let sorted = matches!(self.inner, Inner::Sorted(_));
-        let sums = self.finalize();
-        if sorted && !sums.iter().all(|s| s.is_finite()) {
-            return Err(OverflowError);
-        }
-        Ok(sums)
+        let mut sums = Vec::new();
+        let _ = self.state.finalize(&mut sums);
+        sums
     }
 }
 
 /// Composed per-group aggregate states of one query: an exact integer
-/// COUNT, any number of SUM state arrays ([`GroupedSums`], one per
-/// distinct SUM input expression — AVG shares its input's SUM state), and
-/// any number of MIN/MAX value arrays. This is the generalized sink of the
-/// fused scan: the SUM-only `Vec<GroupedSums>` of the original executor,
-/// widened to the aggregate kinds of the plan layer.
+/// COUNT and one state array per aggregate — the SUMs (one per distinct
+/// SUM input expression; AVG shares its input's SUM state), then the
+/// MINs, then the MAXs. This is the sink of the fused scan.
 ///
 /// **Merge discipline.** COUNT merges by integer addition, SUM by the
 /// backend's state merge (exact for the repro backends), MIN/MAX by
@@ -701,366 +812,90 @@ impl GroupedSums {
 /// split tree, the destination always holds earlier rows, so the fold
 /// resolves ties (e.g. `-0.0` vs `0.0`) exactly like the serial
 /// first-occurrence scan — MIN/MAX are bit-identical at any thread count
-/// for *every* backend. NaN values never win a comparison and thus never
-/// enter a MIN/MAX slot.
-pub struct GroupedStates {
+/// for *every* backend.
+pub(crate) struct GroupedStates {
     counts: Vec<u64>,
-    sums: Vec<GroupedSums>,
-    mins: Vec<Vec<f64>>,
-    maxs: Vec<Vec<f64>>,
-}
-
-/// Finalized per-group values of a [`GroupedStates`]: every SUM rounded to
-/// a double, MIN/MAX as accumulated (`+∞`/`-∞` for groups that exist but
-/// received no values — callers drop empty groups before exposing them).
-pub struct GroupedOutput {
-    pub counts: Vec<u64>,
-    pub sums: Vec<Vec<f64>>,
-    pub mins: Vec<Vec<f64>>,
-    pub maxs: Vec<Vec<f64>>,
+    pub(crate) aggs: Vec<State>,
 }
 
 impl GroupedStates {
-    /// Creates states for `groups` dense group ids: `sum_states` SUM
-    /// arrays of `backend`, plus `min_states`/`max_states` extrema arrays.
-    pub fn new(
+    /// Creates states for `groups` dense group ids: `sums` SUM arrays of
+    /// `backend`, then `mins` MIN and `maxs` MAX arrays.
+    pub(crate) fn new(
         backend: SumBackend,
         groups: usize,
-        sum_states: usize,
-        min_states: usize,
-        max_states: usize,
+        (sums, mins, maxs): (usize, usize, usize),
     ) -> Self {
-        GroupedStates {
-            counts: vec![0; groups],
-            sums: (0..sum_states)
-                .map(|_| GroupedSums::new(backend, groups))
-                .collect(),
-            mins: vec![vec![f64::INFINITY; groups]; min_states],
-            maxs: vec![vec![f64::NEG_INFINITY; groups]; max_states],
-        }
+        let sums = (0..sums).map(|_| State::sum(backend));
+        let mins = (0..mins).map(|_| State::Min(Extremum::default()));
+        let maxs = (0..maxs).map(|_| State::Max(Extremum::default()));
+        let aggs = sums.chain(mins).chain(maxs).collect();
+        let mut states = GroupedStates {
+            counts: Vec::new(),
+            aggs,
+        };
+        states.ensure_groups(groups);
+        states
     }
 
     /// Current number of group slots.
-    pub fn groups(&self) -> usize {
+    pub(crate) fn groups(&self) -> usize {
         self.counts.len()
     }
 
     /// Grows every state array to at least `groups` slots (hash grouping
     /// discovers group keys scan-order incrementally).
-    pub fn ensure_groups(&mut self, groups: usize) {
+    pub(crate) fn ensure_groups(&mut self, groups: usize) {
         let cur = self.counts.len();
-        if groups <= cur {
-            return;
-        }
-        let n = groups - cur;
-        self.counts.resize(groups, 0);
-        for s in &mut self.sums {
-            s.push_groups(n);
-        }
-        for m in &mut self.mins {
-            m.resize(groups, f64::INFINITY);
-        }
-        for m in &mut self.maxs {
-            m.resize(groups, f64::NEG_INFINITY);
+        if groups > cur {
+            self.counts.resize(groups, 0);
+            for s in &mut self.aggs {
+                s.push_groups(groups - cur);
+            }
         }
     }
 
     /// COUNT(*) deposit for one batch of group ids.
-    pub fn add_counts(&mut self, group_ids: &[u32]) {
+    pub(crate) fn add_counts(&mut self, group_ids: &[u32]) {
         for &g in group_ids {
             self.counts[g as usize] += 1;
         }
     }
 
-    /// COUNT(*) deposit for a batch that belongs entirely to group 0.
-    pub fn add_count_single(&mut self, rows: u64) {
-        self.counts[0] += rows;
+    /// COUNT(*) deposit of `rows` rows of group `group`.
+    pub(crate) fn add_count(&mut self, group: usize, rows: usize) {
+        self.counts[group] += rows as u64;
     }
 
-    /// COUNT(*) deposit for a run of `rows` rows in one group.
-    pub fn add_count_run(&mut self, group: usize, rows: u64) {
-        self.counts[group] += rows;
-    }
-
-    /// COUNT(*) deposit of a partitioned batch: the segment lengths are
-    /// the batch's per-group histogram.
-    pub fn add_counts_partitioned(&mut self, part: &BatchPartition) {
-        let mut start = 0;
-        for &(g, end) in part.segs() {
-            self.counts[g as usize] += (end - start) as u64;
-            start = end;
-        }
-    }
-
-    /// Per-group counts accumulated so far.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// SUM deposit into state array `slot` (see [`GroupedSums::update`]).
-    pub fn update_sum(
+    /// Merges slot `src` of `other` into slot `dst` of `self`, for every
+    /// pair of `slots`: the keyed merge of hash-grouped partials, where
+    /// the same group key can sit at different slots on different
+    /// morsels, and `[(0, 0)]` for un-grouped ones.
+    pub(crate) fn merge(
         &mut self,
-        slot: usize,
-        group_ids: &[u32],
-        values: &[f64],
-    ) -> Result<(), OverflowError> {
-        self.sums[slot].update(group_ids, values)
-    }
-
-    /// Per-row SUM deposit of one scan batch into state array `slot`,
-    /// never partitioned (the scan has decided). With `rows` — the
-    /// batch's strictly increasing selection — `values` holds one value
-    /// per row of the selection's covering range and the deposit reads
-    /// the selected ones through it: the values of dropped rows are never
-    /// looked at. Without, one value per group id.
-    pub fn update_sum_rows(
-        &mut self,
-        slot: usize,
-        group_ids: &[u32],
-        values: &[f64],
-        rows: Option<&[u32]>,
-    ) -> Result<(), OverflowError> {
-        let inner = &mut self.sums[slot].inner;
-        match rows {
-            Some(rows) => inner.update_rows(group_ids, selected(values, rows)),
-            None => inner.update_rows(group_ids, values.iter().copied()),
-        }
-    }
-
-    /// SUM deposit of a partitioned batch into state array `slot` (see
-    /// [`GroupedSums::update_partitioned`]).
-    pub fn update_sum_partitioned(
-        &mut self,
-        slot: usize,
-        part: &mut BatchPartition,
-        values: &[f64],
-    ) -> Result<(), OverflowError> {
-        self.sums[slot].update_partitioned(part, values)
-    }
-
-    /// Single-group SUM fast path (see [`GroupedSums::update_single`]).
-    pub fn update_sum_single(&mut self, slot: usize, values: &[f64]) -> Result<(), OverflowError> {
-        self.sums[slot].update_single(values)
-    }
-
-    /// Run-blocked SUM deposit into one group (see
-    /// [`GroupedSums::update_run`]).
-    pub fn update_sum_run(
-        &mut self,
-        slot: usize,
-        group: usize,
-        values: &[f64],
-    ) -> Result<(), OverflowError> {
-        self.sums[slot].update_run(group, values)
-    }
-
-    /// Algebraic SUM deposit: `k` copies of `v` folded into group `group`
-    /// of state array `slot` as one exact k·v deposit (see
-    /// [`GroupedSums::update_scaled`]). Bit-identical to `k` per-row
-    /// deposits for every backend that
-    /// [merges exactly](SumBackend::merges_exactly); the `Double` backend
-    /// falls back to a per-element loop.
-    pub fn deposit_scaled(
-        &mut self,
-        slot: usize,
-        group: usize,
-        v: f64,
-        k: u64,
-    ) -> Result<(), OverflowError> {
-        self.sums[slot].update_scaled(group, v, k)
-    }
-
-    /// MIN deposit of a single candidate value — the once-per-run /
-    /// once-per-dictionary-entry fold of encoded aggregate pushdown
-    /// (comparisons are idempotent, so one fold of `v` is trivially
-    /// bit-identical to `k` folds of `v`).
-    pub fn update_min_value(&mut self, slot: usize, group: usize, v: f64) {
-        let cur = &mut self.mins[slot][group];
-        if v < *cur {
-            *cur = v;
-        }
-    }
-
-    /// MAX deposit of a single candidate value (see
-    /// [`GroupedStates::update_min_value`]).
-    pub fn update_max_value(&mut self, slot: usize, group: usize, v: f64) {
-        let cur = &mut self.maxs[slot][group];
-        if v > *cur {
-            *cur = v;
-        }
-    }
-
-    /// MIN deposit: strict `<` fold, first minimal value in row order wins.
-    pub fn update_min(&mut self, slot: usize, group_ids: &[u32], values: &[f64]) {
-        self.update_min_rows(slot, group_ids, values, None);
-    }
-
-    /// [`Self::update_min`], reading `values` through the selection `rows`
-    /// if given (see [`Self::update_sum_rows`]).
-    pub fn update_min_rows(
-        &mut self,
-        slot: usize,
-        group_ids: &[u32],
-        values: &[f64],
-        rows: Option<&[u32]>,
-    ) {
-        let m = &mut self.mins[slot];
-        match rows {
-            Some(rows) => fold_rows(m, group_ids, selected(values, rows), |v, cur| v < cur),
-            None => fold_rows(m, group_ids, values.iter().copied(), |v, cur| v < cur),
-        }
-    }
-
-    /// Single-group MIN fast path.
-    pub fn update_min_single(&mut self, slot: usize, values: &[f64]) {
-        let cur = &mut self.mins[slot][0];
-        for &v in values {
-            if v < *cur {
-                *cur = v;
-            }
-        }
-    }
-
-    /// Run-blocked MIN deposit into one group.
-    pub fn update_min_run(&mut self, slot: usize, group: usize, values: &[f64]) {
-        let cur = &mut self.mins[slot][group];
-        for &v in values {
-            if v < *cur {
-                *cur = v;
-            }
-        }
-    }
-
-    /// MAX deposit: strict `>` fold, first maximal value in row order wins.
-    pub fn update_max(&mut self, slot: usize, group_ids: &[u32], values: &[f64]) {
-        self.update_max_rows(slot, group_ids, values, None);
-    }
-
-    /// [`Self::update_max`], reading `values` through the selection `rows`
-    /// if given (see [`Self::update_sum_rows`]).
-    pub fn update_max_rows(
-        &mut self,
-        slot: usize,
-        group_ids: &[u32],
-        values: &[f64],
-        rows: Option<&[u32]>,
-    ) {
-        let m = &mut self.maxs[slot];
-        match rows {
-            Some(rows) => fold_rows(m, group_ids, selected(values, rows), |v, cur| v > cur),
-            None => fold_rows(m, group_ids, values.iter().copied(), |v, cur| v > cur),
-        }
-    }
-
-    /// Single-group MAX fast path.
-    pub fn update_max_single(&mut self, slot: usize, values: &[f64]) {
-        let cur = &mut self.maxs[slot][0];
-        for &v in values {
-            if v > *cur {
-                *cur = v;
-            }
-        }
-    }
-
-    /// Run-blocked MAX deposit into one group.
-    pub fn update_max_run(&mut self, slot: usize, group: usize, values: &[f64]) {
-        let cur = &mut self.maxs[slot][group];
-        for &v in values {
-            if v > *cur {
-                *cur = v;
-            }
-        }
-    }
-
-    /// Merges a whole state set slot-for-slot (dense/un-grouped morsel
-    /// merge; both sides index groups identically).
-    pub fn merge(&mut self, mut other: GroupedStates) -> Result<(), OverflowError> {
-        assert_eq!(self.counts.len(), other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        for (a, b) in self.sums.iter_mut().zip(other.sums.drain(..)) {
-            a.merge(b)?;
-        }
-        for (a, b) in self.mins.iter_mut().zip(&other.mins) {
-            for (x, &y) in a.iter_mut().zip(b) {
-                if y < *x {
-                    *x = y;
-                }
-            }
-        }
-        for (a, b) in self.maxs.iter_mut().zip(&other.maxs) {
-            for (x, &y) in a.iter_mut().zip(b) {
-                if y > *x {
-                    *x = y;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Merges one group slot of `other` into slot `dst` of `self` — the
-    /// keyed merge of hash-grouped partials (the same group key can sit at
-    /// different dense slots on different morsels).
-    pub fn merge_group(
-        &mut self,
-        dst: usize,
         other: &GroupedStates,
-        src: usize,
+        slots: &[(usize, usize)],
     ) -> Result<(), OverflowError> {
-        self.counts[dst] += other.counts[src];
-        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
-            a.merge_slot(dst, b, src)?;
+        for &(dst, src) in slots {
+            self.counts[dst] += other.counts[src];
         }
-        for (a, b) in self.mins.iter_mut().zip(&other.mins) {
-            if b[src] < a[dst] {
-                a[dst] = b[src];
-            }
-        }
-        for (a, b) in self.maxs.iter_mut().zip(&other.maxs) {
-            if b[src] > a[dst] {
-                a[dst] = b[src];
-            }
+        for (a, b) in self.aggs.iter_mut().zip(&other.aggs) {
+            a.merge(b, slots)?;
         }
         Ok(())
     }
 
-    /// Rounds every SUM state to a double and hands all arrays out — or
-    /// the sorted baseline's [`OverflowError`], raised here, where its
-    /// sums are first added up.
-    pub fn finalize(self) -> Result<GroupedOutput, OverflowError> {
-        Ok(GroupedOutput {
-            counts: self.counts,
-            sums: self
-                .sums
-                .into_iter()
-                .map(GroupedSums::finalize_checked)
-                .collect::<Result<_, _>>()?,
-            mins: self.mins,
-            maxs: self.maxs,
-        })
-    }
-}
-
-/// The values of the strictly increasing selection `rows`, out of
-/// `values`: one per row of the selection's covering range `[first, last]`.
-fn selected<'a>(values: &'a [f64], rows: &'a [u32]) -> impl Iterator<Item = f64> + 'a {
-    let first = rows.first().map_or(0, |&r| r);
-    rows.iter().map(move |&r| values[(r - first) as usize])
-}
-
-/// Per-row extremum fold: `m[g] = v` wherever `wins(v, m[g])`.
-fn fold_rows(
-    m: &mut [f64],
-    group_ids: &[u32],
-    values: impl Iterator<Item = f64>,
-    wins: impl Fn(f64, f64) -> bool,
-) {
-    for (&g, v) in group_ids.iter().zip(values) {
-        let cur = &mut m[g as usize];
-        if wins(v, *cur) {
-            *cur = v;
+    /// The per-group counts and every aggregate's per-group answers, in
+    /// [`GroupedStates::aggs`] order — or the sorted baseline's
+    /// [`OverflowError`], raised here, where its sums are first added up.
+    pub(crate) fn finalize(self) -> Result<(Vec<u64>, Vec<Vec<f64>>), OverflowError> {
+        let mut out = Vec::with_capacity(self.aggs.len());
+        for state in self.aggs {
+            let mut values = Vec::new();
+            state.finalize(&mut values)?;
+            out.push(values);
         }
+        Ok((self.counts, out))
     }
 }
 
@@ -1075,16 +910,17 @@ pub fn sum_grouped(
     assert_eq!(group_ids.len(), values.len());
     let mut state = GroupedSums::new(backend, groups);
     state.update(group_ids, values)?;
-    state.finalize_checked()
+    let mut sums = Vec::new();
+    state.state.finalize(&mut sums)?;
+    Ok(sums)
 }
 
-/// Per-group COUNT (shared by all backends; integer, always reproducible).
+/// Per-group COUNT (shared by all backends; integer, always reproducible):
+/// the fused scan's own COUNT deposit.
 pub fn count_grouped(group_ids: &[u32], groups: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; groups];
-    for &g in group_ids {
-        counts[g as usize] += 1;
-    }
-    counts
+    let mut states = GroupedStates::new(SumBackend::Double, groups, (0, 0, 0));
+    states.add_counts(group_ids);
+    states.counts
 }
 
 #[cfg(test)]
@@ -1136,6 +972,7 @@ mod tests {
         values: &[f64],
         groups: usize,
     ) -> Result<Vec<f64>, OverflowError> {
+        let slots: Vec<(usize, usize)> = (0..groups).map(|g| (g, g)).collect();
         let mut merged = GroupedSums::new(backend, groups);
         for (ids, values) in ids
             .chunks(SCAN_MORSEL_ROWS)
@@ -1143,9 +980,11 @@ mod tests {
         {
             let mut morsel = GroupedSums::new(backend, groups);
             morsel.update(ids, values)?;
-            merged.merge(morsel)?;
+            merged.state.merge(&morsel.state, &slots)?;
         }
-        merged.finalize_checked()
+        let mut sums = Vec::new();
+        merged.state.finalize(&mut sums)?;
+        Ok(sums)
     }
 
     #[test]
@@ -1377,59 +1216,154 @@ mod tests {
         }
     }
 
+    /// A fresh state array of every kind with `groups` slots, and its
+    /// name: each SUM kind — `Rsum` at every level — then MIN and MAX.
+    fn every_kind(groups: usize) -> Vec<(&'static str, State)> {
+        let sums = [SumBackend::Double, SumBackend::SortedDouble]
+            .into_iter()
+            .chain((1..=4).map(|levels| SumBackend::Rsum { levels }))
+            .map(State::sum);
+        let extrema = [
+            State::Min(Extremum::default()),
+            State::Max(Extremum::default()),
+        ];
+        let names = [
+            "Double", "Sorted", "Repro1", "Repro2", "Repro3", "Repro4", "Min", "Max",
+        ];
+        (names.into_iter().zip(sums.chain(extrema)))
+            .map(|(name, mut state)| {
+                state.push_groups(groups);
+                (name, state)
+            })
+            .collect()
+    }
+
+    /// What a state array answers: the result of its deposits (the first
+    /// error stops them), the result of its finalize, and the finalized
+    /// values' bits — the answers of groups after an error included.
+    type Outcome = (
+        Result<(), OverflowError>,
+        Result<(), OverflowError>,
+        Vec<u64>,
+    );
+
+    /// The [`Outcome`] of `state` after deposits that returned `deposited`.
+    fn outcome(state: State, deposited: Result<(), OverflowError>) -> Outcome {
+        let mut out = Vec::new();
+        let finalized = state.finalize(&mut out);
+        (
+            deposited,
+            finalized,
+            out.iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    /// The [`Outcome`] of `deposits` for every kind ([`every_kind`]).
+    fn outcomes(
+        groups: usize,
+        mut deposits: impl FnMut(&mut State) -> Result<(), OverflowError>,
+    ) -> Vec<(&'static str, Outcome)> {
+        (every_kind(groups).into_iter())
+            .map(|(name, mut state)| {
+                let deposited = deposits(&mut state);
+                (name, outcome(state, deposited))
+            })
+            .collect()
+    }
+
+    /// Every kind's one-group answer, in [`every_kind`] order, to the
+    /// special-value cells of [`SumBackend`]'s table, plus `2^p + 1 − 2^p`
+    /// at three depths, which tells the four repro levels apart. `None` is
+    /// [`OverflowError`].
+    #[allow(clippy::type_complexity)]
+    #[rustfmt::skip]
+    fn cells() -> Vec<(&'static str, Vec<f64>, [Option<f64>; 8])> {
+        let (inf, nan, max, e) = (f64::INFINITY, f64::NAN, f64::MAX, None);
+        let (o, z, n, s) = (Some(1.0), Some(0.0), Some(nan), Some(1e-323));
+        let (pi, mi, m0) = (Some(inf), Some(-inf), Some(-0.0));
+        let depth = |p: i32| vec![2f64.powi(p), 1.0, -2f64.powi(p)];
+        let (p, m) = (|p: i32| Some(2f64.powi(p)), |p: i32| Some(-2f64.powi(p)));
+        vec![
+            // cell             values                        Double Sorted Repro1..4   Min      Max
+            ("NaN",             vec![1.0, nan, 2.0],          [e, e, n, n, n, n,        o,       Some(2.0)]),
+            ("+inf",            vec![1.0, inf, 2.0],          [e, e, pi, pi, pi, pi,    o,       pi]),
+            ("-inf",            vec![-1.0, -inf],             [e, e, mi, mi, mi, mi,    mi,      Some(-1.0)]),
+            ("inf + -inf",      vec![inf, -inf, 1.0],         [e, e, n, n, n, n,        mi,      pi]),
+            ("-0.0",            vec![-0.0, -0.0],             [z, z, z, z, z, z,        m0,      m0]),
+            ("-0.0 then 0.0",   vec![-0.0, 0.0],              [z, z, z, z, z, z,        m0,      m0]),
+            ("subnormal",       vec![5e-324, 1.5e-323, -1e-323], [s, s, s, s, s, s,     Some(-1e-323), Some(1.5e-323)]),
+            ("overflow",        vec![max, max, -1.0],         [e, e, pi, pi, pi, pi,    Some(-1.0), Some(max)]),
+            ("2^44 + 1 - 2^44", depth(44),                    [o, o, z, o, o, o,        m(44),   p(44)]),
+            ("2^84 + 1 - 2^84", depth(84),                    [z, z, z, z, o, o,        m(84),   p(84)]),
+            ("2^124 + 1 - 2^124", depth(124),                 [z, z, z, z, z, o,        m(124),  p(124)]),
+        ]
+    }
+
+    /// The contract's inputs, rows sorted by group (stably, so runs
+    /// exist): the workload, then for each cell the workload's first 400
+    /// rows with the cell's values as group 4 — and that group's pinned
+    /// answer per kind.
+    #[allow(clippy::type_complexity)]
+    fn inputs() -> Vec<(String, Vec<u32>, Vec<f64>, Option<[Option<f64>; 8]>)> {
+        let (ids, values) = workload();
+        let mut inputs = vec![("workload".to_string(), ids.clone(), values.clone(), None)];
+        for (name, cell, answers) in cells() {
+            let mut rows: Vec<(u32, f64)> =
+                ids.iter().copied().zip(values.clone()).take(400).collect();
+            rows.extend(cell.into_iter().map(|v| (4, v)));
+            rows.sort_by_key(|&(g, _)| g);
+            let (ids, values) = rows.into_iter().unzip();
+            inputs.push((name.to_string(), ids, values, Some(answers)));
+        }
+        inputs
+    }
+
+    /// Asserts that two paths' outcomes are equal, kind by kind.
+    fn assert_same(input: &str, a: &[(&str, Outcome)], b: &[(&str, Outcome)]) {
+        for ((kind, a), (_, b)) in a.iter().zip(b) {
+            assert_eq!(a, b, "{kind} on {input}");
+        }
+    }
+
     #[test]
     fn push_groups_and_merge_slot_match_dense_merge() {
-        // Exactly merging backends only: their keyed merge is exact, so the
-        // split halves must finalize to the one-shot bits. (A Double merge
-        // adds subtotals — deterministic, but not the sequential bit
-        // pattern.)
-        let (ids, values) = workload();
-        for backend in [
-            SumBackend::ReproUnbuffered,
-            SumBackend::ReproBuffered { buffer_size: 64 },
-            SumBackend::Rsum { levels: 2 },
-            SumBackend::RsumBuffered {
-                levels: 3,
-                buffer_size: 32,
-            },
-            SumBackend::SortedDouble,
-        ] {
-            let reference = sum_grouped(backend, &ids, &values, 4).unwrap();
-            // Split the input, aggregate the halves into states whose
-            // group slots were grown incrementally and *permuted* relative
-            // to each other, then merge slot-by-slot via merge_slot.
+        // Exactly merging kinds: their keyed merge is exact, so the split
+        // halves — slots grown incrementally and *permuted* relative to
+        // each other — finalize to the one-shot bits. (A Double merge adds
+        // subtotals: deterministic, but not the sequential bit pattern.)
+        for (input, ids, values, _) in inputs() {
+            let whole = outcomes(5, |s| {
+                dispatch!(s, |k| k.rows(&ids, values.iter().copied()))
+            });
             let mid = ids.len() / 2;
-            let mut a = GroupedSums::new(backend, 0);
-            a.push_groups(4); // slot g <-> group g
-            a.update(&ids[..mid], &values[..mid]).unwrap();
-            let mut b = GroupedSums::new(backend, 2);
-            b.push_groups(2); // slot s <-> group 3 - s
-            let flipped: Vec<u32> = ids[mid..].iter().map(|&g| 3 - g).collect();
-            b.update(&flipped, &values[mid..]).unwrap();
-            assert_eq!(b.groups(), 4);
-            for g in 0..4usize {
-                a.merge_slot(g, &b, 3 - g).unwrap();
-            }
-            let out = a.finalize();
-            for g in 0..4 {
-                assert_eq!(
-                    reference[g].to_bits(),
-                    out[g].to_bits(),
-                    "{backend:?} group {g}"
-                );
-            }
+            let split = (every_kind(0).into_iter().zip(every_kind(2)))
+                .map(|((name, mut a), (_, mut b))| {
+                    a.push_groups(5); // slot g <-> group g
+                    b.push_groups(3); // slot s <-> group 4 - s
+                    let flipped: Vec<u32> = ids[mid..].iter().map(|&g| 4 - g).collect();
+                    let mut deposited = dispatch!(&mut a, |k| k
+                        .rows(&ids[..mid], values[..mid].iter().copied()));
+                    deposited = deposited.and(dispatch!(&mut b, |k| {
+                        k.rows(&flipped, values[mid..].iter().copied())
+                    }));
+                    let slots: Vec<(usize, usize)> = (0..5).map(|g| (g, 4 - g)).collect();
+                    deposited = deposited.and(a.merge(&b, &slots));
+                    (name, outcome(a, deposited))
+                })
+                .collect::<Vec<_>>();
+            assert_same(&input, &whole[1..], &split[1..]);
         }
-        // Double: merge_slot is a checked addition of subtotals —
+        // Double: the merge is a checked addition of subtotals —
         // numerically equal, overflow still detected.
+        let (ids, values) = workload();
         let reference = sum_grouped(SumBackend::Double, &ids, &values, 4).unwrap();
         let mid = ids.len() / 2;
         let mut a = GroupedSums::new(SumBackend::Double, 4);
         a.update(&ids[..mid], &values[..mid]).unwrap();
         let mut b = GroupedSums::new(SumBackend::Double, 4);
         b.update(&ids[mid..], &values[mid..]).unwrap();
-        for g in 0..4 {
-            a.merge_slot(g, &b, g).unwrap();
-        }
+        let slots: Vec<(usize, usize)> = (0..4).map(|g| (g, g)).collect();
+        a.state.merge(&b.state, &slots).unwrap();
         let out = a.finalize();
         for g in 0..4 {
             assert!((reference[g] - out[g]).abs() <= 1e-9 * reference[g].abs().max(1.0));
@@ -1438,7 +1372,21 @@ mod tests {
         x.update(&[0], &[f64::MAX]).unwrap();
         let mut y = GroupedSums::new(SumBackend::Double, 1);
         y.update(&[0], &[f64::MAX]).unwrap();
-        assert_eq!(x.merge_slot(0, &y, 0), Err(OverflowError));
+        assert_eq!(x.state.merge(&y.state, &[(0, 0)]), Err(OverflowError));
+    }
+
+    /// COUNT plus one deposit per row into every aggregate of `states`.
+    fn deposit_rows(states: &mut GroupedStates, ids: &[u32], values: &[f64]) {
+        states.add_counts(ids);
+        let batch = Batch {
+            shape: Deposit::Rows,
+            gids: ids,
+            ..Batch::default()
+        };
+        let mut part = BatchPartition::default();
+        for state in &mut states.aggs {
+            deposit(state, &batch, &mut part, Input::Values(values)).unwrap();
+        }
     }
 
     #[test]
@@ -1446,31 +1394,24 @@ mod tests {
         let (ids, values) = workload();
         let backend = SumBackend::ReproBuffered { buffer_size: 96 };
         // One-shot reference.
-        let mut whole = GroupedStates::new(backend, 4, 1, 1, 1);
-        whole.add_counts(&ids);
-        whole.update_sum(0, &ids, &values).unwrap();
-        whole.update_min(0, &ids, &values);
-        whole.update_max(0, &ids, &values);
-        let whole = whole.finalize().unwrap();
+        let mut whole = GroupedStates::new(backend, 4, (1, 1, 1));
+        deposit_rows(&mut whole, &ids, &values);
+        let (whole_counts, whole) = whole.finalize().unwrap();
         // Batched halves merged like two morsels.
         let mid = ids.len() / 2 + 7;
-        let mut left = GroupedStates::new(backend, 4, 1, 1, 1);
-        left.add_counts(&ids[..mid]);
-        left.update_sum(0, &ids[..mid], &values[..mid]).unwrap();
-        left.update_min(0, &ids[..mid], &values[..mid]);
-        left.update_max(0, &ids[..mid], &values[..mid]);
-        let mut right = GroupedStates::new(backend, 4, 1, 1, 1);
-        right.add_counts(&ids[mid..]);
-        right.update_sum(0, &ids[mid..], &values[mid..]).unwrap();
-        right.update_min(0, &ids[mid..], &values[mid..]);
-        right.update_max(0, &ids[mid..], &values[mid..]);
-        left.merge(right).unwrap();
-        let merged = left.finalize().unwrap();
-        assert_eq!(whole.counts, merged.counts);
-        for g in 0..4 {
-            assert_eq!(whole.sums[0][g].to_bits(), merged.sums[0][g].to_bits());
-            assert_eq!(whole.mins[0][g].to_bits(), merged.mins[0][g].to_bits());
-            assert_eq!(whole.maxs[0][g].to_bits(), merged.maxs[0][g].to_bits());
+        let mut left = GroupedStates::new(backend, 4, (1, 1, 1));
+        deposit_rows(&mut left, &ids[..mid], &values[..mid]);
+        let mut right = GroupedStates::new(backend, 4, (1, 1, 1));
+        deposit_rows(&mut right, &ids[mid..], &values[mid..]);
+        left.merge(&right, &[(0, 0), (1, 1), (2, 2), (3, 3)])
+            .unwrap();
+        let (merged_counts, merged) = left.finalize().unwrap();
+        assert_eq!(whole_counts, merged_counts);
+        for (w, m) in whole.iter().zip(&merged) {
+            assert_eq!(
+                w.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                m.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
         }
         // Reference semantics of the extrema.
         for g in 0..4u32 {
@@ -1480,105 +1421,112 @@ mod tests {
                 .filter(|(&i, _)| i == g)
                 .map(|(_, &v)| v)
                 .fold(f64::INFINITY, f64::min);
-            assert_eq!(whole.mins[0][g as usize], min);
+            assert_eq!(whole[1][g as usize], min);
         }
     }
 
     #[test]
     fn grouped_states_single_group_fast_paths_match_grouped() {
-        let values: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 37) % 101) as f64 * 0.125 - 6.0)
-            .collect();
-        let ids = vec![0u32; values.len()];
-        let backend = SumBackend::ReproUnbuffered;
-        let mut grouped = GroupedStates::new(backend, 1, 1, 1, 1);
-        grouped.add_counts(&ids);
-        grouped.update_sum(0, &ids, &values).unwrap();
-        grouped.update_min(0, &ids, &values);
-        grouped.update_max(0, &ids, &values);
-        let grouped = grouped.finalize().unwrap();
-        let mut single = GroupedStates::new(backend, 1, 1, 1, 1);
-        for chunk in values.chunks(997) {
-            single.add_count_single(chunk.len() as u64);
-            single.update_sum_single(0, chunk).unwrap();
-            single.update_min_single(0, chunk);
-            single.update_max_single(0, chunk);
+        // The scan's ungrouped deposit — one block deposit per batch,
+        // through the one deposit function — against per-row deposits
+        // into group 0, for every kind. The rows of each input all go to
+        // group 0: the special-value cells land mid-group.
+        let mut part = BatchPartition::default();
+        for (input, _, values, _) in inputs() {
+            let zeros = vec![0u32; values.len()];
+            let grouped = outcomes(1, |s| {
+                dispatch!(s, |k| k.rows(&zeros, values.iter().copied()))
+            });
+            let single = outcomes(1, |s| {
+                let batch = Batch {
+                    shape: Deposit::Single,
+                    ..Batch::default()
+                };
+                (values.chunks(997))
+                    .try_for_each(|chunk| deposit(s, &batch, &mut part, Input::Values(chunk)))
+            });
+            assert_same(&input, &grouped, &single);
         }
-        let single = single.finalize().unwrap();
+        // COUNT(*): a batch's length into group 0.
+        let mut grouped = GroupedStates::new(SumBackend::ReproUnbuffered, 1, (0, 0, 0));
+        grouped.add_counts(&[0; 10_000]);
+        let mut single = GroupedStates::new(SumBackend::ReproUnbuffered, 1, (0, 0, 0));
+        for chunk in [0u32; 10_000].chunks(997) {
+            single.add_count(0, chunk.len());
+        }
         assert_eq!(grouped.counts, single.counts);
-        assert_eq!(grouped.sums[0][0].to_bits(), single.sums[0][0].to_bits());
-        assert_eq!(grouped.mins[0][0].to_bits(), single.mins[0][0].to_bits());
-        assert_eq!(grouped.maxs[0][0].to_bits(), single.maxs[0][0].to_bits());
     }
 
     #[test]
     fn run_blocked_updates_match_per_row_updates_bitwise() {
         // RLE grouped aggregation's contract: depositing each run of
         // same-group rows as one block call finalizes to the same bits as
-        // per-row (group_id, value) updates, for every backend.
-        let (ids, values) = workload();
-        // Sort rows by group so runs exist, keeping the relative row
-        // order inside each group (this is what a sorted RLE table is).
-        let mut order: Vec<usize> = (0..ids.len()).collect();
-        order.sort_by_key(|&i| ids[i]);
-        let sids: Vec<u32> = order.iter().map(|&i| ids[i]).collect();
-        let svalues: Vec<f64> = order.iter().map(|&i| values[i]).collect();
-        for backend in [
-            SumBackend::Double,
-            SumBackend::SortedDouble,
-            SumBackend::ReproUnbuffered,
-            SumBackend::ReproBuffered { buffer_size: 96 },
-            SumBackend::Rsum { levels: 2 },
-            SumBackend::RsumBuffered {
-                levels: 3,
-                buffer_size: 64,
-            },
-        ] {
-            let mut per_row = GroupedStates::new(backend, 4, 1, 1, 1);
-            per_row.add_counts(&sids);
-            per_row.update_sum(0, &sids, &svalues).unwrap();
-            per_row.update_min(0, &sids, &svalues);
-            per_row.update_max(0, &sids, &svalues);
-            let per_row = per_row.finalize().unwrap();
-
-            let mut blocked = GroupedStates::new(backend, 4, 1, 1, 1);
-            let mut i = 0;
-            while i < sids.len() {
-                let g = sids[i];
-                let mut j = i;
-                while j < sids.len() && sids[j] == g {
-                    j += 1;
-                }
-                blocked.add_count_run(g as usize, (j - i) as u64);
-                blocked
-                    .update_sum_run(0, g as usize, &svalues[i..j])
-                    .unwrap();
-                blocked.update_min_run(0, g as usize, &svalues[i..j]);
-                blocked.update_max_run(0, g as usize, &svalues[i..j]);
-                i = j;
-            }
-            let blocked = blocked.finalize().unwrap();
-
-            assert_eq!(per_row.counts, blocked.counts, "{backend:?}");
-            for g in 0..4 {
-                assert_eq!(
-                    per_row.sums[0][g].to_bits(),
-                    blocked.sums[0][g].to_bits(),
-                    "{backend:?} group {g}"
-                );
-                assert_eq!(per_row.mins[0][g].to_bits(), blocked.mins[0][g].to_bits());
-                assert_eq!(per_row.maxs[0][g].to_bits(), blocked.maxs[0][g].to_bits());
+        // per-row (group_id, value) updates, for every kind — and so does
+        // a batch partitioned by group. A Double deposit stops at its
+        // first overflow on both paths alike, and so leaves the same
+        // state. The per-row answers of the special-value cells are the
+        // ones `SumBackend` documents.
+        for (input, ids, values, answers) in inputs() {
+            let per_row = outcomes(5, |s| {
+                dispatch!(s, |k| k.rows(&ids, values.iter().copied()))
+            });
+            let blocked = outcomes(5, |s| {
+                let mut start = 0;
+                ids.chunk_by(|a, b| a == b).try_for_each(|run| {
+                    let values = &values[start..start + run.len()];
+                    start += run.len();
+                    dispatch!(&mut *s, |k| k.run(run[0] as usize, values))
+                })
+            });
+            assert_same(&input, &per_row, &blocked);
+            let mut part = BatchPartition::default();
+            let partitioned = outcomes(5, |s| {
+                (ids.chunks(FUSED_BATCH_ROWS)
+                    .zip(values.chunks(FUSED_BATCH_ROWS)))
+                .try_for_each(|(ids, values)| {
+                    let built = part.build(ids, 5);
+                    dispatch!(&mut *s, |k| if built {
+                        k.partitioned(&mut part, ids, values, None)
+                    } else {
+                        k.rows(ids, values.iter().copied())
+                    })
+                })
+            });
+            assert_same(&input, &per_row, &partitioned);
+            let Some(answers) = answers else { continue };
+            for ((kind, (deposited, finalized, bits)), want) in per_row.iter().zip(answers) {
+                let got = deposited
+                    .clone()
+                    .and(finalized.clone())
+                    .map(|()| f64::from_bits(bits[4]));
+                let same = match (&got, want) {
+                    (Ok(got), Some(want)) => {
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+                    }
+                    (got, want) => got.is_err() && want.is_none(),
+                };
+                assert!(same, "{kind} on {input}: got {got:?}, documented {want:?}");
             }
         }
+        // COUNT: one addition per run against one per row.
+        let (ids, _) = workload();
+        let mut per_row = GroupedStates::new(SumBackend::Double, 4, (0, 0, 0));
+        per_row.add_counts(&ids);
+        let mut blocked = GroupedStates::new(SumBackend::Double, 4, (0, 0, 0));
+        for run in ids.chunk_by(|a, b| a == b) {
+            blocked.add_count(run[0] as usize, run.len());
+        }
+        assert_eq!(per_row.counts, blocked.counts);
     }
 
     #[test]
     fn scaled_deposits_match_per_row_updates_bitwise() {
         // The algebraic-pushdown contract: depositing k copies of v as one
-        // update_scaled call finalizes to the same bits as k per-row
-        // deposits — for every backend, including Double (which takes a
-        // literal per-element loop rather than an algebraic fold).
-        let runs: Vec<(u32, f64, u64)> = (0..200)
+        // `scaled` call finalizes to the same bits as k per-row deposits —
+        // for every kind, k = 0 included, including Double (which takes a
+        // literal per-element loop rather than an algebraic fold). Runs of
+        // zero copies of extreme values must not move MIN or MAX.
+        let mut runs: Vec<(u32, f64, u64)> = (0..200)
             .map(|i| {
                 let g = (i % 4) as u32;
                 let v = ((i * 37) % 101) as f64 * 0.017 - 0.85;
@@ -1586,89 +1534,72 @@ mod tests {
                 (g, v, k)
             })
             .collect();
-        for backend in [
-            SumBackend::Double,
-            SumBackend::SortedDouble,
-            SumBackend::ReproUnbuffered,
-            SumBackend::ReproBuffered { buffer_size: 96 },
-            SumBackend::Rsum { levels: 2 },
-            SumBackend::RsumBuffered {
-                levels: 3,
-                buffer_size: 64,
-            },
-        ] {
-            let mut per_row = GroupedStates::new(backend, 4, 1, 1, 1);
-            let mut scaled = GroupedStates::new(backend, 4, 1, 1, 1);
-            for &(g, v, k) in &runs {
-                for _ in 0..k {
-                    per_row.update_sum(0, &[g], &[v]).unwrap();
-                }
-                per_row.update_min_run(0, g as usize, &vec![v; k as usize]);
-                per_row.update_max_run(0, g as usize, &vec![v; k as usize]);
-                per_row.add_count_run(g as usize, k);
-
-                scaled.deposit_scaled(0, g as usize, v, k).unwrap();
-                if k > 0 {
-                    scaled.update_min_value(0, g as usize, v);
-                    scaled.update_max_value(0, g as usize, v);
-                }
-                scaled.add_count_run(g as usize, k);
-            }
-            let per_row = per_row.finalize().unwrap();
-            let scaled = scaled.finalize().unwrap();
-            assert_eq!(per_row.counts, scaled.counts, "{backend:?}");
-            for g in 0..4 {
-                assert_eq!(
-                    per_row.sums[0][g].to_bits(),
-                    scaled.sums[0][g].to_bits(),
-                    "{backend:?} group {g}"
-                );
-                assert_eq!(per_row.mins[0][g].to_bits(), scaled.mins[0][g].to_bits());
-                assert_eq!(per_row.maxs[0][g].to_bits(), scaled.maxs[0][g].to_bits());
-            }
+        runs.extend([(4, -1e300, 0), (4, 1e300, 0), (4, 1.0, 2)]);
+        let mut cases = vec![("runs".to_string(), runs)];
+        for (input, ids, values, _) in inputs() {
+            cases.push((
+                input,
+                ids.into_iter()
+                    .zip(values)
+                    .zip(0..)
+                    .map(|((g, v), i)| (g, v, i % 4))
+                    .collect(),
+            ));
+        }
+        for (input, runs) in cases {
+            let per_row = outcomes(5, |s| {
+                (runs.iter()).try_for_each(|&(g, v, k)| {
+                    (0..k).try_for_each(|_| dispatch!(&mut *s, |x| x.add(g as usize, v)))
+                })
+            });
+            let scaled = outcomes(5, |s| {
+                (runs.iter())
+                    .try_for_each(|&(g, v, k)| dispatch!(&mut *s, |x| x.scaled(g as usize, v, k)))
+            });
+            assert_same(&input, &per_row, &scaled);
         }
     }
 
     #[test]
     fn scaled_deposit_double_detects_overflow() {
-        let mut s = GroupedStates::new(SumBackend::Double, 1, 1, 0, 0);
-        assert_eq!(s.deposit_scaled(0, 0, f64::MAX, 3), Err(OverflowError));
+        let mut s = State::sum(SumBackend::Double);
+        s.push_groups(1);
+        assert_eq!(
+            dispatch!(&mut s, |k| k.scaled(0, f64::MAX, 3)),
+            Err(OverflowError)
+        );
     }
 
     #[test]
     fn run_blocked_double_detects_overflow() {
-        let mut s = GroupedStates::new(SumBackend::Double, 2, 1, 0, 0);
+        let mut s = State::sum(SumBackend::Double);
+        s.push_groups(2);
         assert_eq!(
-            s.update_sum_run(0, 1, &[f64::MAX, f64::MAX]),
+            dispatch!(&mut s, |k| k.run(1, &[f64::MAX, f64::MAX])),
             Err(OverflowError)
         );
     }
 
     #[test]
     fn grouped_states_ensure_groups_grows_all_arrays() {
-        let mut s = GroupedStates::new(
-            SumBackend::RsumBuffered {
-                levels: 2,
-                buffer_size: 16,
-            },
-            0,
-            2,
-            1,
-            1,
-        );
+        let backend = SumBackend::RsumBuffered {
+            levels: 2,
+            buffer_size: 16,
+        };
+        let mut s = GroupedStates::new(backend, 0, (2, 1, 1));
         assert_eq!(s.groups(), 0);
         s.ensure_groups(3);
         s.ensure_groups(2); // shrink requests are no-ops
         assert_eq!(s.groups(), 3);
-        s.update_sum(1, &[2], &[1.5]).unwrap();
-        s.update_min(0, &[0], &[4.0]);
-        s.update_max(0, &[1], &[-4.0]);
-        let out = s.finalize().unwrap();
-        assert_eq!(out.counts, vec![0, 0, 0]);
-        assert_eq!(out.sums[1][2], 1.5);
-        assert_eq!(out.mins[0][0], 4.0);
-        assert_eq!(out.mins[0][1], f64::INFINITY);
-        assert_eq!(out.maxs[0][1], -4.0);
+        dispatch!(&mut s.aggs[1], |k| k.add(2, 1.5)).unwrap();
+        dispatch!(&mut s.aggs[2], |k| k.add(0, 4.0)).unwrap();
+        dispatch!(&mut s.aggs[3], |k| k.add(1, -4.0)).unwrap();
+        let (counts, out) = s.finalize().unwrap();
+        assert_eq!(counts, vec![0, 0, 0]);
+        assert_eq!(out[1][2], 1.5);
+        assert_eq!(out[2][0], 4.0);
+        assert_eq!(out[2][1], f64::INFINITY);
+        assert_eq!(out[3][1], -4.0);
     }
 
     #[test]
