@@ -417,6 +417,55 @@ fn bench_grouped_deposit(c: &mut Criterion) {
     g.finish();
 }
 
+/// The grouped SUM *query* — `SELECT key, SUM(v)[, SUM(w), …] FROM g
+/// GROUP BY key` through `sql_query` and `execute` — over 2^20 rows with
+/// uniformly random keys at 2, 4, 5, 6 and 8 groups, with 1, 2 and 5 SUMs,
+/// for `Double` and `ReproBuffered`: the run that fixes
+/// `rfa_engine::DOUBLE_MIN_SEG`, the way `grouped_deposit` fixes
+/// `MIN_SEG`. The scan partitions a `Double` batch while `groups ·
+/// DOUBLE_MIN_SEG ≤ 4096` and shares the partition between COUNT and
+/// every SUM, so the constant belongs at the last group count where a
+/// partitioned query beats a per-row one at every SUM count. The
+/// `ReproBuffered` rows, partitioned up to 8 groups, are the other arm of
+/// the query-level ratio. EXPERIMENTS.md records the table.
+fn bench_grouped_query(c: &mut Criterion) {
+    use rfa_engine::{sql_query, Column, ExecOptions, SumBackend, Table};
+
+    const ROWS: usize = 1 << 20;
+    const COLS: [&str; 5] = ["v", "w", "x", "y", "z"];
+    let opts = ExecOptions::serial();
+    let mut g = c.benchmark_group("grouped_query");
+    g.throughput(Throughput::Elements(ROWS as u64));
+    for groups in [2u32, 4, 5, 6, 8] {
+        let mut t = Table::new("g");
+        let w = GroupedPairs::generate(ROWS, groups, ValueDist::Uniform01, 31);
+        let keys = w.keys.iter().map(|&k| k as i32).collect::<Vec<_>>();
+        t.add_column("key", Column::i32(keys)).expect("fresh table");
+        for (seed, col) in (32..).zip(COLS) {
+            let w = GroupedPairs::generate(ROWS, 1, ValueDist::Uniform01, seed);
+            t.add_column(col, Column::f64(w.values))
+                .expect("fresh table");
+        }
+        for sums in [1, 2, 5] {
+            let items: Vec<String> = COLS[..sums].iter().map(|c| format!("SUM({c})")).collect();
+            let sql = format!("SELECT key, {} FROM g GROUP BY key", items.join(", "));
+            let query = sql_query(&sql, &t).expect("valid query");
+            for (name, backend) in [
+                ("double", SumBackend::Double),
+                (
+                    "repro_buffered",
+                    SumBackend::ReproBuffered { buffer_size: 1024 },
+                ),
+            ] {
+                g.bench_function(format!("{name}_g{groups}_sums{sums}"), |b| {
+                    b.iter(|| black_box(query.execute(&t, backend, &opts).expect("finite sums")))
+                });
+            }
+        }
+    }
+    g.finish();
+}
+
 /// Group-id assignment alone: a `COUNT(*) … GROUP BY` scan (no SUM state,
 /// unbuffered backend, so nothing is partitioned) per key shape — a plain
 /// byte pair, the pair over a `Dict` and an RLE leg, a dictionary code,
@@ -656,6 +705,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_summation, bench_operators, bench_parallel, bench_fused_scan, bench_simd, bench_hash_probe,
-        bench_grouped_deposit, bench_gid_assign, bench_projection, bench_filter
+        bench_grouped_deposit, bench_grouped_query, bench_gid_assign, bench_projection, bench_filter
 }
 criterion_main!(benches);

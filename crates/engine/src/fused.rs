@@ -23,7 +23,7 @@
 //! of state array; a state's kind — a SUM backend's, MIN's, MAX's — is
 //! matched once per batch and aggregate to enter it, and each kind
 //! answers the deposit its own fastest way (a block kernel, a `k·v` fold,
-//! a checked add).
+//! a register sum checked once).
 //!
 //! This is the *physical* executor the plan layer ([`crate::plan`])
 //! lowers onto: a [`FusedQuery`] names the filter conjuncts, the SUM /
@@ -104,13 +104,16 @@
 //! which §III-D proves bit-transparent.
 //!
 //! **Partition, then aggregate** (paper §V, at batch granularity). A
-//! grouped batch of a [buffered](SumBackend::buffered) backend that holds
-//! few groups relative to its rows ([`crate::sum_op::MIN_SEG`]) is
-//! counting-sorted by group id once; COUNT reads the segment lengths and
-//! every repro SUM state gathers its evaluated values through the
-//! permutation and deposits one block-kernel call per group — the deposit
-//! RLE group keys get from their runs, for any key storage. (MIN and MAX
-//! fold that batch per row: a compare per row costs less than the
+//! grouped batch of a [buffered](SumBackend::buffered) backend or of
+//! `Double` that holds few groups relative to its rows
+//! ([`crate::sum_op::MIN_SEG`], [`crate::sum_op::DOUBLE_MIN_SEG`]) is
+//! counting-sorted by group id once; COUNT
+//! reads the segment lengths, every repro SUM state gathers its evaluated
+//! values through the permutation and deposits one block-kernel call per
+//! group — the deposit RLE group keys get from their runs, for any key
+//! storage — and every `Double` SUM state reads them through the
+//! permutation into one register sum per group, checked once. (MIN and
+//! MAX fold that batch per row: a compare per row costs less than the
 //! gather.)
 //! The sort is stable and only the *values* are permuted: the selection
 //! vector and the group ids stay in row order, so predicates, RLE
@@ -1263,9 +1266,10 @@ pub(crate) enum Deposit {
     Rows,
     /// `gids` as for `Rows`, plus the batch's [`BatchPartition`] built
     /// over them: a repro SUM gathers its evaluated values through it and
-    /// deposits one block call per group; every other state reads it like
-    /// `Rows`. The selection and `gids` stay in row order, so run inputs
-    /// do too.
+    /// deposits one block call per group, a `Double` SUM reads them
+    /// through it into one register sum per group; every other state
+    /// reads it like `Rows`. The selection and `gids` stay in row order,
+    /// so run inputs do too.
     Partitioned,
     /// Run-blocked: `segs` partitions the selection into maximal spans of
     /// rows sharing a group (RLE group keys only); each span is one block
@@ -1519,10 +1523,11 @@ impl<'q> RangeScan<'q> {
                 let keys = bind.key_col.fill(batch, &mut self.cur, &mut self.key_buf);
                 groups.assign(bind, keys, &mut self.gids)?;
                 states.ensure_groups(groups.keys.len());
-                // Batches of a buffered backend are partitioned by group
-                // id when `BatchPartition::build` finds few groups for
-                // their rows.
-                if query.backend.buffered() && self.part.build(&self.gids, states.groups()) {
+                // A batch is partitioned by group id when its backend
+                // partitions at all and has few groups for its rows.
+                let groups = states.groups();
+                let min_seg = query.backend.min_seg();
+                if min_seg.is_some_and(|min| self.part.build(&self.gids, groups, min)) {
                     // A near-dense batch's partition lists covering-range
                     // offsets (if there is anything for it to gather).
                     if let Some(rows) = batch.selection().filter(|_| query.prog.outputs() > 0) {

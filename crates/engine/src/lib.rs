@@ -109,6 +109,6 @@ pub use sql::{
     SqlColumn, SqlError, SqlQuery, SqlResult,
 };
 pub use sum_op::{
-    count_grouped, sum_grouped, GroupedSums, OverflowError, SumBackend, MIN_SEG, NEAR_DENSE,
-    SCAN_MORSEL_ROWS,
+    count_grouped, sum_grouped, GroupedSums, OverflowError, SumBackend, DOUBLE_MIN_SEG, MIN_SEG,
+    NEAR_DENSE, SCAN_MORSEL_ROWS,
 };

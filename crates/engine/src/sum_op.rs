@@ -25,7 +25,10 @@
 //! * [`SumBackend::Double`] — MonetDB's own behaviour: plain `dbl` sum
 //!   *with per-element overflow checking* (MonetDB's `ADD_WITH_CHECK`
 //!   macros; the paper notes this makes the baseline slower than a raw
-//!   loop, §VI-E). Every deposit is that checked add. Order-sensitive.
+//!   loop, §VI-E). A per-row deposit is that checked add. A block — a
+//!   run, or one group's segment of a batch partitioned by group
+//!   ([`DOUBLE_MIN_SEG`]) — is added in a register from the slot's value,
+//!   in row order, and checked once at its end. Order-sensitive.
 //! * [`SumBackend::ReproUnbuffered`] / [`SumBackend::Rsum`] —
 //!   `repro<double, L>` per group, the paper's drop-in type: a block goes
 //!   through the vectorized block kernel, `k` copies through the exact
@@ -73,10 +76,13 @@ pub const SCAN_MORSEL_ROWS: usize = 1 << 16;
 /// | only `−0.0` | `+0.0` | `+0.0` | `+0.0` |
 /// | overflow (`f64::MAX + f64::MAX`) | `OverflowError` | `OverflowError` | `+∞` |
 ///
-/// `Double` raises at the first addition whose result is not finite
-/// (MonetDB's check); `SortedDouble` checks each finished sum once, which
-/// raises exactly when a check after every addition would. The repro
-/// states instead follow IEEE addition with a sticky special state, and
+/// `Double` raises when an addition's result is not finite (MonetDB's
+/// check). Its per-row deposits check every addition; its block deposits
+/// check each block's sum once, and `SortedDouble` each finished sum
+/// once. A single check raises exactly when a check after every addition
+/// would, because an IEEE sum that is ±∞ or NaN stays non-finite whatever
+/// is added to it. The state an error leaves behind is unspecified. The
+/// repro states instead follow IEEE addition with a sticky special state, and
 /// a finite value too large to bin (`|v| ≥ 2^1005`) counts as `±∞`. That
 /// is a decision, not an accident: an `OverflowError` raised mid-scan
 /// depends on which rows came first, so it cannot be part of an answer
@@ -119,13 +125,28 @@ impl SumBackend {
         self != SumBackend::Double
     }
 
-    /// Whether grouped batches deposit through a batch partition (see
-    /// [`MIN_SEG`]).
+    /// Whether this is the paper's buffered operator (§V): repro states
+    /// whose grouped batches deposit through a batch partition, one block
+    /// call per group ([`MIN_SEG`]). It is also the gate of
+    /// [`GroupedSums`], which partitions for these backends only; the
+    /// scan partitions `Double` batches too ([`DOUBLE_MIN_SEG`]).
     pub fn buffered(self) -> bool {
         matches!(
             self,
             SumBackend::ReproBuffered { .. } | SumBackend::RsumBuffered { .. }
         )
+    }
+
+    /// The fewest rows per group slot at which the fused scan partitions
+    /// a grouped batch by group: [`MIN_SEG`] for the
+    /// [buffered](Self::buffered) backends, [`DOUBLE_MIN_SEG`] for
+    /// `Double`, and `None` — every batch per row — for the rest.
+    pub(crate) fn min_seg(self) -> Option<usize> {
+        match self {
+            SumBackend::Double => Some(DOUBLE_MIN_SEG),
+            _ if self.buffered() => Some(MIN_SEG),
+            _ => None,
+        }
     }
 
     /// `Err(levels)` for an `RSUM` precision outside `1..=4` — the one
@@ -193,17 +214,33 @@ fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
-/// Minimum average rows per group slot for a batch to be partitioned: a
-/// batch of `n` rows over `groups` slots takes the partitioned path of
-/// the [buffered](SumBackend::buffered) backends when
-/// `groups · MIN_SEG ≤ n` — at most 8 groups in a default 4096-row batch
-/// — and per-row `add` otherwise. Set by `criterion_micro`'s
-/// `grouped_deposit` sweep (EXPERIMENTS.md, Fig. 10 row) at the last
-/// group count where the partitioned operator beats the per-row one:
-/// past it, partitioning a batch costs more than the block kernel gives
-/// back on a single SUM. Bit-invisible — both sides of the threshold
-/// produce identical states.
+/// Minimum average rows per group slot for a batch of a
+/// [buffered](SumBackend::buffered) backend to be partitioned: a batch of
+/// `n` rows over `groups` slots is partitioned when `groups · MIN_SEG ≤
+/// n` — at most 8 groups in a default 4096-row batch — and every group's
+/// gathered values go through the block kernel; otherwise it deposits per
+/// row. Set by `criterion_micro`'s `grouped_deposit` sweep
+/// (EXPERIMENTS.md, Fig. 10 row) at the last group count where the
+/// partitioned operator beats the per-row one: past it, partitioning a
+/// batch costs more than the block kernel gives back on a single SUM.
+/// `Double` has a threshold of its own ([`DOUBLE_MIN_SEG`]).
+/// Bit-invisible — both sides of the threshold produce identical states.
 pub const MIN_SEG: usize = 512;
+
+/// [`MIN_SEG`] for [`SumBackend::Double`]: the fused scan partitions a
+/// grouped `Double` batch when `groups · DOUBLE_MIN_SEG ≤ n` — at most 4
+/// groups in a default 4096-row batch, Q1's included (its batches keep
+/// ≈ 4 040 rows) — and each SUM then reads its values through the
+/// permutation, adding every group's segment in a register. A `Double`
+/// segment saves less than a repro one (a store-forwarded slot and a
+/// branch per row, not a cascade), so the partition pays for itself only
+/// at more rows per group. Set by `criterion_micro`'s `grouped_query`
+/// sweep (EXPERIMENTS.md): partitioned `Double` queries won at 2 and 4
+/// groups and lost at 5, 6 and 8 for one, two and five SUMs, so the
+/// constant lies above 4096 / 5 ≈ 819 and at most 4040 / 4 = 1010.
+/// Bit-invisible — the partition is stable, so every slot adds the same
+/// values in the same order.
+pub const DOUBLE_MIN_SEG: usize = 896;
 
 /// Least share of its covering range `[first, last]` a batch's selection
 /// must keep to be *near-dense* ([`crate::Sel::near_dense`]): the fused scan
@@ -220,24 +257,28 @@ pub const NEAR_DENSE: f64 = 0.5;
 /// lists batch-local row indices group by group (ascending group id, row
 /// order kept inside each group) plus the `(group, end)` segment list
 /// over it. Built once per batch and shared by COUNT (segment lengths are
-/// its histogram) and by every SUM state array, each of which gathers its
+/// its histogram) and by every SUM state array: a repro SUM gathers its
 /// evaluated values through the permutation and deposits one block call
-/// per group. (MIN / MAX keep their per-row folds over the row-ordered
-/// group ids: a compare-and-keep per row is cheaper than the gather.)
+/// per group; a `Double` SUM reads them through the permutation in place
+/// — a register sum needs no contiguous input — one segment per group.
+/// (MIN / MAX keep their per-row folds over the row-ordered group ids: a
+/// compare-and-keep per row is cheaper than the gather.)
 ///
 /// **Selecting while partitioning.** Re-aimed at the batch's selection
 /// ([`Self::select`]), the permutation lists *offsets into the
 /// selection's covering range* instead — `rows[i] - rows[0]` for batch
 /// position `i`. The values then handed to the gather are that whole
-/// range's, selected or not, and the gather every SUM state performs
-/// anyway picks exactly the selected rows, group by group: the paper's
-/// §V buffer fill, which never sees how its per-group batch was
-/// assembled.
+/// range's, selected or not, and the gather every repro SUM state
+/// performs anyway — or the reads of a `Double` one — pick exactly the
+/// selected rows, group by group: the paper's §V buffer fill, which never
+/// sees how its per-group batch was assembled.
 ///
 /// **Why no bit can change.** The counting sort is stable, so each group
 /// slot receives exactly the values it would receive per row, in the same
 /// order; the block kernel is bit-transparent to per-value `add`
-/// (§III-D). Only *when* a slot is visited differs — never what it sees.
+/// (§III-D), and a `Double` register sum performs the very additions of
+/// per-row `add`. Only *when* a slot is visited differs — never what it
+/// sees.
 #[derive(Default)]
 pub(crate) struct BatchPartition {
     perm: Vec<u32>,
@@ -253,10 +294,11 @@ pub(crate) struct BatchPartition {
 
 impl BatchPartition {
     /// Partitions one batch of group ids (all `< groups`). Returns `false`
-    /// — without partitioning — when the batch has fewer than [`MIN_SEG`]
-    /// rows per group slot; the caller then deposits per row.
-    pub(crate) fn build(&mut self, group_ids: &[u32], groups: usize) -> bool {
-        if groups.saturating_mul(MIN_SEG) > group_ids.len() {
+    /// — without partitioning — when the batch has fewer than `min_seg`
+    /// rows per group slot ([`SumBackend::min_seg`]); the caller then
+    /// deposits per row.
+    pub(crate) fn build(&mut self, group_ids: &[u32], groups: usize, min_seg: usize) -> bool {
+        if groups.saturating_mul(min_seg) > group_ids.len() {
             return false;
         }
         self.span = group_ids.len();
@@ -341,7 +383,9 @@ impl BatchPartition {
 
 /// A per-group state array: the one vocabulary every aggregate state
 /// answers (module docs). A deposit's error is the `Double` backend's
-/// overflow; the state after an error is discarded.
+/// overflow. The state after an [`OverflowError`] is unspecified — a
+/// block deposit may add past the addition that overflowed — and every
+/// caller discards it.
 ///
 /// The per-value loops (`run`, `rows`) are never inlined into the scan's
 /// deposit: inside that one large function the compiler kept the state
@@ -431,21 +475,60 @@ pub(crate) fn per_row<S: States>(
     }
 }
 
-/// [`SumBackend::Double`]: one `f64` per group, every deposit the checked
-/// add, so every deposit form is the default.
+/// [`SumBackend::Double`]: one `f64` per group. A per-row deposit is the
+/// checked add; a block deposit adds in a register and checks its sum
+/// once.
 #[derive(Default)]
 pub(crate) struct Doubles(Vec<f64>);
+
+/// MonetDB's ADD_WITH_CHECK, on a sum: `sum` must be finite. Once an IEEE
+/// sum is ±∞ or NaN, adding anything keeps it non-finite, so one check of
+/// a block's sum raises exactly when a check after each of its additions
+/// would.
+fn checked(sum: f64) -> Result<(), OverflowError> {
+    if sum.is_finite() {
+        Ok(())
+    } else {
+        Err(OverflowError)
+    }
+}
 
 impl States for Doubles {
     fn add(&mut self, g: usize, v: f64) -> Result<(), OverflowError> {
         let slot = &mut self.0[g];
         *slot += v;
-        // MonetDB's ADD_WITH_CHECK: per-element result check.
-        if slot.is_finite() {
-            Ok(())
-        } else {
-            Err(OverflowError)
+        checked(*slot)
+    }
+
+    /// The values added in order, in a register, from the slot's value:
+    /// no store and no branch per value.
+    #[inline(never)]
+    fn run(&mut self, g: usize, values: &[f64]) -> Result<(), OverflowError> {
+        let slot = &mut self.0[g];
+        *slot = values.iter().fold(*slot, |sum, &v| sum + v);
+        checked(*slot)
+    }
+
+    /// [`Self::run`] per group, reading the group's values through the
+    /// permutation where they lie: a register sum needs no gathered copy.
+    #[inline(never)]
+    fn partitioned(
+        &mut self,
+        part: &mut BatchPartition,
+        _: &[u32],
+        values: &[f64],
+        _: Option<&[u32]>,
+    ) -> Result<(), OverflowError> {
+        assert_eq!(values.len(), part.span);
+        let mut start = 0;
+        for &(g, end) in &part.segs {
+            let slot = &mut self.0[g as usize];
+            let rows = &part.perm[start..end];
+            *slot = rows.iter().fold(*slot, |sum, &i| sum + values[i as usize]);
+            checked(*slot)?;
+            start = end;
         }
+        Ok(())
     }
 
     fn push_groups(&mut self, n: usize) {
@@ -715,6 +798,12 @@ impl State {
 /// operation sequence is identical to a single [`sum_grouped`] pass, so
 /// batched (fused) and one-shot execution finalize to the same bits for
 /// *every* backend.
+///
+/// Only the [buffered](SumBackend::buffered) backends partition their
+/// batches here. The scan partitions `Double` too, because there the
+/// partition is shared by COUNT and every SUM state; one `Double` array
+/// on its own pays the whole partition for one register sum per group,
+/// which measured slower than its per-row deposits (EXPERIMENTS.md).
 pub struct GroupedSums {
     state: State,
     groups: usize,
@@ -748,12 +837,13 @@ impl GroupedSums {
     /// Folds one batch of `(group_id, value)` pairs into the states, in
     /// [`FUSED_BATCH_ROWS`] chunks: the fused scan's own deposit of its
     /// batches, each partitioned by group when the backend is buffered
-    /// and [`MIN_SEG`] allows.
+    /// and [`MIN_SEG`] allows. After an [`OverflowError`] the states are
+    /// unspecified: a block deposit may have added past the overflow.
     pub fn update(&mut self, group_ids: &[u32], values: &[f64]) -> Result<(), OverflowError> {
         debug_assert_eq!(group_ids.len(), values.len());
         let batches = group_ids.chunks(FUSED_BATCH_ROWS);
         for (gids, vals) in batches.zip(values.chunks(FUSED_BATCH_ROWS)) {
-            let shape = if self.buffered && self.part.build(gids, self.groups) {
+            let shape = if self.buffered && self.part.build(gids, self.groups, MIN_SEG) {
                 Deposit::Partitioned
             } else {
                 Deposit::Rows
@@ -1114,7 +1204,7 @@ mod tests {
                 assert_eq!(scalar.perm, expected, "scalar n {n} groups {groups}");
                 assert_eq!(scalar.segs, segs, "scalar n {n} groups {groups}");
                 let mut built = BatchPartition::default();
-                if built.build(&gids, groups) {
+                if built.build(&gids, groups, MIN_SEG) {
                     assert_eq!(built.perm, expected, "build n {n} groups {groups}");
                     assert_eq!(built.segs, segs, "build n {n} groups {groups}");
                     assert_eq!(built.span, n);
@@ -1325,6 +1415,19 @@ mod tests {
         }
     }
 
+    /// Asserts that two paths answer alike, kind by kind: the same deposit
+    /// `Result` always, and the whole outcome where the deposits returned
+    /// `Ok` — the state after an [`OverflowError`] is unspecified
+    /// ([`States`]).
+    fn assert_same_answers(input: &str, a: &[(&str, Outcome)], b: &[(&str, Outcome)]) {
+        for ((kind, a), (_, b)) in a.iter().zip(b) {
+            assert_eq!(a.0, b.0, "{kind} on {input}");
+            if a.0.is_ok() {
+                assert_eq!(a, b, "{kind} on {input}");
+            }
+        }
+    }
+
     #[test]
     fn push_groups_and_merge_slot_match_dense_merge() {
         // Exactly merging kinds: their keyed merge is exact, so the split
@@ -1445,7 +1548,7 @@ mod tests {
                 (values.chunks(997))
                     .try_for_each(|chunk| deposit(s, &batch, &mut part, Input::Values(chunk)))
             });
-            assert_same(&input, &grouped, &single);
+            assert_same_answers(&input, &grouped, &single);
         }
         // COUNT(*): a batch's length into group 0.
         let mut grouped = GroupedStates::new(SumBackend::ReproUnbuffered, 1, (0, 0, 0));
@@ -1462,10 +1565,11 @@ mod tests {
         // RLE grouped aggregation's contract: depositing each run of
         // same-group rows as one block call finalizes to the same bits as
         // per-row (group_id, value) updates, for every kind — and so does
-        // a batch partitioned by group. A Double deposit stops at its
-        // first overflow on both paths alike, and so leaves the same
-        // state. The per-row answers of the special-value cells are the
-        // ones `SumBackend` documents.
+        // a batch partitioned by group, read directly or, re-aimed by
+        // `select`, out of a selection's covering range. A Double deposit
+        // raises on every path alike; the state it leaves is unspecified.
+        // The per-row answers of the special-value cells are the ones
+        // `SumBackend` documents.
         for (input, ids, values, answers) in inputs() {
             let per_row = outcomes(5, |s| {
                 dispatch!(s, |k| k.rows(&ids, values.iter().copied()))
@@ -1478,13 +1582,15 @@ mod tests {
                     dispatch!(&mut *s, |k| k.run(run[0] as usize, values))
                 })
             });
-            assert_same(&input, &per_row, &blocked);
+            assert_same_answers(&input, &per_row, &blocked);
+            // Every batch partitions (the threshold decides speed, not
+            // bits), so the cells land inside segments too.
             let mut part = BatchPartition::default();
             let partitioned = outcomes(5, |s| {
                 (ids.chunks(FUSED_BATCH_ROWS)
                     .zip(values.chunks(FUSED_BATCH_ROWS)))
                 .try_for_each(|(ids, values)| {
-                    let built = part.build(ids, 5);
+                    let built = part.build(ids, 5, 1);
                     dispatch!(&mut *s, |k| if built {
                         k.partitioned(&mut part, ids, values, None)
                     } else {
@@ -1492,7 +1598,31 @@ mod tests {
                     })
                 })
             });
-            assert_same(&input, &per_row, &partitioned);
+            assert_same_answers(&input, &per_row, &partitioned);
+            // Selected rows 7, 8, 10, 11, 13, …: every third row of the
+            // covering range is dropped and holds NaN, which no deposit
+            // may read.
+            let covered = outcomes(5, |s| {
+                (ids.chunks(FUSED_BATCH_ROWS)
+                    .zip(values.chunks(FUSED_BATCH_ROWS)))
+                .try_for_each(|(ids, values)| {
+                    let rows: Vec<u32> = (0..ids.len() as u32).map(|i| 7 + i * 3 / 2).collect();
+                    let mut range = vec![f64::NAN; rows.last().map_or(0, |&r| r as usize - 6)];
+                    for (&r, &v) in rows.iter().zip(values) {
+                        range[r as usize - 7] = v;
+                    }
+                    let built = part.build(ids, 5, 1);
+                    if built {
+                        part.select(&rows);
+                    }
+                    dispatch!(&mut *s, |k| if built {
+                        k.partitioned(&mut part, ids, &range, Some(&rows))
+                    } else {
+                        super::per_row(k, ids, &range, Some(&rows))
+                    })
+                })
+            });
+            assert_same_answers(&input, &per_row, &covered);
             let Some(answers) = answers else { continue };
             for ((kind, (deposited, finalized, bits)), want) in per_row.iter().zip(answers) {
                 let got = deposited

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use rfa_agg::HashKind;
 use rfa_engine::{
     run_fused, run_q1_with, run_q6_with, sum_grouped, Column, ExecOptions, Expr, FusedError,
-    FusedQuery, GroupKey, GroupedSums, OverflowError, SumBackend, Table,
+    FusedQuery, GroupKey, GroupedSums, OverflowError, SumBackend, Table, DOUBLE_MIN_SEG,
 };
 use rfa_workloads::Lineitem;
 use support::{q1_reference, q6_reference};
@@ -395,6 +395,99 @@ fn sorted_double_overflows_like_a_check_after_every_addition() {
         for backend in [SumBackend::SortedDouble, SumBackend::Double] {
             let sums = sum_grouped(backend, &gids, &v, 2);
             assert_eq!(sums, Err(OverflowError), "{poison:?} {backend:?}");
+        }
+    }
+}
+
+/// Overflow parity of `Double`'s block deposits: a partitioned batch adds
+/// each group's segment in a register and an ungrouped or run-keyed batch
+/// each block, checking every sum once. A `f64::MAX` pair, a `+∞` or a
+/// NaN mid-way through one group's segment returns `Overflow`, exactly as
+/// a check after every addition would, while `MAX` then `−MAX` — a sum
+/// that stays finite — returns the per-row bits. Covers plain and RLE
+/// value columns, plain and RLE group keys, ungrouped queries, threads
+/// 1 / 2 / 8, batches that partition, and one batch shape with too few
+/// rows per group to partition, which stays per row.
+#[test]
+fn double_overflows_like_a_check_after_every_addition() {
+    force_pool();
+    // Two groups alternating every 8 rows: a 4096-row batch holds 2 048
+    // rows of each, and row 2 * 4096 + 1 003 lies mid-way through group 1's
+    // segment and mid-way through an 8-row run.
+    let n = 3 * 4096;
+    let g: Vec<i32> = (0..n).map(|i| i / 8 % 2).collect();
+    let keys = GroupKey::Hash {
+        col: "g".into(),
+        hash: HashKind::Identity,
+    };
+    let run_keys = GroupKey::Hash {
+        col: "gr".into(),
+        hash: HashKind::Identity,
+    };
+    let partitions = |batch_rows: usize| 2 * DOUBLE_MIN_SEG <= batch_rows;
+    assert!(partitions(4096) && !partitions(1024));
+    let cases = [
+        (&[f64::MAX, f64::MAX][..], true),
+        (&[f64::INFINITY], true),
+        (&[f64::NAN], true),
+        (&[f64::MAX, -f64::MAX], false),
+    ];
+    for (poison, overflows) in cases {
+        // Runs of 4 equal values, so the RLE column has runs to keep.
+        let mut v: Vec<f64> = (0..n).map(|i| (i / 4 % 5) as f64 + 0.5).collect();
+        let at = 2 * 4096 + 1003;
+        v[at..at + poison.len()].copy_from_slice(poison);
+        assert!(g[at..at + poison.len()].iter().all(|&k| k == 1));
+        let mut t = Table::new("t");
+        t.add_column("g", Column::i32(g.clone())).unwrap();
+        t.add_column("gr", Column::i32(g.clone()).rle_encode().unwrap())
+            .unwrap();
+        t.add_column("v", Column::f64(v.clone())).unwrap();
+        t.add_column("vr", Column::f64(v.clone()).rle_encode().unwrap())
+            .unwrap();
+        // The per-row fold with a check after every addition.
+        let per_row = |group: Option<i32>| {
+            let rows = (0..n).filter(|&i| group.is_none_or(|k| g[i as usize] == k));
+            rows.map(|i| v[i as usize])
+                .try_fold(0.0, |sum: f64, x| Some(sum + x).filter(|s| s.is_finite()))
+        };
+        assert_eq!(per_row(None).is_none(), overflows, "{poison:?}");
+        for col in ["v", "vr"] {
+            for group_by in [GroupKey::None, keys.clone(), run_keys.clone()] {
+                let q = FusedQuery {
+                    filter: vec![],
+                    sums: vec![Expr::col(col)],
+                    mins: vec![],
+                    maxs: vec![],
+                    group_by,
+                };
+                let want: Option<Vec<u64>> = match &q.group_by {
+                    GroupKey::None => per_row(None).map(|s| vec![s.to_bits()]),
+                    _ => [0, 1]
+                        .map(|k| per_row(Some(k)))
+                        .into_iter()
+                        .collect::<Option<_>>()
+                        .map(|sums: Vec<f64>| bits(&sums)),
+                };
+                for (threads, batch_rows) in [(1, 4096), (2, 4096), (8, 4096), (1, 1024)] {
+                    let opts = ExecOptions {
+                        threads,
+                        batch_rows,
+                        ..ExecOptions::default()
+                    };
+                    let run = run_fused(&t, &q, SumBackend::Double, &opts);
+                    let what =
+                        format!("{poison:?} {col} {:?} t{threads} b{batch_rows}", q.group_by);
+                    match &want {
+                        Some(want) => assert_eq!(&bits(&run.unwrap().sums[0]), want, "{what}"),
+                        None => assert_eq!(
+                            run.map(|r| r.counts).unwrap_err(),
+                            FusedError::Overflow(OverflowError),
+                            "{what}"
+                        ),
+                    }
+                }
+            }
         }
     }
 }
