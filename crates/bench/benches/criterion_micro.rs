@@ -129,24 +129,25 @@ fn bench_parallel(c: &mut Criterion) {
 /// isolation — batched expression evaluation into reused scratch, the
 /// batched hash-table probe, and the end-to-end Q1 / Q6 queries.
 fn bench_fused_scan(c: &mut Criterion) {
-    use rfa_engine::{lineitem_table, run_q1, run_q6, EvalScratch, Expr, Sel, SumBackend};
+    use rfa_engine::{
+        lineitem_table, q1_plan, q6_plan, EvalScratch, ExecOptions, Expr, Sel, SumBackend,
+    };
     use rfa_workloads::Lineitem;
 
-    let lineitem = Lineitem::generate(N, 7);
+    let table = lineitem_table(&Lineitem::generate(N, 7));
     let backend = SumBackend::ReproBuffered { buffer_size: 1024 };
+    let serial = ExecOptions::serial();
     let mut g = c.benchmark_group("fused_scan");
     g.throughput(Throughput::Elements(N as u64));
 
-    g.bench_function("q1_fused", |b| {
-        b.iter(|| black_box(run_q1(&lineitem, backend).unwrap()))
-    });
-    g.bench_function("q6_fused", |b| {
-        b.iter(|| black_box(run_q6(&lineitem, backend).unwrap()))
-    });
+    for (name, plan) in [("q1_fused", q1_plan()), ("q6_fused", q6_plan())] {
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(plan.execute(&table, backend, &serial).unwrap()))
+        });
+    }
 
     // Compiled batch evaluation of the Q1 charge expression over reused
     // scratch registers (no allocation in the measured loop).
-    let table = lineitem_table(&lineitem);
     let charge = Expr::col("l_extendedprice")
         .mul(Expr::lit(1.0).sub(Expr::col("l_discount")))
         .mul(Expr::lit(1.0).add(Expr::col("l_tax")))

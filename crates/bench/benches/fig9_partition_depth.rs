@@ -22,8 +22,8 @@ use rfa_core::cpu::{self, SimdLevel};
 use rfa_core::{CacheModel, ReproSum};
 use rfa_engine::plan::QueryPlan;
 use rfa_engine::{
-    lineitem_table, q6_plan, q6_sql, run_q6, sql_query, Column, ExecOptions, Expr, PlanCache,
-    SqlColumn, SumBackend, Table,
+    lineitem_table, q6_plan, q6_sql, sql_query, Column, ExecOptions, Expr, PlanCache, SqlColumn,
+    SumBackend, Table,
 };
 use rfa_workloads::{GroupedPairs, Lineitem, ValueDist};
 
@@ -412,11 +412,19 @@ fn main() {
     });
     cpu::set_override(Some(SimdLevel::Scalar));
     let q6_scalar_d = time_min(cfg.reps, || {
-        std::hint::black_box(run_q6(&lineitem, backend).expect("q6"));
+        std::hint::black_box(
+            builder_q6
+                .execute(&engine_table, backend, &opts)
+                .expect("q6"),
+        );
     });
     cpu::set_override(None);
     let q6_auto_d = time_min(cfg.reps, || {
-        std::hint::black_box(run_q6(&lineitem, backend).expect("q6"));
+        std::hint::black_box(
+            builder_q6
+                .execute(&engine_table, backend, &opts)
+                .expect("q6"),
+        );
     });
     let cascade_ns = ns_per_elem(cascade_d, scan_rows);
     let portable_ns = ns_per_elem(portable_d, scan_rows);

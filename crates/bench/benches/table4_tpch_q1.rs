@@ -24,56 +24,26 @@
 
 use rfa_bench::{BenchConfig, ResultTable};
 use rfa_core::CacheModel;
-use rfa_engine::{
-    lineitem_table, q1_plan, run_q1, run_q1_par, ExecOptions, PhaseTiming, QueryPlan, SumBackend,
-};
+use rfa_engine::{lineitem_table, q1_plan, ExecOptions, PhaseTiming, QueryPlan, SumBackend, Table};
 use rfa_workloads::Lineitem;
 
-fn measure_with(
-    t: &Lineitem,
-    reps: usize,
-    run: impl Fn(&Lineitem) -> (Vec<rfa_engine::Q1Row>, PhaseTiming),
-) -> PhaseTiming {
-    // Take the run with the minimal total; keep its phase split.
-    let mut best = PhaseTiming::default();
-    let mut best_total = std::time::Duration::MAX;
-    let _warmup = run(t);
-    for _ in 0..reps {
-        let (_, timing) = run(t);
-        if timing.total() < best_total {
-            best_total = timing.total();
-            best = timing;
-        }
-    }
-    best
-}
-
-fn measure(t: &Lineitem, backend: SumBackend, reps: usize) -> PhaseTiming {
-    measure_with(t, reps, |t| {
-        run_q1(t, backend).expect("Q1 must not overflow")
-    })
-}
-
-/// Fastest run of Q1's `COUNT(*)` twin: what the fused scan spends before
-/// the first aggregate input is evaluated.
-fn measure_gid_only(
-    t: &Lineitem,
+/// The phase split of the fastest of `reps` runs of `plan`, after one
+/// warm-up run.
+fn fastest(
+    plan: &QueryPlan,
+    table: &Table,
     backend: SumBackend,
     opts: &ExecOptions,
     reps: usize,
-) -> std::time::Duration {
-    let table = lineitem_table(t);
-    let twin = QueryPlan {
-        aggs: Vec::new(),
-        ..q1_plan()
-    }
-    .count();
-    (0..=reps)
-        .map(|_| {
-            let run = twin.execute(&table, backend, opts);
-            run.expect("COUNT(*) cannot overflow").timing.total()
-        })
-        .min()
+) -> PhaseTiming {
+    let run = || {
+        let result = plan.execute(table, backend, opts);
+        result.expect("Q1 must not overflow").timing
+    };
+    run();
+    (0..reps)
+        .map(|_| run())
+        .min_by_key(PhaseTiming::total)
         .expect("at least one run")
 }
 
@@ -83,32 +53,40 @@ fn main() {
     let bsz = CacheModel::default().buffer_size(6, 8, 0);
     let rows_n = cfg.n;
     println!("generating lineitem with {rows_n} rows ...");
-    let t = Lineitem::generate(rows_n, 1);
+    let t = lineitem_table(&Lineitem::generate(rows_n, 1));
+    let (q1, serial) = (q1_plan(), ExecOptions::serial());
+    let measure = |backend| fastest(&q1, &t, backend, &serial, cfg.reps);
 
-    let double = measure(&t, SumBackend::Double, cfg.reps);
-    let unbuf = measure(&t, SumBackend::ReproUnbuffered, cfg.reps);
-    let buf = measure(&t, SumBackend::ReproBuffered { buffer_size: bsz }, cfg.reps);
-    let sorted = measure(&t, SumBackend::SortedDouble, cfg.reps);
+    let double = measure(SumBackend::Double);
+    let unbuf = measure(SumBackend::ReproUnbuffered);
+    let buf = measure(SumBackend::ReproBuffered { buffer_size: bsz });
+    let sorted = measure(SumBackend::SortedDouble);
     // Morsel-driven parallel fused scan + aggregation on the work-stealing
     // pool (bit-identical to the serial fused column; phase times are
     // summed across workers, i.e. CPU time like the paper reports).
     let pool = rayon::current_num_threads();
-    let buf_par = measure_with(&t, cfg.reps, |t| {
-        run_q1_par(t, SumBackend::ReproBuffered { buffer_size: bsz }).expect("Q1 must not overflow")
-    });
+    let buf_par = fastest(
+        &q1,
+        &t,
+        SumBackend::ReproBuffered { buffer_size: bsz },
+        &ExecOptions::parallel(),
+        cfg.reps,
+    );
 
-    let serial = ExecOptions::serial();
+    // Q1's `COUNT(*)` twin: what the fused scan spends before the first
+    // aggregate input is evaluated.
+    let twin = QueryPlan {
+        aggs: Vec::new(),
+        ..q1_plan()
+    }
+    .count();
     let gid_only = [
-        measure_gid_only(&t, SumBackend::Double, &serial, cfg.reps),
-        measure_gid_only(&t, SumBackend::ReproUnbuffered, &serial, cfg.reps),
-        measure_gid_only(
-            &t,
-            SumBackend::ReproBuffered { buffer_size: bsz },
-            &serial,
-            cfg.reps,
-        ),
-        measure_gid_only(&t, SumBackend::SortedDouble, &serial, cfg.reps),
-    ];
+        SumBackend::Double,
+        SumBackend::ReproUnbuffered,
+        SumBackend::ReproBuffered { buffer_size: bsz },
+        SumBackend::SortedDouble,
+    ]
+    .map(|backend| fastest(&twin, &t, backend, &serial, cfg.reps).total());
 
     let base = double.total().as_secs_f64();
     let pct = |d: std::time::Duration| format!("{:.1}", 100.0 * d.as_secs_f64() / base);

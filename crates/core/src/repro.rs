@@ -842,6 +842,41 @@ mod tests {
         assert_eq!(merged.value().to_bits(), all_rows.value().to_bits());
     }
 
+    /// Multiplicities of one chunk and beyond (k ≥ 2^51) against the
+    /// truth: `k·v` is the two-product `hi + lo`, summed exactly, and the
+    /// scaled deposit lies within the anchored bound of `k` deposits of
+    /// `|v|` plus the half ulp of rounding that exact product to f64.
+    #[test]
+    fn add_scaled_beyond_one_chunk_is_within_the_bound_of_the_exact_product() {
+        fn check<const L: usize>() {
+            for k in [1u64 << 51, (1 << 51) + 1, 1 << 53] {
+                for v in [0.1, 0.75, -3.0e-300, 1.0e280] {
+                    let mut acc = ReproSum::<f64, L>::new();
+                    acc.add_scaled(v, k);
+                    let got = acc.value();
+                    // Exact: k ≤ 2^53 is an f64.
+                    let (hi, lo) = crate::eft::two_product(k as f64, v);
+                    let mut err = rfa_exact::ExactSum::new();
+                    err.add(hi);
+                    err.add(lo);
+                    err.sub(got);
+                    let half_ulp = (f64::from_bits(hi.abs().to_bits() + 1) - hi.abs()) / 2.0;
+                    let bound =
+                        crate::analysis::reproducible_bound_anchored::<f64>(k as usize, L, v.abs());
+                    let err = err.round_f64().abs();
+                    assert!(
+                        err <= bound + half_ulp,
+                        "L={L} k={k} v={v:e}: {got:e} is {err:e} off, bound {bound:e}"
+                    );
+                }
+            }
+        }
+        check::<1>();
+        check::<2>();
+        check::<3>();
+        check::<4>();
+    }
+
     #[test]
     fn sum_trait_impl() {
         let s: ReproSum<f64, 2> = [1.0, 2.0, 3.0].into_iter().sum();

@@ -70,7 +70,7 @@
 //! to the table's storage, and checks the backend. Every way a query can
 //! fail to fit its table — a missing column, one an expression cannot
 //! read, a group key of the wrong logical type under any encoding — or
-//! its backend is a typed [`FusedError`] from that one pass, in a fixed
+//! its backend is a typed [`PlanError`] from that one pass, in a fixed
 //! order; there is no earlier check for it to agree with and no later
 //! one. [`run_fused`] is that bind plus the scan; preparing a SQL
 //! statement runs the bind alone. Columns need no check at all: a
@@ -89,7 +89,7 @@
 //! ([`AggHashTable::probe_gids`], §IV). A batch's keys are laid down by
 //! one tight loop per key leg — column slices for a dense or near-dense
 //! batch, a gather otherwise, RLE legs once per run. Ids, first-seen
-//! order and the data-dependent [`FusedError::ReservedKey`] are those of a
+//! order and the data-dependent [`PlanError::ReservedKey`] are those of a
 //! per-row walk over the selected rows either way.
 //!
 //! **Why fusion preserves bit-identity** (paper footnote 3, extended to
@@ -192,7 +192,7 @@ use crate::expr::{
     advance_run, extend_clipped, intersect_ranges, BoolExpr, BoundExpr, BoundPredicate,
     CompiledExpr, CompiledPredicate, EvalScratch, Expr, RowRange, Sel,
 };
-use crate::q1::PhaseTiming;
+use crate::plan::PlanError;
 use crate::sum_op::{
     dispatch, per_row, BatchPartition, GroupedStates, OverflowError, State, States, SumBackend,
     SCAN_MORSEL_ROWS,
@@ -218,80 +218,13 @@ pub enum GroupKey {
     /// dictionary-encoded one index a direct-mapped table, which `hash`
     /// does not reach. The key value `u32::MAX` (`-1_i32`) is reserved;
     /// a selected row carrying it surfaces as
-    /// [`FusedError::ReservedKey`].
+    /// [`PlanError::ReservedKey`].
     Hash { col: ColRef, hash: HashKind },
     /// Grouping on a pair of `U8` columns packed into one `u32` key
     /// (`(a << 8) | b`), first-seen ids — Q1's flag / status pair, the SQL
     /// `GROUP BY a, b` shape over byte columns. The pair indexes a
     /// direct-mapped table of its 65 536-key domain.
     HashPair { a: ColRef, b: ColRef },
-}
-
-/// Errors of the fused executor. The first two are raised when the
-/// query is bound, before any row is read — they depend on the query, the
-/// table's schema and the backend; the rest depend on the *data* or the
-/// clock, and are raised by the scan.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FusedError {
-    /// The query names a column the table lacks, or one whose logical
-    /// type its role cannot read: an `F32` column in an expression, a
-    /// group key that is not `I32` / `U32` / `U8`, a pair leg that is not
-    /// `U8` — whatever the column's encoding.
-    Table(TableError),
-    /// An `RSUM` backend asked for a precision outside `1..=4` levels
-    /// ([`SumBackend::check_levels`]).
-    RsumLevels { levels: u8 },
-    /// A Double or SortedDouble sum went non-finite (MonetDB aborts the
-    /// query).
-    Overflow(OverflowError),
-    /// A [`GroupKey::Hash`] scan encountered the reserved key value
-    /// `u32::MAX` (`-1` on an `I32` column) in the named column.
-    ReservedKey { col: String },
-    /// The query's [`ExecOptions::cancel`] token tripped. Cooperative: the
-    /// scan noticed at a batch boundary and unwound with this typed error
-    /// — never a panic. Because accumulators are associative, a cancelled
-    /// query retried later returns bit-identical results.
-    Cancelled,
-    /// The query ran past its [`ExecOptions::deadline`]. A zero deadline
-    /// times out immediately (before the first batch), by design.
-    DeadlineExceeded {
-        /// The budget that was exceeded.
-        deadline: Duration,
-    },
-}
-
-impl std::fmt::Display for FusedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FusedError::Table(e) => write!(f, "{e}"),
-            FusedError::RsumLevels { levels } => {
-                write!(f, "RSUM levels must be in 1..=4, got {levels}")
-            }
-            FusedError::Overflow(e) => write!(f, "{e}"),
-            FusedError::ReservedKey { col } => write!(
-                f,
-                "group key column {col:?} contains the reserved value u32::MAX (-1_i32)"
-            ),
-            FusedError::Cancelled => write!(f, "query cancelled"),
-            FusedError::DeadlineExceeded { deadline } => {
-                write!(f, "query exceeded its {deadline:?} deadline")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FusedError {}
-
-impl From<OverflowError> for FusedError {
-    fn from(e: OverflowError) -> Self {
-        FusedError::Overflow(e)
-    }
-}
-
-impl From<TableError> for FusedError {
-    fn from(e: TableError) -> Self {
-        FusedError::Table(e)
-    }
 }
 
 /// A fused scan-aggregate query in physical form: conjunctive filter, the
@@ -301,7 +234,8 @@ impl From<TableError> for FusedError {
 pub struct FusedQuery {
     /// Conjuncts of the scan filter (all must hold).
     pub filter: Vec<BoolExpr>,
-    /// One [`crate::GroupedSums`] state array per entry.
+    /// One SUM state array of the scan's backend per entry (a
+    /// `sum_op::State`, the type MIN and MAX entries get too).
     pub sums: Vec<Expr>,
     /// One per-group minimum array per entry.
     pub mins: Vec<Expr>,
@@ -330,7 +264,7 @@ pub struct ExecOptions {
     pub deadline: Option<Duration>,
     /// Cooperative cancellation token, polled at every batch boundary. A
     /// token cancelled before execution starts fails before the first
-    /// batch with [`FusedError::Cancelled`].
+    /// batch with [`PlanError::Cancelled`].
     pub cancel: Option<CancelToken>,
 }
 
@@ -399,20 +333,39 @@ impl CancelCheck {
     }
 
     #[inline]
-    fn check(&self) -> Result<(), FusedError> {
+    fn check(&self) -> Result<(), PlanError> {
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
-                return Err(FusedError::Cancelled);
+                return Err(PlanError::Cancelled);
             }
         }
         if let Some(at) = self.deadline_at {
             if Instant::now() >= at {
-                return Err(FusedError::DeadlineExceeded {
+                return Err(PlanError::DeadlineExceeded {
                     deadline: self.deadline,
                 });
             }
         }
         Ok(())
+    }
+}
+
+/// CPU-time split of a query execution (Table IV's rows, with the scan
+/// broken out of the paper's "other" bucket).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PhaseTiming {
+    /// Selection, group-id computation and expression projection.
+    pub scan: Duration,
+    /// Deposits into the SUM states and their merges.
+    pub aggregation: Duration,
+    /// Everything else: finalization — for [`SumBackend::SortedDouble`],
+    /// the sort of every group's values with it.
+    pub other: Duration,
+}
+
+impl PhaseTiming {
+    pub fn total(&self) -> Duration {
+        self.scan + self.aggregation + self.other
     }
 }
 
@@ -484,8 +437,8 @@ fn bind_query<R>(
     table: &Table,
     query: &FusedQuery,
     backend: SumBackend,
-    then: impl FnOnce(&BoundQuery<'_>) -> Result<R, FusedError>,
-) -> Result<R, FusedError> {
+    then: impl FnOnce(&BoundQuery<'_>) -> Result<R, PlanError>,
+) -> Result<R, PlanError> {
     let filter: Vec<CompiledPredicate> = query.filter.iter().map(BoolExpr::compile).collect();
     let mut evaluated = Vec::new();
     let mut aggs = Vec::new();
@@ -518,7 +471,7 @@ fn bind_query<R>(
     };
     backend
         .check_levels()
-        .map_err(|levels| FusedError::RsumLevels { levels })?;
+        .map_err(|levels| PlanError::RsumLevels { levels })?;
     then(&bound)
 }
 
@@ -526,7 +479,7 @@ fn bind_query<R>(
 /// before it scans, on any backend this executor runs. Preparing a SQL
 /// statement calls this once, so a statement in the plan cache is known
 /// to bind.
-pub(crate) fn check_query(table: &Table, query: &FusedQuery) -> Result<(), FusedError> {
+pub(crate) fn check_query(table: &Table, query: &FusedQuery) -> Result<(), PlanError> {
     bind_query(table, query, SumBackend::ReproUnbuffered, |_| Ok(()))
 }
 
@@ -534,11 +487,11 @@ pub(crate) fn check_query(table: &Table, query: &FusedQuery) -> Result<(), Fused
 /// validation there is, every failure a typed error) and scans.
 ///
 /// Never panics on its arguments. A query that does not fit the table or
-/// the backend is [`FusedError::Table`] / [`FusedError::RsumLevels`]
-/// before any row is read. The scan returns [`FusedError::Overflow`]
+/// the backend is [`PlanError::Table`] / [`PlanError::RsumLevels`]
+/// before any row is read. The scan returns [`PlanError::Overflow`]
 /// exactly when a per-row [`crate::sum_grouped`] over the selected rows
 /// would return [`OverflowError`], the data-dependent
-/// [`FusedError::ReservedKey`], and the interruption errors. Options are
+/// [`PlanError::ReservedKey`], and the interruption errors. Options are
 /// [`ExecOptions::normalized`] first, so zero fields mean "minimum"
 /// rather than a hang.
 pub fn run_fused(
@@ -546,7 +499,7 @@ pub fn run_fused(
     query: &FusedQuery,
     backend: SumBackend,
     opts: &ExecOptions,
-) -> Result<FusedRun, FusedError> {
+) -> Result<FusedRun, PlanError> {
     let opts = opts.normalized();
     // The deadline runs from entry, resolved to an absolute instant once.
     let check = CancelCheck::new(&opts);
@@ -561,7 +514,7 @@ fn scan(
     rows: usize,
     opts: &ExecOptions,
     check: &CancelCheck,
-) -> Result<FusedRun, FusedError> {
+) -> Result<FusedRun, PlanError> {
     // Before any work: a pre-cancelled token or a zero deadline fails here
     // with a typed error even on an empty table.
     check.check()?;
@@ -600,7 +553,7 @@ fn scan(
             })
             .reduce(
                 || Ok(None),
-                |a: Result<Option<Partial>, FusedError>, b| match (a?, b?) {
+                |a: Result<Option<Partial>, PlanError>, b| match (a?, b?) {
                     (Some(mut x), Some(y)) => {
                         x.merge(y, group)?;
                         Ok(Some(x))
@@ -976,7 +929,7 @@ fn dict_keys(keys: Vec<u32>) -> Vec<(u32, u32)> {
 /// here, from the key column's storage alone. Group ids are handed out in
 /// first-seen row order, per scan range; partials merge by key.
 struct GroupBind<'t> {
-    /// The column [`FusedError::ReservedKey`] names.
+    /// The column [`PlanError::ReservedKey`] names.
     col: &'t ColRef,
     key_col: KeyCol<'t>,
     map: MapKind,
@@ -1074,8 +1027,8 @@ impl<'t> GroupBind<'t> {
         }))
     }
 
-    fn reserved_key(&self) -> FusedError {
-        FusedError::ReservedKey {
+    fn reserved_key(&self) -> PlanError {
+        PlanError::ReservedKey {
             col: self.col.to_string(),
         }
     }
@@ -1108,14 +1061,14 @@ struct Groups {
 
 /// A direct-mapped key's first sighting. Rare (once per distinct key per
 /// range) and in row order, so first-seen ids and
-/// [`FusedError::ReservedKey`] are those of a per-row walk.
+/// [`PlanError::ReservedKey`] are those of a per-row walk.
 #[cold]
 fn first_sight(
     lut: &mut [u32],
     keys: &mut Vec<u32>,
     bind: &GroupBind<'_>,
     key: u32,
-) -> Result<u32, FusedError> {
+) -> Result<u32, PlanError> {
     let first = match &bind.dict {
         Some(dict) => {
             let (value, first) = dict[key as usize];
@@ -1159,7 +1112,7 @@ impl Groups {
 
     /// The group id of one key (a run span's, or a merged partial's).
     #[inline]
-    fn gid(&mut self, bind: &GroupBind<'_>, key: u32) -> Result<u32, FusedError> {
+    fn gid(&mut self, bind: &GroupBind<'_>, key: u32) -> Result<u32, PlanError> {
         let Groups { map, keys } = self;
         match map {
             GidMap::Direct(lut) => match lut[key as usize] {
@@ -1191,7 +1144,7 @@ impl Groups {
         bind: &GroupBind<'_>,
         batch_keys: &[u32],
         gids: &mut Vec<u32>,
-    ) -> Result<(), FusedError> {
+    ) -> Result<(), PlanError> {
         let Groups { map, keys } = self;
         gids.clear();
         match map {
@@ -1229,7 +1182,7 @@ struct Partial {
 }
 
 impl Partial {
-    fn merge(&mut self, other: Partial, bind: Option<&GroupBind<'_>>) -> Result<(), FusedError> {
+    fn merge(&mut self, other: Partial, bind: Option<&GroupBind<'_>>) -> Result<(), PlanError> {
         let Partial { states, groups, .. } = self;
         let slots = match (bind, groups.as_mut(), &other.groups) {
             // Group ids are per range: fold the other side's slots in by
@@ -1240,7 +1193,7 @@ impl Partial {
             (Some(bind), Some(g), Some(og)) => {
                 let slots = (og.keys.iter().enumerate())
                     .map(|(src, &key)| Ok((g.gid(bind, key)? as usize, src)))
-                    .collect::<Result<Vec<_>, FusedError>>()?;
+                    .collect::<Result<Vec<_>, PlanError>>()?;
                 states.ensure_groups(g.keys.len());
                 slots
             }
@@ -1495,7 +1448,7 @@ impl<'q> RangeScan<'q> {
     /// sharing one group (`segs`), the group id is computed once per span
     /// — per run, not per row — and counts and state deposits happen in
     /// one block call per span.
-    fn group(&mut self) -> Result<Deposit, FusedError> {
+    fn group(&mut self) -> Result<Deposit, PlanError> {
         let RangeScan {
             query,
             sel,
@@ -1561,7 +1514,7 @@ impl<'q> RangeScan<'q> {
     /// Deposits every aggregate of the batch; the partition's permutation
     /// and the per-row deposits read a near-dense batch's selected rows
     /// out of its covering-range outputs (module docs).
-    fn deposit(&mut self, shape: Deposit) -> Result<(), FusedError> {
+    fn deposit(&mut self, shape: Deposit) -> Result<(), PlanError> {
         let query = self.query;
         let batch = Batch {
             shape,
@@ -1592,7 +1545,7 @@ fn scan_range(
     check: &CancelCheck,
     lo: usize,
     hi: usize,
-) -> Result<Partial, FusedError> {
+) -> Result<Partial, PlanError> {
     let filter = &bound.filter;
     let mut scan = RangeScan::new(bound, hi - lo);
     let mut timing = PhaseTiming::default();
@@ -2064,7 +2017,7 @@ mod tests {
         for backend in [SumBackend::Double, SumBackend::SortedDouble] {
             assert_eq!(
                 run_fused(&t, &q, backend, &ExecOptions::serial()).unwrap_err(),
-                FusedError::Overflow(OverflowError)
+                PlanError::Overflow(OverflowError)
             );
         }
     }
@@ -2096,7 +2049,7 @@ mod tests {
         ] {
             assert_eq!(
                 run_fused(&t, &q, SumBackend::ReproUnbuffered, &opts).unwrap_err(),
-                FusedError::ReservedKey { col: "k".into() }
+                PlanError::ReservedKey { col: "k".into() }
             );
         }
     }
@@ -2241,7 +2194,7 @@ mod tests {
                 };
                 assert_eq!(
                     run_fused(&table, &query, SumBackend::ReproUnbuffered, &opts).unwrap_err(),
-                    FusedError::DeadlineExceeded {
+                    PlanError::DeadlineExceeded {
                         deadline: Duration::ZERO
                     },
                     "rows {rows} threads {threads}"
@@ -2294,7 +2247,7 @@ mod tests {
             };
             assert_eq!(
                 run_fused(&table, &query, SumBackend::ReproUnbuffered, &opts).unwrap_err(),
-                FusedError::Cancelled
+                PlanError::Cancelled
             );
         }
         let plain = run_fused(
@@ -2354,7 +2307,7 @@ mod tests {
             loop {
                 match run_fused(&table, &query, SumBackend::ReproUnbuffered, &opts) {
                     Ok(run) => assert_runs_bitwise(&run, &want, "finished before the cancel"),
-                    Err(err) => break assert_eq!(err, FusedError::Cancelled),
+                    Err(err) => break assert_eq!(err, PlanError::Cancelled),
                 }
             }
         });
@@ -3238,6 +3191,6 @@ mod tests {
             ..opts
         };
         let err = run_fused(&table, &query, SumBackend::ReproUnbuffered, &opts).unwrap_err();
-        assert_eq!(err, FusedError::DeadlineExceeded { deadline });
+        assert_eq!(err, PlanError::DeadlineExceeded { deadline });
     }
 }

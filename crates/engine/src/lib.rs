@@ -45,13 +45,14 @@
 //!   and parallel execution is bit-identical to serial for every backend.
 //!
 //! ```
-//! use rfa_engine::{run_q1, SumBackend};
+//! use rfa_engine::{lineitem_table, q1_plan, ExecOptions, SumBackend};
 //! use rfa_workloads::Lineitem;
 //!
-//! let lineitem = Lineitem::generate(10_000, 42);
-//! let (rows, timing) = run_q1(&lineitem, SumBackend::ReproBuffered { buffer_size: 1024 }).unwrap();
-//! assert_eq!(rows.len(), 4); // A/F, N/F, N/O, R/F
-//! assert!(timing.total().as_nanos() > 0);
+//! let table = lineitem_table(&Lineitem::generate(10_000, 42));
+//! let backend = SumBackend::ReproBuffered { buffer_size: 1024 };
+//! let result = q1_plan().execute(&table, backend, &ExecOptions::serial()).unwrap();
+//! assert_eq!(result.keys.len(), 4); // A/F, N/F, N/O, R/F
+//! assert!(result.timing.total().as_nanos() > 0);
 //! ```
 //!
 //! Ad-hoc queries go through SQL (or the equivalent plan builder):
@@ -95,15 +96,12 @@ pub use expr::{
     Sel,
 };
 pub use fused::{
-    run_fused, ExecOptions, FusedError, FusedQuery, FusedRun, GroupKey, FUSED_BATCH_ROWS,
+    run_fused, ExecOptions, FusedQuery, FusedRun, GroupKey, PhaseTiming, FUSED_BATCH_ROWS,
 };
 pub use plan::{AggCall, AggColumn, PlanError, PlanResult, QueryPlan};
-pub use q1::{
-    lineitem_table, lineitem_table_encoded, q1_plan, q1_sql, run_q1, run_q1_par, run_q1_with,
-    PhaseTiming, Q1Row,
-};
-pub use q15::{q15_plan, q15_sql, run_q15, run_q15_par, run_q15_with, RevenueRow};
-pub use q6::{q6_plan, q6_sql, run_q6, run_q6_par, run_q6_with};
+pub use q1::{lineitem_table, lineitem_table_encoded, q1_plan, q1_sql};
+pub use q15::{q15_plan, q15_sql};
+pub use q6::{q6_plan, q6_sql};
 pub use sql::{
     parse_select, resolve_select, sql_query, PlanCache, PlanCacheStats, SelectItem, SelectStmt,
     SqlColumn, SqlError, SqlQuery, SqlResult,

@@ -58,8 +58,7 @@
 
 use crate::column::{ColRef, Table, TableError};
 use crate::expr::{BoolExpr, Expr};
-use crate::fused::{check_query, run_fused, ExecOptions, FusedError, FusedQuery, GroupKey};
-use crate::q1::PhaseTiming;
+use crate::fused::{check_query, run_fused, ExecOptions, FusedQuery, GroupKey, PhaseTiming};
 use crate::sum_op::{OverflowError, SumBackend};
 use rfa_agg::HashKind;
 use std::fmt;
@@ -98,15 +97,22 @@ pub struct QueryPlan {
     pub aggs: Vec<AggCall>,
 }
 
-/// Errors surfaced by plan lowering, binding and execution.
+/// Errors of plan lowering, binding and execution — the executor's one
+/// error type. [`run_fused`] returns it too, raising every variant but
+/// the two plan-level ones (`WrongTable`, `Unsupported`): `Table` and
+/// `RsumLevels` when the query is bound, before any row is read; the rest
+/// from the data or the clock, during the scan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// The plan references a column the table lacks, or one at the wrong
-    /// type for its role ([`FusedError::Table`]).
+    /// The plan references a column the table lacks, or one whose logical
+    /// type its role cannot read: an `F32` column in an expression, a
+    /// group key that is not `I32` / `U32` / `U8`, a pair leg that is not
+    /// `U8` — whatever the column's encoding.
     Table(TableError),
     /// The plan was executed against a table with a different name.
     WrongTable { expected: String, found: String },
-    /// Aggregation overflow (Double backend, MonetDB semantics).
+    /// A Double or SortedDouble sum went non-finite (MonetDB aborts the
+    /// query).
     Overflow(OverflowError),
     /// The hash group-key column contains the reserved value `u32::MAX`
     /// (`-1` on an `I32` column) — a data-dependent error the scan
@@ -117,10 +123,13 @@ pub enum PlanError {
     /// An `RSUM` backend asked for a precision outside `1..=4` levels
     /// ([`SumBackend::check_levels`]).
     RsumLevels { levels: u8 },
-    /// The query's cancellation token tripped (cooperative, checked at
-    /// batch boundaries — see [`FusedError::Cancelled`]).
+    /// The query's [`ExecOptions::cancel`] token tripped. Cooperative: the
+    /// scan noticed at a batch boundary and unwound with this typed error
+    /// — never a panic. Because accumulators are associative, a cancelled
+    /// query retried later returns bit-identical results.
     Cancelled,
-    /// The query ran past its `ExecOptions::deadline` budget.
+    /// The query ran past its [`ExecOptions::deadline`]. A zero deadline
+    /// times out immediately (before the first batch), by design.
     DeadlineExceeded {
         /// The budget that was exceeded.
         deadline: std::time::Duration,
@@ -165,19 +174,6 @@ impl From<TableError> for PlanError {
 impl From<OverflowError> for PlanError {
     fn from(e: OverflowError) -> Self {
         PlanError::Overflow(e)
-    }
-}
-
-impl From<FusedError> for PlanError {
-    fn from(e: FusedError) -> Self {
-        match e {
-            FusedError::Table(t) => PlanError::Table(t),
-            FusedError::RsumLevels { levels } => PlanError::RsumLevels { levels },
-            FusedError::Overflow(o) => PlanError::Overflow(o),
-            FusedError::ReservedKey { col } => PlanError::ReservedKey { col },
-            FusedError::Cancelled => PlanError::Cancelled,
-            FusedError::DeadlineExceeded { deadline } => PlanError::DeadlineExceeded { deadline },
-        }
     }
 }
 
@@ -400,7 +396,7 @@ impl QueryPlan {
     /// [`QueryPlan::execute`] would refuse before scanning, on any backend
     /// the fused executor runs.
     pub(crate) fn check(&self, table: &Table) -> Result<(), PlanError> {
-        Ok(check_query(table, &self.lower(table)?.query)?)
+        check_query(table, &self.lower(table)?.query)
     }
 
     /// Lowers the logical plan to the physical [`FusedQuery`] — the

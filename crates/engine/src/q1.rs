@@ -20,55 +20,20 @@
 //! engine from the shared reproducible SUM states and the exact COUNT
 //! (not by post-hoc division here), and each AVG shares its SUM state
 //! with the matching SUM column, so the plan still runs exactly five SUM
-//! state arrays — on every backend, [`SumBackend::SortedDouble`]
-//! included: each of its SUM states sorts its own column's values.
+//! state arrays — on every backend,
+//! [`SumBackend::SortedDouble`](crate::SumBackend::SortedDouble) included:
+//! each of its SUM states sorts its own column's values.
 //!
-//! CPU time is split into *scan* (selection + projection), *aggregation*
-//! and *other* (finalization). The paper's Table IV reports
+//! Every [`crate::PlanResult`] carries its CPU time split
+//! ([`crate::PhaseTiming`]) into *scan* (selection + projection),
+//! *aggregation* and *other* (finalization). The paper's Table IV reports
 //! "aggregation" vs "other", where its "other" is our scan + other; the
 //! table view is zero-copy and free.
 
 use crate::column::Table;
 use crate::expr::Expr;
-use crate::fused::ExecOptions;
-use crate::plan::{PlanError, QueryPlan};
-use crate::sum_op::{OverflowError, SumBackend};
+use crate::plan::QueryPlan;
 use rfa_workloads::tpch::{Lineitem, Q1_SHIPDATE_CUTOFF};
-use std::time::{Duration, Instant};
-
-/// CPU-time split of a query execution (Table IV's rows, with the scan
-/// broken out of the paper's "other" bucket).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTiming {
-    /// Selection, group-id computation and expression projection.
-    pub scan: Duration,
-    /// Deposits into the SUM states and their merges.
-    pub aggregation: Duration,
-    /// Everything else: finalization — for [`SumBackend::SortedDouble`],
-    /// the sort of every group's values with it.
-    pub other: Duration,
-}
-
-impl PhaseTiming {
-    pub fn total(&self) -> Duration {
-        self.scan + self.aggregation + self.other
-    }
-}
-
-/// One output row of Q1.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Q1Row {
-    pub returnflag: char,
-    pub linestatus: char,
-    pub sum_qty: f64,
-    pub sum_base_price: f64,
-    pub sum_disc_price: f64,
-    pub sum_charge: f64,
-    pub avg_qty: f64,
-    pub avg_price: f64,
-    pub avg_disc: f64,
-    pub count: u64,
-}
 
 /// Builds a zero-copy engine [`Table`] view of all lineitem columns the
 /// TPC-H queries touch: each column is an `Arc` clone of the workload's
@@ -167,115 +132,59 @@ pub fn q1_sql() -> String {
     )
 }
 
-/// Executes Q1 serially through the fused pipeline.
-pub fn run_q1(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    run_q1_with(lineitem, backend, &ExecOptions::serial())
-}
-
-/// Executes Q1 morsel-parallel on the work-stealing pool. Bit-identical
-/// to [`run_q1`] for *every* backend: repro states and the sorted
-/// baseline's value lists merge exactly, and plain doubles deliberately
-/// scan serially (see [`crate::fused`]).
-pub fn run_q1_par(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    run_q1_with(lineitem, backend, &ExecOptions::parallel())
-}
-
-/// Executes Q1 with explicit execution options (thread budget, batch and
-/// morsel sizing) by lowering [`q1_plan`] onto the fused executor. The
-/// result is bit-identical for every backend and any options, and equal
-/// to a naive per-row reference — asserted by the proptest suite.
-pub fn run_q1_with(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-    opts: &ExecOptions,
-) -> Result<(Vec<Q1Row>, PhaseTiming), OverflowError> {
-    let table = lineitem_table(lineitem);
-    let result = q1_plan()
-        .execute(&table, backend, opts)
-        .map_err(|e| match e {
-            PlanError::Overflow(o) => o,
-            other => unreachable!("the engine-built Q1 plan is valid: {other}"),
-        })?;
-    let t0 = Instant::now();
-    let mut rows = Vec::with_capacity(result.keys.len());
-    for (i, &pair) in result.keys.iter().enumerate() {
-        rows.push(Q1Row {
-            // The packed `(flag << 8) | status` key, both ASCII bytes.
-            returnflag: (pair >> 8) as u8 as char,
-            linestatus: pair as u8 as char,
-            sum_qty: result.columns[0].f64s()[i],
-            sum_base_price: result.columns[1].f64s()[i],
-            sum_disc_price: result.columns[2].f64s()[i],
-            sum_charge: result.columns[3].f64s()[i],
-            avg_qty: result.columns[4].f64s()[i],
-            avg_price: result.columns[5].f64s()[i],
-            avg_disc: result.columns[6].f64s()[i],
-            count: result.columns[7].u64s()[i],
-        });
-    }
-    let mut timing = result.timing;
-    timing.other += t0.elapsed();
-    Ok((rows, timing))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::ExecOptions;
+    use crate::plan::PlanResult;
+    use crate::sum_op::SumBackend;
+    use crate::test_support::assert_bitwise;
 
     fn table() -> Lineitem {
         Lineitem::generate(120_000, 7)
     }
 
-    fn assert_rows_bit_identical(a: &[Q1Row], b: &[Q1Row], ctx: &str) {
-        assert_eq!(a.len(), b.len(), "{ctx}");
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.returnflag, y.returnflag, "{ctx}");
-            assert_eq!(x.linestatus, y.linestatus, "{ctx}");
-            assert_eq!(x.count, y.count, "{ctx}");
-            assert_eq!(x.sum_qty.to_bits(), y.sum_qty.to_bits(), "{ctx}");
-            assert_eq!(
-                x.sum_base_price.to_bits(),
-                y.sum_base_price.to_bits(),
-                "{ctx}"
-            );
-            assert_eq!(
-                x.sum_disc_price.to_bits(),
-                y.sum_disc_price.to_bits(),
-                "{ctx}"
-            );
-            assert_eq!(x.sum_charge.to_bits(), y.sum_charge.to_bits(), "{ctx}");
-            assert_eq!(x.avg_disc.to_bits(), y.avg_disc.to_bits(), "{ctx}");
-        }
+    fn q1(t: &Lineitem, backend: SumBackend, opts: &ExecOptions) -> PlanResult {
+        q1_plan()
+            .execute(&lineitem_table(t), backend, opts)
+            .unwrap()
+    }
+
+    fn serial(t: &Lineitem, backend: SumBackend) -> PlanResult {
+        q1(t, backend, &ExecOptions::serial())
     }
 
     #[test]
     fn q1_produces_the_four_tpch_groups() {
-        let (rows, _) = run_q1(&table(), SumBackend::Double).unwrap();
-        let groups: Vec<(char, char)> = rows.iter().map(|r| (r.returnflag, r.linestatus)).collect();
-        assert_eq!(groups, vec![('A', 'F'), ('N', 'F'), ('N', 'O'), ('R', 'F')]);
+        let rows = serial(&table(), SumBackend::Double);
+        let pair = |f: u8, s: u8| i64::from(f) << 8 | i64::from(s);
+        let want = [
+            pair(b'A', b'F'),
+            pair(b'N', b'F'),
+            pair(b'N', b'O'),
+            pair(b'R', b'F'),
+        ];
+        assert_eq!(rows.keys, want);
     }
 
     #[test]
     fn backends_agree_numerically() {
         let t = table();
-        let (d, _) = run_q1(&t, SumBackend::Double).unwrap();
-        let (u, _) = run_q1(&t, SumBackend::ReproUnbuffered).unwrap();
-        let (b, _) = run_q1(&t, SumBackend::ReproBuffered { buffer_size: 1024 }).unwrap();
-        let (s, _) = run_q1(&t, SumBackend::SortedDouble).unwrap();
-        for (((rd, ru), rb), rs) in d.iter().zip(&u).zip(&b).zip(&s) {
-            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
-            assert!(close(rd.sum_charge, ru.sum_charge));
-            assert!(close(rd.sum_charge, rs.sum_charge));
+        let d = serial(&t, SumBackend::Double);
+        let u = serial(&t, SumBackend::ReproUnbuffered);
+        let b = serial(&t, SumBackend::ReproBuffered { buffer_size: 1024 });
+        let s = serial(&t, SumBackend::SortedDouble);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
+        for g in 0..d.keys.len() {
+            let charge = |r: &PlanResult| r.columns[3].f64s()[g];
+            assert!(close(charge(&d), charge(&u)));
+            assert!(close(charge(&d), charge(&s)));
             // Both repro variants are bit-identical to each other.
-            assert_eq!(ru.sum_qty.to_bits(), rb.sum_qty.to_bits());
-            assert_eq!(ru.sum_charge.to_bits(), rb.sum_charge.to_bits());
-            assert_eq!(rd.count, ru.count);
+            for c in [0, 3] {
+                let bits = |r: &PlanResult| r.columns[c].f64s()[g].to_bits();
+                assert_eq!(bits(&u), bits(&b));
+            }
+            assert_eq!(d.columns[7].u64s()[g], u.columns[7].u64s()[g]);
         }
     }
 
@@ -295,15 +204,15 @@ mod tests {
             },
         ] {
             let reference = crate::test_support::q1_reference(&t, backend).unwrap();
-            let (fused, _) = run_q1(&t, backend).unwrap();
-            assert_rows_bit_identical(&reference, &fused, &format!("{backend:?}"));
+            let fused = serial(&t, backend);
+            assert_bitwise(&reference, &fused, &format!("{backend:?}"));
         }
     }
 
     #[test]
     fn repro_backend_survives_physical_reorder() {
         let t = table();
-        let (u1, _) = run_q1(&t, SumBackend::ReproUnbuffered).unwrap();
+        let u1 = serial(&t, SumBackend::ReproUnbuffered);
         // Reorder the table physically (reverse) and re-run.
         let n = t.len();
         let perm: Vec<usize> = (0..n).rev().collect();
@@ -317,17 +226,12 @@ mod tests {
             perm.iter().map(|&i| t.linestatus[i]).collect(),
             perm.iter().map(|&i| t.suppkey[i]).collect(),
         );
-        let (u2, _) = run_q1(&reordered, SumBackend::ReproUnbuffered).unwrap();
-        for (a, b) in u1.iter().zip(u2.iter()) {
-            assert_eq!(a.sum_qty.to_bits(), b.sum_qty.to_bits());
-            assert_eq!(a.sum_base_price.to_bits(), b.sum_base_price.to_bits());
-            assert_eq!(a.sum_disc_price.to_bits(), b.sum_disc_price.to_bits());
-            assert_eq!(a.sum_charge.to_bits(), b.sum_charge.to_bits());
-        }
+        let u2 = serial(&reordered, SumBackend::ReproUnbuffered);
+        assert_bitwise(&u1, &u2, "ReproUnbuffered");
         // The sorted baseline is also reproducible.
-        let (s1, _) = run_q1(&t, SumBackend::SortedDouble).unwrap();
-        let (s2, _) = run_q1(&reordered, SumBackend::SortedDouble).unwrap();
-        assert_rows_bit_identical(&s1, &s2, "SortedDouble");
+        let s1 = serial(&t, SumBackend::SortedDouble);
+        let s2 = serial(&reordered, SumBackend::SortedDouble);
+        assert_bitwise(&s1, &s2, "SortedDouble");
     }
 
     #[test]
@@ -347,9 +251,8 @@ mod tests {
             },
             SumBackend::SortedDouble,
         ] {
-            let (serial, _) = run_q1(&t, backend).unwrap();
-            let (parallel, _) = run_q1_par(&t, backend).unwrap();
-            assert_rows_bit_identical(&serial, &parallel, &format!("{backend:?}"));
+            let parallel = q1(&t, backend, &ExecOptions::parallel());
+            assert_bitwise(&serial(&t, backend), &parallel, &format!("{backend:?}"));
         }
     }
 
@@ -397,21 +300,6 @@ mod tests {
             "F64"
         );
 
-        fn assert_bitwise(a: &crate::plan::PlanResult, b: &crate::plan::PlanResult, ctx: &str) {
-            use crate::plan::AggColumn;
-            assert_eq!(a.keys, b.keys, "{ctx}");
-            for (c, cols) in a.columns.iter().zip(&b.columns).enumerate() {
-                match cols {
-                    (AggColumn::F64(x), AggColumn::F64(y)) => {
-                        for (u, v) in x.iter().zip(y) {
-                            assert_eq!(u.to_bits(), v.to_bits(), "{ctx} column {c}");
-                        }
-                    }
-                    (AggColumn::U64(x), AggColumn::U64(y)) => assert_eq!(x, y, "{ctx} column {c}"),
-                    _ => panic!("{ctx} column {c}: kind mismatch"),
-                }
-            }
-        }
         let plan = q1_plan();
         let sorted_plain = lineitem_table(&sorted);
         for backend in [
@@ -439,11 +327,13 @@ mod tests {
 
     #[test]
     fn averages_are_consistent() {
-        let (rows, _) = run_q1(&table(), SumBackend::ReproUnbuffered).unwrap();
-        for r in &rows {
-            assert!((r.avg_qty - r.sum_qty / r.count as f64).abs() < 1e-12);
-            assert!((1.0..=50.0).contains(&r.avg_qty));
-            assert!((0.0..=0.10).contains(&r.avg_disc));
+        let r = serial(&table(), SumBackend::ReproUnbuffered);
+        let col = |c: usize| r.columns[c].f64s();
+        for g in 0..r.keys.len() {
+            let count = r.columns[7].u64s()[g] as f64;
+            assert!((col(4)[g] - col(0)[g] / count).abs() < 1e-12);
+            assert!((1.0..=50.0).contains(&col(4)[g]));
+            assert!((0.0..=0.10).contains(&col(6)[g]));
         }
     }
 }

@@ -27,24 +27,11 @@
 //! [`AggHashTable::probe_gids`]: rfa_agg::AggHashTable::probe_gids
 
 use crate::expr::Expr;
-use crate::fused::ExecOptions;
-use crate::plan::{PlanError, QueryPlan};
-use crate::q1::{lineitem_table, PhaseTiming};
-use crate::sum_op::SumBackend;
-use rfa_workloads::tpch::Lineitem;
-use std::time::Instant;
+use crate::plan::QueryPlan;
 
 /// Q15 revenue window in days since 1992-01-01: [1996-01-01, +3 months).
 pub const Q15_DATE_LO: i32 = 4 * 365;
 pub const Q15_DATE_HI: i32 = 4 * 365 + 90;
-
-/// One output row of the revenue view.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RevenueRow {
-    pub suppkey: i32,
-    pub total_revenue: f64,
-    pub count: u64,
-}
 
 /// The Q15 revenue-view plan: the date range as the SQL spells it (two
 /// comparisons, which the scan binds as one interval conjunct), revenue
@@ -72,64 +59,34 @@ pub fn q15_sql() -> String {
     )
 }
 
-/// Executes the Q15 revenue view serially; returns one row per supplier
-/// with revenue in the window, ascending by supplier key.
-pub fn run_q15(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<RevenueRow>, PhaseTiming), PlanError> {
-    run_q15_with(lineitem, backend, &ExecOptions::serial())
-}
-
-/// Morsel-parallel Q15 on the work-stealing pool — bit-identical to
-/// [`run_q15`] for the repro backends and the sorted baseline (exact
-/// per-key state merges) and for plain doubles (which deliberately scan
-/// serially; see [`crate::fused`]).
-pub fn run_q15_par(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(Vec<RevenueRow>, PhaseTiming), PlanError> {
-    run_q15_with(lineitem, backend, &ExecOptions::parallel())
-}
-
-/// Executes Q15 with explicit execution options.
-pub fn run_q15_with(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-    opts: &ExecOptions,
-) -> Result<(Vec<RevenueRow>, PhaseTiming), PlanError> {
-    let table = lineitem_table(lineitem);
-    let result = q15_plan().execute(&table, backend, opts)?;
-    let t0 = Instant::now();
-    let revenue = result.columns[0].f64s();
-    let counts = result.columns[1].u64s();
-    let rows = result
-        .keys
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| RevenueRow {
-            suppkey: k as i32,
-            total_revenue: revenue[i],
-            count: counts[i],
-        })
-        .collect();
-    let mut timing = result.timing;
-    timing.other += t0.elapsed();
-    Ok((rows, timing))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::ExecOptions;
+    use crate::plan::{AggColumn, PlanResult};
+    use crate::q1::lineitem_table;
+    use crate::sum_op::SumBackend;
+    use crate::test_support::assert_bitwise;
+    use rfa_workloads::tpch::Lineitem;
     use std::collections::BTreeMap;
 
     fn table() -> Lineitem {
         Lineitem::generate(150_000, 23)
     }
 
+    fn q15(t: &Lineitem, backend: SumBackend, opts: &ExecOptions) -> PlanResult {
+        q15_plan()
+            .execute(&lineitem_table(t), backend, opts)
+            .unwrap()
+    }
+
+    fn serial(t: &Lineitem, backend: SumBackend) -> PlanResult {
+        q15(t, backend, &ExecOptions::serial())
+    }
+
     /// Scalar reference: BTreeMap of per-supplier (dense-id) sums driven
     /// through the same `sum_grouped` kernel, in row order per group.
-    fn reference(t: &Lineitem, backend: SumBackend) -> Vec<RevenueRow> {
+    fn reference(t: &Lineitem, backend: SumBackend) -> PlanResult {
         let sel: Vec<usize> = (0..t.len())
             .filter(|&i| (Q15_DATE_LO..Q15_DATE_HI).contains(&t.shipdate[i]))
             .collect();
@@ -145,24 +102,25 @@ mod tests {
             .collect();
         let sums = crate::sum_op::sum_grouped(backend, &gids, &vals, rank.len()).unwrap();
         let counts = crate::sum_op::count_grouped(&gids, rank.len());
-        rank.iter()
-            .map(|(&suppkey, &g)| RevenueRow {
-                suppkey,
-                total_revenue: sums[g as usize],
-                count: counts[g as usize],
-            })
-            .collect()
+        crate::test_support::result(
+            rank.keys().map(|&k| i64::from(k)).collect(),
+            vec![
+                AggColumn::F64(rank.values().map(|&g| sums[g as usize]).collect()),
+                AggColumn::U64(rank.values().map(|&g| counts[g as usize]).collect()),
+            ],
+        )
     }
 
     #[test]
     fn q15_selects_a_plausible_supplier_slice() {
         let t = table();
-        let (rows, _) = run_q15(&t, SumBackend::ReproUnbuffered).unwrap();
+        let rows = serial(&t, SumBackend::ReproUnbuffered);
+        let (revenue, counts) = (rows.columns[0].f64s(), rows.columns[1].u64s());
         // ~3.4% of a 7-year window: thousands of suppliers see revenue.
-        assert!(rows.len() > 1_000, "{} suppliers", rows.len());
-        assert!(rows.windows(2).all(|w| w[0].suppkey < w[1].suppkey));
-        assert!(rows.iter().all(|r| r.total_revenue > 0.0 && r.count > 0));
-        let total_rows: u64 = rows.iter().map(|r| r.count).sum();
+        assert!(rows.keys.len() > 1_000, "{} suppliers", rows.keys.len());
+        assert!(rows.keys.windows(2).all(|w| w[0] < w[1]));
+        assert!(revenue.iter().all(|&r| r > 0.0) && counts.iter().all(|&c| c > 0));
+        let total_rows: u64 = counts.iter().sum();
         let frac = total_rows as f64 / t.len() as f64;
         assert!((0.01..0.08).contains(&frac), "selectivity {frac}");
     }
@@ -181,19 +139,8 @@ mod tests {
                 buffer_size: 128,
             },
         ] {
-            let expected = reference(&t, backend);
-            let (rows, _) = run_q15(&t, backend).unwrap();
-            assert_eq!(rows.len(), expected.len(), "{backend:?}");
-            for (a, b) in rows.iter().zip(&expected) {
-                assert_eq!(a.suppkey, b.suppkey, "{backend:?}");
-                assert_eq!(a.count, b.count, "{backend:?} supp {}", a.suppkey);
-                assert_eq!(
-                    a.total_revenue.to_bits(),
-                    b.total_revenue.to_bits(),
-                    "{backend:?} supp {}",
-                    a.suppkey
-                );
-            }
+            let ctx = format!("{backend:?}");
+            assert_bitwise(&reference(&t, backend), &serial(&t, backend), &ctx);
         }
     }
 
@@ -210,39 +157,26 @@ mod tests {
             },
             SumBackend::SortedDouble,
         ] {
-            let (serial, _) = run_q15(&t, backend).unwrap();
+            let serial = serial(&t, backend);
             for threads in [2usize, 8] {
                 let opts = ExecOptions {
                     threads,
                     morsel_rows: 8192,
                     ..ExecOptions::default()
                 };
-                let (parallel, _) = run_q15_with(&t, backend, &opts).unwrap();
-                assert_eq!(serial.len(), parallel.len(), "{backend:?} t{threads}");
-                for (a, b) in serial.iter().zip(&parallel) {
-                    assert_eq!(a.suppkey, b.suppkey);
-                    assert_eq!(a.count, b.count);
-                    assert_eq!(
-                        a.total_revenue.to_bits(),
-                        b.total_revenue.to_bits(),
-                        "{backend:?} t{threads} supp {}",
-                        a.suppkey
-                    );
-                }
+                let parallel = q15(&t, backend, &opts);
+                assert_bitwise(&serial, &parallel, &format!("{backend:?} t{threads}"));
             }
         }
         // Plain doubles stay thread-independent too (serial scan).
-        let (serial, _) = run_q15(&t, SumBackend::Double).unwrap();
-        let (parallel, _) = run_q15_par(&t, SumBackend::Double).unwrap();
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.total_revenue.to_bits(), b.total_revenue.to_bits());
-        }
+        let parallel = q15(&t, SumBackend::Double, &ExecOptions::parallel());
+        assert_bitwise(&serial(&t, SumBackend::Double), &parallel, "Double");
     }
 
     #[test]
     fn q15_is_physical_order_invariant_for_repro() {
         let t = table();
-        let (fwd, _) = run_q15(&t, SumBackend::ReproUnbuffered).unwrap();
+        let fwd = serial(&t, SumBackend::ReproUnbuffered);
         let rev = Lineitem::from_columns(
             t.quantity.iter().rev().copied().collect(),
             t.extendedprice.iter().rev().copied().collect(),
@@ -253,26 +187,20 @@ mod tests {
             t.linestatus.iter().rev().copied().collect(),
             t.suppkey.iter().rev().copied().collect(),
         );
-        let (bwd, _) = run_q15(&rev, SumBackend::ReproUnbuffered).unwrap();
-        assert_eq!(fwd.len(), bwd.len());
-        for (a, b) in fwd.iter().zip(&bwd) {
-            assert_eq!(a.suppkey, b.suppkey);
-            assert_eq!(a.count, b.count);
-            assert_eq!(a.total_revenue.to_bits(), b.total_revenue.to_bits());
-        }
+        let bwd = serial(&rev, SumBackend::ReproUnbuffered);
+        assert_bitwise(&fwd, &bwd, "reversed");
     }
 
     #[test]
     fn sorted_double_answers_q15_in_any_row_order() {
         // The sorted baseline is order-invariant by construction.
         let t = table();
-        let bits = |t: &Lineitem| -> Vec<(i32, u64, u64)> {
-            let (rows, _) = run_q15(t, SumBackend::SortedDouble).unwrap();
-            let key = |r: &RevenueRow| (r.suppkey, r.count, r.total_revenue.to_bits());
-            rows.iter().map(key).collect()
-        };
-        let expected = bits(&t);
-        assert_eq!(bits(&t.sorted_by_shipdate()), expected);
-        assert_eq!(bits(&t.sorted_by_quantity()), expected);
+        let expected = serial(&t, SumBackend::SortedDouble);
+        for (order, sorted) in [
+            ("shipdate", t.sorted_by_shipdate()),
+            ("quantity", t.sorted_by_quantity()),
+        ] {
+            assert_bitwise(&expected, &serial(&sorted, SumBackend::SortedDouble), order);
+        }
     }
 }

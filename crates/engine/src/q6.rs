@@ -20,15 +20,11 @@
 //! revenue terms are evaluated into a reused scratch register and fed
 //! straight into the accumulator through the vectorized block kernel — no
 //! selection vector or term vector of length n ever exists — except under
-//! [`SumBackend::SortedDouble`], whose state keeps the selected terms to
-//! sort them.
+//! [`SumBackend::SortedDouble`](crate::SumBackend::SortedDouble), whose
+//! state keeps the selected terms to sort them.
 
 use crate::expr::Expr;
-use crate::fused::ExecOptions;
-use crate::plan::{PlanError, QueryPlan};
-use crate::q1::{lineitem_table, PhaseTiming};
-use crate::sum_op::{OverflowError, SumBackend};
-use rfa_workloads::tpch::Lineitem;
+use crate::plan::QueryPlan;
 
 /// Q6 date window in days since 1992-01-01: [1994-01-01, 1995-01-01).
 pub const Q6_DATE_LO: i32 = 2 * 365;
@@ -62,49 +58,27 @@ pub fn q6_sql() -> String {
     )
 }
 
-/// Executes Q6 serially through the fused pipeline; returns (revenue,
-/// timing split).
-pub fn run_q6(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(f64, PhaseTiming), OverflowError> {
-    run_q6_with(lineitem, backend, &ExecOptions::serial())
-}
-
-/// Morsel-parallel Q6 on the work-stealing pool — bit-identical to
-/// [`run_q6`] for every backend (see [`crate::fused`] for why that holds
-/// even for plain doubles).
-pub fn run_q6_par(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-) -> Result<(f64, PhaseTiming), OverflowError> {
-    run_q6_with(lineitem, backend, &ExecOptions::parallel())
-}
-
-/// Executes Q6 with explicit execution options. Bit-identical for every
-/// backend and any options, and equal to a naive per-row reference —
-/// asserted by the proptest suite.
-pub fn run_q6_with(
-    lineitem: &Lineitem,
-    backend: SumBackend,
-    opts: &ExecOptions,
-) -> Result<(f64, PhaseTiming), OverflowError> {
-    let table = lineitem_table(lineitem);
-    let result = q6_plan()
-        .execute(&table, backend, opts)
-        .map_err(|e| match e {
-            PlanError::Overflow(o) => o,
-            other => unreachable!("the engine-built Q6 plan is valid: {other}"),
-        })?;
-    Ok((result.columns[0].f64s()[0], result.timing))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::ExecOptions;
+    use crate::q1::lineitem_table;
+    use crate::sum_op::SumBackend;
+    use crate::test_support::assert_bitwise;
+    use rfa_workloads::tpch::Lineitem;
 
     fn table() -> Lineitem {
         Lineitem::generate(100_000, 11)
+    }
+
+    /// Q6's revenue on `backend` under `opts`.
+    fn revenue(t: &Lineitem, backend: SumBackend, opts: &ExecOptions) -> f64 {
+        let result = q6_plan().execute(&lineitem_table(t), backend, opts);
+        result.unwrap().columns[0].f64s()[0]
+    }
+
+    fn serial(t: &Lineitem, backend: SumBackend) -> f64 {
+        revenue(t, backend, &ExecOptions::serial())
     }
 
     #[test]
@@ -125,17 +99,16 @@ mod tests {
     #[test]
     fn backends_agree() {
         let t = table();
-        let (d, _) = run_q6(&t, SumBackend::Double).unwrap();
-        let (r, _) = run_q6(&t, SumBackend::Rsum { levels: 3 }).unwrap();
-        let (b, _) = run_q6(
+        let d = serial(&t, SumBackend::Double);
+        let r = serial(&t, SumBackend::Rsum { levels: 3 });
+        let b = serial(
             &t,
             SumBackend::RsumBuffered {
                 levels: 3,
                 buffer_size: 512,
             },
-        )
-        .unwrap();
-        let (s, _) = run_q6(&t, SumBackend::SortedDouble).unwrap();
+        );
+        let s = serial(&t, SumBackend::SortedDouble);
         assert!((d - r).abs() <= 1e-9 * d.abs());
         assert!((d - s).abs() <= 1e-9 * d.abs());
         assert_eq!(r.to_bits(), b.to_bits());
@@ -158,8 +131,8 @@ mod tests {
             },
         ] {
             let reference = crate::test_support::q6_reference(&t, backend).unwrap();
-            let (fused, _) = run_q6(&t, backend).unwrap();
-            assert_eq!(reference.to_bits(), fused.to_bits(), "{backend:?}");
+            let fused = q6_plan().execute(&lineitem_table(&t), backend, &ExecOptions::serial());
+            assert_bitwise(&reference, &fused.unwrap(), &format!("{backend:?}"));
         }
     }
 
@@ -178,16 +151,19 @@ mod tests {
             SumBackend::ReproBuffered { buffer_size: 256 },
             SumBackend::SortedDouble,
         ] {
-            let (serial, _) = run_q6(&t, backend).unwrap();
-            let (parallel, _) = run_q6_par(&t, backend).unwrap();
-            assert_eq!(serial.to_bits(), parallel.to_bits(), "{backend:?}");
+            let parallel = revenue(&t, backend, &ExecOptions::parallel());
+            assert_eq!(
+                serial(&t, backend).to_bits(),
+                parallel.to_bits(),
+                "{backend:?}"
+            );
         }
     }
 
     #[test]
     fn repro_backend_is_reorder_invariant() {
         let t = table();
-        let (r1, _) = run_q6(&t, SumBackend::Rsum { levels: 2 }).unwrap();
+        let r1 = serial(&t, SumBackend::Rsum { levels: 2 });
         // Physically reverse all columns.
         let rev = Lineitem::from_columns(
             t.quantity.iter().rev().copied().collect(),
@@ -199,13 +175,13 @@ mod tests {
             t.linestatus.iter().rev().copied().collect(),
             t.suppkey.iter().rev().copied().collect(),
         );
-        let (r2, _) = run_q6(&rev, SumBackend::Rsum { levels: 2 }).unwrap();
+        let r2 = serial(&rev, SumBackend::Rsum { levels: 2 });
         assert_eq!(r1.to_bits(), r2.to_bits());
         // And the plain double is not (on 100k rows it virtually always
         // differs in the last bits; if equal, the test data got lucky —
         // use the sum-of-permutation check instead of a hard inequality).
-        let (d1, _) = run_q6(&t, SumBackend::Double).unwrap();
-        let (d2, _) = run_q6(&rev, SumBackend::Double).unwrap();
+        let d1 = serial(&t, SumBackend::Double);
+        let d2 = serial(&rev, SumBackend::Double);
         assert!((d1 - d2).abs() <= 1e-6 * d1.abs()); // numerically equal...
                                                      // ...but generally not bitwise (not asserted: probabilistic).
     }

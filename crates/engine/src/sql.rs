@@ -47,9 +47,8 @@
 
 use crate::column::Table;
 use crate::expr::{BoolExpr, CmpOp, Expr, NUMERIC_EXPECTED};
-use crate::fused::ExecOptions;
+use crate::fused::{ExecOptions, PhaseTiming};
 use crate::plan::{AggCall, PlanError, PlanResult, QueryPlan};
-use crate::q1::PhaseTiming;
 use crate::sum_op::SumBackend;
 use std::fmt;
 

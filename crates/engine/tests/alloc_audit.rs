@@ -73,8 +73,7 @@ fn allocated_during(f: impl FnOnce()) -> usize {
 #[test]
 fn fused_pipeline_performs_no_n_sized_allocations() {
     use rfa_engine::{
-        lineitem_table, q1_sql, run_q1_with, run_q6_with, sql_query, Column, ExecOptions,
-        SumBackend, Table,
+        lineitem_table, q1_plan, q1_sql, q6_plan, sql_query, Column, ExecOptions, SumBackend, Table,
     };
     use rfa_workloads::{GroupedPairs, Lineitem, ValueDist};
 
@@ -96,12 +95,14 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
 
     let backend = SumBackend::ReproBuffered { buffer_size: 1024 };
     let opts = ExecOptions::serial();
+    let table = lineitem_table(&t);
+    let (q1, q6) = (q1_plan(), q6_plan());
 
     // Warm-up run (so one-time lazy initialization is not billed), then
     // audit a steady-state fused execution.
-    run_q1_with(&t, backend, &opts).unwrap();
+    q1.execute(&table, backend, &opts).unwrap();
     let fused_bytes = allocated_during(|| {
-        run_q1_with(&t, backend, &opts).unwrap();
+        q1.execute(&table, backend, &opts).unwrap();
     });
     // (2) Fused budget: selection + group-id vectors (2 × 16 KiB), one
     // output register + expression scratch (few × 32 KiB), the batch
@@ -119,9 +120,9 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
 
     // Q6 single-accumulator path: the budget is even tighter (one sink,
     // three predicate columns, ~2% selectivity).
-    run_q6_with(&t, backend, &opts).unwrap();
+    q6.execute(&table, backend, &opts).unwrap();
     let q6_bytes = allocated_during(|| {
-        run_q6_with(&t, backend, &opts).unwrap();
+        q6.execute(&table, backend, &opts).unwrap();
     });
     assert!(
         q6_bytes < 1024 * 1024,
@@ -132,7 +133,6 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
     // byte-pair key, whose states grow as groups are discovered — no
     // up-front reservation sized by the row count. Measured 0.66 MiB
     // (1.48 MiB while each scan range pre-sized a hash table for it).
-    let table = lineitem_table(&t);
     let q1 = sql_query(&q1_sql(), &table).unwrap();
     q1.execute(&table, backend, &opts).unwrap();
     let sql_q1_bytes = allocated_during(|| {

@@ -22,11 +22,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_agg::HashKind;
 use rfa_engine::{
-    run_fused, run_q1_with, run_q6_with, sum_grouped, Column, ExecOptions, Expr, FusedError,
-    FusedQuery, GroupKey, GroupedSums, OverflowError, SumBackend, Table, DOUBLE_MIN_SEG,
+    lineitem_table, q1_plan, q6_plan, run_fused, sum_grouped, Column, ExecOptions, Expr,
+    FusedQuery, GroupKey, GroupedSums, OverflowError, PlanError, PlanResult, SumBackend, Table,
+    DOUBLE_MIN_SEG,
 };
 use rfa_workloads::Lineitem;
-use support::{q1_reference, q6_reference};
+use support::{assert_bitwise, q1_reference, q6_reference};
 
 /// Requests an 8-worker pool for this test binary so the parallel paths
 /// genuinely run multi-threaded even on small CI boxes (a pinned
@@ -135,26 +136,12 @@ proptest! {
     #[test]
     fn q1_fused_is_bit_identical_to_materializing(t in lineitem_strategy(700)) {
         force_pool();
+        let table = lineitem_table(&t);
         for backend in BACKENDS {
             let reference = q1_reference(&t, backend).unwrap();
             for opts in shapes() {
-                let (fused, _) = run_q1_with(&t, backend, &opts).unwrap();
-                prop_assert_eq!(reference.len(), fused.len(), "{:?} {:?}", backend, opts);
-                for (a, b) in reference.iter().zip(fused.iter()) {
-                    prop_assert_eq!(a.returnflag, b.returnflag);
-                    prop_assert_eq!(a.linestatus, b.linestatus);
-                    prop_assert_eq!(a.count, b.count, "{:?} {:?}", backend, opts);
-                    prop_assert_eq!(a.sum_qty.to_bits(), b.sum_qty.to_bits(),
-                        "sum_qty {:?} {:?}", backend, opts);
-                    prop_assert_eq!(a.sum_base_price.to_bits(), b.sum_base_price.to_bits(),
-                        "sum_base_price {:?} {:?}", backend, opts);
-                    prop_assert_eq!(a.sum_disc_price.to_bits(), b.sum_disc_price.to_bits(),
-                        "sum_disc_price {:?} {:?}", backend, opts);
-                    prop_assert_eq!(a.sum_charge.to_bits(), b.sum_charge.to_bits(),
-                        "sum_charge {:?} {:?}", backend, opts);
-                    prop_assert_eq!(a.avg_disc.to_bits(), b.avg_disc.to_bits(),
-                        "avg_disc {:?} {:?}", backend, opts);
-                }
+                let fused = q1_plan().execute(&table, backend, &opts).unwrap();
+                assert_bitwise(&reference, &fused, &format!("{backend:?} {opts:?}"));
             }
         }
     }
@@ -162,17 +149,12 @@ proptest! {
     #[test]
     fn q6_fused_is_bit_identical_to_materializing(t in lineitem_strategy(900)) {
         force_pool();
+        let table = lineitem_table(&t);
         for backend in BACKENDS {
             let reference = q6_reference(&t, backend).unwrap();
             for opts in shapes() {
-                let (fused, _) = run_q6_with(&t, backend, &opts).unwrap();
-                prop_assert_eq!(
-                    reference.to_bits(),
-                    fused.to_bits(),
-                    "{:?} {:?}",
-                    backend,
-                    opts
-                );
+                let fused = q6_plan().execute(&table, backend, &opts).unwrap();
+                assert_bitwise(&reference, &fused, &format!("{backend:?} {opts:?}"));
             }
         }
     }
@@ -214,14 +196,8 @@ proptest! {
             SumBackend::RsumBuffered { levels: 2, buffer_size: 32 },
             SumBackend::SortedDouble,
         ] {
-            let (a, _) = run_q1_with(&t, backend, &opts).unwrap();
-            let (b, _) = run_q1_with(&shuffled, backend, &opts).unwrap();
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(x.count, y.count);
-                prop_assert_eq!(x.sum_charge.to_bits(), y.sum_charge.to_bits(), "{:?}", backend);
-                prop_assert_eq!(x.sum_qty.to_bits(), y.sum_qty.to_bits(), "{:?}", backend);
-            }
+            let run = |t: &Lineitem| q1_plan().execute(&lineitem_table(t), backend, &opts).unwrap();
+            assert_bitwise(&run(&t), &run(&shuffled), &format!("{backend:?}"));
         }
     }
 }
@@ -260,14 +236,17 @@ fn q6_sorted_double_bits_are_pinned() {
     force_pool();
     let t = Lineitem::generate(100_000, 11);
     let reference = q6_reference(&t, SumBackend::SortedDouble).unwrap();
-    assert_eq!(reference.to_bits(), 0x4135_6df1_8d0e_5600);
+    assert_eq!(
+        reference.columns[0].f64s()[0].to_bits(),
+        0x4135_6df1_8d0e_5600
+    );
     for threads in [1, 2] {
         let opts = ExecOptions {
             threads,
             ..ExecOptions::default()
         };
-        let (revenue, _) = run_q6_with(&t, SumBackend::SortedDouble, &opts).unwrap();
-        assert_eq!(revenue.to_bits(), reference.to_bits(), "t{threads}");
+        let revenue = q6_plan().execute(&lineitem_table(&t), SumBackend::SortedDouble, &opts);
+        assert_bitwise(&revenue.unwrap(), &reference, &format!("t{threads}"));
     }
 }
 
@@ -306,19 +285,12 @@ fn q1_sorted_double_bits_are_pinned() {
             0x3fa9_75d6_5aa1_1251,
         ],
     ];
-    let pinned = |rows: &[rfa_engine::Q1Row]| -> Vec<(char, char, Vec<u64>)> {
-        rows.iter()
-            .map(|r| {
-                let sums = [
-                    r.sum_qty,
-                    r.sum_base_price,
-                    r.sum_disc_price,
-                    r.sum_charge,
-                    r.avg_disc,
-                ];
-                (r.returnflag, r.linestatus, bits(&sums))
-            })
-            .collect()
+    let pinned = |r: &PlanResult| -> Vec<(char, char, Vec<u64>)> {
+        let row = |(g, &key): (usize, &i64)| {
+            let sums = [0, 1, 2, 3, 6].map(|c| r.columns[c].f64s()[g]);
+            ((key >> 8) as u8 as char, key as u8 as char, bits(&sums))
+        };
+        r.keys.iter().enumerate().map(row).collect()
     };
     let groups = [('A', 'F'), ('N', 'F'), ('N', 'O'), ('R', 'F')];
     let want: Vec<_> = groups
@@ -336,8 +308,8 @@ fn q1_sorted_double_bits_are_pinned() {
             threads,
             ..ExecOptions::default()
         };
-        let (rows, _) = run_q1_with(&t, SumBackend::SortedDouble, &opts).unwrap();
-        assert_eq!(pinned(&rows), want, "t{threads}");
+        let rows = q1_plan().execute(&lineitem_table(&t), SumBackend::SortedDouble, &opts);
+        assert_eq!(pinned(&rows.unwrap()), want, "t{threads}");
     }
 }
 
@@ -385,7 +357,7 @@ fn sorted_double_overflows_like_a_check_after_every_addition() {
                     let run = run_fused(&t, &q, SumBackend::SortedDouble, &opts);
                     assert_eq!(
                         run.map(|r| r.counts).unwrap_err(),
-                        FusedError::Overflow(OverflowError),
+                        PlanError::Overflow(OverflowError),
                         "{poison:?} {col} {:?} t{threads}",
                         q.group_by
                     );
@@ -482,7 +454,7 @@ fn double_overflows_like_a_check_after_every_addition() {
                         Some(want) => assert_eq!(&bits(&run.unwrap().sums[0]), want, "{what}"),
                         None => assert_eq!(
                             run.map(|r| r.counts).unwrap_err(),
-                            FusedError::Overflow(OverflowError),
+                            PlanError::Overflow(OverflowError),
                             "{what}"
                         ),
                     }

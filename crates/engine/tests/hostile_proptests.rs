@@ -21,8 +21,8 @@ use proptest::prelude::*;
 use rfa_agg::HashKind;
 use rfa_engine::expr::NUMERIC_EXPECTED;
 use rfa_engine::{
-    run_fused, AggCall, AggColumn, BoolExpr, Column, ExecOptions, Expr, FusedError, FusedQuery,
-    GroupKey, PlanError, QueryPlan, SumBackend, Table, TableError,
+    run_fused, AggCall, AggColumn, BoolExpr, Column, ExecOptions, Expr, FusedQuery, GroupKey,
+    PlanError, QueryPlan, SumBackend, Table, TableError,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -249,10 +249,10 @@ proptest! {
             .find_map(|(name, _)| unreadable(name))
             .or(key_error)
             .or_else(|| inputs.clone().find_map(|(name, _)| unreadable(name)))
-            .map(FusedError::Table)
+            .map(PlanError::Table)
             .or_else(|| {
                 let levels = backend.check_levels().err()?;
-                Some(FusedError::RsumLevels { levels })
+                Some(PlanError::RsumLevels { levels })
             });
 
         let exprs = |inputs: &[(&str, Expr)]| inputs.iter().map(|(_, e)| e.clone()).collect();
@@ -292,13 +292,13 @@ proptest! {
             match (&unbound, fused, planned) {
                 (Some(want), Err(f), Err(p)) => {
                     prop_assert_eq!(&f, want, "{}", ctx);
-                    prop_assert_eq!(p, PlanError::from(f), "{}", ctx);
+                    prop_assert_eq!(p, f, "{}", ctx);
                 }
                 (None, Err(f), Err(p)) => {
                     // Only the rows can refuse a query that binds.
-                    let reserved = matches!(&f, FusedError::ReservedKey { col } if col == "i");
+                    let reserved = matches!(&f, PlanError::ReservedKey { col } if col == "i");
                     prop_assert!(reserved, "{}: {:?}", ctx, f);
-                    prop_assert_eq!(p, PlanError::from(f), "{}", ctx);
+                    prop_assert_eq!(p, f, "{}", ctx);
                     answers.push(None);
                 }
                 (None, Ok(f), Ok(p)) => {

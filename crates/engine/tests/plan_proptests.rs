@@ -3,22 +3,24 @@
 //! reference (`support`), and hash-keyed grouping must be bit-identical
 //! to dense-keyed grouping on key domains small enough to run both.
 //!
-//! These complement `fused_proptests.rs` (which pins the thin
-//! `run_q1`/`run_q6` wrappers — themselves plan-backed — to the same
-//! reference): here the plans are constructed via the builder API, so the
-//! lowering itself (SUM-state sharing for AVG, COUNT wiring, group-key
-//! routing) is under test, not just the wrappers.
+//! These complement `fused_proptests.rs`, which pins `q1_plan()` and
+//! `q6_plan()` to the same reference across batch, morsel and thread
+//! shapes: here the lowering itself is under test (SUM-state sharing for
+//! AVG, COUNT wiring, group-key routing), on plans hash and dense
+//! grouping build alike.
 
 mod support;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rfa_agg::HashKind;
 use rfa_engine::plan::QueryPlan;
 use rfa_engine::{
-    lineitem_table, q1_plan, q6_plan, AggColumn, Column, ExecOptions, Expr, SumBackend, Table,
+    lineitem_table, q1_plan, q6_plan, sql_query, AggColumn, Column, ExecOptions, Expr, GroupKey,
+    SqlColumn, SumBackend, Table,
 };
 use rfa_workloads::Lineitem;
-use support::{q1_reference, q6_reference};
+use support::{assert_bitwise, q1_reference, q6_reference};
 
 /// Requests an 8-worker pool so the parallel paths genuinely run
 /// multi-threaded even on small CI boxes.
@@ -122,28 +124,7 @@ proptest! {
             let legacy = q1_reference(&t, backend).unwrap();
             for opts in shapes() {
                 let r = q1_plan().execute(&table, backend, &opts).unwrap();
-                prop_assert_eq!(r.keys.len(), legacy.len(), "{:?} {:?}", backend, opts);
-                for (i, row) in legacy.iter().enumerate() {
-                    // The plan's key packs the pair as (flag << 8) | status.
-                    prop_assert_eq!((r.keys[i] >> 8) as u8 as char, row.returnflag);
-                    prop_assert_eq!(r.keys[i] as u8 as char, row.linestatus);
-                    let f = |c: usize| r.columns[c].f64s()[i];
-                    prop_assert_eq!(f(0).to_bits(), row.sum_qty.to_bits(),
-                        "sum_qty {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(1).to_bits(), row.sum_base_price.to_bits(),
-                        "sum_base_price {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(2).to_bits(), row.sum_disc_price.to_bits(),
-                        "sum_disc_price {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(3).to_bits(), row.sum_charge.to_bits(),
-                        "sum_charge {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(4).to_bits(), row.avg_qty.to_bits(),
-                        "avg_qty {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(5).to_bits(), row.avg_price.to_bits(),
-                        "avg_price {:?} {:?}", backend, opts);
-                    prop_assert_eq!(f(6).to_bits(), row.avg_disc.to_bits(),
-                        "avg_disc {:?} {:?}", backend, opts);
-                    prop_assert_eq!(r.columns[7].u64s()[i], row.count);
-                }
+                assert_bitwise(&legacy, &r, &format!("{backend:?} {opts:?}"));
             }
         }
     }
@@ -157,13 +138,7 @@ proptest! {
             let legacy = q6_reference(&t, backend).unwrap();
             for opts in shapes() {
                 let r = q6_plan().execute(&table, backend, &opts).unwrap();
-                prop_assert_eq!(
-                    r.columns[0].f64s()[0].to_bits(),
-                    legacy.to_bits(),
-                    "{:?} {:?}",
-                    backend,
-                    opts
-                );
+                assert_bitwise(&legacy, &r, &format!("{backend:?} {opts:?}"));
             }
         }
     }
@@ -216,22 +191,135 @@ proptest! {
                 let h = hashed.execute(&table, backend, &opts).unwrap();
                 // The packed pairs equal the key values, so the sorted
                 // outputs must line up row for row, column for column.
-                prop_assert_eq!(&d.keys, &h.keys, "{:?} {:?}", backend, opts);
-                for (c, (dc, hc)) in d.columns.iter().zip(&h.columns).enumerate() {
-                    match (dc, hc) {
-                        (AggColumn::F64(x), AggColumn::F64(y)) => {
-                            for (a, b) in x.iter().zip(y) {
-                                prop_assert_eq!(
-                                    a.to_bits(), b.to_bits(),
-                                    "col {} {:?} {:?}", c, backend, opts
-                                );
-                            }
-                        }
-                        (AggColumn::U64(x), AggColumn::U64(y)) => {
-                            prop_assert_eq!(x, y, "col {} {:?} {:?}", c, backend, opts)
-                        }
-                        _ => prop_assert!(false, "column kind mismatch"),
-                    }
+                assert_bitwise(&d, &h, &format!("{backend:?} {opts:?}"));
+            }
+        }
+    }
+}
+
+/// The empty-table and empty-group cells of the special-value table,
+/// through the whole engine: a 0-row table, and 300 rows that a filter
+/// empties — per batch (`v > 1e6`) or before any batch (`kr < 0`,
+/// decided on the RLE runs) — on every backend at 1 / 2 / 8 threads, ungrouped and grouped by a byte
+/// pair, a hashed `I32` key and an RLE key, through the builder plan and
+/// SQL alike. An ungrouped query answers one row: SUM `+0.0` (by bits),
+/// COUNT 0, AVG NaN, MIN `+∞`, MAX `−∞`. A grouped one answers no row.
+#[test]
+fn empty_table_and_empty_groups_answer_alike_on_every_path() {
+    force_pool();
+    let table = |n: i32| {
+        let mut t = Table::new("t");
+        let k: Vec<i32> = (0..n).map(|i| i / 40).collect();
+        let v: Vec<f64> = (0..n).map(|i| f64::from(i % 7) - 3.5).collect();
+        let byte = |m: i32| Column::u8((0..n).map(|i| (i % m) as u8).collect::<Vec<_>>());
+        t.add_column("a", byte(3)).unwrap();
+        t.add_column("b", byte(2)).unwrap();
+        t.add_column("k", Column::i32(k.clone())).unwrap();
+        t.add_column("kr", Column::i32(k).rle_encode().unwrap())
+            .unwrap();
+        t.add_column("v", Column::f64(v)).unwrap();
+        t
+    };
+    let groupings = [
+        (GroupKey::None, ""),
+        (
+            GroupKey::HashPair {
+                a: "a".into(),
+                b: "b".into(),
+            },
+            "a, b",
+        ),
+        (
+            GroupKey::Hash {
+                col: "k".into(),
+                hash: HashKind::Identity,
+            },
+            "k",
+        ),
+        (
+            GroupKey::Hash {
+                col: "kr".into(),
+                hash: HashKind::Identity,
+            },
+            "kr",
+        ),
+    ];
+    let inputs = [
+        (table(0), None),
+        (
+            table(300),
+            Some(("v > 1000000", Expr::col("v").gt(Expr::lit(1e6)))),
+        ),
+        (
+            table(300),
+            Some(("kr < 0", Expr::col("kr").lt(Expr::lit(0.0)))),
+        ),
+    ];
+    // Every value by its bits, NaN by one pattern: `0.0 / 0` is the
+    // platform's NaN, whatever its sign.
+    let canon = |x: &f64| if x.is_nan() { f64::NAN } else { *x }.to_bits();
+    let nothing = |grouped: bool| {
+        let one = |x: f64| if grouped { vec![] } else { vec![canon(&x)] };
+        let count = if grouped { vec![] } else { vec![0] };
+        [
+            one(0.0),
+            count,
+            one(f64::NAN),
+            one(f64::INFINITY),
+            one(f64::NEG_INFINITY),
+        ]
+    };
+    for (t, filter) in &inputs {
+        for (group_by, keys) in &groupings {
+            let mut plan = QueryPlan::scan("t").group_by(group_by.clone());
+            let select = if keys.is_empty() {
+                String::new()
+            } else {
+                format!("{keys}, ")
+            };
+            let mut text =
+                format!("SELECT {select}SUM(v), COUNT(*), AVG(v), MIN(v), MAX(v) FROM t");
+            if let Some((cond, pred)) = filter {
+                plan = plan.filter(pred.clone());
+                text += &format!(" WHERE {cond}");
+            }
+            if !keys.is_empty() {
+                text += &format!(" GROUP BY {keys}");
+            }
+            let v = || Expr::col("v");
+            let plan = plan.sum(v()).count().avg(v()).min(v()).max(v());
+            let sql = sql_query(&text, t).unwrap();
+            let grouped = !matches!(group_by, GroupKey::None);
+            let want = nothing(grouped);
+            for backend in BACKENDS {
+                for opts in shapes() {
+                    let ctx = format!("{} rows, {text}, {backend:?} t{}", t.rows(), opts.threads);
+                    let p = plan.execute(t, backend, &opts).unwrap();
+                    assert_eq!(p.keys, if grouped { vec![] } else { vec![0] }, "{ctx}");
+                    let got: Vec<Vec<u64>> = p
+                        .columns
+                        .iter()
+                        .map(|c| match c {
+                            AggColumn::F64(x) => x.iter().map(canon).collect(),
+                            AggColumn::U64(x) => x.clone(),
+                        })
+                        .collect();
+                    assert_eq!(got, want, "plan {ctx}");
+                    let s = sql.execute(t, backend, &opts).unwrap();
+                    let key_columns = s.columns.len() - want.len();
+                    assert!(
+                        s.columns[..key_columns].iter().all(|c| c.is_empty()),
+                        "{ctx}"
+                    );
+                    let got: Vec<Vec<u64>> = s.columns[key_columns..]
+                        .iter()
+                        .map(|c| match c {
+                            SqlColumn::F64(x) => x.iter().map(canon).collect(),
+                            SqlColumn::U64(x) => x.clone(),
+                            SqlColumn::I64(x) => panic!("{ctx}: an aggregate as I64 {x:?}"),
+                        })
+                        .collect();
+                    assert_eq!(got, want, "sql {ctx}");
                 }
             }
         }

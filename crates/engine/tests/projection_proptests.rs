@@ -22,8 +22,8 @@ use proptest::prelude::*;
 use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
-    run_fused, Column, CompiledExpr, EvalScratch, ExecOptions, Expr, FusedError, FusedQuery,
-    FusedRun, GroupKey, Sel, SumBackend, Table, NEAR_DENSE,
+    run_fused, Column, CompiledExpr, EvalScratch, ExecOptions, Expr, FusedQuery, FusedRun,
+    GroupKey, PlanError, Sel, SumBackend, Table, NEAR_DENSE,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -442,7 +442,7 @@ fn selected_poison_still_overflows_double() {
                     let run = run_fused(&t, &q, backend, &ExecOptions::serial());
                     let doubles = matches!(backend, SumBackend::Double | SumBackend::SortedDouble);
                     assert_eq!(
-                        matches!(run, Err(FusedError::Overflow(_))),
+                        matches!(run, Err(PlanError::Overflow(_))),
                         doubles,
                         "{name} {legs:?} {enc:?} {backend:?}"
                     );

@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
-    run_q15_with, run_q1_with, run_q6_with, AggColumn, BoolExpr, Column, EvalScratch, ExecOptions,
-    Expr, GroupedSums, QueryPlan, SumBackend, Table, MIN_SEG,
+    lineitem_table, q15_plan, q1_plan, q6_plan, AggColumn, BoolExpr, Column, EvalScratch,
+    ExecOptions, Expr, GroupedSums, QueryPlan, SumBackend, Table, MIN_SEG,
 };
 use rfa_workloads::Lineitem;
 use std::sync::{Mutex, MutexGuard};
@@ -138,33 +138,27 @@ fn lineitem_strategy(max_rows: usize) -> impl Strategy<Value = Lineitem> {
     })
 }
 
-/// Q1 rows as comparable bit patterns.
-fn q1_bits(
-    t: &Lineitem,
+/// A plan's full result (keys, then every aggregate column as bit
+/// patterns) — the comparable unit of every matrix here.
+fn plan_bits(
+    plan: &QueryPlan,
+    t: &Table,
     backend: SumBackend,
     opts: &ExecOptions,
-) -> Vec<(char, char, u64, [u64; 5])> {
-    let (rows, _) = run_q1_with(t, backend, opts).unwrap();
-    rows.iter()
-        .map(|r| {
-            (
-                r.returnflag,
-                r.linestatus,
-                r.count,
-                [
-                    r.sum_qty.to_bits(),
-                    r.sum_base_price.to_bits(),
-                    r.sum_disc_price.to_bits(),
-                    r.sum_charge.to_bits(),
-                    r.avg_disc.to_bits(),
-                ],
-            )
+) -> (Vec<i64>, Vec<Vec<u64>>) {
+    let r = plan.execute(t, backend, opts).unwrap();
+    let cols = r
+        .columns
+        .iter()
+        .map(|c| match c {
+            AggColumn::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+            AggColumn::U64(v) => v.clone(),
         })
-        .collect()
+        .collect();
+    (r.keys, cols)
 }
 
-/// A hash-grouped plan's full result (keys, then every aggregate column
-/// as bit patterns) — the comparable unit for the probe-kernel matrix.
+/// A hash-grouped SUM and COUNT — the probe-kernel matrix's query.
 fn hash_group_bits(
     t: &Table,
     key_col: &str,
@@ -172,42 +166,22 @@ fn hash_group_bits(
     backend: SumBackend,
     opts: &ExecOptions,
 ) -> (Vec<i64>, Vec<Vec<u64>>) {
-    let r = QueryPlan::scan("t")
+    let plan = QueryPlan::scan("t")
         .group_by_key_with(key_col, hash)
         .sum(Expr::col("v"))
-        .count()
-        .execute(t, backend, opts)
-        .unwrap();
-    let cols = r
-        .columns
-        .iter()
-        .map(|c| match c {
-            AggColumn::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
-            AggColumn::U64(v) => v.clone(),
-        })
-        .collect();
-    (r.keys, cols)
+        .count();
+    plan_bits(&plan, t, backend, opts)
 }
 
 /// SUM / MIN / MAX / COUNT per key, every value as its bit pattern.
 fn all_aggs_bits(t: &Table, backend: SumBackend, opts: &ExecOptions) -> (Vec<i64>, Vec<Vec<u64>>) {
-    let r = QueryPlan::scan("t")
+    let plan = QueryPlan::scan("t")
         .group_by_key("k")
         .sum(Expr::col("v"))
         .min(Expr::col("v"))
         .max(Expr::col("v"))
-        .count()
-        .execute(t, backend, opts)
-        .unwrap();
-    let cols = r
-        .columns
-        .iter()
-        .map(|c| match c {
-            AggColumn::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
-            AggColumn::U64(v) => v.clone(),
-        })
-        .collect();
-    (r.keys, cols)
+        .count();
+    plan_bits(&plan, t, backend, opts)
 }
 
 proptest! {
@@ -321,9 +295,10 @@ proptest! {
     #[test]
     fn q1_is_dispatch_level_independent(t in lineitem_strategy(600)) {
         force_pool();
+        let table = lineitem_table(&t);
         for backend in BACKENDS {
             for opts in shapes() {
-                both_levels(|| q1_bits(&t, backend, &opts));
+                both_levels(|| plan_bits(&q1_plan(), &table, backend, &opts));
             }
         }
     }
@@ -333,15 +308,11 @@ proptest! {
     #[test]
     fn q6_and_q15_are_dispatch_level_independent(t in lineitem_strategy(800)) {
         force_pool();
+        let table = lineitem_table(&t);
         for backend in BACKENDS {
             for opts in shapes() {
-                both_levels(|| run_q6_with(&t, backend, &opts).unwrap().0.to_bits());
-                both_levels(|| {
-                    let (rows, _) = run_q15_with(&t, backend, &opts).unwrap();
-                    rows.iter()
-                        .map(|r| (r.suppkey, r.total_revenue.to_bits(), r.count))
-                        .collect::<Vec<_>>()
-                });
+                both_levels(|| plan_bits(&q6_plan(), &table, backend, &opts));
+                both_levels(|| plan_bits(&q15_plan(), &table, backend, &opts));
             }
         }
     }

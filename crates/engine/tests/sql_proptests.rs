@@ -14,8 +14,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_engine::sql::{parse_select, SelectItem, SelectStmt, SqlAgg, SqlBinOp, SqlExpr};
 use rfa_engine::{
-    lineitem_table, q15_plan, q15_sql, q1_plan, q1_sql, q6_plan, q6_sql, run_q6, sql_query,
-    ExecOptions, SqlColumn, SumBackend,
+    lineitem_table, q15_plan, q15_sql, q1_plan, q1_sql, q6_plan, q6_sql, sql_query, ExecOptions,
+    SqlColumn, SumBackend,
 };
 use rfa_workloads::Lineitem;
 
@@ -223,15 +223,16 @@ proptest! {
     }
 }
 
-/// SortedDouble answers through the SQL and builder paths and the Q6
-/// wrapper alike, with the same bits at 1, 2 and 8 threads.
+/// SortedDouble answers through the SQL and builder paths alike, with the
+/// serial builder plan's bits at 1, 2 and 8 threads.
 #[test]
 fn sorted_double_is_the_same_answer_on_every_path() {
     force_pool();
     let t = Lineitem::generate(20_000, 3);
     let table = lineitem_table(&t);
     let sql = sql_query(&q6_sql(), &table).unwrap();
-    let (want, _) = run_q6(&t, SumBackend::SortedDouble).unwrap();
+    let serial = q6_plan().execute(&table, SumBackend::SortedDouble, &ExecOptions::serial());
+    let want = serial.unwrap().columns[0].f64s()[0];
     for threads in [1, 2, 8] {
         let opts = ExecOptions {
             threads,

@@ -1,7 +1,9 @@
 //! A naive, materializing per-row reference for TPC-H Q1 and Q6: the
 //! filter in plain Rust, the expressions evaluated row by row in the
 //! engine's operation order into whole-input vectors, and the deposits
-//! through `sum_grouped` / `count_grouped`.
+//! through `sum_grouped` / `count_grouped`. Each reference answers in the
+//! shape of its plan's [`PlanResult`], so [`assert_bitwise`] compares the
+//! two directly.
 //!
 //! `SortedDouble` is defined here independently of its engine state: each
 //! SUM input's `(group, bits)` pairs are sorted, then summed as `Double` —
@@ -10,7 +12,7 @@
 #![allow(dead_code)] // each test binary uses its own part
 
 use rfa_engine::q6::{Q6_DATE_HI, Q6_DATE_LO};
-use rfa_engine::{count_grouped, sum_grouped, OverflowError, Q1Row, SumBackend};
+use rfa_engine::{count_grouped, sum_grouped, AggColumn, OverflowError, PlanResult, SumBackend};
 use rfa_workloads::tpch::{Lineitem, Q1_SHIPDATE_CUTOFF};
 
 /// `SUM(values) GROUP BY gids` on `backend`; `SortedDouble` by its
@@ -37,10 +39,39 @@ pub fn reference_sum(
     sum_grouped(SumBackend::Double, &gids, &values, groups)
 }
 
+/// Asserts that two results hold the same keys and the same columns, bit
+/// for bit (timing and batch counters aside).
+pub fn assert_bitwise(a: &PlanResult, b: &PlanResult, ctx: &str) {
+    assert_eq!(a.keys, b.keys, "{ctx}");
+    assert_eq!(a.columns.len(), b.columns.len(), "{ctx}");
+    for (c, cols) in a.columns.iter().zip(&b.columns).enumerate() {
+        match cols {
+            (AggColumn::F64(x), AggColumn::F64(y)) => {
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(y), "{ctx} column {c}");
+            }
+            (AggColumn::U64(x), AggColumn::U64(y)) => assert_eq!(x, y, "{ctx} column {c}"),
+            _ => panic!("{ctx} column {c}: kind mismatch"),
+        }
+    }
+}
+
+/// A result of `columns`, one value per entry of `keys`.
+pub fn result(keys: Vec<i64>, columns: Vec<AggColumn>) -> PlanResult {
+    PlanResult {
+        keys,
+        columns,
+        timing: Default::default(),
+        batches_visited: 0,
+        batches_pruned: 0,
+    }
+}
+
 /// Q1 per row: rows at or before the cutoff, grouped by the dense
 /// `(returnflag, linestatus)` id, output in ascending id order — TPC-H's
-/// `ORDER BY`.
-pub fn q1_reference(t: &Lineitem, backend: SumBackend) -> Result<Vec<Q1Row>, OverflowError> {
+/// `ORDER BY` — as `q1_plan()` answers: packed `(flag << 8) | status`
+/// keys, four SUMs, three AVGs and the COUNT.
+pub fn q1_reference(t: &Lineitem, backend: SumBackend) -> Result<PlanResult, OverflowError> {
     const GROUPS: usize = 6;
     let rows: Vec<usize> = (0..t.len())
         .filter(|&i| t.shipdate[i] <= Q1_SHIPDATE_CUTOFF)
@@ -60,28 +91,38 @@ pub fn q1_reference(t: &Lineitem, backend: SumBackend) -> Result<Vec<Q1Row>, Ove
         sums.push(reference_sum(backend, &gids, &values, GROUPS)?);
     }
     let counts = count_grouped(&gids, GROUPS);
-    let row = |g: usize| {
-        let (returnflag, linestatus) = Lineitem::decode_group(g as u32);
-        let c = counts[g] as f64;
-        Q1Row {
-            returnflag,
-            linestatus,
-            sum_qty: sums[0][g],
-            sum_base_price: sums[1][g],
-            sum_disc_price: sums[2][g],
-            sum_charge: sums[3][g],
-            avg_qty: sums[0][g] / c,
-            avg_price: sums[1][g] / c,
-            avg_disc: sums[4][g] / c,
-            count: counts[g],
-        }
+    let groups: Vec<usize> = (0..GROUPS).filter(|&g| counts[g] > 0).collect();
+    let sum = |s: usize| AggColumn::F64(groups.iter().map(|&g| sums[s][g]).collect());
+    let avg = |s: usize| {
+        AggColumn::F64(
+            groups
+                .iter()
+                .map(|&g| sums[s][g] / counts[g] as f64)
+                .collect(),
+        )
     };
-    Ok((0..GROUPS).filter(|&g| counts[g] > 0).map(row).collect())
+    let keys = groups.iter().map(|&g| {
+        let (flag, status) = Lineitem::decode_group(g as u32);
+        (flag as i64) << 8 | status as i64
+    });
+    Ok(result(
+        keys.collect(),
+        vec![
+            sum(0),
+            sum(1),
+            sum(2),
+            sum(3),
+            avg(0),
+            avg(1),
+            avg(4),
+            AggColumn::U64(groups.iter().map(|&g| counts[g]).collect()),
+        ],
+    ))
 }
 
 /// Q6 per row: the revenue terms of the rows every predicate keeps, in
-/// row order, as one un-grouped SUM.
-pub fn q6_reference(t: &Lineitem, backend: SumBackend) -> Result<f64, OverflowError> {
+/// row order, as one un-grouped SUM — `q6_plan()`'s one row.
+pub fn q6_reference(t: &Lineitem, backend: SumBackend) -> Result<PlanResult, OverflowError> {
     let terms: Vec<f64> = (0..t.len())
         .filter(|&i| {
             (Q6_DATE_LO..Q6_DATE_HI).contains(&t.shipdate[i])
@@ -90,5 +131,6 @@ pub fn q6_reference(t: &Lineitem, backend: SumBackend) -> Result<f64, OverflowEr
         })
         .map(|i| t.extendedprice[i] * t.discount[i])
         .collect();
-    Ok(reference_sum(backend, &vec![0; terms.len()], &terms, 1)?[0])
+    let revenue = reference_sum(backend, &vec![0; terms.len()], &terms, 1)?;
+    Ok(result(vec![0], vec![AggColumn::F64(revenue)]))
 }

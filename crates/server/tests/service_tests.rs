@@ -11,8 +11,8 @@
 use rfa_core::faults::{self, FaultSpec};
 use rfa_core::wire::{Frame, MAX_FRAME_LEN};
 use rfa_engine::{
-    lineitem_table, q15_sql, q1_sql, q6_sql, run_q1, ExecOptions, Q1Row, SqlColumn, SumBackend,
-    Table,
+    lineitem_table, q15_sql, q1_plan, q1_sql, q6_sql, AggColumn, ExecOptions, SqlColumn,
+    SumBackend, Table,
 };
 use rfa_server::{Client, ClientError, ErrorCode, Response, Server, ServerConfig};
 use rfa_workloads::Lineitem;
@@ -174,22 +174,19 @@ fn sorted_double_over_the_wire_matches_in_process() {
     no_faults();
     let server = Server::spawn(table(), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    // The rows behind `table()`, through the in-process Q1 wrapper.
-    let lineitem = Lineitem::generate(60_000, 42);
-    let (rows, _) = run_q1(&lineitem, SumBackend::SortedDouble).unwrap();
-    let f64s = |f: fn(&Q1Row) -> f64| SqlColumn::F64(rows.iter().map(f).collect());
-    let want = [
-        SqlColumn::I64(rows.iter().map(|r| r.returnflag as i64).collect()),
-        SqlColumn::I64(rows.iter().map(|r| r.linestatus as i64).collect()),
-        f64s(|r| r.sum_qty),
-        f64s(|r| r.sum_base_price),
-        f64s(|r| r.sum_disc_price),
-        f64s(|r| r.sum_charge),
-        f64s(|r| r.avg_qty),
-        f64s(|r| r.avg_price),
-        f64s(|r| r.avg_disc),
-        SqlColumn::U64(rows.iter().map(|r| r.count).collect()),
+    // The same table through the in-process Q1 plan, serially: the SQL
+    // result leads with the two bytes of the plan's packed pair key.
+    let plan = q1_plan()
+        .execute(&table(), SumBackend::SortedDouble, &ExecOptions::serial())
+        .unwrap();
+    let mut want = vec![
+        SqlColumn::I64(plan.keys.iter().map(|k| k >> 8).collect()),
+        SqlColumn::I64(plan.keys.iter().map(|k| k & 0xff).collect()),
     ];
+    want.extend(plan.columns.iter().map(|c| match c {
+        AggColumn::F64(v) => SqlColumn::F64(v.clone()),
+        AggColumn::U64(v) => SqlColumn::U64(v.clone()),
+    }));
     for threads in [1, 2] {
         let got = client
             .query(&q1_sql(), SumBackend::SortedDouble, threads, None)

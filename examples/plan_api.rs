@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example plan_api`
 
 use rfa::engine::plan::QueryPlan;
-use rfa::engine::{lineitem_table, run_q15, Column, ExecOptions, Expr, SumBackend, Table};
+use rfa::engine::{lineitem_table, q15_plan, Column, ExecOptions, Expr, SumBackend, Table};
 use rfa::workloads::Lineitem;
 
 fn main() {
@@ -44,18 +44,20 @@ fn main() {
     }
 
     // --- 2. high-cardinality hash grouping: Q15 revenue by supplier ------
-    let (rows, _) = run_q15(&lineitem, backend).expect("q15");
-    let top = rows
-        .iter()
-        .max_by(|a, b| a.total_revenue.total_cmp(&b.total_revenue))
+    let q15 = q15_plan()
+        .execute(&table, backend, &ExecOptions::serial())
+        .expect("q15");
+    let (revenue, counts) = (q15.columns[0].f64s(), q15.columns[1].u64s());
+    let top = (0..q15.keys.len())
+        .max_by(|&a, &b| revenue[a].total_cmp(&revenue[b]))
         .expect("suppliers exist");
     println!(
         "\nQ15 revenue view: {} suppliers with revenue in the window;",
-        rows.len()
+        q15.keys.len()
     );
     println!(
         "  top supplier {} earned {:.2} over {} lineitems",
-        top.suppkey, top.total_revenue, top.count
+        q15.keys[top], revenue[top], counts[top]
     );
 
     // --- 3. validation errors, not panics --------------------------------

@@ -3,13 +3,18 @@
 //!
 //! Run with: `cargo run --release --example tpch_q1`
 
-use rfa::engine::{run_q1, SumBackend};
+use rfa::engine::{lineitem_table, q1_plan, ExecOptions, PlanResult, SumBackend};
 use rfa::workloads::Lineitem;
 
 fn main() {
     let rows = 500_000;
     println!("generating lineitem with {rows} rows ...\n");
-    let lineitem = Lineitem::generate(rows, 42);
+    let table = lineitem_table(&Lineitem::generate(rows, 42));
+    let q1 = |backend| {
+        q1_plan()
+            .execute(&table, backend, &ExecOptions::serial())
+            .expect("Q1 must not overflow")
+    };
 
     let backends = [
         ("double (MonetDB baseline)", SumBackend::Double),
@@ -24,22 +29,16 @@ fn main() {
     // Warm up allocator, page cache and CPU clocks, then report the
     // fastest of three runs per backend (like the Table IV bench).
     for (_, backend) in backends {
-        let _ = run_q1(&lineitem, backend).expect("warm-up");
+        q1(backend);
     }
 
     let mut base_total = None;
     for (name, backend) in backends {
-        let mut result = Vec::new();
-        let mut timing = rfa::engine::PhaseTiming::default();
-        let mut best = std::time::Duration::MAX;
-        for _ in 0..3 {
-            let (r, t) = run_q1(&lineitem, backend).expect("Q1 must not overflow");
-            if t.total() < best {
-                best = t.total();
-                result = r;
-                timing = t;
-            }
-        }
+        let result: PlanResult = (0..3)
+            .map(|_| q1(backend))
+            .min_by_key(|r| r.timing.total())
+            .expect("three runs");
+        let timing = result.timing;
         let total = timing.total().as_secs_f64();
         let rel = base_total.map_or(100.0, |b: f64| 100.0 * total / b);
         if base_total.is_none() {
@@ -54,16 +53,18 @@ fn main() {
         );
         if matches!(backend, SumBackend::ReproBuffered { .. }) {
             println!("\n  l_rf l_ls |      sum_qty |   sum_base_price |   sum_disc_price |       sum_charge | count");
-            for r in &result {
+            let sum = |c: usize, g: usize| result.columns[c].f64s()[g];
+            for (g, &pair) in result.keys.iter().enumerate() {
+                // The key packs the two ASCII bytes as `(flag << 8) | status`.
                 println!(
                     "     {}    {} | {:>12.2} | {:>16.2} | {:>16.2} | {:>16.2} | {:>6}",
-                    r.returnflag,
-                    r.linestatus,
-                    r.sum_qty,
-                    r.sum_base_price,
-                    r.sum_disc_price,
-                    r.sum_charge,
-                    r.count,
+                    (pair >> 8) as u8 as char,
+                    pair as u8 as char,
+                    sum(0, g),
+                    sum(1, g),
+                    sum(2, g),
+                    sum(3, g),
+                    result.columns[7].u64s()[g],
                 );
             }
             println!();

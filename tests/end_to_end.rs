@@ -2,7 +2,7 @@
 //! operators, engine, core accumulators, exact oracle — wired together the
 //! way a deployment would use it.
 
-use rfa::engine::{run_q1, SumBackend};
+use rfa::engine::{lineitem_table, q1_plan, ExecOptions, PlanResult, SumBackend};
 use rfa::prelude::*;
 use rfa::workloads::{GroupedPairs, Lineitem, SplitMix64, ValueDist};
 
@@ -93,31 +93,39 @@ fn accuracy_against_oracle_end_to_end() {
     );
 }
 
+/// TPC-H Q1 through the engine's plan, serially.
+fn q1(t: &Lineitem, backend: SumBackend) -> PlanResult {
+    let table = lineitem_table(t);
+    q1_plan()
+        .execute(&table, backend, &ExecOptions::serial())
+        .unwrap()
+}
+
 /// The engine's Q1 is bit-stable across backends that claim reproducibility
 /// and across table reorderings; the sorted baseline agrees with the repro
 /// backends to within conventional float error.
 #[test]
 fn tpch_q1_cross_backend_consistency() {
     let t = Lineitem::generate(50_000, 3);
-    let (unbuf, _) = run_q1(&t, SumBackend::ReproUnbuffered).unwrap();
-    let (buf, _) = run_q1(&t, SumBackend::ReproBuffered { buffer_size: 256 }).unwrap();
-    let (sorted, _) = run_q1(&t, SumBackend::SortedDouble).unwrap();
-    let (plain, _) = run_q1(&t, SumBackend::Double).unwrap();
-    assert_eq!(unbuf.len(), 4);
-    for (((u, b), s), d) in unbuf.iter().zip(&buf).zip(&sorted).zip(&plain) {
+    let unbuf = q1(&t, SumBackend::ReproUnbuffered);
+    let buf = q1(&t, SumBackend::ReproBuffered { buffer_size: 256 });
+    let sorted = q1(&t, SumBackend::SortedDouble);
+    let plain = q1(&t, SumBackend::Double);
+    assert_eq!(unbuf.keys.len(), 4);
+    // Columns 0–3: sum_qty, sum_base_price, sum_disc_price, sum_charge.
+    let col = |r: &PlanResult, c: usize| r.columns[c].f64s().to_vec();
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    for c in [2, 3] {
         // Repro unbuffered == repro buffered, bitwise.
-        assert_eq!(u.sum_disc_price.to_bits(), b.sum_disc_price.to_bits());
-        assert_eq!(u.sum_charge.to_bits(), b.sum_charge.to_bits());
-        // All four agree numerically to float accuracy.
-        for (x, y) in [
-            (u.sum_qty, s.sum_qty),
-            (u.sum_charge, s.sum_charge),
-            (u.sum_charge, d.sum_charge),
-        ] {
+        assert_eq!(bits(col(&unbuf, c)), bits(col(&buf, c)));
+    }
+    // All four agree numerically to float accuracy.
+    for (c, other) in [(0, &sorted), (3, &sorted), (3, &plain)] {
+        for (x, y) in col(&unbuf, c).into_iter().zip(col(other, c)) {
             assert!((x - y).abs() <= 1e-9 * x.abs().max(1.0));
         }
-        assert_eq!(u.count, d.count);
     }
+    assert_eq!(unbuf.columns[7], plain.columns[7]);
 }
 
 /// GROUPBY over every aggregate data type produces the same group *keys*
@@ -226,8 +234,11 @@ fn special_values_through_the_stack() {
 fn tpch_q1_aggregates_match_oracle() {
     use rfa::workloads::tpch::Q1_SHIPDATE_CUTOFF;
     let t = Lineitem::generate(30_000, 9);
-    let (rows, _) = run_q1(&t, SumBackend::ReproBuffered { buffer_size: 128 }).unwrap();
-    for row in &rows {
+    let rows = q1(&t, SumBackend::ReproBuffered { buffer_size: 128 });
+    for (g, &key) in rows.keys.iter().enumerate() {
+        // The key packs the pair as (flag << 8) | status.
+        let pair = ((key >> 8) as u8 as char, key as u8 as char);
+        let sum = |c: usize| rows.columns[c].f64s()[g];
         let mut qty = ExactSum::new();
         let mut price = ExactSum::new();
         let mut disc_price = ExactSum::new();
@@ -238,7 +249,7 @@ fn tpch_q1_aggregates_match_oracle() {
                 continue;
             }
             let (rf, ls) = Lineitem::decode_group(t.q1_group(i));
-            if (rf, ls) != (row.returnflag, row.linestatus) {
+            if (rf, ls) != pair {
                 continue;
             }
             count += 1;
@@ -251,12 +262,12 @@ fn tpch_q1_aggregates_match_oracle() {
             disc_price.add(dp);
             charge.add(dp * (1.0 + t.tax[i]));
         }
-        assert_eq!(row.count, count);
-        assert_eq!(row.sum_qty, qty.round_f64()); // integral quantities: exact
+        assert_eq!(rows.columns[7].u64s()[g], count);
+        assert_eq!(sum(0), qty.round_f64()); // integral quantities: exact
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
-        assert!(close(row.sum_base_price, price.round_f64()));
-        assert!(close(row.sum_disc_price, disc_price.round_f64()));
-        assert!(close(row.sum_charge, charge.round_f64()));
+        assert!(close(sum(1), price.round_f64()));
+        assert!(close(sum(2), disc_price.round_f64()));
+        assert!(close(sum(3), charge.round_f64()));
     }
 }
 
