@@ -8,8 +8,7 @@
 //! the "visited / pruned" column), and RLE group keys turn per-row
 //! aggregate deposits into one block (`step_slice`) call per run. Both
 //! arms perform the identical floating-point deposit sequence, so the
-//! bench cross-asserts every output bit before recording the ratio into
-//! `results/bench_smoke.json` (the `compression` object).
+//! bench cross-asserts every output bit before reporting the ratio.
 //!
 //! Arms (all serial, `repro<double,4>` buffered — Table IV's backend):
 //!
@@ -31,9 +30,7 @@
 //!     entries) — evaluated through the code lookup and deposited like
 //!     any expression, so these read as the cost of the lookup.
 
-use rfa_bench::{
-    f2, ns_per_elem, time_min, write_compression_smoke, BenchConfig, CompressionSmoke, ResultTable,
-};
+use rfa_bench::{f2, ns_per_elem, time_min, BenchConfig, ResultTable};
 use rfa_core::CacheModel;
 use rfa_engine::plan::QueryPlan;
 use rfa_engine::{
@@ -140,7 +137,6 @@ fn main() {
             "visited / pruned",
         ],
     );
-    let mut measured: Vec<(f64, f64, PlanResult)> = Vec::new();
     for (name, plan, rows, key_col) in arms {
         let plain = lineitem_table(rows);
         let encoded = lineitem_table_encoded(rows);
@@ -154,7 +150,6 @@ fn main() {
             format!("{:.2}x", encoded_ns / plain_ns),
             format!("{} / {}", run.batches_visited, run.batches_pruned),
         ]);
-        measured.push((plain_ns, encoded_ns, run));
     }
     table.print();
     table.write_csv("fig9_compression");
@@ -167,9 +162,9 @@ fn main() {
          SUM inputs pay one code lookup per row. Identical bits in every arm."
     );
 
-    // The smoke record keeps the clustered arms — the encodings the
-    // ISSUE targets: Q1's two u8 group columns (RLE after sorting, Dict
-    // always), Q6's shipdate band, and the RLE agg-pushdown input.
+    // Each arm must run on the storage it is named for: Q1's two u8 group
+    // columns (RLE after sorting, Dict always), Q6's shipdate band, and
+    // the Dict / Dict16 / RLE agg-pushdown inputs.
     let by_group_encoded = lineitem_table_encoded(&by_group);
     assert!(
         matches!(
@@ -209,18 +204,4 @@ fn main() {
         ),
         "quantity-sorted quantity must RLE-encode"
     );
-    write_compression_smoke(&CompressionSmoke {
-        n,
-        q1_encodings: "group-sorted: flags Rle, qty/discount/tax Dict",
-        q1_plain_ns_per_elem: measured[1].0,
-        q1_encoded_ns_per_elem: measured[1].1,
-        q6_encodings: "shipdate-sorted: shipdate Rle, qty/discount/tax Dict",
-        q6_plain_ns_per_elem: measured[3].0,
-        q6_encoded_ns_per_elem: measured[3].1,
-        q6_batches_visited: measured[3].2.batches_visited,
-        q6_batches_pruned: measured[3].2.batches_pruned,
-        agg_encodings: "sum input: qty Rle<F64> (sorted)",
-        agg_rle_plain_ns_per_elem: measured[5].0,
-        agg_rle_encoded_ns_per_elem: measured[5].1,
-    });
 }

@@ -3,14 +3,14 @@
 //! completed reply asserted **bit-identical** to an unfaulted serial
 //! in-process run — across clients, thread counts and (on the chaos CI
 //! leg, `RFA_FAULTS=...`) injected worker panics, stalls and deadline
-//! expiries. Writes the `server` object of `results/bench_smoke.json`.
+//! expiries.
 //!
 //! The point is not raw throughput (the protocol is deliberately
 //! simple): it is that concurrency and fault handling are *free of
 //! result-bit consequences* — the paper's reproducibility claim
 //! extended to a hardened service under load.
 
-use rfa_bench::{BenchConfig, ResultTable, ServerSmoke};
+use rfa_bench::{BenchConfig, ResultTable};
 use rfa_core::faults::{self, FaultSpec, INJECTED_PANIC};
 use rfa_engine::{
     lineitem_table, q15_sql, q1_sql, q6_sql, ExecOptions, SqlColumn, SumBackend, Table,
@@ -25,8 +25,7 @@ const CLIENTS: usize = 8;
 const THREAD_MIX: [u32; 3] = [1, 2, 8];
 
 fn faults_label(spec: FaultSpec) -> &'static str {
-    // Static labels keep the smoke struct Copy; the exact combination
-    // matters less than "which chaos leg was this".
+    // The exact combination matters less than "which chaos leg was this".
     if !spec.any() {
         "none"
     } else if spec == FaultSpec::ALL {
@@ -210,17 +209,4 @@ fn main() {
         stats.protocol_errors,
     );
     assert!(done_1 + done_n > 0, "no query survived the load run");
-
-    rfa_bench::write_server_smoke(&ServerSmoke {
-        n: cfg.n,
-        clients: CLIENTS,
-        queries_per_client: per,
-        qps_1_client: qps_1,
-        qps_loaded: qps_n,
-        faults: faults_label(spec),
-        completed: stats.completed,
-        rejected_overload: stats.rejected_overload,
-        deadline_expired: stats.deadline_expired,
-        panics_isolated: stats.panics_isolated,
-    });
 }

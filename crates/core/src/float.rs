@@ -79,7 +79,7 @@ pub trait ReproFloat:
     /// hardware's — callers detect NaN separately).
     fn max_(self, other: Self) -> Self;
     /// Fused multiply-add `self·a + b` with a single rounding (required by
-    /// the error-free product in [`crate::dot`]).
+    /// the error-free product [`crate::eft::two_product`]).
     fn mul_add_(self, a: Self, b: Self) -> Self;
     fn is_nan(self) -> bool;
     fn is_finite(self) -> bool;

@@ -53,7 +53,6 @@ pub mod analysis;
 pub mod buffer;
 pub mod cancel;
 pub mod cpu;
-pub mod dot;
 pub mod eft;
 pub mod faults;
 pub mod float;
@@ -67,7 +66,6 @@ pub mod wire;
 pub use buffer::SummationBuffer;
 pub use cancel::CancelToken;
 pub use cpu::{SimdLevel, SimdMode, SimdModeError};
-pub use dot::{reproducible_dot, reproducible_norm_sq, ReproDot};
 pub use faults::FaultSpec;
 pub use float::ReproFloat;
 pub use knob::KnobError;

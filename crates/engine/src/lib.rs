@@ -73,6 +73,8 @@
 //! assert_eq!(result.columns.len(), 4); // suppkey, SUM, AVG, COUNT
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod column;
 pub mod expr;
 pub mod fused;

@@ -63,7 +63,6 @@
 //! argument with 16 for the AVX-512 kernel; partial tails run scalar.
 
 #![cfg(target_arch = "x86_64")]
-#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::expr::u16_in_set;
 use core::arch::x86_64::*;

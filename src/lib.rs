@@ -57,10 +57,7 @@ pub mod prelude {
         sort_aggregate, AdaptiveConfig, AggFn, BufferedReproAgg, GroupByConfig, HashKind, Moments,
         MomentsAgg, ReproAgg, SharedAggConfig, SumAgg,
     };
-    pub use rfa_core::{
-        reproducible_dot, reproducible_norm_sq, reproducible_sum, CacheModel, ReproDot, ReproFloat,
-        ReproSum, SummationBuffer,
-    };
+    pub use rfa_core::{reproducible_sum, CacheModel, ReproFloat, ReproSum, SummationBuffer};
     pub use rfa_decimal::{Decimal18, Decimal38, Decimal9};
     pub use rfa_exact::{exact_sum_f32, exact_sum_f64, ExactSum};
 }

@@ -10,6 +10,10 @@
 #          module starts at the attribute lines (`#[cfg(test)]`, ...) that
 #          open `mod tests`; a file without one counts to its end.
 # and both totals on the last line.
+#
+# Then the `wc -l` total of the git-tracked `*.rs` files per crate or
+# top-level dir (`crates/*`, `vendor/*`, `src`, `tests`, `examples`,
+# `benchmark`) and of the whole repo.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 dir="${1:-crates/engine/src}"
@@ -25,3 +29,19 @@ for f in "$dir"/*.rs; do
         END { print n + attrs }' "$f")
     printf '%8d %8d  %s\n' "$wc" "$code" "$f"
 done | awk '{ print; wc += $1; code += $2 } END { printf "%8d %8d  total\n", wc, code }'
+
+echo
+printf '%8s  %s\n' wc tree
+git ls-files -z '*.rs' | xargs -0 wc -l | awk '
+    $2 == "total" { next }
+    {
+        n = split($2, p, "/")
+        tree = (p[1] == "crates" || p[1] == "vendor") && n > 2 ? p[1] "/" p[2] : (n > 1 ? p[1] : ".")
+        lines[tree] += $1
+        all += $1
+    }
+    END {
+        for (t in lines) printf "%8d  %s\n", lines[t], t | "sort -k2"
+        close("sort -k2")
+        printf "%8d  total\n", all
+    }'
