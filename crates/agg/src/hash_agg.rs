@@ -48,11 +48,11 @@ pub fn hash_aggregate<F: AggFn>(
 /// Batch-at-a-time variant of [`hash_aggregate_states`], built on
 /// [`AggHashTable::upsert_batch`]: each `batch_rows`-sized chunk is
 /// probed in one pass (slot indices into a reused scratch vector) and
-/// updated in a second — the probe structure a batched scan feeds when
-/// group ids are not dense (the engine's fused pipeline groups on dense
-/// ids today and would route non-dense GROUP BYs here). Per-key update
-/// order equals input order, so the per-group states are bit-identical
-/// to the scalar loop.
+/// updated in a second. It drives the batch-size and dispatch-level
+/// invariance tests of `upsert_batch`; the engine's fused pipeline
+/// assigns non-dense group ids through [`AggHashTable::probe_gids`]
+/// instead. Per-key update order equals input order, so the per-group
+/// states are bit-identical to the scalar loop.
 pub fn hash_aggregate_states_batched<F: AggFn>(
     f: &F,
     keys: &[u32],

@@ -162,10 +162,9 @@ impl<S: Clone> AggHashTable<S> {
     /// [`Self::probe_batch`] plus an update pass: invokes `apply(state,
     /// i)` for each batch position `i` on that key's state, in batch
     /// index order. [`crate::hash_agg::hash_aggregate_batched`] drives
-    /// whole aggregations through this, and the engine's fused scan
-    /// routes its non-dense GROUP BY arm (`GroupKey::Hash` — e.g. TPC-H
-    /// Q15's revenue-by-supplier) through it for per-batch group-id
-    /// assignment. Per-key update order equals input order, so results
+    /// whole aggregations through this. (The engine's fused scan assigns
+    /// its non-dense GROUP BY arm's group ids through [`Self::probe_gids`]
+    /// instead.) Per-key update order equals input order, so results
     /// are bit-identical to the scalar [`Self::slot_mut`] loop for any
     /// batch size and any SIMD dispatch level.
     pub fn upsert_batch(

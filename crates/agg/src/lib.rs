@@ -35,18 +35,15 @@
 //! assert_eq!(out[0].1, 1.0); // 1e16 + 1 - 1e16, captured exactly
 //! ```
 
-pub mod adaptive;
 pub mod agg_fn;
 pub mod derived;
 pub mod hash_agg;
 pub mod hash_table;
 pub mod partition;
 pub mod partition_agg;
-pub mod shared_agg;
 mod simd_probe;
 pub mod sort_agg;
 
-pub use adaptive::{adaptive_aggregate, AdaptiveConfig};
 pub use agg_fn::{AggFn, BufferedReproAgg, PlainSummable, ReproAgg, SumAgg};
 pub use derived::{Moments, MomentsAgg};
 pub use hash_agg::{
@@ -55,5 +52,4 @@ pub use hash_agg::{
 pub use hash_table::{AggHashTable, HashKind};
 pub use partition::{partition_parallel, partition_serial, Partition};
 pub use partition_agg::{partition_and_aggregate, GroupByConfig};
-pub use shared_agg::{shared_aggregate, SharedAggConfig};
 pub use sort_agg::{sort_aggregate, OrderedBits};

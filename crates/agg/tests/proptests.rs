@@ -7,8 +7,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_agg::{
     hash_aggregate, hash_aggregate_batched, partition_and_aggregate, partition_serial,
-    shared_aggregate, sort_aggregate, AggHashTable, GroupByConfig, HashKind, ReproAgg,
-    SharedAggConfig, SumAgg,
+    sort_aggregate, AggHashTable, GroupByConfig, HashKind, ReproAgg, SumAgg,
 };
 use rfa_core::cpu::{self, SimdLevel};
 use std::sync::Mutex;
@@ -199,15 +198,6 @@ proptest! {
                 prop_assert_eq!(a.1.to_bits(), b.1.to_bits(),
                     "partitioned, {} threads, group {}", threads, a.0);
             }
-            let shared = shared_aggregate(&f, &keys, &values, &SharedAggConfig {
-                threads, groups_hint: 33, morsel_rows: 64, ..Default::default()
-            });
-            prop_assert_eq!(serial.len(), shared.len());
-            for (a, b) in serial.iter().zip(shared.iter()) {
-                prop_assert_eq!(a.0, b.0);
-                prop_assert_eq!(a.1.to_bits(), b.1.to_bits(),
-                    "shared, {} threads, group {}", threads, a.0);
-            }
         }
         // Sort-based baseline (parallel merge sort underneath).
         let sorted = sort_aggregate(&f, &keys, &values);
@@ -238,15 +228,6 @@ proptest! {
                 prop_assert_eq!(a.0, b.0);
                 prop_assert_eq!(a.1.to_bits(), b.1.to_bits(),
                     "partitioned, {} threads, group {}", threads, a.0);
-            }
-            let shared = shared_aggregate(&f, &keys, &values, &SharedAggConfig {
-                threads, groups_hint: 17, morsel_rows: 64, ..Default::default()
-            });
-            prop_assert_eq!(serial.len(), shared.len());
-            for (a, b) in serial.iter().zip(shared.iter()) {
-                prop_assert_eq!(a.0, b.0);
-                prop_assert_eq!(a.1.to_bits(), b.1.to_bits(),
-                    "shared, {} threads, group {}", threads, a.0);
             }
         }
         let sorted = sort_aggregate(&f, &keys, &values);

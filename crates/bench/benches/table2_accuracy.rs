@@ -10,7 +10,7 @@
 //! to 2^(W-1) more pessimistic than observed errors.
 
 use rfa_bench::{sci, BenchConfig, ResultTable};
-use rfa_core::analysis::{conventional_bound, reproducible_bound};
+use rfa_core::analysis::{conventional_bound, reproducible_bound, reproducible_bound_anchored};
 use rfa_core::reproducible_sum;
 use rfa_exact::{abs_error_f64, exact_sum_f64};
 use rfa_workloads::{values_only, ValueDist};
@@ -21,9 +21,9 @@ struct Config {
     label: &'static str,
 }
 
-fn measured_rsum_error<const L: usize>(values: &[f64]) -> f64 {
-    let s = reproducible_sum::<f64, L>(values);
-    abs_error_f64(values, s)
+/// Half an ulp of `x`: the error of a correctly rounded result.
+fn half_ulp(x: f64) -> f64 {
+    (f64::from_bits(x.abs().to_bits() + 1) - x.abs()) / 2.0
 }
 
 fn main() {
@@ -103,32 +103,34 @@ fn main() {
         bounds.row(row);
     }
 
-    // Measured rows.
-    let mut conv_row = vec!["Conventional".to_string()];
-    for d in &data {
-        let s: f64 = d.iter().sum();
-        conv_row.push(sci(abs_error_f64(d, s)));
-    }
-    measured.row(conv_row);
-    let mut rows: [Vec<String>; 3] = [
-        vec!["RSUM (L=1)".to_string()],
-        vec!["RSUM (L=2)".to_string()],
-        vec!["RSUM (L=3)".to_string()],
+    // Measured rows: per config, the conventional, RSUM L=1..3 and
+    // exact-oracle sums, in row order.
+    let sums: Vec<[f64; 5]> = data
+        .iter()
+        .map(|d| {
+            [
+                d.iter().sum(),
+                reproducible_sum::<f64, 1>(d),
+                reproducible_sum::<f64, 2>(d),
+                reproducible_sum::<f64, 3>(d),
+                exact_sum_f64(d),
+            ]
+        })
+        .collect();
+    let labels = [
+        "Conventional",
+        "RSUM (L=1)",
+        "RSUM (L=2)",
+        "RSUM (L=3)",
+        "Exact (oracle)",
     ];
-    for d in &data {
-        rows[0].push(sci(measured_rsum_error::<1>(d)));
-        rows[1].push(sci(measured_rsum_error::<2>(d)));
-        rows[2].push(sci(measured_rsum_error::<3>(d)));
+    for (k, label) in labels.into_iter().enumerate() {
+        let mut row = vec![label.to_string()];
+        for (d, s) in data.iter().zip(&sums) {
+            row.push(sci(abs_error_f64(d, s[k])));
+        }
+        measured.row(row);
     }
-    for r in rows {
-        measured.row(r);
-    }
-    // Exact-oracle sanity line: correctly rounded result has error <= 1/2 ulp.
-    let mut exact_row = vec!["Exact (oracle)".to_string()];
-    for d in &data {
-        exact_row.push(sci(abs_error_f64(d, exact_sum_f64(d))));
-    }
-    measured.row(exact_row);
 
     bounds.print();
     bounds.write_csv("table2_bounds");
@@ -139,4 +141,30 @@ fn main() {
          RSUM L=1 bound uselessly large, L=2 comparable to conventional, L=3 ~1e-21/1e-18;\n  \
          measured errors far below bounds (the paper notes up to 2^(W-1) slack)."
     );
+
+    // The tables, asserted: Eq. 5 within 10 % of the paper's figures, and
+    // every measured error within its bound. An RSUM result is rounded
+    // once more on the way out, so its bound gains half an ulp; at L = 3
+    // that final rounding is all of the measured error.
+    let paper_conventional = [1.7e-10, 1.1e-10, 1.7e-4, 1.1e-4];
+    for (i, (c, d)) in configs.iter().zip(&data).enumerate() {
+        let conv = conventional_bound::<f64>(c.n, sum_abs[i]);
+        let paper = paper_conventional[i];
+        assert!(
+            (conv / paper - 1.0).abs() <= 0.1,
+            "{}: Eq. 5 gives {conv:e}, the paper {paper:e}",
+            c.label
+        );
+        let [plain, rsum @ .., exact] = sums[i];
+        assert!(abs_error_f64(d, plain) <= conv, "{}: conventional", c.label);
+        for (l, s) in (1..=3).zip(rsum) {
+            let bound = reproducible_bound_anchored::<f64>(c.n, l, max_abs[i]) + half_ulp(s);
+            assert!(abs_error_f64(d, s) <= bound, "{}: RSUM (L={l})", c.label);
+        }
+        assert!(
+            abs_error_f64(d, exact) <= half_ulp(exact),
+            "{}: oracle",
+            c.label
+        );
+    }
 }

@@ -21,7 +21,6 @@
 //! | `fig12_buffer_size_d1`| Figure 12 (Appendix B)                  |
 //! | `fig9_compression`    | (Q1/Q6 over Dict/RLE vs plain columns)  |
 //! | `ablation_design`     | (design-choice ablations: hashing, fan-out) |
-//! | `operators_compare`   | (hash vs shared vs adaptive vs part+agg) |
 //! | `criterion_micro`     | (criterion micro-benchmarks)            |
 //! | `server_load`         | (query service under concurrent load)   |
 //!

@@ -71,7 +71,8 @@ pub trait ReproFloat:
 
     const ZERO: Self;
     const ONE: Self;
-    /// Machine epsilon `2^-m` (the `ε` of the paper's Eq. 5).
+    /// Machine epsilon `2^-m`, the gap above 1.0. The paper's Eq. 5 uses
+    /// the unit roundoff, half of it.
     const EPSILON: Self;
 
     fn abs(self) -> Self;

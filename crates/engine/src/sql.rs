@@ -460,7 +460,22 @@ fn lex(sql: &str) -> Result<Vec<(Tok, usize)>, SqlError> {
 struct Parser {
     toks: Vec<(Tok, usize)>,
     at: usize,
+    /// Nested levels (parentheses, unary `-`, `NOT`, aggregate calls)
+    /// around the current token.
+    depth: usize,
 }
+
+/// Cap on both the parser's nesting and the height of the expression
+/// tree it builds. The parser and every pass after it (resolve, lowering,
+/// `compile`, `Display`, `PartialEq`, `Drop`) recurse once per level, so
+/// an unbounded tree from one request frame would overflow a server
+/// worker's stack, an abort no `catch_unwind` catches. An unoptimized
+/// build spends about 13 KiB of stack per parenthesis level, so 64 levels
+/// fit a 2 MiB thread stack in every build profile.
+const MAX_EXPR_DEPTH: usize = 64;
+
+/// A parsed subtree and its height (a leaf is 1).
+type Sub = (SqlExpr, usize);
 
 /// Reserved words (uppercased). An identifier equal to one of these can
 /// never be a column or table name.
@@ -544,6 +559,35 @@ impl Parser {
         }
     }
 
+    fn too_deep(&self) -> SqlError {
+        self.error(format!(
+            "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+        ))
+    }
+
+    /// Parses one nested level, bounding the parser's own recursion.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Sub, SqlError>) -> Result<Sub, SqlError> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let sub = parse(self);
+        self.depth -= 1;
+        sub
+    }
+
+    /// `expr` over children at most `h` high, bounding the tree's height.
+    fn node(&self, expr: SqlExpr, h: usize) -> Result<Sub, SqlError> {
+        if h >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((expr, h + 1))
+    }
+
+    fn bin(&self, op: SqlBinOp, (l, lh): Sub, (r, rh): Sub) -> Result<Sub, SqlError> {
+        self.node(SqlExpr::Bin(op, Box::new(l), Box::new(r)), lh.max(rh))
+    }
+
     fn parse_stmt(&mut self) -> Result<SelectStmt, SqlError> {
         self.expect_keyword("SELECT")?;
         let mut items = vec![self.parse_item()?];
@@ -553,7 +597,7 @@ impl Parser {
         self.expect_keyword("FROM")?;
         let table = self.expect_name("table name")?;
         let where_clause = if self.eat_keyword("WHERE") {
-            Some(self.parse_expr()?)
+            Some(self.parse_expr()?.0)
         } else {
             None
         };
@@ -581,7 +625,7 @@ impl Parser {
     }
 
     fn parse_item(&mut self) -> Result<SelectItem, SqlError> {
-        let expr = self.parse_expr()?;
+        let (expr, _) = self.parse_expr()?;
         let alias = if self.eat_keyword("AS") {
             Some(self.expect_name("alias")?)
         } else {
@@ -591,27 +635,28 @@ impl Parser {
     }
 
     /// expr := or_expr
-    fn parse_expr(&mut self) -> Result<SqlExpr, SqlError> {
+    fn parse_expr(&mut self) -> Result<Sub, SqlError> {
         let mut e = self.parse_and()?;
         while self.eat_keyword("OR") {
             let rhs = self.parse_and()?;
-            e = SqlExpr::Bin(SqlBinOp::Or, Box::new(e), Box::new(rhs));
+            e = self.bin(SqlBinOp::Or, e, rhs)?;
         }
         Ok(e)
     }
 
-    fn parse_and(&mut self) -> Result<SqlExpr, SqlError> {
+    fn parse_and(&mut self) -> Result<Sub, SqlError> {
         let mut e = self.parse_not()?;
         while self.eat_keyword("AND") {
             let rhs = self.parse_not()?;
-            e = SqlExpr::Bin(SqlBinOp::And, Box::new(e), Box::new(rhs));
+            e = self.bin(SqlBinOp::And, e, rhs)?;
         }
         Ok(e)
     }
 
-    fn parse_not(&mut self) -> Result<SqlExpr, SqlError> {
+    fn parse_not(&mut self) -> Result<Sub, SqlError> {
         if self.eat_keyword("NOT") {
-            Ok(SqlExpr::Not(Box::new(self.parse_not()?)))
+            let (e, h) = self.nested(Self::parse_not)?;
+            self.node(SqlExpr::Not(Box::new(e)), h)
         } else {
             self.parse_cmp()
         }
@@ -619,7 +664,7 @@ impl Parser {
 
     /// cmp := add [ ⟨cmp op⟩ add | [NOT] BETWEEN add AND add ]
     /// (non-associative: `a < b < c` is a parse error).
-    fn parse_cmp(&mut self) -> Result<SqlExpr, SqlError> {
+    fn parse_cmp(&mut self) -> Result<Sub, SqlError> {
         let lhs = self.parse_add()?;
         let op = match self.peek() {
             Tok::Punct("<") => Some(SqlBinOp::Lt),
@@ -633,7 +678,7 @@ impl Parser {
         if let Some(op) = op {
             self.bump();
             let rhs = self.parse_add()?;
-            return Ok(SqlExpr::Bin(op, Box::new(lhs), Box::new(rhs)));
+            return self.bin(op, lhs, rhs);
         }
         let negated = if self.at_keyword("NOT") {
             // Only "NOT BETWEEN" is valid in postfix position.
@@ -649,20 +694,21 @@ impl Parser {
             false
         };
         if self.eat_keyword("BETWEEN") {
-            let lo = self.parse_add()?;
+            let (lo, lo_h) = self.parse_add()?;
             self.expect_keyword("AND")?;
-            let hi = self.parse_add()?;
-            return Ok(SqlExpr::Between {
-                expr: Box::new(lhs),
+            let (hi, hi_h) = self.parse_add()?;
+            let between = SqlExpr::Between {
+                expr: Box::new(lhs.0),
                 negated,
                 lo: Box::new(lo),
                 hi: Box::new(hi),
-            });
+            };
+            return self.node(between, lhs.1.max(lo_h).max(hi_h));
         }
         Ok(lhs)
     }
 
-    fn parse_add(&mut self) -> Result<SqlExpr, SqlError> {
+    fn parse_add(&mut self) -> Result<Sub, SqlError> {
         let mut e = self.parse_mul()?;
         loop {
             let op = if self.eat_punct("+") {
@@ -673,12 +719,12 @@ impl Parser {
                 break;
             };
             let rhs = self.parse_mul()?;
-            e = SqlExpr::Bin(op, Box::new(e), Box::new(rhs));
+            e = self.bin(op, e, rhs)?;
         }
         Ok(e)
     }
 
-    fn parse_mul(&mut self) -> Result<SqlExpr, SqlError> {
+    fn parse_mul(&mut self) -> Result<Sub, SqlError> {
         let mut e = self.parse_unary()?;
         loop {
             let op = if self.eat_punct("*") {
@@ -689,33 +735,33 @@ impl Parser {
                 break;
             };
             let rhs = self.parse_unary()?;
-            e = SqlExpr::Bin(op, Box::new(e), Box::new(rhs));
+            e = self.bin(op, e, rhs)?;
         }
         Ok(e)
     }
 
-    fn parse_unary(&mut self) -> Result<SqlExpr, SqlError> {
+    fn parse_unary(&mut self) -> Result<Sub, SqlError> {
         if self.eat_punct("-") {
-            let inner = self.parse_unary()?;
+            let (inner, h) = self.nested(Self::parse_unary)?;
             // Fold unary minus into the literal so `-1.5` round-trips as
             // the literal `Num(-1.5)` (bit-exact, including `-0.0`).
-            return Ok(match inner {
-                SqlExpr::Num(v) => SqlExpr::Num(-v),
-                other => SqlExpr::Neg(Box::new(other)),
-            });
+            return match inner {
+                SqlExpr::Num(v) => Ok((SqlExpr::Num(-v), h)),
+                other => self.node(SqlExpr::Neg(Box::new(other)), h),
+            };
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<SqlExpr, SqlError> {
+    fn parse_primary(&mut self) -> Result<Sub, SqlError> {
         match self.peek().clone() {
             Tok::Num(v) => {
                 self.bump();
-                Ok(SqlExpr::Num(v))
+                Ok((SqlExpr::Num(v), 1))
             }
             Tok::Punct("(") => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect_punct(")")?;
                 Ok(e)
             }
@@ -734,22 +780,22 @@ impl Parser {
                 if let Some(kind) = agg {
                     self.bump();
                     self.expect_punct("(")?;
-                    let e = self.parse_expr()?;
+                    let (e, h) = self.nested(Self::parse_expr)?;
                     self.expect_punct(")")?;
-                    return Ok(SqlExpr::Agg(kind, Box::new(e)));
+                    return self.node(SqlExpr::Agg(kind, Box::new(e)), h);
                 }
                 if name.eq_ignore_ascii_case("COUNT") {
                     self.bump();
                     self.expect_punct("(")?;
                     self.expect_punct("*")?;
                     self.expect_punct(")")?;
-                    return Ok(SqlExpr::CountStar);
+                    return Ok((SqlExpr::CountStar, 1));
                 }
                 if KEYWORDS.iter().any(|k| name.eq_ignore_ascii_case(k)) {
                     return Err(self.error(format!("expected an expression, found keyword {name}")));
                 }
                 self.bump();
-                Ok(SqlExpr::Col(name))
+                Ok((SqlExpr::Col(name), 1))
             }
             other => Err(self.error(format!(
                 "expected an expression, found {}",
@@ -763,7 +809,12 @@ impl Parser {
 /// [`sql_query`]).
 pub fn parse_select(sql: &str) -> Result<SelectStmt, SqlError> {
     let toks = lex(sql)?;
-    Parser { toks, at: 0 }.parse_stmt()
+    Parser {
+        toks,
+        at: 0,
+        depth: 0,
+    }
+    .parse_stmt()
 }
 
 // ---------------------------------------------------------------------------
@@ -1512,6 +1563,61 @@ mod tests {
                 matches!(e, SqlError::Parse { .. }) && msg.contains(want),
                 "{sql}: got {msg:?}, want substring {want:?}"
             );
+        }
+    }
+
+    /// Deep nesting and long operator chains are typed parse errors, not
+    /// a stack overflow in the parser or any pass after it; a statement
+    /// exactly at the cap still parses and executes.
+    #[test]
+    fn expression_depth_is_capped() {
+        let chain = |term: &str, op: &str, n: usize| vec![term; n].join(op);
+        let too_deep = [
+            format!(
+                "SELECT SUM({}temp{}) FROM s",
+                "(".repeat(100_000),
+                ")".repeat(100_000)
+            ),
+            format!("SELECT SUM({}temp) FROM s", "-".repeat(100_000)),
+            format!(
+                "SELECT COUNT(*) FROM s WHERE {}temp > 1",
+                "NOT ".repeat(100_000)
+            ),
+            format!("SELECT SUM({}) FROM s", chain("temp", " + ", 50_000)),
+            format!(
+                "SELECT COUNT(*) FROM s WHERE {}",
+                chain("temp > 1", " AND ", 50_000)
+            ),
+        ];
+        for sql in &too_deep {
+            let e = parse_select(sql).unwrap_err();
+            assert!(
+                matches!(e, SqlError::Parse { .. }) && e.to_string().contains("deeper than 64"),
+                "{e}"
+            );
+        }
+        let t = sensor_table();
+        // At n = 63, SUM plus n parentheses nest 64 levels, and SUM over an
+        // n-term chain and an n-conjunct WHERE build trees 64 high.
+        let cases = |n: usize| {
+            [
+                format!(
+                    "SELECT SUM({}temp{}) FROM sensors",
+                    "(".repeat(n),
+                    ")".repeat(n)
+                ),
+                format!("SELECT SUM({}) FROM sensors", chain("temp", " + ", n)),
+                format!(
+                    "SELECT SUM(temp) FROM sensors WHERE {}",
+                    chain("temp > 0", " AND ", n)
+                ),
+            ]
+        };
+        for (sql, want) in cases(63).iter().zip([126.0, 126.0 * 63.0, 126.0]) {
+            assert_eq!(run(sql, &t).columns[0], SqlColumn::F64(vec![want]));
+        }
+        for sql in cases(64) {
+            assert!(matches!(err(&sql, &t), SqlError::Parse { .. }), "{sql}");
         }
     }
 

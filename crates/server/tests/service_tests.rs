@@ -170,6 +170,44 @@ fn bad_sql_is_a_typed_bad_request_and_the_server_survives() {
 }
 
 #[test]
+fn too_deep_sql_is_a_typed_bad_request_and_the_server_survives() {
+    // Each frame once overflowed a worker's stack, which aborts the whole
+    // process: 2 000 parentheses (a 4 KB frame) and 5 000 conjuncts
+    // (100 KB).
+    no_faults();
+    let table = table();
+    let server = Server::spawn(Arc::clone(&table), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let frames = [
+        format!(
+            "SELECT SUM({}l_quantity{}) FROM lineitem",
+            "(".repeat(2_000),
+            ")".repeat(2_000)
+        ),
+        format!(
+            "SELECT SUM(l_quantity) FROM lineitem WHERE {}",
+            vec!["l_quantity < 30"; 5_000].join(" AND ")
+        ),
+    ];
+    for sql in &frames {
+        let err = client
+            .query(sql, SumBackend::ReproUnbuffered, 1, None)
+            .unwrap_err();
+        assert_eq!(err.code(), Some(ErrorCode::BadRequest), "{err}");
+    }
+
+    client.ping().unwrap();
+    let reference = rfa_engine::sql_query(&q1_sql(), &table)
+        .unwrap()
+        .execute(&table, SumBackend::ReproUnbuffered, &ExecOptions::serial())
+        .unwrap();
+    let got = client
+        .query(&q1_sql(), SumBackend::ReproUnbuffered, 1, None)
+        .unwrap();
+    assert_bits_eq(&got.columns, &reference.columns);
+}
+
+#[test]
 fn sorted_double_over_the_wire_matches_in_process() {
     no_faults();
     let server = Server::spawn(table(), ServerConfig::default()).unwrap();

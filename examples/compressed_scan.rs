@@ -83,10 +83,14 @@ fn describe(encoded: &Table) {
 }
 
 fn main() {
-    let n: usize = std::env::var("RFA_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1 << 20);
+    let n = rfa::core::knob::env_knob("RFA_ROWS", "an integer >= 1", |v| {
+        v.parse::<usize>().ok().filter(|&n| n >= 1)
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+    .unwrap_or(1 << 20);
     let lineitem = Lineitem::generate(n, 7);
 
     // dbgen order: the small-domain columns dictionary-encode (flags,

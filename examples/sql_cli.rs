@@ -18,10 +18,14 @@ use rfa::engine::{lineitem_table, q15_sql, q1_sql, q6_sql, sql_query, ExecOption
 use rfa::workloads::Lineitem;
 
 fn main() {
-    let rows: usize = std::env::var("RFA_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
+    let rows = rfa::core::knob::env_knob("RFA_ROWS", "an integer >= 1", |v| {
+        v.parse::<usize>().ok().filter(|&n| n >= 1)
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+    .unwrap_or(200_000);
     let lineitem = Lineitem::generate(rows, 42);
     let table = lineitem_table(&lineitem);
     println!(

@@ -53,9 +53,8 @@ pub use rfa_workloads as workloads;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use rfa_agg::{
-        adaptive_aggregate, hash_aggregate, partition_and_aggregate, shared_aggregate,
-        sort_aggregate, AdaptiveConfig, AggFn, BufferedReproAgg, GroupByConfig, HashKind, Moments,
-        MomentsAgg, ReproAgg, SharedAggConfig, SumAgg,
+        hash_aggregate, partition_and_aggregate, sort_aggregate, AggFn, BufferedReproAgg,
+        GroupByConfig, HashKind, Moments, MomentsAgg, ReproAgg, SumAgg,
     };
     pub use rfa_core::{reproducible_sum, CacheModel, ReproFloat, ReproSum, SummationBuffer};
     pub use rfa_decimal::{Decimal18, Decimal38, Decimal9};
