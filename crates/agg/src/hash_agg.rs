@@ -14,6 +14,9 @@ use crate::hash_table::{AggHashTable, HashKind};
 ///
 /// `capacity_hint` sizes the table (pass the expected group count if known;
 /// the table grows as needed).
+///
+/// # Panics
+/// If a key is `u32::MAX`, the table's reserved empty-slot key.
 pub fn hash_aggregate_states<F: AggFn>(
     f: &F,
     keys: &[u32],
@@ -32,6 +35,9 @@ pub fn hash_aggregate_states<F: AggFn>(
 
 /// Aggregates and finalizes, returning `(key, output)` pairs sorted by key
 /// (sorted so the operator output order is itself deterministic).
+///
+/// # Panics
+/// If a key is `u32::MAX`, the table's reserved empty-slot key.
 pub fn hash_aggregate<F: AggFn>(
     f: &F,
     keys: &[u32],
@@ -40,49 +46,6 @@ pub fn hash_aggregate<F: AggFn>(
     capacity_hint: usize,
 ) -> Vec<(u32, F::Output)> {
     let table = hash_aggregate_states(f, keys, values, hash, capacity_hint);
-    let mut out: Vec<(u32, F::Output)> = table.drain().map(|(k, s)| (k, f.output(s))).collect();
-    out.sort_unstable_by_key(|(k, _)| *k);
-    out
-}
-
-/// Batch-at-a-time variant of [`hash_aggregate_states`], built on
-/// [`AggHashTable::upsert_batch`]: each `batch_rows`-sized chunk is
-/// probed in one pass (slot indices into a reused scratch vector) and
-/// updated in a second. It drives the batch-size and dispatch-level
-/// invariance tests of `upsert_batch`; the engine's fused pipeline
-/// assigns non-dense group ids through [`AggHashTable::probe_gids`]
-/// instead. Per-key update order equals input order, so the per-group
-/// states are bit-identical to the scalar loop.
-pub fn hash_aggregate_states_batched<F: AggFn>(
-    f: &F,
-    keys: &[u32],
-    values: &[F::Input],
-    hash: HashKind,
-    capacity_hint: usize,
-    batch_rows: usize,
-) -> AggHashTable<F::State> {
-    assert_eq!(keys.len(), values.len());
-    assert!(batch_rows > 0);
-    let template = f.new_state();
-    let mut table = AggHashTable::with_capacity(capacity_hint, hash, &template);
-    let mut slots = Vec::with_capacity(batch_rows);
-    for (kc, vc) in keys.chunks(batch_rows).zip(values.chunks(batch_rows)) {
-        table.upsert_batch(kc, &template, &mut slots, |state, i| f.step(state, vc[i]));
-    }
-    table
-}
-
-/// Batched aggregate-and-finalize, sorted by key (the batched analogue of
-/// [`hash_aggregate`]).
-pub fn hash_aggregate_batched<F: AggFn>(
-    f: &F,
-    keys: &[u32],
-    values: &[F::Input],
-    hash: HashKind,
-    capacity_hint: usize,
-    batch_rows: usize,
-) -> Vec<(u32, F::Output)> {
-    let table = hash_aggregate_states_batched(f, keys, values, hash, capacity_hint, batch_rows);
     let mut out: Vec<(u32, F::Output)> = table.drain().map(|(k, s)| (k, f.output(s))).collect();
     out.sort_unstable_by_key(|(k, _)| *k);
     out
@@ -163,35 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_scalar_bitwise_for_repro() {
-        let (keys, values) = sample();
-        let f = ReproAgg::<f64, 3>::new();
-        let scalar = hash_aggregate(&f, &keys, &values, HashKind::Identity, 16);
-        for batch in [1usize, 13, 256, 4096, 100_000] {
-            let batched = hash_aggregate_batched(&f, &keys, &values, HashKind::Identity, 16, batch);
-            assert_eq!(scalar.len(), batched.len());
-            for (a, b) in scalar.iter().zip(batched.iter()) {
-                assert_eq!(a.0, b.0);
-                assert_eq!(a.1.to_bits(), b.1.to_bits(), "batch {batch} group {}", a.0);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_matches_scalar_exactly_for_plain_sums() {
-        // Plain doubles are order-sensitive, so bit-equality here proves
-        // the batched probe preserves the exact per-key update order.
-        let (keys, values) = sample();
-        let f = SumAgg::<f64>::new();
-        let scalar = hash_aggregate(&f, &keys, &values, HashKind::Multiplicative, 4);
-        let batched = hash_aggregate_batched(&f, &keys, &values, HashKind::Multiplicative, 4, 333);
-        assert_eq!(scalar.len(), batched.len());
-        for (a, b) in scalar.iter().zip(batched.iter()) {
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "group {}", a.0);
-        }
-    }
-
-    #[test]
     fn multiplicative_hash_same_results() {
         let (keys, values) = sample();
         let f = SumAgg::<u32>::new();
@@ -213,5 +147,15 @@ mod tests {
         let values: Vec<f64> = (0..1000).map(|i| i as f64).collect();
         let out = hash_aggregate(&SumAgg::<f64>::new(), &keys, &values, HashKind::Identity, 1);
         assert_eq!(out, vec![(5, 999.0 * 1000.0 / 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX")]
+    fn reserved_key_panics_instead_of_losing_its_group() {
+        // The empty-slot key cannot be stored: without the check its
+        // group vanishes at drain time while `sort_aggregate` keeps it.
+        let keys = [1, u32::MAX, 1, u32::MAX];
+        let values = [1.0, 10.0, 2.0, 20.0];
+        hash_aggregate(&SumAgg::<f64>::new(), &keys, &values, HashKind::Identity, 4);
     }
 }

@@ -10,8 +10,8 @@
 //!   non-dense key domains (using a real hash function slows all algorithms
 //!   by the same constant, §VI-A).
 //!
-//! One key value (`u32::MAX`) is reserved as the empty-slot sentinel; the
-//! operators in this crate never produce it (group ids are dense).
+//! One key value (`u32::MAX`) is reserved as the empty-slot sentinel:
+//! every call that inserts a key panics on it rather than lose its group.
 
 /// Hash function selector for aggregation and partitioning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -79,6 +79,9 @@ impl<S: Clone> AggHashTable<S> {
 
     /// Returns the state slot for `key`, inserting a clone of `template`
     /// on first sight. Grows (doubling + rehash) at 75% load.
+    ///
+    /// # Panics
+    /// If `key` is `u32::MAX`, the reserved empty-slot sentinel.
     #[inline]
     pub fn slot_mut(&mut self, key: u32, template: &S) -> &mut S {
         if (self.len + 1) * 4 > self.keys.len() * 3 {
@@ -92,7 +95,10 @@ impl<S: Clone> AggHashTable<S> {
     /// slot exists). Returns the slot index.
     #[inline]
     fn probe_insert(&mut self, key: u32) -> usize {
-        debug_assert_ne!(key, EMPTY, "u32::MAX is the reserved empty sentinel");
+        assert_ne!(
+            key, EMPTY,
+            "u32::MAX is the hash table's reserved empty-slot key"
+        );
         let mut i = self.hash.hash(key) as usize & self.mask;
         loop {
             let k = self.keys[i];
@@ -108,65 +114,19 @@ impl<S: Clone> AggHashTable<S> {
         }
     }
 
-    /// Batched probe: resolves the slot of every key in `keys` (inserting
-    /// clones of `template` for unseen keys) into the reused `slots`
-    /// scratch vector (`slots[i]` is `keys[i]`'s slot). This is the
-    /// probe half of the batch-at-a-time building block for hash-grouped
-    /// aggregation; [`Self::upsert_batch`] pairs it with an apply pass.
+    /// Batched upsert: resolves the slot of every key in `keys`
+    /// (inserting clones of `template` for unseen keys) into the reused
+    /// `slots` scratch vector (`slots[i]` is `keys[i]`'s slot) and invokes
+    /// `apply(state, i)` for each batch position `i` on that key's state,
+    /// in batch index order. The growth check runs once per batch:
+    /// capacity for the worst case (every key new) is ensured *up front*,
+    /// so slot indices stay valid across the whole batch. Per-key update
+    /// order equals input order, so results are bit-identical to the
+    /// [`Self::slot_mut`] loop for any batch size. (The engine's fused scan
+    /// assigns its group ids through [`Self::probe_gids`] instead.)
     ///
-    /// Splitting probe from update turns the inner loop into the
-    /// probe-then-apply structure vectorized engines use, and amortizes
-    /// the growth check to once per batch: capacity for the worst case
-    /// (every key new) is ensured *up front*, so slot indices stay valid
-    /// across the whole batch even when the table resizes.
-    ///
-    /// Under an active SIMD dispatch level (`RFA_SIMD`), the probe runs
-    /// the `simd_probe` gather-compare kernels: 8 (AVX2) or
-    /// 16 (AVX-512) keys hash per iteration, keys found at their *home
-    /// slot* resolve in bulk, and the remaining lanes — empty home slots,
-    /// collision chains, unseen keys — drain through the scalar probe in
-    /// batch index order. Hits never mutate the table and the miss drain
-    /// inserts in exactly the order the all-scalar loop would, so slot
-    /// placement and first-seen key order are bit-identical at every
-    /// dispatch level; at the scalar level this *is* the original
-    /// per-key loop.
-    pub fn probe_batch(&mut self, keys: &[u32], template: &S, slots: &mut Vec<u32>) {
-        // Worst-case pre-growth: every key in the batch is new. Capacity
-        // may overshoot by up to one doubling versus scalar insertion
-        // (duplicates are unknowable up front), then converges: once
-        // (len + batch) fits in 75% load, no batch ever grows again.
-        while (self.len + keys.len()) * 4 > self.keys.len() * 3 {
-            self.grow(template);
-        }
-        slots.clear();
-        slots.resize(keys.len(), 0);
-        match crate::simd_probe::probe_home_hits(self.hash, &self.keys, self.mask, keys, slots) {
-            None => {
-                // Scalar dispatch level: the original probe loop.
-                slots.clear();
-                for &k in keys {
-                    slots.push(self.probe_insert(k) as u32);
-                }
-            }
-            Some(0) => {}
-            Some(_) => {
-                for (i, s) in slots.iter_mut().enumerate() {
-                    if *s == crate::simd_probe::MISS {
-                        *s = self.probe_insert(keys[i]) as u32;
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`Self::probe_batch`] plus an update pass: invokes `apply(state,
-    /// i)` for each batch position `i` on that key's state, in batch
-    /// index order. [`crate::hash_agg::hash_aggregate_batched`] drives
-    /// whole aggregations through this. (The engine's fused scan assigns
-    /// its non-dense GROUP BY arm's group ids through [`Self::probe_gids`]
-    /// instead.) Per-key update order equals input order, so results
-    /// are bit-identical to the scalar [`Self::slot_mut`] loop for any
-    /// batch size and any SIMD dispatch level.
+    /// # Panics
+    /// If a key is `u32::MAX`, the reserved empty-slot sentinel.
     pub fn upsert_batch(
         &mut self,
         keys: &[u32],
@@ -174,19 +134,19 @@ impl<S: Clone> AggHashTable<S> {
         slots: &mut Vec<u32>,
         mut apply: impl FnMut(&mut S, usize),
     ) {
-        self.probe_batch(keys, template, slots);
-        for (i, &s) in slots.iter().enumerate() {
-            apply(&mut self.states[s as usize], i);
+        // Worst-case pre-growth: every key in the batch is new. Capacity
+        // may overshoot by up to one doubling versus one-at-a-time
+        // insertion (duplicates are unknowable up front), then converges:
+        // once (len + batch) fits in 75% load, no batch ever grows again.
+        while (self.len + keys.len()) * 4 > self.keys.len() * 3 {
+            self.grow(template);
         }
-    }
-
-    /// The state at a slot index produced by [`Self::probe_batch`].
-    /// Callers that separate probe from update resolve their slot scratch
-    /// through this (the indices stay valid until the next growth, i.e.
-    /// until the next insert-capable call).
-    #[inline]
-    pub fn state_mut(&mut self, slot: usize) -> &mut S {
-        &mut self.states[slot]
+        slots.clear();
+        for (i, &k) in keys.iter().enumerate() {
+            let s = self.probe_insert(k);
+            slots.push(s as u32);
+            apply(&mut self.states[s], i);
+        }
     }
 
     /// Looks up a key without inserting.
@@ -241,23 +201,27 @@ impl<S: Clone> AggHashTable<S> {
 }
 
 impl AggHashTable<u32> {
-    /// Batched key→group-id assignment — the `AggHashTable<u32>` ("gid
-    /// table") specialization of [`Self::probe_batch`]. Appends one gid
-    /// per batch key to `out`; `new_gid(key)` is called for each
-    /// first-seen key **in batch index order** and must return the id to
-    /// assign (typically recording the key in a first-seen list on the
-    /// side).
+    /// Batched key→group-id assignment for an `AggHashTable<u32>` ("gid
+    /// table") whose states are group ids. Appends one gid per batch key
+    /// to `out`; `new_gid(key)` is called for each first-seen key **in
+    /// batch index order** and must return the id to assign (typically
+    /// recording the key in a first-seen list on the side). The growth
+    /// check runs once per batch, as in [`Self::upsert_batch`].
     ///
     /// The unassigned-state sentinel is `u32::MAX`, so `new_gid` must
     /// never return it (dense gids cannot: the table itself would
-    /// overflow first). This lets the SIMD pass fuse the slot→state
-    /// indirection into the kernel: alongside the resident-key gather it
-    /// gathers the resident *gid*, so a home-slot hit lane produces its
-    /// answer directly and no per-row apply loop runs over the batch.
-    /// Only miss lanes — empty home slots, collision chains, unseen
-    /// keys — drain through the scalar probe, in batch index order, so
-    /// gid assignment order and values are bit-identical to the scalar
-    /// loop at every dispatch level.
+    /// overflow first). For an identity-hashed table under an active SIMD
+    /// dispatch level (`RFA_SIMD`), this lets the `simd_probe` kernels
+    /// fuse the slot→state indirection: 8 (AVX2) or 16 (AVX-512) keys per
+    /// iteration gather the resident key *and* the resident gid at their
+    /// home slot, so a hit lane produces its answer directly. Only miss
+    /// lanes — empty home slots, collision chains, unseen keys — drain
+    /// through the scalar probe, in batch index order, so gid assignment
+    /// order and values are bit-identical to the scalar loop at every
+    /// dispatch level. Other hash functions run the scalar loop.
+    ///
+    /// # Panics
+    /// If a key is `u32::MAX`, the reserved empty-slot sentinel.
     pub fn probe_gids(
         &mut self,
         batch: &[u32],
@@ -271,17 +235,15 @@ impl AggHashTable<u32> {
         let base = out.len();
         out.resize(base + batch.len(), 0);
         let dst = &mut out[base..];
-        let bulk = crate::simd_probe::probe_home_gids(
-            self.hash,
-            &self.keys,
-            &self.states,
-            self.mask,
-            batch,
-            dst,
-        );
+        let bulk = match self.hash {
+            HashKind::Identity => {
+                crate::simd_probe::probe_home_gids(&self.keys, &self.states, self.mask, batch, dst)
+            }
+            HashKind::Multiplicative => None,
+        };
         match bulk {
             None => {
-                // Scalar dispatch level: the original probe loop.
+                // No kernel for this dispatch level or hash: the original probe loop.
                 for (g, &k) in dst.iter_mut().zip(batch) {
                     let s = self.probe_insert(k);
                     if self.states[s] == UNASSIGNED {

@@ -46,9 +46,7 @@ pub mod sort_agg;
 
 pub use agg_fn::{AggFn, BufferedReproAgg, PlainSummable, ReproAgg, SumAgg};
 pub use derived::{Moments, MomentsAgg};
-pub use hash_agg::{
-    hash_aggregate, hash_aggregate_batched, hash_aggregate_states, hash_aggregate_states_batched,
-};
+pub use hash_agg::{hash_aggregate, hash_aggregate_states};
 pub use hash_table::{AggHashTable, HashKind};
 pub use partition::{partition_parallel, partition_serial, Partition};
 pub use partition_agg::{partition_and_aggregate, GroupByConfig};

@@ -84,6 +84,9 @@ impl GroupByConfig {
 
 /// Runs PARTITIONANDAGGREGATE and returns `(key, output)` pairs sorted by
 /// key.
+///
+/// # Panics
+/// If a key is `u32::MAX`, the hash tables' reserved empty-slot key.
 pub fn partition_and_aggregate<F>(
     f: &F,
     keys: &[u32],
@@ -369,5 +372,19 @@ mod tests {
         for &(k, s) in out.iter().step_by(4999) {
             assert_eq!(s, k as f64 * 0.5);
         }
+    }
+    #[test]
+    #[should_panic(expected = "u32::MAX")]
+    fn reserved_key_panics_instead_of_losing_its_group() {
+        // The empty-slot key cannot be stored: without the check its
+        // group vanishes at drain time while `sort_aggregate` keeps it.
+        let keys = [1, u32::MAX, 1, u32::MAX];
+        let values = [1.0, 10.0, 2.0, 20.0];
+        let cfg = GroupByConfig {
+            depth: 1,
+            groups_hint: 4,
+            ..Default::default()
+        };
+        partition_and_aggregate(&SumAgg::<f64>::new(), &keys, &values, &cfg);
     }
 }

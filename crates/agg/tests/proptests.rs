@@ -6,8 +6,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rfa_agg::{
-    hash_aggregate, hash_aggregate_batched, partition_and_aggregate, partition_serial,
-    sort_aggregate, AggHashTable, GroupByConfig, HashKind, ReproAgg, SumAgg,
+    hash_aggregate, partition_and_aggregate, partition_serial, sort_aggregate, AggHashTable,
+    GroupByConfig, HashKind, ReproAgg, SumAgg,
 };
 use rfa_core::cpu::{self, SimdLevel};
 use std::sync::Mutex;
@@ -238,101 +238,59 @@ proptest! {
     }
 
     #[test]
-    fn batched_probe_matches_scalar_bitwise_f64(
-        (keys, values) in pairs(1200, 300),
-        batch in 1usize..200,
-        hint in 0usize..64,
-    ) {
-        // Any batch size and any capacity hint (growth straddles batch
-        // boundaries) must reproduce the scalar probe loop bit-for-bit —
-        // for repro states by reproducibility, for plain doubles because
-        // the batched probe preserves per-key update order exactly.
-        let f = ReproAgg::<f64, 2>::new();
-        let scalar = hash_aggregate(&f, &keys, &values, HashKind::Identity, hint);
-        let batched = hash_aggregate_batched(&f, &keys, &values, HashKind::Identity, hint, batch);
-        prop_assert_eq!(scalar.len(), batched.len());
-        for (a, b) in scalar.iter().zip(batched.iter()) {
-            prop_assert_eq!(a.0, b.0);
-            prop_assert_eq!(a.1.to_bits(), b.1.to_bits(), "batch {} group {}", batch, a.0);
-        }
-        let f = SumAgg::<f64>::new();
-        let scalar = hash_aggregate(&f, &keys, &values, HashKind::Multiplicative, hint);
-        let batched =
-            hash_aggregate_batched(&f, &keys, &values, HashKind::Multiplicative, hint, batch);
-        prop_assert_eq!(scalar.len(), batched.len());
-        for (a, b) in scalar.iter().zip(batched.iter()) {
-            prop_assert_eq!(a.1.to_bits(), b.1.to_bits(), "plain batch {} group {}", batch, a.0);
-        }
-    }
-
-    #[test]
-    fn batched_probe_matches_scalar_bitwise_f32(
-        (keys, values64) in pairs(900, 100),
-        batch in 1usize..150,
-    ) {
-        let values: Vec<f32> = values64.iter().map(|&v| v as f32).collect();
-        let f = ReproAgg::<f32, 2>::new();
-        let scalar = hash_aggregate(&f, &keys, &values, HashKind::Identity, 100);
-        let batched = hash_aggregate_batched(&f, &keys, &values, HashKind::Identity, 100, batch);
-        prop_assert_eq!(scalar.len(), batched.len());
-        for (a, b) in scalar.iter().zip(batched.iter()) {
-            prop_assert_eq!(a.0, b.0);
-            prop_assert_eq!(a.1.to_bits(), b.1.to_bits(), "batch {} group {}", batch, a.0);
-        }
-    }
-
-    #[test]
-    fn probe_batch_is_dispatch_level_independent(
+    fn probe_gids_is_dispatch_level_independent(
         (keys, _values) in pairs(1600, 500),
         batch in 1usize..300,
         hint in 0usize..64,
         multiplicative in any::<bool>(),
+        spread in 0u32..3,
     ) {
-        // probe_batch at every forced dispatch level must reproduce the
-        // scalar slot_mut loop exactly: the same first-seen key order,
-        // the same per-row group ids, and the same growth behaviour —
-        // tiny capacity hints against up to 1600 inserts straddle several
-        // doubling boundaries mid-stream. The table maps key → group id
-        // (the engine's GroupKey::Hash shape), so any divergence in probe
-        // order or slot placement surfaces as a gid/order mismatch.
+        // probe_gids at every forced dispatch level must reproduce the
+        // scalar level exactly: the same first-seen key order, the same
+        // per-row group ids, and the same growth behaviour — tiny
+        // capacity hints against up to 1600 inserts straddle several
+        // doubling boundaries mid-stream, and batches repeat keys. An
+        // identity table runs the SIMD kernels, a multiplicative one the
+        // scalar fallback. `spread` turns dense keys (0) into keys that
+        // alias modulo every table size (multiples of 2^16: long collision
+        // chains) or mixes both.
         let hash = if multiplicative { HashKind::Multiplicative } else { HashKind::Identity };
+        let keys: Vec<u32> = match spread {
+            0 => keys,
+            1 => keys.iter().map(|&k| k << 16).collect(),
+            _ => keys.iter().map(|&k| if k % 2 == 0 { k } else { k << 16 }).collect(),
+        };
         const NO_GROUP: u32 = u32::MAX;
-
-        // Scalar reference: one key at a time through slot_mut.
-        let mut rt = AggHashTable::<u32>::with_capacity(hint, hash, &NO_GROUP);
-        let mut ref_order: Vec<u32> = Vec::new();
-        let mut ref_gids: Vec<u32> = Vec::new();
-        for &k in &keys {
-            let slot = rt.slot_mut(k, &NO_GROUP);
-            if *slot == NO_GROUP {
-                *slot = ref_order.len() as u32;
-                ref_order.push(k);
-            }
-            ref_gids.push(*slot);
-        }
-
-        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for level in supported_levels() {
+        let run = |level| {
             cpu::set_override(Some(level));
             let mut t = AggHashTable::<u32>::with_capacity(hint, hash, &NO_GROUP);
             let mut order: Vec<u32> = Vec::new();
             let mut gids: Vec<u32> = Vec::new();
-            let mut slots = Vec::new();
             for chunk in keys.chunks(batch) {
-                t.probe_batch(chunk, &NO_GROUP, &mut slots);
-                for (i, &s) in slots.iter().enumerate() {
-                    let gid = t.state_mut(s as usize);
-                    if *gid == NO_GROUP {
-                        *gid = order.len() as u32;
-                        order.push(chunk[i]);
-                    }
-                    gids.push(*gid);
-                }
+                t.probe_gids(chunk, &mut gids, |k| {
+                    order.push(k);
+                    (order.len() - 1) as u32
+                });
             }
             cpu::set_override(None);
+            (order, gids, t.len())
+        };
+
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let (ref_order, ref_gids, ref_len) = run(SimdLevel::Scalar);
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(ref_len, distinct.len());
+        prop_assert_eq!(ref_gids.len(), keys.len());
+        for (&k, &g) in keys.iter().zip(&ref_gids) {
+            prop_assert_eq!(ref_order[g as usize], k);
+        }
+        for level in supported_levels() {
+            let (order, gids, len) = run(level);
             prop_assert_eq!(&order, &ref_order, "first-seen order at {}", level);
             prop_assert_eq!(&gids, &ref_gids, "group ids at {}", level);
-            prop_assert_eq!(t.len(), rt.len(), "distinct keys at {}", level);
+            prop_assert_eq!(len, ref_len, "distinct keys at {}", level);
         }
     }
 
@@ -340,22 +298,25 @@ proptest! {
     fn upsert_batch_sums_are_level_independent_bitwise(
         (keys, values) in pairs(1000, 120),
         batch in 1usize..200,
+        hint in 0usize..64,
     ) {
-        // End-to-end through the aggregation driver: plain f64 sums are
-        // order-sensitive, so bit-equality across forced levels proves
-        // the SIMD probe preserves per-key update order exactly.
+        // upsert_batch, the ledger's batched probe, against hash_aggregate
+        // at every forced dispatch level: plain f64 sums are
+        // order-sensitive, so bit-equality proves per-key update order is
+        // input order for any batch size, with growth straddling batches.
         let f = SumAgg::<f64>::new();
         let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let mut per_level = Vec::new();
         for level in supported_levels() {
             cpu::set_override(Some(level));
-            let out =
-                hash_aggregate_batched(&f, &keys, &values, HashKind::Multiplicative, 16, batch);
+            let reference = hash_aggregate(&f, &keys, &values, HashKind::Identity, hint);
+            let mut t = AggHashTable::with_capacity(hint, HashKind::Identity, &0.0f64);
+            let mut slots = Vec::new();
+            for (kc, vc) in keys.chunks(batch).zip(values.chunks(batch)) {
+                t.upsert_batch(kc, &0.0, &mut slots, |s, i| *s += vc[i]);
+            }
             cpu::set_override(None);
-            per_level.push((level, out));
-        }
-        let (_, reference) = &per_level[0];
-        for (level, out) in &per_level[1..] {
+            let mut out: Vec<(u32, f64)> = t.drain().collect();
+            out.sort_unstable_by_key(|&(k, _)| k);
             prop_assert_eq!(reference.len(), out.len());
             for (a, b) in reference.iter().zip(out.iter()) {
                 prop_assert_eq!(a.0, b.0, "key order at {}", level);

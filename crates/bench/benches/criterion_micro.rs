@@ -6,9 +6,7 @@
 //! rigorous single-primitive measurements (useful when tuning the kernel).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rfa_agg::{
-    hash_aggregate, hash_aggregate_batched, partition_serial, HashKind, ReproAgg, SumAgg,
-};
+use rfa_agg::{hash_aggregate, partition_serial, HashKind, ReproAgg, SumAgg};
 use rfa_core::{simd, ReproSum};
 use rfa_workloads::{GroupedPairs, ValueDist};
 use std::hint::black_box;
@@ -165,20 +163,6 @@ fn bench_fused_scan(c: &mut Criterion) {
         })
     });
 
-    // Batched vs scalar hash-table probe on repro states.
-    let w = GroupedPairs::generate(N, 1024, ValueDist::Uniform01, 24);
-    g.bench_function("hash_agg_batched_repro_f64_L2", |b| {
-        b.iter(|| {
-            black_box(hash_aggregate_batched(
-                &ReproAgg::<f64, 2>::new(),
-                &w.keys,
-                &w.values,
-                HashKind::Identity,
-                1024,
-                4096,
-            ))
-        })
-    });
     g.finish();
 }
 
@@ -312,80 +296,6 @@ fn dispatch_levels() -> Vec<(&'static str, rfa_core::cpu::SimdLevel)> {
     levels
 }
 
-/// Batched hash-table probe (`AggHashTable::probe_batch`) under three key
-/// mixes — hit-heavy (every key resident at its home slot, the SIMD
-/// gather+compare bulk path), collision-chained (identity-aliased keys that
-/// all share home slot 0, forcing the scalar chain drain), and miss-heavy
-/// (all-new keys on a fresh table, pure scalar insertion) — per dispatch
-/// level. All levels are bit-identical (proptested); the thrpt columns read
-/// directly as the probe-kernel dispatch win per mix.
-fn bench_hash_probe(c: &mut Criterion) {
-    use rfa_agg::AggHashTable;
-    use rfa_core::cpu;
-
-    const GROUPS: usize = 1 << 12;
-    const BATCH: usize = 4096;
-    let levels = dispatch_levels();
-
-    // Hit-heavy: GROUPS distinct keys cycled over N probes; after the first
-    // pass every probe finds its key already resident.
-    let hit_keys: Vec<u32> = (0..N as u32).map(|i| i % GROUPS as u32).collect();
-    // Collision mix: 64 keys striding by 2^26 alias home slot 0 under
-    // identity hashing for any table below 2^26 slots, so every probe walks
-    // a linear chain and the gather+compare classifies it as a miss.
-    let coll_keys: Vec<u32> = (0..N as u32).map(|i| (i % 64) << 26).collect();
-    // Miss-heavy: N distinct keys probed once each against a fresh table.
-    let miss_keys: Vec<u32> = (0..N as u32).collect();
-
-    let mut g = c.benchmark_group("hash_probe");
-    g.throughput(Throughput::Elements(N as u64));
-    for &(name, level) in &levels {
-        cpu::set_override(Some(level));
-
-        g.bench_function(format!("hit_heavy_{name}"), |b| {
-            let mut t = AggHashTable::with_capacity(GROUPS, HashKind::Identity, &0u32);
-            let mut slots: Vec<u32> = Vec::new();
-            t.probe_batch(&hit_keys, &0u32, &mut slots); // make all keys resident
-            b.iter(|| {
-                for chunk in hit_keys.chunks(BATCH) {
-                    t.probe_batch(chunk, &0u32, &mut slots);
-                    black_box(&slots);
-                }
-            })
-        });
-
-        g.bench_function(format!("collision_chain_{name}"), |b| {
-            let mut t = AggHashTable::with_capacity(GROUPS, HashKind::Identity, &0u32);
-            let mut slots: Vec<u32> = Vec::new();
-            t.probe_batch(&coll_keys, &0u32, &mut slots);
-            b.iter(|| {
-                for chunk in coll_keys.chunks(BATCH) {
-                    t.probe_batch(chunk, &0u32, &mut slots);
-                    black_box(&slots);
-                }
-            })
-        });
-
-        // Fresh table per iteration (the vendored criterion has no
-        // iter_batched); construction cost is shared by every level, so
-        // the ratio between levels still isolates the probe path.
-        g.bench_function(format!("miss_heavy_{name}"), |b| {
-            let mut slots: Vec<u32> = Vec::new();
-            b.iter(|| {
-                let mut t = AggHashTable::with_capacity(N, HashKind::Multiplicative, &0u32);
-                for chunk in miss_keys.chunks(BATCH) {
-                    t.probe_batch(chunk, &0u32, &mut slots);
-                    black_box(&slots);
-                }
-                black_box(t.len())
-            })
-        });
-
-        cpu::set_override(None);
-    }
-    g.finish();
-}
-
 /// The grouped SUM operator (`sum_grouped`, dense random group ids) per
 /// backend across group counts — the paper's Fig. 7/10 axis, and the run
 /// that fixes `rfa_engine::MIN_SEG`: `ReproBuffered` partitions a batch
@@ -505,10 +415,7 @@ fn bench_gid_assign(c: &mut Criterion) {
         a: a.into(),
         b: b.into(),
     };
-    let by = |col: &str| GroupKey::Hash {
-        col: col.into(),
-        hash: HashKind::Identity,
-    };
+    let by = |col: &str| GroupKey::Hash { col: col.into() };
     let shapes = [
         ("pair_plain", pair("a", "b")),
         ("pair_dict_rle", pair("a_dict", "b_rle")),
@@ -705,7 +612,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_summation, bench_operators, bench_parallel, bench_fused_scan, bench_simd, bench_hash_probe,
+    targets = bench_summation, bench_operators, bench_parallel, bench_fused_scan, bench_simd,
         bench_grouped_deposit, bench_grouped_query, bench_gid_assign, bench_projection, bench_filter
 }
 criterion_main!(benches);

@@ -214,12 +214,12 @@ pub enum GroupKey {
     None,
     /// Grouping on an `I32`, `U32` or `U8` key column, group ids in
     /// first-seen order. 32-bit key values go through a per-range
-    /// [`AggHashTable`] under `hash`; a `U8` column and the codes of a
-    /// dictionary-encoded one index a direct-mapped table, which `hash`
-    /// does not reach. The key value `u32::MAX` (`-1_i32`) is reserved;
-    /// a selected row carrying it surfaces as
+    /// [`AggHashTable`] with the paper's identity hashing (§VI-A); a `U8`
+    /// column and the codes of a dictionary-encoded one index a
+    /// direct-mapped table. The key value `u32::MAX` (`-1_i32`) is
+    /// reserved; a selected row carrying it surfaces as
     /// [`PlanError::ReservedKey`].
-    Hash { col: ColRef, hash: HashKind },
+    Hash { col: ColRef },
     /// Grouping on a pair of `U8` columns packed into one `u32` key
     /// (`(a << 8) | b`), first-seen ids — Q1's flag / status pair, the SQL
     /// `GROUP BY a, b` shape over byte columns. The pair indexes a
@@ -947,8 +947,8 @@ enum MapKind {
     /// domain: 256 for a byte or a `u8` code, 65 536 for a byte pair or a
     /// `u16` code.
     Direct(usize),
-    /// An [`AggHashTable`], for 32-bit key values.
-    Hash(HashKind),
+    /// An identity-hashed [`AggHashTable`], for 32-bit key values.
+    Hash,
 }
 
 impl<'t> GroupBind<'t> {
@@ -989,11 +989,10 @@ impl<'t> GroupBind<'t> {
                 dict: None,
                 signed: false,
             },
-            GroupKey::Hash { col, hash } => {
-                let hashed = MapKind::Hash(*hash);
+            GroupKey::Hash { col } => {
                 let (key_col, map, dict, signed) = match table.column(col.as_str())? {
-                    Column::I32(v) => (KeyCol::I32(v), hashed, None, true),
-                    Column::U32(v) => (KeyCol::U32(v), hashed, None, false),
+                    Column::I32(v) => (KeyCol::I32(v), MapKind::Hash, None, true),
+                    Column::U32(v) => (KeyCol::U32(v), MapKind::Hash, None, false),
                     Column::U8(v) => (KeyCol::Legs(Leg::U8(v), None), byte, None, false),
                     Column::Dict { codes, dict } => {
                         let (keys, signed) = inner_keys(col, dict)?;
@@ -1010,7 +1009,7 @@ impl<'t> GroupBind<'t> {
                         let map = if matches!(**values, Column::U8(_)) {
                             byte
                         } else {
-                            hashed
+                            MapKind::Hash
                         };
                         (KeyCol::Rle { run_ends, keys }, map, None, signed)
                     }
@@ -1098,9 +1097,9 @@ impl Groups {
     fn new(bind: &GroupBind<'_>, rows: usize) -> Self {
         let map = match bind.map {
             MapKind::Direct(slots) => GidMap::Direct(vec![NO_GROUP; slots]),
-            MapKind::Hash(hash) => GidMap::Hash(AggHashTable::with_capacity(
+            MapKind::Hash => GidMap::Hash(AggHashTable::with_capacity(
                 (rows / 4).clamp(64, 1 << 16),
-                hash,
+                HashKind::Identity,
                 &NO_GROUP,
             )),
         };
@@ -1779,10 +1778,7 @@ mod tests {
             sums: vec![Expr::col("x").mul(Expr::col("y"))],
             mins: vec![Expr::col("x")],
             maxs: vec![Expr::col("x")],
-            group_by: GroupKey::Hash {
-                col: "k".into(),
-                hash: HashKind::Identity,
-            },
+            group_by: GroupKey::Hash { col: "k".into() },
         };
         // Dense reference: key is its own dense id (domain 0..31).
         let k = table.column("k").unwrap().as_i32().to_vec();
@@ -1844,10 +1840,7 @@ mod tests {
             sums: vec![Expr::col("x")],
             mins: vec![],
             maxs: vec![],
-            group_by: GroupKey::Hash {
-                col: "k".into(),
-                hash: HashKind::Multiplicative,
-            },
+            group_by: GroupKey::Hash { col: "k".into() },
         };
         let serial = run_fused(
             &table,
@@ -1986,10 +1979,7 @@ mod tests {
             sums: vec![Expr::col("x")],
             mins: vec![],
             maxs: vec![],
-            group_by: GroupKey::Hash {
-                col: "k".into(),
-                hash: HashKind::Identity,
-            },
+            group_by: GroupKey::Hash { col: "k".into() },
         };
         let run = run_fused(
             &table,
@@ -2033,10 +2023,7 @@ mod tests {
             sums: vec![Expr::col("x")],
             mins: vec![],
             maxs: vec![],
-            group_by: GroupKey::Hash {
-                col: "k".into(),
-                hash: HashKind::Identity,
-            },
+            group_by: GroupKey::Hash { col: "k".into() },
         };
         for opts in [
             ExecOptions::serial(),
@@ -2388,10 +2375,7 @@ mod tests {
                 sums: vec![Expr::col("x")],
                 mins: vec![],
                 maxs: vec![],
-                group_by: GroupKey::Hash {
-                    col: "k".into(),
-                    hash: HashKind::Identity,
-                },
+                group_by: GroupKey::Hash { col: "k".into() },
             },
         ];
         for (q, query) in queries.iter().enumerate() {
@@ -2486,10 +2470,7 @@ mod tests {
         };
         let queries = [
             bare_aggs(GroupKey::None),
-            bare_aggs(GroupKey::Hash {
-                col: "k".into(),
-                hash: HashKind::Identity,
-            }),
+            bare_aggs(GroupKey::Hash { col: "k".into() }),
             bare_aggs(pair("ga", "gb")),
         ];
         for (q, query) in queries.iter().enumerate() {
@@ -2576,10 +2557,7 @@ mod tests {
                 sums: vec![Expr::col("x")],
                 mins: vec![Expr::col("x")],
                 maxs: vec![Expr::col("x")],
-                group_by: GroupKey::Hash {
-                    col: "k".into(),
-                    hash: HashKind::Multiplicative,
-                },
+                group_by: GroupKey::Hash { col: "k".into() },
             },
             FusedQuery {
                 filter: vec![],
@@ -2632,10 +2610,7 @@ mod tests {
             sums: vec![Expr::col("vw")],
             mins: vec![Expr::col("vw")],
             maxs: vec![Expr::col("vw")],
-            group_by: GroupKey::Hash {
-                col: "k".into(),
-                hash: HashKind::Identity,
-            },
+            group_by: GroupKey::Hash { col: "k".into() },
         };
         for threads in [1usize, 4] {
             let opts = ExecOptions {
@@ -2819,13 +2794,7 @@ mod tests {
             ),
         ];
         for (f, (filter, keep)) in filters.into_iter().enumerate() {
-            for group_by in [
-                GroupKey::None,
-                GroupKey::Hash {
-                    col: "k".into(),
-                    hash: HashKind::Identity,
-                },
-            ] {
+            for group_by in [GroupKey::None, GroupKey::Hash { col: "k".into() }] {
                 let query = FusedQuery {
                     filter: filter.clone(),
                     sums: vec![Expr::col("x"), Expr::col("d")],
@@ -3066,10 +3035,7 @@ mod tests {
             [
                 GroupKey::None,
                 sample_query().group_by,
-                GroupKey::Hash {
-                    col: "k".into(),
-                    hash: HashKind::Identity,
-                },
+                GroupKey::Hash { col: "k".into() },
             ]
         };
         for filter in filters {

@@ -60,7 +60,6 @@ use crate::column::{ColRef, Table, TableError};
 use crate::expr::{BoolExpr, Expr};
 use crate::fused::{check_query, run_fused, ExecOptions, FusedQuery, GroupKey, PhaseTiming};
 use crate::sum_op::{OverflowError, SumBackend};
-use rfa_agg::HashKind;
 use std::fmt;
 use std::time::Instant;
 
@@ -269,22 +268,10 @@ impl QueryPlan {
     }
 
     /// Groups by an arbitrary-cardinality `I32`/`U32`/`U8` key column
-    /// through the hash arm, with the paper's identity hashing (the right
-    /// default for domain-encoded dense-ish keys; see [`HashKind`]).
+    /// through the hash arm, with the paper's identity hashing (§VI-A:
+    /// domain-encoded keys are dense).
     pub fn group_by_key(self, col: impl Into<ColRef>) -> Self {
-        self.group_by(GroupKey::Hash {
-            col: col.into(),
-            hash: HashKind::Identity,
-        })
-    }
-
-    /// [`QueryPlan::group_by_key`] with an explicit hash function (use
-    /// [`HashKind::Multiplicative`] for adversarially clustered keys).
-    pub fn group_by_key_with(self, col: impl Into<ColRef>, hash: HashKind) -> Self {
-        self.group_by(GroupKey::Hash {
-            col: col.into(),
-            hash,
-        })
+        self.group_by(GroupKey::Hash { col: col.into() })
     }
 
     /// Groups by a pair of `U8` columns packed into one key as
@@ -777,9 +764,7 @@ mod tests {
             .unwrap();
         t.add_column("v", Column::f64(vec![1.0, 2.0, 3.0, 4.0, 5.0]))
             .unwrap();
-        let plan = QueryPlan::scan("t")
-            .group_by_key_with("k", HashKind::Multiplicative)
-            .sum(Expr::col("v"));
+        let plan = QueryPlan::scan("t").group_by_key("k").sum(Expr::col("v"));
         let r = plan
             .execute(&t, SumBackend::ReproUnbuffered, &ExecOptions::serial())
             .unwrap();

@@ -22,7 +22,6 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
     run_fused, BoolExpr, CmpOp, Column, ExecOptions, Expr, FusedQuery, GroupKey, SumBackend, Table,
@@ -217,7 +216,7 @@ proptest! {
                 sums: vec![Expr::col("v")],
                 mins: vec![],
                 maxs: vec![],
-                group_by: GroupKey::Hash { col: "rid".into(), hash: HashKind::Identity },
+                group_by: GroupKey::Hash { col: "rid".into() },
             };
             let total = FusedQuery {
                 filter: filter.clone(),

@@ -20,7 +20,6 @@ mod support;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rfa_agg::HashKind;
 use rfa_engine::{
     lineitem_table, q1_plan, q6_plan, run_fused, sum_grouped, Column, ExecOptions, Expr,
     FusedQuery, GroupKey, GroupedSums, OverflowError, PlanError, PlanResult, SumBackend, Table,
@@ -334,10 +333,7 @@ fn sorted_double_overflows_like_a_check_after_every_addition() {
         t.add_column("v", Column::f64(v.clone())).unwrap();
         t.add_column("vr", Column::f64(v.clone()).rle_encode().unwrap())
             .unwrap();
-        let keyed = GroupKey::Hash {
-            col: "g".into(),
-            hash: HashKind::Identity,
-        };
+        let keyed = GroupKey::Hash { col: "g".into() };
         for col in ["v", "vr"] {
             for group_by in [GroupKey::None, keyed.clone()] {
                 let q = FusedQuery {
@@ -388,14 +384,8 @@ fn double_overflows_like_a_check_after_every_addition() {
     // segment and mid-way through an 8-row run.
     let n = 3 * 4096;
     let g: Vec<i32> = (0..n).map(|i| i / 8 % 2).collect();
-    let keys = GroupKey::Hash {
-        col: "g".into(),
-        hash: HashKind::Identity,
-    };
-    let run_keys = GroupKey::Hash {
-        col: "gr".into(),
-        hash: HashKind::Identity,
-    };
+    let keys = GroupKey::Hash { col: "g".into() };
+    let run_keys = GroupKey::Hash { col: "gr".into() };
     let partitions = |batch_rows: usize| 2 * DOUBLE_MIN_SEG <= batch_rows;
     assert!(partitions(4096) && !partitions(1024));
     let cases = [

@@ -18,7 +18,6 @@ mod support;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
     lineitem_table, q1_plan, q1_sql, run_fused, sql_query, BoolExpr, Column, ExecOptions, Expr,
@@ -282,13 +281,13 @@ proptest! {
             .collect();
         let table = key_table(&rows, [enc.0, enc.1, enc.2]);
         let filter = filter(filter_kind, cut);
-        let by_col = |col: &str, hash| GroupKey::Hash { col: col.into(), hash };
+        let by_col = |col: &str| GroupKey::Hash { col: col.into() };
         for backend in BACKENDS {
             cpu::set_override(Some(SimdLevel::Scalar));
             let want = run(
                 &table,
                 &filter,
-                by_col("k", HashKind::Identity),
+                by_col("k"),
                 pair_indices,
                 backend,
                 &ExecOptions::serial(),
@@ -298,7 +297,7 @@ proptest! {
             prop_assert!(selected as usize <= rows.len());
             each_level(|level| {
                 for opts in shapes() {
-                    let forms: [(&str, GroupKey, KeyIndices); 5] = [
+                    let forms: [(&str, GroupKey, KeyIndices); 4] = [
                         (
                             "pair",
                             GroupKey::HashPair {
@@ -307,10 +306,9 @@ proptest! {
                             },
                             pair_indices,
                         ),
-                        ("byte", by_col("ab", HashKind::Identity), nibble_indices),
-                        ("i32 plain", by_col("k", HashKind::Multiplicative), pair_indices),
-                        ("i32 encoded", by_col("kd", HashKind::Identity), pair_indices),
-                        ("i32 plain again", by_col("k", HashKind::Identity), pair_indices),
+                        ("byte", by_col("ab"), nibble_indices),
+                        ("i32 plain", by_col("k"), pair_indices),
+                        ("i32 encoded", by_col("kd"), pair_indices),
                     ];
                     for (form, group_by, indices) in forms {
                         let got = run(&table, &filter, group_by, indices, backend, &opts);
@@ -438,10 +436,7 @@ fn reserved_key_in_a_dictionary_needs_a_selected_row() {
         sums: vec![Expr::col("v")],
         mins: vec![],
         maxs: vec![],
-        group_by: GroupKey::Hash {
-            col: "k".into(),
-            hash: HashKind::Identity,
-        },
+        group_by: GroupKey::Hash { col: "k".into() },
     };
     let reserved = PlanError::ReservedKey { col: "k".into() };
     let (offending, clean) = (table(with_offender), table(without));

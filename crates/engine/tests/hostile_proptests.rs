@@ -18,7 +18,6 @@
 //!   (`ReservedKey`), at every thread count alike.
 
 use proptest::prelude::*;
-use rfa_agg::HashKind;
 use rfa_engine::expr::NUMERIC_EXPECTED;
 use rfa_engine::{
     run_fused, AggCall, AggColumn, BoolExpr, Column, ExecOptions, Expr, FusedQuery, GroupKey,
@@ -226,13 +225,12 @@ proptest! {
         let sums: Vec<_> = (0..rng.below(3)).map(|_| input(&mut rng)).collect();
         let mins: Vec<_> = (0..rng.below(2)).map(|_| input(&mut rng)).collect();
         let maxs: Vec<_> = (0..rng.below(2)).map(|_| input(&mut rng)).collect();
-        let hash = [HashKind::Identity, HashKind::Multiplicative][rng.below(2)];
         let (group_by, key_error) = match rng.below(3) {
             0 => (GroupKey::None, None),
             1 => {
                 let col = key_name(&mut rng);
                 let error = bad_key(col, "I32, U32 or U8", &["I32", "U32", "U8"]);
-                (GroupKey::Hash { col: col.into(), hash }, error)
+                (GroupKey::Hash { col: col.into() }, error)
             }
             _ => {
                 let (a, b) = (key_name(&mut rng), key_name(&mut rng));

@@ -13,7 +13,6 @@ mod support;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rfa_agg::HashKind;
 use rfa_engine::plan::QueryPlan;
 use rfa_engine::{
     lineitem_table, q1_plan, q6_plan, sql_query, AggColumn, Column, ExecOptions, Expr, GroupKey,
@@ -229,20 +228,8 @@ fn empty_table_and_empty_groups_answer_alike_on_every_path() {
             },
             "a, b",
         ),
-        (
-            GroupKey::Hash {
-                col: "k".into(),
-                hash: HashKind::Identity,
-            },
-            "k",
-        ),
-        (
-            GroupKey::Hash {
-                col: "kr".into(),
-                hash: HashKind::Identity,
-            },
-            "kr",
-        ),
+        (GroupKey::Hash { col: "k".into() }, "k"),
+        (GroupKey::Hash { col: "kr".into() }, "kr"),
     ];
     let inputs = [
         (table(0), None),

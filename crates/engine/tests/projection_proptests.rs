@@ -19,7 +19,6 @@
 //! RLE inputs, read as a range, as a covering range and as a gather.
 
 use proptest::prelude::*;
-use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
     run_fused, Column, CompiledExpr, EvalScratch, ExecOptions, Expr, FusedQuery, FusedRun,
@@ -266,13 +265,7 @@ fn group_keys() -> Vec<(&'static str, GroupKey)> {
                 b: "b".into(),
             },
         ),
-        (
-            "hash",
-            GroupKey::Hash {
-                col: "k".into(),
-                hash: HashKind::Multiplicative,
-            },
-        ),
+        ("hash", GroupKey::Hash { col: "k".into() }),
     ]
 }
 

@@ -14,7 +14,6 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rfa_agg::HashKind;
 use rfa_engine::{
     run_fused, BoolExpr, Column, ExecOptions, Expr, FusedQuery, FusedRun, GroupKey, SumBackend,
     Table,
@@ -199,7 +198,7 @@ proptest! {
             let empty = case.name == "d in [lo, hi)" && lo == hi;
             for group_by in [
                 GroupKey::None,
-                GroupKey::Hash { col: "k".into(), hash: HashKind::Multiplicative },
+                GroupKey::Hash { col: "k".into() },
             ] {
                 let grouped = !matches!(group_by, GroupKey::None);
                 let query = FusedQuery {

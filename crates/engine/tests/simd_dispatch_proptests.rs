@@ -12,7 +12,6 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rfa_agg::HashKind;
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_engine::{
     lineitem_table, q15_plan, q1_plan, q6_plan, AggColumn, BoolExpr, Column, EvalScratch,
@@ -162,12 +161,11 @@ fn plan_bits(
 fn hash_group_bits(
     t: &Table,
     key_col: &str,
-    hash: HashKind,
     backend: SumBackend,
     opts: &ExecOptions,
 ) -> (Vec<i64>, Vec<Vec<u64>>) {
     let plan = QueryPlan::scan("t")
-        .group_by_key_with(key_col, hash)
+        .group_by_key(key_col)
         .sum(Expr::col("v"))
         .count();
     plan_bits(&plan, t, backend, opts)
@@ -256,7 +254,7 @@ proptest! {
     /// The SIMD batched probe behind 32-bit keys (`GroupKey::Hash` over an
     /// `I32` column): every key distribution the probe kernels
     /// specialize for — run-clustered (home-slot hits in bulk), uniform
-    /// random, and hash-hostile strides under both hash kinds — produces
+    /// random, and hash-hostile strides (long collision chains) — produces
     /// bit-identical group keys, sums and counts at every dispatch
     /// level, backend and thread shape. The Double
     /// backend's sums are order-sensitive, so this also proves per-row
@@ -281,11 +279,9 @@ proptest! {
         let mut t = Table::new("t");
         t.add_column("k", Column::i32(keys)).unwrap();
         t.add_column("v", Column::f64(values)).unwrap();
-        for hash in [HashKind::Identity, HashKind::Multiplicative] {
-            for backend in [SumBackend::Double, SumBackend::ReproBuffered { buffer_size: 64 }] {
-                for opts in shapes() {
-                    both_levels(|| hash_group_bits(&t, "k", hash, backend, &opts));
-                }
+        for backend in [SumBackend::Double, SumBackend::ReproBuffered { buffer_size: 64 }] {
+            for opts in shapes() {
+                both_levels(|| hash_group_bits(&t, "k", backend, &opts));
             }
         }
     }
