@@ -246,9 +246,9 @@ proptest! {
         spread in 0u32..3,
     ) {
         // probe_gids at every forced dispatch level must reproduce the
-        // scalar level exactly: the same first-seen key order, the same
-        // per-row group ids, and the same growth behaviour — tiny
-        // capacity hints against up to 1600 inserts straddle several
+        // scalar slot_mut loop exactly: the same first-seen key order,
+        // the same per-row group ids, and the same growth behaviour —
+        // tiny capacity hints against up to 1600 inserts straddle several
         // doubling boundaries mid-stream, and batches repeat keys. An
         // identity table runs the SIMD kernels, a multiplicative one the
         // scalar fallback. `spread` turns dense keys (0) into keys that
@@ -261,7 +261,22 @@ proptest! {
             _ => keys.iter().map(|&k| if k % 2 == 0 { k } else { k << 16 }).collect(),
         };
         const NO_GROUP: u32 = u32::MAX;
-        let run = |level| {
+
+        // Scalar reference: one key at a time through slot_mut.
+        let mut rt = AggHashTable::<u32>::with_capacity(hint, hash, &NO_GROUP);
+        let mut ref_order: Vec<u32> = Vec::new();
+        let mut ref_gids: Vec<u32> = Vec::new();
+        for &k in &keys {
+            let slot = rt.slot_mut(k, &NO_GROUP);
+            if *slot == NO_GROUP {
+                *slot = ref_order.len() as u32;
+                ref_order.push(k);
+            }
+            ref_gids.push(*slot);
+        }
+
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for level in supported_levels() {
             cpu::set_override(Some(level));
             let mut t = AggHashTable::<u32>::with_capacity(hint, hash, &NO_GROUP);
             let mut order: Vec<u32> = Vec::new();
@@ -273,24 +288,9 @@ proptest! {
                 });
             }
             cpu::set_override(None);
-            (order, gids, t.len())
-        };
-
-        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let (ref_order, ref_gids, ref_len) = run(SimdLevel::Scalar);
-        let mut distinct = keys.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        prop_assert_eq!(ref_len, distinct.len());
-        prop_assert_eq!(ref_gids.len(), keys.len());
-        for (&k, &g) in keys.iter().zip(&ref_gids) {
-            prop_assert_eq!(ref_order[g as usize], k);
-        }
-        for level in supported_levels() {
-            let (order, gids, len) = run(level);
             prop_assert_eq!(&order, &ref_order, "first-seen order at {}", level);
             prop_assert_eq!(&gids, &ref_gids, "group ids at {}", level);
-            prop_assert_eq!(len, ref_len, "distinct keys at {}", level);
+            prop_assert_eq!(t.len(), rt.len(), "distinct keys at {}", level);
         }
     }
 
