@@ -301,8 +301,9 @@ fn dispatch_levels() -> Vec<(&'static str, rfa_core::cpu::SimdLevel)> {
 /// that fixes `rfa_engine::MIN_SEG`: `ReproBuffered` partitions a batch
 /// while `groups · MIN_SEG ≤ 4096` and deposits per row (exactly what
 /// `ReproUnbuffered` does everywhere) above, so the constant belongs where
-/// a partitioned batch stops beating the unbuffered arm. EXPERIMENTS.md
-/// records the table.
+/// a partitioned batch stops beating the unbuffered arm. Unbuffered legs
+/// at 2^2 and 2^14 groups over inputs that need 2, 3 and 4 cascade levels
+/// show the per-row loop's level count. EXPERIMENTS.md records the table.
 fn bench_grouped_deposit(c: &mut Criterion) {
     use rfa_engine::{sum_grouped, SumBackend};
 
@@ -322,6 +323,29 @@ fn bench_grouped_deposit(c: &mut Criterion) {
         ] {
             g.bench_function(format!("{name}_g2^{shift}"), |b| {
                 b.iter(|| black_box(sum_grouped(backend, &w.keys, &w.values, groups)))
+            });
+        }
+    }
+    // Unbuffered per-row deposits at the cascade depth the data needs
+    // (DESIGN.md S3, per-row deposits): values in [1, 2) need 2 of the 4
+    // levels; one row in 64 scaled by 2^-30 makes every 4096-row batch
+    // need 3, by 2^-70 all 4.
+    for shift in [2, 14] {
+        let groups = 1usize << shift;
+        let w = GroupedPairs::generate(ROWS, groups as u32, ValueDist::Uniform12, 24);
+        for (levels, scale) in [(2, 1.0), (3, 2f64.powi(-30)), (4, 2f64.powi(-70))] {
+            let values: Vec<f64> = (w.values.iter().enumerate())
+                .map(|(i, &v)| if i % 64 == 0 { v * scale } else { v })
+                .collect();
+            g.bench_function(format!("repro_unbuffered_{levels}lv_g2^{shift}"), |b| {
+                b.iter(|| {
+                    black_box(sum_grouped(
+                        SumBackend::ReproUnbuffered,
+                        &w.keys,
+                        &values,
+                        groups,
+                    ))
+                })
             });
         }
     }

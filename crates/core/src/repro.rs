@@ -136,21 +136,40 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
     /// Adds one value (Algorithm 2 body).
     #[inline]
     pub fn add(&mut self, b: T) {
+        self.add_levels::<L>(b);
+    }
+
+    /// [`add`](Self::add) with the extraction cascade cut to the first `N`
+    /// levels (all `L` when `N ≥ L`), for a caller that knows how deep its
+    /// values reach: bit-identical to `add` whenever `N` is at least
+    /// [`crate::simd::depth`] of the top rung and `|b|`, because every
+    /// deeper level would receive exactly `+0.0` (DESIGN.md S3). The
+    /// threshold test, the cold path — specials, overflow and promotion,
+    /// which runs all `L` levels — the deposit count and carry propagation
+    /// are `add`'s. A debug build asserts the bound.
+    #[inline]
+    pub fn add_levels<const N: usize>(&mut self, b: T) {
         // NaN/∞ fail this comparison and take the cold path, as do values
         // needing a ladder promotion (Algorithm 2 line 4).
         if b.abs() < self.threshold {
-            self.deposit(b);
+            debug_assert!(
+                b == T::ZERO || N >= crate::simd::depth(self.top as usize, b.abs(), L),
+                "{N} levels cannot hold every bit of a value under rung {}",
+                self.top
+            );
+            self.deposit::<N>(b);
         } else {
             self.add_cold(b);
         }
     }
 
-    /// The extraction cascade (Algorithm 2 lines 8–13). Caller guarantees
-    /// `|b| < threshold` (so `b` is finite and fits the top rung).
+    /// The extraction cascade (Algorithm 2 lines 8–13) over the first `N`
+    /// levels. Caller guarantees `|b| < threshold` (so `b` is finite and
+    /// fits the top rung).
     #[inline]
-    fn deposit(&mut self, b: T) {
+    fn deposit<const N: usize>(&mut self, b: T) {
         let mut r = b;
-        for l in 0..L {
+        for l in 0..N.min(L) {
             // Levels whose rung falls off the bottom of the ladder use the
             // sentinel top extractor: the remainder reaching them is below
             // half its ulp, extracts to zero, and the level stays empty.
@@ -189,7 +208,7 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
         let new_top = T::bin_for(b).expect("checked above") as u32;
         debug_assert!(new_top < self.top);
         self.promote(new_top);
-        self.deposit(b);
+        self.deposit::<L>(b);
     }
 
     /// Shifts the level window up to `new_top` (Algorithm 2 lines 5–7:
@@ -435,7 +454,11 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
         (canon.top, bits, canon.carries)
     }
 
-    pub(crate) fn top_rung(&self) -> u32 {
+    /// The ladder rung level 0 sits on: the index into the format's bin
+    /// ladder ([`crate::float`]), which falls as larger values promote the
+    /// window (the empty accumulator sits on the bottom rung,
+    /// `NUM_BINS − 1`).
+    pub fn top_rung(&self) -> u32 {
         self.top
     }
 

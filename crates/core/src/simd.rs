@@ -155,25 +155,82 @@ pub fn add_slice<T: ReproFloat, const L: usize>(acc: &mut ReproSum<T, L>, values
     add_slice_portable(acc, values);
 }
 
-/// `acc` and `values` as `U`, when `T` is `U` (`ReproFloat` is sealed: `T`
-/// is exactly `f32` or `f64`).
+/// `(max |v|, min non-zero |v|)` over `values`: the block kernel's
+/// validity scan run over the whole slice, at the width [`add_slice`]
+/// would use. The max is NaN when any value is NaN or ±∞, and the min is
+/// `+∞` when no value is non-zero — the same pair at every width. With
+/// [`depth`] it gives the levels a run of per-value deposits needs
+/// ([`ReproSum::add_levels`]).
+pub fn scan<T: ReproFloat>(values: &[T]) -> (T, T) {
+    let (hi, lo) = scan_dispatched(values);
+    let hi = if hi.is_finite() {
+        T::from_f64(hi)
+    } else {
+        T::nan()
+    };
+    (hi, T::from_f64(lo))
+}
+
+/// [`scan`]'s dispatch, as [`add_slice`]'s, widened to `f64` (exactly). A
+/// width's max of a slice holding ±∞ is `+∞` or NaN (`Reg::scan_end`).
+fn scan_dispatched<T: ReproFloat>(values: &[T]) -> (f64, f64) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let level = cpu::active();
+        if level != cpu::SimdLevel::Scalar {
+            if let Some(values) = retype_slice::<T, f64>(values) {
+                // SAFETY: `cpu::active()` reports a level only on a CPU with
+                // its feature.
+                return unsafe {
+                    if level == cpu::SimdLevel::Avx512 {
+                        x86::scan_f64_avx512(values)
+                    } else {
+                        x86::scan_f64_avx2(values)
+                    }
+                };
+            }
+            if let Some(values) = retype_slice::<T, f32>(values) {
+                // SAFETY: as above; every AVX-512F CPU also has AVX2.
+                let (hi, lo) = unsafe { x86::scan_f32_avx2(values) };
+                return (hi.into(), lo.into());
+            }
+        }
+    }
+    // SAFETY: the portable width executes no target-specific instruction.
+    let (hi, lo) = unsafe { magnitudes::<Portable<T>>(values) };
+    (hi.to_f64(), lo.to_f64())
+}
+
+/// `values` as `U`, when `T` is `U` (`ReproFloat` is sealed: `T` is
+/// exactly `f32` or `f64`).
+#[cfg(target_arch = "x86_64")]
+fn retype_slice<T: ReproFloat, U: ReproFloat>(values: &[T]) -> Option<&[U]> {
+    if core::any::TypeId::of::<T>() != core::any::TypeId::of::<U>() {
+        return None;
+    }
+    // SAFETY: `T` and `U` are one type (equal `TypeId`s of `'static`
+    // types), so the cast only renames it: same layout, same lifetime.
+    unsafe {
+        Some(core::slice::from_raw_parts(
+            values.as_ptr().cast::<U>(),
+            values.len(),
+        ))
+    }
+}
+
+/// `acc` and `values` as `U`, when `T` is `U`.
 #[cfg(target_arch = "x86_64")]
 fn retype<'a, T: ReproFloat, U: ReproFloat, const L: usize>(
     acc: &'a mut ReproSum<T, L>,
     values: &'a [T],
 ) -> Option<(&'a mut ReproSum<U, L>, &'a [U])> {
-    if core::any::TypeId::of::<T>() != core::any::TypeId::of::<U>() {
-        return None;
-    }
-    let len = values.len();
-    // SAFETY: `T` and `U` are one type (equal `TypeId`s of `'static`
-    // types), so both casts only rename it: same layout, same lifetime.
-    unsafe {
-        Some((
-            &mut *(acc as *mut ReproSum<T, L>).cast::<ReproSum<U, L>>(),
-            core::slice::from_raw_parts(values.as_ptr().cast::<U>(), len),
-        ))
-    }
+    let values = retype_slice::<T, U>(values)?;
+    // SAFETY: `retype_slice` succeeded, so `T` is `U` and the cast only
+    // renames the type.
+    Some((
+        unsafe { &mut *(acc as *mut ReproSum<T, L>).cast::<ReproSum<U, L>>() },
+        values,
+    ))
 }
 
 /// The portable lane-array kernel (the autovectorized fallback of
@@ -205,16 +262,8 @@ unsafe fn kernel<R: Reg, const L: usize>(acc: &mut ReproSum<R::F, L>, values: &[
     for chunk in values.chunks(R::V * R::F::BLOCK) {
         // Algorithm 3 line 4: one validity check per block; the same pass
         // finds the smallest non-zero magnitude for the level count.
-        let mut scan = R::scan_start();
-        let mut groups = chunk.chunks_exact(R::V);
-        for g in &mut groups {
-            scan = R::scan(scan, R::load(g));
-        }
-        let tail = padded::<R>(groups.remainder());
-        if let Some(tail) = tail {
-            scan = R::scan(scan, tail);
-        }
-        let (hi, lo) = R::scan_end(scan);
+        let (hi, lo) = magnitudes::<R>(chunk);
+        let tail = padded::<R>(chunk.chunks_exact(R::V).remainder());
 
         // Specials or overflow-magnitude values take the scalar cold path
         // per value. Every state update being exact, interleaving it with
@@ -263,12 +312,32 @@ unsafe fn kernel<R: Reg, const L: usize>(acc: &mut ReproSum<R::F, L>, values: &[
     acc.propagate_carries();
 }
 
-/// The levels a chunk's cascade runs under rung `top` when its smallest
-/// non-zero magnitude is `lo` (`+∞`: none): `1 + ⌈(e(top) − max(E_min,
-/// e_bottom)) / W⌉`, at most `levels`. Level `N − 1`'s grid is then no
-/// coarser than the lowest bit a chunk value can carry, so every deeper
-/// level would receive exactly `+0.0` (module docs).
-fn depth<T: ReproFloat>(top: usize, lo: T, levels: usize) -> usize {
+/// The validity scan of `values` at width `R` (`Reg::scan_end`'s pair),
+/// the zero-padded last group included.
+///
+/// # Safety
+/// As `kernel`.
+#[inline(always)]
+unsafe fn magnitudes<R: Reg>(values: &[R::F]) -> (R::F, R::F) {
+    let mut scan = R::scan_start();
+    let mut groups = values.chunks_exact(R::V);
+    for g in &mut groups {
+        scan = R::scan(scan, R::load(g));
+    }
+    if let Some(tail) = padded::<R>(groups.remainder()) {
+        scan = R::scan(scan, tail);
+    }
+    R::scan_end(scan)
+}
+
+/// The levels a cascade needs under ladder rung `top` (a
+/// [`ReproSum::top_rung`]) for values whose smallest non-zero magnitude is
+/// `lo` (`+∞`: none, giving `0`): `1 + ⌈(e(top) − max(E_min, e_bottom)) /
+/// W⌉`, at most `levels`. Level `N − 1`'s grid is then no coarser than
+/// the lowest bit such a value can carry, so every deeper level would
+/// receive exactly `+0.0` (module docs). `top` must admit every value:
+/// each lies below its deposit limit.
+pub fn depth<T: ReproFloat>(top: usize, lo: T, levels: usize) -> usize {
     if !lo.is_finite() {
         return 0;
     }
@@ -466,6 +535,33 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn f64_avx512<const L: usize>(acc: &mut ReproSum<f64, L>, values: &[f64]) {
         kernel::<Avx512F64, L>(acc, values)
+    }
+
+    /// [`scan`] for `f64`, four lanes per `__m256d`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn scan_f64_avx2(values: &[f64]) -> (f64, f64) {
+        magnitudes::<Avx2F64>(values)
+    }
+
+    /// [`scan`] for `f32`, eight lanes per `__m256`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn scan_f32_avx2(values: &[f32]) -> (f32, f32) {
+        magnitudes::<Avx2F32>(values)
+    }
+
+    /// [`scan`] for `f64`, eight lanes per `__m512d`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn scan_f64_avx512(values: &[f64]) -> (f64, f64) {
+        magnitudes::<Avx512F64>(values)
     }
 
     #[derive(Clone, Copy)]

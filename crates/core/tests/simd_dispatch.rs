@@ -314,8 +314,34 @@ fn depth_chunks<T: ReproFloat>(len: usize) -> Vec<(String, Vec<T>)> {
     chunks
 }
 
+/// Per-row deposits of `values` into a fresh accumulator at the depth the
+/// engine's per-row loop would pick: [`simd::scan`]'s max sets the rung,
+/// its min the level count ([`simd::depth`]), and every value goes
+/// through [`ReproSum::add_levels`] at that count.
+fn per_row_at_depth<T: ReproFloat, const L: usize>(values: &[T]) -> ReproSum<T, L> {
+    let mut acc = ReproSum::<T, L>::new();
+    let (hi, lo) = simd::scan(values);
+    let bottom = acc.top_rung() as usize;
+    let top = if hi == T::ZERO {
+        bottom
+    } else {
+        T::bin_for(hi).expect("finite inputs").min(bottom)
+    };
+    let add = |acc: &mut ReproSum<T, L>, f: fn(&mut ReproSum<T, L>, T)| {
+        values.iter().for_each(|&v| f(acc, v))
+    };
+    match simd::depth(top, lo, L) {
+        0 | 1 => add(&mut acc, ReproSum::add_levels::<1>),
+        2 => add(&mut acc, ReproSum::add_levels::<2>),
+        3 => add(&mut acc, ReproSum::add_levels::<3>),
+        _ => add(&mut acc, ReproSum::add_levels::<L>),
+    }
+    acc
+}
+
 /// `add_slice` under every forced level equals the scalar cascade, state
-/// and rounded value.
+/// and rounded value — and so do per-row deposits at the depth the slice
+/// scan gives ([`per_row_at_depth`]).
 fn assert_depths<T: ReproFloat, const L: usize>(lengths: &[usize]) {
     let levels: Vec<SimdLevel> = std::iter::once(SimdLevel::Scalar)
         .chain(forced_levels())
@@ -325,18 +351,65 @@ fn assert_depths<T: ReproFloat, const L: usize>(lengths: &[usize]) {
             let mut cascade = ReproSum::<T, L>::new();
             cascade.add_all(&values);
             for &level in &levels {
-                let got = with_level(level, || {
+                let (got, per_row) = with_level(level, || {
                     let mut acc = ReproSum::<T, L>::new();
                     simd::add_slice(&mut acc, &values);
-                    acc
+                    (acc, per_row_at_depth::<T, L>(&values))
                 });
-                let ctx = format!("{label}, len {len}, {level}, L = {L}");
-                assert_eq!(got.canonical_state(), cascade.canonical_state(), "{ctx}");
-                assert_eq!(
-                    got.value().to_f64().to_bits(),
-                    cascade.value().to_f64().to_bits(),
-                    "{ctx}"
-                );
+                for (path, got) in [("add_slice", got), ("per-row", per_row)] {
+                    let ctx = format!("{path}: {label}, len {len}, {level}, L = {L}");
+                    assert_eq!(got.canonical_state(), cascade.canonical_state(), "{ctx}");
+                    assert_eq!(
+                        got.value().to_f64().to_bits(),
+                        cascade.value().to_f64().to_bits(),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `simd::scan` returns one `(max, min non-zero)` pair at every level:
+/// NaN for the max of a slice holding NaN or ±∞, `+∞` for the min of one
+/// without a non-zero value, at lengths around every width's tail.
+#[test]
+fn scan_is_one_pair_at_every_level() {
+    let base: Vec<f64> = (0..37).map(|i| (i as f64 - 18.0) * 0.375).collect();
+    let mut cases = vec![vec![], vec![0.0, -0.0], vec![5e-324, -0.0, 1e300]];
+    for special in [f64::NAN, f64::INFINITY, -f64::INFINITY, -f64::MAX] {
+        for at in [0, 16, 36] {
+            let mut v = base.clone();
+            v[at] = special;
+            cases.push(v);
+        }
+    }
+    for len in 0..=base.len() {
+        cases.push(base[..len].to_vec());
+    }
+    for values in &cases {
+        let max = values.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let nonzero = values.iter().filter(|v| **v != 0.0).map(|v| v.abs());
+        let min = nonzero.fold(f64::INFINITY, f64::min);
+        let finite = values.iter().all(|v| v.is_finite());
+        for level in std::iter::once(SimdLevel::Scalar).chain(forced_levels()) {
+            let (hi, lo) = with_level(level, || simd::scan(values));
+            let ctx = format!("{level}: {values:?}");
+            if finite {
+                assert_eq!(hi.to_bits(), max.to_bits(), "{ctx}");
+            } else {
+                assert!(hi.is_nan(), "{ctx}");
+            }
+            // The min of a NaN slice is the min of its other values.
+            if values.iter().all(|v| !v.is_nan()) {
+                assert_eq!(lo.to_bits(), min.to_bits(), "{ctx}");
+            }
+            let (hi32, lo32) = with_level(level, || {
+                simd::scan(&values.iter().map(|&v| v as f32).collect::<Vec<_>>())
+            });
+            if finite && max < f32::MAX as f64 {
+                assert_eq!(hi32, max as f32, "f32 {ctx}");
+                assert_eq!(lo32, min as f32, "f32 {ctx}");
             }
         }
     }

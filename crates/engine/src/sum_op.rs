@@ -56,7 +56,7 @@
 //! to the same bits.
 
 use crate::fused::{deposit, Batch, Deposit, Input, FUSED_BATCH_ROWS};
-use rfa_core::{simd, ReproSum};
+use rfa_core::{simd, ReproFloat, ReproSum};
 
 /// Rows per morsel in the engine's parallel scans and aggregations.
 pub const SCAN_MORSEL_ROWS: usize = 1 << 16;
@@ -415,12 +415,17 @@ pub(crate) trait States: Sized {
     }
 
     /// Deposits each value into the group of its group id, in row order.
+    /// `span` is a contiguous slice holding every value `values` yields,
+    /// and possibly others ([`per_row`]); a kind may read it to plan the
+    /// batch.
     #[inline(never)]
     fn rows(
         &mut self,
         gids: &[u32],
         values: impl Iterator<Item = f64>,
+        span: &[f64],
     ) -> Result<(), OverflowError> {
+        let _ = span;
         for (&g, v) in gids.iter().zip(values) {
             self.add(g as usize, v)?;
         }
@@ -469,9 +474,10 @@ pub(crate) fn per_row<S: States>(
             s.rows(
                 gids,
                 rows.iter().map(move |&r| values[(r - first) as usize]),
+                values,
             )
         }
-        None => s.rows(gids, values.iter().copied()),
+        None => s.rows(gids, values.iter().copied(), values),
     }
 }
 
@@ -593,53 +599,117 @@ impl States for Sorted {
     }
 }
 
-/// Per-group reproducible states at one ladder height `L`.
-#[derive(Default)]
-pub(crate) struct ReproStates<const L: usize>(Vec<ReproSum<f64, L>>);
+/// Per-group reproducible states at one ladder height `L`, and the
+/// highest ladder rung any of them sits on — the least
+/// [`ReproSum::top_rung`], which bounds the cascade depth of every state
+/// ([`States::rows`]). Every deposit that can promote a state lowers it.
+pub(crate) struct ReproStates<const L: usize> {
+    states: Vec<ReproSum<f64, L>>,
+    rung: u32,
+}
+
+impl<const L: usize> Default for ReproStates<L> {
+    fn default() -> Self {
+        ReproStates {
+            states: Vec::new(),
+            rung: ReproSum::<f64, L>::new().top_rung(),
+        }
+    }
+}
+
+impl<const L: usize> ReproStates<L> {
+    /// Lowers the array's rung to state `g`'s, after a deposit into it.
+    fn track(&mut self, g: usize) {
+        self.rung = self.rung.min(self.states[g].top_rung());
+    }
+
+    /// The per-row loop at cascade depth `N`. A state array larger than a
+    /// core's share of L2 ([`PREFETCH_MIN_BYTES`]) misses on nearly every
+    /// row of a high-cardinality batch, so the state of row `i +`
+    /// [`PREFETCH_AHEAD`] is requested while row `i` is added; a resident
+    /// array skips the hint, which there only costs issue slots.
+    #[inline(always)]
+    fn rows_at<const N: usize>(&mut self, gids: &[u32], values: impl Iterator<Item = f64>) {
+        let states = &mut self.states;
+        if std::mem::size_of_val(states.as_slice()) <= PREFETCH_MIN_BYTES {
+            for (&g, v) in gids.iter().zip(values) {
+                states[g as usize].add_levels::<N>(v);
+            }
+            return;
+        }
+        // The batch's last rows ask for the last row's state again: a
+        // hint for a line already on its way costs nothing.
+        let (base, last) = (states.as_ptr(), gids.len().saturating_sub(1));
+        for (i, (&g, v)) in gids.iter().zip(values).enumerate() {
+            prefetch(base.wrapping_add(gids[(i + PREFETCH_AHEAD).min(last)] as usize));
+            states[g as usize].add_levels::<N>(v);
+        }
+    }
+}
 
 impl<const L: usize> States for ReproStates<L> {
     fn add(&mut self, g: usize, v: f64) -> Result<(), OverflowError> {
-        self.0[g].add(v);
+        self.states[g].add(v);
+        self.track(g);
         Ok(())
     }
 
     /// The vectorized block kernel (Algorithm 3), bit-identical to
     /// per-row `add` by the §III-D exactness argument.
     fn run(&mut self, g: usize, values: &[f64]) -> Result<(), OverflowError> {
-        simd::add_slice(&mut self.0[g], values);
+        simd::add_slice(&mut self.states[g], values);
+        self.track(g);
         Ok(())
     }
 
     /// The exact scaled fold of [`ReproSum::add_scaled`], bit-identical
     /// to `k` per-row adds (DESIGN.md S26).
     fn scaled(&mut self, g: usize, v: f64, k: u64) -> Result<(), OverflowError> {
-        self.0[g].add_scaled(v, k);
+        self.states[g].add_scaled(v, k);
+        self.track(g);
         Ok(())
     }
 
-    /// A state array larger than a core's share of L2
-    /// ([`PREFETCH_MIN_BYTES`]) misses on nearly every row of a
-    /// high-cardinality batch, so the state of row `i +`
-    /// [`PREFETCH_AHEAD`] is requested while row `i` is added; a resident
-    /// array skips the hint, which there only costs issue slots.
+    /// One level count per batch (DESIGN.md S3, "per-row deposits"): one
+    /// SIMD scan of `span` ([`simd::scan`]) gives the batch's largest and
+    /// smallest non-zero magnitudes. No state can sit above the array's
+    /// rung or the rung of that largest value, so [`simd::depth`] of the
+    /// higher of the two and of that smallest value is enough levels for
+    /// every row, and every row deposits through that many
+    /// ([`ReproSum::add_levels`]) — no branch per row, and bit-identical
+    /// to `add`. Values of `span` no row deposits only raise the count. A
+    /// batch whose scan sees NaN, ±∞ or a magnitude past the binnable
+    /// limit runs all `L` levels.
     #[inline(never)]
     fn rows(
         &mut self,
         gids: &[u32],
         values: impl Iterator<Item = f64>,
+        span: &[f64],
     ) -> Result<(), OverflowError> {
-        if std::mem::size_of_val(self.0.as_slice()) <= PREFETCH_MIN_BYTES {
-            for (&g, v) in gids.iter().zip(values) {
-                self.0[g as usize].add(v);
+        let (hi, lo) = simd::scan(span);
+        // `bin_for` is `None` past the binnable limit; `hi` is NaN when the
+        // span holds a NaN or ±∞.
+        let top = if hi == 0.0 {
+            Some(self.rung)
+        } else if hi.is_nan() {
+            None
+        } else {
+            f64::bin_for(hi).map(|bin| self.rung.min(bin as u32))
+        };
+        let Some(top) = top else {
+            self.rows_at::<L>(gids, values);
+            for &g in gids {
+                self.track(g as usize);
             }
             return Ok(());
-        }
-        // The batch's last rows ask for the last row's state again: a
-        // hint for a line already on its way costs nothing.
-        let (base, last) = (self.0.as_ptr(), gids.len().saturating_sub(1));
-        for (i, (&g, v)) in gids.iter().zip(values).enumerate() {
-            prefetch(base.wrapping_add(gids[(i + PREFETCH_AHEAD).min(last)] as usize));
-            self.0[g as usize].add(v);
+        };
+        self.rung = top;
+        match simd::depth(top as usize, lo, L) {
+            0 | 1 => self.rows_at::<1>(gids, values),
+            2 => self.rows_at::<2>(gids, values),
+            3 => self.rows_at::<3>(gids, values),
+            _ => self.rows_at::<L>(gids, values),
         }
         Ok(())
     }
@@ -663,16 +733,18 @@ impl<const L: usize> States for ReproStates<L> {
     }
 
     fn push_groups(&mut self, n: usize) {
-        self.0.resize_with(self.0.len() + n, ReproSum::new);
+        self.states
+            .resize_with(self.states.len() + n, ReproSum::new);
     }
 
     fn merge_slot(&mut self, dst: usize, other: &Self, src: usize) -> Result<(), OverflowError> {
-        self.0[dst].merge(&other.0[src]);
+        self.states[dst].merge(&other.states[src]);
+        self.track(dst);
         Ok(())
     }
 
     fn finalize(self, out: &mut Vec<f64>) -> Result<(), OverflowError> {
-        *out = self.0.into_iter().map(ReproSum::finalize).collect();
+        *out = self.states.into_iter().map(ReproSum::finalize).collect();
         Ok(())
     }
 }
@@ -839,8 +911,11 @@ impl GroupedSums {
     /// batches, each partitioned by group when the backend is buffered
     /// and [`MIN_SEG`] allows. After an [`OverflowError`] the states are
     /// unspecified: a block deposit may have added past the overflow.
+    ///
+    /// # Panics
+    /// If `group_ids` and `values` differ in length.
     pub fn update(&mut self, group_ids: &[u32], values: &[f64]) -> Result<(), OverflowError> {
-        debug_assert_eq!(group_ids.len(), values.len());
+        assert_eq!(group_ids.len(), values.len(), "one value per group id");
         let batches = group_ids.chunks(FUSED_BATCH_ROWS);
         for (gids, vals) in batches.zip(values.chunks(FUSED_BATCH_ROWS)) {
             let shape = if self.buffered && self.part.build(gids, self.groups, MIN_SEG) {
@@ -1435,19 +1510,17 @@ mod tests {
         // each other — finalize to the one-shot bits. (A Double merge adds
         // subtotals: deterministic, but not the sequential bit pattern.)
         for (input, ids, values, _) in inputs() {
-            let whole = outcomes(5, |s| {
-                dispatch!(s, |k| k.rows(&ids, values.iter().copied()))
-            });
+            let whole = outcomes(5, |s| dispatch!(s, |k| per_row(k, &ids, &values, None)));
             let mid = ids.len() / 2;
             let split = (every_kind(0).into_iter().zip(every_kind(2)))
                 .map(|((name, mut a), (_, mut b))| {
                     a.push_groups(5); // slot g <-> group g
                     b.push_groups(3); // slot s <-> group 4 - s
                     let flipped: Vec<u32> = ids[mid..].iter().map(|&g| 4 - g).collect();
-                    let mut deposited = dispatch!(&mut a, |k| k
-                        .rows(&ids[..mid], values[..mid].iter().copied()));
+                    let mut deposited =
+                        dispatch!(&mut a, |k| per_row(k, &ids[..mid], &values[..mid], None));
                     deposited = deposited.and(dispatch!(&mut b, |k| {
-                        k.rows(&flipped, values[mid..].iter().copied())
+                        per_row(k, &flipped, &values[mid..], None)
                     }));
                     let slots: Vec<(usize, usize)> = (0..5).map(|g| (g, 4 - g)).collect();
                     deposited = deposited.and(a.merge(&b, &slots));
@@ -1537,9 +1610,7 @@ mod tests {
         let mut part = BatchPartition::default();
         for (input, _, values, _) in inputs() {
             let zeros = vec![0u32; values.len()];
-            let grouped = outcomes(1, |s| {
-                dispatch!(s, |k| k.rows(&zeros, values.iter().copied()))
-            });
+            let grouped = outcomes(1, |s| dispatch!(s, |k| per_row(k, &zeros, &values, None)));
             let single = outcomes(1, |s| {
                 let batch = Batch {
                     shape: Deposit::Single,
@@ -1572,7 +1643,7 @@ mod tests {
         // `SumBackend` documents.
         for (input, ids, values, answers) in inputs() {
             let per_row = outcomes(5, |s| {
-                dispatch!(s, |k| k.rows(&ids, values.iter().copied()))
+                dispatch!(s, |k| super::per_row(k, &ids, &values, None))
             });
             let blocked = outcomes(5, |s| {
                 let mut start = 0;
@@ -1594,7 +1665,7 @@ mod tests {
                     dispatch!(&mut *s, |k| if built {
                         k.partitioned(&mut part, ids, values, None)
                     } else {
-                        k.rows(ids, values.iter().copied())
+                        super::per_row(k, ids, values, None)
                     })
                 })
             });
@@ -1647,6 +1718,129 @@ mod tests {
             blocked.add_count(run[0] as usize, run.len());
         }
         assert_eq!(per_row.counts, blocked.counts);
+        assert_per_row_depths();
+    }
+
+    /// An empty array of `s`'s kind.
+    fn fresh<S: States + Default>(_: &S) -> S {
+        S::default()
+    }
+
+    /// Raises group 2's slot to `big`'s rung through one deposit of the
+    /// kind `how` names, which [`assert_per_row_depths`] mirrors with
+    /// `copies` per-value `add`s of `big`.
+    fn raise(how: &str, s: &mut State, big: f64) -> Result<(), OverflowError> {
+        match how {
+            "run" => dispatch!(s, |k| k.run(2, &[big])),
+            "scaled" => dispatch!(s, |k| k.scaled(2, big, 2)),
+            "merge_slot" => dispatch!(s, |k| {
+                let mut other = fresh(k);
+                other.push_groups(1);
+                other.add(0, big)?;
+                k.merge_slot(2, &other, 0)
+            }),
+            _ => dispatch!(s, |k| k.add(2, big)),
+        }
+    }
+
+    /// The per-row cases of [`run_blocked_updates_match_per_row_updates_bitwise`]
+    /// that pin a batch's cascade depth (DESIGN.md S3): group 2's slot
+    /// raised to 2^84's rung by each deposit that can promote it — a run,
+    /// a `k·v`, a merged slot, a cold per-value `add` — then one per-row
+    /// batch of small values, then 2^84 taken back out, so the answer
+    /// lies in the levels the raised rung pushes those values down to.
+    /// The batches: small values alone, or with a NaN, ±∞, a value past
+    /// the binnable limit in group 0, or only zeros; deposited directly,
+    /// and out of a covering range whose dropped rows hold NaN or a
+    /// deeper value. Every path must match the same values deposited one
+    /// `add` at a time.
+    fn assert_per_row_depths() {
+        let big = 2f64.powi(84);
+        let ids: Vec<u32> = (0..600).map(|i| i % 5).collect();
+        let small: Vec<f64> = (0..600).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
+        let with = |v: f64| {
+            let mut values = small.clone();
+            values[50] = v; // group 0
+            values
+        };
+        let batches = [
+            ("small", small.clone()),
+            ("NaN", with(f64::NAN)),
+            ("+inf", with(f64::INFINITY)),
+            ("-inf", with(-f64::INFINITY)),
+            ("2^1010", with(2f64.powi(1010))),
+            ("zeros", (0..600).map(|i| [0.0, -0.0][i % 2]).collect()),
+        ];
+        for how in ["add", "run", "scaled", "merge_slot"] {
+            let copies = if how == "scaled" { 2 } else { 1 };
+            for (batch, values) in &batches {
+                let input = format!("{batch} batch after a raising {how}");
+                let cancel = |s: &mut State| {
+                    (0..copies).try_for_each(|_| dispatch!(&mut *s, |k| k.add(2, -big)))
+                };
+                let one_by_one = outcomes(5, |s| {
+                    (0..copies).try_for_each(|_| dispatch!(&mut *s, |k| k.add(2, big)))?;
+                    (ids.iter().zip(values))
+                        .try_for_each(|(&g, &v)| dispatch!(&mut *s, |k| k.add(g as usize, v)))?;
+                    cancel(s)
+                });
+                let batched = outcomes(5, |s| {
+                    raise(how, s, big)?;
+                    dispatch!(&mut *s, |k| super::per_row(k, &ids, values, None))?;
+                    cancel(s)
+                });
+                assert_same_answers(&input, &one_by_one, &batched);
+                for dropped in [f64::NAN, 1e-300] {
+                    // Selected rows 0, 2, 4, …; the others hold `dropped`.
+                    let rows: Vec<u32> = (0..600).map(|i| 2 * i).collect();
+                    let mut range = vec![dropped; 1199];
+                    for (&r, &v) in rows.iter().zip(values) {
+                        range[r as usize] = v;
+                    }
+                    let covered = outcomes(5, |s| {
+                        raise(how, s, big)?;
+                        dispatch!(&mut *s, |k| super::per_row(k, &ids, &range, Some(&rows)))?;
+                        cancel(s)
+                    });
+                    let input = format!("{input}, dropped rows {dropped:e}");
+                    assert_same_answers(&input, &one_by_one, &covered);
+                }
+            }
+        }
+    }
+
+    /// `GroupedSums::update` with one more value than group ids, and one
+    /// more group id than values, panics for each backend — at every
+    /// optimization level.
+    macro_rules! update_length_mismatch_panics {
+        ($($name:ident: $backend:expr,)*) => {$(
+            mod $name {
+                use super::*;
+
+                #[test]
+                #[should_panic(expected = "one value per group id")]
+                fn more_values_than_group_ids() {
+                    let mut sums = GroupedSums::new($backend, 1);
+                    let _ = sums.update(&[0; 1024], &[1.0; 1025]);
+                }
+
+                #[test]
+                #[should_panic(expected = "one value per group id")]
+                fn more_group_ids_than_values() {
+                    let mut sums = GroupedSums::new($backend, 1);
+                    let _ = sums.update(&[0; 1025], &[1.0; 1024]);
+                }
+            }
+        )*};
+    }
+
+    update_length_mismatch_panics! {
+        update_mismatch_double: SumBackend::Double,
+        update_mismatch_sorted_double: SumBackend::SortedDouble,
+        update_mismatch_repro_unbuffered: SumBackend::ReproUnbuffered,
+        update_mismatch_repro_buffered: SumBackend::ReproBuffered { buffer_size: 1024 },
+        update_mismatch_rsum: SumBackend::Rsum { levels: 2 },
+        update_mismatch_rsum_buffered: SumBackend::RsumBuffered { levels: 3, buffer_size: 64 },
     }
 
     #[test]

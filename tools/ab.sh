@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # A/B of two revisions on the repository's benchmark, in alternating pairs:
 #
-#   tools/ab.sh <rev-A> <rev-B> [--pairs N] [--workload W]
+#   tools/ab.sh <rev-A> <rev-B> [--pairs N] [--workload W] [--seed S] [--json FILE]
 #
 # Checks both revisions out as git worktrees at paths of equal length (a
 # fresh `mktemp -d`, honouring TMPDIR, holding `a/` and `b/`), builds each
 # revision's own ledger once, then runs each revision's own
-#   benchmark/run.sh --workload W --seed 42 --seconds <run_seconds> --trace 0
-# in the order A B, B A, A B, ... (N pairs, default 10) for W, or for every
-# workload of BENCHMARK.json (default). `run_seconds` and the end-to-end
-# metrics with their bounds come from BENCHMARK.json.
+#   benchmark/run.sh --workload W --seed S --seconds <run_seconds> --trace 0
+# in the order A B, B A, A B, ... (N pairs, default 10; seed S, default 42)
+# for W, or for every workload of BENCHMARK.json (default). `run_seconds`
+# and the end-to-end metrics with their bounds come from BENCHMARK.json.
 #
 # For each (workload, end-to-end metric) it prints both medians and IQRs,
 # the pairs each side won, B / A, and a verdict:
@@ -19,12 +19,16 @@
 # A run whose last line is not `"correct": true` with `"failed": 0` is
 # printed as it came. Exit status: 0, or 1 when any run failed or any
 # metric is worse. The worktrees are removed on exit.
+#
+# `--json FILE` also writes B's median and IQR per (workload, metric), the
+# run parameters and a host line (nproc, CPU model, rustc, B's revision):
+# the per-change record `tools/trend.sh` reads (`BENCH_<n>.json`).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 root=$(pwd)
 
 usage() {
-    echo "usage: tools/ab.sh <rev-A> <rev-B> [--pairs N] [--workload W]" >&2
+    echo "usage: tools/ab.sh <rev-A> <rev-B> [--pairs N] [--workload W] [--seed S] [--json FILE]" >&2
     exit 2
 }
 [ $# -ge 2 ] || usage
@@ -32,15 +36,20 @@ rev_a=$(git rev-parse --verify "$1^{commit}")
 rev_b=$(git rev-parse --verify "$2^{commit}")
 shift 2
 pairs=10
+seed=42
+json=
 workloads=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="${2:?}"; shift 2 ;;
         --workload) workloads+=("${2:?}"); shift 2 ;;
+        --seed) seed="${2:?}"; shift 2 ;;
+        --json) json=$(realpath -m "${2:?}"); shift 2 ;;
         *) usage ;;
     esac
 done
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
+[[ "$seed" =~ ^[0-9]+$ ]] || usage
 if [ ${#workloads[@]} -eq 0 ]; then
     mapfile -t workloads < <(python3 -c '
 import json, sys
@@ -74,7 +83,7 @@ done
 run() { # side workload pair
     local out="$tmp/runs/$2.$1.$3"
     echo "ab: $2 pair $3 $1" >&2
-    (cd "$tmp/$1" && benchmark/run.sh --workload "$2" --seed 42 --seconds "$seconds" --trace 0) \
+    (cd "$tmp/$1" && benchmark/run.sh --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0) \
         > "$out.log" 2>&1 || true
     tail -n 1 "$out.log" > "$out.json"
 }
@@ -84,11 +93,17 @@ for w in "${workloads[@]}"; do
     done
 done
 
-python3 - BENCHMARK.json "$tmp/runs" "$pairs" "$rev_a" "$rev_b" "${workloads[@]}" <<'EOF'
+cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
+python3 - BENCHMARK.json "$tmp/runs" "$pairs" "$rev_a" "$rev_b" "$seed" "$json" \
+    "$(nproc)" "${cpu:-unknown}" "$(rustc --version)" "${workloads[@]}" <<'EOF'
 import json, statistics, sys
 
-spec, runs, pairs, rev_a, rev_b = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4], sys.argv[5]
-workloads = sys.argv[6:]
+spec, runs, pairs, rev_a, rev_b, seed, out = sys.argv[1:8]
+pairs = int(pairs)
+host = dict(zip(["nproc", "cpu", "rustc"], sys.argv[8:11]), rev=rev_b)
+host["nproc"] = int(host["nproc"])
+workloads = sys.argv[11:]
+record = {"host": host, "base": rev_a, "seed": int(seed), "pairs": pairs, "metrics": {}}
 metrics = json.load(open(spec))["end_to_end"]
 status = 0
 
@@ -113,7 +128,7 @@ def spread(v):
     q1, med, q3 = statistics.quantiles(v, n=4)
     return statistics.median(v), q3 - q1
 
-print(f"A = {rev_a}\nB = {rev_b}\n{pairs} pairs per workload, alternating A B / B A\n")
+print(f"A = {rev_a}\nB = {rev_b}\n{pairs} pairs per workload, seed {seed}, alternating A B / B A\n")
 print(f"{'workload':<17} {'metric':<19} {'A median':>11} {'A IQR':>9} {'B median':>11} {'B IQR':>9}"
       f" {'B/A':>6} {'won A:B':>8}  verdict")
 for w in workloads:
@@ -127,6 +142,7 @@ for w in workloads:
             continue
         va, vb = [p[0] for p in got], [p[1] for p in got]
         (ma, ia), (mb, ib) = spread(va), spread(vb)
+        record["metrics"].setdefault(w, {})[name] = {"median": mb, "iqr": ib}
         won_a = sum((x < y) if lower else (x > y) for x, y in got)
         won_b = sum((y < x) if lower else (y > x) for x, y in got)
         ratio = mb / ma if ma else float("inf") if mb else 1.0
@@ -136,5 +152,9 @@ for w in workloads:
             status = 1
         print(f"{w:<17} {name:<19} {ma:>11.4g} {ia:>9.3g} {mb:>11.4g} {ib:>9.3g}"
               f" {ratio:>6.3f} {won_a:>3}:{won_b:<4}  {verdict}")
+if out:
+    with open(out, "w") as f:
+        json.dump(record, f, indent=1)
+        f.write("\n")
 sys.exit(status)
 EOF
