@@ -48,6 +48,9 @@
 //! runs `N = 1 + ⌈(e(top) − max(E_min, e_bottom)) / W⌉` levels (clamped to
 //! `L`; `0` when no value is non-zero), each `N` its own instantiation with
 //! no branch in the inner loop. DESIGN.md S3 has the argument in full.
+//! The argument is per value: [`scan`] runs the same validity scan over a
+//! whole slice, and [`depth`] of its result bounds the levels per-value
+//! deposits need ([`ReproSum::add_levels`]).
 //!
 //! ## Safety boundary
 //!
