@@ -60,9 +60,10 @@
 //! 1. **Target features.** The AVX2 / AVX-512 `Reg` operations execute
 //!    their feature's instructions, so every `Reg` method and the skeleton
 //!    are `unsafe fn` whose one precondition is a CPU with that feature.
-//!    The three `#[target_feature]` entries in `x86` are reached only from
-//!    [`add_slice`], after [`crate::cpu::active`] reported their level —
-//!    which it does only once `is_x86_feature_detected!` succeeded.
+//!    The `#[target_feature]` entries in `x86` are reached only from
+//!    [`add_slice`] and [`scan`], after [`crate::cpu::active`] reported
+//!    their level — which it does only once `is_x86_feature_detected!`
+//!    succeeded.
 //! 2. **Bounds.** The only raw memory accesses are `Reg::load`, which reads
 //!    `V` values from a slice it requires to hold `V` (a `chunks_exact(V)`
 //!    group or the `MAX_LANES`-long padded tail), and `Reg::lanes`, which
@@ -158,82 +159,58 @@ pub fn add_slice<T: ReproFloat, const L: usize>(acc: &mut ReproSum<T, L>, values
     add_slice_portable(acc, values);
 }
 
-/// `(max |v|, min non-zero |v|)` over `values`: the block kernel's
+/// `(max |v|, min non-zero |v|)` over `f64` `values`: the block kernel's
 /// validity scan run over the whole slice, at the width [`add_slice`]
 /// would use. The max is NaN when any value is NaN or ±∞, and the min is
 /// `+∞` when no value is non-zero — the same pair at every width. With
 /// [`depth`] it gives the levels a run of per-value deposits needs
 /// ([`ReproSum::add_levels`]).
-pub fn scan<T: ReproFloat>(values: &[T]) -> (T, T) {
+pub fn scan(values: &[f64]) -> (f64, f64) {
+    // A width's max of a slice holding ±∞ is `+∞` or NaN (`Reg::scan_end`).
     let (hi, lo) = scan_dispatched(values);
-    let hi = if hi.is_finite() {
-        T::from_f64(hi)
-    } else {
-        T::nan()
-    };
-    (hi, T::from_f64(lo))
+    (if hi.is_finite() { hi } else { f64::NAN }, lo)
 }
 
-/// [`scan`]'s dispatch, as [`add_slice`]'s, widened to `f64` (exactly). A
-/// width's max of a slice holding ±∞ is `+∞` or NaN (`Reg::scan_end`).
-fn scan_dispatched<T: ReproFloat>(values: &[T]) -> (f64, f64) {
+/// [`scan`]'s dispatch, as [`add_slice`]'s.
+fn scan_dispatched(values: &[f64]) -> (f64, f64) {
     #[cfg(target_arch = "x86_64")]
     {
         let level = cpu::active();
         if level != cpu::SimdLevel::Scalar {
-            if let Some(values) = retype_slice::<T, f64>(values) {
-                // SAFETY: `cpu::active()` reports a level only on a CPU with
-                // its feature.
-                return unsafe {
-                    if level == cpu::SimdLevel::Avx512 {
-                        x86::scan_f64_avx512(values)
-                    } else {
-                        x86::scan_f64_avx2(values)
-                    }
-                };
-            }
-            if let Some(values) = retype_slice::<T, f32>(values) {
-                // SAFETY: as above; every AVX-512F CPU also has AVX2.
-                let (hi, lo) = unsafe { x86::scan_f32_avx2(values) };
-                return (hi.into(), lo.into());
-            }
+            // SAFETY: `cpu::active()` reports a level only on a CPU with
+            // its feature.
+            return unsafe {
+                if level == cpu::SimdLevel::Avx512 {
+                    x86::scan_f64_avx512(values)
+                } else {
+                    x86::scan_f64_avx2(values)
+                }
+            };
         }
     }
     // SAFETY: the portable width executes no target-specific instruction.
-    let (hi, lo) = unsafe { magnitudes::<Portable<T>>(values) };
-    (hi.to_f64(), lo.to_f64())
+    unsafe { magnitudes::<Portable<f64>>(values) }
 }
 
-/// `values` as `U`, when `T` is `U` (`ReproFloat` is sealed: `T` is
-/// exactly `f32` or `f64`).
-#[cfg(target_arch = "x86_64")]
-fn retype_slice<T: ReproFloat, U: ReproFloat>(values: &[T]) -> Option<&[U]> {
-    if core::any::TypeId::of::<T>() != core::any::TypeId::of::<U>() {
-        return None;
-    }
-    // SAFETY: `T` and `U` are one type (equal `TypeId`s of `'static`
-    // types), so the cast only renames it: same layout, same lifetime.
-    unsafe {
-        Some(core::slice::from_raw_parts(
-            values.as_ptr().cast::<U>(),
-            values.len(),
-        ))
-    }
-}
-
-/// `acc` and `values` as `U`, when `T` is `U`.
+/// `acc` and `values` as `U`, when `T` is `U` (`ReproFloat` is sealed: `T`
+/// is exactly `f32` or `f64`).
 #[cfg(target_arch = "x86_64")]
 fn retype<'a, T: ReproFloat, U: ReproFloat, const L: usize>(
     acc: &'a mut ReproSum<T, L>,
     values: &'a [T],
 ) -> Option<(&'a mut ReproSum<U, L>, &'a [U])> {
-    let values = retype_slice::<T, U>(values)?;
-    // SAFETY: `retype_slice` succeeded, so `T` is `U` and the cast only
-    // renames the type.
-    Some((
-        unsafe { &mut *(acc as *mut ReproSum<T, L>).cast::<ReproSum<U, L>>() },
-        values,
-    ))
+    if core::any::TypeId::of::<T>() != core::any::TypeId::of::<U>() {
+        return None;
+    }
+    let len = values.len();
+    // SAFETY: `T` and `U` are one type (equal `TypeId`s of `'static`
+    // types), so both casts only rename it: same layout, same lifetime.
+    unsafe {
+        Some((
+            &mut *(acc as *mut ReproSum<T, L>).cast::<ReproSum<U, L>>(),
+            core::slice::from_raw_parts(values.as_ptr().cast::<U>(), len),
+        ))
+    }
 }
 
 /// The portable lane-array kernel (the autovectorized fallback of
@@ -547,15 +524,6 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn scan_f64_avx2(values: &[f64]) -> (f64, f64) {
         magnitudes::<Avx2F64>(values)
-    }
-
-    /// [`scan`] for `f32`, eight lanes per `__m256`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scan_f32_avx2(values: &[f32]) -> (f32, f32) {
-        magnitudes::<Avx2F32>(values)
     }
 
     /// [`scan`] for `f64`, eight lanes per `__m512d`.

@@ -194,7 +194,7 @@ use crate::expr::{
 };
 use crate::plan::PlanError;
 use crate::sum_op::{
-    dispatch, per_row, BatchPartition, GroupedStates, OverflowError, State, States, SumBackend,
+    dispatch, BatchPartition, GroupedStates, OverflowError, State, States, SumBackend,
     SCAN_MORSEL_ROWS,
 };
 use rayon::prelude::*;
@@ -1253,7 +1253,7 @@ pub(crate) struct Batch<'a> {
     /// `Segs`: the `(group id, end index in sel)` spans.
     pub(crate) segs: &'a [(u32, usize)],
     /// A near-dense batch's selection, through which per-row deposits
-    /// read their values out of the covering range's ([`per_row`]).
+    /// read their values out of the covering range's ([`States::rows`]).
     pub(crate) rows: Option<&'a [u32]>,
 }
 
@@ -1331,7 +1331,7 @@ fn deposit_as<S: States>(
         Input::Values(vals) => {
             return match b.shape {
                 Deposit::Single => s.run(0, vals),
-                Deposit::Rows => per_row(s, b.gids, vals, b.rows),
+                Deposit::Rows => s.rows(b.gids, vals, b.rows),
                 Deposit::Partitioned => s.partitioned(part, b.gids, vals, b.rows),
                 Deposit::Segs => {
                     let mut start = 0;

@@ -414,25 +414,35 @@ pub(crate) trait States: Sized {
         Ok(())
     }
 
-    /// Deposits each value into the group of its group id, in row order.
-    /// `span` is a contiguous slice holding every value `values` yields,
-    /// and possibly others ([`per_row`]); a kind may read it to plan the
-    /// batch.
+    /// Per-row deposits of one batch: each value into the group of its
+    /// group id, in row order. With `sel` — the batch's strictly
+    /// increasing selection — `values` holds one value per row of the
+    /// selection's covering range and the deposit reads the selected ones
+    /// through it ([`selected`]), never depositing a dropped row's value.
+    /// Without, one value per group id.
     #[inline(never)]
     fn rows(
         &mut self,
         gids: &[u32],
-        values: impl Iterator<Item = f64>,
-        span: &[f64],
+        values: &[f64],
+        sel: Option<&[u32]>,
     ) -> Result<(), OverflowError> {
-        let _ = span;
-        for (&g, v) in gids.iter().zip(values) {
-            self.add(g as usize, v)?;
+        match sel {
+            Some(rows) => {
+                for (&g, v) in gids.iter().zip(selected(values, rows)) {
+                    self.add(g as usize, v)?;
+                }
+            }
+            None => {
+                for (&g, &v) in gids.iter().zip(values) {
+                    self.add(g as usize, v)?;
+                }
+            }
         }
         Ok(())
     }
 
-    /// Deposits a batch that `part` partitions by group: as [`per_row`]
+    /// Deposits a batch that `part` partitions by group: as [`Self::rows`]
     /// over `(gids, values, sel)`, which it is bit-identical to
     /// (`BatchPartition`'s stability argument).
     fn partitioned(
@@ -443,7 +453,7 @@ pub(crate) trait States: Sized {
         sel: Option<&[u32]>,
     ) -> Result<(), OverflowError> {
         let _ = part;
-        per_row(self, gids, values, sel)
+        self.rows(gids, values, sel)
     }
 
     /// Appends `n` empty group slots.
@@ -457,28 +467,11 @@ pub(crate) trait States: Sized {
     fn finalize(self, out: &mut Vec<f64>) -> Result<(), OverflowError>;
 }
 
-/// Per-row deposits of one batch: with `sel` — the batch's strictly
-/// increasing selection — `values` holds one value per row of the
-/// selection's covering range and the deposit reads the selected ones
-/// through it, never looking at a dropped row's value. Without, one value
-/// per group id.
-pub(crate) fn per_row<S: States>(
-    s: &mut S,
-    gids: &[u32],
-    values: &[f64],
-    sel: Option<&[u32]>,
-) -> Result<(), OverflowError> {
-    match sel {
-        Some(rows) => {
-            let first = rows.first().map_or(0, |&r| r);
-            s.rows(
-                gids,
-                rows.iter().map(move |&r| values[(r - first) as usize]),
-                values,
-            )
-        }
-        None => s.rows(gids, values.iter().copied(), values),
-    }
+/// The values of the selected `rows`, in row order, out of `values`: one
+/// value per row of the selection's covering range.
+fn selected<'a>(values: &'a [f64], rows: &'a [u32]) -> impl Iterator<Item = f64> + 'a {
+    let first = rows.first().map_or(0, |&r| r);
+    rows.iter().map(move |&r| values[(r - first) as usize])
 }
 
 /// [`SumBackend::Double`]: one `f64` per group. A per-row deposit is the
@@ -623,13 +616,24 @@ impl<const L: usize> ReproStates<L> {
         self.rung = self.rung.min(self.states[g].top_rung());
     }
 
-    /// The per-row loop at cascade depth `N`. A state array larger than a
-    /// core's share of L2 ([`PREFETCH_MIN_BYTES`]) misses on nearly every
-    /// row of a high-cardinality batch, so the state of row `i +`
-    /// [`PREFETCH_AHEAD`] is requested while row `i` is added; a resident
-    /// array skips the hint, which there only costs issue slots.
+    /// The per-row loop at cascade depth `N`, over the values
+    /// [`States::rows`] deposits.
     #[inline(always)]
-    fn rows_at<const N: usize>(&mut self, gids: &[u32], values: impl Iterator<Item = f64>) {
+    fn rows_at<const N: usize>(&mut self, gids: &[u32], values: &[f64], sel: Option<&[u32]>) {
+        match sel {
+            Some(rows) => self.rows_iter::<N>(gids, selected(values, rows)),
+            None => self.rows_iter::<N>(gids, values.iter().copied()),
+        }
+    }
+
+    /// [`Self::rows_at`] over the deposited values, in row order. A state
+    /// array larger than a core's share of L2 ([`PREFETCH_MIN_BYTES`])
+    /// misses on nearly every row of a high-cardinality batch, so the
+    /// state of row `i +` [`PREFETCH_AHEAD`] is requested while row `i` is
+    /// added; a resident array skips the hint, which there only costs
+    /// issue slots.
+    #[inline(always)]
+    fn rows_iter<const N: usize>(&mut self, gids: &[u32], values: impl Iterator<Item = f64>) {
         let states = &mut self.states;
         if std::mem::size_of_val(states.as_slice()) <= PREFETCH_MIN_BYTES {
             for (&g, v) in gids.iter().zip(values) {
@@ -671,25 +675,25 @@ impl<const L: usize> States for ReproStates<L> {
     }
 
     /// One level count per batch (DESIGN.md S3, "per-row deposits"): one
-    /// SIMD scan of `span` ([`simd::scan`]) gives the batch's largest and
-    /// smallest non-zero magnitudes. No state can sit above the array's
-    /// rung or the rung of that largest value, so [`simd::depth`] of the
-    /// higher of the two and of that smallest value is enough levels for
-    /// every row, and every row deposits through that many
+    /// SIMD scan of `values` ([`simd::scan`]) gives the batch's largest
+    /// and smallest non-zero magnitudes. No state can sit above the
+    /// array's rung or the rung of that largest value, so [`simd::depth`]
+    /// of the higher of the two and of that smallest value is enough
+    /// levels for every row, and every row deposits through that many
     /// ([`ReproSum::add_levels`]) — no branch per row, and bit-identical
-    /// to `add`. Values of `span` no row deposits only raise the count. A
+    /// to `add`. The values of rows `sel` drops only raise the count. A
     /// batch whose scan sees NaN, ±∞ or a magnitude past the binnable
     /// limit runs all `L` levels.
     #[inline(never)]
     fn rows(
         &mut self,
         gids: &[u32],
-        values: impl Iterator<Item = f64>,
-        span: &[f64],
+        values: &[f64],
+        sel: Option<&[u32]>,
     ) -> Result<(), OverflowError> {
-        let (hi, lo) = simd::scan(span);
+        let (hi, lo) = simd::scan(values);
         // `bin_for` is `None` past the binnable limit; `hi` is NaN when the
-        // span holds a NaN or ±∞.
+        // batch holds a NaN or ±∞.
         let top = if hi == 0.0 {
             Some(self.rung)
         } else if hi.is_nan() {
@@ -698,7 +702,7 @@ impl<const L: usize> States for ReproStates<L> {
             f64::bin_for(hi).map(|bin| self.rung.min(bin as u32))
         };
         let Some(top) = top else {
-            self.rows_at::<L>(gids, values);
+            self.rows_at::<L>(gids, values, sel);
             for &g in gids {
                 self.track(g as usize);
             }
@@ -706,10 +710,10 @@ impl<const L: usize> States for ReproStates<L> {
         };
         self.rung = top;
         match simd::depth(top as usize, lo, L) {
-            0 | 1 => self.rows_at::<1>(gids, values),
-            2 => self.rows_at::<2>(gids, values),
-            3 => self.rows_at::<3>(gids, values),
-            _ => self.rows_at::<L>(gids, values),
+            0 | 1 => self.rows_at::<1>(gids, values, sel),
+            2 => self.rows_at::<2>(gids, values, sel),
+            3 => self.rows_at::<3>(gids, values, sel),
+            _ => self.rows_at::<L>(gids, values, sel),
         }
         Ok(())
     }
@@ -1510,7 +1514,7 @@ mod tests {
         // each other — finalize to the one-shot bits. (A Double merge adds
         // subtotals: deterministic, but not the sequential bit pattern.)
         for (input, ids, values, _) in inputs() {
-            let whole = outcomes(5, |s| dispatch!(s, |k| per_row(k, &ids, &values, None)));
+            let whole = outcomes(5, |s| dispatch!(s, |k| k.rows(&ids, &values, None)));
             let mid = ids.len() / 2;
             let split = (every_kind(0).into_iter().zip(every_kind(2)))
                 .map(|((name, mut a), (_, mut b))| {
@@ -1518,9 +1522,9 @@ mod tests {
                     b.push_groups(3); // slot s <-> group 4 - s
                     let flipped: Vec<u32> = ids[mid..].iter().map(|&g| 4 - g).collect();
                     let mut deposited =
-                        dispatch!(&mut a, |k| per_row(k, &ids[..mid], &values[..mid], None));
+                        dispatch!(&mut a, |k| k.rows(&ids[..mid], &values[..mid], None));
                     deposited = deposited.and(dispatch!(&mut b, |k| {
-                        per_row(k, &flipped, &values[mid..], None)
+                        k.rows(&flipped, &values[mid..], None)
                     }));
                     let slots: Vec<(usize, usize)> = (0..5).map(|g| (g, 4 - g)).collect();
                     deposited = deposited.and(a.merge(&b, &slots));
@@ -1610,7 +1614,7 @@ mod tests {
         let mut part = BatchPartition::default();
         for (input, _, values, _) in inputs() {
             let zeros = vec![0u32; values.len()];
-            let grouped = outcomes(1, |s| dispatch!(s, |k| per_row(k, &zeros, &values, None)));
+            let grouped = outcomes(1, |s| dispatch!(s, |k| k.rows(&zeros, &values, None)));
             let single = outcomes(1, |s| {
                 let batch = Batch {
                     shape: Deposit::Single,
@@ -1642,9 +1646,7 @@ mod tests {
         // The per-row answers of the special-value cells are the ones
         // `SumBackend` documents.
         for (input, ids, values, answers) in inputs() {
-            let per_row = outcomes(5, |s| {
-                dispatch!(s, |k| super::per_row(k, &ids, &values, None))
-            });
+            let per_row = outcomes(5, |s| dispatch!(s, |k| k.rows(&ids, &values, None)));
             let blocked = outcomes(5, |s| {
                 let mut start = 0;
                 ids.chunk_by(|a, b| a == b).try_for_each(|run| {
@@ -1665,7 +1667,7 @@ mod tests {
                     dispatch!(&mut *s, |k| if built {
                         k.partitioned(&mut part, ids, values, None)
                     } else {
-                        super::per_row(k, ids, values, None)
+                        k.rows(ids, values, None)
                     })
                 })
             });
@@ -1689,7 +1691,7 @@ mod tests {
                     dispatch!(&mut *s, |k| if built {
                         k.partitioned(&mut part, ids, &range, Some(&rows))
                     } else {
-                        super::per_row(k, ids, &range, Some(&rows))
+                        k.rows(ids, &range, Some(&rows))
                     })
                 })
             });
@@ -1786,7 +1788,7 @@ mod tests {
                 });
                 let batched = outcomes(5, |s| {
                     raise(how, s, big)?;
-                    dispatch!(&mut *s, |k| super::per_row(k, &ids, values, None))?;
+                    dispatch!(&mut *s, |k| k.rows(&ids, values, None))?;
                     cancel(s)
                 });
                 assert_same_answers(&input, &one_by_one, &batched);
@@ -1799,7 +1801,7 @@ mod tests {
                     }
                     let covered = outcomes(5, |s| {
                         raise(how, s, big)?;
-                        dispatch!(&mut *s, |k| super::per_row(k, &ids, &range, Some(&rows)))?;
+                        dispatch!(&mut *s, |k| k.rows(&ids, &range, Some(&rows)))?;
                         cancel(s)
                     });
                     let input = format!("{input}, dropped rows {dropped:e}");

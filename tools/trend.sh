@@ -1,39 +1,27 @@
 #!/usr/bin/env bash
 # The benchmark's trajectory, one row per recorded change:
 #
-#   tools/trend.sh [--metric M ...] BENCH_*.json
+#   tools/trend.sh BENCH_*.json
 #
 # Each BENCH_<n>.json is the `--json` record of one `tools/ab.sh` run: the
 # change side's median and IQR per (workload, end-to-end metric) and the
 # host it ran on. Rows are ordered by <n>; a column is one (workload,
 # metric) pair, headed `<workload's first word>.<metric's first word>`
 # (`q1.unbuffered` is q1_lowcard's unbuffered_ms_min), and holds the median
-# (`-` where that record has none). The default metrics are the three
-# `*_ms_min`; `--metric` (repeatable) picks others by full name. The last
-# columns name each record's seed, pairs, revision and host.
+# (`-` where that record has none). The metrics are the three `*_ms_min`.
+# The last columns name each record's seed, pairs, revision and host.
 set -euo pipefail
 
-usage() {
-    echo "usage: tools/trend.sh [--metric M ...] BENCH_*.json" >&2
+if [ $# -eq 0 ] || [[ "$1" == -* ]]; then
+    echo "usage: tools/trend.sh BENCH_*.json" >&2
     exit 2
-}
-metrics=()
-files=()
-while [ $# -gt 0 ]; do
-    case "$1" in
-        --metric) metrics+=("${2:?}"); shift 2 ;;
-        -*) usage ;;
-        *) files+=("$1"); shift ;;
-    esac
-done
-[ ${#files[@]} -gt 0 ] || usage
-[ ${#metrics[@]} -gt 0 ] || metrics=(buffered_ms_min unbuffered_ms_min double_ms_min)
+fi
 
-python3 - "${#metrics[@]}" "${metrics[@]}" "${files[@]}" <<'EOF'
+python3 - "$@" <<'EOF'
 import json, re, sys
 
-n = int(sys.argv[1])
-metrics, files = sys.argv[2 : 2 + n], sys.argv[2 + n :]
+metrics = ["buffered_ms_min", "unbuffered_ms_min", "double_ms_min"]
+files = sys.argv[1:]
 
 def change(path):
     found = re.search(r"(\d+)\.json$", path)
