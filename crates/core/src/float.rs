@@ -137,6 +137,25 @@ pub trait ReproFloat:
         Self::exp2i(Self::bin_exp(bin) - Self::MANTISSA_BITS + Self::W - 1)
     }
 
+    /// [`extractor`](Self::extractor) of every index `0..NUM_BINS + 8`: the
+    /// ladder's rungs, then eight past-the-ladder sentinels (the top
+    /// extractor), so that `EXTRACTORS[top + l]` is level `l`'s extractor
+    /// for every rung `top` and every level count up to 8. Const-built per
+    /// format from the same bits as the formula.
+    const EXTRACTORS: &'static [Self];
+    /// [`deposit_limit`](Self::deposit_limit) of every rung `0..NUM_BINS`.
+    const DEPOSIT_LIMITS: &'static [Self];
+
+    /// The extractors of levels `0..L` of a state on rung `top`
+    /// (`extractor(top + l)`): one row of [`EXTRACTORS`](Self::EXTRACTORS).
+    /// `top` must be a rung and `L` at most 8.
+    #[inline(always)]
+    fn extractor_row<const L: usize>(top: usize) -> &'static [Self; L] {
+        Self::EXTRACTORS[top..top + L]
+            .try_into()
+            .expect("a row of L extractors")
+    }
+
     /// Deepest rung whose deposit limit exceeds `|b|` (the most precise
     /// valid placement). `None` if `|b|` is too large for even the top rung
     /// (overflow). `b` must be finite and non-zero.
@@ -155,8 +174,47 @@ macro_rules! impl_repro_float {
     (
         $t:ty, bits = $b:ty, mant = $m:expr, w = $w:expr, lanes = $v:expr,
         block = $nb:expr, bias = $bias:expr, anchor = $anchor:expr,
-        min_norm = $min_norm:expr, min_denorm = $min_denorm:expr
+        min_norm = $min_norm:expr, min_denorm = $min_denorm:expr, ladder = $ladder:ident
     ) => {
+        /// The format's extractor and deposit-limit tables, built at
+        /// compile time.
+        mod $ladder {
+            const BINS: usize = ((($anchor) - ($min_norm)) / $w + 1) as usize;
+
+            /// `2^e` for `e` in the normal or subnormal range.
+            const fn pow2(e: i32) -> $t {
+                if e >= $min_norm {
+                    <$t>::from_bits(((e + $bias) as $b) << $m)
+                } else {
+                    <$t>::from_bits((1 as $b) << (e - $min_denorm))
+                }
+            }
+
+            pub(super) static EXTRACTORS: [$t; BINS + 8] = {
+                let mut table = [0.0; BINS + 8];
+                let mut i = 0;
+                while i < table.len() {
+                    // The sentinels past the ladder repeat the top rung.
+                    let bin = if i < BINS { i as i32 } else { 0 };
+                    // 1.5 · 2^e: the leading fraction bit over 2^e.
+                    let e = $anchor - bin * $w;
+                    table[i] = <$t>::from_bits(pow2(e).to_bits() | (1 as $b) << ($m - 1));
+                    i += 1;
+                }
+                table
+            };
+
+            pub(super) static DEPOSIT_LIMITS: [$t; BINS] = {
+                let mut table = [0.0; BINS];
+                let mut i = 0;
+                while i < BINS {
+                    table[i] = pow2($anchor - i as i32 * $w - $m + $w - 1);
+                    i += 1;
+                }
+                table
+            };
+        }
+
         impl ReproFloat for $t {
             const MANTISSA_BITS: i32 = $m;
             const W: i32 = $w;
@@ -165,6 +223,8 @@ macro_rules! impl_repro_float {
             const ANCHOR_EXP: i32 = $anchor;
             const NUM_BINS: usize = ((($anchor) - ($min_norm)) / $w + 1) as usize;
             const HUGE_EXP: i32 = $anchor - $m + $w - 1;
+            const EXTRACTORS: &'static [Self] = &$ladder::EXTRACTORS;
+            const DEPOSIT_LIMITS: &'static [Self] = &$ladder::DEPOSIT_LIMITS;
 
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -279,7 +339,8 @@ impl_repro_float!(
     bias = 1023,
     anchor = 1018,
     min_norm = -1022,
-    min_denorm = -1074
+    min_denorm = -1074,
+    ladder = f64_ladder
 );
 impl_repro_float!(
     f32,
@@ -291,7 +352,8 @@ impl_repro_float!(
     bias = 127,
     anchor = 126,
     min_norm = -126,
-    min_denorm = -149
+    min_denorm = -149,
+    ladder = f32_ladder
 );
 
 #[cfg(test)]
@@ -381,6 +443,34 @@ mod tests {
         assert!(f64::bin_for(f64::MAX).is_none());
         assert!(f64::bin_for(f64::exp2i(f64::HUGE_EXP)).is_none());
         assert!(f64::bin_for(f64::exp2i(f64::HUGE_EXP - 1)).is_some());
+    }
+
+    /// The tables are the formulas, bit for bit, at every index.
+    #[test]
+    fn tables_equal_the_formulas() {
+        fn check<T: ReproFloat>() {
+            assert_eq!(T::EXTRACTORS.len(), T::NUM_BINS + 8);
+            for (i, m) in T::EXTRACTORS.iter().enumerate() {
+                assert_eq!(
+                    m.to_f64().to_bits(),
+                    T::extractor(i).to_f64().to_bits(),
+                    "{i}"
+                );
+            }
+            assert_eq!(T::DEPOSIT_LIMITS.len(), T::NUM_BINS);
+            for (i, t) in T::DEPOSIT_LIMITS.iter().enumerate() {
+                let want = T::deposit_limit(i).to_f64().to_bits();
+                assert_eq!(t.to_f64().to_bits(), want, "{i}");
+            }
+            for top in 0..T::NUM_BINS {
+                let row = T::extractor_row::<8>(top);
+                for (l, m) in row.iter().enumerate() {
+                    assert_eq!(*m, T::extractor(top + l), "rung {top} level {l}");
+                }
+            }
+        }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]

@@ -85,21 +85,24 @@ impl Special {
 /// b += 2.5e-16;
 /// assert_eq!(a.value().to_bits(), b.value().to_bits()); // ... same bits
 /// ```
+///
+/// The state is the sums, the carries, the rung, a deposit count and the
+/// special state — `8 + 16·L` bytes for `f64`. Level `l`'s extractor
+/// `M_l = extractor(top + l)` and the deposit limit of rung `top` are
+/// functions of `top`, read from the format's tables
+/// ([`ReproFloat::EXTRACTORS`], [`ReproFloat::DEPOSIT_LIMITS`]) instead of
+/// stored.
 #[derive(Clone, Debug)]
 pub struct ReproSum<T: ReproFloat, const L: usize> {
     /// Per-level accumulated contributions `A_l` (exact multiples of the
-    /// level's ulp; the paper's `S(l)` is `extractor(l) + sums[l]`).
+    /// level's ulp; the paper's `S(l)` is `extractor(top + l) + sums[l]`).
     sums: [T; L],
-    /// Cached extractors of the levels' rungs (function of `top`).
-    extractors: [T; L],
     /// Per-level carry-bit counters `C(l)`.
     carries: [i64; L],
     /// Ladder rung owned by level 0 (decreases as larger values arrive).
     top: u32,
     /// Deposits since the last carry propagation (Algorithm 3's `NB` tile).
     pending: u32,
-    /// Cached deposit limit of the top rung (Algorithm 2 line 4 threshold).
-    threshold: T,
     special: Special,
 }
 
@@ -117,20 +120,20 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
     /// of [`merge`](Self::merge).
     pub fn new() -> Self {
         const { assert!(L >= 1 && L <= 8, "supported level counts are 1..=8") };
-        let top = (T::NUM_BINS - 1) as u32;
-        let mut extractors = [T::ZERO; L];
-        for (l, m) in extractors.iter_mut().enumerate() {
-            *m = T::extractor(top as usize + l);
-        }
         ReproSum {
             sums: [T::ZERO; L],
-            extractors,
             carries: [0; L],
-            top,
+            top: (T::NUM_BINS - 1) as u32,
             pending: 0,
-            threshold: T::deposit_limit(top as usize),
             special: Special::Finite,
         }
+    }
+
+    /// The deposit limit of the top rung (Algorithm 2 line 4): values with
+    /// a smaller magnitude deposit without a promotion.
+    #[inline(always)]
+    fn threshold(&self) -> T {
+        T::DEPOSIT_LIMITS[self.top as usize]
     }
 
     /// Adds one value (Algorithm 2 body).
@@ -151,7 +154,7 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
     pub fn add_levels<const N: usize>(&mut self, b: T) {
         // NaN/∞ fail this comparison and take the cold path, as do values
         // needing a ladder promotion (Algorithm 2 line 4).
-        if b.abs() < self.threshold {
+        if b.abs() < self.threshold() {
             debug_assert!(
                 b == T::ZERO || N >= crate::simd::depth(self.top as usize, b.abs(), L),
                 "{N} levels cannot hold every bit of a value under rung {}",
@@ -168,12 +171,12 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
     /// fits the top rung).
     #[inline]
     fn deposit<const N: usize>(&mut self, b: T) {
+        // Levels whose rung falls off the bottom of the ladder read the
+        // sentinel top extractor: the remainder reaching them is below
+        // half its ulp, extracts to zero, and the level stays empty.
+        let ext = T::extractor_row::<L>(self.top as usize);
         let mut r = b;
-        for l in 0..N.min(L) {
-            // Levels whose rung falls off the bottom of the ladder use the
-            // sentinel top extractor: the remainder reaching them is below
-            // half its ulp, extracts to zero, and the level stays empty.
-            let m = self.extractors[l];
+        for (l, &m) in ext.iter().enumerate().take(N) {
             let s = m + r;
             let q = s - m;
             self.sums[l] += q;
@@ -228,10 +231,6 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
             }
         }
         self.top = new_top;
-        self.threshold = T::deposit_limit(new_top as usize);
-        for (l, m) in self.extractors.iter_mut().enumerate() {
-            *m = T::extractor(new_top as usize + l);
-        }
     }
 
     /// Carry-bit propagation (Algorithm 2 lines 14–18): renormalizes each
@@ -299,7 +298,7 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
         // `!(|b| < t)` rather than `|b| >= t`: NaN fails both ordered
         // comparisons and must take this branch.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(b.abs() < self.threshold) {
+        if !(b.abs() < self.threshold()) {
             if b.is_nan() {
                 self.special = self.special.combine(Special::Nan);
                 return;
@@ -341,13 +340,13 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
     /// and `k ≤ 2^(m-1)`). Returns `false` — leaving the state untouched
     /// — if any per-level product `k·q_l` would overflow.
     fn deposit_scaled(&mut self, b: T, k: u64) -> bool {
-        debug_assert!(b.abs() < self.threshold);
+        debug_assert!(b.abs() < self.threshold());
+        // Extract once: the q_l each of the k per-row deposits would add.
+        let ext = T::extractor_row::<L>(self.top as usize);
         let kf = T::from_i64(k as i64); // exact: k ≤ 2^(m-1)
-                                        // Extract once: the q_l each of the k per-row deposits would add.
         let mut q = [T::ZERO; L];
         let mut r = b;
-        for (l, qs) in q.iter_mut().enumerate() {
-            let m = self.extractors[l];
+        for (qs, &m) in q.iter_mut().zip(ext) {
             let s = m + r;
             *qs = s - m;
             r -= *qs;
@@ -498,10 +497,6 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
             }
             None => false,
         }
-    }
-
-    pub(crate) fn extractor_cache(&self) -> [T; L] {
-        self.extractors
     }
 }
 
@@ -898,6 +893,17 @@ mod tests {
         check::<2>();
         check::<3>();
         check::<4>();
+    }
+
+    /// The state holds sums, carries, rung, deposit count and special
+    /// state and nothing derived: a field added back fails here.
+    #[test]
+    fn state_sizes_are_pinned() {
+        use core::mem::size_of;
+        assert_eq!(size_of::<ReproSum<f64, 1>>(), 32);
+        assert_eq!(size_of::<ReproSum<f64, 2>>(), 48);
+        assert_eq!(size_of::<ReproSum<f64, 3>>(), 64);
+        assert_eq!(size_of::<ReproSum<f64, 4>>(), 80);
     }
 
     #[test]

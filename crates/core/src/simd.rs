@@ -264,14 +264,14 @@ unsafe fn kernel<R: Reg, const L: usize>(acc: &mut ReproSum<R::F, L>, values: &[
 
         let top = acc.top_rung() as usize;
         let n = depth(top, lo, L);
-        let ext = acc.extractor_cache();
+        let ext = R::F::extractor_row::<L>(top);
         let full = &chunk[..chunk.len() - chunk.len() % R::V];
         match n {
             0 => {}
-            1 => cascade::<R, L, 1>(full, tail, &ext, &mut sums),
-            2 if L >= 2 => cascade::<R, L, 2>(full, tail, &ext, &mut sums),
-            3 if L >= 3 => cascade::<R, L, 3>(full, tail, &ext, &mut sums),
-            _ => cascade::<R, L, L>(full, tail, &ext, &mut sums),
+            1 => cascade::<R, L, 1>(full, tail, ext, &mut sums),
+            2 if L >= 2 => cascade::<R, L, 2>(full, tail, ext, &mut sums),
+            3 if L >= 3 => cascade::<R, L, 3>(full, tail, ext, &mut sums),
+            _ => cascade::<R, L, L>(full, tail, ext, &mut sums),
         }
         // Carry propagation (Algorithm 3 line 7) of the levels this chunk
         // reached. Deeper ones are unchanged since their last propagation,

@@ -223,8 +223,27 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
         out
     }
 
+    /// The largest carry count any state of at most 2^64 deposits can
+    /// hold, `2^(65 + W − m)`: `2^53` for `f64`, `2^60` for `f32`. A
+    /// deposit adds at most `2^(W−1)` ulps of a level's rung to it — the
+    /// deposit limit at level 0, half the ulp of the rung above deeper
+    /// down — and a carry unit is `2^(m−2)` ulps, so 2^64 deposits add at
+    /// most `2^(65 + W − m)` carry units to any one rung, whatever the
+    /// merges and promotions between them. Two such counts add without
+    /// overflowing an `i64`.
+    pub const MAX_CARRY: i64 = 1 << (65 + T::W - T::MANTISSA_BITS);
+
     /// Decodes a state previously produced by [`to_bytes`](Self::to_bytes)
     /// for the same `T` and `L`.
+    ///
+    /// Rejects with [`WireError::OutOfRange`] every state `to_bytes`
+    /// cannot produce from at most 2^64 deposits: a rung off the ladder;
+    /// a level sum that is not finite, not a `T`, not a multiple of its
+    /// rung's ulp, or beyond half a carry unit (`to_bytes` propagates
+    /// carries first); a carry count beyond [`MAX_CARRY`](Self::MAX_CARRY);
+    /// and anything non-zero in a level below the ladder's bottom rung.
+    /// What it accepts therefore merges and rounds without overflowing a
+    /// counter.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
         if bytes.len() != Self::WIRE_SIZE || bytes[0] != MAGIC || bytes[1] != VERSION {
             return Err(WireError::Malformed);
@@ -250,17 +269,28 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
             let raw = f64::from_bits(u64::from_le_bytes(
                 bytes[off..off + 8].try_into().expect("length checked"),
             ));
-            // Validate: level sums are finite multiples of the rung's ulp
-            // within the carry-normalized range.
-            if !raw.is_finite() {
+            let sum = T::from_f64(raw);
+            let carry =
+                i64::from_le_bytes(bytes[off + 8..off + 16].try_into().expect("length checked"));
+            // A level sum is a finite `T` on its rung's grid, within half a
+            // carry unit of zero; levels below the ladder stay empty.
+            let bin = top as usize + l;
+            let valid = if bin < T::NUM_BINS {
+                let ulp = T::exp2i(T::bin_exp(bin) - T::MANTISSA_BITS);
+                let steps = sum / ulp;
+                raw.is_finite()
+                    && sum.to_f64() == raw
+                    && sum.abs() <= T::carry_unit(bin) * T::from_f64(0.5)
+                    && steps.round_ties_even_() == steps
+                    && carry.unsigned_abs() <= Self::MAX_CARRY as u64
+            } else {
+                raw == 0.0 && carry == 0
+            };
+            if !valid {
                 return Err(WireError::OutOfRange);
             }
-            sums[l] = T::from_f64(raw);
-            if sums[l].to_f64() != raw {
-                return Err(WireError::OutOfRange); // not representable in T
-            }
-            carries[l] =
-                i64::from_le_bytes(bytes[off + 8..off + 16].try_into().expect("length checked"));
+            sums[l] = sum;
+            carries[l] = carry;
         }
         Ok(ReproSum::from_raw_state(top, sums, carries, special))
     }
@@ -407,5 +437,88 @@ mod tests {
             ReproSum::<f64, 2>::from_bytes(&bytes),
             Err(WireError::OutOfRange)
         ));
+    }
+
+    /// A state frame of `ReproSum<f64, 2>` with the given fields.
+    fn frame(top: u32, sums: [f64; 2], carries: [i64; 2]) -> Vec<u8> {
+        let mut bytes = ReproSum::<f64, 2>::new().to_bytes();
+        bytes[5..8].copy_from_slice(&top.to_le_bytes()[..3]);
+        for l in 0..2 {
+            let off = 8 + l * 16;
+            bytes[off..off + 8].copy_from_slice(&sums[l].to_bits().to_le_bytes());
+            bytes[off + 8..off + 16].copy_from_slice(&carries[l].to_le_bytes());
+        }
+        bytes
+    }
+
+    /// The rung is an index into the format's tables: the last rung
+    /// decodes, the first past it does not, in either format.
+    #[test]
+    fn rejects_a_rung_past_the_ladder() {
+        fn check<T: ReproFloat>() {
+            for (top, ok) in [
+                (T::NUM_BINS - 1, true),
+                (T::NUM_BINS, false),
+                (1 << 23, false),
+            ] {
+                let mut bytes = ReproSum::<T, 3>::new().to_bytes();
+                bytes[5..8].copy_from_slice(&(top as u32).to_le_bytes()[..3]);
+                let got = ReproSum::<T, 3>::from_bytes(&bytes);
+                assert_eq!(got.is_ok(), ok, "rung {top}: {got:?}");
+            }
+        }
+        check::<f64>();
+        check::<f32>();
+    }
+
+    /// Frames no sequence of deposits produces: each once decoded `Ok`
+    /// and then broke a later merge or rounding.
+    #[test]
+    fn rejects_states_no_deposits_produce() {
+        let bottom = (f64::NUM_BINS - 1) as u32;
+        for (what, bytes) in [
+            // 1.0 is not a multiple of rung 20's ulp, 2^166.
+            ("a level sum off its grid", frame(20, [1.0, 0.0], [0, 0])),
+            // Merged with itself, the counter overflowed.
+            ("a carry of i64::MAX", frame(20, [0.0, 0.0], [i64::MAX, 0])),
+            // Propagating it into the bottom rung's carry overflowed.
+            (
+                "a sum far past its carry unit",
+                frame(bottom, [1e300, 0.0], [0, 0]),
+            ),
+            (
+                "a sum in a level below the ladder",
+                frame(bottom, [0.0, 5e-324], [0, 0]),
+            ),
+            (
+                "a carry in a level below the ladder",
+                frame(bottom, [0.0, 0.0], [0, 1]),
+            ),
+        ] {
+            assert_eq!(
+                ReproSum::<f64, 2>::from_bytes(&bytes).unwrap_err(),
+                WireError::OutOfRange,
+                "{what}"
+            );
+        }
+        // The limits themselves decode, and merge without overflow.
+        let max = ReproSum::<f64, 2>::MAX_CARRY;
+        let unit = f64::carry_unit(20);
+        let half = [unit / 2.0, -f64::carry_unit(21) / 2.0];
+        let mut acc = ReproSum::<f64, 2>::from_bytes(&frame(20, half, [max, -max])).unwrap();
+        acc.merge(&acc.clone());
+        assert_eq!(acc.canonical_state().2, [2 * max + 1, -2 * max - 1]);
+        assert!(acc.value().is_finite());
+        for past in [
+            frame(20, [0.0, 0.0], [max + 1, 0]),
+            frame(20, [0.0, 0.0], [0, -max - 1]),
+            frame(
+                20,
+                [unit / 2.0 + f64::exp2i(f64::bin_exp(20) - 52), 0.0],
+                [0, 0],
+            ),
+        ] {
+            assert!(ReproSum::<f64, 2>::from_bytes(&past).is_err());
+        }
     }
 }

@@ -20,9 +20,17 @@
 # printed as it came. Exit status: 0, or 1 when any run failed or any
 # metric is worse. The worktrees are removed on exit.
 #
+# Two more rows per workload are same-run ratios: each run's
+# buffered_ms_min / double_ms_min and unbuffered_ms_min / double_ms_min.
+# Both arms of a ratio come from one process in the same seconds, so a
+# host that drifts between runs moves both. They get the same columns and
+# verdicts (lower is better), with no bound.
+#
 # `--json FILE` also writes B's median and IQR per (workload, metric), the
-# run parameters and a host line (nproc, CPU model, rustc, B's revision):
-# the per-change record `tools/trend.sh` reads (`BENCH_<n>.json`).
+# ratios as `ratio.buffered_over_double` and `ratio.unbuffered_over_double`,
+# the run parameters and a host line (nproc, CPU model, rustc, B's
+# revision): the per-change record `tools/trend.sh` reads
+# (`BENCH_<n>.json`).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 root=$(pwd)
@@ -105,6 +113,9 @@ host["nproc"] = int(host["nproc"])
 workloads = sys.argv[11:]
 record = {"host": host, "base": rev_a, "seed": int(seed), "pairs": pairs, "metrics": {}}
 metrics = json.load(open(spec))["end_to_end"]
+# Same-run ratios: (name, numerator, denominator), lower is better.
+ratios = [("ratio.buffered_over_double", "buffered_ms_min", "double_ms_min"),
+          ("ratio.unbuffered_over_double", "unbuffered_ms_min", "double_ms_min")]
 status = 0
 
 def load(workload, side, i):
@@ -120,7 +131,11 @@ def load(workload, side, i):
         print(open(path[: -len(".json")] + ".log").read()[-2000:])
         status = 1
         return None
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    for name, num, den in ratios:
+        if values.get(num) is not None and values.get(den):
+            values[name] = values[num] / values[den]
+    return values
 
 def spread(v):
     if len(v) < 2:
@@ -129,13 +144,13 @@ def spread(v):
     return statistics.median(v), q3 - q1
 
 print(f"A = {rev_a}\nB = {rev_b}\n{pairs} pairs per workload, seed {seed}, alternating A B / B A\n")
-print(f"{'workload':<17} {'metric':<19} {'A median':>11} {'A IQR':>9} {'B median':>11} {'B IQR':>9}"
+print(f"{'workload':<17} {'metric':<28} {'A median':>11} {'A IQR':>9} {'B median':>11} {'B IQR':>9}"
       f" {'B/A':>6} {'won A:B':>8}  verdict")
 for w in workloads:
     a = [load(w, "a", i) for i in range(pairs)]
     b = [load(w, "b", i) for i in range(pairs)]
     both = [(x, y) for x, y in zip(a, b) if x is not None and y is not None]
-    for m in metrics:
+    for m in metrics + [{"name": r[0], "better": "lower", "bound": None} for r in ratios]:
         name, lower = m["name"], m["better"] == "lower"
         got = [(x[name], y[name]) for x, y in both if name in x and name in y]
         if not got:
@@ -147,10 +162,11 @@ for w in workloads:
         won_b = sum((y < x) if lower else (y > x) for x, y in got)
         ratio = mb / ma if ma else float("inf") if mb else 1.0
         verdict = "apart" if abs(mb - ma) > max(ia, ib) else "not separable"
-        if (ratio > 1 + m["bound"]) if lower else (ratio < 1 - m["bound"]):
+        bound = m["bound"]
+        if bound is not None and ((ratio > 1 + bound) if lower else (ratio < 1 - bound)):
             verdict += ", worse"
             status = 1
-        print(f"{w:<17} {name:<19} {ma:>11.4g} {ia:>9.3g} {mb:>11.4g} {ib:>9.3g}"
+        print(f"{w:<17} {name:<28} {ma:>11.4g} {ia:>9.3g} {mb:>11.4g} {ib:>9.3g}"
               f" {ratio:>6.3f} {won_a:>3}:{won_b:<4}  {verdict}")
 if out:
     with open(out, "w") as f:

@@ -8,7 +8,10 @@
 # host it ran on. Rows are ordered by <n>; a column is one (workload,
 # metric) pair, headed `<workload's first word>.<metric's first word>`
 # (`q1.unbuffered` is q1_lowcard's unbuffered_ms_min), and holds the median
-# (`-` where that record has none). The metrics are the three `*_ms_min`.
+# (`-` where that record has none). The metrics are the three `*_ms_min`
+# and the two same-run ratios (`q1.ratio.buffered` is q1_lowcard's
+# `ratio.buffered_over_double`), which records from before `tools/ab.sh`
+# computed them lack.
 # The last columns name each record's seed, pairs, revision and host.
 set -euo pipefail
 
@@ -20,7 +23,8 @@ fi
 python3 - "$@" <<'EOF'
 import json, re, sys
 
-metrics = ["buffered_ms_min", "unbuffered_ms_min", "double_ms_min"]
+metrics = ["buffered_ms_min", "unbuffered_ms_min", "double_ms_min",
+           "ratio.buffered_over_double", "ratio.unbuffered_over_double"]
 files = sys.argv[1:]
 
 def change(path):
@@ -36,13 +40,14 @@ for _, r in records:
 columns = [(w, m) for w in workloads for m in metrics
            if any(m in r["metrics"].get(w, {}) for _, r in records)]
 heads = [f"{w.split('_')[0]}.{m.split('_')[0]}" for w, m in columns]
-width = max([10] + [len(h) for h in heads])
-print(f"{'change':>6} " + " ".join(f"{h:>{width}}" for h in heads) + "  seed pairs rev      host")
+widths = [max(8, len(h)) for h in heads]
+print(f"{'change':>6} " + " ".join(f"{h:>{n}}" for h, n in zip(heads, widths))
+      + "  seed pairs rev      host")
 for pr, r in records:
     cells = []
-    for w, m in columns:
+    for (w, m), n in zip(columns, widths):
         got = r["metrics"].get(w, {}).get(m)
-        cells.append(f"{got['median']:>{width}.4g}" if got else f"{'-':>{width}}")
+        cells.append(f"{got['median']:>{n}.4g}" if got else f"{'-':>{n}}")
     h = r["host"]
     host = f"{h['nproc']} x {h['cpu']}, {h['rustc'].split(' (')[0]}"
     print(f"{pr:>6} " + " ".join(cells) + f"  {r['seed']:>4} {r['pairs']:>5} {h['rev'][:8]} {host}")
