@@ -179,7 +179,7 @@ macro_rules! impl_repro_float {
         /// The format's extractor and deposit-limit tables, built at
         /// compile time.
         mod $ladder {
-            const BINS: usize = ((($anchor) - ($min_norm)) / $w + 1) as usize;
+            pub(super) const BINS: usize = ((($anchor) - ($min_norm)) / $w + 1) as usize;
 
             /// `2^e` for `e` in the normal or subnormal range.
             const fn pow2(e: i32) -> $t {
@@ -221,7 +221,7 @@ macro_rules! impl_repro_float {
             const LANES: usize = $v;
             const BLOCK: usize = $nb;
             const ANCHOR_EXP: i32 = $anchor;
-            const NUM_BINS: usize = ((($anchor) - ($min_norm)) / $w + 1) as usize;
+            const NUM_BINS: usize = $ladder::BINS;
             const HUGE_EXP: i32 = $anchor - $m + $w - 1;
             const EXTRACTORS: &'static [Self] = &$ladder::EXTRACTORS;
             const DEPOSIT_LIMITS: &'static [Self] = &$ladder::DEPOSIT_LIMITS;

@@ -87,7 +87,7 @@ impl Special {
 /// ```
 ///
 /// The state is the sums, the carries, the rung, a deposit count and the
-/// special state — `8 + 16·L` bytes for `f64`. Level `l`'s extractor
+/// special state — `16 + 16·L` bytes for `f64`. Level `l`'s extractor
 /// `M_l = extractor(top + l)` and the deposit limit of rung `top` are
 /// functions of `top`, read from the format's tables
 /// ([`ReproFloat::EXTRACTORS`], [`ReproFloat::DEPOSIT_LIMITS`]) instead of

@@ -238,9 +238,9 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
     ///
     /// Rejects with [`WireError::OutOfRange`] every state `to_bytes`
     /// cannot produce from at most 2^64 deposits: a rung off the ladder;
-    /// a level sum that is not finite, not a `T`, not a multiple of its
-    /// rung's ulp, or beyond half a carry unit (`to_bytes` propagates
-    /// carries first); a carry count beyond [`MAX_CARRY`](Self::MAX_CARRY);
+    /// a level sum that is not finite, `−0.0`, not a `T`, not a multiple
+    /// of its rung's ulp, or beyond half a carry unit (`to_bytes`
+    /// propagates carries first); a carry count beyond [`MAX_CARRY`](Self::MAX_CARRY);
     /// and anything non-zero in a level below the ladder's bottom rung.
     /// What it accepts therefore merges and rounds without overflowing a
     /// counter.
@@ -279,6 +279,7 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
                 let ulp = T::exp2i(T::bin_exp(bin) - T::MANTISSA_BITS);
                 let steps = sum / ulp;
                 raw.is_finite()
+                    && raw.to_bits() != (-0.0f64).to_bits()
                     && sum.to_f64() == raw
                     && sum.abs() <= T::carry_unit(bin) * T::from_f64(0.5)
                     && steps.round_ties_even_() == steps
@@ -486,6 +487,7 @@ mod tests {
                 "a sum far past its carry unit",
                 frame(bottom, [1e300, 0.0], [0, 0]),
             ),
+            ("a negative zero sum", frame(20, [-0.0, 0.0], [0, 0])),
             (
                 "a sum in a level below the ladder",
                 frame(bottom, [0.0, 5e-324], [0, 0]),

@@ -180,20 +180,22 @@ impl std::fmt::Display for OverflowError {
 impl std::error::Error for OverflowError {}
 
 /// State-array size above which per-row deposits prefetch: 1 MiB, a
-/// core's share of L2 on the hosts this runs on (2^14 groups of
-/// `ReproSum<f64, 4>` are 1.9 MiB). Set by measurement: below it the hint
-/// costs 1.2–1.5 ns/row and saves nothing (EXPERIMENTS.md).
+/// core's share of L2 on the hosts this runs on. At the 80-byte
+/// `ReproSum<f64, 4>` it falls between 2^13 groups (640 KiB, resident)
+/// and 2^14 (1.25 MiB, past L2). Set by measurement (EXPERIMENTS.md): at
+/// 2^14 and 2^16 groups the hint saves up to 1 ns/row, at 2^12 and 2^13
+/// it costs time and saves nothing.
 const PREFETCH_MIN_BYTES: usize = 1 << 20;
 
 /// Rows of lookahead of the deposit prefetch — far enough to cover an L3
 /// hit at 3–6 ns per deposit, near enough to stay inside one batch.
 const PREFETCH_AHEAD: usize = 16;
 
-/// Requests every cache line the `T` at `p` lies on — three for most
-/// slots of a 120-byte `ReproSum<f64, 4>` array, whose 8-byte alignment
-/// lets a slot start anywhere in a line. A hint only: it has no
-/// architectural effect and never faults, whatever `p` is — and it is a
-/// no-op off x86-64.
+/// Requests every cache line the `T` at `p` lies on — two for a slot of
+/// an 80-byte `ReproSum<f64, 4>` array on a 16-byte-aligned base, three
+/// for the slots that start in a line's last 16 bytes when the base is
+/// only 8-byte aligned. A hint only: it has no architectural effect and
+/// never faults, whatever `p` is — and it is a no-op off x86-64.
 #[inline(always)]
 fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]

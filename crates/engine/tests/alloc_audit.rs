@@ -170,11 +170,12 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
     }
 
     // (3b) High cardinality: 2^14 groups over 2^20 rows. Measured
-    // 5.7 MiB: 2^14 accumulators of 120 bytes are 1.9 MiB live, 3.3 MiB
-    // of capacity after the last doubling; the pre-sized hash table is
-    // 1 MiB; group keys, counts and the result's key / value columns
-    // (sorted, then copied out) the rest. With a staging buffer per
-    // group this was 140 MiB.
+    // 4.4 MiB: 2^14 accumulators of 80 bytes are 1.25 MiB live, about
+    // 2.2 MiB of capacity after the last doubling; the pre-sized hash
+    // table is 1 MiB; group keys, counts and the result's key / value
+    // columns (sorted, then copied out) the rest. With 120-byte
+    // accumulators this was 5.7 MiB, with a staging buffer per group
+    // 140 MiB.
     let pairs = GroupedPairs::generate(1 << 20, 1 << 14, ValueDist::Signed, 5);
     let mut g = Table::new("g");
     g.add_column("key", Column::u32(pairs.keys)).unwrap();
@@ -185,7 +186,7 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
         by_key.execute(&g, backend, &opts).unwrap();
     });
     assert!(
-        by_key_bytes < 8 * 1024 * 1024,
+        by_key_bytes < 6 * 1024 * 1024,
         "buffered SUM over 2^14 groups allocated {by_key_bytes} bytes — expected O(batch + groups)"
     );
 }
