@@ -224,14 +224,8 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
     }
 
     /// The largest carry count any state of at most 2^64 deposits can
-    /// hold, `2^(65 + W − m)`: `2^53` for `f64`, `2^60` for `f32`. A
-    /// deposit adds at most `2^(W−1)` ulps of a level's rung to it — the
-    /// deposit limit at level 0, half the ulp of the rung above deeper
-    /// down — and a carry unit is `2^(m−2)` ulps, so 2^64 deposits add at
-    /// most `2^(65 + W − m)` carry units to any one rung, whatever the
-    /// merges and promotions between them. Two such counts add without
-    /// overflowing an `i64`.
-    pub const MAX_CARRY: i64 = 1 << (65 + T::W - T::MANTISSA_BITS);
+    /// hold (see [`from_bytes`](Self::from_bytes)).
+    const MAX_CARRY: i64 = 1 << (65 + T::W - T::MANTISSA_BITS);
 
     /// Decodes a state previously produced by [`to_bytes`](Self::to_bytes)
     /// for the same `T` and `L`.
@@ -240,10 +234,16 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
     /// cannot produce from at most 2^64 deposits: a rung off the ladder;
     /// a level sum that is not finite, `−0.0`, not a `T`, not a multiple
     /// of its rung's ulp, or beyond half a carry unit (`to_bytes`
-    /// propagates carries first); a carry count beyond [`MAX_CARRY`](Self::MAX_CARRY);
-    /// and anything non-zero in a level below the ladder's bottom rung.
-    /// What it accepts therefore merges and rounds without overflowing a
-    /// counter.
+    /// propagates carries first); anything non-zero in a level below the
+    /// ladder's bottom rung; and a carry count beyond `2^(65 + W − m)`,
+    /// which is `2^53` for `f64` and `2^60` for `f32`. That bound: a
+    /// deposit adds at most `2^(W−1)` ulps of a level's rung to it — the
+    /// deposit limit at level 0, half the ulp of the rung above deeper
+    /// down — and a carry unit is `2^(m−2)` ulps, so 2^64 deposits add at
+    /// most `2^(65 + W − m)` carry units to any one rung, whatever the
+    /// merges and promotions between them. Two such counts add without
+    /// overflowing an `i64`, so what this accepts merges and rounds
+    /// without overflowing a counter.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
         if bytes.len() != Self::WIRE_SIZE || bytes[0] != MAGIC || bytes[1] != VERSION {
             return Err(WireError::Malformed);

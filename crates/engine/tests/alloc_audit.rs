@@ -173,9 +173,8 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
     // 4.4 MiB: 2^14 accumulators of 80 bytes are 1.25 MiB live, about
     // 2.2 MiB of capacity after the last doubling; the pre-sized hash
     // table is 1 MiB; group keys, counts and the result's key / value
-    // columns (sorted, then copied out) the rest. With 120-byte
-    // accumulators this was 5.7 MiB, with a staging buffer per group
-    // 140 MiB.
+    // columns (sorted, then copied out) the rest. With a staging buffer
+    // per group this was 140 MiB.
     let pairs = GroupedPairs::generate(1 << 20, 1 << 14, ValueDist::Signed, 5);
     let mut g = Table::new("g");
     g.add_column("key", Column::u32(pairs.keys)).unwrap();
