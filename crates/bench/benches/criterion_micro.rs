@@ -557,7 +557,9 @@ fn bench_projection(c: &mut Criterion) {
 /// The scan filter's range kernels: selection-vector fill (first conjunct,
 /// contiguous rows) and refine (later conjuncts, gathered rows) over a
 /// plain `F64` and a plain `I32` column, per dispatch level, at 1 / 15 /
-/// 50 / 99 % selectivity. Every conjunct binds as a closed interval, so a
+/// 50 / 99 % selectivity. The `f64` fill and the `i32` refine have no
+/// kernel (no workload runs them): those rows time the scalar loop at
+/// every level. Every conjunct binds as a closed interval, so a
 /// one-sided comparison (`x < c` — Q1's shipdate cutoff) runs the same
 /// two-compare kernel as a two-sided window; both are measured so that
 /// what the second compare costs is a number (EXPERIMENTS.md holds the

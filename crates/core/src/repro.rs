@@ -192,26 +192,33 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
     /// promotion for values exceeding the top rung's deposit limit.
     #[cold]
     fn add_cold(&mut self, b: T) {
+        if self.admit(b) {
+            self.deposit::<L>(b);
+        }
+    }
+
+    /// Admits a value at or past the top rung's deposit limit (or NaN),
+    /// returning whether it deposits: NaN, ±∞ and values too large to bin
+    /// (documented overflow) fold into the sticky special state (`false`);
+    /// any other value promotes the ladder to its rung (Algorithm 2 lines
+    /// 4–7; `true`).
+    #[cold]
+    fn admit(&mut self, b: T) -> bool {
         if b.is_nan() {
             self.special = self.special.combine(Special::Nan);
-            return;
+            return false;
         }
-        if b.is_infinite() || T::bin_for(b).is_none() {
-            // ±∞, or finite but too large to bin (documented overflow).
+        let Some(new_top) = (if b.is_infinite() { None } else { T::bin_for(b) }) else {
             let s = if b.is_sign_negative() {
                 Special::NegInf
             } else {
                 Special::PosInf
             };
             self.special = self.special.combine(s);
-            return;
-        }
-        // In-range value above the current window: promote the ladder
-        // (Algorithm 2 lines 4–7) and deposit.
-        let new_top = T::bin_for(b).expect("checked above") as u32;
-        debug_assert!(new_top < self.top);
-        self.promote(new_top);
-        self.deposit::<L>(b);
+            return false;
+        };
+        self.promote(new_top as u32);
+        true
     }
 
     /// Shifts the level window up to `new_top` (Algorithm 2 lines 5–7:
@@ -298,21 +305,8 @@ impl<T: ReproFloat, const L: usize> ReproSum<T, L> {
         // `!(|b| < t)` rather than `|b| >= t`: NaN fails both ordered
         // comparisons and must take this branch.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(b.abs() < self.threshold()) {
-            if b.is_nan() {
-                self.special = self.special.combine(Special::Nan);
-                return;
-            }
-            let Some(new_top) = (if b.is_infinite() { None } else { T::bin_for(b) }) else {
-                let s = if b.is_sign_negative() {
-                    Special::NegInf
-                } else {
-                    Special::PosInf
-                };
-                self.special = self.special.combine(s);
-                return;
-            };
-            self.promote(new_top as u32);
+        if !(b.abs() < self.threshold()) && !self.admit(b) {
+            return;
         }
         // k must be exactly representable in T for the error-free product
         // (2^(m-1) keeps a bit of slack); larger multiplicities split into

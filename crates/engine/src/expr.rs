@@ -270,7 +270,8 @@ enum BinOp {
 enum Node {
     /// Column `cols[i]` (integer columns widen exactly to `f64`).
     Col(usize),
-    /// An entirely constant expression (else constants fuse: `BinConst`).
+    /// An entirely constant expression: an output, or a comparison's
+    /// constant operand (inside arithmetic, constants fuse: `BinConst`).
     Const(u64),
     /// `-a` (sign flip).
     Neg(usize),
@@ -302,10 +303,8 @@ impl Node {
 /// and push one, `Not` flips the top.
 #[derive(Clone, Copy, Debug)]
 enum MaskInst {
+    /// `a ⟨op⟩ b`; a constant operand is an interned [`Node::Const`].
     Cmp(CmpOp, usize, usize),
-    CmpConst(CmpOp, usize, f64),
-    /// `(lo <= a) & (a <= hi)`.
-    BetweenConst(usize, f64, f64),
     /// A fully folded comparison.
     Const(bool),
     And,
@@ -1076,22 +1075,14 @@ impl Builder {
         let inst = match e {
             BoolExpr::Cmp(op, a, b) => match (a.const_value(), b.const_value()) {
                 (Some(x), Some(y)) => MaskInst::Const(op.test(x, y)),
-                (None, Some(c)) => MaskInst::CmpConst(*op, self.output(a), c),
-                (Some(c), None) => MaskInst::CmpConst(op.flip(), self.output(b), c),
-                (None, None) => MaskInst::Cmp(*op, self.output(a), self.output(b)),
+                _ => MaskInst::Cmp(*op, self.output(a), self.output(b)),
             },
+            // The two inclusive comparisons SQL defines BETWEEN as; the
+            // subject is one interned node, computed once.
             BoolExpr::Between(e, lo, hi) => {
-                match (e.const_value(), lo.const_value(), hi.const_value()) {
-                    (None, Some(l), Some(h)) => MaskInst::BetweenConst(self.output(e), l, h),
-                    // Non-constant bounds (or a fully constant subject):
-                    // desugar to the two inclusive comparisons SQL defines
-                    // BETWEEN as.
-                    _ => {
-                        let desugared = BoolExpr::Cmp(CmpOp::Ge, e.clone(), lo.clone())
-                            .and(BoolExpr::Cmp(CmpOp::Le, e.clone(), hi.clone()));
-                        return self.lower_bool(&desugared);
-                    }
-                }
+                let ge = BoolExpr::Cmp(CmpOp::Ge, e.clone(), lo.clone());
+                let le = BoolExpr::Cmp(CmpOp::Le, e.clone(), hi.clone());
+                return self.lower_bool(&ge.and(le));
             }
             BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
                 self.lower_bool(a);
@@ -1291,9 +1282,6 @@ impl BoundFast<'_> {
         {
             use crate::simd_sel;
             match self {
-                BoundFast::F64Range { col, lo, hi } => {
-                    simd_sel::fill_f64_range(col, *lo, *hi, _lo, _hi, _sel)
-                }
                 BoundFast::I32Range { col, lo, hi } => {
                     simd_sel::fill_i32_range(col, *lo, *hi, _lo, _hi, _sel)
                 }
@@ -1303,10 +1291,13 @@ impl BoundFast<'_> {
                 BoundFast::Dict16InSet { codes, keep } => {
                     simd_sel::fill_u16_in_set(codes, keep, _lo, _hi, _sel)
                 }
-                // `U32` filter columns have no kernel (no workload has
-                // one). Range emission is already O(selected rows);
-                // nothing for a per-row kernel to speed up there.
-                BoundFast::U32Range { .. } | BoundFast::Decided { .. } => false,
+                // `F64` and `U32` columns have no fill kernel: no
+                // workload's first conjunct is one (Q1, Q6 and Q15 lead
+                // with the `I32` ship date). `Decided` emits ranges,
+                // already O(selected rows).
+                BoundFast::F64Range { .. }
+                | BoundFast::U32Range { .. }
+                | BoundFast::Decided { .. } => false,
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -1322,13 +1313,13 @@ impl BoundFast<'_> {
                 BoundFast::F64Range { col, lo, hi } => {
                     simd_sel::refine_f64_range(col, *lo, *hi, _sel)
                 }
-                BoundFast::I32Range { col, lo, hi } => {
-                    simd_sel::refine_i32_range(col, *lo, *hi, _sel)
-                }
-                // An i32 gather over u8 / u16 codes would read past the
-                // column's end; the scalar loop is the refine path for
-                // codes.
-                BoundFast::U32Range { .. }
+                // Integer columns have no refine kernel: no workload
+                // refines by one (the ship date is every query's first
+                // conjunct). An i32 gather over u8 / u16 codes would read
+                // past the column's end; the scalar loop is the refine
+                // path for codes.
+                BoundFast::I32Range { .. }
+                | BoundFast::U32Range { .. }
                 | BoundFast::DictInSet { .. }
                 | BoundFast::Dict16InSet { .. }
                 | BoundFast::Decided { .. } => false,
@@ -1435,17 +1426,6 @@ impl BoundProg<'_> {
                     CmpOp::Ge => cmp_loop(m, a, values(b), |x, y| x >= y),
                     CmpOp::Eq => cmp_loop(m, a, values(b), |x, y| x == y),
                     CmpOp::Ne => cmp_loop(m, a, values(b), |x, y| x != y),
-                }),
-                MaskInst::CmpConst(op, a, c) => push(values(a), &|m, a| match op {
-                    CmpOp::Lt => cmp_const_loop(m, a, |x| x < c),
-                    CmpOp::Le => cmp_const_loop(m, a, |x| x <= c),
-                    CmpOp::Gt => cmp_const_loop(m, a, |x| x > c),
-                    CmpOp::Ge => cmp_const_loop(m, a, |x| x >= c),
-                    CmpOp::Eq => cmp_const_loop(m, a, |x| x == c),
-                    CmpOp::Ne => cmp_const_loop(m, a, |x| x != c),
-                }),
-                MaskInst::BetweenConst(a, l, h) => push(values(a), &|m, a| {
-                    cmp_const_loop(m, a, |x| (x >= l) & (x <= h))
                 }),
                 MaskInst::Const(b) => push(&[], &|m, _| m.fill(b as u8)),
                 MaskInst::And | MaskInst::Or => {
@@ -1564,13 +1544,6 @@ fn cmp_loop(m: &mut [u8], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> bool) {
     }
 }
 
-#[inline]
-fn cmp_const_loop(m: &mut [u8], a: &[f64], f: impl Fn(f64) -> bool) {
-    for (m, &x) in m.iter_mut().zip(a) {
-        *m = f(x) as u8;
-    }
-}
-
 impl BoundExpr<'_> {
     /// Evaluates one batch: every node once, every [`Self::output`] ready.
     /// All intermediates live in `scratch`; nothing is allocated once it
@@ -1644,13 +1617,8 @@ fn mask_filter(prog: &BoundProg<'_>, sel: &mut Vec<u32>, scratch: &mut EvalScrat
         return;
     }
     prog.exec(Sel::new(sel), scratch);
-    let mask = &scratch.masks[0][..n];
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd_sel::compact_by_mask(sel, mask) {
-        return;
-    }
     let mut k = 0usize;
-    for (i, &m) in mask.iter().enumerate() {
+    for (i, &m) in scratch.masks[0][..n].iter().enumerate() {
         sel[k] = sel[i];
         k += (m != 0) as usize;
     }

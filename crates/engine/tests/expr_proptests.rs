@@ -92,8 +92,21 @@ fn gen_pred(rng: &mut Xorshift, depth: u32) -> BoolExpr {
 }
 
 /// Includes ±0.0 (sign-sensitive under Mul/Div/Neg), an exact i32 value
-/// (exercises the typed predicate fast path) and a non-integral bound.
-const CONSTS: [f64; 7] = [0.0, -0.0, 1.0, -2.5, 7.0, 0.125, 3.5];
+/// (exercises the typed predicate fast path), a non-integral bound, and
+/// NaN and ±∞: a comparison's constant operand is a register of the mask
+/// program, checked on special values inside OR / NOT / arithmetic too.
+const CONSTS: [f64; 10] = [
+    0.0,
+    -0.0,
+    1.0,
+    -2.5,
+    7.0,
+    0.125,
+    3.5,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
 
 struct Xorshift(u64);
 

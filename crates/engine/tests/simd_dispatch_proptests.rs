@@ -1,7 +1,8 @@
 //! Forced-dispatch bit-identity tests at the *query* level: the whole
-//! scan pipeline — AVX2 selection-vector build, mask compaction and the
-//! AVX2 repro summation kernel — must produce results bit-identical to
-//! the scalar paths, for every query, fused backend and thread shape.
+//! scan pipeline — the SIMD selection-vector fills and refine, the
+//! general mask program (scalar at every level) and the SIMD repro
+//! summation kernels — must produce results bit-identical to the scalar
+//! paths, for every query, fused backend and thread shape.
 //!
 //! `RFA_SIMD` flips the dispatch level process-wide; these tests flip it
 //! programmatically via [`rfa_core::cpu::set_override`] (serialized by a
@@ -359,8 +360,8 @@ proptest! {
                 Box::new(Expr::lit(-25.0)),
                 Box::new(Expr::lit(25.0)),
             ),
-            // No typed fast path (two columns): exercises the general
-            // program + AVX2 mask compaction.
+            // No typed fast path (two columns): the general mask
+            // program, whose compaction is one scalar loop at every level.
             BoolExpr::Cmp(rfa_engine::CmpOp::Gt, Box::new(Expr::col("x")), Box::new(Expr::col("k"))),
         ];
         if n > 0 {
