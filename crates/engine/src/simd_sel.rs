@@ -13,12 +13,12 @@
 //!   append the matching row ids in one shot via a 256-entry permutation
 //!   LUT and `vpermd` (left-pack) + unconditional 8-lane store. Every
 //!   query's first conjunct is the `i32` ship date: `q1_lowcard`,
-//!   `q6_scan`, `service_mix`, and `encoded_mix`'s plain-table check;
+//!   `q6_scan`, `service_mix`, and the plain copy `encoded_mix` checks;
 //! * **refine** over an `f64` column: same, but the 8 candidate rows come
 //!   from the existing selection vector, so column values are fetched with
 //!   `vgatherdpd` and the *selection entries themselves* are left-packed.
 //!   Q6's discount and quantity conjuncts: `q6_scan`, `service_mix`,
-//!   `encoded_mix`'s plain-table check;
+//!   the plain copy `encoded_mix` checks;
 //! * **code-set fills**: dictionary codes test membership in a keep-set
 //!   instead of comparing — `u8` codes gather a 0 / -1 entry per code
 //!   (`encoded_mix`'s `Dict` discount), `u16` codes gather the 32-bit
@@ -33,9 +33,10 @@
 //! of one, runs it, or it is the AVX2 flavour of a kernel with an
 //! AVX-512 twin — the only SIMD for that path on AVX2-only hosts. The
 //! `f64` fill, the `i32` refine and the general predicate program's mask
-//! compaction reached no workload (EXPERIMENTS.md, "Reachability of the
-//! selection kernels"); their scalar loops in `expr.rs` are their only
-//! path, as they are every path's under `RFA_SIMD=scalar`.
+//! compaction reach no workload (EXPERIMENTS.md, "Reachability of the
+//! selection kernels"), so they have no kernel: the scalar loops in
+//! `expr.rs` serve them, as they serve every path under
+//! `RFA_SIMD=scalar`.
 //!
 //! Every kernel is bit-exact with its scalar counterpart in `expr.rs`:
 //! the interval test is two ordered-quiet compares (`false` on NaN, as
