@@ -23,8 +23,8 @@ use crate::hash_table::HashKind;
 use rayon::prelude::*;
 
 /// Rows per partitioning morsel. Large enough that the per-morsel radix
-/// histogram amortizes, small enough that work-stealing can balance a
-/// handful of workers on laptop-scale inputs.
+/// histogram amortizes, small enough that a handful of threads each get
+/// several morsels on laptop-scale inputs.
 pub(crate) const PARTITION_MORSEL_ROWS: usize = 1 << 16;
 
 /// One output partition: parallel key/value columns.
@@ -64,8 +64,8 @@ pub fn partition_serial<V: Copy>(
     parts
 }
 
-/// Parallel radix partitioning: morsel-local partitioning (morsels
-/// dispatched to the pool's work-stealing deques) followed by
+/// Parallel radix partitioning: morsel-local partitioning (morsels split
+/// across the fork-join's threads) followed by
 /// per-partition concatenation in morsel order (deterministic content; and
 /// aggregation over reproducible states is order-independent anyway).
 pub fn partition_parallel<V: Copy + Send + Sync>(

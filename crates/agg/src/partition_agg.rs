@@ -32,8 +32,8 @@ pub struct GroupByConfig {
     /// underestimates).
     pub groups_hint: usize,
     /// Worker threads for partitioning and per-partition aggregation
-    /// (`<= 1` forces the serial path; above 1 the global pool runs the
-    /// morsels).
+    /// (`<= 1` forces the serial path; above 1 the morsels fork onto up to
+    /// `rayon::current_num_threads()` threads).
     pub threads: usize,
     /// Rows per aggregation morsel; 0 picks automatically (about four
     /// morsels per pool worker, clamped to `[2^13, 2^17]`). Exposed mainly

@@ -35,8 +35,8 @@
 //! * `RFA_FULL=1` — paper-scale `n = 2^30` (needs ~8+ GiB and patience).
 //! * `RFA_QUICK=1` — smoke-test scale `n = 2^16`.
 //! * `RFA_REPS=<num>` — timing repetitions (default 3, min is reported).
-//! * `RFA_THREADS=<num>` — worker count of the global pool used by the
-//!   parallel panels (default: `available_parallelism`).
+//! * `RFA_THREADS=<num>` — threads a parallel call of the rayon shim may
+//!   use in the parallel panels (default: `available_parallelism`).
 //!
 //! The two flags take `1`/`true`/`yes` or `0`/`false`/`no`.
 
@@ -244,7 +244,7 @@ pub mod runner {
     }
 
     /// Times PARTITIONANDAGGREGATE with the given worker-thread budget
-    /// (above 1, morsels run on the global work-stealing pool) and returns
+    /// (above 1, morsels run on the rayon shim's fork-join) and returns
     /// *wall-clock* ns/element — so serial ÷ parallel is the speedup.
     pub fn groupby_ns_threads<F>(
         f: &F,

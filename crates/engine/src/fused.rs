@@ -167,10 +167,10 @@
 //! inputs are evaluated and deposited like any other expression: a code
 //! lookup per row costs less than any per-code bookkeeping saved.
 //!
-//! **Parallelism.** With `threads > 1` the scan runs morsel-driven on the
-//! work-stealing pool: each morsel ([`ExecOptions::morsel_rows`] rows)
-//! processes its batches into private states, merged along the
-//! deterministic split tree. Exact state merging makes the repro backends
+//! **Parallelism.** With `threads > 1` the scan runs morsel-driven as a
+//! fork-join over scoped threads (`rayon::join`): each morsel
+//! ([`ExecOptions::morsel_rows`] rows) processes its batches into private
+//! states, merged along the deterministic split tree. Exact state merging makes the repro backends
 //! and the sorted baseline (whose state is each group's value multiset)
 //! bit-identical to serial execution at any thread count; MIN/MAX merge by
 //! comparison folds whose ties resolve to the earlier range, and the hash
@@ -247,8 +247,10 @@ pub struct FusedQuery {
 /// Execution options of the fused pipeline.
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
-    /// Worker budget: 1 runs serial, >1 runs morsel-parallel on the
-    /// global pool. Results are bit-identical either way (see module doc).
+    /// 1 runs serial; >1 runs morsel-parallel, forking onto at most
+    /// `rayon::current_num_threads()` scoped threads (`RFA_THREADS`, else
+    /// the core count) whatever the value. Results are bit-identical
+    /// either way (see module doc).
     pub threads: usize,
     /// Rows per batch (default [`FUSED_BATCH_ROWS`]; tests shrink it to
     /// force many batches on small inputs).
@@ -286,7 +288,8 @@ impl ExecOptions {
         ExecOptions::default()
     }
 
-    /// One worker per pool thread with default batch/morsel sizing.
+    /// `threads` set to `rayon::current_num_threads()`, default
+    /// batch/morsel sizing.
     pub fn parallel() -> Self {
         ExecOptions {
             threads: rayon::current_num_threads().max(1),

@@ -1215,6 +1215,11 @@ pub struct PlanCacheStats {
     pub entries: usize,
 }
 
+/// Most raw-text entries a [`PlanCache`] holds. Inserting past it drops
+/// every entry first (the counters survive), so a client that varies only
+/// a literal cannot grow a server session's memory without bound.
+pub const PLAN_CACHE_CAP: usize = 256;
+
 #[derive(Default)]
 struct PlanCacheInner {
     /// Raw-text hits skip even the parse: `fingerprint \0 sql` → plan.
@@ -1224,6 +1229,22 @@ struct PlanCacheInner {
     by_canonical: std::collections::HashMap<String, std::sync::Arc<SqlQuery>>,
     hits: u64,
     misses: u64,
+}
+
+impl PlanCacheInner {
+    fn clear(&mut self) {
+        self.by_text.clear();
+        self.by_canonical.clear();
+    }
+
+    /// Every canonical entry arrives with a new raw text, so capping
+    /// `by_text` caps both maps.
+    fn insert_text(&mut self, key: String, q: std::sync::Arc<SqlQuery>) {
+        if self.by_text.len() >= PLAN_CACHE_CAP {
+            self.clear();
+        }
+        self.by_text.insert(key, q);
+    }
 }
 
 /// A cache of resolved [`SqlQuery`] plans, keyed by the statement's
@@ -1250,6 +1271,9 @@ struct PlanCacheInner {
 /// type) lowers differently — or not at all — and must not share a
 /// cache entry. Errors are not cached; a failing statement re-resolves
 /// (and re-fails, typed) on every call.
+///
+/// At most [`PLAN_CACHE_CAP`] raw texts are held: the insert that would
+/// pass the cap clears the cache first.
 ///
 /// Thread-safe behind one internal mutex; cached plans are shared
 /// `Arc`s, so execution itself never holds the lock.
@@ -1295,13 +1319,13 @@ impl PlanCache {
         let canonical_key = format!("{fp}\u{0}{stmt}");
         if let Some(q) = inner.by_canonical.get(&canonical_key).cloned() {
             inner.hits += 1;
-            inner.by_text.insert(text_key, q.clone());
+            inner.insert_text(text_key, q.clone());
             return Ok(q);
         }
         let q = std::sync::Arc::new(resolve_select(&stmt, table)?);
         inner.misses += 1;
+        inner.insert_text(text_key, q.clone());
         inner.by_canonical.insert(canonical_key, q.clone());
-        inner.by_text.insert(text_key, q.clone());
         Ok(q)
     }
 
@@ -1317,9 +1341,7 @@ impl PlanCache {
 
     /// Drops every cached plan (counters survive).
     pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.by_text.clear();
-        inner.by_canonical.clear();
+        self.lock().clear();
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, PlanCacheInner> {
@@ -1876,6 +1898,24 @@ mod tests {
                 (a, b) => assert_eq!(a, b),
             }
         }
+    }
+
+    #[test]
+    fn plan_cache_stays_under_its_cap_and_still_hits() {
+        let t = sensor_table();
+        let cache = PlanCache::new();
+        let sql = |i: usize| format!("SELECT SUM(temp) FROM sensors WHERE temp < {i}.5");
+        for i in 0..2 * PLAN_CACHE_CAP + 1 {
+            cache.get_or_resolve(&sql(i), &t).unwrap();
+        }
+        let stats = cache.stats();
+        assert!(stats.entries <= PLAN_CACHE_CAP, "{stats:?}");
+        assert_eq!(stats.misses, 2 * PLAN_CACHE_CAP as u64 + 1);
+        let last = sql(2 * PLAN_CACHE_CAP);
+        let a = cache.get_or_resolve(&last, &t).unwrap();
+        let b = cache.get_or_resolve(&last, &t).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.stats().hits, stats.hits + 2);
     }
 
     #[test]
