@@ -28,12 +28,12 @@ fn supported_levels() -> Vec<SimdLevel> {
     levels
 }
 
-/// Requests an 8-worker pool for this test binary so the parallel
-/// machinery genuinely runs multi-threaded even on small CI boxes. Every
-/// test calls this before touching an operator; whichever runs first
-/// initializes the pool and the rest get (and ignore) the
-/// already-initialized error. A pinned `RFA_THREADS` (the CI matrix leg)
-/// still takes precedence inside the builder.
+/// Fixes this test binary's thread budget at 8, so the parallel
+/// operators fork scoped threads even on small CI boxes. Every test calls
+/// this before touching an operator; whichever runs first fixes the
+/// budget and the rest get (and ignore) the already-fixed error. A pinned
+/// `RFA_THREADS` (the CI matrix leg) still takes precedence inside the
+/// builder.
 fn force_pool() {
     let _ = rayon::ThreadPoolBuilder::new()
         .num_threads(8)
@@ -186,7 +186,7 @@ proptest! {
             threads: 1, depth, groups_hint: 33, ..Default::default()
         });
         // Tiny morsels force real morsel fan-out even on proptest-sized
-        // inputs; the pool is pinned at 8 workers.
+        // inputs; the thread budget is fixed at 8.
         for threads in [1usize, 2, 8] {
             let cfg = GroupByConfig {
                 threads, depth, groups_hint: 33, morsel_rows: 64, ..Default::default()

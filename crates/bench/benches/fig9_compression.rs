@@ -5,10 +5,11 @@
 //! directly: predicates are evaluated once per dictionary *entry* (a
 //! 256-way code-set bitmap tested per row) or once per *run* (decided at
 //! bind time into row ranges — batches outside them are never visited,
-//! the "visited / pruned" column), and RLE group keys turn per-row
-//! aggregate deposits into one block (`step_slice`) call per run. Both
-//! arms perform the identical floating-point deposit sequence, so the
-//! bench cross-asserts every output bit before reporting the ratio.
+//! the "visited / pruned" column). Group keys and aggregate inputs are
+//! read through their encoding (a run walk, a code lookup) and deposited
+//! like plain ones. Both arms perform the identical floating-point
+//! deposit sequence, so the bench cross-asserts every output bit before
+//! reporting the ratio.
 //!
 //! Arms (all serial, `repro<double,4>` buffered — Table IV's backend):
 //!
@@ -17,18 +18,19 @@
 //!   encode, nothing is run-clustered, so this reads as pure dictionary
 //!   overhead/win;
 //! * Q1 over the (returnflag, linestatus)-sorted table — the group keys
-//!   RLE-encode and grouped aggregation runs run-blocked;
+//!   RLE-encode and their key fill walks the runs;
 //! * Q6 over the shipdate-sorted table — the one-year shipdate band is
 //!   one row range, and the scan visits only the batches it overlaps;
 //! * unfiltered `SUM`+`COUNT` where the *aggregate input itself* is
 //!   encoded:
 //!   - `SUM(l_quantity)` over the quantity-sorted table (~50 long runs,
-//!     `Rle<F64>`) — aggregated algebraically, one exact k·v deposit per
-//!     run instead of one per row,
+//!     `Rle<F64>`) — evaluated by a fill per run,
 //!   - `SUM(l_quantity)` in dbgen order (`Dict<F64>`, u8 codes) and
 //!     `SUM(l_suppkey)` in dbgen order (`Dict16<I32>`, u16 codes, 10 000
-//!     entries) — evaluated through the code lookup and deposited like
-//!     any expression, so these read as the cost of the lookup.
+//!     entries) — evaluated through the code lookup,
+//!
+//!   each deposited like any expression, so these read as the cost of
+//!   reading the encoding.
 
 use rfa_bench::{f2, ns_per_elem, time_min, BenchConfig, ResultTable};
 use rfa_core::CacheModel;
@@ -98,10 +100,9 @@ fn main() {
     let by_shipdate = lineitem.sorted_by_shipdate();
     let by_quantity = lineitem.sorted_by_quantity();
 
-    // Encoded-input plans: no filter, no grouping — the scan cost is the
-    // aggregate deposit loop itself, so the ratio isolates per-run
-    // algebraic deposits (RLE) and the code lookup (Dict) against plain
-    // per-row ones.
+    // Encoded-input plans: no filter, no grouping — the scan cost is
+    // loading the input and the deposit loop, so the ratio isolates the
+    // run walk (RLE) and the code lookup (Dict) against plain loads.
     let sum_qty = QueryPlan::scan("lineitem")
         .sum(Expr::col("l_quantity"))
         .count();
@@ -155,11 +156,11 @@ fn main() {
     table.write_csv("fig9_compression");
     println!(
         "  paper shape: dictionary arms sit near 1x (pushdown trades a compare for a\n  \
-         byte-indexed lookup); the clustered arms win outright — RLE group keys turn\n  \
-         per-row deposits into one block call per run, and the RLE shipdate band\n  \
-         is a row range decided before the scan, so most batches are never visited.\n  \
-         The RLE-sorted SUM deposits once per run (exact k*v split); the dictionary\n  \
-         SUM inputs pay one code lookup per row. Identical bits in every arm."
+         byte-indexed lookup); the RLE shipdate band is a row range decided before\n  \
+         the scan, so most batches are never visited. RLE group keys and the\n  \
+         RLE-sorted SUM input are read by a fill per run and deposited like plain\n  \
+         ones; the dictionary SUM inputs pay one code lookup per row. Identical bits\n  \
+         in every arm."
     );
 
     // Each arm must run on the storage it is named for: Q1's two u8 group

@@ -17,8 +17,10 @@
 //!
 //! The streams promote the ladder mid-stream, cross carry blocks, cancel to
 //! `±0.0`, mix subnormals with values just below the binnable limit
-//! (`2^HUGE_EXP`), and hold NaN and ±∞. A line that moves is a change to
-//! the summation's results: it must be deliberate and said so.
+//! (`2^HUGE_EXP`), hold NaN and ±∞, and put one value in each of three
+//! levels so that `value()` rounds up only when it adds the levels from the
+//! deepest up. A line that moves is a change to the summation's results: it
+//! must be deliberate and said so.
 
 use rfa_core::cpu::{self, SimdLevel};
 use rfa_core::{simd, ReproFloat, ReproSum};
@@ -82,6 +84,16 @@ fn streams<T: ReproFloat>() -> Vec<(&'static str, Vec<T>)> {
     let mut nan_seen = noise::<T>(20, 9, 1.0);
     nan_seen.extend([T::nan(), f(-3.0)]);
 
+    // Half an ulp of the top level's value in the next level — a tie to
+    // even — and a value one level deeper that breaks it: `value()` rounds
+    // up only when it adds the deepest levels first. (`f32`'s half ulp of
+    // `1.0` already lies two levels down, so its stream starts lower.)
+    let level_order = if T::MANTISSA_BITS == 52 {
+        vec![f(1.0), p(-53), p(-90)]
+    } else {
+        vec![p(-10), p(-34), p(-44)]
+    };
+
     vec![
         ("promote", promote),
         ("cancel", cancel),
@@ -90,6 +102,7 @@ fn streams<T: ReproFloat>() -> Vec<(&'static str, Vec<T>)> {
         ("neg_inf", neg_inf),
         ("inf_minus_inf", nan),
         ("nan", nan_seen),
+        ("level_order", level_order),
     ]
 }
 
@@ -350,4 +363,18 @@ f32 L=3 inf_minus_inf multiset | v=7ff8000000000000 Nan top=6 s=[401300000000000
 f32 L=3 inf_minus_inf scaled | v=7ff8000000000000 Nan top=6 s=[40a9d49000000000,3faefed800000000,3e91e00000000000] c=[376, -189237, -402]
 f32 L=3 nan multiset | v=7ff8000000000000 Nan top=6 s=[c005400000000000,bfaaacc000000000,be8c000000000000] c=[0, 0, 0]
 f32 L=3 nan scaled | v=7ff8000000000000 Nan top=6 s=[c09f0fe000000000,3f8e0b1000000000,3e94000000000000] c=[-288, -1337970, 1572330]
+f64 L=1 level_order multiset | v=3ff0000000000000 Finite top=25 s=[3ff0000000000000] c=[0]
+f64 L=1 level_order scaled | v=3ff0000000000000 Finite top=25 s=[3ff0000000000000] c=[0]
+f64 L=2 level_order multiset | v=3ff0000000000000 Finite top=25 s=[3ff0000000000000,3ca0000000000000] c=[0, 0]
+f64 L=2 level_order scaled | v=3ff0000000000001 Finite top=25 s=[3ff0000000000000,3cb0000000000000] c=[0, 0]
+f64 L=3 level_order multiset | v=3ff0000000000001 Finite top=25 s=[3ff0000000000000,3ca0000000000000,3a50000000000000] c=[0, 0, 0]
+f64 L=3 level_order scaled | v=3ff0000000000001 Finite top=25 s=[3ff0000000000000,3cb0000000000000,3a68000000000000] c=[0, 0, 0]
+f64 L=4 level_order multiset | v=3ff0000000000001 Finite top=25 s=[3ff0000000000000,3ca0000000000000,3a50000000000000,0] c=[0, 0, 0, 0]
+f64 L=4 level_order scaled | v=3ff0000000000001 Finite top=25 s=[3ff0000000000000,3cb0000000000000,3a68000000000000,0] c=[0, 0, 0, 0]
+f32 L=1 level_order multiset | v=3f50000000000000 Finite top=7 s=[3f50000000000000] c=[0]
+f32 L=1 level_order scaled | v=3f50000000000000 Finite top=7 s=[3f50000000000000] c=[0]
+f32 L=2 level_order multiset | v=3f50000000000000 Finite top=7 s=[3f50000000000000,3dd0000000000000] c=[0, 0]
+f32 L=2 level_order scaled | v=3f50000020000000 Finite top=7 s=[3f50000000000000,3de0000000000000] c=[0, 0]
+f32 L=3 level_order multiset | v=3f50000020000000 Finite top=7 s=[3f50000000000000,3dd0000000000000,3d30000000000000] c=[0, 0, 0]
+f32 L=3 level_order scaled | v=3f50000020000000 Finite top=7 s=[3f50000000000000,3de0000000000000,3d48000000000000] c=[0, 0, 0]
 ";

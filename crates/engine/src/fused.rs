@@ -17,13 +17,12 @@
 //! **One deposit.** How a batch reaches the states is decided once per
 //! batch, by its grouping: `Single` (ungrouped: one block), `Rows` (one
 //! group id per row), `Partitioned` (the same, plus a partition by
-//! group), `Segs` (RLE group keys: one block per run of a group). Every
-//! aggregate's input is either evaluated values or a bare RLE column. One
-//! generic deposit function takes any such batch and input into any kind
-//! of state array; a state's kind — a SUM backend's, MIN's, MAX's — is
-//! matched once per batch and aggregate to enter it, and each kind
-//! answers the deposit its own fastest way (a block kernel, a `k·v` fold,
-//! a register sum checked once).
+//! group). Every aggregate's input is the evaluated values of its
+//! expression, whatever the storage of the columns it reads. One generic
+//! deposit function takes any such batch into any kind of state array; a
+//! state's kind — a SUM backend's, MIN's, MAX's — is matched once per
+//! batch and aggregate to enter it, and each kind answers the deposit its
+//! own fastest way (a block kernel, a register sum checked once).
 //!
 //! This is the *physical* executor the plan layer ([`crate::plan`])
 //! lowers onto: a [`FusedQuery`] names the filter conjuncts, the SUM /
@@ -110,14 +109,13 @@
 //! counting-sorted by group id once; COUNT
 //! reads the segment lengths, every repro SUM state gathers its evaluated
 //! values through the permutation and deposits one block-kernel call per
-//! group — the deposit RLE group keys get from their runs, for any key
-//! storage — and every `Double` SUM state reads them through the
+//! group, and every `Double` SUM state reads them through the
 //! permutation into one register sum per group, checked once. (MIN and
 //! MAX fold that batch per row: a compare per row costs less than the
 //! gather.)
 //! The sort is stable and only the *values* are permuted: the selection
-//! vector and the group ids stay in row order, so predicates, RLE
-//! cursors and the algebraic deposits below never see it.
+//! vector and the group ids stay in row order, so predicates and RLE
+//! cursors never see it.
 //!
 //! **Range pruning.** An interval conjunct over an RLE column is
 //! *decided* when it is bound — once per run, once per query — into the
@@ -148,24 +146,16 @@
 //! is computed and discarded — never deposited, folded or
 //! overflow-checked — its key never reaches a group-id map, and COUNT
 //! comes from the selected rows' group ids. Sparser batches gather, as do
-//! ungrouped and run-blocked ones, whose block kernels want their values
-//! in a row (compacting each output measured no better than the
-//! gathers); an empty batch stops right after the filter.
+//! ungrouped ones, whose block kernel wants its values in a row
+//! (compacting each output measured no better than the gathers); an
+//! empty batch stops right after the filter.
 //!
-//! **Algebraic aggregation over RLE inputs.** When a SUM / MIN / MAX
-//! input is a *bare* RLE column over plain numeric storage, the executor
-//! skips the per-row gather entirely: each selected run span deposits its
-//! value once with its repetition count. Every state kind answers that
-//! `k·v` deposit bit-identically to `k` per-row ones: the reproducible
-//! accumulators by the exact scaled fold of
-//! [`rfa_core::ReproSum::add_scaled`] (DESIGN.md §26), the sorted
-//! baseline by appending `k` copies, MIN / MAX — idempotent — by one fold
-//! when `k ≥ 1`. Plain doubles are order-sensitive with no algebraic
-//! shortcut — `k` checked additions are all they could do, so their SUMs
-//! keep the per-row path ([`SumBackend::merges_exactly`] gates the fast
-//! path), while MIN / MAX run once per run on every backend. Dictionary
-//! inputs are evaluated and deposited like any other expression: a code
-//! lookup per row costs less than any per-code bookkeeping saved.
+//! **Encoded inputs are evaluated.** A SUM / MIN / MAX input over a
+//! `Dict`, `Dict16` or `Rle` column — bare or inside an expression — is
+//! evaluated by the expression program like any other (a code lookup per
+//! row, a run walk per batch) and deposited the way the batch's grouping
+//! says. RLE group keys go through the same key fill and group-id map as
+//! every other key storage.
 //!
 //! **Parallelism.** With `threads > 1` the scan runs morsel-driven as a
 //! fork-join over scoped threads (`rayon::join`): each morsel
@@ -408,22 +398,12 @@ pub struct FusedRun {
 struct BoundQuery<'q> {
     filter: ScanFilter<'q>,
     group: Option<GroupBind<'q>>,
-    /// Every evaluated aggregate input: one program, one output each.
+    /// Every aggregate input — SUMs, then MINs, then MAXs, the order of
+    /// `GroupedStates::aggs`: one program, one output each.
     prog: BoundExpr<'q>,
-    /// The input of every aggregate — SUMs, then MINs, then MAXs, the
-    /// order of `GroupedStates::aggs`.
-    aggs: Vec<AggInput<'q>>,
     /// State arrays per kind: SUM, MIN, MAX.
     states: (usize, usize, usize),
     backend: SumBackend,
-}
-
-/// Where an aggregate's input values come from.
-enum AggInput<'q> {
-    /// Output `k` of [`BoundQuery::prog`].
-    Output(usize),
-    /// A bare RLE column, deposited algebraically once per run span.
-    Rle(RleSrc<'q>),
 }
 
 /// The one path from a query to the scan. Compiles the filter conjuncts
@@ -443,32 +423,11 @@ fn bind_query<R>(
     then: impl FnOnce(&BoundQuery<'_>) -> Result<R, PlanError>,
 ) -> Result<R, PlanError> {
     let filter: Vec<CompiledPredicate> = query.filter.iter().map(BoolExpr::compile).collect();
-    let mut evaluated = Vec::new();
-    let mut aggs = Vec::new();
-    let inputs = query.sums.iter().chain(&query.mins).chain(&query.maxs);
-    for (i, e) in inputs.enumerate() {
-        // Bare RLE SUM inputs take the once-per-run deposit only on
-        // backends whose state is a pure function of the input multiset
-        // (`merges_exactly`) — there the k·v fold is bit-identical to k
-        // per-row adds (DESIGN.md §26). Plain doubles are order-sensitive
-        // with no algebraic shortcut, so they keep the per-row path by
-        // design. MIN / MAX comparison folds are idempotent and
-        // order-insensitive, so they fold once per span on every backend.
-        let algebraic = i >= query.sums.len() || backend.merges_exactly();
-        aggs.push(match bind_alg(e, table).filter(|_| algebraic) {
-            Some(src) => AggInput::Rle(src),
-            None => {
-                evaluated.push(e);
-                AggInput::Output(evaluated.len() - 1)
-            }
-        });
-    }
-    let prog = CompiledExpr::compile_all(evaluated);
+    let prog = CompiledExpr::compile_all(query.sums.iter().chain(&query.mins).chain(&query.maxs));
     let bound = BoundQuery {
         filter: ScanFilter::bind(table, &filter)?,
         group: GroupBind::bind(table, &query.group_by)?,
         prog: prog.bind(table)?,
-        aggs,
         states: (query.sums.len(), query.mins.len(), query.maxs.len()),
         backend,
     };
@@ -725,15 +684,29 @@ enum Leg<'t> {
     },
 }
 
-/// End of the span of the increasing `sel[i..]` whose rows lie below
-/// `bound` — the rows one run holds. At least one row long.
-#[inline]
-fn span_end(sel: &[u32], i: usize, bound: u32) -> usize {
-    let mut j = i + 1;
-    while j < sel.len() && sel[j] < bound {
-        j += 1;
+/// `out[i] = place(out[i], values[run])` for the run holding each row of
+/// the increasing `sel`: one value per run span, not per row. `cursor` is
+/// the run position, carried across a scan range's batches (selections
+/// increase, so the walk is amortized O(1)).
+#[inline(always)]
+fn fill_runs<T: Copy>(
+    run_ends: &[u32],
+    values: &[T],
+    sel: &[u32],
+    cursor: &mut usize,
+    out: &mut [u32],
+    place: impl Fn(u32, T) -> u32,
+) {
+    let mut i = 0;
+    while i < sel.len() {
+        *cursor = advance_run(run_ends, *cursor, sel[i]);
+        let (end, v) = (run_ends[*cursor], values[*cursor]);
+        let j = i + sel[i..].iter().take_while(|&&row| row < end).count();
+        for o in &mut out[i..j] {
+            *o = place(*o, v);
+        }
+        i = j;
     }
-    j
 }
 
 /// `out[i] = f(out[i], col[row i])` over a batch's rows: one slice of the
@@ -757,10 +730,8 @@ fn map_rows<T: Copy>(col: &[T], batch: Sel, out: &mut [u32], f: impl Fn(u32, T) 
 impl Leg<'_> {
     /// `out[i] = place(out[i], value)` for this leg's value of every
     /// selected row — one tight loop per storage shape. `cursor` is the
-    /// leg's run position, carried across the range's batches (selections
-    /// are increasing, so the RLE walk is amortized O(1)). A table's
-    /// dictionary codes index inside their dictionary
-    /// ([`Table::add_column`]).
+    /// leg's run position ([`fill_runs`]). A table's dictionary codes
+    /// index inside their dictionary ([`Table::add_column`]).
     fn fill(
         &self,
         batch: Sel,
@@ -778,17 +749,9 @@ impl Leg<'_> {
                 map_rows(codes, batch, out, |o, c| place(o, dict[c as usize] as u32))
             }
             Leg::Rle { run_ends, values } => {
-                let sel = batch.rows;
-                let mut i = 0;
-                while i < sel.len() {
-                    *cursor = advance_run(run_ends, *cursor, sel[i]);
-                    let j = span_end(sel, i, run_ends[*cursor]);
-                    let v = values[*cursor] as u32;
-                    for o in &mut out[i..j] {
-                        *o = place(*o, v);
-                    }
-                    i = j;
-                }
+                fill_runs(run_ends, values, batch.rows, cursor, out, |o, v| {
+                    place(o, v as u32)
+                })
             }
         }
     }
@@ -798,11 +761,12 @@ impl Leg<'_> {
 /// mapped to `u32` by bit pattern (a bijection), so negative keys group
 /// correctly — except `-1`, which is the reserved key. The column is
 /// never decompressed: narrow keys are read leg by leg, RLE keys once per
-/// run.
+/// run span.
 enum KeyCol<'t> {
     I32(&'t [i32]),
     U32(&'t [u32]),
-    /// RLE key column: `keys[run]` is the key of every row in `run`.
+    /// RLE `I32` / `U32` key column: `keys[run]` is the key of every row
+    /// in `run`.
     Rle {
         run_ends: &'t [u32],
         keys: Vec<u32>,
@@ -824,13 +788,17 @@ impl KeyCol<'_> {
     /// slices (loops the compiler vectorizes); a near-dense one reads its
     /// covering range the same way and compacts the keys through the
     /// selection, once, before anything looks at them; any other gathers.
-    /// RLE legs walk the selection, so a key with one reads no such range.
+    /// RLE runs are walked over the selection, so a key with one reads no
+    /// such range.
     fn fill<'a>(&self, mut batch: Sel, cur: &mut RunCursors, buf: &'a mut Vec<u32>) -> &'a [u32] {
         let sel = batch.rows;
-        let rle_leg = |leg: &Leg| matches!(leg, Leg::Rle { .. });
-        if batch.selection().is_some()
-            && matches!(self, KeyCol::Legs(a, b) if rle_leg(a) || b.as_ref().is_some_and(rle_leg))
-        {
+        let rle = |leg: &Leg| matches!(leg, Leg::Rle { .. });
+        let walks_runs = match self {
+            KeyCol::Rle { .. } => true,
+            KeyCol::Legs(a, b) => rle(a) || b.as_ref().is_some_and(rle),
+            _ => false,
+        };
+        if walks_runs && batch.selection().is_some() {
             batch = Sel::unordered(sel);
         }
         if buf.len() < batch.len() {
@@ -845,7 +813,9 @@ impl KeyCol<'_> {
                 a.fill(batch, &mut cur.a, out, |_, v| v << 8);
                 b.fill(batch, &mut cur.b, out, |o, v| o | v);
             }
-            KeyCol::Rle { .. } => unreachable!("RLE keys are read per run"),
+            KeyCol::Rle { run_ends, keys } => {
+                fill_runs(run_ends, keys, sel, &mut cur.a, out, |_, k| k)
+            }
         }
         if batch.selection().is_some() {
             // Offsets never trail their position: a forward pass reads
@@ -855,44 +825,6 @@ impl KeyCol<'_> {
             }
         }
         &buf[..sel.len()]
-    }
-
-    /// Whether every leg is RLE: the key is then computed once per run
-    /// span ([`Self::run_key`]), not per row.
-    fn run_blocked(&self) -> bool {
-        matches!(
-            self,
-            KeyCol::Rle { .. } | KeyCol::Legs(Leg::Rle { .. }, Some(Leg::Rle { .. }))
-        )
-    }
-
-    /// The key of the run span holding `row`, and the row that span ends
-    /// at (where the first of the legs' runs does).
-    fn run_key(&self, row: u32, cur: &mut RunCursors) -> (u32, u32) {
-        match self {
-            KeyCol::Rle { run_ends, keys } => {
-                cur.a = advance_run(run_ends, cur.a, row);
-                (keys[cur.a], run_ends[cur.a])
-            }
-            KeyCol::Legs(
-                Leg::Rle {
-                    run_ends: ea,
-                    values: va,
-                },
-                Some(Leg::Rle {
-                    run_ends: eb,
-                    values: vb,
-                }),
-            ) => {
-                cur.a = advance_run(ea, cur.a, row);
-                cur.b = advance_run(eb, cur.b, row);
-                (
-                    ((va[cur.a] as u32) << 8) | vb[cur.b] as u32,
-                    ea[cur.a].min(eb[cur.b]),
-                )
-            }
-            _ => unreachable!("only run_blocked() keys are read per run"),
-        }
     }
 }
 
@@ -1007,15 +939,19 @@ impl<'t> GroupBind<'t> {
                         let codes = KeyCol::Legs(Leg::U16(codes), None);
                         (codes, pair, Some(dict_keys(keys)), signed)
                     }
-                    Column::Rle { run_ends, values } => {
-                        let (keys, signed) = inner_keys(col, values)?;
-                        let map = if matches!(**values, Column::U8(_)) {
-                            byte
-                        } else {
-                            MapKind::Hash
-                        };
-                        (KeyCol::Rle { run_ends, keys }, map, None, signed)
-                    }
+                    Column::Rle { run_ends, values } => match &**values {
+                        Column::U8(v) => {
+                            let runs = Leg::Rle {
+                                run_ends,
+                                values: v,
+                            };
+                            (KeyCol::Legs(runs, None), byte, None, false)
+                        }
+                        values => {
+                            let (keys, signed) = inner_keys(col, values)?;
+                            (KeyCol::Rle { run_ends, keys }, MapKind::Hash, None, signed)
+                        }
+                    },
                     other => return Err(type_mismatch(col, HASH_KEY_TYPES, other)),
                 };
                 GroupBind {
@@ -1223,24 +1159,19 @@ pub(crate) enum Deposit {
     /// over them: a repro SUM gathers its evaluated values through it and
     /// deposits one block call per group, a `Double` SUM reads them
     /// through it into one register sum per group; every other state
-    /// reads it like `Rows`. The selection and `gids` stay in row order,
-    /// so run inputs do too.
+    /// reads it like `Rows`.
     Partitioned,
-    /// Run-blocked: `segs` partitions the selection into maximal spans of
-    /// rows sharing a group (RLE group keys only); each span is one block
-    /// deposit instead of per-row ones.
-    Segs,
 }
 
 impl Deposit {
     /// The rows a batch that deposits this way evaluates over. Per-row
     /// deposits and a partition's gather apply a selection themselves, so
-    /// their near-dense batches read the covering range; the block kernels
-    /// of the other two want one value per selected row, in a row.
+    /// their near-dense batches read the covering range; the block kernel
+    /// of an ungrouped batch wants one value per selected row, in a row.
     fn rows(self, sel: &[u32]) -> Sel<'_> {
         match self {
             Deposit::Rows | Deposit::Partitioned => Sel::near_dense(sel),
-            Deposit::Single | Deposit::Segs => Sel::new(sel),
+            Deposit::Single => Sel::new(sel),
         }
     }
 }
@@ -1249,148 +1180,52 @@ impl Deposit {
 #[derive(Default)]
 pub(crate) struct Batch<'a> {
     pub(crate) shape: Deposit,
-    /// The selected rows, increasing (read by run inputs).
-    pub(crate) sel: &'a [u32],
     /// `Rows` / `Partitioned`: the group id of each selected row.
     pub(crate) gids: &'a [u32],
-    /// `Segs`: the `(group id, end index in sel)` spans.
-    pub(crate) segs: &'a [(u32, usize)],
     /// A near-dense batch's selection, through which per-row deposits
     /// read their values out of the covering range's ([`States::rows`]).
     pub(crate) rows: Option<&'a [u32]>,
 }
 
-/// Where one aggregate's values of a batch come from.
-pub(crate) enum Input<'a> {
-    /// Evaluated values: one per selected row, or one per row of the
-    /// covering range for a batch with [`Batch::rows`].
-    Values(&'a [f64]),
-    /// A bare RLE column, and its run position in the scan range.
-    Runs(&'a RleSrc<'a>, &'a mut usize),
-}
-
-/// A SUM / MIN / MAX input that is a *bare RLE column*, bound for
-/// algebraic aggregation: instead of gathering one `f64` per selected
-/// row, each selected run span deposits once with its repetition count
-/// (the `k·v` deposit, [`States::scaled`]). The run values widen to `f64`
-/// here, once per run, with the same `as f64` conversion the gather path
-/// applies per row, so the deposited values are bit-identical to the
-/// per-row path's.
-pub(crate) struct RleSrc<'t> {
-    run_ends: &'t [u32],
-    values: Vec<f64>,
-}
-
-/// Widens a plain numeric column to `f64` — the identical conversion the
-/// gather path's `Vals::get` performs per row, hoisted to once per run
-/// value.
-fn widen_plain(col: &Column) -> Option<Vec<f64>> {
-    Some(match col {
-        Column::F64(v) => v.to_vec(),
-        Column::I32(v) => v.iter().map(|&x| x as f64).collect(),
-        Column::U32(v) => v.iter().map(|&x| x as f64).collect(),
-        Column::U8(v) => v.iter().map(|&x| x as f64).collect(),
-        _ => return None,
-    })
-}
-
-/// Binds `expr` for algebraic aggregation if it is a bare RLE column
-/// over plain numeric storage. Anything else — expression compositions,
-/// plain and dictionary columns — returns `None` and is evaluated, then
-/// deposited.
-fn bind_alg<'t>(expr: &'t Expr, table: &'t Table) -> Option<RleSrc<'t>> {
-    let Expr::Col(col) = expr else { return None };
-    match table.column(col.as_str()).ok()? {
-        Column::Rle { run_ends, values } => Some(RleSrc {
-            run_ends,
-            values: widen_plain(values)?,
-        }),
-        _ => None,
-    }
-}
-
-/// The one deposit: one batch's `input` into one aggregate's state array,
-/// the way the batch's shape says. The state's kind is matched here, once
-/// per batch and aggregate, to enter [`deposit_as`] for that kind.
+/// The one deposit: one batch's evaluated `values` of one aggregate —
+/// one per selected row, or one per row of the covering range for a batch
+/// with [`Batch::rows`] — into that aggregate's state array, the way the
+/// batch's shape says. The state's kind is matched here, once per batch
+/// and aggregate, to enter [`deposit_as`] for that kind.
 pub(crate) fn deposit(
     state: &mut State,
     batch: &Batch<'_>,
     part: &mut BatchPartition,
-    input: Input<'_>,
+    values: &[f64],
 ) -> Result<(), OverflowError> {
-    dispatch!(state, |s| deposit_as(s, batch, part, input))
+    dispatch!(state, |s| deposit_as(s, batch, part, values))
 }
 
-/// [`deposit`] into one kind of state array. Evaluated values go in by
-/// the batch's shape; an RLE input once per span of rows that shares
-/// both a group and a value run, as one `k·v` deposit.
+/// [`deposit`] into one kind of state array.
 fn deposit_as<S: States>(
     s: &mut S,
     b: &Batch<'_>,
     part: &mut BatchPartition,
-    input: Input<'_>,
+    values: &[f64],
 ) -> Result<(), OverflowError> {
-    let (RleSrc { run_ends, values }, cursor) = match input {
-        Input::Values(vals) => {
-            return match b.shape {
-                Deposit::Single => s.run(0, vals),
-                Deposit::Rows => s.rows(b.gids, vals, b.rows),
-                Deposit::Partitioned => s.partitioned(part, b.gids, vals, b.rows),
-                Deposit::Segs => {
-                    let mut start = 0;
-                    for &(g, end) in b.segs {
-                        s.run(g as usize, &vals[start..end])?;
-                        start = end;
-                    }
-                    Ok(())
-                }
-            };
-        }
-        Input::Runs(src, cursor) => (src, cursor),
-    };
-    let (sel, mut i, mut seg) = (b.sel, 0, 0);
-    while i < sel.len() {
-        // The group span from row `i`: the batch, a segment, or the rows
-        // sharing row `i`'s group id.
-        let (g, end) = match b.shape {
-            Deposit::Single => (0, sel.len()),
-            Deposit::Segs => b.segs[seg],
-            Deposit::Rows | Deposit::Partitioned => {
-                let g = b.gids[i];
-                (g, i + b.gids[i..].iter().take_while(|&&h| h == g).count())
-            }
-        };
-        seg += 1;
-        while i < end {
-            // `cursor` carries across the range's batches: selections
-            // increase, so advancing is amortized O(1). A deposit span
-            // ends where the value run does, or where the group span
-            // leaves it.
-            *cursor = advance_run(run_ends, *cursor, sel[i]);
-            let j = span_end(&sel[..end], i, run_ends[*cursor]);
-            s.scaled(g as usize, values[*cursor], (j - i) as u64)?;
-            i = j;
-        }
+    match b.shape {
+        Deposit::Single => s.run(0, values),
+        Deposit::Rows => s.rows(b.gids, values, b.rows),
+        Deposit::Partitioned => s.partitioned(part, b.gids, values, b.rows),
     }
-    Ok(())
 }
 
 /// One scan range's working state: the range's group-id map, its states,
-/// its run cursors, and the batch-sized scratch every batch reuses.
+/// its key-leg run cursors, and the batch-sized scratch every batch
+/// reuses.
 struct RangeScan<'q> {
     query: &'q BoundQuery<'q>,
-    /// Run position of every algebraic input (indexed like
-    /// [`BoundQuery::aggs`]), carried across the range's batches.
-    cursors: Vec<usize>,
     /// `Some` for a grouped query.
     groups: Option<Groups>,
     states: GroupedStates,
     sel: Vec<u32>,
     gids: Vec<u32>,
     key_buf: Vec<u32>,
-    /// Run-blocked grouping: `(group id, end index in sel)` spans of the
-    /// batch's selection, and the RLE leg cursors (monotonic per range).
-    segs: Vec<(u32, usize)>,
     cur: RunCursors,
     part: BatchPartition,
     eval: EvalScratch,
@@ -1403,13 +1238,11 @@ impl<'q> RangeScan<'q> {
         let groups = query.group.is_none() as usize;
         RangeScan {
             query,
-            cursors: vec![0; query.aggs.len()],
             groups: query.group.as_ref().map(|bind| Groups::new(bind, rows)),
             states: GroupedStates::new(query.backend, groups, query.states),
             sel: Vec::new(),
             gids: Vec::new(),
             key_buf: Vec::new(),
-            segs: Vec::new(),
             cur: RunCursors::default(),
             part: BatchPartition::default(),
             eval: EvalScratch::new(),
@@ -1445,34 +1278,12 @@ impl<'q> RangeScan<'q> {
     }
 
     /// Group-id assignment + COUNT(*), and with them how the batch
-    /// deposits. When every group-key leg is RLE the batch takes the
-    /// run-blocked path: the selection is cut into maximal spans of rows
-    /// sharing one group (`segs`), the group id is computed once per span
-    /// — per run, not per row — and counts and state deposits happen in
-    /// one block call per span.
+    /// deposits.
     fn group(&mut self) -> Result<Deposit, PlanError> {
         let RangeScan {
-            query,
-            sel,
-            states,
-            segs,
-            ..
+            query, sel, states, ..
         } = self;
         Ok(match (&query.group, &mut self.groups) {
-            (Some(bind), Some(groups)) if bind.key_col.run_blocked() => {
-                segs.clear();
-                let mut i = 0;
-                while i < sel.len() {
-                    let (key, bound) = bind.key_col.run_key(sel[i], &mut self.cur);
-                    let g = groups.gid(bind, key)?;
-                    let j = span_end(sel, i, bound);
-                    states.ensure_groups(groups.keys.len());
-                    states.add_count(g as usize, j - i);
-                    segs.push((g, j));
-                    i = j;
-                }
-                Deposit::Segs
-            }
             (Some(bind), Some(groups)) => {
                 let batch = Sel::near_dense(sel);
                 let keys = bind.key_col.fill(batch, &mut self.cur, &mut self.key_buf);
@@ -1520,18 +1331,12 @@ impl<'q> RangeScan<'q> {
         let query = self.query;
         let batch = Batch {
             shape,
-            sel: &self.sel,
             gids: &self.gids,
-            segs: &self.segs,
             rows: shape.rows(&self.sel).selection(),
         };
-        let aggs = query.aggs.iter().zip(&mut self.cursors);
-        for ((input, cursor), state) in aggs.zip(&mut self.states.aggs) {
-            let input = match input {
-                AggInput::Output(k) => Input::Values(query.prog.output(*k, &self.eval)),
-                AggInput::Rle(src) => Input::Runs(src, cursor),
-            };
-            deposit(state, &batch, &mut self.part, input)?;
+        for (k, state) in self.states.aggs.iter_mut().enumerate() {
+            let values = query.prog.output(k, &self.eval);
+            deposit(state, &batch, &mut self.part, values)?;
         }
         Ok(())
     }
@@ -2344,8 +2149,8 @@ mod tests {
             .unwrap();
         enc.add_column("k", Column::rle_encode(&Column::i32(k)).unwrap())
             .unwrap();
-        // And a fully-RLE twin of the group-key pair for the run-blocked
-        // pair path.
+        // And a fully-RLE twin: both legs of the group-key pair, the
+        // measure and the hash key.
         let mut enc_rle = Table::new("t");
         for (name, col) in [
             ("ga", enc.column("ga").unwrap().decode()),
@@ -2408,106 +2213,6 @@ mod tests {
                                         "q{q} {backend:?} {opts:?} t{t} agg {a} group {g}"
                                     );
                                 }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Bare-column SUM / MIN / MAX over RLE inputs take the algebraic path
-    /// — one deposit per value-run span — and over `Dict` / `Dict16`
-    /// inputs the evaluate-then-deposit path; both must be bit-identical
-    /// to the plain twin, across every grouping mode, backend, thread
-    /// count and batch shape. `Double` is gated to the per-row path for
-    /// SUMs and must *also* match (the gate itself is under test).
-    #[test]
-    fn algebraic_deposits_match_per_row_bitwise() {
-        let n = 12_000usize;
-        let mut keys: Vec<(u8, u8, i32)> = (0..n)
-            .map(|i| ((i % 3) as u8, (i % 5) as u8, (i % 31) as i32))
-            .collect();
-        keys.sort_unstable();
-        let ga: Vec<u8> = keys.iter().map(|r| r.0).collect();
-        let gb: Vec<u8> = keys.iter().map(|r| r.1).collect();
-        let k: Vec<i32> = keys.iter().map(|r| r.2).collect();
-        // Post-sort value with genuine runs (RLE), a 23-entry dictionary
-        // (u8 codes) and a 300-entry dictionary (u16 codes). The odd
-        // epsilon makes order-sensitivity visible if a path reorders.
-        let v: Vec<f64> = (0..n)
-            .map(|i| {
-                let (a, b, _) = keys[i];
-                a as f64 * 5.0 + b as f64 * 0.75 + ((i / 100) % 4) as f64 * 0.03125 - 6.0 + 2.5e-16
-            })
-            .collect();
-        let vd: Vec<f64> = (0..n).map(|i| (i % 23) as f64 * 0.4375 - 4.0).collect();
-        let vw: Vec<f64> = (0..n).map(|i| (i % 300) as f64 * 0.09375 - 13.0).collect();
-
-        let mut plain = Table::new("t");
-        let mut enc = Table::new("t");
-        for (name, col) in [
-            ("ga", Column::u8(ga)),
-            ("gb", Column::u8(gb)),
-            ("k", Column::i32(k)),
-            ("v", Column::f64(v)),
-            ("vd", Column::f64(vd)),
-            ("vw", Column::f64(vw)),
-        ] {
-            let encoded = match name {
-                "ga" | "gb" | "k" | "v" => Column::rle_encode(&col).unwrap(),
-                _ => Column::dict_encode(&col).unwrap(),
-            };
-            enc.add_column(name, encoded).unwrap();
-            plain.add_column(name, col).unwrap();
-        }
-        assert_eq!(enc.column("vd").unwrap().storage_name(), "Dict<F64>");
-        assert_eq!(enc.column("vw").unwrap().storage_name(), "Dict16<F64>");
-
-        let bare_aggs = |group_by: GroupKey| FusedQuery {
-            filter: vec![Expr::col("k").ge(Expr::lit(3.0))],
-            sums: vec![Expr::col("v"), Expr::col("vd"), Expr::col("vw")],
-            mins: vec![Expr::col("v"), Expr::col("vw")],
-            maxs: vec![Expr::col("vd")],
-            group_by,
-        };
-        let queries = [
-            bare_aggs(GroupKey::None),
-            bare_aggs(GroupKey::Hash { col: "k".into() }),
-            bare_aggs(pair("ga", "gb")),
-        ];
-        for (q, query) in queries.iter().enumerate() {
-            for backend in [
-                SumBackend::Double,
-                SumBackend::SortedDouble,
-                SumBackend::ReproUnbuffered,
-                SumBackend::ReproBuffered { buffer_size: 64 },
-                SumBackend::Rsum { levels: 2 },
-                SumBackend::RsumBuffered {
-                    levels: 3,
-                    buffer_size: 32,
-                },
-            ] {
-                for (threads, batch_rows) in [(1, 4096), (1, 73), (4, 128)] {
-                    let opts = ExecOptions {
-                        threads,
-                        batch_rows,
-                        morsel_rows: 512,
-                        ..ExecOptions::default()
-                    };
-                    let want = run_fused(&plain, query, backend, &opts).unwrap();
-                    let got = run_fused(&enc, query, backend, &opts).unwrap();
-                    let tag = format!("q{q} {backend:?} t{threads} b{batch_rows}");
-                    assert_eq!(got.counts, want.counts, "{tag}");
-                    assert_eq!(got.keys, want.keys, "{tag}");
-                    for (arrays, ref_arrays) in [
-                        (&got.sums, &want.sums),
-                        (&got.mins, &want.mins),
-                        (&got.maxs, &want.maxs),
-                    ] {
-                        for (a, (xs, ys)) in arrays.iter().zip(ref_arrays.iter()).enumerate() {
-                            for (g, (x, y)) in xs.iter().zip(ys.iter()).enumerate() {
-                                assert_eq!(x.to_bits(), y.to_bits(), "{tag} agg {a} group {g}");
                             }
                         }
                     }

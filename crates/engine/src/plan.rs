@@ -576,7 +576,7 @@ mod tests {
     /// Lowering is encoding-agnostic: the same plan over a table whose
     /// measure and hash-key columns are `Dict16`-encoded (u16 codes)
     /// validates, executes, and finalizes bit-identically to the plain
-    /// twin — the encoded measure takes the algebraic deposit path.
+    /// twin — the encoded measure is evaluated through its code lookup.
     #[test]
     fn plans_over_dict16_columns_match_plain_bitwise() {
         let n = 5_000usize;

@@ -71,8 +71,8 @@ pub fn lineitem_table(t: &Lineitem) -> Table {
 /// The compressed twin of [`lineitem_table`]: every low-cardinality
 /// column is stored encoded, and the fused executor reads the encodings
 /// directly (predicates evaluate once per dictionary entry or run,
-/// RLE group keys assign ids per run) — results are bit-identical to the
-/// plain layout.
+/// RLE group keys are read once per run span) — results are
+/// bit-identical to the plain layout.
 ///
 /// Per column, [`Table::encode_auto`] chooses the best encoding *for the
 /// table's current physical order*: RLE when the layout gives the column

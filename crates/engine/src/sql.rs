@@ -1405,7 +1405,8 @@ mod tests {
     /// SQL is encoding-agnostic end to end: the same statement over a
     /// `Dict16`-encoded twin of the table (u16 codes on the key and the
     /// measure) produces bit-identical rows — lowering validates by
-    /// logical type and the executor aggregates the codes algebraically.
+    /// logical type and the executor evaluates the measure through its
+    /// codes.
     #[test]
     fn sql_over_dict16_columns_matches_plain() {
         let n = 3_000usize;

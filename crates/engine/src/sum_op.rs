@@ -12,15 +12,15 @@
 //! **One state vocabulary.** That "locally allocated array" is a drop-in:
 //! every per-group state array — the SUM of any [`SumBackend`], a MIN, a
 //! MAX — answers the same deposits. It takes one value into one group, a
-//! block of values into one group, `k` copies of one value, one value per
-//! row of a batch, or a batch partitioned by group, and it grows, merges
-//! slot by slot and finalizes the same way. Each kind implements one
-//! per-value `add` and overrides only the deposits it does faster; the
-//! rest loop over `add`. The scan matches an array's kind once per batch
-//! and aggregate and enters one generic deposit for that kind
-//! (`crate::fused`), so nothing matches per row or per run and nothing is
-//! a trait object. Because exact states merge in any order (Goodrich &
-//! Eldawy), the kinds are interchangeable behind that one interface:
+//! block of values into one group, one value per row of a batch, or a
+//! batch partitioned by group, and it grows, merges slot by slot and
+//! finalizes the same way. Each kind implements one per-value `add` and
+//! overrides only the deposits it does faster; the rest loop over `add`.
+//! The scan matches an array's kind once per batch and aggregate and
+//! enters one generic deposit for that kind (`crate::fused`), so nothing
+//! matches per row and nothing is a trait object. Because exact states
+//! merge in any order (Goodrich & Eldawy), the kinds are interchangeable
+//! behind that one interface:
 //!
 //! * [`SumBackend::Double`] — MonetDB's own behaviour: plain `dbl` sum
 //!   *with per-element overflow checking* (MonetDB's `ADD_WITH_CHECK`
@@ -31,9 +31,8 @@
 //!   in row order, and checked once at its end. Order-sensitive.
 //! * [`SumBackend::ReproUnbuffered`] / [`SumBackend::Rsum`] —
 //!   `repro<double, L>` per group, the paper's drop-in type: a block goes
-//!   through the vectorized block kernel, `k` copies through the exact
-//!   scaled fold, and per-row deposits prefetch once the array outgrows
-//!   L2.
+//!   through the vectorized block kernel, and per-row deposits prefetch
+//!   once the array outgrows L2.
 //! * [`SumBackend::ReproBuffered`] / [`SumBackend::RsumBuffered`] — the
 //!   same states, fed *partition-then-aggregate* at batch granularity:
 //!   when a batch holds few groups relative to its rows ([`MIN_SEG`]) it
@@ -55,7 +54,7 @@
 //! scan's own deposit, so batched (fused) and one-shot execution finalize
 //! to the same bits.
 
-use crate::fused::{deposit, Batch, Deposit, Input, FUSED_BATCH_ROWS};
+use crate::fused::{deposit, Batch, Deposit, FUSED_BATCH_ROWS};
 use rfa_core::{simd, ReproFloat, ReproSum};
 
 /// Rows per morsel in the engine's parallel scans and aggregations.
@@ -64,7 +63,7 @@ pub const SCAN_MORSEL_ROWS: usize = 1 << 16;
 /// Numeric backend of the grouped SUM operator.
 ///
 /// **Special values.** Every deposit path — per row, block, partitioned,
-/// `k·v`, merged — gives one answer per cell, pinned for every state kind
+/// merged — gives one answer per cell, pinned for every state kind
 /// by this module's state-contract tests (which CI runs at every SIMD
 /// tier). For the SUM of one group:
 ///
@@ -117,10 +116,9 @@ pub enum SumBackend {
 
 impl SumBackend {
     /// Whether per-group states merge *exactly*, making any morsel/thread
-    /// schedule — and a k·v deposit for k equal values — bit-identical to
-    /// serial per-row execution. Every state that is a function of its
-    /// input multiset does: the repro ladders and the sorted baseline's
-    /// value lists. Plain doubles alone do not.
+    /// schedule bit-identical to serial per-row execution. Every state
+    /// that is a function of its input multiset does: the repro ladders
+    /// and the sorted baseline's value lists. Plain doubles alone do not.
     pub fn merges_exactly(self) -> bool {
         self != SumBackend::Double
     }
@@ -408,14 +406,6 @@ pub(crate) trait States: Sized {
         Ok(())
     }
 
-    /// Deposits `k` copies of `v` into group `g`.
-    fn scaled(&mut self, g: usize, v: f64, k: u64) -> Result<(), OverflowError> {
-        for _ in 0..k {
-            self.add(g, v)?;
-        }
-        Ok(())
-    }
-
     /// Per-row deposits of one batch: each value into the group of its
     /// group id, in row order. With `sel` — the batch's strictly
     /// increasing selection — `values` holds one value per row of the
@@ -562,11 +552,6 @@ impl States for Sorted {
         Ok(())
     }
 
-    fn scaled(&mut self, g: usize, v: f64, k: u64) -> Result<(), OverflowError> {
-        self.0[g].extend(std::iter::repeat_n(v, k as usize));
-        Ok(())
-    }
-
     fn push_groups(&mut self, n: usize) {
         self.0.resize_with(self.0.len() + n, Vec::new);
     }
@@ -668,14 +653,6 @@ impl<const L: usize> States for ReproStates<L> {
         Ok(())
     }
 
-    /// The exact scaled fold of [`ReproSum::add_scaled`], bit-identical
-    /// to `k` per-row adds (DESIGN.md S26).
-    fn scaled(&mut self, g: usize, v: f64, k: u64) -> Result<(), OverflowError> {
-        self.states[g].add_scaled(v, k);
-        self.track(g);
-        Ok(())
-    }
-
     /// One level count per batch (DESIGN.md S3, "per-row deposits"): one
     /// SIMD scan of `values` ([`simd::scan`]) gives the batch's largest
     /// and smallest non-zero magnitudes. No state can sit above the
@@ -767,15 +744,6 @@ impl<const MAX: bool> States for Extremum<MAX> {
         let cur = &mut self.0[g];
         if if MAX { v > *cur } else { v < *cur } {
             *cur = v;
-        }
-        Ok(())
-    }
-
-    /// Comparisons are idempotent: one fold of `v` is `k` folds of it —
-    /// and zero copies fold nothing.
-    fn scaled(&mut self, g: usize, v: f64, k: u64) -> Result<(), OverflowError> {
-        if k > 0 {
-            self.add(g, v)?;
         }
         Ok(())
     }
@@ -953,7 +921,7 @@ impl GroupedSums {
             gids,
             ..Batch::default()
         };
-        deposit(&mut self.state, &batch, &mut self.part, Input::Values(vals))
+        deposit(&mut self.state, &batch, &mut self.part, vals)
     }
 
     /// Number of group slots.
@@ -1567,7 +1535,7 @@ mod tests {
         };
         let mut part = BatchPartition::default();
         for state in &mut states.aggs {
-            deposit(state, &batch, &mut part, Input::Values(values)).unwrap();
+            deposit(state, &batch, &mut part, values).unwrap();
         }
     }
 
@@ -1622,8 +1590,7 @@ mod tests {
                     shape: Deposit::Single,
                     ..Batch::default()
                 };
-                (values.chunks(997))
-                    .try_for_each(|chunk| deposit(s, &batch, &mut part, Input::Values(chunk)))
+                (values.chunks(997)).try_for_each(|chunk| deposit(s, &batch, &mut part, chunk))
             });
             assert_same_answers(&input, &grouped, &single);
         }
@@ -1639,7 +1606,7 @@ mod tests {
 
     #[test]
     fn run_blocked_updates_match_per_row_updates_bitwise() {
-        // RLE grouped aggregation's contract: depositing each run of
+        // The block deposit's contract: depositing each run of
         // same-group rows as one block call finalizes to the same bits as
         // per-row (group_id, value) updates, for every kind — and so does
         // a batch partitioned by group, read directly or, re-aimed by
@@ -1731,12 +1698,11 @@ mod tests {
     }
 
     /// Raises group 2's slot to `big`'s rung through one deposit of the
-    /// kind `how` names, which [`assert_per_row_depths`] mirrors with
-    /// `copies` per-value `add`s of `big`.
+    /// kind `how` names, which [`assert_per_row_depths`] mirrors with one
+    /// per-value `add` of `big`.
     fn raise(how: &str, s: &mut State, big: f64) -> Result<(), OverflowError> {
         match how {
             "run" => dispatch!(s, |k| k.run(2, &[big])),
-            "scaled" => dispatch!(s, |k| k.scaled(2, big, 2)),
             "merge_slot" => dispatch!(s, |k| {
                 let mut other = fresh(k);
                 other.push_groups(1);
@@ -1750,7 +1716,7 @@ mod tests {
     /// The per-row cases of [`run_blocked_updates_match_per_row_updates_bitwise`]
     /// that pin a batch's cascade depth (DESIGN.md S3): group 2's slot
     /// raised to 2^84's rung by each deposit that can promote it — a run,
-    /// a `k·v`, a merged slot, a cold per-value `add` — then one per-row
+    /// a merged slot, a cold per-value `add` — then one per-row
     /// batch of small values, then 2^84 taken back out, so the answer
     /// lies in the levels the raised rung pushes those values down to.
     /// The batches: small values alone, or with a NaN, ±∞, a value past
@@ -1775,15 +1741,12 @@ mod tests {
             ("2^1010", with(2f64.powi(1010))),
             ("zeros", (0..600).map(|i| [0.0, -0.0][i % 2]).collect()),
         ];
-        for how in ["add", "run", "scaled", "merge_slot"] {
-            let copies = if how == "scaled" { 2 } else { 1 };
+        for how in ["add", "run", "merge_slot"] {
             for (batch, values) in &batches {
                 let input = format!("{batch} batch after a raising {how}");
-                let cancel = |s: &mut State| {
-                    (0..copies).try_for_each(|_| dispatch!(&mut *s, |k| k.add(2, -big)))
-                };
+                let cancel = |s: &mut State| dispatch!(&mut *s, |k| k.add(2, -big));
                 let one_by_one = outcomes(5, |s| {
-                    (0..copies).try_for_each(|_| dispatch!(&mut *s, |k| k.add(2, big)))?;
+                    dispatch!(&mut *s, |k| k.add(2, big))?;
                     (ids.iter().zip(values))
                         .try_for_each(|(&g, &v)| dispatch!(&mut *s, |k| k.add(g as usize, v)))?;
                     cancel(s)
@@ -1845,57 +1808,6 @@ mod tests {
         update_mismatch_repro_buffered: SumBackend::ReproBuffered { buffer_size: 1024 },
         update_mismatch_rsum: SumBackend::Rsum { levels: 2 },
         update_mismatch_rsum_buffered: SumBackend::RsumBuffered { levels: 3, buffer_size: 64 },
-    }
-
-    #[test]
-    fn scaled_deposits_match_per_row_updates_bitwise() {
-        // The algebraic-pushdown contract: depositing k copies of v as one
-        // `scaled` call finalizes to the same bits as k per-row deposits —
-        // for every kind, k = 0 included, including Double (which takes a
-        // literal per-element loop rather than an algebraic fold). Runs of
-        // zero copies of extreme values must not move MIN or MAX.
-        let mut runs: Vec<(u32, f64, u64)> = (0..200)
-            .map(|i| {
-                let g = (i % 4) as u32;
-                let v = ((i * 37) % 101) as f64 * 0.017 - 0.85;
-                let k = (i * 2_654_435_761u64) % 23;
-                (g, v, k)
-            })
-            .collect();
-        runs.extend([(4, -1e300, 0), (4, 1e300, 0), (4, 1.0, 2)]);
-        let mut cases = vec![("runs".to_string(), runs)];
-        for (input, ids, values, _) in inputs() {
-            cases.push((
-                input,
-                ids.into_iter()
-                    .zip(values)
-                    .zip(0..)
-                    .map(|((g, v), i)| (g, v, i % 4))
-                    .collect(),
-            ));
-        }
-        for (input, runs) in cases {
-            let per_row = outcomes(5, |s| {
-                (runs.iter()).try_for_each(|&(g, v, k)| {
-                    (0..k).try_for_each(|_| dispatch!(&mut *s, |x| x.add(g as usize, v)))
-                })
-            });
-            let scaled = outcomes(5, |s| {
-                (runs.iter())
-                    .try_for_each(|&(g, v, k)| dispatch!(&mut *s, |x| x.scaled(g as usize, v, k)))
-            });
-            assert_same(&input, &per_row, &scaled);
-        }
-    }
-
-    #[test]
-    fn scaled_deposit_double_detects_overflow() {
-        let mut s = State::sum(SumBackend::Double);
-        s.push_groups(1);
-        assert_eq!(
-            dispatch!(&mut s, |k| k.scaled(0, f64::MAX, 3)),
-            Err(OverflowError)
-        );
     }
 
     #[test]

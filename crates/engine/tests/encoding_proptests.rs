@@ -6,15 +6,12 @@
 //!
 //! Why bit-identity holds: dictionary pushdown evaluates the predicate
 //! once per dictionary *entry* over the same f64/i32 bits a plain scan
-//! would load per row; a dictionary aggregate input is looked up per row
-//! into the identical value sequence the plain column holds; and an RLE
-//! aggregate input is *algebraic* — a run deposits once as an exact k·v
-//! product split (`SortedDouble`: k copies), proven bit-transparent to
-//! the per-row order for every backend whose merge is exact (`Double`
-//! keeps the per-row path and is covered here too). The dictionary-input
-//! test also holds every reproducible SUM to the exact oracle
-//! (`rfa-exact`) within the paper's bound — agreement between paths is
-//! not yet agreement with the truth.
+//! would load per row; a dictionary or RLE aggregate input is read per
+//! row — a code lookup, a run walk — into the identical value sequence
+//! the plain column holds, and RLE group keys fill the identical key
+//! sequence. The encoded-input test also holds every reproducible SUM to
+//! the exact oracle (`rfa-exact`) within the paper's bound — agreement
+//! between paths is not yet agreement with the truth.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -27,7 +24,7 @@ use rfa_exact::ExactSum;
 use rfa_workloads::Lineitem;
 use std::collections::BTreeMap;
 
-/// Requests an 8-worker pool so multi-thread shapes genuinely split work.
+/// Fixes the thread budget at 8 so multi-thread shapes genuinely fork.
 fn force_pool() {
     let _ = rayon::ThreadPoolBuilder::new()
         .num_threads(8)
@@ -236,13 +233,23 @@ type Grouping = (
     fn(QueryPlan) -> QueryPlan,
     fn(u8, u8, i32, i32) -> i64,
 );
-const GROUPINGS: [Grouping; 4] = [
+const GROUPINGS: [Grouping; 6] = [
     ("ungrouped", |p| p, |_, _, _, _| 0),
     ("hash", |p| p.group_by_key("k"), |_, _, k, _| k as i64),
     (
         "hash on run key",
         |p| p.group_by_key("kr"),
         |_, _, _, kr| kr as i64,
+    ),
+    (
+        "hash on u32 run key",
+        |p| p.group_by_key("ku"),
+        |_, _, _, kr| kr as i64,
+    ),
+    (
+        "hash on u8 run key",
+        |p| p.group_by_key("ga"),
+        |a, _, _, _| a as i64,
     ),
     (
         "u8 pair",
@@ -255,11 +262,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// SUM / AVG / MIN / MAX whose input is a `Dict` or `Dict16` column —
-    /// bare, and inside an expression — ungrouped and under every
-    /// grouping (byte pair, hash, and the run-blocked `Segs` deposits RLE
-    /// keys produce): bitwise the decoded table's answer on every backend, and
-    /// for the reproducible ones within the paper's bound of the exact
-    /// sum.
+    /// bare, and inside an expression — and SUM / MIN / MAX of a bare
+    /// `Rle<F64>` column, ungrouped and under every grouping (byte pair,
+    /// hash, and with `rle_keys` the same over RLE keys: `U8` / `U8`
+    /// pairs, `I32`, `U32` and `U8` hash keys): bitwise the decoded
+    /// table's answer on every backend at 1, 2 and 8 threads, and for the
+    /// reproducible ones within the paper's bound of the exact sum.
     #[test]
     fn aggregates_over_dictionary_inputs_match_decoded_and_oracle(
         key_runs in vec((0i32..6, 1usize..30), 1..30),
@@ -284,6 +292,8 @@ proptest! {
         let v: Vec<f64> = rows.iter().map(|r| r.0 as f64 * 0.4375 - 4.0 + 2.5e-13).collect();
         let w: Vec<f64> = rows.iter().map(|r| r.1 as f64 * 0.09375 - 13.0).collect();
         let x: Vec<f64> = rows.iter().map(|r| r.3).collect();
+        // `r`: one value per key run, always RLE-encoded.
+        let r: Vec<f64> = kr.iter().map(|&k| k as f64 * 0.6875 - 1.5 + 2.5e-13).collect();
 
         let dict = |col: Column| {
             let encoded = col.dict_encode().unwrap_or(col);
@@ -301,10 +311,12 @@ proptest! {
             ("ga", key(Column::u8(ga.clone()))),
             ("gb", key(Column::u8(gb.clone()))),
             ("kr", key(Column::i32(kr.clone()))),
+            ("ku", key(Column::u32(kr.iter().map(|&k| k as u32).collect::<Vec<_>>()))),
             ("k", Column::i32(k.clone())),
             ("v", dict(Column::f64(v.clone()))),
             ("w", dict(Column::f64(w.clone()))),
             ("x", Column::f64(x.clone())),
+            ("r", Column::f64(r).rle_encode().expect("runs always encode")),
         ] {
             encoded.add_column(name, col).expect("fresh table");
         }
@@ -326,7 +338,10 @@ proptest! {
                     .min(Expr::col("w"))
                     .max(Expr::col("w"))
                     .sum(Expr::col("v").mul(Expr::col("w")))
-                    .count();
+                    .count()
+                    .sum(Expr::col("r"))
+                    .min(Expr::col("r"))
+                    .max(Expr::col("r"));
                 if filtered {
                     plan = plan.filter(Expr::col("x").lt(Expr::lit(cut)));
                 }

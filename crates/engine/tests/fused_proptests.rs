@@ -28,8 +28,8 @@ use rfa_engine::{
 use rfa_workloads::Lineitem;
 use support::{assert_bitwise, q1_reference, q6_reference};
 
-/// Requests an 8-worker pool for this test binary so the parallel paths
-/// genuinely run multi-threaded even on small CI boxes (a pinned
+/// Fixes this test binary's thread budget at 8 so the parallel paths
+/// genuinely fork scoped threads even on small CI boxes (a pinned
 /// `RFA_THREADS` still takes precedence inside the builder).
 fn force_pool() {
     let _ = rayon::ThreadPoolBuilder::new()
@@ -316,8 +316,8 @@ fn q1_sorted_double_bits_are_pinned() {
 /// or a NaN in the middle of a group makes `SortedDouble` return
 /// `Overflow` — exactly when a check after every addition of its sorted
 /// sum would, since a non-finite sum stays non-finite — at 1 / 2 / 8
-/// threads, over a plain and an RLE value column (k·v deposits), grouped
-/// and not, and through `sum_grouped`.
+/// threads, over a plain and an RLE value column, grouped and not, and
+/// through `sum_grouped`.
 #[test]
 fn sorted_double_overflows_like_a_check_after_every_addition() {
     force_pool();
@@ -368,8 +368,8 @@ fn sorted_double_overflows_like_a_check_after_every_addition() {
 }
 
 /// Overflow parity of `Double`'s block deposits: a partitioned batch adds
-/// each group's segment in a register and an ungrouped or run-keyed batch
-/// each block, checking every sum once. A `f64::MAX` pair, a `+∞` or a
+/// each group's segment in a register and an ungrouped batch its block,
+/// checking every sum once. A `f64::MAX` pair, a `+∞` or a
 /// NaN mid-way through one group's segment returns `Overflow`, exactly as
 /// a check after every addition would, while `MAX` then `−MAX` — a sum
 /// that stays finite — returns the per-row bits. Covers plain and RLE

@@ -139,7 +139,7 @@ fn conjunct(rng: &mut Xorshift) -> (&'static str, BoolExpr) {
     (name, pred)
 }
 
-/// A one-column aggregate input, bare (algebraic over `Rle`) or not.
+/// A one-column aggregate input, bare or not.
 fn input(rng: &mut Xorshift) -> (&'static str, Expr) {
     let name = name(rng);
     let expr = match rng.below(3) {

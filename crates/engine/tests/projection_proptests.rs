@@ -10,7 +10,7 @@
 //! the constant, and require results bit-identical to the same table with
 //! those rows physically removed: every backend × 1 / 2 / 8 threads
 //! × 1- / 7- / 4096-row batches × every SIMD dispatch level × ungrouped,
-//! per-row, partitioned and run-blocked deposits × SUM / MIN / MAX.
+//! per-row and partitioned deposits × SUM / MIN / MAX.
 //!
 //! **Shared ≡ separate.** Random expression sets with shared subtrees,
 //! repeated columns, `-0.0` / NaN constants and `a + b` beside `b + a`
@@ -235,8 +235,8 @@ fn table_of(rows: &[Row], enc: [u8; 4]) -> Table {
 }
 
 /// SUM / MIN / MAX inputs that share columns, subtrees and whole
-/// expressions across kinds; `xe` is a bare encoded input (algebraic when
-/// RLE) that another input reads too.
+/// expressions across kinds; `xe` is a bare encoded input that another
+/// input reads too.
 fn query(group_by: GroupKey) -> FusedQuery {
     let c = Expr::col;
     let ratio = || c("x").div(c("y"));

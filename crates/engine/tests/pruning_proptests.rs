@@ -19,7 +19,7 @@ use rfa_engine::{
     Table,
 };
 
-/// Requests an 8-worker pool so multi-thread shapes genuinely split work.
+/// Fixes the thread budget at 8 so multi-thread shapes genuinely fork.
 fn force_pool() {
     let _ = rayon::ThreadPoolBuilder::new()
         .num_threads(8)

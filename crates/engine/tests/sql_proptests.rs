@@ -19,8 +19,8 @@ use rfa_engine::{
 };
 use rfa_workloads::Lineitem;
 
-/// Requests an 8-worker pool so the parallel paths genuinely run
-/// multi-threaded even on small CI boxes.
+/// Fixes the thread budget at 8 so the parallel paths genuinely fork
+/// scoped threads even on small CI boxes.
 fn force_pool() {
     let _ = rayon::ThreadPoolBuilder::new()
         .num_threads(8)

@@ -222,8 +222,8 @@ impl Lineitem {
 
     /// A copy physically sorted by `l_quantity` (stable; quantities are
     /// finite). With ~50 distinct quantities the column collapses to ~50
-    /// long runs, so it RLE-encodes — the layout where run-algebraic
-    /// aggregation (one exact k·v deposit per run) pays off most.
+    /// long runs, so it RLE-encodes: an `Rle<F64>` aggregate input with
+    /// as few runs as this column can have.
     pub fn sorted_by_quantity(&self) -> Lineitem {
         let mut perm: Vec<usize> = (0..self.len()).collect();
         perm.sort_by(|&a, &b| self.quantity[a].total_cmp(&self.quantity[b]));

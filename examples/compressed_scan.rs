@@ -4,11 +4,11 @@
 //! Builds TPC-H lineitem twice — plain arrays vs `Column::Dict` /
 //! `Column::Rle` storage in the same physical row order — runs Q1 and Q6
 //! over both, asserts every output bit identical, and prints the timing
-//! side by side. Sorting by the Q1 group key first shows the run-blocked
-//! aggregation fast path: RLE group keys turn per-row deposits into one
-//! block call per run. Sorting by shipdate shows range pruning: Q6's date
-//! band is decided per run when the query is bound, and the scan visits
-//! only the batches that overlap it (the `batches` column).
+//! side by side. Sorting by the Q1 group key first gives RLE group keys,
+//! whose key fill walks the runs; their group ids and deposits are those
+//! of any other key storage. Sorting by shipdate shows range pruning:
+//! Q6's date band is decided per run when the query is bound, and the
+//! scan visits only the batches that overlap it (the `batches` column).
 //!
 //! Run with: `cargo run --release --example compressed_scan`
 //! (set `RFA_ROWS` to change the row count).
@@ -103,8 +103,7 @@ fn main() {
     race("q6 (dict predicates)", &q6_plan(), &plain, &encoded, n);
 
     // Sorted by the Q1 group pair: the two u8 key columns collapse to
-    // six runs, so grouped aggregation goes run-blocked — one block
-    // deposit per run instead of one per row.
+    // six runs, read once per run span by the key fill.
     println!("sorted by (l_returnflag, l_linestatus):");
     let by_group = lineitem.sorted_by_q1_group();
     let encoded = lineitem_table_encoded(&by_group);
