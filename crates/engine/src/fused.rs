@@ -87,7 +87,7 @@
 //! [`AggHashTable`] and its SIMD batched probe
 //! ([`AggHashTable::probe_gids`], §IV). A batch's keys are laid down by
 //! one tight loop per key leg — column slices for a dense or near-dense
-//! batch, a gather otherwise, RLE legs once per run. Ids, first-seen
+//! batch, a gather otherwise, RLE keys once per run span. Ids, first-seen
 //! order and the data-dependent [`PlanError::ReservedKey`] are those of a
 //! per-row walk over the selected rows either way.
 //!
