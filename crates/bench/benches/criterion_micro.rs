@@ -283,6 +283,81 @@ fn bench_simd(c: &mut Criterion) {
     g.finish();
 }
 
+/// The partition gather of one Q1-shaped batch: ~4 040 of 4 096 rows
+/// kept, in four group segments of ~1 010 values, copied through the
+/// stable permutation. `8wide_loop` is the engine's former copy loop (eight
+/// values per iteration, no scan); `8wide_loop+scan` adds the validity
+/// scan the block kernel then ran over each segment; `simd_gather` is
+/// [`simd::gather`], which scans while it copies. Each at every dispatch
+/// level this host can be forced to (EXPERIMENTS.md, "Scan while
+/// gathering").
+fn bench_gather(c: &mut Criterion) {
+    use rfa_core::cpu;
+
+    const SPAN: usize = 4096;
+    let w = GroupedPairs::generate(SPAN, 4, ValueDist::Uniform01, 43);
+    // Keep 79 rows in 80 (98.75 %, Q1's share); stable counting sort by
+    // group over the kept rows' offsets into the span.
+    let kept: Vec<usize> = (0..SPAN).filter(|i| i % 80 != 79).collect();
+    let mut perm: Vec<u32> = Vec::with_capacity(kept.len());
+    let mut segs = Vec::new();
+    for g in 0..4 {
+        perm.extend(kept.iter().filter(|&&i| w.keys[i] == g).map(|&i| i as u32));
+        segs.push(perm.len());
+    }
+    let values = &w.values;
+    let mut out = vec![0.0f64; perm.len()];
+
+    fn gather_8wide(values: &[f64], perm: &[u32], out: &mut [f64]) {
+        let (mut outs, mut idxs) = (out.chunks_exact_mut(8), perm.chunks_exact(8));
+        for (o, idx) in (&mut outs).zip(&mut idxs) {
+            for (o, &i) in o.iter_mut().zip(idx) {
+                *o = values[i as usize];
+            }
+        }
+        for (o, &i) in outs.into_remainder().iter_mut().zip(idxs.remainder()) {
+            *o = values[i as usize];
+        }
+    }
+
+    let mut g = c.benchmark_group("gather");
+    g.throughput(Throughput::Elements(perm.len() as u64));
+    g.bench_function("8wide_loop", |b| {
+        b.iter(|| {
+            gather_8wide(values, &perm, &mut out);
+            black_box(out[0])
+        })
+    });
+    for (name, level) in dispatch_levels() {
+        cpu::set_override(Some(level));
+        g.bench_function(format!("8wide_loop+scan_{name}"), |b| {
+            b.iter(|| {
+                gather_8wide(values, &perm, &mut out);
+                let mut start = 0;
+                for &end in &segs {
+                    black_box(simd::scan(&out[start..end]));
+                    start = end;
+                }
+            })
+        });
+        g.bench_function(format!("simd_gather_{name}"), |b| {
+            b.iter(|| {
+                let mut start = 0;
+                for &end in &segs {
+                    black_box(simd::gather(
+                        values,
+                        &perm[start..end],
+                        &mut out[start..end],
+                    ));
+                    start = end;
+                }
+            })
+        });
+        cpu::set_override(None);
+    }
+    g.finish();
+}
+
 /// The dispatch levels this host can be forced to, by `RFA_SIMD` name.
 fn dispatch_levels() -> Vec<(&'static str, rfa_core::cpu::SimdLevel)> {
     use rfa_core::cpu::{self, SimdLevel};
@@ -639,6 +714,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_summation, bench_operators, bench_parallel, bench_fused_scan, bench_simd,
-        bench_grouped_deposit, bench_grouped_query, bench_gid_assign, bench_projection, bench_filter
+        bench_gather, bench_grouped_deposit, bench_grouped_query, bench_gid_assign, bench_projection, bench_filter
 }
 criterion_main!(benches);

@@ -31,8 +31,13 @@
 //!
 //!   each deposited like any expression, so these read as the cost of
 //!   reading the encoding.
+//!
+//! The two arms of a row alternate rep by rep (plain then encoded, then
+//! encoded then plain), so a drift of the host lands on both. "vs plain"
+//! is the median of the per-rep encoded ÷ plain ratios, with their min and
+//! max; the ns/elem columns are each arm's fastest rep.
 
-use rfa_bench::{f2, ns_per_elem, time_min, BenchConfig, ResultTable};
+use rfa_bench::{f2, ns_per_elem, BenchConfig, ResultTable};
 use rfa_core::CacheModel;
 use rfa_engine::plan::QueryPlan;
 use rfa_engine::{
@@ -66,6 +71,14 @@ fn storage(table: &Table, name: &str) -> &'static str {
     table.column(name).expect("lineitem column").storage_name()
 }
 
+/// One row's timings: each arm's fastest rep in ns/elem, and the
+/// (min, median, max) of the per-rep encoded ÷ plain ratios.
+struct Timed {
+    plain_ns: f64,
+    encoded_ns: f64,
+    ratio: (f64, f64, f64),
+}
+
 fn measure(
     plan: &QueryPlan,
     plain: &Table,
@@ -74,18 +87,41 @@ fn measure(
     reps: usize,
     n: usize,
     ctx: &str,
-) -> (f64, f64, PlanResult) {
+) -> (Timed, PlanResult) {
     let opts = ExecOptions::serial();
     let want = plan.execute(plain, backend, &opts).expect(ctx);
     let got = plan.execute(encoded, backend, &opts).expect(ctx);
     assert_bit_identical(&want, &got, ctx);
-    let plain_d = time_min(reps, || {
-        std::hint::black_box(plan.execute(plain, backend, &opts).expect(ctx));
-    });
-    let encoded_d = time_min(reps, || {
-        std::hint::black_box(plan.execute(encoded, backend, &opts).expect(ctx));
-    });
-    (ns_per_elem(plain_d, n), ns_per_elem(encoded_d, n), got)
+    let time = |table: &Table| {
+        let t = std::time::Instant::now();
+        std::hint::black_box(plan.execute(table, backend, &opts).expect(ctx));
+        t.elapsed()
+    };
+    let (mut best_plain, mut best_encoded) = (std::time::Duration::MAX, std::time::Duration::MAX);
+    let mut ratios = Vec::with_capacity(reps.max(1));
+    for rep in 0..reps.max(1) {
+        let (p, e) = if rep % 2 == 0 {
+            let p = time(plain);
+            (p, time(encoded))
+        } else {
+            let e = time(encoded);
+            (time(plain), e)
+        };
+        best_plain = best_plain.min(p);
+        best_encoded = best_encoded.min(e);
+        ratios.push(e.as_secs_f64() / p.as_secs_f64());
+    }
+    ratios.sort_by(f64::total_cmp);
+    let timed = Timed {
+        plain_ns: ns_per_elem(best_plain, n),
+        encoded_ns: ns_per_elem(best_encoded, n),
+        ratio: (
+            ratios[0],
+            ratios[ratios.len() / 2],
+            ratios[ratios.len() - 1],
+        ),
+    };
+    (timed, got)
 }
 
 fn main() {
@@ -134,21 +170,21 @@ fn main() {
             "key storage",
             "plain ns/elem",
             "encoded ns/elem",
-            "vs plain",
+            "vs plain (median [min, max])",
             "visited / pruned",
         ],
     );
     for (name, plan, rows, key_col) in arms {
         let plain = lineitem_table(rows);
         let encoded = lineitem_table_encoded(rows);
-        let (plain_ns, encoded_ns, run) =
-            measure(plan, &plain, &encoded, backend, cfg.reps, n, name);
+        let (timed, run) = measure(plan, &plain, &encoded, backend, cfg.reps, n, name);
+        let (lo, mid, hi) = timed.ratio;
         table.row(vec![
             name.into(),
             storage(&encoded, key_col).into(),
-            f2(plain_ns),
-            f2(encoded_ns),
-            format!("{:.2}x", encoded_ns / plain_ns),
+            f2(timed.plain_ns),
+            f2(timed.encoded_ns),
+            format!("{mid:.2}x [{lo:.2}, {hi:.2}]"),
             format!("{} / {}", run.batches_visited, run.batches_pruned),
         ]);
     }

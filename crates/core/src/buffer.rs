@@ -104,18 +104,6 @@ impl<T: ReproFloat, const L: usize> SummationBuffer<T, L> {
         self.len = tail_len as u32;
     }
 
-    /// Deposits `k` copies of `v` algebraically — bit-identical to `k`
-    /// [`push`](Self::push) calls. Every flush boundary is exact (§III-D)
-    /// and the accumulator's state is a pure function of the input
-    /// multiset, so flushing the staged values first and folding `k·v`
-    /// straight into the accumulator ([`ReproSum::add_scaled`]) cannot
-    /// change any downstream bit.
-    #[inline]
-    pub fn push_scaled(&mut self, v: T, k: u64) {
-        self.flush();
-        self.acc.add_scaled(v, k);
-    }
-
     /// Aggregates all buffered values into the accumulator.
     pub fn flush(&mut self) {
         let len = core::mem::take(&mut self.len) as usize;
@@ -237,33 +225,6 @@ mod tests {
         assert_eq!(buf.value(), 1.25); // flushed twice: no double counting
         buf.push(2.0);
         assert_eq!(buf.finalize(), 3.25);
-    }
-
-    #[test]
-    fn push_scaled_matches_per_value_pushes() {
-        let values = data(2_000);
-        for bsz in [1usize, 7, 64, 256] {
-            let mut scaled = SummationBuffer::<f64, 2>::new(bsz);
-            let mut per_row = SummationBuffer::<f64, 2>::new(bsz);
-            for (i, &v) in values.iter().enumerate() {
-                let k = (i % 9) as u64;
-                scaled.push_scaled(v, k);
-                for _ in 0..k {
-                    per_row.push(v);
-                }
-                if i % 37 == 0 {
-                    // Interleave plain pushes: flush boundaries diverge
-                    // between the two arms, bits must not.
-                    scaled.push(0.125);
-                    per_row.push(0.125);
-                }
-            }
-            assert_eq!(
-                scaled.finalize().to_bits(),
-                per_row.finalize().to_bits(),
-                "bsz {bsz}"
-            );
-        }
     }
 
     #[test]

@@ -50,7 +50,14 @@
 //! no branch in the inner loop. DESIGN.md S3 has the argument in full.
 //! The argument is per value: [`scan`] runs the same validity scan over a
 //! whole slice, and [`depth`] of its result bounds the levels per-value
-//! deposits need ([`ReproSum::add_levels`]).
+//! deposits need ([`ReproSum::add_levels`]). For the same reason a whole
+//! slice's pair serves each of its chunks: [`add_scanned`] is the chunk
+//! loop with the caller's pair in place of every chunk's scan — the first
+//! chunk promotes to the slice's top rung, the state of the largest value
+//! arriving first, and the slice's smallest magnitude asks for at least
+//! the levels each chunk needs. [`gather`] returns that pair for the
+//! values it copies through an index list, so the partition gather hands
+//! the kernel a segment it need not scan again.
 //!
 //! ## Safety boundary
 //!
@@ -61,13 +68,20 @@
 //!    their feature's instructions, so every `Reg` method and the skeleton
 //!    are `unsafe fn` whose one precondition is a CPU with that feature.
 //!    The `#[target_feature]` entries in `x86` are reached only from
-//!    [`add_slice`] and [`scan`], after [`crate::cpu::active`] reported
+//!    [`add_slice`], [`add_scanned`], [`scan`] and [`gather`], after [`crate::cpu::active`] reported
 //!    their level — which it does only once `is_x86_feature_detected!`
 //!    succeeded.
 //! 2. **Bounds.** The only raw memory accesses are `Reg::load`, which reads
 //!    `V` values from a slice it requires to hold `V` (a `chunks_exact(V)`
-//!    group or the `MAX_LANES`-long padded tail), and `Reg::lanes`, which
-//!    stores `V ≤ MAX_LANES` values into a local array.
+//!    group or the `MAX_LANES`-long padded tail), `Reg::lanes`, which
+//!    stores `V ≤ MAX_LANES` values into a local array, and the indexed
+//!    load `Reg::gather`. It reads `V` indices from a `chunks_exact(V)`
+//!    group; the AVX-512 `f64` width's `vgatherdpd` masks off every lane
+//!    whose index is not below `values.len()` (so it reads nothing out of
+//!    bounds, and needs `values.len() ≤ i32::MAX`, its offsets being
+//!    signed — [`gather`] takes the AVX2 width past that), the default
+//!    loads lane by lane through `get`. Each reports whether all lanes
+//!    were in range, and [`gather`] panics after its loop if one was not.
 //! 3. **Monomorphic downcast.** `add_slice` is generic over the sealed
 //!    [`ReproFloat`] (only `f32`/`f64` exist); `retype` casts
 //!    `ReproSum<T, L> → ReproSum<U, L>` only when `TypeId`s prove `T` *is*
@@ -120,6 +134,21 @@ trait Reg: Copy {
     /// NaN if any lane was (the portable width's also if one was ±∞), the
     /// min `+∞` if no lane was non-zero.
     unsafe fn scan_end(s: Self::Scan) -> (Self::F, Self::F);
+    /// Lane `i` is `values[idx[i]]`, or zero where `idx[i]` is out of
+    /// range, and whether every lane was in range; `idx` must hold at
+    /// least `V`. Lane by lane here; a width with a hardware gather
+    /// overrides it.
+    #[inline(always)]
+    unsafe fn gather(values: &[Self::F], idx: &[u32]) -> (Self, bool) {
+        let mut lanes = [Self::F::ZERO; MAX_LANES];
+        let mut in_range = true;
+        for (lane, &i) in lanes.iter_mut().zip(&idx[..Self::V]) {
+            let v = values.get(i as usize);
+            in_range &= v.is_some();
+            *lane = v.copied().unwrap_or(Self::F::ZERO);
+        }
+        (Self::load(&lanes), in_range)
+    }
 }
 
 /// Adds all `values` into `acc` using the vectorized kernel at the widest
@@ -142,9 +171,9 @@ pub fn add_slice<T: ReproFloat, const L: usize>(acc: &mut ReproSum<T, L>, values
                 // its feature.
                 unsafe {
                     if level == cpu::SimdLevel::Avx512 {
-                        x86::f64_avx512(acc, values)
+                        x86::f64_avx512(acc, values, None)
                     } else {
-                        x86::f64_avx2(acc, values)
+                        x86::f64_avx2(acc, values, None)
                     }
                 }
                 return;
@@ -166,9 +195,74 @@ pub fn add_slice<T: ReproFloat, const L: usize>(acc: &mut ReproSum<T, L>, values
 /// [`depth`] it gives the levels a run of per-value deposits needs
 /// ([`ReproSum::add_levels`]).
 pub fn scan(values: &[f64]) -> (f64, f64) {
-    // A width's max of a slice holding ±∞ is `+∞` or NaN (`Reg::scan_end`).
-    let (hi, lo) = scan_dispatched(values);
+    one_pair(scan_dispatched(values))
+}
+
+/// A width's `Reg::scan_end` pair as [`scan`] returns it: a width's max of
+/// a slice holding ±∞ is `+∞` or NaN, and this makes it NaN at every width.
+fn one_pair((hi, lo): (f64, f64)) -> (f64, f64) {
     (if hi.is_finite() { hi } else { f64::NAN }, lo)
+}
+
+/// Writes `values[idx[i]]` into `out[i]` and returns the pair
+/// [`scan`]`(out)` would: the validity scan runs on each register as it is
+/// gathered, so the values are read once. Panics — after reading nothing
+/// out of bounds — when `idx` and `out` differ in length or an index is
+/// not below `values.len()`. Hand the pair to [`add_scanned`] to deposit
+/// `out` without scanning it again.
+pub fn gather(values: &[f64], idx: &[u32], out: &mut [f64]) -> (f64, f64) {
+    assert_eq!(idx.len(), out.len(), "one output slot per index");
+    one_pair(gather_dispatched(values, idx, out))
+}
+
+/// [`gather`]'s dispatch, as [`scan`]'s. The AVX-512 gather takes signed
+/// 32-bit offsets, so a slice past `i32::MAX` values takes the AVX2 width.
+fn gather_dispatched(values: &[f64], idx: &[u32], out: &mut [f64]) -> (f64, f64) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let level = cpu::active();
+        if level != cpu::SimdLevel::Scalar {
+            // SAFETY: `cpu::active()` reports a level only on a CPU with
+            // its feature; every AVX-512F CPU also has AVX2.
+            return unsafe {
+                if level == cpu::SimdLevel::Avx512 && values.len() <= i32::MAX as usize {
+                    x86::gather_f64_avx512(values, idx, out)
+                } else {
+                    x86::gather_f64_avx2(values, idx, out)
+                }
+            };
+        }
+    }
+    // SAFETY: the portable width executes no target-specific instruction.
+    unsafe { gather_scan::<Portable<f64>>(values, idx, out) }
+}
+
+/// [`add_slice`] for `f64` with `pair` — [`scan`]`(values)`'s, as
+/// [`gather`] returns it — in place of every chunk's own validity scan
+/// (DESIGN.md S3, "a whole-slice pair"). Bit-identical to `add_slice`. A
+/// pair holding NaN or a magnitude past the binnable limit is dropped and
+/// each chunk scans itself, so special values still take the cold path.
+/// Any other pair gives wrong bits, never an out-of-bounds access.
+#[inline]
+pub fn add_scanned<const L: usize>(acc: &mut ReproSum<f64, L>, values: &[f64], pair: (f64, f64)) {
+    let pair = Some(pair).filter(|&(hi, _)| hi < f64::exp2i(f64::HUGE_EXP));
+    #[cfg(target_arch = "x86_64")]
+    {
+        let level = cpu::active();
+        if level != cpu::SimdLevel::Scalar {
+            // SAFETY: as in `add_slice`.
+            unsafe {
+                if level == cpu::SimdLevel::Avx512 {
+                    x86::f64_avx512(acc, values, pair)
+                } else {
+                    x86::f64_avx2(acc, values, pair)
+                }
+            }
+            return;
+        }
+    }
+    // SAFETY: the portable width executes no target-specific instruction.
+    unsafe { kernel::<Portable<f64>, L>(acc, values, pair) }
 }
 
 /// [`scan`]'s dispatch, as [`add_slice`]'s.
@@ -218,17 +312,23 @@ fn retype<'a, T: ReproFloat, U: ReproFloat, const L: usize>(
 /// dispatched path).
 pub fn add_slice_portable<T: ReproFloat, const L: usize>(acc: &mut ReproSum<T, L>, values: &[T]) {
     // SAFETY: the portable width executes no target-specific instruction.
-    unsafe { kernel::<Portable<T>, L>(acc, values) }
+    unsafe { kernel::<Portable<T>, L>(acc, values, None) }
 }
 
-/// The chunk loop of Algorithm 3 at width `R` — the one copy of it.
+/// The chunk loop of Algorithm 3 at width `R` — the one copy of it. With
+/// `pair` — the whole slice's binnable validity-scan pair ([`add_scanned`])
+/// — no chunk scans itself.
 ///
 /// # Safety
 /// The CPU must support `R`'s target feature.
 #[inline(always)]
 // `!(hi < huge)` is the NaN-conservative form: NaN must take the cold path.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-unsafe fn kernel<R: Reg, const L: usize>(acc: &mut ReproSum<R::F, L>, values: &[R::F]) {
+unsafe fn kernel<R: Reg, const L: usize>(
+    acc: &mut ReproSum<R::F, L>,
+    values: &[R::F],
+    pair: Option<(R::F, R::F)>,
+) {
     const { assert!(R::V <= MAX_LANES) };
     // Lane sums start at the exact additive identity (Algorithm 3 lines
     // 1–2 load the memory-resident state instead; equivalent, because the
@@ -241,8 +341,11 @@ unsafe fn kernel<R: Reg, const L: usize>(acc: &mut ReproSum<R::F, L>, values: &[
 
     for chunk in values.chunks(R::V * R::F::BLOCK) {
         // Algorithm 3 line 4: one validity check per block; the same pass
-        // finds the smallest non-zero magnitude for the level count.
-        let (hi, lo) = magnitudes::<R>(chunk);
+        // finds the smallest non-zero magnitude for the level count. The
+        // whole slice's pair serves every chunk: the first promotes to
+        // the slice's top rung, and the slice's smallest magnitude asks
+        // for at least the levels each chunk needs.
+        let (hi, lo) = pair.unwrap_or_else(|| magnitudes::<R>(chunk));
         let tail = padded::<R>(chunk.chunks_exact(R::V).remainder());
 
         // Specials or overflow-magnitude values take the scalar cold path
@@ -305,6 +408,35 @@ unsafe fn magnitudes<R: Reg>(values: &[R::F]) -> (R::F, R::F) {
         scan = R::scan(scan, R::load(g));
     }
     if let Some(tail) = padded::<R>(groups.remainder()) {
+        scan = R::scan(scan, tail);
+    }
+    R::scan_end(scan)
+}
+
+/// [`gather`] at width `R`: each register of `values[idx[..]]` is stored
+/// to `out` and scanned, the last partial one lane by lane and zero-padded.
+/// Panics after the loop when a lane was out of range (which `R::gather`
+/// left unread); a tail index is bounds-checked as it is read.
+///
+/// # Safety
+/// As `kernel`; `idx.len() == out.len()`.
+#[inline(always)]
+unsafe fn gather_scan<R: Reg<F = f64>>(values: &[f64], idx: &[u32], out: &mut [f64]) -> (f64, f64) {
+    let mut scan = R::scan_start();
+    let mut in_range = true;
+    let (mut outs, mut idxs) = (out.chunks_exact_mut(R::V), idx.chunks_exact(R::V));
+    for (o, i) in (&mut outs).zip(&mut idxs) {
+        let (r, ok) = R::gather(values, i);
+        in_range &= ok;
+        o.copy_from_slice(&r.lanes()[..R::V]);
+        scan = R::scan(scan, r);
+    }
+    assert!(in_range, "gather index out of range");
+    let rest = outs.into_remainder();
+    for (o, &i) in rest.iter_mut().zip(idxs.remainder()) {
+        *o = values[i as usize];
+    }
+    if let Some(tail) = padded::<R>(rest) {
         scan = R::scan(scan, tail);
     }
     R::scan_end(scan)
@@ -495,8 +627,12 @@ mod x86 {
     /// # Safety
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn f64_avx2<const L: usize>(acc: &mut ReproSum<f64, L>, values: &[f64]) {
-        kernel::<Avx2F64, L>(acc, values)
+    pub(super) unsafe fn f64_avx2<const L: usize>(
+        acc: &mut ReproSum<f64, L>,
+        values: &[f64],
+        pair: Option<(f64, f64)>,
+    ) {
+        kernel::<Avx2F64, L>(acc, values, pair)
     }
 
     /// [`add_slice`] for `f32`, eight lanes per `__m256`.
@@ -505,7 +641,7 @@ mod x86 {
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn f32_avx2<const L: usize>(acc: &mut ReproSum<f32, L>, values: &[f32]) {
-        kernel::<Avx2F32, L>(acc, values)
+        kernel::<Avx2F32, L>(acc, values, None)
     }
 
     /// [`add_slice`] for `f64`, eight lanes per `__m512d`.
@@ -513,8 +649,12 @@ mod x86 {
     /// # Safety
     /// The CPU must support AVX-512F.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn f64_avx512<const L: usize>(acc: &mut ReproSum<f64, L>, values: &[f64]) {
-        kernel::<Avx512F64, L>(acc, values)
+    pub(super) unsafe fn f64_avx512<const L: usize>(
+        acc: &mut ReproSum<f64, L>,
+        values: &[f64],
+        pair: Option<(f64, f64)>,
+    ) {
+        kernel::<Avx512F64, L>(acc, values, pair)
     }
 
     /// [`scan`] for `f64`, four lanes per `__m256d`.
@@ -533,6 +673,33 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn scan_f64_avx512(values: &[f64]) -> (f64, f64) {
         magnitudes::<Avx512F64>(values)
+    }
+
+    /// [`gather`] for `f64`, four lanes per `__m256d`, loaded lane by lane.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; `idx.len() == out.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gather_f64_avx2(
+        values: &[f64],
+        idx: &[u32],
+        out: &mut [f64],
+    ) -> (f64, f64) {
+        gather_scan::<Avx2F64>(values, idx, out)
+    }
+
+    /// [`gather`] for `f64`, eight lanes per `vgatherdpd`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F; `idx.len() == out.len()` and
+    /// `values.len() <= i32::MAX`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn gather_f64_avx512(
+        values: &[f64],
+        idx: &[u32],
+        out: &mut [f64],
+    ) -> (f64, f64) {
+        gather_scan::<Avx512F64>(values, idx, out)
     }
 
     #[derive(Clone, Copy)]
@@ -730,6 +897,21 @@ mod x86 {
         unsafe fn scan_start() -> Self::Scan {
             (_mm512_setzero_si512(), _mm512_set1_epi64(-1))
         }
+        /// One `vgatherdpd` whose lanes are masked by `idx[i] <
+        /// values.len()`: a masked-off lane reads nothing and stays zero.
+        /// The offsets are signed, so `values` must hold at most
+        /// `i32::MAX` values (`gather_f64_avx512`).
+        #[inline(always)]
+        unsafe fn gather(values: &[f64], idx: &[u32]) -> (Self, bool) {
+            debug_assert!(idx.len() >= Self::V && values.len() <= i32::MAX as usize);
+            let offsets = _mm256_loadu_si256(idx.as_ptr().cast());
+            let len = _mm512_set1_epi32(values.len() as i32);
+            let in_range =
+                _mm512_mask_cmplt_epu32_mask(0xFF, _mm512_castsi256_si512(offsets), len) as u8;
+            let zero = _mm512_setzero_pd();
+            let r = _mm512_mask_i32gather_pd::<8>(zero, in_range, offsets, values.as_ptr());
+            (Self(r), in_range == 0xFF)
+        }
         #[inline(always)]
         unsafe fn scan((hi, lo): Self::Scan, x: Self) -> Self::Scan {
             let a = _mm512_and_si512(_mm512_castpd_si512(x.0), _mm512_set1_epi64(i64::MAX));
@@ -855,11 +1037,11 @@ mod tests {
         {
             if cpu::avx2_supported() {
                 // SAFETY: pushed only where AVX2 was detected.
-                widths.push(("avx2", |a, v| unsafe { x86::f64_avx2(a, v) }));
+                widths.push(("avx2", |a, v| unsafe { x86::f64_avx2(a, v, None) }));
             }
             if cpu::avx512_supported() {
                 // SAFETY: pushed only where AVX-512F was detected.
-                widths.push(("avx512", |a, v| unsafe { x86::f64_avx512(a, v) }));
+                widths.push(("avx512", |a, v| unsafe { x86::f64_avx512(a, v, None) }));
             }
         }
         widths

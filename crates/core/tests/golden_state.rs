@@ -9,9 +9,11 @@
 //! * `add`, value by value;
 //! * `add_levels` at the depth the stream's own scan gives;
 //! * `simd::add_slice` at every dispatch level the CPU has;
+//! * for `f64`, `simd::gather` out of a wider slice and `simd::add_scanned`
+//!   with the pair the gather returns, at every dispatch level;
 //! * a two-way `merge` of the stream's halves.
 //!
-//! All four must land on the stream's one `multiset` line. `add_scaled`
+//! All five must land on the stream's one `multiset` line. `add_scaled`
 //! deposits every value `k` times (`k` cycling through `SCALED_KS`) and
 //! must land on the stream's `scaled` line.
 //!
@@ -185,12 +187,30 @@ fn check<T: ReproFloat, const L: usize>(
     if cpu::avx512_supported() {
         levels.push(SimdLevel::Avx512);
     }
-    for level in levels {
+    for &level in &levels {
         cpu::set_override(Some(level));
         let mut acc = ReproSum::<T, L>::new();
         simd::add_slice(&mut acc, values);
         cpu::set_override(None);
         paths.push((format!("add_slice at {level}"), acc));
+    }
+    // `f64` only: the stream at the odd positions of a slice whose even
+    // ones hold NaN, which the gather must not pick up.
+    let mut lines_f64 = Vec::new();
+    if T::MANTISSA_BITS == f64::MANTISSA_BITS {
+        let wide: Vec<f64> = (values.iter())
+            .flat_map(|v| [f64::NAN, v.to_f64()])
+            .collect();
+        let idx: Vec<u32> = (0..values.len() as u32).map(|i| 2 * i + 1).collect();
+        for &level in &levels {
+            cpu::set_override(Some(level));
+            let mut out = vec![0.0; idx.len()];
+            let pair = simd::gather(&wide, &idx, &mut out);
+            let mut acc = ReproSum::<f64, L>::new();
+            simd::add_scanned(&mut acc, &out, pair);
+            cpu::set_override(None);
+            lines_f64.push((format!("gather + add_scanned at {level}"), line(&acc)));
+        }
     }
     let (left, right) = values.split_at(values.len() * 2 / 5);
     let mut merged = ReproSum::<T, L>::new();
@@ -203,8 +223,8 @@ fn check<T: ReproFloat, const L: usize>(
     let mut failures = Vec::new();
     let multiset = want("multiset");
     actual.push(format!("{} | {}", key("multiset"), line(&added)));
-    for (path, acc) in &paths {
-        let got = line(acc);
+    let lines = paths.iter().map(|(path, acc)| (path.clone(), line(acc)));
+    for (path, got) in lines.chain(lines_f64) {
         if got != multiset {
             failures.push(format!(
                 "{}: {path}\n  got  {got}\n  want {multiset}",

@@ -433,3 +433,136 @@ fn level_count_boundaries_match_the_cascade() {
     assert_depths::<f32, 3>(&f32_lengths);
     assert_depths::<f32, 4>(&f32_lengths);
 }
+
+/// `n` deterministic values over many binades, both signs, with `−0.0`,
+/// `+0.0` and subnormals among them; with `specials`, NaN, ±∞ and values
+/// at and near `2^HUGE_EXP` too.
+fn gather_pool(n: usize, specials: bool) -> Vec<f64> {
+    let huge = f64::exp2i(f64::HUGE_EXP);
+    (0..n as u64)
+        .map(|i| {
+            let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+            let u = 0.5 + x as f64 / (1u64 << 54) as f64;
+            let v = u * 2f64.powi((x % 120) as i32 - 60);
+            match i % 97 {
+                3 => -0.0,
+                5 => 0.0,
+                7 => f64::from_bits(1 + x % 1000),
+                11 => 0.75 * huge,
+                13 if specials => f64::NAN,
+                17 if specials => f64::INFINITY,
+                19 if specials => f64::NEG_INFINITY,
+                23 if specials => huge,
+                _ if i % 2 == 0 => v,
+                _ => -v,
+            }
+        })
+        .collect()
+}
+
+/// `len` indices into a `span`-long slice, in a scattered order.
+fn scattered(len: usize, span: usize) -> Vec<u32> {
+    (0..len as u64)
+        .map(|i| (i.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 17) as usize % span)
+        .map(|i| i as u32)
+        .collect()
+}
+
+/// `simd::gather` writes exactly the scalar gather and returns exactly
+/// `simd::scan` of what it wrote, at every level, for lengths around
+/// every width's tail and past a kernel chunk.
+#[test]
+fn gather_is_a_scalar_gather_and_its_scan() {
+    let lengths = (0..=40).chain([4096, 8193]);
+    for len in lengths {
+        for specials in [false, true] {
+            let values = gather_pool(len.max(1) + 7, specials);
+            let idx = scattered(len, values.len());
+            let want: Vec<u64> = idx.iter().map(|&i| values[i as usize].to_bits()).collect();
+            for level in std::iter::once(SimdLevel::Scalar).chain(forced_levels()) {
+                let (got, pair, scanned) = with_level(level, || {
+                    let mut out = vec![1.0; len];
+                    let pair = simd::gather(&values, &idx, &mut out);
+                    let scanned = simd::scan(&out);
+                    (out, pair, scanned)
+                });
+                let ctx = format!("{level} len={len} specials={specials}");
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(pair.0.to_bits(), scanned.0.to_bits(), "{ctx}");
+                assert_eq!(pair.1.to_bits(), scanned.1.to_bits(), "{ctx}");
+            }
+        }
+    }
+}
+
+/// `add_scanned` with the slice's own pair equals `add_slice`, state for
+/// state, on slices of several kernel chunks (`8 · 1 024` values at the
+/// widest width) — with the largest value in the last chunk, the smallest
+/// in the first, specials, and the level-count boundary chunks — at every
+/// level and `L ∈ 1..=4`.
+#[test]
+fn add_scanned_matches_add_slice_across_chunks() {
+    fn check<const L: usize>(name: &str, values: &[f64]) {
+        for level in std::iter::once(SimdLevel::Scalar).chain(forced_levels()) {
+            let (sliced, scanned) = with_level(level, || {
+                let mut sliced = ReproSum::<f64, L>::new();
+                simd::add_slice(&mut sliced, values);
+                let mut scanned = ReproSum::<f64, L>::new();
+                simd::add_scanned(&mut scanned, values, simd::scan(values));
+                (sliced, scanned)
+            });
+            let ctx = format!("{level} L={L} {name} len={}", values.len());
+            assert_eq!(scanned.canonical_state(), sliced.canonical_state(), "{ctx}");
+            assert_eq!(scanned.value().to_bits(), sliced.value().to_bits(), "{ctx}");
+        }
+    }
+    let n = 3 * 8 * 1024 + 5;
+    let fill = unit_fill::<f64>(n, 3);
+    let mut cases = vec![("unit".to_string(), fill.clone())];
+    let mut last_max = fill.clone();
+    last_max[n - 2] = 1.5 * 2f64.powi(70);
+    cases.push(("largest in the last chunk".into(), last_max));
+    let mut first_min = fill.clone();
+    first_min[1] = full::<f64>(-90);
+    first_min[n - 1] = 2f64.powi(40);
+    cases.push(("smallest first, largest last".into(), first_min));
+    let mut tiny_last = fill.iter().map(|v| v * 2f64.powi(-30)).collect::<Vec<_>>();
+    tiny_last[0] = 3.0;
+    tiny_last[n - 3] = f64::from_bits(3);
+    cases.push(("subnormal in the last chunk".into(), tiny_last));
+    cases.push(("many binades".into(), gather_pool(n, false)));
+    cases.push(("specials".into(), gather_pool(n, true)));
+    for len in [8193, 2 * 8192 + 1] {
+        cases.extend(depth_chunks::<f64>(len));
+    }
+    for (name, values) in &cases {
+        check::<1>(name, values);
+        check::<2>(name, values);
+        check::<3>(name, values);
+        check::<4>(name, values);
+    }
+}
+
+/// An index past the end panics at every level — in a full register and
+/// in the tail, before anything out of bounds is read.
+#[test]
+fn gather_panics_on_an_out_of_range_index() {
+    let values = gather_pool(64, false);
+    for level in std::iter::once(SimdLevel::Scalar).chain(forced_levels()) {
+        for (len, at) in [(16, 3), (16, 15), (19, 17), (1, 0)] {
+            for bad in [64u32, 65, u32::MAX, i32::MAX as u32 + 1] {
+                let mut idx = scattered(len, values.len());
+                idx[at] = bad;
+                let _guard = override_guard();
+                cpu::set_override(Some(level));
+                let caught = std::panic::catch_unwind(|| {
+                    let mut out = vec![0.0; len];
+                    simd::gather(&values, &idx, &mut out)
+                });
+                cpu::set_override(None);
+                assert!(caught.is_err(), "{level} len={len} idx[{at}]={bad}");
+            }
+        }
+    }
+}

@@ -258,9 +258,11 @@ pub const NEAR_DENSE: f64 = 0.5;
 /// order kept inside each group) plus the `(group, end)` segment list
 /// over it. Built once per batch and shared by COUNT (segment lengths are
 /// its histogram) and by every SUM state array: a repro SUM gathers its
-/// evaluated values through the permutation and deposits one block call
-/// per group; a `Double` SUM reads them through the permutation in place
-/// — a register sum needs no contiguous input — one segment per group.
+/// evaluated values through the permutation with [`simd::gather`], which
+/// scans each segment while copying it, and deposits one block call per
+/// group with that segment's scanned pair; a `Double` SUM reads them
+/// through the permutation in place — a register sum needs no contiguous
+/// input — one segment per group.
 /// (MIN / MAX keep their per-row folds over the row-ordered group ids: a
 /// compare-and-keep per row is cheaper than the gather.)
 ///
@@ -287,6 +289,9 @@ pub(crate) struct BatchPartition {
     cursors: Vec<u32>,
     /// One state's values in partition order (reused across states).
     sorted: Vec<f64>,
+    /// [`simd::scan`]'s pair of each segment of `sorted`, one per `segs`
+    /// entry.
+    pairs: Vec<(f64, f64)>,
     /// Length of the value slices the permutation indexes: the batch's
     /// rows, or the covering range of its selection.
     span: usize,
@@ -359,25 +364,20 @@ impl BatchPartition {
         &self.segs
     }
 
-    /// `values` (one per batch row in row order — per row of the covering
-    /// range, for a partition built over a selection) in partition order.
-    fn gather(&mut self, values: &[f64]) -> (&[f64], &[(u32, usize)]) {
+    /// Writes `values` (one per batch row in row order — per row of the
+    /// covering range, for a partition built over a selection) into
+    /// `sorted` in partition order, and each segment's [`simd::scan`] pair
+    /// into `pairs`.
+    fn gather(&mut self, values: &[f64]) {
         assert_eq!(values.len(), self.span);
         self.sorted.resize(self.perm.len(), 0.0);
-        // Eight values per iteration: at one, the loop is seven
-        // instructions whose speed hangs on where they fall in a 64-byte
-        // line — 0.6 or 0.95 ns per value from one build to the next
-        // (EXPERIMENTS.md), the whole of buffered ÷ double's spread.
-        let (mut sorted, mut perm) = (self.sorted.chunks_exact_mut(8), self.perm.chunks_exact(8));
-        for (out, idx) in (&mut sorted).zip(&mut perm) {
-            for (o, &i) in out.iter_mut().zip(idx) {
-                *o = values[i as usize];
-            }
+        self.pairs.clear();
+        let mut start = 0;
+        for &(_, end) in &self.segs {
+            let (idx, out) = (&self.perm[start..end], &mut self.sorted[start..end]);
+            self.pairs.push(simd::gather(values, idx, out));
+            start = end;
         }
-        for (o, &i) in sorted.into_remainder().iter_mut().zip(perm.remainder()) {
-            *o = values[i as usize];
-        }
-        (&self.sorted, &self.segs)
     }
 }
 
@@ -697,8 +697,10 @@ impl<const L: usize> States for ReproStates<L> {
         Ok(())
     }
 
-    /// Gathers the values group by group and deposits one block-kernel
-    /// call per group.
+    /// Gathers the values group by group, scanning each group's segment
+    /// as it is copied, and deposits one block-kernel call per group with
+    /// that segment's pair ([`simd::add_scanned`]): the kernel skips its
+    /// own validity scan, bit-identical to [`Self::run`] on the segment.
     fn partitioned(
         &mut self,
         part: &mut BatchPartition,
@@ -706,10 +708,11 @@ impl<const L: usize> States for ReproStates<L> {
         values: &[f64],
         _: Option<&[u32]>,
     ) -> Result<(), OverflowError> {
-        let (sorted, segs) = part.gather(values);
+        part.gather(values);
         let mut start = 0;
-        for &(g, end) in segs {
-            self.run(g as usize, &sorted[start..end])?;
+        for (&(g, end), &pair) in part.segs.iter().zip(&part.pairs) {
+            simd::add_scanned(&mut self.states[g as usize], &part.sorted[start..end], pair);
+            self.track(g as usize);
             start = end;
         }
         Ok(())

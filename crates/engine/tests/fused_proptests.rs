@@ -201,6 +201,97 @@ proptest! {
     }
 }
 
+/// A Q1 input whose batches partition into segments longer than one
+/// block-kernel chunk (`8 · 1 024` values): four (returnflag, linestatus)
+/// groups of very unequal size, each at a magnitude of its own, with every
+/// row's values spread over 40 binades. A segment deposited with another
+/// segment's scan pair, or a level count taken from the wrong end of it,
+/// moves the result.
+fn long_segment_lineitem(n: usize, seed: u64) -> Lineitem {
+    let mut s = seed | 1;
+    let mut next = move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        s >> 11
+    };
+    // (returnflag, linestatus, value scale), drawn at weights 8 : 4 : 2 : 1.
+    let groups = [
+        (b'N', b'O', 1e-9),
+        (b'A', b'F', 1e6),
+        (b'R', b'F', 1e-3),
+        (b'N', b'F', 1e9),
+    ];
+    let mut cols = (
+        vec![],
+        vec![],
+        vec![],
+        vec![],
+        vec![],
+        vec![],
+        vec![],
+        vec![],
+    );
+    for _ in 0..n {
+        let r = next();
+        let g = match r % 15 {
+            0..=7 => 0,
+            8..=11 => 1,
+            12..=13 => 2,
+            _ => 3,
+        };
+        let (rf, ls, scale) = groups[g];
+        let spread = scale * 2f64.powi(-(((r >> 8) % 40) as i32));
+        let unit = (next() as f64) / (1u64 << 53) as f64;
+        cols.0.push((1.0 + 49.0 * unit) * spread);
+        cols.1.push((unit - 0.25) * 1e5 * spread);
+        cols.2.push(0.1 * unit);
+        cols.3.push(0.08 * unit);
+        // One row in 64 falls past the Q1 cutoff: the batches keep a
+        // selection, as Q1's do.
+        cols.4.push(if r % 64 == 0 {
+            2500
+        } else {
+            700 + (r % 1700) as i32
+        });
+        cols.5.push(rf);
+        cols.6.push(ls);
+        cols.7.push(1 + (r % 39) as i32);
+    }
+    let (q, p, d, t, sd, rf, ls, sk) = cols;
+    Lineitem::from_columns(q, p, d, t, sd, rf, ls, sk)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Q1 at `batch_rows = 2^15` over at most four groups: every batch is
+    /// partitioned, its segments span several block-kernel chunks, and
+    /// each is deposited with the pair the gather scanned. Every repro
+    /// backend matches the per-row reference bit for bit at 1, 2 and 8
+    /// threads.
+    #[test]
+    fn q1_long_segments_match_the_per_row_reference(seed in any::<u64>()) {
+        force_pool();
+        let t = long_segment_lineitem(80_000, seed);
+        let table = lineitem_table(&t);
+        let repro = BACKENDS.into_iter().filter(|b| !matches!(b, SumBackend::Double | SumBackend::SortedDouble));
+        for backend in repro {
+            let reference = q1_reference(&t, backend).unwrap();
+            for threads in [1, 2, 8] {
+                let opts = ExecOptions {
+                    threads,
+                    batch_rows: 1 << 15,
+                    morsel_rows: 1 << 16,
+                    ..ExecOptions::default()
+                };
+                let fused = q1_plan().execute(&table, backend, &opts).unwrap();
+                assert_bitwise(&reference, &fused, &format!("{backend:?} t{threads}"));
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The sort-first baseline: its definition, its pinned bits, its overflow.
 // ---------------------------------------------------------------------------
