@@ -162,30 +162,43 @@ trait Reg: Copy {
 /// Figure 6.
 #[inline]
 pub fn add_slice<T: ReproFloat, const L: usize>(acc: &mut ReproSum<T, L>, values: &[T]) {
+    if let Some((acc, values)) = retype::<T, f64, L>(acc, values) {
+        return add_f64(acc, values, None);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if cpu::active() != cpu::SimdLevel::Scalar {
+        if let Some((acc, values)) = retype::<T, f32, L>(acc, values) {
+            // SAFETY: `cpu::active()` reports a level only on a CPU with its
+            // feature; every AVX-512F CPU also has AVX2.
+            unsafe { x86::f32_avx2(acc, values) };
+            return;
+        }
+    }
+    add_slice_portable(acc, values);
+}
+
+/// The `f64` block kernel at the widest width [`crate::cpu`] allows, with
+/// `pair` ([`add_scanned`]) or each chunk's own scan.
+#[inline]
+fn add_f64<const L: usize>(acc: &mut ReproSum<f64, L>, values: &[f64], pair: Option<(f64, f64)>) {
     #[cfg(target_arch = "x86_64")]
     {
         let level = cpu::active();
         if level != cpu::SimdLevel::Scalar {
-            if let Some((acc, values)) = retype::<T, f64, L>(acc, values) {
-                // SAFETY: `cpu::active()` reports a level only on a CPU with
-                // its feature.
-                unsafe {
-                    if level == cpu::SimdLevel::Avx512 {
-                        x86::f64_avx512(acc, values, None)
-                    } else {
-                        x86::f64_avx2(acc, values, None)
-                    }
+            // SAFETY: `cpu::active()` reports a level only on a CPU with
+            // its feature.
+            unsafe {
+                if level == cpu::SimdLevel::Avx512 {
+                    x86::f64_avx512(acc, values, pair)
+                } else {
+                    x86::f64_avx2(acc, values, pair)
                 }
-                return;
             }
-            if let Some((acc, values)) = retype::<T, f32, L>(acc, values) {
-                // SAFETY: as above; every AVX-512F CPU also has AVX2.
-                unsafe { x86::f32_avx2(acc, values) };
-                return;
-            }
+            return;
         }
     }
-    add_slice_portable(acc, values);
+    // SAFETY: the portable width executes no target-specific instruction.
+    unsafe { kernel::<Portable<f64>, L>(acc, values, pair) }
 }
 
 /// `(max |v|, min non-zero |v|)` over `f64` `values`: the block kernel's
@@ -246,23 +259,7 @@ fn gather_dispatched(values: &[f64], idx: &[u32], out: &mut [f64]) -> (f64, f64)
 #[inline]
 pub fn add_scanned<const L: usize>(acc: &mut ReproSum<f64, L>, values: &[f64], pair: (f64, f64)) {
     let pair = Some(pair).filter(|&(hi, _)| hi < f64::exp2i(f64::HUGE_EXP));
-    #[cfg(target_arch = "x86_64")]
-    {
-        let level = cpu::active();
-        if level != cpu::SimdLevel::Scalar {
-            // SAFETY: as in `add_slice`.
-            unsafe {
-                if level == cpu::SimdLevel::Avx512 {
-                    x86::f64_avx512(acc, values, pair)
-                } else {
-                    x86::f64_avx2(acc, values, pair)
-                }
-            }
-            return;
-        }
-    }
-    // SAFETY: the portable width executes no target-specific instruction.
-    unsafe { kernel::<Portable<f64>, L>(acc, values, pair) }
+    add_f64(acc, values, pair)
 }
 
 /// [`scan`]'s dispatch, as [`add_slice`]'s.
@@ -288,7 +285,6 @@ fn scan_dispatched(values: &[f64]) -> (f64, f64) {
 
 /// `acc` and `values` as `U`, when `T` is `U` (`ReproFloat` is sealed: `T`
 /// is exactly `f32` or `f64`).
-#[cfg(target_arch = "x86_64")]
 fn retype<'a, T: ReproFloat, U: ReproFloat, const L: usize>(
     acc: &'a mut ReproSum<T, L>,
     values: &'a [T],
