@@ -12,8 +12,9 @@
 //!
 //! The chunk logic — validity scan, scalar cold path, promotion and lane
 //! shift, level count, cascade, carry propagation, horizontal merge — is
-//! written once (`kernel`) over `Reg`: one register of `V` lanes and the
-//! ten operations the chunk logic needs. Three widths implement it,
+//! written once (`kernel`) over `Reg`: one register of `V` lanes, the
+//! ten operations the chunk logic needs and the indexed load of
+//! [`gather`]. Three widths implement it,
 //! selected at runtime through [`crate::cpu`]:
 //!
 //! * `Portable<T>` — the paper's `V` (4 `f64`, 8 `f32`) lanes as a fixed
