@@ -78,8 +78,9 @@ fn bench_operators(c: &mut Criterion) {
     g.finish();
 }
 
-/// Pool primitives: the same grouped aggregation serial vs morsel-parallel
-/// (read the speedup straight off the thrpt column), plus the parallel
+/// Pool primitives: the same `rfa-agg` grouped aggregation serial vs
+/// parallel over its `GroupByConfig::morsel_rows` morsels (read the
+/// speedup straight off the thrpt column), plus the parallel
 /// merge sort against std's sequential sort.
 fn bench_parallel(c: &mut Criterion) {
     use rfa_agg::{partition_and_aggregate, GroupByConfig};

@@ -9,7 +9,8 @@
 //! The engine's one pipeline is the fused zero-copy scan, so every column
 //! measures it — the sorted baseline too, whose SUM states keep each
 //! group's values and sort them when they finalize. The last column runs
-//! the fused pipeline morsel-parallel on `RFA_THREADS` threads.
+//! the fused pipeline on `RFA_THREADS` threads, one contiguous run of
+//! batches per thread.
 //!
 //! Phase accounting: "Scan" is selection + group-id + projection,
 //! "Aggregations" the SUM-state deposits and merges, "Other"
@@ -61,9 +62,10 @@ fn main() {
     let unbuf = measure(SumBackend::ReproUnbuffered);
     let buf = measure(SumBackend::ReproBuffered { buffer_size: bsz });
     let sorted = measure(SumBackend::SortedDouble);
-    // Morsel-driven parallel fused scan + aggregation on the rayon shim's
-    // fork-join (bit-identical to the serial fused column; phase times are
-    // summed across workers, i.e. CPU time like the paper reports).
+    // Parallel fused scan + aggregation, one run of batches per thread on
+    // the rayon shim's fork-join (bit-identical to the serial fused
+    // column; phase times are summed across workers, i.e. CPU time like
+    // the paper reports).
     let pool = rayon::current_num_threads();
     let buf_par = fastest(
         &q1,

@@ -244,7 +244,7 @@ pub mod runner {
     }
 
     /// Times PARTITIONANDAGGREGATE with the given worker-thread budget
-    /// (above 1, morsels run on the rayon shim's fork-join) and returns
+    /// (above 1, `rfa-agg`'s morsels run on the rayon shim's fork-join) and returns
     /// *wall-clock* ns/element — so serial ÷ parallel is the speedup.
     pub fn groupby_ns_threads<F>(
         f: &F,

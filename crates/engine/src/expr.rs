@@ -1114,7 +1114,7 @@ impl CompiledExpr {
     }
 
     /// Resolves the referenced columns against a table. The borrowed view
-    /// is cheap to build (per query, per morsel): binding copies no data.
+    /// is cheap to build (once per query): binding copies no data.
     /// Missing *and* non-numeric columns surface as [`TableError`]s.
     pub fn bind<'t>(&'t self, table: &'t Table) -> Result<BoundExpr<'t>, TableError> {
         #[cfg(test)]

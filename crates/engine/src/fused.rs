@@ -122,9 +122,9 @@
 //! coalesced `[start, end)` row ranges of its matching runs; an interval
 //! nothing can satisfy (`x >= 5 AND x < 3`, a NaN literal) is decided on
 //! any storage: no row. Those conjuncts never reach a batch: their ranges are
-//! intersected (`ScanFilter`), and the scan keeps its batch / morsel
-//! grid but visits only the batches (and morsels) that overlap a range,
-//! starting each from `batch ∩ range` — the remaining conjuncts fill and
+//! intersected (`ScanFilter`), and the scan keeps its batch grid —
+//! multiples of `batch_rows` from row 0 — but visits only the batches
+//! that overlap a range, starting each from `batch ∩ range` — the remaining conjuncts fill and
 //! refine from there. The selected rows and their order are exactly those
 //! of the unpruned walk, so no output bit moves on any backend;
 //! [`FusedRun::batches_visited`] / [`FusedRun::batches_pruned`] say how
@@ -157,10 +157,14 @@
 //! says. RLE group keys go through the same key fill and group-id map as
 //! every other key storage.
 //!
-//! **Parallelism.** With `threads > 1` the scan runs morsel-driven as a
-//! fork-join over scoped threads (`rayon::join`): each morsel
-//! ([`ExecOptions::morsel_rows`] rows) processes its batches into private
-//! states, merged along the deterministic split tree. Exact state merging makes the repro backends
+//! **Parallelism.** The batch is the only unit of work. With `threads > 1`
+//! the scan lists the grid's live batches (those a kept range overlaps),
+//! cuts that list into `min(threads, rayon::current_num_threads())`
+//! contiguous runs of nearly equal length (one per live batch if there
+//! are fewer), and scans each run into
+//! private states on a fork-join over scoped threads (`rayon::join`): one
+//! partial per run, merged in run order along the deterministic split
+//! tree. Exact state merging makes the repro backends
 //! and the sorted baseline (whose state is each group's value multiset)
 //! bit-identical to serial execution at any thread count; MIN/MAX merge by
 //! comparison folds whose ties resolve to the earlier range, and the hash
@@ -185,7 +189,6 @@ use crate::expr::{
 use crate::plan::PlanError;
 use crate::sum_op::{
     dispatch, BatchPartition, GroupedStates, OverflowError, State, States, SumBackend,
-    SCAN_MORSEL_ROWS,
 };
 use rayon::prelude::*;
 use rfa_agg::{AggHashTable, HashKind};
@@ -237,17 +240,15 @@ pub struct FusedQuery {
 /// Execution options of the fused pipeline.
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
-    /// 1 runs serial; >1 runs morsel-parallel, forking onto at most
-    /// `rayon::current_num_threads()` scoped threads (`RFA_THREADS`, else
-    /// the core count) whatever the value. Results are bit-identical
-    /// either way (see module doc).
+    /// 1 runs serial; >1 splits the scan into that many contiguous runs of
+    /// batches, one per scoped thread — but never more runs than
+    /// `rayon::current_num_threads()` (`RFA_THREADS`, else the core count)
+    /// or than batches to scan, whatever the value. Results are
+    /// bit-identical either way (see module doc).
     pub threads: usize,
     /// Rows per batch (default [`FUSED_BATCH_ROWS`]; tests shrink it to
     /// force many batches on small inputs).
     pub batch_rows: usize,
-    /// Rows per parallel morsel (default [`SCAN_MORSEL_ROWS`]; tests
-    /// shrink it to force real splits on small inputs).
-    pub morsel_rows: usize,
     /// Wall-clock budget, measured from [`run_fused`] entry. `None` (the
     /// default) never expires. `Some(Duration::ZERO)` is an *immediate*
     /// typed timeout — checked before the first batch, so it errors even
@@ -265,7 +266,6 @@ impl Default for ExecOptions {
         ExecOptions {
             threads: 1,
             batch_rows: FUSED_BATCH_ROWS,
-            morsel_rows: SCAN_MORSEL_ROWS,
             deadline: None,
             cancel: None,
         }
@@ -278,8 +278,8 @@ impl ExecOptions {
         ExecOptions::default()
     }
 
-    /// `threads` set to `rayon::current_num_threads()`, default
-    /// batch/morsel sizing.
+    /// `threads` set to `rayon::current_num_threads()`, default batch
+    /// sizing.
     pub fn parallel() -> Self {
         ExecOptions {
             threads: rayon::current_num_threads().max(1),
@@ -288,7 +288,7 @@ impl ExecOptions {
     }
 
     /// Returns a copy with every zero *sizing* field clamped to 1. A zero
-    /// thread, batch or morsel budget means "the minimum", never a hang or
+    /// thread or batch budget means "the minimum", never a hang or
     /// a divide-by-zero downstream — [`run_fused`] normalizes its options
     /// through this before executing. The deadline and cancellation fields
     /// pass through untouched: a zero deadline is a meaningful request
@@ -297,7 +297,6 @@ impl ExecOptions {
         ExecOptions {
             threads: self.threads.max(1),
             batch_rows: self.batch_rows.max(1),
-            morsel_rows: self.morsel_rows.max(1),
             deadline: self.deadline,
             cancel: self.cancel.clone(),
         }
@@ -387,7 +386,7 @@ pub struct FusedRun {
     /// Batches of the scan grid the filter was run on (those overlapping
     /// a row range the bind-time-decided conjuncts keep — all of them when
     /// there is no such conjunct). Exact and independent of `threads`:
-    /// the grid is a function of the table and the batch / morsel sizes.
+    /// the grid is a function of the table and `batch_rows`.
     pub batches_visited: u64,
     /// Batches of the grid never touched; `visited + pruned` is the grid.
     pub batches_pruned: u64,
@@ -484,34 +483,43 @@ fn scan(
     let group = group.as_ref();
 
     // Plain doubles cannot merge exactly: parallel execution would change
-    // the answer, so they always scan serially (module doc).
+    // the answer, so they always scan serially (module doc). Runs never
+    // outnumber the fork budget, whatever `threads` asks for.
     let threads = if bound.backend.merges_exactly() {
-        opts.threads
+        opts.threads.min(rayon::current_num_threads())
     } else {
         1
     };
-    // Morsels no kept range reaches are never scheduled.
-    let live: Vec<usize> = if threads <= 1 {
-        Vec::new()
-    } else {
-        (0..rows.div_ceil(opts.morsel_rows))
-            .filter(|m| filter.overlaps(m * opts.morsel_rows, (m + 1) * opts.morsel_rows))
-            .collect()
-    };
+    let batch = opts.batch_rows;
+    // The grid's live batches, those a kept range reaches, in row order.
+    let mut live: Vec<usize> = Vec::new();
+    if threads > 1 {
+        for &(start, end) in &filter.ranges {
+            let first = live.last().map_or(0, |&b| b + 1);
+            live.extend((start as usize / batch).max(first)..(end as usize).div_ceil(batch));
+        }
+    }
+    let runs = threads.min(live.len()).max(1);
+    #[cfg(test)]
+    count(|c| c.scan_ranges += runs);
 
     // The `expect` states an invariant, not a check on input: the parallel
-    // arm runs with at least two live morsels, every morsel maps to `Some`
-    // partial, and merging two `Some`s (or a `Some` and the identity)
-    // stays `Some`.
+    // arm runs with at least two runs, every run maps to `Some` partial,
+    // and merging two `Some`s (or a `Some` and the identity) stays `Some`.
     #[allow(clippy::expect_used)]
-    let partial = if live.len() <= 1 {
+    let partial = if runs == 1 {
         scan_range(bound, opts, check, 0, rows)?
     } else {
-        live.into_par_iter()
+        // Run `r` is the `r`-th of `runs` contiguous, nearly equal slices
+        // of `live`, scanned from its first batch to the end of its last.
+        (0..runs)
+            .into_par_iter()
             .with_min_len(1)
-            .map(|m| {
-                let lo = m * opts.morsel_rows;
-                scan_range(bound, opts, check, lo, (lo + opts.morsel_rows).min(rows)).map(Some)
+            .map(|r| {
+                let first = live[r * live.len() / runs];
+                let last = live[(r + 1) * live.len() / runs - 1];
+                let hi = ((last + 1) * batch).min(rows);
+                scan_range(bound, opts, check, first * batch, hi).map(Some)
             })
             .reduce(
                 || Ok(None),
@@ -523,7 +531,7 @@ fn scan(
                     (x, y) => Ok(x.or(y)),
                 },
             )?
-            .expect("at least two live morsels")
+            .expect("at least two runs")
     };
 
     let t0 = Instant::now();
@@ -544,19 +552,11 @@ fn scan(
         key_signed: group.is_some_and(|bind| bind.signed),
         timing,
         batches_visited: partial.batches_visited,
-        batches_pruned: grid_batches(rows, opts) - partial.batches_visited,
+        batches_pruned: rows.div_ceil(opts.batch_rows) as u64 - partial.batches_visited,
     })
 }
 
-/// Batches in the scan grid of a `rows`-row table: every morsel restarts
-/// the batch grid at its first row, in serial and parallel scans alike.
-fn grid_batches(rows: usize, opts: &ExecOptions) -> u64 {
-    let per_morsel = opts.morsel_rows.div_ceil(opts.batch_rows);
-    let tail = (rows % opts.morsel_rows).div_ceil(opts.batch_rows);
-    ((rows / opts.morsel_rows) * per_morsel + tail) as u64
-}
-
-/// The scan filter, bound once per query and shared by every morsel.
+/// The scan filter, bound once per query and shared by every run.
 struct ScanFilter<'t> {
     /// The rows that survive every conjunct binding could decide outright
     /// (intervals over RLE columns; an empty interval, which leaves no
@@ -585,6 +585,8 @@ pub(crate) struct BindCounts {
     pub expr_binds: usize,
     /// [`Column::validate_encoding`] calls.
     pub validations: usize,
+    /// Scan ranges run, one per partial.
+    pub scan_ranges: usize,
 }
 
 #[cfg(test)]
@@ -645,12 +647,6 @@ impl<'t> ScanFilter<'t> {
     /// Index of the first range that ends after `row`.
     fn first_after(&self, row: usize) -> usize {
         self.ranges.partition_point(|r| r.1 as usize <= row)
-    }
-
-    fn overlaps(&self, lo: usize, hi: usize) -> bool {
-        self.ranges
-            .get(self.first_after(lo))
-            .is_some_and(|r| (r.0 as usize) < hi)
     }
 }
 
@@ -1110,7 +1106,7 @@ impl Groups {
     }
 }
 
-/// Per-morsel (or whole-input) accumulation state.
+/// Per-run (or whole-input) accumulation state.
 struct Partial {
     states: GroupedStates,
     /// `Some` for a grouped scan: this range's key → group-id mapping.
@@ -1125,7 +1121,7 @@ impl Partial {
         let slots = match (bind, groups.as_mut(), &other.groups) {
             // Group ids are per range: fold the other side's slots in by
             // *key*. `self` holds the earlier row range (the reduction
-            // merges morsels in index order), so appending unseen keys
+            // merges runs in index order), so appending unseen keys
             // here reproduces the global first-seen order, and
             // tie-breaking folds keep earlier rows.
             (Some(bind), Some(g), Some(og)) => {
@@ -1356,13 +1352,6 @@ fn scan_range(
     let filter = &bound.filter;
     let mut scan = RangeScan::new(bound, hi - lo);
     let mut timing = PhaseTiming::default();
-    // The batch grid restarts at every morsel boundary, so a serial scan
-    // of the whole table walks the same batches as the morsels of a
-    // parallel one.
-    let grid_floor = |row: usize| {
-        let morsel = row / opts.morsel_rows * opts.morsel_rows;
-        morsel + (row - morsel) / opts.batch_rows * opts.batch_rows
-    };
     let ranges = &filter.ranges;
     let mut range = filter.first_after(lo);
     let mut batches_visited = 0u64;
@@ -1378,10 +1367,10 @@ fn scan_range(
         if start as usize >= hi {
             break;
         }
-        blo = blo.max(grid_floor(start as usize));
-        let bhi = (blo + opts.batch_rows)
-            .min((blo / opts.morsel_rows + 1).saturating_mul(opts.morsel_rows))
-            .min(hi);
+        // Batches sit on multiples of `batch_rows` from row 0, so a serial
+        // scan walks the same batches as the runs of a parallel one.
+        blo = blo.max(start as usize / opts.batch_rows * opts.batch_rows);
+        let bhi = (blo + opts.batch_rows).min(hi);
         check.check()?;
         faults::scan_point();
         batches_visited += 1;
@@ -1548,16 +1537,10 @@ mod tests {
         ] {
             let (ref_keys, ref_sums, ref_counts) = reference(&table, &query, backend);
             assert_eq!(ref_keys.as_ref().map(Vec::len), Some(15));
-            for (threads, batch_rows, morsel_rows) in [
-                (1, 64, 1 << 16),
-                (1, 4096, 1 << 16),
-                (2, 128, 512),
-                (8, 33, 256),
-            ] {
+            for (threads, batch_rows) in [(1, 64), (1, 4096), (2, 128), (8, 33)] {
                 let opts = ExecOptions {
                     threads,
                     batch_rows,
-                    morsel_rows,
                     ..ExecOptions::default()
                 };
                 let run = run_fused(&table, &query, backend, &opts).unwrap();
@@ -1610,7 +1593,6 @@ mod tests {
                 let opts = ExecOptions {
                     threads,
                     batch_rows: 129,
-                    morsel_rows: 512,
                     ..ExecOptions::default()
                 };
                 let run = run_fused(&table, &query, backend, &opts).unwrap();
@@ -1663,11 +1645,14 @@ mod tests {
             [0, 1, 2, 3, 4],
             "first-seen key order"
         );
+        // 60 batches of 100 rows: at up to 8 runs no run starts on a
+        // multiple of 31 rows, so each run after the first sees the keys
+        // of `k = i % 31` from mid-cycle, and only merging the runs in
+        // row order gives the serial key order.
         for threads in [2usize, 8] {
             let opts = ExecOptions {
                 threads,
-                batch_rows: 97,
-                morsel_rows: 333,
+                batch_rows: 100,
                 ..ExecOptions::default()
             };
             let run = run_fused(&table, &query, SumBackend::ReproUnbuffered, &opts).unwrap();
@@ -1677,6 +1662,87 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "t{threads}");
             }
         }
+    }
+
+    /// Scan ranges a fused run of `query` under `opts` runs, and the run.
+    fn scan_ranges(table: &Table, query: &FusedQuery, opts: &ExecOptions) -> (usize, FusedRun) {
+        let before = BIND_COUNTS.get().scan_ranges;
+        let run = run_fused(table, query, SumBackend::ReproUnbuffered, opts).unwrap();
+        (BIND_COUNTS.get().scan_ranges - before, run)
+    }
+
+    /// A scan runs one contiguous run of batches per thread: one run at
+    /// `threads = 1`, else `min(threads, pool, live batches)`, each with
+    /// the serial bits.
+    #[test]
+    fn a_parallel_scan_runs_one_range_per_thread() {
+        let pool = rayon::current_num_threads();
+        let table = sample_table(1_000);
+        let query = sample_query();
+        let serial = ExecOptions {
+            batch_rows: 100,
+            ..ExecOptions::default()
+        };
+        let (runs, want) = scan_ranges(&table, &query, &serial);
+        assert_eq!(runs, 1);
+        for (threads, batch_rows) in [(2, 100), (8, 100), (8, 300), (8, 1000), (8, 4096), (3, 7)] {
+            let opts = ExecOptions {
+                threads,
+                batch_rows,
+                ..ExecOptions::default()
+            };
+            let (runs, got) = scan_ranges(&table, &query, &opts);
+            let live = 1_000usize.div_ceil(batch_rows);
+            assert_eq!(runs, threads.min(pool).min(live), "{opts:?}");
+            assert_runs_bitwise(&got, &want, &format!("{opts:?}"));
+        }
+
+        // Pruned to rows 100..300 of 1000: the live batches, not the rows,
+        // are split, so both threads get a run inside that window.
+        let mut pruned = Table::new("t");
+        let d = Column::i32((0..1_000).map(|i| i / 10).collect::<Vec<_>>());
+        pruned.add_column("d", d.rle_encode().unwrap()).unwrap();
+        pruned
+            .add_column("x", table.column("x").unwrap().clone())
+            .unwrap();
+        let query = FusedQuery {
+            filter: vec![
+                Expr::col("d").ge(Expr::lit(10.0)),
+                Expr::col("d").lt(Expr::lit(30.0)),
+            ],
+            sums: vec![Expr::col("x")],
+            mins: vec![],
+            maxs: vec![],
+            group_by: GroupKey::None,
+        };
+        let opts = |threads| ExecOptions {
+            threads,
+            batch_rows: 16,
+            ..ExecOptions::default()
+        };
+        let (_, want) = scan_ranges(&pruned, &query, &opts(1));
+        let (runs, got) = scan_ranges(&pruned, &query, &opts(2));
+        assert_eq!(runs, pool.min(2));
+        assert_runs_bitwise(&got, &want, "pruned t2");
+        assert_eq!((got.batches_visited, got.batches_pruned), (13, 50));
+    }
+
+    /// A hostile thread count (a wire request may carry `u32::MAX`) runs
+    /// at most the pool's runs — the fork budget bounds the threads — and
+    /// returns the serial bits.
+    #[test]
+    fn a_hostile_thread_count_runs_at_most_the_pool() {
+        let table = sample_table(5_000);
+        let query = sample_query();
+        let opts = |threads| ExecOptions {
+            threads,
+            batch_rows: 16,
+            ..ExecOptions::default()
+        };
+        let (_, want) = scan_ranges(&table, &query, &opts(1));
+        let (runs, got) = scan_ranges(&table, &query, &opts(usize::MAX));
+        assert!(runs <= rayon::current_num_threads(), "{runs} runs");
+        assert_runs_bitwise(&got, &want, "threads usize::MAX");
     }
 
     #[test]
@@ -1692,7 +1758,6 @@ mod tests {
             &ExecOptions {
                 threads: 4,
                 batch_rows: 61,
-                morsel_rows: 200,
                 ..ExecOptions::default()
             },
         )
@@ -1838,7 +1903,6 @@ mod tests {
             ExecOptions {
                 threads: 4,
                 batch_rows: 2,
-                morsel_rows: 2,
                 ..ExecOptions::default()
             },
         ] {
@@ -1877,32 +1941,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_morsel_rows_is_clamped() {
-        let table = sample_table(500);
-        let query = sample_query();
-        let reference = run_fused(
-            &table,
-            &query,
-            SumBackend::ReproUnbuffered,
-            &ExecOptions::serial(),
-        )
-        .unwrap();
-        let run = run_fused(
-            &table,
-            &query,
-            SumBackend::ReproUnbuffered,
-            &ExecOptions {
-                threads: 4,
-                morsel_rows: 0,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(run.counts, reference.counts);
-        assert_eq!(run.sums[0][0].to_bits(), reference.sums[0][0].to_bits());
-    }
-
-    #[test]
     fn zero_threads_is_clamped() {
         let table = sample_table(500);
         let query = sample_query();
@@ -1932,22 +1970,17 @@ mod tests {
         let opts = ExecOptions {
             threads: 0,
             batch_rows: 0,
-            morsel_rows: 0,
             ..ExecOptions::default()
         }
         .normalized();
-        assert_eq!((opts.threads, opts.batch_rows, opts.morsel_rows), (1, 1, 1));
+        assert_eq!((opts.threads, opts.batch_rows), (1, 1));
         let opts = ExecOptions {
             threads: 3,
             batch_rows: 7,
-            morsel_rows: 11,
             ..ExecOptions::default()
         }
         .normalized();
-        assert_eq!(
-            (opts.threads, opts.batch_rows, opts.morsel_rows),
-            (3, 7, 11)
-        );
+        assert_eq!((opts.threads, opts.batch_rows), (3, 7));
     }
 
     /// Satellite: the deadline and cancellation fields pass through
@@ -1983,7 +2016,6 @@ mod tests {
                 let opts = ExecOptions {
                     threads,
                     batch_rows: 64,
-                    morsel_rows: 256,
                     deadline: Some(Duration::ZERO),
                     ..ExecOptions::default()
                 };
@@ -2192,7 +2224,6 @@ mod tests {
                     let opts = ExecOptions {
                         threads,
                         batch_rows,
-                        morsel_rows: 512,
                         ..ExecOptions::default()
                     };
                     let want = run_fused(&plain, query, backend, &opts).unwrap();
@@ -2280,7 +2311,6 @@ mod tests {
                 let opts = ExecOptions {
                     threads,
                     batch_rows: 129,
-                    morsel_rows: 512,
                     ..ExecOptions::default()
                 };
                 let want = run_fused(&plain, query, SumBackend::ReproUnbuffered, &opts).unwrap();
@@ -2324,7 +2354,6 @@ mod tests {
             let opts = ExecOptions {
                 threads,
                 batch_rows: 4096,
-                morsel_rows: 4096,
                 ..ExecOptions::default()
             };
             let want = run_fused(&plain, &query, SumBackend::ReproUnbuffered, &opts).unwrap();
@@ -2363,25 +2392,20 @@ mod tests {
         }
     }
 
-    /// Grid batches (per-morsel batch grid) holding at least one row that
-    /// `keep` selects — what a pruned scan may visit, by brute force.
+    /// Grid batches holding at least one row that `keep` selects — what
+    /// a pruned scan may visit, by brute force — and the grid's size.
     fn batches_holding(n: usize, opts: &ExecOptions, keep: impl Fn(usize) -> bool) -> (u64, u64) {
-        let (mut holding, mut total) = (0, 0);
-        let mut lo = 0;
-        while lo < n {
-            let morsel_end = (lo / opts.morsel_rows + 1) * opts.morsel_rows;
-            let hi = (lo + opts.batch_rows).min(morsel_end).min(n);
-            total += 1;
-            holding += (lo..hi).any(&keep) as u64;
-            lo = hi;
-        }
-        (holding, total)
+        let grid = n.div_ceil(opts.batch_rows);
+        let holding = (0..grid)
+            .filter(|b| (b * opts.batch_rows..((b + 1) * opts.batch_rows).min(n)).any(&keep))
+            .count();
+        (holding as u64, grid as u64)
     }
 
     /// Acceptance: Q6 over the shipdate-sorted, `encode_auto`-ed lineitem
     /// visits only the batches its date window overlaps, the visited and
     /// pruned counts add up to the grid at every thread count, and the
-    /// filter — ranges included — is bound once per query, not per morsel.
+    /// filter — ranges included — is bound once per query, not per run.
     #[test]
     fn q6_over_rle_shipdate_visits_only_its_date_window() {
         use crate::q6::{q6_plan, Q6_DATE_HI, Q6_DATE_LO};
@@ -2396,13 +2420,12 @@ mod tests {
         let window_rows = (0..li.len()).filter(|&r| in_window(r)).count();
         assert!(window_rows > 0);
         let plan = q6_plan();
-        for (batch_rows, morsel_rows) in [(4096, 1 << 16), (512, 4096), (100, 1000), (7, 50)] {
+        for batch_rows in [4096, 512, 100, 7] {
             let mut visited_at = Vec::new();
             for threads in [1usize, 2, 8] {
                 let opts = ExecOptions {
                     threads,
                     batch_rows,
-                    morsel_rows,
                     ..ExecOptions::default()
                 };
                 let binds = BIND_COUNTS.get().filter_binds;
@@ -2417,8 +2440,7 @@ mod tests {
                 let (holding, grid) = batches_holding(li.len(), &opts, in_window);
                 assert_eq!(got.batches_visited, holding, "{opts:?}");
                 assert!(
-                    got.batches_visited <= window_rows.div_ceil(batch_rows) as u64 + 2
-                        || morsel_rows % batch_rows != 0,
+                    got.batches_visited <= window_rows.div_ceil(batch_rows) as u64 + 1,
                     "{opts:?}: {} batches for {window_rows} rows",
                     got.batches_visited
                 );
@@ -2433,8 +2455,7 @@ mod tests {
         }
     }
 
-    /// Range boundaries inside a batch, on a batch edge and on a morsel
-    /// boundary; a single-run column; no run kept; every run kept; an
+    /// Range boundaries inside a batch and on a batch edge; a single-run column; no run kept; every run kept; an
     /// unsorted column leaving many disjoint ranges in one batch — each
     /// against the plain twin, bit for bit, with the exact set of batches
     /// visited.
@@ -2486,7 +2507,7 @@ mod tests {
             )
         };
         let filters: Vec<(Vec<BoolExpr>, Keep)> = vec![
-            between(64, 70),   // starts on the 640-row morsel boundary
+            between(64, 70),   // starts on row 640, a batch edge at 16 rows
             between(65, 80),   // starts inside a batch, ends on a batch edge (800)
             between(3, 4),     // one run, inside one batch
             between(0, 100),   // every run kept
@@ -2514,17 +2535,12 @@ mod tests {
                     SumBackend::Double,
                     SumBackend::ReproBuffered { buffer_size: 64 },
                 ] {
-                    for (threads, batch_rows, morsel_rows) in [
-                        (1, 16, 64),
-                        (4, 16, 64),
-                        (1, 1, 10),
-                        (3, 7, 20),
-                        (1, 4096, 1 << 16),
-                    ] {
+                    for (threads, batch_rows) in
+                        [(1, 16), (4, 16), (1, 1), (8, 1), (3, 7), (1, 4096)]
+                    {
                         let opts = ExecOptions {
                             threads,
                             batch_rows,
-                            morsel_rows,
                             ..ExecOptions::default()
                         };
                         let tag = format!("filter {f} {backend:?} {opts:?}");
@@ -2580,7 +2596,6 @@ mod tests {
                 let opts = ExecOptions {
                     threads,
                     batch_rows: 32,
-                    morsel_rows: 128,
                     ..ExecOptions::default()
                 };
                 let want = run_fused(&plain, &query, SumBackend::Double, &opts).unwrap();
@@ -2772,13 +2787,12 @@ mod tests {
                         let opts = ExecOptions {
                             threads,
                             batch_rows: 64,
-                            morsel_rows: 256,
                             ..ExecOptions::default()
                         };
                         let tag = format!("{filter:?} {group_by:?} {backend:?} t{threads}");
                         let got = run_fused(&t, &query(&filter), backend, &opts).unwrap();
                         let want = run_fused(&t, &query(&undecided), backend, &opts).unwrap();
-                        let grid = grid_batches(n, &opts);
+                        let grid = n.div_ceil(opts.batch_rows) as u64;
                         assert_eq!(
                             (got.batches_visited, got.batches_pruned),
                             (0, grid),
@@ -2824,6 +2838,7 @@ mod tests {
                 compiles: now.compiles - before.compiles,
                 expr_binds: now.expr_binds - before.expr_binds,
                 validations: now.validations - before.validations,
+                scan_ranges: now.scan_ranges - before.scan_ranges,
             }
         };
         for (sql, grouped) in [
@@ -2847,8 +2862,13 @@ mod tests {
                 compiles: conjuncts + 1,
                 expr_binds: 1,
                 validations: 0,
+                scan_ranges: 0,
             };
-            assert_eq!(executed, want, "{sql}");
+            let scanned = BindCounts {
+                scan_ranges: 1,
+                ..want
+            };
+            assert_eq!(executed, scanned, "{sql}");
             assert_eq!(prepared, want, "preparing {sql}");
         }
     }

@@ -26,7 +26,7 @@
 //!   [`sum_grouped`] the one-shot grouped SUM;
 //! * [`fused`] — the fused zero-copy scan pipeline:
 //!   filter → project → aggregate in cache-resident batches with no
-//!   n-sized intermediates, serial or morsel-parallel, grouping on
+//!   n-sized intermediates, serial or split into contiguous runs of batches, grouping on
 //!   nothing, dense dictionary pairs, or arbitrary-cardinality hash keys
 //!   ([`GroupKey`]);
 //! * [`plan`] — the logical query-plan layer: [`QueryPlan`]s over
@@ -110,5 +110,5 @@ pub use sql::{
 };
 pub use sum_op::{
     count_grouped, sum_grouped, GroupedSums, OverflowError, SumBackend, DOUBLE_MIN_SEG, MIN_SEG,
-    NEAR_DENSE, SCAN_MORSEL_ROWS,
+    NEAR_DENSE,
 };

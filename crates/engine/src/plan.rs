@@ -714,7 +714,6 @@ mod tests {
                 ExecOptions {
                     threads: 4,
                     batch_rows: 57,
-                    morsel_rows: 311,
                     ..ExecOptions::default()
                 },
             ] {
@@ -1010,7 +1009,6 @@ mod tests {
                 let opts = ExecOptions {
                     threads,
                     batch_rows: 256,
-                    morsel_rows: 1024,
                     ..ExecOptions::default()
                 };
                 let run = plan.execute(&t, backend, &opts).unwrap();

@@ -15,7 +15,7 @@
 //! encoding, so the plan takes the fused executor's **hash arm** — group
 //! ids are assigned batch-at-a-time through [`AggHashTable::probe_gids`]
 //! with the paper's identity hashing (suppkeys are a dense domain,
-//! §VI-A), and parallel morsels merge their per-key states exactly. The
+//! §VI-A), and parallel runs of batches merge their per-key states exactly. The
 //! result is bit-identical at any thread count for the repro backends —
 //! the paper's reproducibility claim carried to arbitrary group keys —
 //! and the output ascends by supplier key regardless of scan order.
@@ -161,7 +161,6 @@ mod tests {
             for threads in [2usize, 8] {
                 let opts = ExecOptions {
                     threads,
-                    morsel_rows: 8192,
                     ..ExecOptions::default()
                 };
                 let parallel = q15(&t, backend, &opts);

@@ -57,9 +57,6 @@
 use crate::fused::{deposit, Batch, Deposit, FUSED_BATCH_ROWS};
 use rfa_core::{simd, ReproFloat, ReproSum};
 
-/// Rows per morsel in the engine's parallel scans and aggregations.
-pub const SCAN_MORSEL_ROWS: usize = 1 << 16;
-
 /// Numeric backend of the grouped SUM operator.
 ///
 /// **Special values.** Every deposit path — per row, block, partitioned,
@@ -115,9 +112,10 @@ pub enum SumBackend {
 }
 
 impl SumBackend {
-    /// Whether per-group states merge *exactly*, making any morsel/thread
-    /// schedule bit-identical to serial per-row execution. Every state
-    /// that is a function of its input multiset does: the repro ladders
+    /// Whether per-group states merge *exactly*, making any split of the
+    /// rows into merged partials bit-identical to serial per-row
+    /// execution. Every state that is a function of its input multiset
+    /// does: the repro ladders
     /// and the sorted baseline's value lists. Plain doubles alone do not.
     pub fn merges_exactly(self) -> bool {
         self != SumBackend::Double
@@ -949,9 +947,10 @@ impl GroupedSums {
 ///
 /// **Merge discipline.** COUNT merges by integer addition, SUM by the
 /// backend's state merge (exact for the repro backends), MIN/MAX by
-/// comparison folds that keep the *destination* value on ties. Since the
-/// parallel reduction merges morsels in index order along a deterministic
-/// split tree, the destination always holds earlier rows, so the fold
+/// comparison folds that keep the *destination* value on ties. A parallel
+/// scan's partials are contiguous runs of batches, and its reduction
+/// merges them in run order along a deterministic split tree, so the
+/// destination always holds earlier rows and the fold
 /// resolves ties (e.g. `-0.0` vs `0.0`) exactly like the serial
 /// first-occurrence scan — MIN/MAX are bit-identical at any thread count
 /// for *every* backend.
@@ -1012,7 +1011,7 @@ impl GroupedStates {
     /// Merges slot `src` of `other` into slot `dst` of `self`, for every
     /// pair of `slots`: the keyed merge of hash-grouped partials, where
     /// the same group key can sit at different slots on different
-    /// morsels, and `[(0, 0)]` for un-grouped ones.
+    /// runs, and `[(0, 0)]` for un-grouped ones.
     pub(crate) fn merge(
         &mut self,
         other: &GroupedStates,
@@ -1105,24 +1104,23 @@ mod tests {
         }
     }
 
-    /// `sum_grouped` over morsels of [`SCAN_MORSEL_ROWS`] rows, each into
-    /// a state of its own, merged in morsel order — what a parallel scan
-    /// does with its morsels.
-    fn sum_by_morsels(
+    /// `sum_grouped` over `runs` contiguous runs of nearly equal length,
+    /// each into a state of its own, merged in run order — what a
+    /// parallel scan does with its runs of batches.
+    fn sum_by_runs(
         backend: SumBackend,
         ids: &[u32],
         values: &[f64],
         groups: usize,
+        runs: usize,
     ) -> Result<Vec<f64>, OverflowError> {
         let slots: Vec<(usize, usize)> = (0..groups).map(|g| (g, g)).collect();
         let mut merged = GroupedSums::new(backend, groups);
-        for (ids, values) in ids
-            .chunks(SCAN_MORSEL_ROWS)
-            .zip(values.chunks(SCAN_MORSEL_ROWS))
-        {
-            let mut morsel = GroupedSums::new(backend, groups);
-            morsel.update(ids, values)?;
-            merged.state.merge(&morsel.state, &slots)?;
+        for r in 0..runs {
+            let run = r * ids.len() / runs..(r + 1) * ids.len() / runs;
+            let mut partial = GroupedSums::new(backend, groups);
+            partial.update(&ids[run.clone()], &values[run])?;
+            merged.state.merge(&partial.state, &slots)?;
         }
         let mut sums = Vec::new();
         merged.state.finalize(&mut sums)?;
@@ -1159,8 +1157,8 @@ mod tests {
 
     #[test]
     fn parallel_repro_sums_are_bit_identical_to_serial() {
-        // Span several morsels so the parallel path actually splits.
-        let n = 3 * SCAN_MORSEL_ROWS + 1234;
+        // Runs of uneven length, several batches each.
+        let n: usize = 3 * (1 << 16) + 1234;
         let ids: Vec<u32> = (0..n).map(|i| (i % 4) as u32).collect();
         let values: Vec<f64> = (0..n)
             .map(|i| ((i * 2_654_435_761) % 1000) as f64 * 1e-3 - 0.5 + 2.5e-16)
@@ -1176,7 +1174,7 @@ mod tests {
             SumBackend::SortedDouble,
         ] {
             let serial = sum_grouped(backend, &ids, &values, 4).unwrap();
-            let parallel = sum_by_morsels(backend, &ids, &values, 4).unwrap();
+            let parallel = sum_by_runs(backend, &ids, &values, 4, 7).unwrap();
             for g in 0..4 {
                 assert_eq!(
                     serial[g].to_bits(),
@@ -1187,7 +1185,7 @@ mod tests {
         }
         // Plain doubles: numerically equal, bitwise not asserted.
         let serial = sum_grouped(SumBackend::Double, &ids, &values, 4).unwrap();
-        let parallel = sum_by_morsels(SumBackend::Double, &ids, &values, 4).unwrap();
+        let parallel = sum_by_runs(SumBackend::Double, &ids, &values, 4, 7).unwrap();
         for g in 0..4 {
             assert!((serial[g] - parallel[g]).abs() <= 1e-9 * serial[g].abs().max(1.0));
         }
@@ -1195,17 +1193,21 @@ mod tests {
 
     #[test]
     fn parallel_double_detects_overflow() {
-        let n = SCAN_MORSEL_ROWS + 7;
-        let ids = vec![0u32; n];
-        let mut values = vec![0.0f64; n];
-        values[SCAN_MORSEL_ROWS] = f64::MAX;
-        values[SCAN_MORSEL_ROWS + 1] = f64::MAX;
-        for backend in [SumBackend::Double, SumBackend::SortedDouble] {
-            assert_eq!(
-                sum_by_morsels(backend, &ids, &values, 1),
-                Err(OverflowError),
-                "{backend:?}"
-            );
+        // The two overflowing values inside the second run, and one on
+        // each side of the split: the partial or the merge must see it.
+        let n: usize = (1 << 16) + 7;
+        for at in [n / 2 + 3, n / 2 - 1] {
+            let ids = vec![0u32; n];
+            let mut values = vec![0.0f64; n];
+            values[at] = f64::MAX;
+            values[at + 1] = f64::MAX;
+            for backend in [SumBackend::Double, SumBackend::SortedDouble] {
+                assert_eq!(
+                    sum_by_runs(backend, &ids, &values, 1, 2),
+                    Err(OverflowError),
+                    "{backend:?} at {at}"
+                );
+            }
         }
     }
 
@@ -1550,7 +1552,7 @@ mod tests {
         let mut whole = GroupedStates::new(backend, 4, (1, 1, 1));
         deposit_rows(&mut whole, &ids, &values);
         let (whole_counts, whole) = whole.finalize().unwrap();
-        // Batched halves merged like two morsels.
+        // Batched halves merged like two runs.
         let mid = ids.len() / 2 + 7;
         let mut left = GroupedStates::new(backend, 4, (1, 1, 1));
         deposit_rows(&mut left, &ids[..mid], &values[..mid]);

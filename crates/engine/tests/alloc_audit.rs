@@ -3,8 +3,8 @@
 //! allocator rather than by inspection.
 //!
 //! The audit runs the serial paths only (the parallel path allocates
-//! batch-sized scratch per morsel — still O(batch) at a time, but
-//! scheduling makes byte totals nondeterministic), and asserts:
+//! batch-sized scratch per run of batches — still O(batch) per thread,
+//! but scheduling makes byte totals nondeterministic), and asserts:
 //!
 //! 1. building the zero-copy table view allocates O(columns) bytes —
 //!    no per-query column clones;
@@ -16,8 +16,8 @@
 //!    2^14-group `SUM … GROUP BY` stay within a few MiB;
 //! 4. a byte-pair key builds no hash table: the only allocation of SQL Q1
 //!    that reaches 256 KiB is the direct-mapped group-id table, one per
-//!    scan range (one per morsel at 2 threads — a count, so it is exact
-//!    under any schedule).
+//!    scan range (one per thread at 2 threads, as the pool allows — a
+//!    count, so it is exact under any schedule).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -144,7 +144,7 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
     );
 
     // (4) … and the direct-mapped gid table is its only large allocation:
-    // one per scan range, whether that is the table or a morsel.
+    // one per scan range: the table, or one run of batches per thread.
     for threads in [1, 2] {
         let opts = ExecOptions {
             threads,
@@ -154,11 +154,7 @@ fn fused_pipeline_performs_no_n_sized_allocations() {
         LARGE_COUNT.store(0, Ordering::Relaxed);
         LARGEST.store(0, Ordering::Relaxed);
         q1.execute(&table, backend, &opts).unwrap();
-        let ranges = if threads == 1 {
-            1
-        } else {
-            N.div_ceil(opts.morsel_rows)
-        };
+        let ranges = threads.min(rayon::current_num_threads());
         assert_eq!(
             (
                 LARGE_COUNT.load(Ordering::Relaxed),

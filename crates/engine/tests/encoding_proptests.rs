@@ -2,7 +2,7 @@
 //! (values, encoding) pairs, encode → decode must round-trip **exactly**
 //! (same storage bits), and Q1/Q6/Q15-shaped plans over Dict/Dict16/Rle
 //! columns must be bit-identical to the same plans over plain columns —
-//! across every backend, thread count, and batch/morsel shape.
+//! across every backend, thread count, and batch width.
 //!
 //! Why bit-identity holds: dictionary pushdown evaluates the predicate
 //! once per dictionary *entry* over the same f64/i32 bits a plain scan
@@ -44,32 +44,28 @@ const BACKENDS: [SumBackend; 6] = [
     },
 ];
 
-/// Batch/morsel/thread shapes: serial tiny batches, serial default, and
-/// morsel-parallel splits at 2 and 8 threads.
+/// Batch/thread shapes: serial tiny batches, serial default, and splits
+/// into contiguous runs of batches at 2 and 8 threads.
 fn shapes() -> [ExecOptions; 4] {
     [
         ExecOptions {
             threads: 1,
             batch_rows: 32,
-            morsel_rows: 1 << 16,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 1,
             batch_rows: 4096,
-            morsel_rows: 1 << 16,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 2,
             batch_rows: 64,
-            morsel_rows: 192,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 8,
             batch_rows: 17,
-            morsel_rows: 96,
             ..ExecOptions::default()
         },
     ]
@@ -429,8 +425,8 @@ proptest! {
 
     /// Q1/Q6/Q15 plans over per-column (dict | dict16 | rle | plain)
     /// storage choices produce bitwise the results of the all-plain
-    /// table, for every backend × thread count × batch/morsel
-    /// shape.
+    /// table, for every backend × thread count × batch
+    /// width.
     #[test]
     fn plans_over_random_encodings_match_plain_bitwise(
         t in lineitem_strategy(400),

@@ -39,8 +39,8 @@ fn tiers() -> Vec<SimdLevel> {
     tiers
 }
 
-/// `(batch_rows, morsel_rows)`.
-const SHAPES: [(usize, usize); 3] = [(1, 16), (7, 21), (4096, 1 << 16)];
+/// `batch_rows`.
+const BATCH_ROWS: [usize; 3] = [1, 7, 4096];
 
 const FILTER_COLS: [&str; 6] = ["f", "i", "u", "b", "s", "r"];
 
@@ -228,8 +228,8 @@ proptest! {
             let mut sums_seen: Vec<(SumBackend, Vec<u64>)> = Vec::new();
             for tier in tiers() {
                 cpu::set_override(Some(tier));
-                for (batch_rows, morsel_rows) in SHAPES {
-                    let opts = ExecOptions { batch_rows, morsel_rows, ..ExecOptions::default() };
+                for batch_rows in BATCH_ROWS {
+                    let opts = ExecOptions { batch_rows, ..ExecOptions::default() };
                     for (which, table) in [("plain", &plain), ("encoded", &encoded)] {
                         let ctx = format!("{filter:?} {tier:?} b{batch_rows} {which}");
                         // Group by row id: the keys *are* the selection.

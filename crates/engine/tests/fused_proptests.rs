@@ -1,5 +1,5 @@
 //! Property tests of the fused scan pipeline: for arbitrary lineitem
-//! contents, every backend, and every batch/morsel/thread shape, TPC-H
+//! contents, every backend, and every batch/thread shape, TPC-H
 //! Q1 and Q6 must be **bit-identical** to the naive, materializing
 //! per-row reference in `support` — the acceptance contract of the
 //! zero-copy scan.
@@ -8,7 +8,7 @@
 //! them, not just the reproducible ones):
 //!
 //! * repro backends — per-slot deposits commute and state merging is
-//!   exact, so any batch/morsel/thread schedule finalizes identically;
+//!   exact, so any batch/thread schedule finalizes identically;
 //! * `SortedDouble` — each group keeps its value multiset, which merges
 //!   exactly; the reference sorts each column's `(group, bits)` pairs
 //!   itself, so the state is checked against its definition;
@@ -97,33 +97,28 @@ fn lineitem_strategy(max_rows: usize) -> impl Strategy<Value = Lineitem> {
     })
 }
 
-/// Small batch/morsel shapes force many batches per morsel and many
-/// morsels per input even at proptest input sizes, so the 2- and 8-thread
-/// runs exercise real splits and merges.
+/// Small batches force many batches per input even at proptest input
+/// sizes, so the 2- and 8-thread runs exercise real splits and merges.
 fn shapes() -> [ExecOptions; 4] {
     [
         ExecOptions {
             threads: 1,
             batch_rows: 32,
-            morsel_rows: 1 << 16,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 1,
             batch_rows: 4096,
-            morsel_rows: 1 << 16,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 2,
             batch_rows: 64,
-            morsel_rows: 192,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 8,
             batch_rows: 17,
-            morsel_rows: 96,
             ..ExecOptions::default()
         },
     ]
@@ -187,7 +182,6 @@ proptest! {
         let opts = ExecOptions {
             threads: 2,
             batch_rows: 128,
-            morsel_rows: 256,
             ..ExecOptions::default()
         };
         for backend in [
@@ -282,7 +276,6 @@ proptest! {
                 let opts = ExecOptions {
                     threads,
                     batch_rows: 1 << 15,
-                    morsel_rows: 1 << 16,
                     ..ExecOptions::default()
                 };
                 let fused = q1_plan().execute(&table, backend, &opts).unwrap();
@@ -438,7 +431,6 @@ fn sorted_double_overflows_like_a_check_after_every_addition() {
                     let opts = ExecOptions {
                         threads,
                         batch_rows: 16,
-                        morsel_rows: 64,
                         ..ExecOptions::default()
                     };
                     let run = run_fused(&t, &q, SumBackend::SortedDouble, &opts);

@@ -67,16 +67,16 @@ const BACKENDS: [SumBackend; 6] = [
     },
 ];
 
-/// Threads 1 / 2 / 8 × batches of 1, 7 and 4096 rows; the parallel shapes
-/// use morsels small enough to split a few hundred rows for real.
+/// Threads 1 / 2 / 8 × batches of 1 and 7 rows, plus 4096 serially and
+/// 48 in parallel: a few hundred rows hold at least 8 batches of every
+/// parallel width, so each parallel shape splits for real.
 fn shapes() -> Vec<ExecOptions> {
     let mut out = Vec::new();
-    for (threads, morsel_rows) in [(1, 1 << 16), (2, 192), (8, 96)] {
-        for batch_rows in [1, 7, 4096] {
+    for (threads, wide) in [(1, 4096), (2, 48), (8, 48)] {
+        for batch_rows in [1, 7, wide] {
             out.push(ExecOptions {
                 threads,
                 batch_rows,
-                morsel_rows,
                 ..ExecOptions::default()
             });
         }
@@ -405,7 +405,6 @@ fn thread_shapes() -> [ExecOptions; 2] {
     [1, 8].map(|threads| ExecOptions {
         threads,
         batch_rows: 16,
-        morsel_rows: 64,
         ..ExecOptions::default()
     })
 }

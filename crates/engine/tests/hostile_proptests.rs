@@ -278,7 +278,6 @@ proptest! {
             let opts = ExecOptions {
                 threads,
                 batch_rows: 16,
-                morsel_rows: 48,
                 ..ExecOptions::default()
             };
             let ctx = format!("seed {seed:#x} threads {threads} {backend:?}");

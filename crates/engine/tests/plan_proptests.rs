@@ -4,7 +4,7 @@
 //! to dense-keyed grouping on key domains small enough to run both.
 //!
 //! These complement `fused_proptests.rs`, which pins `q1_plan()` and
-//! `q6_plan()` to the same reference across batch, morsel and thread
+//! `q6_plan()` to the same reference across batch and thread
 //! shapes: here the lowering itself is under test (SUM-state sharing for
 //! AVG, COUNT wiring, group-key routing), on plans hash and dense
 //! grouping build alike.
@@ -47,19 +47,16 @@ fn shapes() -> [ExecOptions; 3] {
         ExecOptions {
             threads: 1,
             batch_rows: 33,
-            morsel_rows: 1 << 16,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 2,
             batch_rows: 64,
-            morsel_rows: 192,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 8,
             batch_rows: 17,
-            morsel_rows: 96,
             ..ExecOptions::default()
         },
     ]
@@ -113,7 +110,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Builder-constructed Q1 plan == the per-row reference Q1, bitwise,
-    /// for every backend × thread count × batch/morsel shape — including
+    /// for every backend × thread count × batch width — including
     /// the engine-finalized AVG and COUNT columns.
     #[test]
     fn q1_plan_matches_legacy_bitwise(t in lineitem_strategy(600)) {

@@ -66,16 +66,16 @@ const BACKENDS: [SumBackend; 6] = [
     },
 ];
 
-/// Threads 1 / 2 / 8 × batches of 1, 7 and 4096 rows; the parallel shapes
-/// use morsels small enough to split the table for real.
+/// Threads 1 / 2 / 8 × batches of 1 and 7 rows, plus 4096 serially and
+/// 128 in parallel: the table hold at least 8 batches of every
+/// parallel width, so each parallel shape splits for real.
 fn shapes() -> Vec<ExecOptions> {
     let mut out = Vec::new();
-    for (threads, morsel_rows) in [(1, 1 << 16), (2, 700), (8, 210)] {
-        for batch_rows in [1, 7, 4096] {
+    for (threads, wide) in [(1, 4096), (2, 128), (8, 128)] {
+        for batch_rows in [1, 7, wide] {
             out.push(ExecOptions {
                 threads,
                 batch_rows,
-                morsel_rows,
                 ..ExecOptions::default()
             });
         }

@@ -1,7 +1,7 @@
 //! Property tests of bind-time range pruning: a fused query over random
 //! tables with random per-column encodings returns **bitwise** what the
 //! same query returns over the `decode()`d table — for every backend,
-//! `Double` included, at every thread count and batch / morsel shape.
+//! `Double` included, at every thread count and batch width.
 //!
 //! Why no bit can move: an interval conjunct over an RLE column, which
 //! binding decides per run, keeps exactly the rows the per-row comparison
@@ -37,9 +37,9 @@ const BACKENDS: [SumBackend; 5] = [
     },
 ];
 
-/// `(batch_rows, morsel_rows)`: single-row batches, a batch width that
-/// divides the morsel and one that does not, and the defaults.
-const GRIDS: [(usize, usize); 5] = [(1, 16), (7, 21), (7, 20), (64, 128), (4096, 1 << 16)];
+/// `batch_rows`: single-row batches, an odd width, a power of two, and
+/// the default.
+const BATCH_ROWS: [usize; 4] = [1, 7, 64, 4096];
 const THREADS: [usize; 3] = [1, 2, 8];
 
 fn encode(col: Column, choice: u8) -> Column {
@@ -65,12 +65,6 @@ fn expand(runs: &[(i32, usize)], n: usize) -> Vec<i32> {
         .flat_map(|&(v, len)| std::iter::repeat_n(v, len))
         .take(n)
         .collect()
-}
-
-/// Scan-grid batches of an `n`-row table.
-fn grid(n: usize, batch_rows: usize, morsel_rows: usize) -> u64 {
-    let per_morsel = morsel_rows.div_ceil(batch_rows);
-    ((n / morsel_rows) * per_morsel + (n % morsel_rows).div_ceil(batch_rows)) as u64
 }
 
 fn assert_bitwise(got: &FusedRun, want: &FusedRun, ctx: &str) {
@@ -220,19 +214,19 @@ proptest! {
                     } else {
                         prop_assert_eq!(want.batches_pruned, 0);
                     }
-                    for (batch_rows, morsel_rows) in GRIDS {
+                    for batch_rows in BATCH_ROWS {
                         let mut visited = Vec::new();
                         for threads in THREADS {
-                            let opts = ExecOptions { threads, batch_rows, morsel_rows, ..ExecOptions::default() };
+                            let opts = ExecOptions { threads, batch_rows, ..ExecOptions::default() };
                             let ctx = format!(
-                                "{} grouped={grouped} {backend:?} t{threads} b{batch_rows} m{morsel_rows}",
+                                "{} grouped={grouped} {backend:?} t{threads} b{batch_rows}",
                                 case.name
                             );
                             let got = run_fused(&encoded, &query, backend, &opts).unwrap();
                             assert_bitwise(&got, &want, &ctx);
                             prop_assert_eq!(
                                 got.batches_visited + got.batches_pruned,
-                                grid(n, batch_rows, morsel_rows),
+                                n.div_ceil(batch_rows) as u64,
                                 "{}", &ctx
                             );
                             if !case.decidable.iter().any(|c| is_rle(c)) && !empty {

@@ -74,19 +74,16 @@ fn shapes() -> [ExecOptions; 3] {
         ExecOptions {
             threads: 1,
             batch_rows: 33,
-            morsel_rows: 1 << 16,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 2,
             batch_rows: 64,
-            morsel_rows: 192,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 8,
             batch_rows: 17,
-            morsel_rows: 96,
             ..ExecOptions::default()
         },
     ]

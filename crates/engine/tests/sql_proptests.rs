@@ -3,7 +3,7 @@
 //! 1. The pinned TPC-H SQL texts (`q1_sql`/`q6_sql`/`q15_sql`) parse,
 //!    resolve and lower to queries whose results are **bit-identical** to
 //!    the builder plans (`q1_plan`/`q6_plan`/`q15_plan`) for every
-//!    backend × thread count × batch/morsel shape. Q1 additionally
+//!    backend × thread count × batch width. Q1 additionally
 //!    crosses grouping arms: the SQL text groups through the packed
 //!    hash-pair arm while the builder uses the dense dictionary encoding,
 //!    so agreement here certifies both lowering *and* arm equivalence.
@@ -45,19 +45,16 @@ fn shapes() -> [ExecOptions; 3] {
         ExecOptions {
             threads: 1,
             batch_rows: 33,
-            morsel_rows: 1 << 16,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 2,
             batch_rows: 64,
-            morsel_rows: 192,
             ..ExecOptions::default()
         },
         ExecOptions {
             threads: 8,
             batch_rows: 17,
-            morsel_rows: 96,
             ..ExecOptions::default()
         },
     ]
@@ -132,8 +129,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// SQL Q1 == builder Q1 (both group by the flag / status byte pair),
-    /// bitwise, for every backend × thread count × batch/morsel
-    /// shape — all eight aggregate columns.
+    /// bitwise, for every backend × thread count × batch
+    /// width — all eight aggregate columns.
     #[test]
     fn q1_sql_matches_builder_plan_bitwise(t in lineitem_strategy(600)) {
         force_pool();
@@ -236,7 +233,6 @@ fn sorted_double_is_the_same_answer_on_every_path() {
     for threads in [1, 2, 8] {
         let opts = ExecOptions {
             threads,
-            morsel_rows: 4096,
             ..ExecOptions::default()
         };
         let s = sql
