@@ -124,8 +124,8 @@
 //! any storage: no row. Those conjuncts never reach a batch: their ranges are
 //! intersected (`ScanFilter`), and the scan keeps its batch grid —
 //! multiples of `batch_rows` from row 0 — but visits only the batches
-//! that overlap a range, starting each from `batch ∩ range` — the remaining conjuncts fill and
-//! refine from there. The selected rows and their order are exactly those
+//! that overlap a range, starting each from `batch ∩ range`; the
+//! remaining conjuncts fill and refine from there. The selected rows and their order are exactly those
 //! of the unpruned walk, so no output bit moves on any backend;
 //! [`FusedRun::batches_visited`] / [`FusedRun::batches_pruned`] say how
 //! much of the grid was skipped.
@@ -161,21 +161,20 @@
 //! the scan lists the grid's live batches (those a kept range overlaps),
 //! cuts that list into `min(threads, rayon::current_num_threads())`
 //! contiguous runs of nearly equal length (one per live batch if there
-//! are fewer), and scans each run into
-//! private states on a fork-join over scoped threads (`rayon::join`): one
-//! partial per run, merged in run order along the deterministic split
-//! tree. Exact state merging makes the repro backends
-//! and the sorted baseline (whose state is each group's value multiset)
-//! bit-identical to serial execution at any thread count; MIN/MAX merge by
-//! comparison folds whose ties resolve to the earlier range, and the hash
-//! arm's first-seen key order is schedule-independent because the split
-//! tree always merges the earlier range into the left operand. Plain
-//! doubles cannot merge exactly — the *only* way to parallelize them
-//! without changing the answer would be to sort, which is
-//! [`SumBackend::SortedDouble`] — so the fused executor deliberately runs
-//! [`SumBackend::Double`] serially at any requested thread count: the
-//! engine's answers are then independent of `threads` for every backend,
-//! which the proptests assert.
+//! are fewer), and scans each run into private states on a fork-join
+//! over scoped threads (`rayon::join`): one partial per run, merged in
+//! run order along the deterministic split tree. Exact state merging
+//! makes the repro backends and the sorted baseline (whose state is each
+//! group's value multiset) bit-identical to serial execution at any
+//! thread count; MIN/MAX merge by comparison folds whose ties resolve to
+//! the earlier range, and the hash arm's first-seen key order is
+//! schedule-independent because the split tree always merges the earlier
+//! range into the left operand. Plain doubles cannot merge exactly — the
+//! *only* way to parallelize them without changing the answer would be to
+//! sort, which is [`SumBackend::SortedDouble`] — so the fused executor
+//! deliberately runs [`SumBackend::Double`] serially at any requested
+//! thread count: the engine's answers are then independent of `threads`
+//! for every backend, which the proptests assert.
 
 // A query is outside input: nothing here may panic on one. What survives
 // is an `expect` stating an internal invariant, allowed where it stands.
@@ -552,7 +551,7 @@ fn scan(
         key_signed: group.is_some_and(|bind| bind.signed),
         timing,
         batches_visited: partial.batches_visited,
-        batches_pruned: rows.div_ceil(opts.batch_rows) as u64 - partial.batches_visited,
+        batches_pruned: rows.div_ceil(batch) as u64 - partial.batches_visited,
     })
 }
 
