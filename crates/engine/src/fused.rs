@@ -22,7 +22,9 @@
 //! deposit function takes any such batch into any kind of state array; a
 //! state's kind — a SUM backend's, MIN's, MAX's — is matched once per
 //! batch and aggregate to enter it, and each kind answers the deposit its
-//! own fastest way (a block kernel, a register sum checked once).
+//! own fastest way (a block kernel, a register sum checked once). One
+//! deposit sees several arrays at once: a partitioned batch's `Double`
+//! SUMs advance together, one pass over the partition for all of them.
 //!
 //! This is the *physical* executor the plan layer ([`crate::plan`])
 //! lowers onto: a [`FusedQuery`] names the filter conjuncts, the SUM /
@@ -109,10 +111,10 @@
 //! counting-sorted by group id once; COUNT
 //! reads the segment lengths, every repro SUM state gathers its evaluated
 //! values through the permutation and deposits one block-kernel call per
-//! group, and every `Double` SUM state reads them through the
-//! permutation into one register sum per group, checked once. (MIN and
-//! MAX fold that batch per row: a compare per row costs less than the
-//! gather.)
+//! group, and the `Double` SUM states read them through the permutation
+//! together, into one register sum per group and SUM, each checked once.
+//! (MIN and MAX fold that batch per row: a compare per row costs less
+//! than the gather.)
 //! The sort is stable and only the *values* are permuted: the selection
 //! vector and the group ids stay in row order, so predicates and RLE
 //! cursors never see it.
@@ -187,7 +189,8 @@ use crate::expr::{
 };
 use crate::plan::PlanError;
 use crate::sum_op::{
-    dispatch, BatchPartition, GroupedStates, OverflowError, State, States, SumBackend,
+    dispatch, double_partitioned, BatchPartition, GroupedStates, OverflowError, State, States,
+    SumBackend,
 };
 use rayon::prelude::*;
 use rfa_agg::{AggHashTable, HashKind};
@@ -1152,9 +1155,9 @@ pub(crate) enum Deposit {
     Rows,
     /// `gids` as for `Rows`, plus the batch's [`BatchPartition`] built
     /// over them: a repro SUM gathers its evaluated values through it and
-    /// deposits one block call per group, a `Double` SUM reads them
-    /// through it into one register sum per group; every other state
-    /// reads it like `Rows`.
+    /// deposits one block call per group, the `Double` SUMs read them
+    /// through it together, one register sum per group and SUM; every
+    /// other state reads it like `Rows`.
     Partitioned,
 }
 
@@ -1321,7 +1324,9 @@ impl<'q> RangeScan<'q> {
 
     /// Deposits every aggregate of the batch; the partition's permutation
     /// and the per-row deposits read a near-dense batch's selected rows
-    /// out of its covering-range outputs (module docs).
+    /// out of its covering-range outputs (module docs). A partitioned
+    /// batch's `Double` SUMs deposit together, in one pass over the
+    /// partition ([`double_partitioned`]).
     fn deposit(&mut self, shape: Deposit) -> Result<(), PlanError> {
         let query = self.query;
         let batch = Batch {
@@ -1329,7 +1334,13 @@ impl<'q> RangeScan<'q> {
             gids: &self.gids,
             rows: shape.rows(&self.sel).selection(),
         };
-        for (k, state) in self.states.aggs.iter_mut().enumerate() {
+        let mut together = 0;
+        if shape == Deposit::Partitioned && query.backend == SumBackend::Double {
+            together = query.states.0;
+            let (sums, eval) = (&mut self.states.aggs[..together], &self.eval);
+            double_partitioned(&self.part, sums, |k| query.prog.output(k, eval))?;
+        }
+        for (k, state) in self.states.aggs.iter_mut().enumerate().skip(together) {
             let values = query.prog.output(k, &self.eval);
             deposit(state, &batch, &mut self.part, values)?;
         }

@@ -25,10 +25,15 @@
 //! * [`SumBackend::Double`] — MonetDB's own behaviour: plain `dbl` sum
 //!   *with per-element overflow checking* (MonetDB's `ADD_WITH_CHECK`
 //!   macros; the paper notes this makes the baseline slower than a raw
-//!   loop, §VI-E). A per-row deposit is that checked add. A block — a
-//!   run, or one group's segment of a batch partitioned by group
-//!   ([`DOUBLE_MIN_SEG`]) — is added in a register from the slot's value,
-//!   in row order, and checked once at its end. Order-sensitive.
+//!   loop, §VI-E). A per-row deposit is that checked add. A run is added
+//!   in a register from the slot's value, in row order, and checked once
+//!   at its end. A batch partitioned by group ([`DOUBLE_MIN_SEG`]) goes
+//!   to all of its `Double` SUMs at once: per group segment, one register
+//!   per SUM, every row adding its value of each SUM to that SUM's
+//!   register, each sum checked once — up to eight SUMs in one pass
+//!   (`double_partitioned`), so the segment's adds overlap instead of
+//!   forming one dependent chain per SUM. Order-sensitive: each slot
+//!   still adds its own values in row order.
 //! * [`SumBackend::ReproUnbuffered`] / [`SumBackend::Rsum`] —
 //!   `repro<double, L>` per group, the paper's drop-in type: a block goes
 //!   through the vectorized block kernel, and per-row deposits prefetch
@@ -226,19 +231,21 @@ fn prefetch<T>(p: *const T) {
 pub const MIN_SEG: usize = 512;
 
 /// [`MIN_SEG`] for [`SumBackend::Double`]: the fused scan partitions a
-/// grouped `Double` batch when `groups · DOUBLE_MIN_SEG ≤ n` — at most 4
-/// groups in a default 4096-row batch, Q1's included (its batches keep
-/// ≈ 4 040 rows) — and each SUM then reads its values through the
-/// permutation, adding every group's segment in a register. A `Double`
-/// segment saves less than a repro one (a store-forwarded slot and a
-/// branch per row, not a cascade), so the partition pays for itself only
-/// at more rows per group. Set by `criterion_micro`'s `grouped_query`
-/// sweep (EXPERIMENTS.md): partitioned `Double` queries won at 2 and 4
-/// groups and lost at 5, 6 and 8 for one, two and five SUMs, so the
-/// constant lies above 4096 / 5 ≈ 819 and at most 4040 / 4 = 1010.
-/// Bit-invisible — the partition is stable, so every slot adds the same
-/// values in the same order.
-pub const DOUBLE_MIN_SEG: usize = 896;
+/// grouped `Double` batch when `groups · DOUBLE_MIN_SEG ≤ n` — at most 5
+/// groups in a default 4096-row batch, Q1's 4 included (its batches keep
+/// ≈ 4 040 rows) — and its SUMs then read their values through the
+/// permutation together (`double_partitioned`). A `Double` segment
+/// saves less than a repro one (a store-forwarded slot and a branch per
+/// row, not a cascade), and a lone SUM's segment is one chain of
+/// dependent adds, so the partition pays for itself only at more rows
+/// per group. Set by `criterion_micro`'s `grouped_query` sweep
+/// (EXPERIMENTS.md): with the lockstep, partitioned `Double` queries won
+/// at every group count from 2 to 8 for two and five SUMs, but for one
+/// SUM only up to 5 groups (a tie there) and lost at 6 and 8, so the
+/// constant lies above 4096 / 6 ≈ 683 and at most 4096 / 5 ≈ 819 — and
+/// at most 4040 / 4 = 1010 for Q1. Bit-invisible — the partition is
+/// stable, so every slot adds the same values in the same order.
+pub const DOUBLE_MIN_SEG: usize = 768;
 
 /// Least share of its covering range `[first, last]` a batch's selection
 /// must keep to be *near-dense* ([`crate::Sel::near_dense`]): the fused scan
@@ -258,9 +265,10 @@ pub const NEAR_DENSE: f64 = 0.5;
 /// its histogram) and by every SUM state array: a repro SUM gathers its
 /// evaluated values through the permutation with [`simd::gather`], which
 /// scans each segment while copying it, and deposits one block call per
-/// group with that segment's scanned pair; a `Double` SUM reads them
-/// through the permutation in place — a register sum needs no contiguous
-/// input — one segment per group.
+/// group with that segment's scanned pair; the batch's `Double` SUMs
+/// read theirs through the permutation in place — a register sum needs
+/// no contiguous input — all together, one segment per group
+/// ([`double_partitioned`]).
 /// (MIN / MAX keep their per-row folds over the row-ordered group ids: a
 /// compare-and-keep per row is cheaper than the gather.)
 ///
@@ -466,7 +474,8 @@ fn selected<'a>(values: &'a [f64], rows: &'a [u32]) -> impl Iterator<Item = f64>
 
 /// [`SumBackend::Double`]: one `f64` per group. A per-row deposit is the
 /// checked add; a block deposit adds in a register and checks its sum
-/// once.
+/// once, and a partitioned batch's arrays advance together
+/// ([`double_partitioned`]).
 #[derive(Default)]
 pub(crate) struct Doubles(Vec<f64>);
 
@@ -498,9 +507,7 @@ impl States for Doubles {
         checked(*slot)
     }
 
-    /// [`Self::run`] per group, reading the group's values through the
-    /// permutation where they lie: a register sum needs no gathered copy.
-    #[inline(never)]
+    /// The one-array case of [`double_partitioned`].
     fn partitioned(
         &mut self,
         part: &mut BatchPartition,
@@ -508,16 +515,7 @@ impl States for Doubles {
         values: &[f64],
         _: Option<&[u32]>,
     ) -> Result<(), OverflowError> {
-        assert_eq!(values.len(), part.span);
-        let mut start = 0;
-        for &(g, end) in &part.segs {
-            let slot = &mut self.0[g as usize];
-            let rows = &part.perm[start..end];
-            *slot = rows.iter().fold(*slot, |sum, &i| sum + values[i as usize]);
-            checked(*slot)?;
-            start = end;
-        }
-        Ok(())
+        lockstep::<1>(part, &mut [self.0.as_mut_slice()], &[values])
     }
 
     fn push_groups(&mut self, n: usize) {
@@ -532,6 +530,83 @@ impl States for Doubles {
         *out = self.0;
         Ok(())
     }
+}
+
+/// The most `Double` SUM arrays one pass of [`double_partitioned`]
+/// advances: eight register sums and their eight input slices still fit
+/// the registers, and Q1's five SUMs go in one pass.
+const LOCKSTEP: usize = 8;
+
+/// Deposits a batch that `part` partitions by group into `sums` — `Double`
+/// SUM arrays, `values(k)` the evaluated input of `sums[k]` — bit-identical
+/// to [`States::rows`] per array. Up to [`LOCKSTEP`] arrays go through
+/// [`lockstep`] together: one segment's slots advance side by side, so a
+/// segment costs about one add's latency per row for all of them, not per
+/// array. No bit moves: each slot still adds its own values in row order.
+///
+/// # Panics
+/// If a state of `sums` is not `Double`.
+pub(crate) fn double_partitioned<'v>(
+    part: &BatchPartition,
+    sums: &mut [State],
+    values: impl Fn(usize) -> &'v [f64],
+) -> Result<(), OverflowError> {
+    for (c, chunk) in sums.chunks_mut(LOCKSTEP).enumerate() {
+        let mut slots: [&mut [f64]; LOCKSTEP] = Default::default();
+        let mut inputs: [&[f64]; LOCKSTEP] = Default::default();
+        let width = chunk.len();
+        for (k, state) in chunk.iter_mut().enumerate() {
+            let State::Double(Doubles(s)) = state else {
+                panic!("a Double deposit into another kind of state array");
+            };
+            slots[k] = s.as_mut_slice();
+            inputs[k] = values(c * LOCKSTEP + k);
+        }
+        let (s, v) = (&mut slots[..], &inputs[..]);
+        match width {
+            1 => lockstep::<1>(part, s, v),
+            2 => lockstep::<2>(part, s, v),
+            3 => lockstep::<3>(part, s, v),
+            4 => lockstep::<4>(part, s, v),
+            5 => lockstep::<5>(part, s, v),
+            6 => lockstep::<6>(part, s, v),
+            7 => lockstep::<7>(part, s, v),
+            _ => lockstep::<8>(part, s, v),
+        }?;
+    }
+    Ok(())
+}
+
+/// The first `K` arrays of `sums` and their `values`, one pass over
+/// `part`: per segment, each array's slot is loaded into a register, the
+/// segment's rows are read through the permutation once, each row adding
+/// its value of every array to that array's register, and each sum is
+/// stored and checked once ([`checked`]).
+#[inline(never)]
+fn lockstep<const K: usize>(
+    part: &BatchPartition,
+    sums: &mut [&mut [f64]],
+    values: &[&[f64]],
+) -> Result<(), OverflowError> {
+    let span = part.span;
+    assert!(values[..K].iter().all(|v| v.len() == span));
+    let values: [&[f64]; K] = std::array::from_fn(|k| &values[k][..span]);
+    let mut start = 0;
+    for &(g, end) in &part.segs {
+        let g = g as usize;
+        let mut acc: [f64; K] = std::array::from_fn(|k| sums[k][g]);
+        for &i in &part.perm[start..end] {
+            for k in 0..K {
+                acc[k] += values[k][i as usize];
+            }
+        }
+        for k in 0..K {
+            sums[k][g] = acc[k];
+            checked(acc[k])?;
+        }
+        start = end;
+    }
+    Ok(())
 }
 
 /// [`SumBackend::SortedDouble`]: every group's deposited values, in no
@@ -1695,6 +1770,116 @@ mod tests {
         }
         assert_eq!(per_row.counts, blocked.counts);
         assert_per_row_depths();
+    }
+
+    #[test]
+    fn double_lockstep_matches_per_row_deposits_bitwise() {
+        // K = 1..=9 `Double` SUMs (past the lockstep width of 8) over
+        // three batches of skewed group ids, partitioned densely or
+        // re-aimed by `select` at a covering range whose dropped rows hold
+        // NaN: the lockstep against K independent per-row deposits. Each
+        // input mixes magnitudes, so a value read out of order or from a
+        // neighbouring SUM changes the bits. A special pair in SUM k, for
+        // every k, must raise exactly when the per-row reference does.
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+            rng >> 11
+        };
+        let groups = 5;
+        let batches: Vec<(Vec<u32>, Vec<Vec<f64>>)> = [1500usize, 4096, 777]
+            .into_iter()
+            .map(|n| {
+                // Group g takes about twice the rows of group g + 1.
+                let gids = (0..n)
+                    .map(|_| (draw() % 31 + 1).ilog2())
+                    .map(|g| 4 - g)
+                    .collect();
+                let values = (0..9)
+                    .map(|_| {
+                        (0..n)
+                            .map(|_| {
+                                let r = draw();
+                                ((r % 2001) as f64 - 1000.0) * 10f64.powi((r >> 20) as i32 % 17)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                (gids, values)
+            })
+            .collect();
+        let (max, inf) = (f64::MAX, f64::INFINITY);
+        let specials: [(&str, &[f64]); 5] = [
+            ("none", &[]),
+            ("MAX pair", &[max, max]),
+            ("MAX, -MAX", &[max, -max]),
+            ("+inf", &[inf]),
+            ("NaN", &[f64::NAN]),
+        ];
+        let mut part = BatchPartition::default();
+        for sums in 1..=9 {
+            for (special, pair) in specials {
+                for k in 0..if pair.is_empty() { 1 } else { sums } {
+                    for selected in [false, true] {
+                        let input = format!("{sums} SUMs, {special} in SUM {k}, select {selected}");
+                        let mut per_row: Vec<Doubles> =
+                            (0..sums).map(|_| Doubles::default()).collect();
+                        let mut together: Vec<State> =
+                            (0..sums).map(|_| State::sum(SumBackend::Double)).collect();
+                        per_row.iter_mut().for_each(|s| s.push_groups(groups));
+                        together.iter_mut().for_each(|s| s.push_groups(groups));
+                        let (mut want, mut got) = (Ok(()), Ok(()));
+                        for (b, (gids, values)) in batches.iter().enumerate() {
+                            let mut values = values[..sums].to_vec();
+                            // In the second batch, into consecutive rows
+                            // of group 1, and so mid-segment.
+                            let at = (gids.iter().enumerate())
+                                .filter(|&(_, &g)| g == 1)
+                                .map(|(i, _)| i)
+                                .skip(40);
+                            for (i, &v) in at.zip(pair).filter(|_| b == 1) {
+                                values[k][i] = v;
+                            }
+                            let rows: Vec<u32> = (0..gids.len() as u32)
+                                .map(|i| if selected { 3 + i * 5 / 3 } else { i })
+                                .collect();
+                            let span = (rows[rows.len() - 1] - rows[0]) as usize + 1;
+                            let covering: Vec<Vec<f64>> = (values.iter())
+                                .map(|v| {
+                                    let mut range = vec![f64::NAN; span];
+                                    for (&r, &x) in rows.iter().zip(v) {
+                                        range[(r - rows[0]) as usize] = x;
+                                    }
+                                    range
+                                })
+                                .collect();
+                            let sel = selected.then_some(&rows[..]);
+                            for (s, v) in per_row.iter_mut().zip(&covering) {
+                                want = want.and(s.rows(gids, v, sel));
+                            }
+                            assert!(part.build(gids, groups, 1));
+                            if selected {
+                                part.select(&rows);
+                            }
+                            got =
+                                got.and(double_partitioned(&part, &mut together, |k| &covering[k]));
+                        }
+                        assert_eq!(want, got, "{input}");
+                        if want.is_err() {
+                            continue;
+                        }
+                        for (k, (a, b)) in per_row.into_iter().zip(together).enumerate() {
+                            let (mut a_out, mut b_out) = (Vec::new(), Vec::new());
+                            a.finalize(&mut a_out).unwrap();
+                            b.finalize(&mut b_out).unwrap();
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&a_out), bits(&b_out), "{input}: SUM {k}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// An empty array of `s`'s kind.

@@ -17,15 +17,21 @@
 //! 4. a byte-pair key builds no hash table: the only allocation of SQL Q1
 //!    that reaches 256 KiB is the direct-mapped group-id table, one per
 //!    scan range (one per thread at 2 threads, as the pool allows — a
-//!    count, so it is exact under any schedule).
+//!    count, so it is exact under any schedule);
+//! 5. nothing allocates per batch: SQL Q1 on `Double` and on the buffered
+//!    backend allocates the same bytes in the same number of calls over
+//!    2^16 rows (16 batches) as over 2^20 (256 batches).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// System allocator wrapper counting cumulative allocated bytes.
+/// System allocator wrapper counting cumulative allocated bytes and
+/// allocation calls.
 struct CountingAlloc;
 
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+/// `alloc` and `realloc` calls.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 /// Size of a 65 536-entry `u32` group-id table, the threshold of "large".
 const LARGE: usize = 256 * 1024;
@@ -43,6 +49,7 @@ fn note_large(size: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         note_large(layout.size());
         unsafe { System.alloc(layout) }
     }
@@ -54,6 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Count only the growth; shrinking is free.
         ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         if new_size > layout.size() {
             note_large(new_size);
         }
@@ -70,12 +78,50 @@ fn allocated_during(f: impl FnOnce()) -> usize {
     ALLOCATED.load(Ordering::Relaxed) - before
 }
 
+/// Bytes and calls `f` allocates.
+fn allocations_during(f: impl FnOnce()) -> (usize, usize) {
+    let calls = CALLS.load(Ordering::Relaxed);
+    let bytes = allocated_during(f);
+    (bytes, CALLS.load(Ordering::Relaxed) - calls)
+}
+
+/// (5): a steady-state serial SQL Q1 allocates the same at 2^16 rows as
+/// at 2^20, per backend — its scratch is sized by the batch and the
+/// groups, and reused by every batch.
+fn sql_q1_allocates_nothing_per_batch() {
+    use rfa_engine::{lineitem_table, q1_sql, sql_query, ExecOptions, SumBackend};
+    use rfa_workloads::Lineitem;
+
+    let opts = ExecOptions::serial();
+    for backend in [
+        SumBackend::Double,
+        SumBackend::ReproBuffered { buffer_size: 1024 },
+    ] {
+        let per_size = [1 << 16, 1 << 20].map(|rows| {
+            let table = lineitem_table(&Lineitem::generate(rows, 5));
+            let q1 = sql_query(&q1_sql(), &table).unwrap();
+            q1.execute(&table, backend, &opts).unwrap();
+            allocations_during(|| {
+                q1.execute(&table, backend, &opts).unwrap();
+            })
+        });
+        assert_eq!(
+            per_size[0], per_size[1],
+            "{backend:?}: SQL Q1 (bytes, calls) at 2^16 rows vs 2^20 rows"
+        );
+    }
+}
+
 #[test]
 fn fused_pipeline_performs_no_n_sized_allocations() {
     use rfa_engine::{
         lineitem_table, q1_plan, q1_sql, q6_plan, sql_query, Column, ExecOptions, SumBackend, Table,
     };
     use rfa_workloads::{GroupedPairs, Lineitem, ValueDist};
+
+    // First, while no other table is alive; the audits share one counter,
+    // so they run in this one test, one after another.
+    sql_q1_allocates_nothing_per_batch();
 
     const N: usize = 1_000_000;
     let t = Lineitem::generate(N, 5);
