@@ -6,10 +6,10 @@
 //! 256-way code-set bitmap tested per row) or once per *run* (decided at
 //! bind time into row ranges — batches outside them are never visited,
 //! the "visited / pruned" column). Group keys and aggregate inputs are
-//! read through their encoding (a run walk, a code lookup) and deposited
-//! like plain ones. Both arms perform the identical floating-point
-//! deposit sequence, so the bench cross-asserts every output bit before
-//! reporting the ratio.
+//! read through their encoding (a value per run span, a code lookup)
+//! and deposited like plain ones. Both arms perform the identical
+//! floating-point deposit sequence, so the bench cross-asserts every
+//! output bit before reporting the ratio.
 //!
 //! Arms (all serial, `repro<double,4>` buffered — Table IV's backend):
 //!
@@ -18,7 +18,7 @@
 //!   encode, nothing is run-clustered, so this reads as pure dictionary
 //!   overhead/win;
 //! * Q1 over the (returnflag, linestatus)-sorted table — the group keys
-//!   RLE-encode and their key fill walks the runs;
+//!   RLE-encode and are read one run span at a time;
 //! * Q6 over the shipdate-sorted table — the one-year shipdate band is
 //!   one row range, and the scan visits only the batches it overlaps;
 //! * unfiltered `SUM`+`COUNT` where the *aggregate input itself* is
@@ -30,7 +30,13 @@
 //!     entries) — evaluated through the code lookup,
 //!
 //!   each deposited like any expression, so these read as the cost of
-//!   reading the encoding.
+//!   reading the encoding;
+//! * `SUM(r)` under a 2 % filter (`k < 20`, `k = i % 1000`), where `r =
+//!   (i / 4) · 0.5` is `Rle<F64>` with runs of 4 rows: every batch gathers
+//!   its few selected rows through the runs, each batch's read starting
+//!   from a binary search for its first row, so the arm reads the cost of
+//!   a sparse gather through RLE — not of a walk from the column's first
+//!   run.
 //!
 //! The two arms of a row alternate rep by rep (plain then encoded, then
 //! encoded then plain), so a drift of the host lands on both. "vs plain"
@@ -64,6 +70,21 @@ fn assert_bit_identical(plain: &PlanResult, encoded: &PlanResult, ctx: &str) {
             _ => panic!("{ctx}: column {c} kind mismatch"),
         }
     }
+}
+
+/// The sparse-RLE arm's twins: `k = i % 1000` (plain `I32`) and `r = (i /
+/// 4) · 0.5`, plain in the first table and `Rle<F64>` in the second.
+fn sparse_rle_twins(n: usize) -> (Table, Table) {
+    let k = Column::i32((0..n).map(|i| (i % 1000) as i32).collect::<Vec<_>>());
+    let r = Column::f64((0..n).map(|i| (i / 4) as f64 * 0.5).collect::<Vec<_>>());
+    let twin = |r: Column| {
+        let mut t = Table::new("t");
+        t.add_column("k", k.clone()).expect("k");
+        t.add_column("r", r).expect("r");
+        t
+    };
+    let encoded = twin(r.rle_encode().expect("rle"));
+    (twin(r), encoded)
 }
 
 /// How a column is physically stored, e.g. "Rle<U8>" / "Dict<F64>" / "F64".
@@ -138,7 +159,7 @@ fn main() {
 
     // Encoded-input plans: no filter, no grouping — the scan cost is
     // loading the input and the deposit loop, so the ratio isolates the
-    // run walk (RLE) and the code lookup (Dict) against plain loads.
+    // run-span fill (RLE) and the code lookup (Dict) against plain loads.
     let sum_qty = QueryPlan::scan("lineitem")
         .sum(Expr::col("l_quantity"))
         .count();
@@ -188,15 +209,36 @@ fn main() {
             format!("{} / {}", run.batches_visited, run.batches_pruned),
         ]);
     }
+    let (plain, encoded) = sparse_rle_twins(n);
+    let sparse_sum = QueryPlan::scan("t")
+        .filter(Expr::col("k").lt(Expr::lit(20.0)))
+        .sum(Expr::col("r"))
+        .count();
+    let name = "sum(r) 2% filter, runs of 4";
+    let (timed, run) = measure(&sparse_sum, &plain, &encoded, backend, cfg.reps, n, name);
+    let (lo, mid, hi) = timed.ratio;
+    table.row(vec![
+        name.into(),
+        storage(&encoded, "r").into(),
+        f2(timed.plain_ns),
+        f2(timed.encoded_ns),
+        format!("{mid:.2}x [{lo:.2}, {hi:.2}]"),
+        format!("{} / {}", run.batches_visited, run.batches_pruned),
+    ]);
     table.print();
     table.write_csv("fig9_compression");
     println!(
         "  paper shape: dictionary arms sit near 1x (pushdown trades a compare for a\n  \
          byte-indexed lookup); the RLE shipdate band is a row range decided before\n  \
          the scan, so most batches are never visited. RLE group keys and the\n  \
-         RLE-sorted SUM input are read by a fill per run and deposited like plain\n  \
-         ones; the dictionary SUM inputs pay one code lookup per row. Identical bits\n  \
-         in every arm."
+         RLE-sorted SUM input are read by a fill per run span and deposited like\n  \
+         plain ones, and the sparse RLE gather starts each batch from a binary\n  \
+         search; the dictionary SUM inputs pay one code lookup per row. Identical\n  \
+         bits in every arm."
+    );
+    assert!(
+        matches!(encoded.column("r").unwrap(), Column::Rle { .. }),
+        "the sparse arm's input must be RLE"
     );
 
     // Each arm must run on the storage it is named for: Q1's two u8 group

@@ -48,30 +48,6 @@ pub fn two_product<T: ReproFloat>(a: T, b: T) -> (T, T) {
     (hi, lo)
 }
 
-/// Knuth's TwoSum: `a + b = s + e` exactly, `s = a ⊕ b`.
-///
-/// Not used on the hot path (it costs 6 flops and is *not* associative
-/// across reorderings), but handy for building reference computations and
-/// for tests.
-#[inline]
-pub fn two_sum<T: ReproFloat>(a: T, b: T) -> (T, T) {
-    let s = a + b;
-    let ap = s - b;
-    let bp = s - ap;
-    let da = a - ap;
-    let db = b - bp;
-    (s, da + db)
-}
-
-/// Dekker's FastTwoSum, valid when `|a| >= |b|`.
-#[inline]
-pub fn fast_two_sum<T: ReproFloat>(a: T, b: T) -> (T, T) {
-    debug_assert!(a.abs() >= b.abs() || a + b == a);
-    let s = a + b;
-    let e = b - (s - a);
-    (s, e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +110,5 @@ mod tests {
         let (hi, lo) = two_product(4096.0f32, 0.1f32);
         assert_eq!(hi + lo, 4096.0f32 * 0.1f32);
         assert_eq!(4096.0f32.mul_add(0.1, -hi), lo);
-    }
-
-    #[test]
-    fn two_sum_recovers_error() {
-        let (s, e) = two_sum(1e16, 1.0);
-        assert_eq!(s, 1e16); // the 1.0 is lost in s ...
-        assert_eq!(e, 1.0); // ... but recovered exactly in e
-        let (s, e) = fast_two_sum(1e16, 1.0);
-        assert_eq!(s + e, 1e16 + 1.0);
-        assert_eq!(e, 1.0);
     }
 }

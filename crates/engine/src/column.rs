@@ -6,6 +6,7 @@
 //! backup/restore), and any order-sensitive aggregate then violates data
 //! independence (§I, Algorithm 1).
 
+use crate::expr::Sel;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -109,8 +110,8 @@ pub enum Column {
     /// Run-length encoding: run `r` covers rows `run_ends[r-1]..run_ends[r]`
     /// (with `run_ends[-1] = 0`) and holds `values` row `r`. `run_ends`
     /// must be strictly increasing; the column's length is the last run
-    /// end. The executor assigns group ids and deposits aggregates per
-    /// *run*, never per row (see `fused`).
+    /// end. The executor decides interval predicates once per *run* and
+    /// reads values one run span at a time (see `Storage::read`).
     Rle {
         run_ends: Arc<Vec<u32>>,
         values: Box<Column>,
@@ -670,6 +671,157 @@ impl Column {
             Column::Dict16 { codes, .. } => apply(codes, perm),
             Column::Rle { .. } => {
                 unreachable!("Table::reorder rejects RLE columns before permuting")
+            }
+        }
+    }
+}
+
+/// An element type a plain column stores.
+pub(crate) trait Element: Copy {
+    /// The values of `col` if it is a plain column of this type.
+    fn plain(col: &Column) -> Option<&[Self]>;
+}
+
+macro_rules! element {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl Element for $t {
+            fn plain(col: &Column) -> Option<&[$t]> {
+                match col {
+                    Column::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+element!(f64 => F64, i32 => I32, u32 => U32, u8 => U8);
+
+/// A column's storage borrowed for reading, typed by its element: the
+/// plain values, or the codes / run ends and the value array they index.
+/// The scan reads every column through [`Storage::read`], never
+/// decompressing one.
+#[derive(Clone, Copy)]
+pub(crate) enum Storage<'t, T> {
+    Plain(&'t [T]),
+    Dict {
+        codes: &'t [u8],
+        dict: &'t [T],
+    },
+    Dict16 {
+        codes: &'t [u16],
+        dict: &'t [T],
+    },
+    Rle {
+        run_ends: &'t [u32],
+        values: &'t [T],
+    },
+}
+
+impl Column {
+    /// This column's storage, if its logical type is `T`.
+    pub(crate) fn storage<T: Element>(&self) -> Option<Storage<'_, T>> {
+        Some(match self {
+            Column::Dict { codes, dict } => Storage::Dict {
+                codes,
+                dict: T::plain(dict)?,
+            },
+            Column::Dict16 { codes, dict } => Storage::Dict16 {
+                codes,
+                dict: T::plain(dict)?,
+            },
+            Column::Rle { run_ends, values } => Storage::Rle {
+                run_ends,
+                values: T::plain(values)?,
+            },
+            plain => Storage::Plain(T::plain(plain)?),
+        })
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Runs [`advance_run`] has stepped over on this thread.
+    pub(crate) static RUN_STEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Index of the run containing `row`, stepping forward from `run`, or by
+/// binary search if `row` lies before it (an unordered gather list).
+#[inline]
+fn advance_run(run_ends: &[u32], run: usize, row: u32) -> usize {
+    if run > 0 && row < run_ends[run - 1] {
+        return run_ends.partition_point(|&e| e <= row);
+    }
+    let mut next = run;
+    while run_ends[next] <= row {
+        next += 1;
+    }
+    #[cfg(test)]
+    RUN_STEPS.with(|s| s.set(s.get() + next - run));
+    next
+}
+
+impl<T: Copy> Storage<'_, T> {
+    /// `out[i] = f(out[i], value of row i)` for the rows of one batch: the
+    /// `out.len()` rows from `batch.dense_start()` when `batch` reads a
+    /// range, the row ids `batch.rows` otherwise. Plain and dictionary storage take one
+    /// loop per row, monomorphized per element type. An RLE read finds
+    /// the run of its first row by binary search and steps forward from
+    /// there, applying `f` once per run span — no position is carried
+    /// between batches, and a batch's cost follows its rows, not its
+    /// place in the column. A table's codes and runs index inside their
+    /// values ([`Table::add_column`]).
+    #[inline(always)]
+    pub(crate) fn read<O: Copy>(&self, batch: Sel<'_>, out: &mut [O], f: impl Fn(O, T) -> O) {
+        #[inline(always)]
+        fn rows<V: Copy, O: Copy>(col: &[V], batch: Sel<'_>, out: &mut [O], f: impl Fn(O, V) -> O) {
+            match batch.dense_start() {
+                Some(lo) => {
+                    let col = &col[lo..lo + out.len()];
+                    for (o, &v) in out.iter_mut().zip(col) {
+                        *o = f(*o, v);
+                    }
+                }
+                None => {
+                    for (o, &row) in out.iter_mut().zip(batch.rows) {
+                        *o = f(*o, col[row as usize]);
+                    }
+                }
+            }
+        }
+        match *self {
+            Storage::Plain(col) => rows(col, batch, out, f),
+            Storage::Dict { codes, dict } => rows(codes, batch, out, |o, c| f(o, dict[c as usize])),
+            Storage::Dict16 { codes, dict } => {
+                rows(codes, batch, out, |o, c| f(o, dict[c as usize]))
+            }
+            Storage::Rle { run_ends, values } => {
+                let n = out.len();
+                if n == 0 {
+                    return;
+                }
+                let row = |i: usize| match batch.dense_start() {
+                    Some(lo) => (lo + i) as u32,
+                    None => batch.rows[i],
+                };
+                let (mut i, mut run) = (0, run_ends.partition_point(|&e| e <= row(0)));
+                while i < n {
+                    run = advance_run(run_ends, run, row(i));
+                    let start = run.checked_sub(1).map_or(0, |r| run_ends[r]);
+                    let end = run_ends[run];
+                    let span = match batch.dense_start() {
+                        Some(lo) => (end as usize - lo).min(n),
+                        None => {
+                            let more = batch.rows[i..n].iter();
+                            i + more.take_while(|r| (start..end).contains(r)).count()
+                        }
+                    };
+                    let v = values[run];
+                    for o in &mut out[i..span] {
+                        *o = f(*o, v);
+                    }
+                    i = span;
+                }
             }
         }
     }
@@ -1525,6 +1677,45 @@ mod tests {
         }
         for (a, b) in shared.decode().as_f64().iter().zip(&vals) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// An RLE read starts from a binary search for its first row: 64 rows
+    /// of a long column's last batch step over the runs they span, not
+    /// the runs before them — gathered and as their covering range — and
+    /// read `Column::decode`'s bits.
+    #[test]
+    fn rle_reads_step_over_the_runs_they_span() {
+        // 2^18 runs of 3 and 5 rows alternately: 2^20 rows.
+        let mut run_ends = Vec::with_capacity(1 << 18);
+        let mut end = 0u32;
+        for r in 0..1u32 << 18 {
+            end += 3 + 2 * (r % 2);
+            run_ends.push(end);
+        }
+        let n = end as usize;
+        assert_eq!(n, 1 << 20);
+        let values: Vec<f64> = (0..1 << 18).map(|r| r as f64 * 0.5 - 1e5).collect();
+        let col = Column::rle(run_ends.clone(), Column::f64(values)).unwrap();
+        let decoded = col.decode();
+        let plain = decoded.as_f64();
+        let storage = col.storage::<f64>().unwrap();
+        let last_batch = n - crate::fused::FUSED_BATCH_ROWS;
+        let rows: Vec<u32> = (0..64).map(|k| (last_batch + 5 + k * 61) as u32).collect();
+        let run_of = |row: u32| run_ends.partition_point(|&e| e <= row);
+        let spans = run_of(rows[63]) - run_of(rows[0]) + 1;
+        for sel in [Sel::unordered(&rows), Sel::covering(&rows)] {
+            let mut out = vec![f64::NAN; sel.len()];
+            let before = RUN_STEPS.get();
+            storage.read(sel, &mut out, |_, v| v);
+            let steps = RUN_STEPS.get() - before;
+            assert!(steps <= spans + rows.len(), "{steps} steps, {spans} runs");
+            let want: Vec<f64> = match sel.dense_start() {
+                Some(lo) => plain[lo..lo + sel.len()].to_vec(),
+                None => rows.iter().map(|&r| plain[r as usize]).collect(),
+            };
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want));
         }
     }
 

@@ -70,7 +70,7 @@
 //! reproducible accumulator; this module provides the deterministic
 //! per-row part.
 
-use crate::column::{ColRef, Column, Table, TableError};
+use crate::column::{type_mismatch, ColRef, Column, Storage, Table, TableError};
 use crate::sum_op::NEAR_DENSE;
 
 /// The `expected` tag of [`TableError::TypeMismatch`] raised when an
@@ -397,69 +397,18 @@ impl Prog {
     }
 }
 
-/// A numeric column bound for gathering: integer storage widens exactly
-/// to `f64` (i32/u32/u8 all fit in the 53-bit mantissa). Encoded columns
-/// gather *through* their encoding — a code lookup for `Dict`, a run
-/// cursor for `Rle` — never materializing the plain column; widening the
-/// dictionary/run value is the identical exact conversion the plain
-/// column would perform per row, so results are bit-identical.
+/// A numeric column bound for reading, by its logical type: integer
+/// values widen exactly to `f64` (i32/u32/u8 all fit in the 53-bit
+/// mantissa). Encoded columns are read *through* their encoding
+/// ([`Storage::read`]), never materializing the plain column; widening
+/// the dictionary entry or run value is the identical exact conversion the
+/// plain column would perform per row, so results are bit-identical.
 #[derive(Clone, Copy)]
 enum ColData<'t> {
-    F64(&'t [f64]),
-    I32(&'t [i32]),
-    U32(&'t [u32]),
-    U8(&'t [u8]),
-    Dict { codes: &'t [u8], vals: Vals<'t> },
-    Dict16 { codes: &'t [u16], vals: Vals<'t> },
-    Rle { run_ends: &'t [u32], vals: Vals<'t> },
-}
-
-/// The small value array behind an encoding (a dictionary or the per-run
-/// values), read as widened `f64`. The per-row `match` is perfectly
-/// predicted (same arm every iteration of a gather loop).
-#[derive(Clone, Copy)]
-enum Vals<'t> {
-    F64(&'t [f64]),
-    I32(&'t [i32]),
-    U32(&'t [u32]),
-    U8(&'t [u8]),
-}
-
-impl Vals<'_> {
-    fn len(&self) -> usize {
-        match *self {
-            Vals::F64(v) => v.len(),
-            Vals::I32(v) => v.len(),
-            Vals::U32(v) => v.len(),
-            Vals::U8(v) => v.len(),
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
-        match *self {
-            Vals::F64(v) => v[i],
-            Vals::I32(v) => v[i] as f64,
-            Vals::U32(v) => v[i] as f64,
-            Vals::U8(v) => v[i] as f64,
-        }
-    }
-}
-
-/// Index of the run containing `row`, given the previous position `run`
-/// (amortized O(1) for the increasing row sequences selection vectors
-/// produce; an out-of-order row resets by binary search). Shared with the
-/// fused executor's RLE group-key cursors.
-#[inline]
-pub(crate) fn advance_run(run_ends: &[u32], run: usize, row: u32) -> usize {
-    if run > 0 && row < run_ends[run - 1] {
-        return run_ends.partition_point(|&e| e <= row);
-    }
-    let mut run = run;
-    while run_ends[run] <= row {
-        run += 1;
-    }
-    run
+    F64(Storage<'t, f64>),
+    I32(Storage<'t, i32>),
+    U32(Storage<'t, u32>),
+    U8(Storage<'t, u8>),
 }
 
 /// The rows one batch evaluates over: a contiguous row *range* — read as
@@ -537,142 +486,30 @@ impl<'a> Sel<'a> {
     }
 }
 
-impl Vals<'_> {
-    /// `out[k] = self[idx[k]]` for a slice of dictionary codes.
-    #[inline]
-    fn lookup_into<I: Copy + Into<usize>>(&self, idx: &[I], out: &mut [f64]) {
-        for (r, &c) in out.iter_mut().zip(idx) {
-            *r = self.get(c.into());
-        }
-    }
-}
-
-/// `out[k] = src[k] as f64` (exact for every integer column type).
-#[inline]
-fn widen_into<T: Copy + Into<f64>>(src: &[T], out: &mut [f64]) {
-    for (r, &v) in out.iter_mut().zip(src) {
-        *r = v.into();
-    }
-}
-
 impl ColData<'_> {
-    /// Loads the batch's rows, widened to `f64`, into `out`. A range reads
-    /// one slice of the column (a copy, a widening loop the compiler
-    /// vectorizes, or a fill per run); a row list gathers. Both produce
-    /// the identical values in the identical order.
+    /// Loads the batch's rows, widened to `f64`, into `out`: a range or a
+    /// gather, through the column's storage.
     #[inline]
     fn load(&self, sel: Sel<'_>, out: &mut [f64]) {
-        match sel.dense_start() {
-            Some(lo) => self.load_range(lo, out),
-            None => self.gather(sel.rows, out),
-        }
-    }
-
-    fn load_range(&self, lo: usize, out: &mut [f64]) {
-        let hi = lo + out.len();
         match *self {
-            ColData::F64(col) => out.copy_from_slice(&col[lo..hi]),
-            ColData::I32(col) => widen_into(&col[lo..hi], out),
-            ColData::U32(col) => widen_into(&col[lo..hi], out),
-            ColData::U8(col) => widen_into(&col[lo..hi], out),
-            ColData::Dict { codes, vals } => vals.lookup_into(&codes[lo..hi], out),
-            ColData::Dict16 { codes, vals } => vals.lookup_into(&codes[lo..hi], out),
-            ColData::Rle { run_ends, vals } => {
-                let mut run = run_ends.partition_point(|&e| e as usize <= lo);
-                let mut row = lo;
-                while row < hi {
-                    let end = (run_ends[run] as usize).min(hi);
-                    out[row - lo..end - lo].fill(vals.get(run));
-                    row = end;
-                    run += 1;
-                }
-            }
+            ColData::F64(s) => s.read(sel, out, |_, v| v),
+            ColData::I32(s) => s.read(sel, out, |_, v| v.into()),
+            ColData::U32(s) => s.read(sel, out, |_, v| v.into()),
+            ColData::U8(s) => s.read(sel, out, |_, v| v.into()),
         }
-    }
-
-    fn gather(&self, sel: &[u32], out: &mut [f64]) {
-        match *self {
-            ColData::F64(col) => {
-                for (r, &i) in out.iter_mut().zip(sel) {
-                    *r = col[i as usize];
-                }
-            }
-            ColData::I32(col) => {
-                for (r, &i) in out.iter_mut().zip(sel) {
-                    *r = col[i as usize] as f64;
-                }
-            }
-            ColData::U32(col) => {
-                for (r, &i) in out.iter_mut().zip(sel) {
-                    *r = col[i as usize] as f64;
-                }
-            }
-            ColData::U8(col) => {
-                for (r, &i) in out.iter_mut().zip(sel) {
-                    *r = col[i as usize] as f64;
-                }
-            }
-            ColData::Dict { codes, vals } => {
-                for (r, &i) in out.iter_mut().zip(sel) {
-                    *r = vals.get(codes[i as usize] as usize);
-                }
-            }
-            ColData::Dict16 { codes, vals } => {
-                for (r, &i) in out.iter_mut().zip(sel) {
-                    *r = vals.get(codes[i as usize] as usize);
-                }
-            }
-            ColData::Rle { run_ends, vals } => {
-                let mut run = 0usize;
-                for (r, &i) in out.iter_mut().zip(sel) {
-                    run = advance_run(run_ends, run, i);
-                    *r = vals.get(run);
-                }
-            }
-        }
-    }
-}
-
-/// Reads a *plain* column as a [`Vals`] view (the dictionary / run-values
-/// leg of an encoding; nesting is rejected at construction).
-fn vals_of<'t>(col: &'t Column, name: &ColRef) -> Result<Vals<'t>, TableError> {
-    match col {
-        Column::F64(v) => Ok(Vals::F64(v)),
-        Column::I32(v) => Ok(Vals::I32(v)),
-        Column::U32(v) => Ok(Vals::U32(v)),
-        Column::U8(v) => Ok(Vals::U8(v)),
-        other => Err(TableError::TypeMismatch {
-            column: name.to_string(),
-            expected: NUMERIC_EXPECTED,
-            found: other.type_name(),
-        }),
     }
 }
 
 fn bind_numeric<'t>(table: &'t Table, name: &ColRef) -> Result<ColData<'t>, TableError> {
-    match table.column(name.as_str())? {
-        Column::F64(v) => Ok(ColData::F64(v)),
-        Column::I32(v) => Ok(ColData::I32(v)),
-        Column::U32(v) => Ok(ColData::U32(v)),
-        Column::U8(v) => Ok(ColData::U8(v)),
-        Column::Dict { codes, dict } => Ok(ColData::Dict {
-            codes,
-            vals: vals_of(dict, name)?,
-        }),
-        Column::Dict16 { codes, dict } => Ok(ColData::Dict16 {
-            codes,
-            vals: vals_of(dict, name)?,
-        }),
-        Column::Rle { run_ends, values } => Ok(ColData::Rle {
-            run_ends,
-            vals: vals_of(values, name)?,
-        }),
-        other => Err(TableError::TypeMismatch {
-            column: name.to_string(),
-            expected: NUMERIC_EXPECTED,
-            found: other.type_name(),
-        }),
-    }
+    let col = table.column(name.as_str())?;
+    let data = match col.logical() {
+        Column::F64(_) => col.storage().map(ColData::F64),
+        Column::I32(_) => col.storage().map(ColData::I32),
+        Column::U32(_) => col.storage().map(ColData::U32),
+        Column::U8(_) => col.storage().map(ColData::U8),
+        _ => None,
+    };
+    data.ok_or_else(|| type_mismatch(name, NUMERIC_EXPECTED, col))
 }
 
 /// A compiled program bound to one table's column storage.
@@ -1174,29 +1011,23 @@ impl<'t> BoundPredicate<'t> {
         range: Interval,
     ) -> Result<BoundPredicate<'t>, TableError> {
         let nothing = || BoundFast::Decided { ranges: Vec::new() };
-        // The 0 / -1 keep-set over byte codes `< len` whose value is inside.
-        let byte_set = |len: usize, value: &dyn Fn(usize) -> f64| {
-            let mut keep = Box::new([0i32; 256]);
-            for (c, k) in keep.iter_mut().enumerate().take(len) {
-                *k = -(range.contains(value(c)) as i32);
-            }
-            keep
-        };
         let fast = match bind_numeric(table, col)? {
             _ if range.is_empty() => nothing(),
-            ColData::F64(col) => BoundFast::F64Range {
+            ColData::F64(s) => lower(s, range, |col| BoundFast::F64Range {
                 col,
                 lo: range.lo,
                 hi: range.hi,
-            },
-            ColData::I32(col) => range
-                .integers(i32::MIN.into(), i32::MAX.into())
-                .map_or_else(nothing, |(lo, hi)| BoundFast::I32Range {
-                    col,
-                    lo: lo as i32,
-                    hi: hi as i32,
-                }),
-            ColData::U32(col) => {
+            }),
+            ColData::I32(s) => lower(s, range, |col| {
+                range
+                    .integers(i32::MIN.into(), i32::MAX.into())
+                    .map_or_else(nothing, |(lo, hi)| BoundFast::I32Range {
+                        col,
+                        lo: lo as i32,
+                        hi: hi as i32,
+                    })
+            }),
+            ColData::U32(s) => lower(s, range, |col| {
                 range
                     .integers(0, u32::MAX.into())
                     .map_or_else(nothing, |(lo, hi)| BoundFast::U32Range {
@@ -1204,28 +1035,51 @@ impl<'t> BoundPredicate<'t> {
                         lo: lo as u32,
                         hi: hi as u32,
                     })
-            }
-            ColData::U8(codes) => BoundFast::DictInSet {
+            }),
+            ColData::U8(s) => lower(s, range, |codes| BoundFast::DictInSet {
                 codes,
-                keep: byte_set(256, &|c| c as f64),
-            },
-            ColData::Dict { codes, vals } => BoundFast::DictInSet {
-                codes,
-                keep: byte_set(vals.len(), &|c| vals.get(c)),
-            },
-            ColData::Dict16 { codes, vals } => {
-                let mut keep = Box::new([0u32; 2048]);
-                for c in (0..vals.len().min(1 << 16)).filter(|&c| range.contains(vals.get(c))) {
-                    keep[c >> 5] |= 1 << (c & 31);
-                }
-                BoundFast::Dict16InSet { codes, keep }
-            }
-            ColData::Rle { run_ends, vals } => BoundFast::Decided {
-                ranges: kept_runs(run_ends, |r| range.contains(vals.get(r))),
-            },
+                keep: byte_set(256, |c| range.contains(c as f64)),
+            }),
         };
         Ok(BoundPredicate(Bound::Fast(fast)))
     }
+}
+
+/// `range` lowered onto a column's storage: by `plain` for a plain
+/// column; for an encoded one, tested once per dictionary entry or run
+/// value, widened to `f64`.
+fn lower<'t, T: Copy + Into<f64>>(
+    storage: Storage<'t, T>,
+    range: Interval,
+    plain: impl FnOnce(&'t [T]) -> BoundFast<'t>,
+) -> BoundFast<'t> {
+    let inside = |values: &[T], i: usize| range.contains(values[i].into());
+    match storage {
+        Storage::Plain(col) => plain(col),
+        Storage::Dict { codes, dict } => BoundFast::DictInSet {
+            codes,
+            keep: byte_set(dict.len(), |c| inside(dict, c)),
+        },
+        Storage::Dict16 { codes, dict } => {
+            let mut keep = Box::new([0u32; 2048]);
+            for c in (0..dict.len().min(1 << 16)).filter(|&c| inside(dict, c)) {
+                keep[c >> 5] |= 1 << (c & 31);
+            }
+            BoundFast::Dict16InSet { codes, keep }
+        }
+        Storage::Rle { run_ends, values } => BoundFast::Decided {
+            ranges: kept_runs(run_ends, |r| inside(values, r)),
+        },
+    }
+}
+
+/// The 0 / -1 keep-set over the byte codes `< len` that `keep` accepts.
+fn byte_set(len: usize, keep: impl Fn(usize) -> bool) -> Box<[i32; 256]> {
+    let mut set = Box::new([0i32; 256]);
+    for (c, k) in set.iter_mut().enumerate().take(len) {
+        *k = -(keep(c) as i32);
+    }
+    set
 }
 
 /// Branchless selection-vector build: writes every candidate row id and
@@ -1449,7 +1303,7 @@ impl BoundProg<'_> {
     fn slice(&self, i: usize, range: Option<(usize, usize)>) -> Option<&[f64]> {
         match (self.prog.nodes[i], range) {
             (Node::Col(c), Some((lo, n))) => match self.cols[c] {
-                ColData::F64(col) => Some(&col[lo..lo + n]),
+                ColData::F64(Storage::Plain(col)) => Some(&col[lo..lo + n]),
                 _ => None,
             },
             _ => None,

@@ -88,10 +88,12 @@
 //! values go through each scan range's
 //! [`AggHashTable`] and its SIMD batched probe
 //! ([`AggHashTable::probe_gids`], §IV). A batch's keys are laid down by
-//! one tight loop per key leg — column slices for a dense or near-dense
-//! batch, a gather otherwise, RLE keys once per run span. Ids, first-seen
-//! order and the data-dependent [`PlanError::ReservedKey`] are those of a
-//! per-row walk over the selected rows either way.
+//! one read per key leg through the column's storage (`Storage::read`
+//! in [`crate::column`], the one reader of plain, `Dict`, `Dict16` and
+//! RLE storage) — the batch's range for a dense or
+//! near-dense batch, a gather otherwise. Ids, first-seen order and the
+//! data-dependent [`PlanError::ReservedKey`] are those of a per-row walk
+//! over the selected rows either way.
 //!
 //! **Why fusion preserves bit-identity** (paper footnote 3, extended to
 //! batched evaluation): the per-row expression dag is evaluated with the
@@ -116,8 +118,8 @@
 //! (MIN and MAX fold that batch per row: a compare per row costs less
 //! than the gather.)
 //! The sort is stable and only the *values* are permuted: the selection
-//! vector and the group ids stay in row order, so predicates and RLE
-//! cursors never see it.
+//! vector and the group ids stay in row order, so predicates and column
+//! reads never see it.
 //!
 //! **Range pruning.** An interval conjunct over an RLE column is
 //! *decided* when it is bound — once per run, once per query — into the
@@ -152,12 +154,13 @@
 //! (compacting each output measured no better than the gathers); an
 //! empty batch stops right after the filter.
 //!
-//! **Encoded inputs are evaluated.** A SUM / MIN / MAX input over a
-//! `Dict`, `Dict16` or `Rle` column — bare or inside an expression — is
-//! evaluated by the expression program like any other (a code lookup per
-//! row, a run walk per batch) and deposited the way the batch's grouping
-//! says. RLE group keys go through the same key fill and group-id map as
-//! every other key storage.
+//! **Encoded columns are read, never decoded.** A SUM / MIN / MAX input
+//! over a `Dict`, `Dict16` or `Rle` column — bare or inside an expression
+//! — is evaluated by the expression program like any other and deposited
+//! the way the batch's grouping says; a group key of any storage goes
+//! through the same key fill and group-id map. Both read the column
+//! through the same reader: a code lookup per row, or one value per run
+//! span from a binary search for the batch's first row.
 //!
 //! **Parallelism.** The batch is the only unit of work. With `threads > 1`
 //! the scan lists the grid's live batches (those a kept range overlaps),
@@ -182,10 +185,10 @@
 // is an `expect` stating an internal invariant, allowed where it stands.
 #![deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use crate::column::{type_mismatch, ColRef, Column, Table, TableError};
+use crate::column::{type_mismatch, ColRef, Column, Storage, Table, TableError};
 use crate::expr::{
-    advance_run, extend_clipped, intersect_ranges, BoolExpr, BoundExpr, BoundPredicate,
-    CompiledExpr, CompiledPredicate, EvalScratch, Expr, RowRange, Sel,
+    extend_clipped, intersect_ranges, BoolExpr, BoundExpr, BoundPredicate, CompiledExpr,
+    CompiledPredicate, EvalScratch, Expr, RowRange, Sel,
 };
 use crate::plan::PlanError;
 use crate::sum_op::{
@@ -656,165 +659,41 @@ impl<'t> ScanFilter<'t> {
 /// the hash table's own empty-*key* sentinel).
 const NO_GROUP: u32 = u32::MAX;
 
-/// A byte-wide leg of a narrow group key bound to its storage, *without
-/// decompressing*: plain bytes, dictionary codes indexing a byte
-/// dictionary, or RLE runs walked by a monotonic cursor. `U8` / `U16`
-/// also carry the raw *codes* of a dictionary key column, which index the
-/// gid table directly.
-#[derive(Clone, Copy)]
-enum Leg<'t> {
-    U8(&'t [u8]),
-    U16(&'t [u16]),
-    Dict {
-        codes: &'t [u8],
-        dict: &'t [u8],
-    },
-    /// Wide-dictionary storage (`u16` codes). A `U8` inner dictionary has
-    /// ≤256 distinct values so [`Column::dict_encode`] never *produces*
-    /// this shape, but reordered or hand-built tables can carry it.
-    Dict16 {
-        codes: &'t [u16],
-        dict: &'t [u8],
-    },
-    Rle {
-        run_ends: &'t [u32],
-        values: &'t [u8],
-    },
-}
-
-/// `out[i] = place(out[i], values[run])` for the run holding each row of
-/// the increasing `sel`: one value per run span, not per row. `cursor` is
-/// the run position, carried across a scan range's batches (selections
-/// increase, so the walk is amortized O(1)).
-#[inline(always)]
-fn fill_runs<T: Copy>(
-    run_ends: &[u32],
-    values: &[T],
-    sel: &[u32],
-    cursor: &mut usize,
-    out: &mut [u32],
-    place: impl Fn(u32, T) -> u32,
-) {
-    let mut i = 0;
-    while i < sel.len() {
-        *cursor = advance_run(run_ends, *cursor, sel[i]);
-        let (end, v) = (run_ends[*cursor], values[*cursor]);
-        let j = i + sel[i..].iter().take_while(|&&row| row < end).count();
-        for o in &mut out[i..j] {
-            *o = place(*o, v);
-        }
-        i = j;
-    }
-}
-
-/// `out[i] = f(out[i], col[row i])` over a batch's rows: one slice of the
-/// column when `batch` is a range (`out` is as long), a gather otherwise.
-#[inline(always)]
-fn map_rows<T: Copy>(col: &[T], batch: Sel, out: &mut [u32], f: impl Fn(u32, T) -> u32) {
-    match batch.dense_start() {
-        Some(lo) => {
-            for (o, &v) in out.iter_mut().zip(&col[lo..lo + batch.len()]) {
-                *o = f(*o, v);
-            }
-        }
-        None => {
-            for (o, &row) in out.iter_mut().zip(batch.rows) {
-                *o = f(*o, col[row as usize]);
-            }
-        }
-    }
-}
-
-impl Leg<'_> {
-    /// `out[i] = place(out[i], value)` for this leg's value of every
-    /// selected row — one tight loop per storage shape. `cursor` is the
-    /// leg's run position ([`fill_runs`]). A table's dictionary codes
-    /// index inside their dictionary ([`Table::add_column`]).
-    fn fill(
-        &self,
-        batch: Sel,
-        cursor: &mut usize,
-        out: &mut [u32],
-        place: impl Fn(u32, u32) -> u32,
-    ) {
-        match *self {
-            Leg::U8(col) => map_rows(col, batch, out, |o, v| place(o, v as u32)),
-            Leg::U16(col) => map_rows(col, batch, out, |o, v| place(o, v as u32)),
-            Leg::Dict { codes, dict } => {
-                map_rows(codes, batch, out, |o, c| place(o, dict[c as usize] as u32))
-            }
-            Leg::Dict16 { codes, dict } => {
-                map_rows(codes, batch, out, |o, c| place(o, dict[c as usize] as u32))
-            }
-            Leg::Rle { run_ends, values } => {
-                fill_runs(run_ends, values, batch.rows, cursor, out, |o, v| {
-                    place(o, v as u32)
-                })
-            }
-        }
-    }
-}
-
-/// A group-key column (or byte pair) bound to its storage. `I32` keys are
+/// A group-key column (or byte pair) bound to its storage and read
+/// through it ([`Storage::read`]), never decompressed. `I32` keys are
 /// mapped to `u32` by bit pattern (a bijection), so negative keys group
-/// correctly — except `-1`, which is the reserved key. The column is
-/// never decompressed: narrow keys are read leg by leg, RLE keys once per
-/// run span.
+/// correctly — except `-1`, which is the reserved key.
 enum KeyCol<'t> {
-    I32(&'t [i32]),
-    U32(&'t [u32]),
-    /// RLE `I32` / `U32` key column: `keys[run]` is the key of every row
-    /// in `run`.
-    Rle {
-        run_ends: &'t [u32],
-        keys: Vec<u32>,
-    },
-    /// At most 16 physical bits: one leg, or a pair packed `(a << 8) | b`.
-    Legs(Leg<'t>, Option<Leg<'t>>),
-}
-
-/// Run positions of the (up to two) RLE group-key legs of a scan range,
-/// carried across batches.
-#[derive(Default)]
-struct RunCursors {
-    a: usize,
-    b: usize,
+    I32(Storage<'t, i32>),
+    U32(Storage<'t, u32>),
+    /// The raw codes of a `Dict16` key column.
+    U16(Storage<'t, u16>),
+    /// At most 16 physical bits: one byte leg (a `U8` column's values or
+    /// a `Dict` key column's raw codes), or a pair packed `(a << 8) | b`.
+    Bytes(Storage<'t, u8>, Option<Storage<'t, u8>>),
 }
 
 impl KeyCol<'_> {
-    /// One key per selected row, in `buf`. A dense batch reads column
-    /// slices (loops the compiler vectorizes); a near-dense one reads its
-    /// covering range the same way and compacts the keys through the
-    /// selection, once, before anything looks at them; any other gathers.
-    /// RLE runs are walked over the selection, so a key with one reads no
-    /// such range.
-    fn fill<'a>(&self, mut batch: Sel, cur: &mut RunCursors, buf: &'a mut Vec<u32>) -> &'a [u32] {
-        let sel = batch.rows;
-        let rle = |leg: &Leg| matches!(leg, Leg::Rle { .. });
-        let walks_runs = match self {
-            KeyCol::Rle { .. } => true,
-            KeyCol::Legs(a, b) => rle(a) || b.as_ref().is_some_and(rle),
-            _ => false,
-        };
-        if walks_runs && batch.selection().is_some() {
-            batch = Sel::unordered(sel);
-        }
+    /// One key per selected row, in `buf`. A dense batch reads its range;
+    /// a near-dense one reads its covering range the same way and
+    /// compacts the keys through the selection, once, before anything
+    /// looks at them; any other gathers.
+    fn fill<'a>(&self, batch: Sel, buf: &'a mut Vec<u32>) -> &'a [u32] {
         if buf.len() < batch.len() {
             buf.resize(batch.len(), 0);
         }
         let out = &mut buf[..batch.len()];
         match self {
-            KeyCol::I32(col) => map_rows(col, batch, out, |_, v| v as u32),
-            KeyCol::U32(col) => map_rows(col, batch, out, |_, v| v),
-            KeyCol::Legs(a, None) => a.fill(batch, &mut cur.a, out, |_, v| v),
-            KeyCol::Legs(a, Some(b)) => {
-                a.fill(batch, &mut cur.a, out, |_, v| v << 8);
-                b.fill(batch, &mut cur.b, out, |o, v| o | v);
-            }
-            KeyCol::Rle { run_ends, keys } => {
-                fill_runs(run_ends, keys, sel, &mut cur.a, out, |_, k| k)
+            KeyCol::I32(s) => s.read(batch, out, |_, v| v as u32),
+            KeyCol::U32(s) => s.read(batch, out, |_, v| v),
+            KeyCol::U16(s) => s.read(batch, out, |_, v| v.into()),
+            KeyCol::Bytes(a, None) => a.read(batch, out, |_, v| v.into()),
+            KeyCol::Bytes(a, Some(b)) => {
+                a.read(batch, out, |_, v| u32::from(v) << 8);
+                b.read(batch, out, |o, v| o | u32::from(v));
             }
         }
+        let sel = batch.rows;
         if batch.selection().is_some() {
             // Offsets never trail their position: a forward pass reads
             // every key before overwriting it.
@@ -829,11 +708,11 @@ impl KeyCol<'_> {
 /// The logical types a hash group key can have.
 const HASH_KEY_TYPES: &str = "I32, U32 or U8";
 
-/// The `u32` keys of a hash-key column's values — for an encoded column
-/// its dictionary entries or run values, one widening pass that never
-/// touches n rows — and whether they are `I32` bit patterns. Which logical
-/// types can be a hash group key is decided here and in the plain arms of
-/// [`GroupBind::bind`], nowhere else in the engine.
+/// The `u32` keys of a dictionary key column's entries — one widening
+/// pass that never touches n rows — and whether they are `I32` bit
+/// patterns. Which logical types can be a hash group key is decided here
+/// and in the value arms of [`GroupBind::bind`], nowhere else in the
+/// engine.
 fn inner_keys(name: &ColRef, col: &Column) -> Result<(Vec<u32>, bool), TableError> {
     Ok(match col {
         Column::I32(v) => (v.iter().map(|&x| x as u32).collect(), true),
@@ -889,26 +768,9 @@ impl<'t> GroupBind<'t> {
     /// their encoding: a pair leg must be `U8`, a hash key `I32`, `U32` or
     /// `U8`.
     fn bind(table: &'t Table, group_by: &'t GroupKey) -> Result<Option<GroupBind<'t>>, TableError> {
-        let leg = |name: &'t ColRef| -> Result<Leg<'t>, TableError> {
-            let bytes = |col: &'t Column| match col {
-                Column::U8(v) => Ok(&v[..]),
-                other => Err(type_mismatch(name, "U8", other)),
-            };
-            Ok(match table.column(name.as_str())? {
-                Column::Dict { codes, dict } => Leg::Dict {
-                    codes,
-                    dict: bytes(dict)?,
-                },
-                Column::Dict16 { codes, dict } => Leg::Dict16 {
-                    codes,
-                    dict: bytes(dict)?,
-                },
-                Column::Rle { run_ends, values } => Leg::Rle {
-                    run_ends,
-                    values: bytes(values)?,
-                },
-                plain => Leg::U8(bytes(plain)?),
-            })
+        let leg = |name: &'t ColRef| -> Result<Storage<'t, u8>, TableError> {
+            let col = table.column(name.as_str())?;
+            col.storage().ok_or_else(|| type_mismatch(name, "U8", col))
         };
         let (byte, pair) = (MapKind::Direct(1 << 8), MapKind::Direct(1 << 16));
         #[cfg(test)]
@@ -917,41 +779,41 @@ impl<'t> GroupBind<'t> {
             GroupKey::None => return Ok(None),
             GroupKey::HashPair { a, b } => GroupBind {
                 col: a,
-                key_col: KeyCol::Legs(leg(a)?, Some(leg(b)?)),
+                key_col: KeyCol::Bytes(leg(a)?, Some(leg(b)?)),
                 map: pair,
                 dict: None,
                 signed: false,
             },
             GroupKey::Hash { col } => {
-                let (key_col, map, dict, signed) = match table.column(col.as_str())? {
-                    Column::I32(v) => (KeyCol::I32(v), MapKind::Hash, None, true),
-                    Column::U32(v) => (KeyCol::U32(v), MapKind::Hash, None, false),
-                    Column::U8(v) => (KeyCol::Legs(Leg::U8(v), None), byte, None, false),
-                    Column::Dict { codes, dict } => {
+                let column = table.column(col.as_str())?;
+                let bound = match (column, column.logical()) {
+                    (Column::Dict { codes, dict }, _) => {
                         let (keys, signed) = inner_keys(col, dict)?;
-                        let codes = KeyCol::Legs(Leg::U8(codes), None);
-                        (codes, byte, Some(dict_keys(keys)), signed)
+                        let codes = KeyCol::Bytes(Storage::Plain(codes), None);
+                        Some((codes, byte, Some(dict_keys(keys)), signed))
                     }
-                    Column::Dict16 { codes, dict } => {
+                    (Column::Dict16 { codes, dict }, _) => {
                         let (keys, signed) = inner_keys(col, dict)?;
-                        let codes = KeyCol::Legs(Leg::U16(codes), None);
-                        (codes, pair, Some(dict_keys(keys)), signed)
+                        let codes = KeyCol::U16(Storage::Plain(codes));
+                        Some((codes, pair, Some(dict_keys(keys)), signed))
                     }
-                    Column::Rle { run_ends, values } => match &**values {
-                        Column::U8(v) => {
-                            let runs = Leg::Rle {
-                                run_ends,
-                                values: v,
-                            };
-                            (KeyCol::Legs(runs, None), byte, None, false)
-                        }
-                        values => {
-                            let (keys, signed) = inner_keys(col, values)?;
-                            (KeyCol::Rle { run_ends, keys }, MapKind::Hash, None, signed)
-                        }
-                    },
-                    other => return Err(type_mismatch(col, HASH_KEY_TYPES, other)),
+                    // Plain or RLE storage: the key values themselves.
+                    (_, Column::I32(_)) => {
+                        let hash = |s| (KeyCol::I32(s), MapKind::Hash, None, true);
+                        column.storage().map(hash)
+                    }
+                    (_, Column::U32(_)) => {
+                        let hash = |s| (KeyCol::U32(s), MapKind::Hash, None, false);
+                        column.storage().map(hash)
+                    }
+                    (_, Column::U8(_)) => {
+                        let bytes = |s| (KeyCol::Bytes(s, None), byte, None, false);
+                        column.storage().map(bytes)
+                    }
+                    _ => None,
                 };
+                let (key_col, map, dict, signed) =
+                    bound.ok_or_else(|| type_mismatch(col, HASH_KEY_TYPES, column))?;
                 GroupBind {
                     col,
                     key_col,
@@ -1046,7 +908,7 @@ impl Groups {
         }
     }
 
-    /// The group id of one key (a run span's, or a merged partial's).
+    /// The group id of one key of a merged partial.
     #[inline]
     fn gid(&mut self, bind: &GroupBind<'_>, key: u32) -> Result<u32, PlanError> {
         let Groups { map, keys } = self;
@@ -1214,8 +1076,7 @@ fn deposit_as<S: States>(
 }
 
 /// One scan range's working state: the range's group-id map, its states,
-/// its key-leg run cursors, and the batch-sized scratch every batch
-/// reuses.
+/// and the batch-sized scratch every batch reuses.
 struct RangeScan<'q> {
     query: &'q BoundQuery<'q>,
     /// `Some` for a grouped query.
@@ -1224,7 +1085,6 @@ struct RangeScan<'q> {
     sel: Vec<u32>,
     gids: Vec<u32>,
     key_buf: Vec<u32>,
-    cur: RunCursors,
     part: BatchPartition,
     eval: EvalScratch,
 }
@@ -1241,7 +1101,6 @@ impl<'q> RangeScan<'q> {
             sel: Vec::new(),
             gids: Vec::new(),
             key_buf: Vec::new(),
-            cur: RunCursors::default(),
             part: BatchPartition::default(),
             eval: EvalScratch::new(),
         }
@@ -1284,7 +1143,7 @@ impl<'q> RangeScan<'q> {
         Ok(match (&query.group, &mut self.groups) {
             (Some(bind), Some(groups)) => {
                 let batch = Sel::near_dense(sel);
-                let keys = bind.key_col.fill(batch, &mut self.cur, &mut self.key_buf);
+                let keys = bind.key_col.fill(batch, &mut self.key_buf);
                 groups.assign(bind, keys, &mut self.gids)?;
                 states.ensure_groups(groups.keys.len());
                 // A batch is partitioned by group id when its backend

@@ -5,7 +5,7 @@
 //! `Column::Rle` storage in the same physical row order — runs Q1 and Q6
 //! over both, asserts every output bit identical, and prints the timing
 //! side by side. Sorting by the Q1 group key first gives RLE group keys,
-//! whose key fill walks the runs; their group ids and deposits are those
+//! read one value per run span; their group ids and deposits are those
 //! of any other key storage. Sorting by shipdate shows range pruning:
 //! Q6's date band is decided per run when the query is bound, and the
 //! scan visits only the batches that overlap it (the `batches` column).
